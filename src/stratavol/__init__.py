@@ -40,13 +40,10 @@ from .cumulants import (
 from .errors import DomainError, ResourceCapError
 from .exact_arith import (
     PiScalar,
-    PiSum,
     bernoulli,
     frak_z,
     frak_z_over_pi,
-    pi_add,
     pi_approx,
-    pi_mul,
     zeta_even_over_pi,
     zeta_neg,
 )
@@ -85,7 +82,6 @@ __all__ = [
     "IntPartition",
     "PExpansion",
     "PiScalar",
-    "PiSum",
     "QSeries",
     "ResourceCapError",
     "SetPartition",
@@ -123,9 +119,7 @@ __all__ = [
     "meet",
     "mobius_coeff",
     "p_eval",
-    "pi_add",
     "pi_approx",
-    "pi_mul",
     "q_average",
     "t_poly_forest_oracle",
     "theta_prime_zero",

@@ -7,37 +7,26 @@ the sign given by the number of beta numbers jumped over.  Dimensions use
 the hook length formula as a fast path once only fixed points remain.
 
 Cycle types passed around internally drop their trailing 1-parts ("core"
-form), which keeps cache keys small during large Burnside sweeps.
+form), which keeps cache keys small during large Burnside sweeps.  Values
+are memoized in memory for the life of the process.
 """
 
 from __future__ import annotations
 
-import os
-import threading
 from fractions import Fraction
 from math import factorial
-from pathlib import Path
 
-from . import config
 from .errors import DomainError
 from .partitions import IntPartition
 
-CACHE_FORMAT_VERSION = 1
-_CACHE_HEADER = "stratavol-characters"
-
 
 class CharTableCache:
-    """In-memory character values keyed by (irrep label, cycle-type core),
-    with optional one-file-per-degree persistence.
-
-    Values are deterministic, so concurrent duplicate inserts are harmless;
-    a lock guards only file input/output.
-    """
+    """Process-wide character values keyed by (irrep label, cycle-type
+    core).  Values are deterministic, so concurrent duplicate inserts are
+    harmless."""
 
     def __init__(self) -> None:
         self.values: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
-        self._io_lock = threading.Lock()
-        self._loaded_degrees: set[tuple[int, str]] = set()
 
     def get(self, key):
         return self.values.get(key)
@@ -47,64 +36,6 @@ class CharTableCache:
 
     def __len__(self) -> int:
         return len(self.values)
-
-    # -- persistence ------------------------------------------------------
-
-    def _path_for_degree(self, d: int, directory: Path) -> Path:
-        return directory / f"chars-d{d:03d}.txt"
-
-    def save_degree(self, d: int, directory: Path | None = None) -> Path:
-        """Write all cached values for irreps of size d to a text file."""
-        directory = directory or config.default_cache_dir()
-        directory.mkdir(parents=True, exist_ok=True)
-        path = self._path_for_degree(d, directory)
-        rows = sorted(
-            (lam, core, v)
-            for (lam, core), v in self.values.items()
-            if sum(lam) == d
-        )
-        tmp = path.with_suffix(".tmp")
-        with self._io_lock:
-            with open(tmp, "w", encoding="ascii") as fh:
-                fh.write(f"{_CACHE_HEADER} v{CACHE_FORMAT_VERSION} d={d}\n")
-                for lam, core, v in rows:
-                    fh.write(
-                        ",".join(map(str, lam))
-                        + ";"
-                        + ",".join(map(str, core))
-                        + ";"
-                        + str(v)
-                        + "\n"
-                    )
-            os.replace(tmp, path)
-        return path
-
-    def load_degree(self, d: int, directory: Path | None = None) -> int:
-        """Load persisted values for degree d.  Corrupt or version-mismatched
-        files are ignored (and will be rebuilt on the next save)."""
-        directory = directory or config.default_cache_dir()
-        marker = (d, str(directory))
-        if marker in self._loaded_degrees:
-            return 0
-        self._loaded_degrees.add(marker)
-        path = self._path_for_degree(d, directory)
-        if not path.is_file():
-            return 0
-        loaded = 0
-        try:
-            with self._io_lock, open(path, encoding="ascii") as fh:
-                header = fh.readline().strip()
-                if header != f"{_CACHE_HEADER} v{CACHE_FORMAT_VERSION} d={d}":
-                    return 0
-                for line in fh:
-                    lam_s, core_s, val_s = line.strip().split(";")
-                    lam = tuple(int(x) for x in lam_s.split(",") if x)
-                    core = tuple(int(x) for x in core_s.split(",") if x)
-                    self.values[(lam, core)] = int(val_s)
-                    loaded += 1
-        except (OSError, ValueError):
-            return 0
-        return loaded
 
 
 _cache = CharTableCache()
@@ -118,7 +49,6 @@ def character_cache() -> CharTableCache:
 
 def clear_caches() -> None:
     _cache.values.clear()
-    _cache._loaded_degrees.clear()
     _dim_cache.clear()
 
 

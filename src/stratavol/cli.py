@@ -14,8 +14,8 @@ import sys
 from decimal import Decimal, getcontext
 from fractions import Fraction
 
-from .characters import character_cache
 from .coverings import (
+    BRUTE_FORCE_CAP,
     CoverCountRecord,
     CoverProfile,
     brute_force_hom_count,
@@ -131,13 +131,15 @@ def cmd_fk(args) -> int:
 def cmd_covers(args) -> int:
     profile = CoverProfile(_parse_int_list(args.profile))
     dmax = args.dmax
-    if args.use_cache:
-        cache = character_cache()
-        for d in range(1, dmax + 1):
-            cache.load_degree(d)
+    if dmax < 1:
+        raise DomainError(f"--dmax must be >= 1, got {dmax}")
+    if args.brute_force and dmax > BRUTE_FORCE_CAP:
+        raise ResourceCapError(
+            f"brute-force degree {dmax} exceeds cap {BRUTE_FORCE_CAP}"
+        )
     records: list[CoverCountRecord] = []
     if args.connected:
-        series = cov_connected_series(profile, dmax, threads=args.threads)
+        series = cov_connected_series(profile, dmax)
         for d in range(1, dmax + 1):
             records.append(
                 CoverCountRecord(profile, d, "connected", series.coefficient(d))
@@ -145,7 +147,7 @@ def cmd_covers(args) -> int:
     else:
         for d in range(1, dmax + 1):
             records.append(
-                CoverCountRecord(profile, d, "all", cov_d(profile, d, threads=args.threads))
+                CoverCountRecord(profile, d, "all", cov_d(profile, d))
             )
     if args.brute_force:
         for d in range(1, dmax + 1):
@@ -155,10 +157,6 @@ def cmd_covers(args) -> int:
                     brute_force_hom_count(profile, d, args.connected),
                 )
             )
-    if args.use_cache:
-        cache = character_cache()
-        for d in range(1, dmax + 1):
-            cache.save_degree(d)
     fmt = args.output or "csv"
     if fmt == "json":
         _emit(json.dumps([
@@ -173,6 +171,8 @@ def cmd_covers(args) -> int:
 
 
 def cmd_simple_table(args) -> int:
+    if args.nmax < 1:
+        raise DomainError(f"--nmax must be >= 1, got {args.nmax}")
     rows = [(n, c_simple(n)) for n in range(1, args.nmax + 1)]
     fmt = args.output or "csv"
     if fmt == "json":
@@ -230,17 +230,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="output format (each command has a sensible default)",
     )
     common.add_argument(
-        "--threads", type=int, default=None,
-        help="worker cap for the character-sum reductions",
-    )
-    common.add_argument(
         "--approx", action="store_true",
         help="append a decimal annotation computed from 50 digits of pi",
-    )
-    common.add_argument(
-        "--use-cache", action="store_true",
-        help="load and persist per-degree character tables "
-        "(STRATAVOL_CACHE or the per-user cache directory)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -267,7 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dmax", type=int, default=5)
     p.add_argument("--connected", action="store_true")
     p.add_argument("--brute-force", action="store_true",
-                   help="also tabulate the direct enumeration")
+                   help="also tabulate the direct enumeration "
+                   f"(--dmax at most {BRUTE_FORCE_CAP})")
     p.set_defaults(fn=cmd_covers)
 
     p = sub.add_parser("simple-table", parents=[common], help="constants for simple branching")

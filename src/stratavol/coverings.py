@@ -10,7 +10,6 @@ branch points.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
@@ -18,7 +17,6 @@ from math import factorial
 from typing import Iterable, Sequence
 
 from .characters import central_char_f
-from .config import DEFAULT_BRUTE_FORCE_CAP
 from .errors import DomainError, ResourceCapError
 from .partitions import (
     IntPartition,
@@ -27,6 +25,10 @@ from .partitions import (
     set_partitions_of,
 )
 from .qseries import QSeries, euler_series
+
+# Largest degree the brute-force monodromy enumeration accepts: it loops
+# over all (d!)^2 pairs of permutations, times the branch classes.
+BRUTE_FORCE_CAP = 5
 
 __all__ = [
     "CoverProfile",
@@ -73,12 +75,12 @@ def _profile(profile) -> CoverProfile:
     return profile if isinstance(profile, CoverProfile) else CoverProfile(profile)
 
 
-def cov_d(profile, d: int, threads: int | None = None) -> Fraction:
+def cov_d(profile, d: int) -> Fraction:
     """Weighted number of degree-d coverings with the given branch profile:
     the sum over partitions lam of d of the product of central characters.
 
     The empty profile counts all unramified coverings, one per partition
-    of d.  Deterministic regardless of the worker count.
+    of d.
     """
     profile = _profile(profile)
     if d < 0:
@@ -95,33 +97,24 @@ def cov_d(profile, d: int, threads: int | None = None) -> Fraction:
             acc *= f
         return acc
 
-    if threads and threads > 1:
-        lams = list(iter_int_partitions(d))
-        chunk = max(1, len(lams) // threads)
-        pieces = [lams[i : i + chunk] for i in range(0, len(lams), chunk)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            sums = list(pool.map(lambda piece: sum(term(l) for l in piece), pieces))
-        return sum(sums, Fraction(0))
     return sum((term(lam) for lam in iter_int_partitions(d)), Fraction(0))
 
 
-def cov_series(profile, order: int, threads: int | None = None) -> QSeries:
+def cov_series(profile, order: int) -> QSeries:
     """Generating series sum_d cov_d(profile) q^d, truncated."""
-    return QSeries.from_coeffs(
-        [cov_d(profile, d, threads=threads) for d in range(order + 1)]
-    )
+    return QSeries.from_coeffs([cov_d(profile, d) for d in range(order + 1)])
 
 
-def cov_prime_series(profile, order: int, threads: int | None = None) -> QSeries:
+def cov_prime_series(profile, order: int) -> QSeries:
     """Series for coverings without unramified connected components:
     the raw covering series times prod (1 - q^n)."""
     profile = _profile(profile)
     if order < 0:
         raise DomainError("order must be nonnegative")
-    return euler_series(order) * cov_series(profile, order, threads=threads)
+    return euler_series(order) * cov_series(profile, order)
 
 
-def cov_connected_series(profile, order: int, threads: int | None = None) -> QSeries:
+def cov_connected_series(profile, order: int) -> QSeries:
     """Series counting connected coverings, by inclusion-exclusion over set
     partitions of the branch points applied to the no-unramified series."""
     profile = _profile(profile)
@@ -133,7 +126,7 @@ def cov_connected_series(profile, order: int, threads: int | None = None) -> QSe
     def prime_for(indices: tuple[int, ...]) -> QSeries:
         key = tuple(sorted(profile[i] for i in indices))
         if key not in prime_cache:
-            prime_cache[key] = cov_prime_series(key, order, threads=threads)
+            prime_cache[key] = cov_prime_series(key, order)
         return prime_cache[key]
 
     total = QSeries.zero(order)
@@ -205,12 +198,7 @@ def _is_transitive(gens: Sequence[Perm], d: int) -> bool:
     return count == d
 
 
-def brute_force_hom_count(
-    profile,
-    d: int,
-    connected_only: bool = False,
-    cap: int = DEFAULT_BRUTE_FORCE_CAP,
-) -> Fraction:
+def brute_force_hom_count(profile, d: int, connected_only: bool = False) -> Fraction:
     """Count monodromy tuples (a, b, g_1, ..., g_s) with g_i in the i-th
     branch class and a b a^-1 b^-1 g_1 ... g_s = id, divided by d!.
 
@@ -222,8 +210,8 @@ def brute_force_hom_count(
     profile = _profile(profile)
     if d < 1:
         raise DomainError("degree must be positive")
-    if d > cap:
-        raise ResourceCapError(f"brute-force degree {d} exceeds cap {cap}")
+    if d > BRUTE_FORCE_CAP:
+        raise ResourceCapError(f"brute-force degree {d} exceeds cap {BRUTE_FORCE_CAP}")
     for m in profile:
         if m > d:
             return Fraction(0)
@@ -265,7 +253,7 @@ def brute_force_hom_count(
     return Fraction(count, factorial(d))
 
 
-def asymptotic_ratio(profile, D: int, threads: int | None = None) -> Fraction:
+def asymptotic_ratio(profile, D: int) -> Fraction:
     """Finite-degree version of the normalized partial sums whose limit is
     the leading constant of connected covering counts:
 
@@ -278,6 +266,6 @@ def asymptotic_ratio(profile, D: int, threads: int | None = None) -> Fraction:
     if D < 1:
         raise DomainError("degree bound must be >= 1")
     total_weight = sum(profile)
-    series = cov_connected_series(profile, D, threads=threads)
+    series = cov_connected_series(profile, D)
     partial = sum(series.coeffs[1:], Fraction(0))
     return (total_weight + 1) * Fraction(partial, 1) / Fraction(D ** (total_weight + 1))

@@ -19,10 +19,10 @@ from math import factorial
 from typing import Iterator, Sequence
 
 from . import mvpoly
-from .config import DEFAULT_SET_PARTITION_CAP
 from .errors import DomainError, ResourceCapError
 from .exact_arith import PiScalar, frak_z, frak_z_over_pi
 from .partitions import (
+    SET_PARTITION_CAP,
     IntPartition,
     SetPartition,
     enum_complementary,
@@ -65,7 +65,7 @@ def _bounded_compositions(
     yield from rec(0, total)
 
 
-def elementary_cumulant(m, cap: int = DEFAULT_SET_PARTITION_CAP) -> PiScalar:
+def elementary_cumulant(m) -> PiScalar:
     """Leading coefficient of the fully connected average of the power sums
     indexed by m = (m_1, ..., m_n).
 
@@ -79,8 +79,10 @@ def elementary_cumulant(m, cap: int = DEFAULT_SET_PARTITION_CAP) -> PiScalar:
     """
     key = _canon_key(m)
     n = len(key)
-    if n > cap:
-        raise ResourceCapError(f"cumulant key with {n} parts exceeds cap {cap}")
+    if n > SET_PARTITION_CAP:
+        raise ResourceCapError(
+            f"cumulant key with {n} parts exceeds cap {SET_PARTITION_CAP}"
+        )
     total_size = sum(key)
     result = PiScalar.zero()
 
@@ -122,7 +124,7 @@ def elementary_cumulant(m, cap: int = DEFAULT_SET_PARTITION_CAP) -> PiScalar:
     return result
 
 
-def elementary_cumulant_series_oracle(m, cap: int = SERIES_ORACLE_CAP) -> PiScalar:
+def elementary_cumulant_series_oracle(m) -> PiScalar:
     """Recompute the elementary cumulant by multivariate series expansion.
 
     Builds, per set partition alpha, the product of per-block series
@@ -132,8 +134,10 @@ def elementary_cumulant_series_oracle(m, cap: int = SERIES_ORACLE_CAP) -> PiScal
     """
     key = _canon_key(m)
     n = len(key)
-    if n > cap:
-        raise ResourceCapError(f"series oracle supports at most {cap} parts, got {n}")
+    if n > SERIES_ORACLE_CAP:
+        raise ResourceCapError(
+            f"series oracle supports at most {SERIES_ORACLE_CAP} parts, got {n}"
+        )
     total_size = sum(key)
     max_deg = total_size
     target = key  # exponent tuple in variable order
@@ -182,14 +186,16 @@ def elementary_cumulant_series_oracle(m, cap: int = SERIES_ORACLE_CAP) -> PiScal
     return PiScalar(m_factorial * total, total_size - n + 2)
 
 
-def t_poly_forest_oracle(rho: SetPartition, cap: int = FOREST_ORACLE_CAP) -> bool:
+def t_poly_forest_oracle(rho: SetPartition) -> bool:
     """Check the polynomial identity between the closed form of the tree
     factor attached to rho and its expansion as a sum over spanning
     forests: forests on {1..n} with length(rho)-1 edges that connect all
     blocks of rho, each contributing the product of x_i x_j over edges."""
     n = rho.n
-    if n > cap:
-        raise ResourceCapError(f"forest oracle supports at most {cap} points, got {n}")
+    if n > FOREST_ORACLE_CAP:
+        raise ResourceCapError(
+            f"forest oracle supports at most {FOREST_ORACLE_CAP} points, got {n}"
+        )
     ell = rho.length
 
     # Closed form: (-1)^(l-1) (sum x)^(l-2) prod_blocks (block sum); equal
@@ -284,7 +290,7 @@ class WickLeading:
     hbar_exponent: int
 
 
-def wick_leading(groups, cap: int = DEFAULT_SET_PARTITION_CAP) -> WickLeading:
+def wick_leading(groups) -> WickLeading:
     """Leading coefficient of the grouped connected average of power sums:
     the sum, over set partitions complementary to the grouping, of the
     product of elementary cumulants of the parts collected per block.
@@ -295,33 +301,43 @@ def wick_leading(groups, cap: int = DEFAULT_SET_PARTITION_CAP) -> WickLeading:
     """
     wg = groups if isinstance(groups, WickGroups) else WickGroups(tuple(groups))
     n = wg.n
-    if n > cap:
-        raise ResourceCapError(f"total part count {n} exceeds cap {cap}")
+    if n > SET_PARTITION_CAP:
+        raise ResourceCapError(f"total part count {n} exceeds cap {SET_PARTITION_CAP}")
     parts = wg.parts
     rho = wg.rho
     exponent = sum(p + 1 for p in parts) - rho.length + 1
 
     total = PiScalar.zero()
-    for alpha in enum_complementary(rho, cap=cap):
+    for alpha in enum_complementary(rho):
         prod_value = PiScalar(Fraction(1), 0)
         for block in alpha.blocks:
             sub = tuple(parts[i - 1] for i in block)
-            prod_value = prod_value * elementary_cumulant(sub, cap=cap)
+            prod_value = prod_value * elementary_cumulant(sub)
             if prod_value.is_zero():
                 break
         total = total + prod_value
     return WickLeading(value=total, hbar_exponent=exponent)
 
 
-def f_cumulant_leading(m, cap: int = DEFAULT_SET_PARTITION_CAP) -> PiScalar:
+def f_cumulant_leading(m) -> PiScalar:
     """Leading coefficient of the connected average of the central
     character generators indexed by m: expand each generator in its
     top-weight power-sum terms, distribute multilinearly, and apply the
     Wick rule to every choice.  All choices share the same leading
-    exponent |m| + 1, which is asserted."""
+    exponent |m| + 1, which is asserted.
+
+    The longest top-weight term of generator k has (k + 1) // 2 parts, so
+    the largest grouping is known before any expansion is computed; the
+    set-partition cap is checked against it up front.
+    """
     key = _canon_key(m)
     if key[-1] < 2:
         raise DomainError("generator indices must be >= 2")
+    most_parts = sum((k + 1) // 2 for k in key)
+    if most_parts > SET_PARTITION_CAP:
+        raise ResourceCapError(
+            f"largest grouping has {most_parts} parts, exceeds cap {SET_PARTITION_CAP}"
+        )
     expansions = [f_top_expansion(k).terms for k in key]
     expected_exponent = sum(key) + 1
 
@@ -332,7 +348,7 @@ def f_cumulant_leading(m, cap: int = DEFAULT_SET_PARTITION_CAP) -> PiScalar:
         for lam, c in choice:
             coeff *= c
             groups.append(lam)
-        wl = wick_leading(WickGroups(tuple(groups)), cap=cap)
+        wl = wick_leading(WickGroups(tuple(groups)))
         if wl.hbar_exponent != expected_exponent:
             raise RuntimeError(
                 f"leading exponent mismatch: {wl.hbar_exponent} != {expected_exponent}"
@@ -341,11 +357,11 @@ def f_cumulant_leading(m, cap: int = DEFAULT_SET_PARTITION_CAP) -> PiScalar:
     return total
 
 
-def c_const(m, cap: int = DEFAULT_SET_PARTITION_CAP) -> PiScalar:
+def c_const(m) -> PiScalar:
     """The leading asymptotic constant of connected covering counts with
     branch profile m (entries >= 2), symmetric in m."""
     key = _canon_key(m)
-    return f_cumulant_leading(key, cap=cap) / factorial(sum(key))
+    return f_cumulant_leading(key) / factorial(sum(key))
 
 
 def _odd_double_factorial(v: int) -> int:
@@ -454,7 +470,7 @@ class VolumeResult:
         }
 
 
-def volume(mu, cross_check: bool = False, cap: int = DEFAULT_SET_PARTITION_CAP) -> VolumeResult:
+def volume(mu, cross_check: bool = False) -> VolumeResult:
     """Exact normalized volume of the stratum with zero multiplicities mu.
 
     Genus is |mu|/2 + 1, the dimension is 2 genus + length - 1, and the
@@ -469,13 +485,13 @@ def volume(mu, cross_check: bool = False, cap: int = DEFAULT_SET_PARTITION_CAP) 
         c_value = c_simple(spec.mu.length)
         route = ROUTE_SIMPLE
         if cross_check:
-            general = c_const(shifted, cap=cap)
+            general = c_const(shifted)
             if general != c_value:
                 raise RuntimeError(
                     f"route disagreement for mu={spec.mu}: {general} vs {c_value}"
                 )
     else:
-        c_value = c_const(shifted, cap=cap)
+        c_value = c_const(shifted)
         route = ROUTE_GENERAL
     vol = c_value / spec.dim
     return VolumeResult(

@@ -7,5 +7,6 @@ class DomainError(ValueError):
 
 
 class ResourceCapError(RuntimeError):
-    """A request would exceed a configured enumeration cap (set-partition
-    ground set too large, brute-force degree too high)."""
+    """A request would exceed a fixed enumeration cap (set-partition ground
+    set too large, brute-force degree too high).  Raised before the
+    enumeration starts."""

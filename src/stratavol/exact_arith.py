@@ -2,11 +2,11 @@
 
 Every quantity produced by this package is a rational number times an
 integer power of pi.  ``PiScalar`` stores the pair (coefficient, pi power)
-exactly; ``PiSum`` is the inhomogeneous safety net that keeps distinct pi
-powers separate.  The module also provides the handful of special constants
-everything else is built from: Bernoulli numbers, zeta at even positive and
-at negative integers, and the even-coefficient sequence ``frak_z`` of the
-Taylor expansion of pi*x/sin(pi*x).
+exactly and refuses to add distinct pi powers.  The module also provides
+the handful of special constants everything else is built from: Bernoulli
+numbers, zeta at even positive and at negative integers, and the
+even-coefficient sequence ``frak_z`` of the Taylor expansion of
+pi*x/sin(pi*x).
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
-from .config import DEFAULT_BERNOULLI_MEMO_CAP
 from .errors import DomainError
 
 # 50 decimal digits of pi, used only for optional numeric annotations and
@@ -38,12 +37,11 @@ _bernoulli_lock = threading.Lock()
 _bernoulli_memo: dict[int, Fraction] = {0: Fraction(1), 1: Fraction(-1, 2)}
 
 
-def bernoulli(n: int, memo_cap: int = DEFAULT_BERNOULLI_MEMO_CAP) -> Fraction:
+def bernoulli(n: int) -> Fraction:
     """Bernoulli number B_n with the convention B_1 = -1/2.
 
-    Uses the recurrence sum_{k=0}^{n} C(n+1, k) B_k = 0, filled bottom-up.
-    Values up to ``memo_cap`` are memoized; larger indices are computed on
-    demand without being stored.
+    Uses the recurrence sum_{k=0}^{n} C(n+1, k) B_k = 0, filled bottom-up;
+    every value computed is memoized.
     """
     if n < 0:
         raise DomainError("Bernoulli index must be nonnegative")
@@ -52,24 +50,19 @@ def bernoulli(n: int, memo_cap: int = DEFAULT_BERNOULLI_MEMO_CAP) -> Fraction:
         return cached
     if n % 2 == 1:
         return Fraction(0)
-    values = dict(_bernoulli_memo)
-    for m in range(2, n + 1, 2):
-        if m in values:
-            continue
-        # odd indices above 1 contribute nothing to the recurrence
-        acc = comb(m + 1, 1) * values[1]
-        for k in range(0, m, 2):
-            b = values[k]
-            if b:
-                acc += comb(m + 1, k) * b
-        values[m] = -acc / (m + 1)
-    value = values[n]
     with _bernoulli_lock:
-        # Idempotent inserts; concurrent writers land identical values.
-        for m, v in values.items():
-            if m <= memo_cap and m not in _bernoulli_memo:
-                _bernoulli_memo[m] = v
-    return value
+        memo = _bernoulli_memo
+        for m in range(2, n + 1, 2):
+            if m in memo:
+                continue
+            # odd indices above 1 contribute nothing to the recurrence
+            acc = comb(m + 1, 1) * memo[1]
+            for k in range(0, m, 2):
+                b = memo[k]
+                if b:
+                    acc += comb(m + 1, k) * b
+            memo[m] = -acc / (m + 1)
+        return memo[n]
 
 
 def zeta_even_over_pi(k: int) -> Fraction:
@@ -92,7 +85,7 @@ def zeta_neg(k: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# PiScalar and PiSum
+# PiScalar
 # ---------------------------------------------------------------------------
 
 
@@ -141,8 +134,8 @@ class PiScalar:
             return self
         if self.pi_pow != other.pi_pow:
             raise ValueError(
-                f"cannot add pi^{self.pi_pow} and pi^{other.pi_pow} terms "
-                "exactly; use PiSum"
+                f"cannot add pi^{self.pi_pow} and pi^{other.pi_pow} terms: "
+                "a sum of distinct pi powers is not a PiScalar"
             )
         return PiScalar(self.coeff + other.coeff, self.pi_pow)
 
@@ -209,77 +202,3 @@ def frak_z(k: int) -> PiScalar:
 def frak_z_over_pi(k: int) -> Fraction:
     """frak_z(k) with the pi power stripped: an exact rational."""
     return frak_z(k).coeff
-
-
-@dataclass(frozen=True)
-class PiSum:
-    """A finite sum of rationals times distinct powers of pi.
-
-    Stored as a map pi_pow -> coefficient with no zero entries, so adding
-    scalars of different powers is lossless.
-    """
-
-    terms: tuple[tuple[int, Fraction], ...] = ()
-
-    @staticmethod
-    def from_terms(terms: dict[int, Fraction]) -> "PiSum":
-        cleaned = {p: Fraction(c) for p, c in terms.items() if c != 0}
-        return PiSum(tuple(sorted(cleaned.items())))
-
-    @staticmethod
-    def from_scalar(scalar: PiScalar) -> "PiSum":
-        if scalar.is_zero():
-            return PiSum(())
-        return PiSum(((scalar.pi_pow, scalar.coeff),))
-
-    @staticmethod
-    def zero() -> "PiSum":
-        return PiSum(())
-
-    def as_dict(self) -> dict[int, Fraction]:
-        return dict(self.terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def to_scalar(self) -> PiScalar:
-        """Convert back to PiScalar; requires at most one term."""
-        if not self.terms:
-            return PiScalar.zero()
-        if len(self.terms) > 1:
-            raise ValueError("PiSum has multiple pi powers; not a PiScalar")
-        pow_, coeff = self.terms[0]
-        return PiScalar(coeff, pow_)
-
-    def __add__(self, other: "PiSum") -> "PiSum":
-        if not isinstance(other, PiSum):
-            return NotImplemented
-        acc = self.as_dict()
-        for p, c in other.terms:
-            acc[p] = acc.get(p, Fraction(0)) + c
-        return PiSum.from_terms(acc)
-
-    def __mul__(self, other: "PiSum") -> "PiSum":
-        if not isinstance(other, PiSum):
-            return NotImplemented
-        acc: dict[int, Fraction] = {}
-        for p1, c1 in self.terms:
-            for p2, c2 in other.terms:
-                key = p1 + p2
-                acc[key] = acc.get(key, Fraction(0)) + c1 * c2
-        return PiSum.from_terms(acc)
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        return " + ".join(str(PiScalar(c, p)) for p, c in self.terms)
-
-
-def pi_add(a: PiSum, b: PiSum) -> PiSum:
-    """Exact sum of two pi-power sums."""
-    return a + b
-
-
-def pi_mul(a: PiSum, b: PiSum) -> PiSum:
-    """Exact product of two pi-power sums; pi exponents add termwise."""
-    return a * b

@@ -12,8 +12,11 @@ from dataclasses import dataclass
 from math import factorial
 from typing import Iterable, Iterator, Sequence
 
-from .config import DEFAULT_SET_PARTITION_CAP
 from .errors import DomainError, ResourceCapError
+
+# Largest ground set the set-partition enumerations accept: Bell(12) is
+# about 4.2 million partitions.
+SET_PARTITION_CAP = 12
 
 
 class IntPartition(tuple):
@@ -203,12 +206,14 @@ def _rgs_to_partition(a: Sequence[int], n: int) -> SetPartition:
     return SetPartition(tuple(tuple(b) for b in blocks), n)
 
 
-def enum_set_partitions(n: int, cap: int = DEFAULT_SET_PARTITION_CAP) -> list[SetPartition]:
+def enum_set_partitions(n: int) -> list[SetPartition]:
     """All set partitions of {1..n} in restricted-growth-string order."""
     if n < 1:
         raise DomainError("ground set must have at least one element")
-    if n > cap:
-        raise ResourceCapError(f"set partition ground set {n} exceeds cap {cap}")
+    if n > SET_PARTITION_CAP:
+        raise ResourceCapError(
+            f"set partition ground set {n} exceeds cap {SET_PARTITION_CAP}"
+        )
     if n == 1:
         return [SetPartition.discrete(1)]
     return [_rgs_to_partition(a, n) for a in _rgs_iter(n)]
@@ -295,15 +300,17 @@ def is_complementary(a: SetPartition, rho: SetPartition) -> bool:
     return a.length + rho.length - 1 == a.n
 
 
-def enum_complementary(rho: SetPartition, cap: int = DEFAULT_SET_PARTITION_CAP) -> list[SetPartition]:
+def enum_complementary(rho: SetPartition) -> list[SetPartition]:
     """All partitions complementary to rho.
 
     Filters on block count first (a complementary partition must have
     exactly n - length(rho) + 1 blocks) before the coarsening test.
     """
     n = rho.n
-    if n > cap:
-        raise ResourceCapError(f"set partition ground set {n} exceeds cap {cap}")
+    if n > SET_PARTITION_CAP:
+        raise ResourceCapError(
+            f"set partition ground set {n} exceeds cap {SET_PARTITION_CAP}"
+        )
     want = n - rho.length + 1
     out = []
     for alpha in iter_set_partitions_with_blocks(n, want):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import DomainError
 
@@ -150,12 +150,4 @@ def euler_series(order: int) -> QSeries:
         if e2 <= order:
             coeffs[e2] += sign
         k += 1
-    return QSeries(tuple(coeffs))
-
-
-def series_from_terms(terms: Sequence[tuple[int, Fraction]], order: int) -> QSeries:
-    coeffs = [Fraction(0)] * (order + 1)
-    for n, c in terms:
-        if 0 <= n <= order:
-            coeffs[n] += c
     return QSeries(tuple(coeffs))

@@ -5,7 +5,6 @@ from math import factorial
 import pytest
 
 from stratavol.characters import (
-    CharTableCache,
     central_char_f,
     character,
     character_cache,
@@ -153,28 +152,10 @@ class TestCentralChar:
 
 
 class TestCache:
-    def test_save_load_round_trip(self, tmp_path):
+    def test_character_values_are_memoized(self):
         cache = character_cache()
-        character((3, 2, 1), (3, 2, 1))
-        before = dict(cache.values)
-        keys_d6 = {k: v for k, v in before.items() if sum(k[0]) == 6}
-        assert keys_d6
-        path = cache.save_degree(6, tmp_path)
-        assert path.is_file()
-
-        fresh = CharTableCache()
-        loaded = fresh.load_degree(6, tmp_path)
-        assert loaded == len(keys_d6)
-        assert all(fresh.values[k] == v for k, v in keys_d6.items())
-
-    def test_corrupt_file_ignored(self, tmp_path):
-        path = tmp_path / "chars-d004.txt"
-        path.write_text("not a cache file\ngarbage;lines\n")
-        fresh = CharTableCache()
-        assert fresh.load_degree(4, tmp_path) == 0
-
-    def test_version_mismatch_ignored(self, tmp_path):
-        path = tmp_path / "chars-d004.txt"
-        path.write_text("stratavol-characters v999 d=4\n4;2;1\n")
-        fresh = CharTableCache()
-        assert fresh.load_degree(4, tmp_path) == 0
+        value = character((3, 2, 1), (3, 2, 1))
+        assert cache.get(((3, 2, 1), (3, 2))) == value
+        size = len(cache)
+        assert character((3, 2, 1), (3, 2, 1)) == value
+        assert len(cache) == size

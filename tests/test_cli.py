@@ -1,5 +1,7 @@
 import json
+import time
 
+import stratavol.cli
 from stratavol.cli import main
 
 
@@ -34,6 +36,14 @@ class TestVolumeCommand:
         code, out, _ = run_cli(capsys, "volume", "3,1", "--output", "plain")
         assert code == 0
         assert "8/297675*pi^6" in out
+
+    def test_set_partition_cap_exit_3_up_front(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "volume", "24")
+        elapsed = time.perf_counter() - start
+        assert code == 3
+        assert out == "" and "cap" in err
+        assert elapsed < 1.0, f"volume 24 took {elapsed:.2f} s to hit the cap"
 
     def test_approx_annotation(self, capsys):
         code, out, _ = run_cli(capsys, "volume", "3,1", "--approx")
@@ -98,6 +108,26 @@ class TestCoversCommand:
         assert code == 0
         assert "2,2;2;brute-connected;2" in out
 
+    def test_empty_request_exit_2(self, capsys):
+        for dmax in ("-1", "0"):
+            code, out, err = run_cli(capsys, "covers", "2,2", "--dmax", dmax)
+            assert code == 2
+            assert out == "" and "--dmax" in err
+
+    def test_brute_force_cap_checked_before_rows(self, capsys, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a covering row was computed")
+
+        monkeypatch.setattr(stratavol.cli, "cov_d", forbidden)
+        monkeypatch.setattr(stratavol.cli, "cov_connected_series", forbidden)
+        monkeypatch.setattr(stratavol.cli, "brute_force_hom_count", forbidden)
+        for extra in ((), ("--connected",)):
+            code, out, err = run_cli(
+                capsys, "covers", "4,3", "--dmax", "24", "--brute-force", *extra
+            )
+            assert code == 3
+            assert out == "" and "cap" in err
+
 
 class TestSimpleTable:
     def test_rows(self, capsys):
@@ -108,6 +138,12 @@ class TestSimpleTable:
         assert lines[1] == "1;0;1;0"
         assert lines[2] == "2;1;270;4"
         assert lines[4] == "4;1;9720;6"
+
+    def test_empty_request_exit_2(self, capsys):
+        for nmax in ("-2", "0"):
+            code, out, err = run_cli(capsys, "simple-table", "--nmax", nmax)
+            assert code == 2
+            assert out == "" and "--nmax" in err
 
 
 class TestNpointCheck:
@@ -140,17 +176,6 @@ class TestVerifyCommand:
         code, out, _ = run_cli(capsys, "verify", "expansions", "--output", "json")
         results = json.loads(out)
         assert all(r["passed"] for r in results)
-
-
-class TestCacheControl:
-    def test_use_cache_persists_tables(self, capsys, monkeypatch, tmp_path):
-        monkeypatch.setenv("STRATAVOL_CACHE", str(tmp_path))
-        code, first, _ = run_cli(capsys, "covers", "2,2", "--dmax", "4", "--use-cache")
-        assert code == 0
-        files = sorted(p.name for p in tmp_path.iterdir())
-        assert files == [f"chars-d{d:03d}.txt" for d in range(1, 5)]
-        code, second, _ = run_cli(capsys, "covers", "2,2", "--dmax", "4", "--use-cache")
-        assert code == 0 and first == second
 
 
 class TestDeterminism:

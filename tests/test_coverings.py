@@ -46,10 +46,6 @@ class TestCovD:
         for d in range(1, 6):
             assert cov_d((4, 2), d) == cov_d((2, 4), d)
 
-    def test_threads_deterministic(self):
-        for d in range(1, 8):
-            assert cov_d((2, 2), d, threads=3) == cov_d((2, 2), d)
-
     def test_profile_validation(self):
         with pytest.raises(DomainError):
             CoverProfile((1, 2))

@@ -3,6 +3,7 @@ from math import factorial
 
 import pytest
 
+import stratavol.cumulants
 from stratavol.cumulants import (
     StratumSpec,
     WickGroups,
@@ -17,7 +18,8 @@ from stratavol.cumulants import (
 )
 from stratavol.errors import DomainError, ResourceCapError
 from stratavol.exact_arith import PiScalar, frak_z
-from stratavol.partitions import IntPartition, enum_set_partitions
+from stratavol.partitions import SET_PARTITION_CAP, IntPartition, enum_set_partitions
+from stratavol.shifted_symmetric import f_top_expansion
 
 
 def keys_up_to(max_parts, max_size):
@@ -169,6 +171,24 @@ class TestCConst:
         for m in [(2,), (3, 2), (2, 2, 2)]:
             if (sum(m) + len(m)) % 2 == 1:
                 assert c_const(m).is_zero()
+
+    def test_longest_expansion_term(self):
+        # The up-front cap check assumes the longest top-weight term of
+        # generator k has (k + 1) // 2 parts.
+        for k in range(2, 31):
+            longest = max(len(lam) for lam, _ in f_top_expansion(k).terms)
+            assert longest == (k + 1) // 2, k
+
+    def test_cap_checked_before_any_cumulant(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a cumulant was computed")
+
+        monkeypatch.setattr(stratavol.cumulants, "elementary_cumulant", forbidden)
+        monkeypatch.setattr(stratavol.cumulants, "f_top_expansion", forbidden)
+        assert (25 + 1) // 2 > SET_PARTITION_CAP
+        for key in ((25,), (5, 5, 5, 5, 3), (2,) * 13):
+            with pytest.raises(ResourceCapError):
+                c_const(key)
 
     def test_entries_below_two_rejected(self):
         with pytest.raises(DomainError):

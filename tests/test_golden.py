@@ -1,0 +1,46 @@
+"""Frozen exact volumes: every refactor of the pipeline must reproduce them.
+
+``data/golden_volumes.json`` holds volume(mu) and c(mu + 1) for all 40
+strata of genus 2 to 5, written before the pipeline was refactored.
+"""
+
+import json
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from stratavol.cumulants import volume
+from stratavol.exact_arith import PiScalar
+from stratavol.partitions import enum_int_partitions
+
+GOLDEN = json.loads(
+    (Path(__file__).parent / "data" / "golden_volumes.json").read_text()
+)
+
+
+def test_golden_table_covers_genus_2_to_5():
+    want = [list(mu) for g in range(2, 6) for mu in enum_int_partitions(2 * g - 2)]
+    assert [row["mu"] for row in GOLDEN] == want
+
+
+def test_golden_volumes_exact():
+    for row in GOLDEN:
+        result = volume(row["mu"])
+        assert result.volume.as_json_dict() == row["volume"], row["mu"]
+        assert result.c_const.as_json_dict() == row["c"], row["mu"]
+
+
+# Eskin-Masur-Zorich normalization: 2 * dim * volume(mu).
+EMZ_ANCHORS = {
+    (2,): PiScalar(Fraction(1, 120), 4),
+    (1, 1): PiScalar(Fraction(1, 135), 4),
+    (4,): PiScalar(Fraction(61, 108864), 6),
+    (3, 1): PiScalar(Fraction(16, 42525), 6),
+}
+
+
+@pytest.mark.parametrize("mu", sorted(EMZ_ANCHORS))
+def test_eskin_masur_zorich_values(mu):
+    result = volume(mu)
+    assert result.volume * (2 * result.dim) == EMZ_ANCHORS[mu]
