@@ -47,11 +47,6 @@ def character_cache() -> CharTableCache:
     return _cache
 
 
-def clear_caches() -> None:
-    _cache.values.clear()
-    _dim_cache.clear()
-
-
 def dimension(lam: IntPartition | tuple[int, ...]) -> int:
     """Dimension of the irreducible representation labeled by lam, by the
     hook length formula."""

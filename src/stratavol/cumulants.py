@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
 from math import factorial
 from typing import Iterator, Sequence
@@ -75,7 +76,9 @@ def elementary_cumulant(m) -> PiScalar:
     nonnegative d with sum d_k = l - 2, and per block the factor
     |m_block|! frak_z(|m_block| - #block - d_k + 1).  Compositions d are
     enumerated with the parity and nonnegativity of the frak_z argument
-    enforced up front.
+    enforced up front.  Every term carries pi^(|m| - n + 2), so the sum is
+    taken over rationals and memoized on the sorted key; the key is
+    validated and the cap checked on every call.
     """
     key = _canon_key(m)
     n = len(key)
@@ -83,8 +86,15 @@ def elementary_cumulant(m) -> PiScalar:
         raise ResourceCapError(
             f"cumulant key with {n} parts exceeds cap {SET_PARTITION_CAP}"
         )
+    return PiScalar(_cumulant_over_pi(key), sum(key) - n + 2)
+
+
+@lru_cache(maxsize=None)
+def _cumulant_over_pi(key: tuple[int, ...]) -> Fraction:
+    """elementary_cumulant(key) divided by its pi power."""
+    n = len(key)
     total_size = sum(key)
-    result = PiScalar.zero()
+    result = Fraction(0)
 
     for alpha in set_partitions_of(range(n)):
         ell = len(alpha)
@@ -92,7 +102,7 @@ def elementary_cumulant(m) -> PiScalar:
         bsizes = [len(block) for block in alpha]
 
         if ell == 1:
-            result = result + factorial(total_size) * frak_z(total_size - n + 2)
+            result += factorial(total_size) * frak_z_over_pi(total_size - n + 2)
             continue
 
         # d_k must have fixed parity and stay below the bound that keeps the
@@ -108,19 +118,17 @@ def elementary_cumulant(m) -> PiScalar:
 
         sign = 1 if ell % 2 == 1 else -1
         prefactor = sign * factorial(ell - 2)
-        block_fact = 1
         for msum in msums:
-            block_fact *= factorial(msum)
+            prefactor *= factorial(msum)
 
         for e in _bounded_compositions(excess // 2, e_bounds):
             # The parity and bound filters guarantee every frak_z argument
             # is even and nonnegative, so no factor vanishes here.
-            term = PiScalar(Fraction(prefactor * block_fact), 0)
+            term = Fraction(prefactor)
             for k in range(ell):
                 d_k = parities[k] + 2 * e[k]
-                term = term * frak_z(msums[k] - bsizes[k] - d_k + 1)
-                term = term / factorial(d_k)
-            result = result + term
+                term *= frak_z_over_pi(msums[k] - bsizes[k] - d_k + 1) / factorial(d_k)
+            result += term
     return result
 
 

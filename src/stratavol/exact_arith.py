@@ -14,6 +14,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial
 
 from .errors import DomainError
@@ -184,12 +185,13 @@ class PiScalar:
         return f"{self.coeff}*{pi_part}"
 
 
+@lru_cache(maxsize=None)
 def frak_z(k: int) -> PiScalar:
     """Coefficient of x^k in the expansion pi*x/sin(pi*x) = sum frak_z(k) x^k.
 
     Equals (2 - 2^(2-k)) zeta(k) for even k >= 2, equals 1 at k = 0, and
     vanishes for odd k.  Negative arguments stand for absent Taylor
-    coefficients and give 0.
+    coefficients and give 0.  Memoized; the shared values are immutable.
     """
     if k < 0 or k % 2 == 1:
         return PiScalar.zero()
@@ -199,6 +201,7 @@ def frak_z(k: int) -> PiScalar:
     return PiScalar(ratio, k)
 
 
+@lru_cache(maxsize=None)
 def frak_z_over_pi(k: int) -> Fraction:
-    """frak_z(k) with the pi power stripped: an exact rational."""
+    """frak_z(k) with the pi power stripped: an exact rational; memoized."""
     return frak_z(k).coeff

@@ -181,17 +181,16 @@ class SetPartition:
         return "{" + " | ".join(",".join(map(str, b)) for b in self.blocks) + "}"
 
 
-def _rgs_iter(n: int, max_blocks: int | None = None) -> Iterator[list[int]]:
-    """Restricted-growth strings of length n, optionally with a block-count
-    ceiling.  a[0] = 0 and a[i] <= max(a[0..i-1]) + 1."""
+def _rgs_iter(n: int) -> Iterator[list[int]]:
+    """Restricted-growth strings of length n: a[0] = 0 and
+    a[i] <= max(a[0..i-1]) + 1."""
     a = [0] * n
 
     def rec(i: int, top: int) -> Iterator[list[int]]:
         if i == n:
             yield a
             return
-        limit = top + 1 if max_blocks is None else min(top + 1, max_blocks - 1)
-        for v in range(limit + 1):
+        for v in range(top + 2):
             a[i] = v
             yield from rec(i + 1, max(top, v))
 
@@ -219,16 +218,43 @@ def enum_set_partitions(n: int) -> list[SetPartition]:
     return [_rgs_to_partition(a, n) for a in _rgs_iter(n)]
 
 
-def iter_set_partitions_with_blocks(n: int, k: int) -> Iterator[SetPartition]:
-    """Set partitions of {1..n} with exactly k blocks."""
+def iter_set_partitions_with_blocks(
+    n: int, k: int, apart: SetPartition | None = None
+) -> Iterator[SetPartition]:
+    """Set partitions of {1..n} with exactly k blocks, in restricted-growth
+    order, grown one element at a time.  An element joins an open block
+    only while the later elements can still open the missing blocks, and,
+    with ``apart``, never joins a block that holds an element of its own
+    block of ``apart``.
+    """
     if k < 1 or k > n:
         return
-    if n == 1:
-        yield SetPartition.discrete(1)
-        return
-    for a in _rgs_iter(n, max_blocks=k):
-        if max(a) + 1 == k:
-            yield _rgs_to_partition(a, n)
+    if apart is not None and apart.n != n:
+        raise DomainError(f"ground set sizes differ: {n} vs {apart.n}")
+    bits = [0] * (n + 1)
+    for j, block in enumerate(apart.blocks if apart is not None else ()):
+        for x in block:
+            bits[x] = 1 << j
+    # (elements, bitmask of the blocks of apart they come from) per block
+    blocks: list[tuple[tuple[int, ...], int]] = []
+
+    def grow(x: int) -> Iterator[SetPartition]:
+        if x > n:
+            yield SetPartition(tuple(b for b, _ in blocks), n)
+            return
+        bit = bits[x]
+        if n - x >= k - len(blocks):
+            for j, (block, mask) in enumerate(blocks):
+                if not mask & bit:
+                    blocks[j] = (block + (x,), mask | bit)
+                    yield from grow(x + 1)
+                    blocks[j] = (block, mask)
+        if len(blocks) < k:
+            blocks.append(((x,), bit))
+            yield from grow(x + 1)
+            blocks.pop()
+
+    yield from grow(1)
 
 
 def set_partitions_of(items: Sequence) -> Iterator[tuple[tuple, ...]]:
@@ -303,20 +329,17 @@ def is_complementary(a: SetPartition, rho: SetPartition) -> bool:
 def enum_complementary(rho: SetPartition) -> list[SetPartition]:
     """All partitions complementary to rho.
 
-    Filters on block count first (a complementary partition must have
-    exactly n - length(rho) + 1 blocks) before the coarsening test.
+    A complementary partition has exactly n - length(rho) + 1 blocks and
+    never puts two elements of one block of rho together, so only those
+    candidates are generated before the coarsening test.
     """
     n = rho.n
     if n > SET_PARTITION_CAP:
         raise ResourceCapError(
             f"set partition ground set {n} exceeds cap {SET_PARTITION_CAP}"
         )
-    want = n - rho.length + 1
-    out = []
-    for alpha in iter_set_partitions_with_blocks(n, want):
-        if meet(alpha, rho).length == 1:
-            out.append(alpha)
-    return out
+    candidates = iter_set_partitions_with_blocks(n, n - rho.length + 1, apart=rho)
+    return [alpha for alpha in candidates if meet(alpha, rho).length == 1]
 
 
 def mobius_coeff(l: int) -> int:

@@ -2,8 +2,9 @@
 
 Everything here is deliberately implemented by a different route than the
 library code it checks: partition counts through the pentagonal recurrence,
-Bell numbers through the Bell triangle, Bernoulli numbers through the
-Akiyama-Tanigawa transform, set partitions through recursive insertion.
+Bell numbers through the Bell triangle, Stirling numbers through their
+recurrence, Bernoulli numbers through the Akiyama-Tanigawa transform, set
+partitions through recursive insertion.
 """
 
 from __future__ import annotations
@@ -44,6 +45,15 @@ def bell_number(n: int) -> int:
             nxt.append(nxt[-1] + v)
         row = nxt
     return row[-1]
+
+
+def stirling2(n: int, k: int) -> int:
+    """Stirling number of the second kind S(n, k) by the recurrence
+    S(n, k) = k S(n-1, k) + S(n-1, k-1)."""
+    row = [1] + [0] * k  # S(0, j)
+    for _ in range(n):
+        row = [0] + [j * row[j] + row[j - 1] for j in range(1, k + 1)]
+    return row[k]
 
 
 def bernoulli_akiyama_tanigawa(n: int) -> Fraction:

@@ -81,6 +81,30 @@ class TestElementaryCumulant:
         with pytest.raises(ResourceCapError):
             elementary_cumulant((1,) * 13)
 
+    def test_memoized_on_sorted_key(self, monkeypatch):
+        calls = []
+        real = stratavol.cumulants.set_partitions_of
+
+        def counting(items):
+            calls.append(tuple(items))
+            return real(items)
+
+        monkeypatch.setattr(stratavol.cumulants, "set_partitions_of", counting)
+        stratavol.cumulants._cumulant_over_pi.cache_clear()
+        first = elementary_cumulant((1, 2, 3))
+        assert elementary_cumulant((3, 2, 1)) == first
+        assert len(calls) == 1
+        assert first == elementary_cumulant_series_oracle((1, 2, 3))
+
+    def test_cap_checked_with_memo_filled(self):
+        memo = stratavol.cumulants._cumulant_over_pi
+        elementary_cumulant((1,) * 4)
+        filled = memo.cache_info().currsize
+        assert filled > 0
+        with pytest.raises(ResourceCapError):
+            elementary_cumulant((1,) * (SET_PARTITION_CAP + 1))
+        assert memo.cache_info().currsize == filled
+
 
 class TestSeriesOracle:
     def test_agrees_small(self):

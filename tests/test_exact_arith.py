@@ -107,6 +107,11 @@ class TestFrakZ:
         assert frak_z(-2).is_zero()
         assert frak_z(-1).is_zero()
 
+    def test_repeated_calls_agree(self):
+        for k in range(-2, 30):
+            first = frak_z(k)
+            assert frak_z(k) == first == frak_z.__wrapped__(k)
+
     def test_positive_even(self):
         for k in range(2, 42, 2):
             value = frak_z(k)

@@ -1,7 +1,8 @@
 """Frozen exact volumes: every refactor of the pipeline must reproduce them.
 
-``data/golden_volumes.json`` holds volume(mu) and c(mu + 1) for all 40
-strata of genus 2 to 5, written before the pipeline was refactored.
+``data/golden_volumes.json`` holds volume(mu) and c(mu + 1) for all 82
+strata of genus 2 to 6, written before the pipeline was refactored: the 40
+strata of genus 2 to 5 first, then the 42 of genus 6.
 """
 
 import json
@@ -14,9 +15,11 @@ from stratavol.cumulants import volume
 from stratavol.exact_arith import PiScalar
 from stratavol.partitions import enum_int_partitions
 
-GOLDEN = json.loads(
+ROWS = json.loads(
     (Path(__file__).parent / "data" / "golden_volumes.json").read_text()
 )
+GOLDEN = [row for row in ROWS if sum(row["mu"]) <= 8]
+GENUS_6 = [row for row in ROWS if sum(row["mu"]) == 10]
 
 
 def test_golden_table_covers_genus_2_to_5():
@@ -26,6 +29,19 @@ def test_golden_table_covers_genus_2_to_5():
 
 def test_golden_volumes_exact():
     for row in GOLDEN:
+        result = volume(row["mu"])
+        assert result.volume.as_json_dict() == row["volume"], row["mu"]
+        assert result.c_const.as_json_dict() == row["c"], row["mu"]
+
+
+def test_golden_table_is_genus_2_to_5_then_genus_6():
+    want = [list(mu) for g in range(2, 7) for mu in enum_int_partitions(2 * g - 2)]
+    assert [row["mu"] for row in ROWS] == want
+    assert GOLDEN + GENUS_6 == ROWS
+
+
+def test_golden_genus_6_volumes_exact():
+    for row in GENUS_6:
         result = volume(row["mu"])
         assert result.volume.as_json_dict() == row["volume"], row["mu"]
         assert result.c_const.as_json_dict() == row["c"], row["mu"]

@@ -19,7 +19,12 @@ from stratavol.partitions import (
     set_partitions_of,
 )
 
-from .oracles import bell_number, partition_count, set_partitions_by_insertion
+from .oracles import (
+    bell_number,
+    partition_count,
+    set_partitions_by_insertion,
+    stirling2,
+)
 
 
 class TestIntPartition:
@@ -139,6 +144,32 @@ class TestSetPartitions:
                 assert sorted(p.blocks for p in iter_set_partitions_with_blocks(n, k)) \
                     == sorted(p.blocks for p in exact)
 
+    def test_with_blocks_counts_are_stirling_numbers(self):
+        for n in range(1, 9):
+            for k in range(0, n + 2):
+                count = sum(1 for _ in iter_set_partitions_with_blocks(n, k))
+                assert count == stirling2(n, k), (n, k)
+
+    def test_with_blocks_apart_matches_filter(self):
+        # Same partitions in the same order as filtering the full
+        # enumeration for k blocks, none holding two elements of a block
+        # of rho.
+        for n in range(1, 7):
+            every = enum_set_partitions(n)
+            for rho in every:
+                rho_blocks = [set(r) for r in rho.blocks]
+                apart = [
+                    p for p in every
+                    if all(len(r.intersection(b)) <= 1 for b in p.blocks for r in rho_blocks)
+                ]
+                for k in range(1, n + 1):
+                    got = list(iter_set_partitions_with_blocks(n, k, apart=rho))
+                    assert got == [p for p in apart if p.length == k]
+
+    def test_with_blocks_apart_ground_mismatch(self):
+        with pytest.raises(DomainError):
+            list(iter_set_partitions_with_blocks(3, 2, apart=SetPartition.discrete(4)))
+
     def test_set_partitions_of_labels(self):
         blocks = list(set_partitions_of(("a", "b", "c")))
         assert len(blocks) == 5
@@ -208,6 +239,19 @@ class TestComplementary:
                     p.blocks for p in enum_set_partitions(n) if is_complementary(p, rho)
                 }
                 assert from_enum == from_pred
+
+    def test_predicate_matches_enum_by_block_shape(self):
+        # One rho per block-size shape, blocks of consecutive elements.
+        for n in (6, 7):
+            every = enum_set_partitions(n)
+            for shape in enum_int_partitions(n):
+                blocks, start = [], 1
+                for size in shape:
+                    blocks.append(range(start, start + size))
+                    start += size
+                rho = SetPartition.from_blocks(blocks, n)
+                want = [p for p in every if is_complementary(p, rho)]
+                assert enum_complementary(rho) == want, shape
 
     def test_count_depends_only_on_block_sizes(self):
         rng = random.Random(7)
