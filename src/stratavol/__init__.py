@@ -49,7 +49,6 @@ from .exact_arith import (
 )
 from .npoint import (
     EvaluatedPoint,
-    GradedQSeries,
     direct_one_point,
     theta_prime_zero,
     theta_series,
@@ -78,7 +77,6 @@ __all__ = [
     "CoverProfile",
     "DomainError",
     "EvaluatedPoint",
-    "GradedQSeries",
     "IntPartition",
     "PExpansion",
     "PiScalar",

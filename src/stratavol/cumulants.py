@@ -21,12 +21,13 @@ from typing import Iterator, Sequence
 
 from . import mvpoly
 from .errors import DomainError, ResourceCapError
-from .exact_arith import PiScalar, frak_z, frak_z_over_pi
+from .exact_arith import PiScalar, frak_z_over_pi
 from .partitions import (
     SET_PARTITION_CAP,
     IntPartition,
     SetPartition,
     enum_complementary,
+    iter_int_partitions,
     set_partitions_of,
 )
 from .shifted_symmetric import f_top_expansion
@@ -304,8 +305,11 @@ def wick_leading(groups) -> WickLeading:
     product of elementary cumulants of the parts collected per block.
 
     The accompanying exponent (sum of (part+1) over all parts, minus the
-    number of groups, plus one) is returned as metadata; homogeneity of the
-    pi power across contributing terms is enforced by exact addition.
+    number of groups, plus one) is returned as metadata.  Every
+    complementary partition has n - l(rho) + 1 blocks and each block
+    cumulant carries pi^(|block| - #block + 2), so every term carries
+    pi^(sum(parts) - n + 2 (n - l(rho) + 1)): the sum is taken over
+    rationals and the pi power attached once.
     """
     wg = groups if isinstance(groups, WickGroups) else WickGroups(tuple(groups))
     n = wg.n
@@ -315,16 +319,16 @@ def wick_leading(groups) -> WickLeading:
     rho = wg.rho
     exponent = sum(p + 1 for p in parts) - rho.length + 1
 
-    total = PiScalar.zero()
+    total = Fraction(0)
     for alpha in enum_complementary(rho):
-        prod_value = PiScalar(Fraction(1), 0)
+        term = Fraction(1)
         for block in alpha.blocks:
-            sub = tuple(parts[i - 1] for i in block)
-            prod_value = prod_value * elementary_cumulant(sub)
-            if prod_value.is_zero():
+            term *= elementary_cumulant(tuple(parts[i - 1] for i in block)).coeff
+            if not term:
                 break
-        total = total + prod_value
-    return WickLeading(value=total, hbar_exponent=exponent)
+        total += term
+    pi_pow = sum(parts) - n + 2 * (n - rho.length + 1)
+    return WickLeading(value=PiScalar(total, pi_pow), hbar_exponent=exponent)
 
 
 def f_cumulant_leading(m) -> PiScalar:
@@ -380,49 +384,33 @@ def _odd_double_factorial(v: int) -> int:
     return out
 
 
-def _even_partitions(total: int) -> Iterator[tuple[int, ...]]:
-    def rec(rem: int, max_part: int) -> Iterator[tuple[int, ...]]:
-        if rem == 0:
-            yield ()
-            return
-        top = min(rem, max_part)
-        if top % 2 == 1:
-            top -= 1
-        while top >= 2:
-            for rest in rec(rem - top, top):
-                yield (top,) + rest
-            top -= 2
-
-    yield from rec(total, total)
-
-
 def c_simple(n: int) -> PiScalar:
     """The constant for n simple branch points, via the closed form that
-    sums over partitions of n + 2 into even parts only:
+    sums over partitions mu of n + 2 into even parts only:
 
         c / n! = sum (-1)^(l-1) / (kappa! (2n - l + 2)!)
                  * prod (2 mu_i - 3)!!  * prod frak_z(mu_i)
 
     with l the number of parts and kappa! the product of multiplicity
-    factorials.  Vanishes for odd n, where no such partition exists.
+    factorials.  The even partitions are the doubled partitions of
+    (n + 2) / 2, and every term carries pi^(n + 2).  Vanishes for odd n,
+    where no such partition exists.
     """
     if n < 1:
         raise DomainError(f"need at least one branch point, got {n}")
-    total = PiScalar.zero()
-    for mu in _even_partitions(n + 2):
-        ell = len(mu)
-        mult_fact = 1
-        counts: dict[int, int] = {}
-        for p in mu:
-            counts[p] = counts.get(p, 0) + 1
-        for c in counts.values():
-            mult_fact *= factorial(c)
-        coeff = Fraction((-1) ** (ell - 1), mult_fact * factorial(2 * n - ell + 2))
-        term = PiScalar(coeff, 0)
-        for p in mu:
-            term = term * _odd_double_factorial(2 * p - 3) * frak_z(p)
-        total = total + term
-    return total * factorial(n)
+    if n % 2 == 1:
+        return PiScalar.zero()
+    total = Fraction(0)
+    for half in iter_int_partitions((n + 2) // 2):
+        ell = len(half)
+        kappa = 1
+        for c in half.multiplicities().values():
+            kappa *= factorial(c)
+        term = Fraction((-1) ** (ell - 1), kappa * factorial(2 * n - ell + 2))
+        for p in (2 * h for h in half):
+            term *= _odd_double_factorial(2 * p - 3) * frak_z_over_pi(p)
+        total += term
+    return PiScalar(total * factorial(n), n + 2)
 
 
 # ---------------------------------------------------------------------------

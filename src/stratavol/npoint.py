@@ -1,10 +1,13 @@
 """Exact q-series check of the one-point function determinant identity.
 
-The odd theta series has q-exponents (2n+1)^2/8, so all series here are
-graded in eighths of a power of q.  The formal variable x is specialized to
-a rational value s = e^(x/2), which turns every q-coefficient into one
-exact rational; the identity  theta(x) * F(x) = theta'(0)  is then checked
-coefficientwise in cross-multiplied form, avoiding series division.
+Every odd-theta exponent is (2n+1)^2/8 = 1/8 + n(n+1)/2, so the theta
+series and its x-derivatives are q^(1/8) times a series in whole powers of
+q.  That common factor cancels from both sides of  theta(x) * F(x) =
+theta'(0)  and is left out here, so every series is a plain ``QSeries``.
+The formal variable x is specialized to a rational value s = e^(x/2),
+which turns every q-coefficient into one exact rational; the identity is
+then checked coefficientwise through q^order in cross-multiplied form,
+avoiding series division.
 """
 
 from __future__ import annotations
@@ -14,78 +17,7 @@ from fractions import Fraction
 
 from .errors import DomainError
 from .partitions import iter_int_partitions
-from .qseries import euler_series
-
-
-@dataclass(frozen=True)
-class GradedQSeries:
-    """Truncated q-series with exponents stored as integer multiples of
-    1/8.  ``cap_eighths`` is the largest retained exponent; arithmetic
-    truncates to the smaller cap of the operands."""
-
-    terms: tuple[tuple[int, Fraction], ...]
-    cap_eighths: int
-
-    def __post_init__(self) -> None:
-        cleaned = tuple(
-            sorted((e, Fraction(c)) for e, c in self.terms if c != 0 and e <= self.cap_eighths)
-        )
-        object.__setattr__(self, "terms", cleaned)
-
-    @staticmethod
-    def from_dict(data: dict[int, Fraction], cap_eighths: int) -> "GradedQSeries":
-        return GradedQSeries(tuple(data.items()), cap_eighths)
-
-    def as_dict(self) -> dict[int, Fraction]:
-        return dict(self.terms)
-
-    def coefficient_eighths(self, e: int) -> Fraction:
-        for ee, c in self.terms:
-            if ee == e:
-                return c
-        return Fraction(0)
-
-    def lowest_term(self) -> tuple[int, Fraction] | None:
-        return self.terms[0] if self.terms else None
-
-    def truncate(self, cap_eighths: int) -> "GradedQSeries":
-        return GradedQSeries(self.terms, min(self.cap_eighths, cap_eighths))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "GradedQSeries") -> "GradedQSeries":
-        cap = min(self.cap_eighths, other.cap_eighths)
-        acc = {e: c for e, c in self.terms if e <= cap}
-        for e, c in other.terms:
-            if e <= cap:
-                acc[e] = acc.get(e, Fraction(0)) + c
-        return GradedQSeries.from_dict(acc, cap)
-
-    def __neg__(self) -> "GradedQSeries":
-        return GradedQSeries(tuple((e, -c) for e, c in self.terms), self.cap_eighths)
-
-    def __sub__(self, other: "GradedQSeries") -> "GradedQSeries":
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, GradedQSeries):
-            cap = min(self.cap_eighths, other.cap_eighths)
-            acc: dict[int, Fraction] = {}
-            for e1, c1 in self.terms:
-                for e2, c2 in other.terms:
-                    e = e1 + e2
-                    if e > cap:
-                        break  # other.terms sorted ascending
-                    acc[e] = acc.get(e, Fraction(0)) + c1 * c2
-            return GradedQSeries.from_dict(acc, cap)
-        if isinstance(other, (int, Fraction)):
-            return GradedQSeries(
-                tuple((e, c * other) for e, c in self.terms), self.cap_eighths
-            )
-        return NotImplemented
-
-    __rmul__ = __mul__
+from .qseries import QSeries, euler_series
 
 
 @dataclass(frozen=True)
@@ -103,14 +35,14 @@ class EvaluatedPoint:
         object.__setattr__(self, "s", s)
 
 
-def theta_series(s, deriv_order: int = 0, order: int = 0) -> GradedQSeries:
-    """The odd theta series, differentiated ``deriv_order`` times in x and
-    evaluated at e^(x/2) = s:
+def theta_series(s, deriv_order: int = 0, order: int = 0) -> QSeries:
+    """The odd theta series divided by q^(1/8), differentiated
+    ``deriv_order`` times in x and evaluated at e^(x/2) = s:
 
-        sum_n (-1)^n (n + 1/2)^deriv_order q^((2n+1)^2/8) s^(2n+1),
+        sum_n (-1)^n (n + 1/2)^deriv_order q^(n(n+1)/2) s^(2n+1),
 
-    truncated to q-exponents at most order + 1/8.  Any nonzero rational s
-    is accepted; s = 1 gives the value (and derivatives) at x = 0.
+    truncated at q^order.  Any nonzero rational s is accepted; s = 1 gives
+    the value (and derivatives) at x = 0.
     """
     s = s.s if isinstance(s, EvaluatedPoint) else Fraction(s)
     if s == 0:
@@ -119,20 +51,19 @@ def theta_series(s, deriv_order: int = 0, order: int = 0) -> GradedQSeries:
         raise DomainError("derivative order must be nonnegative")
     if order < 0:
         raise DomainError("order must be nonnegative")
-    cap = 8 * order + 1
-    acc: dict[int, Fraction] = {}
+    coeffs = [Fraction(0)] * (order + 1)
     n = 0
-    while (2 * n + 1) ** 2 <= cap:
-        for nn in (n, -n - 1):
-            e = (2 * nn + 1) ** 2  # same for both, kept explicit
+    while n * (n + 1) // 2 <= order:
+        for nn in (n, -n - 1):  # both give the exponent n(n+1)/2
             sign = 1 if nn % 2 == 0 else -1
-            coeff = sign * Fraction(2 * nn + 1, 2) ** deriv_order * s ** (2 * nn + 1)
-            acc[e] = acc.get(e, Fraction(0)) + coeff
+            coeffs[n * (n + 1) // 2] += (
+                sign * Fraction(2 * nn + 1, 2) ** deriv_order * s ** (2 * nn + 1)
+            )
         n += 1
-    return GradedQSeries.from_dict(acc, cap)
+    return QSeries(tuple(coeffs))
 
 
-def theta_prime_zero(order: int) -> GradedQSeries:
+def theta_prime_zero(order: int) -> QSeries:
     """Derivative of the theta series at x = 0."""
     return theta_series(Fraction(1), deriv_order=1, order=order)
 
@@ -150,10 +81,10 @@ def _row_sum_at(s: Fraction, lam) -> Fraction:
     return acc
 
 
-def direct_one_point(point: EvaluatedPoint, order: int) -> GradedQSeries:
+def direct_one_point(point: EvaluatedPoint, order: int) -> QSeries:
     """The one-point function from its definition: the normalized sum over
     all partitions of q^size times the row sum evaluated at s, exact to the
-    given order.  Exponents are whole powers of q."""
+    given order."""
     if not isinstance(point, EvaluatedPoint):
         point = EvaluatedPoint(Fraction(point))
     s = point.s
@@ -161,27 +92,17 @@ def direct_one_point(point: EvaluatedPoint, order: int) -> GradedQSeries:
         raise DomainError(f"need |s| > 1 for the tail to converge, got {s}")
     if order < 0:
         raise DomainError("order must be nonnegative")
-    raw = []
-    for d in range(order + 1):
-        acc = Fraction(0)
-        for lam in iter_int_partitions(d):
-            acc += _row_sum_at(s, lam)
-        raw.append(acc)
-    norm = euler_series(order)
-    coeffs = [
-        sum((norm.coeffs[i] * raw[d - i] for i in range(d + 1)), Fraction(0))
+    raw = [
+        sum((_row_sum_at(s, lam) for lam in iter_int_partitions(d)), Fraction(0))
         for d in range(order + 1)
     ]
-    return GradedQSeries.from_dict(
-        {8 * d: c for d, c in enumerate(coeffs)}, 8 * order
-    )
+    return euler_series(order) * QSeries.from_coeffs(raw)
 
 
 def verify_theorem1_n1(point: EvaluatedPoint, order: int) -> bool:
-    """Check theta(at s) * (direct one-point series) = theta'(0) as graded
-    q-series through the given order, in cross-multiplied form."""
+    """Check theta(at s) * (direct one-point series) = theta'(0) through
+    q^order, in cross-multiplied form."""
     if not isinstance(point, EvaluatedPoint):
         point = EvaluatedPoint(Fraction(point))
     lhs = theta_series(point.s, 0, order) * direct_one_point(point, order)
-    rhs = theta_prime_zero(order).truncate(lhs.cap_eighths)
-    return lhs.terms == rhs.terms
+    return lhs == theta_prime_zero(order)

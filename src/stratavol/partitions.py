@@ -79,20 +79,9 @@ def iter_int_partitions(d: int) -> Iterator[IntPartition]:
         yield IntPartition._make(t)
 
 
-_ENUM_CACHE_MAX_D = 24
-_enum_cache: dict[int, tuple[IntPartition, ...]] = {}
-
-
 def enum_int_partitions(d: int) -> list[IntPartition]:
     """All partitions of d, each once, in descending lexicographic order."""
-    if d < 0:
-        raise DomainError("cannot partition a negative integer")
-    if d in _enum_cache:
-        return list(_enum_cache[d])
-    result = list(iter_int_partitions(d))
-    if d <= _ENUM_CACHE_MAX_D:
-        _enum_cache[d] = tuple(result)
-    return result
+    return list(iter_int_partitions(d))
 
 
 def _partitions_exact_parts(d: int, k: int, max_part: int) -> Iterator[tuple[int, ...]]:

@@ -1,16 +1,18 @@
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
+import stratavol.npoint
 from stratavol.errors import DomainError
 from stratavol.npoint import (
     EvaluatedPoint,
-    GradedQSeries,
     direct_one_point,
     theta_prime_zero,
     theta_series,
     verify_theorem1_n1,
 )
+from stratavol.qseries import QSeries
 
 
 class TestEvaluatedPoint:
@@ -28,30 +30,44 @@ class TestThetaSeries:
         assert theta_series(Fraction(1), 0, 10).is_zero()
 
     def test_derivative_at_zero_leading(self):
-        series = theta_prime_zero(10)
-        low = series.lowest_term()
-        assert low == (1, Fraction(1))  # exponent 1/8, coefficient 1
+        # q^(1/8) is left out, so the leading term sits at q^0
+        assert theta_prime_zero(10).coefficient(0) == 1
 
     def test_leading_at_two(self):
         series = theta_series(Fraction(2), 0, 10)
-        assert series.lowest_term() == (1, Fraction(2) - Fraction(1, 2))
+        assert series.coefficient(0) == Fraction(2) - Fraction(1, 2)
 
     def test_exponents_are_odd_squares(self):
+        # q^t times the factor q^(1/8) left out is q^((8t + 1)/8), and
+        # 8t + 1 is an odd square exactly when t is a triangular number
         series = theta_series(Fraction(2), 0, 20)
-        for e, _ in series.terms:
-            root = int(round(e**0.5))
-            assert root * root == e and root % 2 == 1
+        support = [t for t, c in enumerate(series.coeffs) if c]
+        assert support == [0, 1, 3, 6, 10, 15]
+        for t in support:
+            assert isqrt(8 * t + 1) ** 2 == 8 * t + 1
+
+    def test_matches_closed_sum(self):
+        order = 21
+        for s in (Fraction(2), Fraction(-5, 3)):
+            for k in range(4):
+                want = [Fraction(0)] * (order + 1)
+                for n in range(-8, 8):
+                    t = n * (n + 1) // 2
+                    sign = 1 if n % 2 == 0 else -1
+                    if t <= order:
+                        want[t] += sign * (n + Fraction(1, 2)) ** k * s ** (2 * n + 1)
+                assert theta_series(s, k, order).coeffs == tuple(want)
 
     def test_inversion_sign_even_derivative(self):
         for order in (0, 2):
             at_s = theta_series(Fraction(3), order, 15)
             at_inv = theta_series(Fraction(1, 3), order, 15)
-            assert at_inv.terms == (-at_s).terms
+            assert at_inv.coeffs == (-at_s).coeffs
 
     def test_inversion_sign_odd_derivative(self):
         at_s = theta_series(Fraction(3), 1, 15)
         at_inv = theta_series(Fraction(1, 3), 1, 15)
-        assert at_inv.terms == at_s.terms
+        assert at_inv.coeffs == at_s.coeffs
 
     def test_zero_point_rejected(self):
         with pytest.raises(DomainError):
@@ -63,7 +79,7 @@ class TestDirectOnePoint:
         for s in (Fraction(2), Fraction(3), Fraction(5, 2)):
             series = direct_one_point(EvaluatedPoint(s), 4)
             want = 1 / (s - 1 / s)
-            assert series.coefficient_eighths(0) == want
+            assert series.coefficient(0) == want
 
     def test_q1_coefficient(self):
         s = Fraction(2)
@@ -77,7 +93,7 @@ class TestDirectOnePoint:
             return acc + s ** (-2 * ell - 1) / (1 - s ** (-2))
 
         want = row_sum((1,)) - row_sum(())
-        assert series.coefficient_eighths(8) == want
+        assert series.coefficient(1) == want
 
     def test_needs_s_above_one(self):
         with pytest.raises(DomainError):
@@ -93,22 +109,19 @@ class TestTheorem1:
         for s in (Fraction(2), Fraction(3), Fraction(5, 2), Fraction(-3)):
             point = EvaluatedPoint(s)
             prod = theta_series(s, 0, 8) * direct_one_point(point, 8)
-            assert prod.lowest_term() == (1, Fraction(1))
+            assert prod.coefficient(0) == 1
 
     def test_degenerate_point_rejected(self):
         with pytest.raises(DomainError):
             verify_theorem1_n1(Fraction(1), 10)
 
+    def test_fails_when_top_coefficient_is_off(self, monkeypatch):
+        exact = direct_one_point
 
-class TestGradedQSeries:
-    def test_add_and_truncate(self):
-        a = GradedQSeries.from_dict({1: Fraction(1), 9: Fraction(2)}, 10)
-        b = GradedQSeries.from_dict({1: Fraction(-1), 3: Fraction(5)}, 10)
-        total = a + b
-        assert total.as_dict() == {3: Fraction(5), 9: Fraction(2)}
-        assert total.truncate(5).as_dict() == {3: Fraction(5)}
+        def off_at_top(point, order):
+            bump = QSeries.from_coeffs([0] * order + [1])
+            return exact(point, order) + bump
 
-    def test_mul_truncates_to_smaller_cap(self):
-        a = GradedQSeries.from_dict({4: Fraction(1)}, 12)
-        b = GradedQSeries.from_dict({4: Fraction(1), 8: Fraction(1)}, 8)
-        assert (a * b).as_dict() == {8: Fraction(1)}
+        monkeypatch.setattr(stratavol.npoint, "direct_one_point", off_at_top)
+        for order in (0, 1, 15):
+            assert not verify_theorem1_n1(Fraction(2), order)
