@@ -20,6 +20,7 @@ from .characters import (
     central_char_f,
     character,
     character_cache,
+    content_poly,
     dimension,
     m_cycle_class_size,
 )
@@ -95,6 +96,7 @@ __all__ = [
     "central_char_f",
     "character",
     "character_cache",
+    "content_poly",
     "cov_connected_series",
     "cov_d",
     "cov_prime_series",

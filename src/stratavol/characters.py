@@ -1,21 +1,41 @@
-"""Irreducible characters of symmetric groups.
+"""Irreducible characters of symmetric groups and central characters of
+single-cycle classes.
 
-Characters are computed by the Murnaghan-Nakayama recursion, implemented on
-first-column hook lengths (beta numbers): removing a border strip of length
-m is subtracting m from one beta number while keeping them distinct, with
-the sign given by the number of beta numbers jumped over.  Dimensions use
-the hook length formula as a fast path once only fixed points remain.
+The production route for the central character f_m(lam) of the m-cycle
+class is its content polynomial: f_m is a polynomial in |lam| and the
+content power sums p_j(lam) = sum of c^j over the boxes of lam, where a box
+in row i and column j has content c = j - i (Kerov-Olshanski 1994,
+Corteel-Goupil-Schaeffer 2004).  ``content_poly(m)`` derives it from
+Frobenius' formula in content form,
 
-Cycle types passed around internally drop their trailing 1-parts ("core"
-form), which keeps cache keys small during large Burnside sweeps.  Values
-are memoized in memory for the life of the process.
+    f_m(lam) = -(1/m^2) [u^-1] u(u-1)...(u-m+1)
+               * prod_{boxes} (u-c-m)(u-c+1) / ((u-c-m+1)(u-c)),
+
+expanded at u = infinity: the log of each box factor is a series in 1/u
+whose coefficients are binomial combinations of c^j, so the log of the
+product is linear in the p_j, and exponentiating it gives f_m with
+rational coefficients over a common denominator.  Every value is an
+integer, so evaluation stays in integers.
+
+Characters themselves are computed by the Murnaghan-Nakayama recursion,
+implemented on first-column hook lengths (beta numbers): removing a border
+strip of length m is subtracting m from one beta number while keeping them
+distinct, with the sign given by the number of beta numbers jumped over.
+Dimensions use the hook length formula as a fast path once only fixed
+points remain.  This route is the independent oracle for the content
+polynomials; ``character()`` is its only entry point.  Cycle types passed
+around internally drop their trailing 1-parts ("core" form), which keeps
+cache keys small, and values are memoized in memory for the life of the
+process.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from functools import lru_cache
+from math import comb, factorial, lcm
 
+from . import mvpoly
 from .errors import DomainError
 from .partitions import IntPartition
 
@@ -134,17 +154,108 @@ def conjugacy_class_size(rho) -> int:
     return factorial(rho.size) // z
 
 
+# A content polynomial: (L, terms), each term (coefficient, ((j, e), ...)),
+# standing for (sum of coefficient * prod p_j^e) / L.
+ContentPoly = tuple[int, tuple[tuple[int, tuple[tuple[int, int], ...]], ...]]
+
+
+@lru_cache(maxsize=None)
+def content_poly(m: int) -> ContentPoly:
+    """The central character f_m as a polynomial in the content power sums
+    p_0 = |lam|, p_1, ..., p_{m-1}, returned as (L, terms) with integer
+    coefficients over the common denominator L.
+
+    With z = 1/u, the log of the box product in Frobenius' formula is
+    sum_k E_k z^k with E_k = -(1/k) sum_{j<=k-2} C(k, j) a_{k-j} p_j and
+    a_r = (-1)^r + m^r - (m-1)^r; its exponential F = sum_n F_n z^n follows
+    from F_n = (1/n) sum_k k E_k F_{n-k}, and f_m = -(1/m^2) sum_i s(m, i)
+    F_{i+1}, where s(m, i) are the coefficients of u(u-1)...(u-m+1).
+    """
+    if m < 2:
+        raise DomainError(f"cycle length must be >= 2, got {m}")
+    nvars = m
+    E: list[mvpoly.Poly] = [mvpoly.zero()]
+    for k in range(1, m + 2):
+        terms = mvpoly.zero()
+        for j in range(k - 1):
+            r = k - j
+            a = (-1) ** r + m**r - (m - 1) ** r
+            terms = mvpoly.add_scaled(
+                terms, mvpoly.variable(nvars, j), Fraction(-comb(k, j) * a, k)
+            )
+        E.append(terms)
+    F = [mvpoly.const(nvars, 1)]
+    for n in range(1, m + 2):
+        acc = mvpoly.zero()
+        for k in range(1, n + 1):
+            acc = mvpoly.add_scaled(acc, mvpoly.mul(E[k], F[n - k]), Fraction(k, n))
+        F.append(acc)
+    falling = [1]  # coefficients of u(u-1)...(u-r+1), lowest power first
+    for r in range(m):
+        nxt = [0] * (len(falling) + 1)
+        for i, c in enumerate(falling):
+            nxt[i + 1] += c
+            nxt[i] -= r * c
+        falling = nxt
+    f = mvpoly.zero()
+    for i in range(1, m + 1):
+        f = mvpoly.add_scaled(f, F[i + 1], Fraction(-falling[i], m * m))
+    denominator = lcm(*(c.denominator for c in f.values()))
+    terms = tuple(
+        (int(c * denominator), tuple((j, e) for j, e in enumerate(mono) if e))
+        for mono, c in sorted(f.items())
+    )
+    return denominator, terms
+
+
+def content_prefix(d: int, count: int) -> list[tuple[list[int], list[int]]]:
+    """Tables for the content power sums p_k, k < count, of partitions of
+    at most d boxes.  For each k, ``table[x + d]`` is the sum of c^k over
+    -d <= c < x, and ``starts[l]`` is the sum of ``table[d - i]`` over the
+    rows i < l, the part every row's prefix difference subtracts."""
+    tables = []
+    for k in range(count):
+        table = [0]
+        for c in range(-d, d):
+            table.append(table[-1] + c**k)
+        starts = [0]
+        for i in range(d):
+            starts.append(starts[-1] + table[d - i])
+        tables.append((table, starts))
+    return tables
+
+
+def content_power_sums(lam, prefix: list[tuple[list[int], list[int]]]) -> list[int]:
+    """p_k(lam) = sum of c^k over the boxes of lam, for each k with tables
+    in ``prefix`` (from ``content_prefix(d, count)`` with d >= |lam|).  Row
+    i (from 0) covers the contents -i .. lam_i - i - 1, so it adds
+    ``table[d + lam_i - i] - table[d - i]``."""
+    d = len(prefix[0][1]) - 1
+    ends = [d + part - i for i, part in enumerate(lam)]
+    ell = len(ends)
+    return [sum(map(table.__getitem__, ends)) - starts[ell] for table, starts in prefix]
+
+
+def content_value(m: int, sums: list[int]) -> int:
+    """f_m at a partition with content power sums ``sums`` (at least m of
+    them); exact, since the value is an integer."""
+    denominator, terms = content_poly(m)
+    total = 0
+    for coeff, mono in terms:
+        for j, e in mono:
+            coeff *= sums[j] ** e
+        total += coeff
+    return total // denominator
+
+
 def central_char_f(m: int, lam) -> Fraction:
     """Scalar by which the class sum of an m-cycle class acts on the irrep
-    lam: (class size) * character / dimension.  Zero when m exceeds |lam|."""
+    lam: (class size) * character / dimension, evaluated through the content
+    polynomial of f_m.  Zero when m exceeds |lam|."""
     if m < 2:
         raise DomainError(f"cycle length must be >= 2, got {m}")
     lam = IntPartition(lam)
     d = lam.size
     if m > d:
         return Fraction(0)
-    size = factorial(d) // (factorial(d - m) * m)
-    chi = _char_core(tuple(lam), (m,))
-    if chi == 0:
-        return Fraction(0)
-    return Fraction(size * chi, dimension(lam))
+    return Fraction(content_value(m, content_power_sums(lam, content_prefix(d, m))))

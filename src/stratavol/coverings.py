@@ -1,7 +1,8 @@
 """Weighted counts of branched coverings of the torus.
 
 A covering with branch profile m = (m_1, ..., m_s) is counted through the
-character sum over partitions of the degree (the Burnside route), through
+character sum over partitions of the degree (the Burnside route, summed in
+integers over the content polynomials of the central characters), through
 its generating q-series, and, for small degrees, through direct enumeration
 of monodromy tuples in the symmetric group.  Connected counts come from the
 all-coverings series by inclusion-exclusion over set partitions of the
@@ -10,13 +11,14 @@ branch points.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 from math import factorial
 from typing import Iterable, Sequence
 
-from .characters import central_char_f
+from .characters import content_power_sums, content_prefix, content_value
 from .errors import DomainError, ResourceCapError
 from .partitions import (
     IntPartition,
@@ -79,6 +81,12 @@ def cov_d(profile, d: int) -> Fraction:
     """Weighted number of degree-d coverings with the given branch profile:
     the sum over partitions lam of d of the product of central characters.
 
+    Each central character f_m(lam) is an integer-valued content polynomial
+    (``characters.content_poly``), so the sum runs in integers: per lam,
+    the content power sums come from prefix tables over the contents
+    -d..d, each distinct m is evaluated once and raised to its multiplicity,
+    and a zero factor ends the product.
+
     The empty profile counts all unramified coverings, one per partition
     of d.
     """
@@ -87,17 +95,22 @@ def cov_d(profile, d: int) -> Fraction:
         raise DomainError("degree must be nonnegative")
     if d == 0:
         return Fraction(1) if not profile else Fraction(0)
-
-    def term(lam) -> Fraction:
-        acc = Fraction(1)
-        for m in profile:
-            f = central_char_f(m, lam)
+    if profile and max(profile) > d:
+        return Fraction(0)
+    counts = sorted(Counter(profile).items())
+    prefix = content_prefix(d, max(profile, default=1))
+    total = 0
+    for lam in iter_int_partitions(d):
+        sums = content_power_sums(lam, prefix)
+        term = 1
+        for m, mult in counts:
+            f = content_value(m, sums)
             if f == 0:
-                return Fraction(0)
-            acc *= f
-        return acc
-
-    return sum((term(lam) for lam in iter_int_partitions(d)), Fraction(0))
+                term = 0
+                break
+            term *= f**mult
+        total += term
+    return Fraction(total)
 
 
 def cov_series(profile, order: int) -> QSeries:

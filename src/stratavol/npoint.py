@@ -12,6 +12,7 @@ avoiding series division.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -68,23 +69,17 @@ def theta_prime_zero(order: int) -> QSeries:
     return theta_series(Fraction(1), deriv_order=1, order=order)
 
 
-def _row_sum_at(s: Fraction, lam) -> Fraction:
-    """Value at e^(x/2) = s of sum_i e^((lam_i - i + 1/2) x): a finite part
-    over the rows of lam plus the geometric tail in closed form.  Needs
-    |s| > 1 for the tail to be summable."""
-    acc = Fraction(0)
-    ell = len(lam)
-    for i, part in enumerate(lam, start=1):
-        acc += s ** (2 * (part - i) + 1)
-    # tail over i > ell: s^(1-2i) summed in closed form
-    acc += s ** (-2 * ell - 1) / (1 - s ** (-2))
-    return acc
-
-
 def direct_one_point(point: EvaluatedPoint, order: int) -> QSeries:
     """The one-point function from its definition: the normalized sum over
     all partitions of q^size times the row sum evaluated at s, exact to the
-    given order."""
+    given order.
+
+    The row sum of lam at e^(x/2) = s is sum_i s^(2(lam_i - i) + 1) over
+    its rows plus the geometric tail s^(-2 l - 1) / (1 - s^-2) over the
+    rows i > l = length(lam), which needs |s| > 1.  Per degree, the
+    exponents and lengths are counted in integers first, so each distinct
+    power of s is taken once.
+    """
     if not isinstance(point, EvaluatedPoint):
         point = EvaluatedPoint(Fraction(point))
     s = point.s
@@ -92,10 +87,25 @@ def direct_one_point(point: EvaluatedPoint, order: int) -> QSeries:
         raise DomainError(f"need |s| > 1 for the tail to converge, got {s}")
     if order < 0:
         raise DomainError("order must be nonnegative")
-    raw = [
-        sum((_row_sum_at(s, lam) for lam in iter_int_partitions(d)), Fraction(0))
-        for d in range(order + 1)
-    ]
+    powers: dict[int, Fraction] = {}
+
+    def power(k: int) -> Fraction:
+        if k not in powers:
+            powers[k] = s**k
+        return powers[k]
+
+    tail = 1 / (1 - power(-2))
+    raw = []
+    for d in range(order + 1):
+        rows: Counter[int] = Counter()
+        lengths: Counter[int] = Counter()
+        for lam in iter_int_partitions(d):
+            for i, part in enumerate(lam, start=1):
+                rows[2 * (part - i) + 1] += 1
+            lengths[len(lam)] += 1
+        finite = sum((n * power(k) for k, n in rows.items()), Fraction(0))
+        ends = sum((n * power(-2 * ell - 1) for ell, n in lengths.items()), Fraction(0))
+        raw.append(finite + tail * ends)
     return euler_series(order) * QSeries.from_coeffs(raw)
 
 

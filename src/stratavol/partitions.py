@@ -61,22 +61,44 @@ class IntPartition(tuple):
         return "(" + ",".join(str(p) for p in self) + ")"
 
 
-def _iter_partition_tuples(d: int, max_part: int) -> Iterator[tuple[int, ...]]:
-    if d == 0:
-        yield ()
-        return
-    top = min(d, max_part)
-    for first in range(top, 0, -1):
-        for rest in _iter_partition_tuples(d - first, first):
-            yield (first,) + rest
-
-
 def iter_int_partitions(d: int) -> Iterator[IntPartition]:
-    """Stream all partitions of d in descending lexicographic order."""
+    """Stream all partitions of d in descending lexicographic order.
+
+    Iterative algorithm ZS1 (Zoghbi-Stojmenovic 1998): x[1..m] holds the
+    current partition with x[i] = 1 beyond h, the last part above 1; the
+    next partition lowers x[h] by one and packs what it freed, and the 1s
+    after it, into parts of that size followed by a remainder.
+    """
     if d < 0:
         raise DomainError("cannot partition a negative integer")
-    for t in _iter_partition_tuples(d, d):
-        yield IntPartition._make(t)
+    if d == 0:
+        yield IntPartition._make(())
+        return
+    x = [1] * (d + 1)
+    x[1] = d
+    m = h = 1
+    yield IntPartition._make((d,))
+    while x[1] != 1:
+        if x[h] == 2:
+            m += 1
+            x[h] = 1
+            h -= 1
+        else:
+            r = x[h] - 1
+            t = m - h + 1
+            x[h] = r
+            while t >= r:
+                h += 1
+                x[h] = r
+                t -= r
+            if t == 0:
+                m = h
+            else:
+                m = h + 1
+                if t > 1:
+                    h += 1
+                    x[h] = t
+        yield IntPartition._make(tuple(x[1 : m + 1]))
 
 
 def enum_int_partitions(d: int) -> list[IntPartition]:

@@ -4,7 +4,8 @@ Everything here is deliberately implemented by a different route than the
 library code it checks: partition counts through the pentagonal recurrence,
 Bell numbers through the Bell triangle, Stirling numbers through their
 recurrence, Bernoulli numbers through the Akiyama-Tanigawa transform, set
-partitions through recursive insertion.
+partitions through recursive insertion, integer partitions through
+largest-part-first recursion.
 """
 
 from __future__ import annotations
@@ -91,3 +92,15 @@ def set_partitions_by_insertion(n: int) -> list[tuple[tuple[int, ...], ...]]:
 def sigma1(n: int) -> int:
     """Sum of divisors of n."""
     return sum(d for d in range(1, n + 1) if n % d == 0)
+
+
+def partitions_by_recursion(d: int, max_part: int | None = None):
+    """Partitions of d as descending tuples, in descending lexicographic
+    order, by choosing the largest part first and recursing on the rest."""
+    top = d if max_part is None else min(d, max_part)
+    if d == 0:
+        yield ()
+        return
+    for first in range(top, 0, -1):
+        for rest in partitions_by_recursion(d - first, first):
+            yield (first,) + rest

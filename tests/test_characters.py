@@ -9,6 +9,9 @@ from stratavol.characters import (
     character,
     character_cache,
     conjugacy_class_size,
+    content_poly,
+    content_power_sums,
+    content_prefix,
     dimension,
     m_cycle_class_size,
 )
@@ -159,3 +162,62 @@ class TestCache:
         size = len(cache)
         assert character((3, 2, 1), (3, 2, 1)) == value
         assert len(cache) == size
+
+
+def _box_power_sums(lam, count):
+    """p_k(lam) for k < count, summed box by box."""
+    contents = [j - i for i, part in enumerate(lam) for j in range(part)]
+    return [sum(c**k for c in contents) for k in range(count)]
+
+
+def _as_fractions(poly):
+    denominator, terms = poly
+    return {mono: Fraction(coeff, denominator) for coeff, mono in terms}
+
+
+class TestContentPoly:
+    def test_closed_forms(self):
+        # f_2 = p_1, f_3 = p_2 - n(n-1)/2, f_4 = p_3 - (2n-3) p_1 with n = p_0.
+        half = Fraction(1, 2)
+        assert _as_fractions(content_poly(2)) == {((1, 1),): 1}
+        assert _as_fractions(content_poly(3)) == {
+            ((2, 1),): 1, ((0, 2),): -half, ((0, 1),): half}
+        assert _as_fractions(content_poly(4)) == {
+            ((3, 1),): 1, ((0, 1), (1, 1)): -2, ((1, 1),): 3}
+
+    def test_against_murnaghan_nakayama(self):
+        # Every lam with |lam| <= 14, including |lam| < m where f_m is 0;
+        # the value is an integer, so the common denominator divides it.
+        for m in range(2, 13):
+            denominator, terms = content_poly(m)
+            for d in range(15):
+                for lam in enum_int_partitions(d):
+                    p = _box_power_sums(lam, m)
+                    total = 0
+                    for coeff, mono in terms:
+                        for j, e in mono:
+                            coeff *= p[j] ** e
+                        total += coeff
+                    if m > d:
+                        want = 0
+                    else:
+                        rho = IntPartition([m] + [1] * (d - m))
+                        want = Fraction(
+                            m_cycle_class_size(d, m) * character(lam, rho),
+                            dimension(lam),
+                        )
+                    assert Fraction(total, denominator) == want, (m, lam)
+
+    def test_power_sums_match_boxes(self):
+        for d in range(1, 11):
+            for lam in enum_int_partitions(d):
+                want = _box_power_sums(lam, 5)
+                assert content_power_sums(lam, content_prefix(d, 5)) == want
+                assert content_power_sums(lam, content_prefix(d + 3, 5)) == want
+
+    def test_memoized(self):
+        assert content_poly(7) is content_poly(7)
+
+    def test_rejects_short_cycle(self):
+        with pytest.raises(DomainError):
+            content_poly(1)

@@ -2,6 +2,12 @@ from fractions import Fraction
 
 import pytest
 
+from stratavol.characters import (
+    character,
+    character_cache,
+    conjugacy_class_size,
+    dimension,
+)
 from stratavol.coverings import (
     CoverCountRecord,
     CoverProfile,
@@ -13,6 +19,7 @@ from stratavol.coverings import (
     cov_series,
 )
 from stratavol.errors import DomainError, ResourceCapError
+from stratavol.partitions import enum_int_partitions
 from stratavol.qseries import QSeries, euler_series
 from stratavol.shifted_symmetric import q_average
 
@@ -49,6 +56,38 @@ class TestCovD:
     def test_profile_validation(self):
         with pytest.raises(DomainError):
             CoverProfile((1, 2))
+
+
+def _burnside_by_murnaghan_nakayama(profile, d):
+    """Sum over lam of d of prod_i |C_i| chi(C_i) / dim(lam), characters by
+    Murnaghan-Nakayama."""
+    total = Fraction(0)
+    for lam in enum_int_partitions(d):
+        term = Fraction(1)
+        for m in profile:
+            rho = [m] + [1] * (d - m)
+            term *= Fraction(conjugacy_class_size(rho) * character(lam, rho), dimension(lam))
+        total += term
+    return total
+
+
+class TestContentRoute:
+    def test_single_twelve_cycle(self):
+        assert cov_d((12,), 14) == _burnside_by_murnaghan_nakayama((12,), 14)
+
+    def test_profiles_against_murnaghan_nakayama(self):
+        profiles = [(2, 2), (3, 2), (4, 3), (2, 2, 2, 2), (3, 3, 3), (5, 5), (6, 3, 2)]
+        for profile in profiles:
+            for d in range(max(profile), 11):
+                assert cov_d(profile, d) == _burnside_by_murnaghan_nakayama(profile, d)
+
+    def test_character_cache_untouched(self):
+        # A profile no other test uses: a cold call does the work a warm
+        # call does, with no character values to fill in.
+        size = len(character_cache())
+        first = cov_d((7, 5, 2), 16)
+        assert len(character_cache()) == size
+        assert cov_d((7, 5, 2), 16) == first
 
 
 class TestSeries:

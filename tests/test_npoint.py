@@ -12,7 +12,18 @@ from stratavol.npoint import (
     theta_series,
     verify_theorem1_n1,
 )
-from stratavol.qseries import QSeries
+from stratavol.partitions import enum_int_partitions
+from stratavol.qseries import QSeries, euler_series
+
+
+def _row_sum(s, lam):
+    """sum_i s^(2(lam_i - i) + 1) over the rows of lam plus the geometric
+    tail over the rows beyond its length, for one partition."""
+    acc = Fraction(0)
+    for i, part in enumerate(lam, start=1):
+        acc += s ** (2 * (part - i) + 1)
+    ell = len(lam)
+    return acc + s ** (-2 * ell - 1) / (1 - s ** (-2))
 
 
 class TestEvaluatedPoint:
@@ -85,15 +96,16 @@ class TestDirectOnePoint:
         s = Fraction(2)
         series = direct_one_point(EvaluatedPoint(s), 4)
         # row sums: for the one-box partition and the empty one
-        def row_sum(lam):
-            acc = Fraction(0)
-            for i, part in enumerate(lam, start=1):
-                acc += s ** (2 * (part - i) + 1)
-            ell = len(lam)
-            return acc + s ** (-2 * ell - 1) / (1 - s ** (-2))
-
-        want = row_sum((1,)) - row_sum(())
+        want = _row_sum(s, (1,)) - _row_sum(s, ())
         assert series.coefficient(1) == want
+
+    @pytest.mark.parametrize("s", ["5/2", "-3/2", "7/3", "2"])
+    def test_matches_per_partition_sum(self, s):
+        s, order = Fraction(s), 14
+        raw = [sum((_row_sum(s, lam) for lam in enum_int_partitions(d)), Fraction(0))
+               for d in range(order + 1)]
+        want = euler_series(order) * QSeries.from_coeffs(raw)
+        assert direct_one_point(EvaluatedPoint(s), order) == want
 
     def test_needs_s_above_one(self):
         with pytest.raises(DomainError):

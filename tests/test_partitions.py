@@ -13,6 +13,7 @@ from stratavol.partitions import (
     enum_set_partitions,
     is_complementary,
     is_transversal,
+    iter_int_partitions,
     iter_set_partitions_with_blocks,
     meet,
     mobius_coeff,
@@ -22,6 +23,7 @@ from stratavol.partitions import (
 from .oracles import (
     bell_number,
     partition_count,
+    partitions_by_recursion,
     set_partitions_by_insertion,
     stirling2,
 )
@@ -69,6 +71,16 @@ class TestEnumIntPartitions:
 
     def test_deterministic_order(self):
         assert enum_int_partitions(8) == enum_int_partitions(8)
+
+    def test_order_matches_recursive_generator(self):
+        for d in range(31):
+            got = list(iter_int_partitions(d))
+            assert all(type(lam) is IntPartition for lam in got)
+            assert [tuple(lam) for lam in got] == list(partitions_by_recursion(d)), d
+
+    def test_negative_rejected(self):
+        with pytest.raises(DomainError):
+            list(iter_int_partitions(-1))
 
 
 class TestPartitionsOfWeight:
