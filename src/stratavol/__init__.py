@@ -20,7 +20,6 @@ from .characters import (
     central_char_f,
     character,
     character_cache,
-    content_poly,
     dimension,
     m_cycle_class_size,
 )
@@ -96,7 +95,6 @@ __all__ = [
     "central_char_f",
     "character",
     "character_cache",
-    "content_poly",
     "cov_connected_series",
     "cov_d",
     "cov_prime_series",

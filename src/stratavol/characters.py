@@ -2,28 +2,36 @@
 single-cycle classes.
 
 The production route for the central character f_m(lam) of the m-cycle
-class is its content polynomial: f_m is a polynomial in |lam| and the
-content power sums p_j(lam) = sum of c^j over the boxes of lam, where a box
-in row i and column j has content c = j - i (Kerov-Olshanski 1994,
-Corteel-Goupil-Schaeffer 2004).  ``content_poly(m)`` derives it from
-Frobenius' formula in content form,
+class is Frobenius' formula in content form,
 
     f_m(lam) = -(1/m^2) [u^-1] u(u-1)...(u-m+1)
                * prod_{boxes} (u-c-m)(u-c+1) / ((u-c-m+1)(u-c)),
 
-expanded at u = infinity: the log of each box factor is a series in 1/u
-whose coefficients are binomial combinations of c^j, so the log of the
-product is linear in the p_j, and exponentiating it gives f_m with
-rational coefficients over a common denominator.  Every value is an
-integer, so evaluation stays in integers.
+expanded at u = infinity, where a box in row i and column j has content
+c = j - i.  It is evaluated in one of two ways, by cycle length:
+
+* short cycles (m <= ``CONTENT_POLY_MAX_M``): f_m is a polynomial in |lam|
+  and the content power sums p_j(lam) = sum of c^j over the boxes of lam
+  (Kerov-Olshanski 1994, Corteel-Goupil-Schaeffer 2004).
+  ``content_poly(m)`` derives it: the log of each box factor is a series
+  in 1/u whose coefficients are binomial combinations of c^j, so the log of
+  the product is linear in the p_j, and exponentiating it gives f_m with
+  rational coefficients over a common denominator;
+* long cycles: the box product telescopes row by row to a ratio over the
+  beta numbers of lam, and the coefficient of 1/u is the sum of its
+  residues, one per removable rim hook of length m (``hook_value``).  The
+  content polynomial grows quickly with m (1066 terms at m = 24), the
+  residue sum does not.
+
+Every value is an integer, so evaluation stays in integers.
 
 Characters themselves are computed by the Murnaghan-Nakayama recursion,
 implemented on first-column hook lengths (beta numbers): removing a border
 strip of length m is subtracting m from one beta number while keeping them
 distinct, with the sign given by the number of beta numbers jumped over.
 Dimensions use the hook length formula as a fast path once only fixed
-points remain.  This route is the independent oracle for the content
-polynomials; ``character()`` is its only entry point.  Cycle types passed
+points remain.  This route is the independent oracle for both evaluations
+of f_m; ``character()`` is its only entry point.  Cycle types passed
 around internally drop their trailing 1-parts ("core" form), which keeps
 cache keys small, and values are memoized in memory for the life of the
 process.
@@ -33,7 +41,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, lcm
+from math import comb, factorial, lcm, perm
 
 from . import mvpoly
 from .errors import DomainError
@@ -154,6 +162,12 @@ def conjugacy_class_size(rho) -> int:
     return factorial(rho.size) // z
 
 
+# Longest cycle whose central character is evaluated through its content
+# polynomial; longer cycles use the residue sum ``hook_value``, which costs
+# about as much per partition at m = 4 and less for longer cycles, while
+# the polynomial's terms and its derivation time grow quickly with m.
+CONTENT_POLY_MAX_M = 4
+
 # A content polynomial: (L, terms), each term (coefficient, ((j, e), ...)),
 # standing for (sum of coefficient * prod p_j^e) / L.
 ContentPoly = tuple[int, tuple[tuple[int, tuple[tuple[int, int], ...]], ...]]
@@ -170,6 +184,10 @@ def content_poly(m: int) -> ContentPoly:
     a_r = (-1)^r + m^r - (m-1)^r; its exponential F = sum_n F_n z^n follows
     from F_n = (1/n) sum_k k E_k F_{n-k}, and f_m = -(1/m^2) sum_i s(m, i)
     F_{i+1}, where s(m, i) are the coefficients of u(u-1)...(u-m+1).
+
+    The symbolic exponential is costly for long cycles (f_24 has 1066
+    terms), so ``cov_d`` and ``central_char_f`` derive it only for
+    m <= ``CONTENT_POLY_MAX_M``.
     """
     if m < 2:
         raise DomainError(f"cycle length must be >= 2, got {m}")
@@ -248,14 +266,61 @@ def content_value(m: int, sums: list[int]) -> int:
     return total // denominator
 
 
+def beta_numbers(lam) -> list[int]:
+    """First-column hook lengths lam_i + l - 1 - i of lam (l = its length),
+    strictly decreasing."""
+    top = len(lam) - 1
+    return [part + top - i for i, part in enumerate(lam)]
+
+
+def hook_value(m: int, beta: list[int], beta_set: set[int]) -> int:
+    """f_m at the partition with beta numbers ``beta`` (``beta_set`` is the
+    same numbers as a set), by the residues of Frobenius' formula.
+
+    Row r of lam (from 1, with l rows) has contents 1-r .. lam_r-r, so its
+    boxes telescope to (u+r)(u-s_r-m) / ((u-s_r)(u+r-m)) with
+    s_r = lam_r - r.  The factors (u+r)/(u+r-m) over all rows turn
+    u(u-1)...(u-m+1) into w(w-1)...(w-m+1) with w = u + l, and s_r + l is
+    the beta number b_r, so the product is
+    w(w-1)...(w-m+1) prod_r (w-b_r-m)/(w-b_r).  Its coefficient of 1/w at
+    infinity is the sum of the residues at the poles w = b_i, so
+
+        f_m = (1/m) sum_i b_i(b_i-1)...(b_i-m+1)
+                        * prod_{j != i} (b_i-m-b_j) / (b_i-b_j).
+
+    A term is nonzero only when b_i - m is a free nonnegative position,
+    that is, when lam has a removable rim hook of length m at row i, so
+    the cost is one pass over beta plus one per such hook: it does not grow
+    with m, which makes this the route for long cycles.
+    """
+    num, den = 0, 1
+    for b in beta:
+        nb = b - m
+        if nb < 0 or nb in beta_set:
+            continue
+        tn, td = perm(b, m), 1
+        for x in beta:
+            if x != b:
+                tn *= nb - x
+                td *= b - x
+        num = num * td + tn * den
+        den *= td
+    return num // (den * m)
+
+
 def central_char_f(m: int, lam) -> Fraction:
     """Scalar by which the class sum of an m-cycle class acts on the irrep
-    lam: (class size) * character / dimension, evaluated through the content
-    polynomial of f_m.  Zero when m exceeds |lam|."""
+    lam: (class size) * character / dimension.  Cycles of length at most
+    ``CONTENT_POLY_MAX_M`` are evaluated through the content polynomial of
+    f_m, longer ones through ``hook_value``, as ``cov_d`` does.  Zero when m
+    exceeds |lam|."""
     if m < 2:
         raise DomainError(f"cycle length must be >= 2, got {m}")
     lam = IntPartition(lam)
     d = lam.size
     if m > d:
         return Fraction(0)
+    if m > CONTENT_POLY_MAX_M:
+        beta = beta_numbers(lam)
+        return Fraction(hook_value(m, beta, set(beta)))
     return Fraction(content_value(m, content_power_sums(lam, content_prefix(d, m))))

@@ -2,11 +2,12 @@
 
 A covering with branch profile m = (m_1, ..., m_s) is counted through the
 character sum over partitions of the degree (the Burnside route, summed in
-integers over the content polynomials of the central characters), through
-its generating q-series, and, for small degrees, through direct enumeration
-of monodromy tuples in the symmetric group.  Connected counts come from the
-all-coverings series by inclusion-exclusion over set partitions of the
-branch points.
+integers over central characters from Frobenius' formula in content form:
+content polynomials for short cycles, rim-hook residues for long ones),
+through its generating q-series, and, for small degrees, through direct
+enumeration of monodromy tuples in the symmetric group.  Connected counts
+come from the all-coverings series by inclusion-exclusion over set
+partitions of the branch points.
 """
 
 from __future__ import annotations
@@ -18,7 +19,14 @@ from itertools import permutations
 from math import factorial
 from typing import Iterable, Sequence
 
-from .characters import content_power_sums, content_prefix, content_value
+from .characters import (
+    CONTENT_POLY_MAX_M,
+    beta_numbers,
+    content_power_sums,
+    content_prefix,
+    content_value,
+    hook_value,
+)
 from .errors import DomainError, ResourceCapError
 from .partitions import (
     IntPartition,
@@ -81,11 +89,14 @@ def cov_d(profile, d: int) -> Fraction:
     """Weighted number of degree-d coverings with the given branch profile:
     the sum over partitions lam of d of the product of central characters.
 
-    Each central character f_m(lam) is an integer-valued content polynomial
-    (``characters.content_poly``), so the sum runs in integers: per lam,
-    the content power sums come from prefix tables over the contents
-    -d..d, each distinct m is evaluated once and raised to its multiplicity,
-    and a zero factor ends the product.
+    Each central character f_m(lam) is an integer, so the sum runs in
+    integers.  Per lam, each distinct m is evaluated once and raised to its
+    multiplicity, longest cycle first, and a zero factor ends the product.
+    Cycles longer than ``CONTENT_POLY_MAX_M`` are evaluated by the residue
+    sum over removable m-rim hooks (``characters.hook_value``, from the beta
+    numbers of lam); shorter ones by their content polynomials
+    (``characters.content_poly``), with the content power sums read from
+    prefix tables over the contents -d..d.
 
     The empty profile counts all unramified coverings, one per partition
     of d.
@@ -97,18 +108,26 @@ def cov_d(profile, d: int) -> Fraction:
         return Fraction(1) if not profile else Fraction(0)
     if profile and max(profile) > d:
         return Fraction(0)
-    counts = sorted(Counter(profile).items())
-    prefix = content_prefix(d, max(profile, default=1))
+    counts = sorted(Counter(profile).items(), reverse=True)
+    long = [(m, mult) for m, mult in counts if m > CONTENT_POLY_MAX_M]
+    short = [(m, mult) for m, mult in counts if m <= CONTENT_POLY_MAX_M]
+    prefix = content_prefix(d, short[0][0]) if short else None
     total = 0
     for lam in iter_int_partitions(d):
-        sums = content_power_sums(lam, prefix)
         term = 1
-        for m, mult in counts:
-            f = content_value(m, sums)
-            if f == 0:
-                term = 0
-                break
-            term *= f**mult
+        if long:
+            beta = beta_numbers(lam)
+            beta_set = set(beta)
+            for m, mult in long:
+                term *= hook_value(m, beta, beta_set) ** mult
+                if not term:
+                    break
+        if term and short:
+            sums = content_power_sums(lam, prefix)
+            for m, mult in short:
+                term *= content_value(m, sums) ** mult
+                if not term:
+                    break
         total += term
     return Fraction(total)
 

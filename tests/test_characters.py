@@ -5,6 +5,8 @@ from math import factorial
 import pytest
 
 from stratavol.characters import (
+    CONTENT_POLY_MAX_M,
+    beta_numbers,
     central_char_f,
     character,
     character_cache,
@@ -13,6 +15,7 @@ from stratavol.characters import (
     content_power_sums,
     content_prefix,
     dimension,
+    hook_value,
     m_cycle_class_size,
 )
 from stratavol.errors import DomainError
@@ -170,6 +173,16 @@ def _box_power_sums(lam, count):
     return [sum(c**k for c in contents) for k in range(count)]
 
 
+def _central_by_mn(m, lam):
+    """f_m(lam) = (class size) * character / dimension, the character by
+    Murnaghan-Nakayama; 0 when m > |lam|."""
+    d = sum(lam)
+    if m > d:
+        return Fraction(0)
+    rho = IntPartition([m] + [1] * (d - m))
+    return Fraction(m_cycle_class_size(d, m) * character(lam, rho), dimension(lam))
+
+
 def _as_fractions(poly):
     denominator, terms = poly
     return {mono: Fraction(coeff, denominator) for coeff, mono in terms}
@@ -198,15 +211,7 @@ class TestContentPoly:
                         for j, e in mono:
                             coeff *= p[j] ** e
                         total += coeff
-                    if m > d:
-                        want = 0
-                    else:
-                        rho = IntPartition([m] + [1] * (d - m))
-                        want = Fraction(
-                            m_cycle_class_size(d, m) * character(lam, rho),
-                            dimension(lam),
-                        )
-                    assert Fraction(total, denominator) == want, (m, lam)
+                    assert Fraction(total, denominator) == _central_by_mn(m, lam), (m, lam)
 
     def test_power_sums_match_boxes(self):
         for d in range(1, 11):
@@ -221,3 +226,25 @@ class TestContentPoly:
     def test_rejects_short_cycle(self):
         with pytest.raises(DomainError):
             content_poly(1)
+
+
+class TestHookValue:
+    def test_beta_numbers(self):
+        assert beta_numbers((3, 1)) == [4, 1]
+        assert beta_numbers((2, 2, 2)) == [4, 3, 2]
+        assert beta_numbers(()) == []
+
+    def test_against_murnaghan_nakayama(self):
+        # Every lam with |lam| <= 14 and cycles up to 16, so lam with no
+        # rim hook of length m (f_m = 0) and |lam| < m are included.
+        for d in range(15):
+            for lam in enum_int_partitions(d):
+                beta = beta_numbers(lam)
+                for m in range(2, 17):
+                    assert hook_value(m, beta, set(beta)) == _central_by_mn(m, lam), (m, lam)
+
+    def test_central_char_f_on_both_sides_of_the_cutoff(self):
+        for m in (CONTENT_POLY_MAX_M, CONTENT_POLY_MAX_M + 1):
+            for d in range(m, 11):
+                for lam in enum_int_partitions(d):
+                    assert central_char_f(m, lam) == _central_by_mn(m, lam), (m, lam)

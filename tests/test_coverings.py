@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -6,6 +7,7 @@ from stratavol.characters import (
     character,
     character_cache,
     conjugacy_class_size,
+    content_poly,
     dimension,
 )
 from stratavol.coverings import (
@@ -71,7 +73,7 @@ def _burnside_by_murnaghan_nakayama(profile, d):
     return total
 
 
-class TestContentRoute:
+class TestBurnsideRoute:
     def test_single_twelve_cycle(self):
         assert cov_d((12,), 14) == _burnside_by_murnaghan_nakayama((12,), 14)
 
@@ -88,6 +90,21 @@ class TestContentRoute:
         first = cov_d((7, 5, 2), 16)
         assert len(character_cache()) == size
         assert cov_d((7, 5, 2), 16) == first
+
+    def test_full_cycle_closed_form(self):
+        # f_d is nonzero only on the hooks (d-k, 1^k), where it is
+        # (-1)^k (d-1)! / C(d-1, k) = (-1)^k k! (d-1-k)!.
+        for d in (12, 24, 40):
+            want = sum((-1) ** k * factorial(k) * factorial(d - 1 - k) for k in range(d))
+            assert cov_d((d,), d) == want
+
+    def test_long_cycles_derive_no_content_polynomial(self):
+        # Cycles past the content-polynomial cutoff go through the rim-hook
+        # residues, whose cost does not grow with the cycle length.
+        misses = content_poly.cache_info().misses
+        assert cov_d((30,), 32) == _burnside_by_murnaghan_nakayama((30,), 32)
+        assert cov_d((17, 9), 28) != 0
+        assert content_poly.cache_info().misses == misses
 
 
 class TestSeries:
