@@ -16,9 +16,11 @@ from fractions import Fraction
 
 from .coverings import (
     BRUTE_FORCE_CAP,
+    BRUTE_FORCE_WORK_CAP,
     CoverCountRecord,
     CoverProfile,
     brute_force_hom_count,
+    check_brute_force_caps,
     cov_connected_series,
     cov_d,
 )
@@ -133,10 +135,8 @@ def cmd_covers(args) -> int:
     dmax = args.dmax
     if dmax < 1:
         raise DomainError(f"--dmax must be >= 1, got {dmax}")
-    if args.brute_force and dmax > BRUTE_FORCE_CAP:
-        raise ResourceCapError(
-            f"brute-force degree {dmax} exceeds cap {BRUTE_FORCE_CAP}"
-        )
+    if args.brute_force:
+        check_brute_force_caps(profile, dmax)
     records: list[CoverCountRecord] = []
     if args.connected:
         series = cov_connected_series(profile, dmax)
@@ -259,7 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--connected", action="store_true")
     p.add_argument("--brute-force", action="store_true",
                    help="also tabulate the direct enumeration "
-                   f"(--dmax at most {BRUTE_FORCE_CAP})")
+                   f"(--dmax at most {BRUTE_FORCE_CAP}, at most "
+                   f"{BRUTE_FORCE_WORK_CAP} tuples in all)")
     p.set_defaults(fn=cmd_covers)
 
     p = sub.add_parser("simple-table", parents=[common], help="constants for simple branching")

@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from math import factorial
+from math import comb, factorial
 from typing import Iterable, Sequence
 
 from .characters import (
@@ -36,9 +36,12 @@ from .partitions import (
 )
 from .qseries import QSeries, euler_series
 
-# Largest degree the brute-force monodromy enumeration accepts: it loops
-# over all (d!)^2 pairs of permutations, times the branch classes.
+# Largest degree the brute-force monodromy enumeration accepts, and the
+# most tuples one request (all degrees up to its largest) may visit: it
+# loops over all (d!)^2 pairs of permutations times every branch class but
+# the last, at a few microseconds a tuple.
 BRUTE_FORCE_CAP = 5
+BRUTE_FORCE_WORK_CAP = 10**6
 
 __all__ = [
     "CoverProfile",
@@ -47,6 +50,8 @@ __all__ = [
     "cov_series",
     "cov_prime_series",
     "cov_connected_series",
+    "brute_force_work",
+    "check_brute_force_caps",
     "brute_force_hom_count",
     "asymptotic_ratio",
     "euler_series",
@@ -230,6 +235,36 @@ def _is_transitive(gens: Sequence[Perm], d: int) -> bool:
     return count == d
 
 
+def brute_force_work(profile, dmax: int) -> int:
+    """Tuples the brute-force enumeration visits over degrees 1..dmax: at
+    degree d, (d!)^2 pairs (a, b) times the size of every branch class but
+    the last, whose element is solved for.  A degree below some cycle
+    length visits none."""
+    profile = _profile(profile)
+    total = 0
+    for d in range(1, dmax + 1):
+        if any(m > d for m in profile):
+            continue
+        work = factorial(d) ** 2
+        for m in profile[:-1]:
+            work *= comb(d, m) * factorial(m - 1)
+        total += work
+    return total
+
+
+def check_brute_force_caps(profile, dmax: int) -> None:
+    """Raise ResourceCapError when a brute-force request for degrees
+    1..dmax is over the degree cap or its predicted work is over the work
+    cap; the degree is checked first, so the prediction stays cheap."""
+    if dmax > BRUTE_FORCE_CAP:
+        raise ResourceCapError(f"brute-force degree {dmax} exceeds cap {BRUTE_FORCE_CAP}")
+    work = brute_force_work(profile, dmax)
+    if work > BRUTE_FORCE_WORK_CAP:
+        raise ResourceCapError(
+            f"brute-force work {work} up to degree {dmax} exceeds cap {BRUTE_FORCE_WORK_CAP}"
+        )
+
+
 def brute_force_hom_count(profile, d: int, connected_only: bool = False) -> Fraction:
     """Count monodromy tuples (a, b, g_1, ..., g_s) with g_i in the i-th
     branch class and a b a^-1 b^-1 g_1 ... g_s = id, divided by d!.
@@ -237,13 +272,13 @@ def brute_force_hom_count(profile, d: int, connected_only: bool = False) -> Frac
     With ``connected_only`` the generated subgroup must act transitively.
     Enumerates a, b and all but the last branch element, solving for the
     last one; the division by d! reproduces the weighting of coverings by
-    the reciprocal of their automorphism group order.
+    the reciprocal of their automorphism group order.  The caps are those
+    of a request for degrees 1..d (``check_brute_force_caps``).
     """
     profile = _profile(profile)
     if d < 1:
         raise DomainError("degree must be positive")
-    if d > BRUTE_FORCE_CAP:
-        raise ResourceCapError(f"brute-force degree {d} exceeds cap {BRUTE_FORCE_CAP}")
+    check_brute_force_caps(profile, d)
     for m in profile:
         if m > d:
             return Fraction(0)

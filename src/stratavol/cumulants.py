@@ -3,11 +3,13 @@ volumes of strata of holomorphic differentials.
 
 The pipeline: connected averages of products of power sums have a leading
 coefficient (the elementary cumulant) given by a closed sum over set
-partitions with explicit rational-times-pi-power terms; a Wick-type rule
-reduces grouped averages to products of elementary cumulants over
-complementary set partitions; expanding the central character generators in
-the power-sum basis then yields the constant c(m), and volumes follow by a
-shift and a dimension division.  Every stage has an independent oracle.
+partitions with explicit rational-times-pi-power terms, summed by the
+exponential formula over the key's multiset; a Wick-type rule reduces
+grouped averages to products of elementary cumulants over complementary set
+partitions, grown directly as trees; expanding the central character
+generators in the power-sum basis, with one Wick sum per multiset of groups,
+then yields the constant c(m), and volumes follow by a shift and a dimension
+division.  Every stage has an independent oracle.
 """
 
 from __future__ import annotations
@@ -16,8 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
-from math import factorial
-from typing import Iterator, Sequence
+from math import comb, factorial
 
 from . import mvpoly
 from .errors import DomainError, ResourceCapError
@@ -26,7 +27,7 @@ from .partitions import (
     SET_PARTITION_CAP,
     IntPartition,
     SetPartition,
-    enum_complementary,
+    _complementary_blocks,
     iter_int_partitions,
     set_partitions_of,
 )
@@ -45,41 +46,21 @@ def _canon_key(m) -> tuple[int, ...]:
     return key
 
 
-def _bounded_compositions(
-    total: int, bounds: Sequence[int]
-) -> Iterator[tuple[int, ...]]:
-    """Compositions of ``total`` into len(bounds) parts with 0 <= part_k <=
-    bounds[k]."""
-    n = len(bounds)
-
-    def rec(i: int, rem: int) -> Iterator[tuple[int, ...]]:
-        if i == n - 1:
-            if 0 <= rem <= bounds[i]:
-                yield (rem,)
-            return
-        hi = min(bounds[i], rem)
-        for v in range(hi + 1):
-            for rest in rec(i + 1, rem - v):
-                yield (v,) + rest
-
-    if total < 0:
-        return
-    yield from rec(0, total)
-
-
 def elementary_cumulant(m) -> PiScalar:
     """Leading coefficient of the fully connected average of the power sums
     indexed by m = (m_1, ..., m_n).
 
-    Computed as a sum over set partitions alpha of the index set: the
-    one-block term is |m|! frak_z(|m| - n + 2); a term with l >= 2 blocks
-    carries sign (-1)^(l-1), the multinomial (l-2)!/prod(d_k!) over
-    nonnegative d with sum d_k = l - 2, and per block the factor
-    |m_block|! frak_z(|m_block| - #block - d_k + 1).  Compositions d are
-    enumerated with the parity and nonnegativity of the frak_z argument
-    enforced up front.  Every term carries pi^(|m| - n + 2), so the sum is
-    taken over rationals and memoized on the sorted key; the key is
-    validated and the cap checked on every call.
+    A sum over set partitions alpha of the index set: the one-block term is
+    |m|! frak_z(|m| - n + 2), and a term with l >= 2 blocks is
+    (-1)^(l-1) (l-2)! [t^(l-2)] of the product over blocks B of
+
+        g_B(t) = |m_B|! sum_d frak_z(|m_B| - #B - d + 1) t^d / d!.
+
+    The terms with l >= 2 are summed by the exponential formula over the
+    key's multiset (``_partition_table``), not partition by partition.
+    Every term carries pi^(|m| - n + 2), so the sum is taken over rationals
+    and memoized on the sorted key; the key is validated and the cap
+    checked on every call.
     """
     key = _canon_key(m)
     n = len(key)
@@ -92,45 +73,73 @@ def elementary_cumulant(m) -> PiScalar:
 
 @lru_cache(maxsize=None)
 def _cumulant_over_pi(key: tuple[int, ...]) -> Fraction:
-    """elementary_cumulant(key) divided by its pi power."""
+    """elementary_cumulant(key) divided by its pi power: the one-block term
+    plus sum over l >= 2 of (-1)^(l-1) (l-2)! [u^l t^(l-2)] of the
+    partition table."""
     n = len(key)
     total_size = sum(key)
-    result = Fraction(0)
-
-    for alpha in set_partitions_of(range(n)):
-        ell = len(alpha)
-        msums = [sum(key[i] for i in block) for block in alpha]
-        bsizes = [len(block) for block in alpha]
-
-        if ell == 1:
-            result += factorial(total_size) * frak_z_over_pi(total_size - n + 2)
-            continue
-
-        # d_k must have fixed parity and stay below the bound that keeps the
-        # frak_z argument nonnegative; write d_k = parity_k + 2 e_k.
-        parities = [(1 + msums[k] - bsizes[k]) % 2 for k in range(ell)]
-        bounds = [msums[k] - bsizes[k] + 1 for k in range(ell)]
-        excess = ell - 2 - sum(parities)
-        if excess < 0 or excess % 2 == 1:
-            continue
-        e_bounds = [(bounds[k] - parities[k]) // 2 for k in range(ell)]
-        if any(b < 0 for b in e_bounds):
-            continue
-
-        sign = 1 if ell % 2 == 1 else -1
-        prefactor = sign * factorial(ell - 2)
-        for msum in msums:
-            prefactor *= factorial(msum)
-
-        for e in _bounded_compositions(excess // 2, e_bounds):
-            # The parity and bound filters guarantee every frak_z argument
-            # is even and nonnegative, so no factor vanishes here.
-            term = Fraction(prefactor)
-            for k in range(ell):
-                d_k = parities[k] + 2 * e[k]
-                term *= frak_z_over_pi(msums[k] - bsizes[k] - d_k + 1) / factorial(d_k)
-            result += term
+    result = factorial(total_size) * frak_z_over_pi(total_size - n + 2)
+    for (ell, degree), value in _partition_table(key).items():
+        if ell >= 2 and degree == ell - 2:
+            sign = 1 if ell % 2 == 1 else -1
+            result += sign * factorial(ell - 2) * value
     return result
+
+
+@lru_cache(maxsize=None)
+def _block_series(size: int, parts: int) -> tuple[Fraction, ...]:
+    """Coefficients of g_B(t) by degree d, for a block of ``parts`` indices
+    whose entries sum to ``size``; frak_z vanishes beyond degree
+    size - parts + 1."""
+    top = size - parts + 1
+    return tuple(
+        factorial(size) * frak_z_over_pi(top - d) / factorial(d) for d in range(top + 1)
+    )
+
+
+def _partition_table(key: tuple[int, ...]) -> dict[tuple[int, int], Fraction]:
+    """Sum over set partitions alpha of the key's n indices of
+    u^l(alpha) prod_B g_B(t), as {(l, t-degree): coefficient}, with
+    t-degrees above n - 2 dropped.
+
+    Indices with equal entries are interchangeable, so the sum runs over
+    sub-multiplicity vectors of the key (the exponential formula): the
+    block holding the first remaining index, of type b within the
+    remaining c, is chosen in C(c_0 - 1, b_0 - 1) prod_{i>0} C(c_i, b_i)
+    ways, c_0 being the first nonzero count.
+    """
+    values = sorted(set(key), reverse=True)
+    top = len(key) - 2
+    memo: dict[tuple[int, ...], dict[tuple[int, int], Fraction]] = {}
+
+    def table(counts: tuple[int, ...]) -> dict[tuple[int, int], Fraction]:
+        if not any(counts):
+            return {(0, 0): Fraction(1)}
+        if counts in memo:
+            return memo[counts]
+        first = next(i for i, c in enumerate(counts) if c)
+        choices = [range(c + 1) for c in counts]
+        choices[first] = range(1, counts[first] + 1)
+        out: dict[tuple[int, int], Fraction] = {}
+        for block in product(*choices):
+            ways = comb(counts[first] - 1, block[first] - 1)
+            for i, (c, b) in enumerate(zip(counts, block)):
+                if i != first:
+                    ways *= comb(c, b)
+            series = _block_series(
+                sum(b * v for b, v in zip(block, values)), sum(block)
+            )
+            weighted = [(d, ways * g) for d, g in enumerate(series[: top + 1]) if g]
+            rest = table(tuple(c - b for c, b in zip(counts, block)))
+            for (ell, degree), value in rest.items():
+                for d, g in weighted:
+                    if degree + d <= top:
+                        cell = (ell + 1, degree + d)
+                        out[cell] = out.get(cell, 0) + g * value
+        memo[counts] = out
+        return out
+
+    return table(tuple(key.count(v) for v in values))
 
 
 def elementary_cumulant_series_oracle(m) -> PiScalar:
@@ -139,7 +148,7 @@ def elementary_cumulant_series_oracle(m) -> PiScalar:
     Builds, per set partition alpha, the product of per-block series
     sum_j frak_z(j) (block sum)^(j + #block - 1) times the tree factor
     (-1)^(l-1) (sum of all variables)^(l-2), extracts the coefficient of
-    x^m, and multiplies by m!.  Independent of the composition-sum route.
+    x^m, and multiplies by m!.  Independent of the exponential-formula route.
     """
     key = _canon_key(m)
     n = len(key)
@@ -283,15 +292,6 @@ class WickGroups:
     def n(self) -> int:
         return sum(g.length for g in self.groups)
 
-    @property
-    def rho(self) -> SetPartition:
-        blocks = []
-        start = 1
-        for g in self.groups:
-            blocks.append(tuple(range(start, start + g.length)))
-            start += g.length
-        return SetPartition(tuple(blocks), self.n)
-
 
 @dataclass(frozen=True)
 class WickLeading:
@@ -301,11 +301,15 @@ class WickLeading:
 
 def wick_leading(groups) -> WickLeading:
     """Leading coefficient of the grouped connected average of power sums:
-    the sum, over set partitions complementary to the grouping, of the
+    the sum, over set partitions complementary to the grouping rho, of the
     product of elementary cumulants of the parts collected per block.
 
-    The accompanying exponent (sum of (part+1) over all parts, minus the
-    number of groups, plus one) is returned as metadata.  Every
+    The complementary partitions are grown directly as trees
+    (``partitions._complementary_blocks``).  A term depends only on the
+    multiset of its sorted block keys, so the partitions are counted per
+    multiset first, and each distinct key's cumulant is looked up once per
+    call.  The accompanying exponent (sum of (part+1) over all parts,
+    minus the number of groups, plus one) is returned as metadata.  Every
     complementary partition has n - l(rho) + 1 blocks and each block
     cumulant carries pi^(|block| - #block + 2), so every term carries
     pi^(sum(parts) - n + 2 (n - l(rho) + 1)): the sum is taken over
@@ -316,18 +320,35 @@ def wick_leading(groups) -> WickLeading:
     if n > SET_PARTITION_CAP:
         raise ResourceCapError(f"total part count {n} exceeds cap {SET_PARTITION_CAP}")
     parts = wg.parts
-    rho = wg.rho
-    exponent = sum(p + 1 for p in parts) - rho.length + 1
+    ell = len(wg.groups)
+    exponent = sum(p + 1 for p in parts) - ell + 1
 
+    group_of = [j for j, g in enumerate(wg.groups) for _ in g]
+    key_of: dict[tuple[int, ...], tuple[int, ...]] = {}
+    shapes: dict[tuple[tuple[int, ...], ...], int] = {}
+    for blocks in _complementary_blocks(group_of):
+        keys = []
+        for block in blocks:
+            key = key_of.get(block)
+            if key is None:
+                key = key_of[block] = tuple(sorted((parts[x - 1] for x in block), reverse=True))
+            keys.append(key)
+        keys.sort()
+        shape = tuple(keys)
+        shapes[shape] = shapes.get(shape, 0) + 1
+    cumulants: dict[tuple[int, ...], Fraction] = {}
     total = Fraction(0)
-    for alpha in enum_complementary(rho):
-        term = Fraction(1)
-        for block in alpha.blocks:
-            term *= elementary_cumulant(tuple(parts[i - 1] for i in block)).coeff
+    for shape, count in shapes.items():
+        term = Fraction(count)
+        for key in shape:
+            value = cumulants.get(key)
+            if value is None:
+                value = cumulants[key] = elementary_cumulant(key).coeff
+            term *= value
             if not term:
                 break
         total += term
-    pi_pow = sum(parts) - n + 2 * (n - rho.length + 1)
+    pi_pow = sum(parts) - n + 2 * (n - ell + 1)
     return WickLeading(value=PiScalar(total, pi_pow), hbar_exponent=exponent)
 
 
@@ -335,8 +356,11 @@ def f_cumulant_leading(m) -> PiScalar:
     """Leading coefficient of the connected average of the central
     character generators indexed by m: expand each generator in its
     top-weight power-sum terms, distribute multilinearly, and apply the
-    Wick rule to every choice.  All choices share the same leading
-    exponent |m| + 1, which is asserted.
+    Wick rule to every choice.  Reordering the groups of a choice does not
+    change its Wick value, so the coefficients of all choices with the
+    same multiset of groups are added first and the Wick rule runs once
+    per multiset.  All choices share the same leading exponent |m| + 1,
+    which is asserted.
 
     The longest top-weight term of generator k has (k + 1) // 2 parts, so
     the largest grouping is known before any expansion is computed; the
@@ -353,14 +377,17 @@ def f_cumulant_leading(m) -> PiScalar:
     expansions = [f_top_expansion(k).terms for k in key]
     expected_exponent = sum(key) + 1
 
-    total = PiScalar.zero()
+    weights: dict[tuple[IntPartition, ...], Fraction] = {}
     for choice in product(*expansions):
         coeff = Fraction(1)
-        groups = []
-        for lam, c in choice:
+        for _, c in choice:
             coeff *= c
-            groups.append(lam)
-        wl = wick_leading(WickGroups(tuple(groups)))
+        groups = tuple(sorted(lam for lam, _ in choice))
+        weights[groups] = weights.get(groups, 0) + coeff
+
+    total = PiScalar.zero()
+    for groups, coeff in weights.items():
+        wl = wick_leading(WickGroups(groups))
         if wl.hbar_exponent != expected_exponent:
             raise RuntimeError(
                 f"leading exponent mismatch: {wl.hbar_exponent} != {expected_exponent}"

@@ -229,39 +229,26 @@ def enum_set_partitions(n: int) -> list[SetPartition]:
     return [_rgs_to_partition(a, n) for a in _rgs_iter(n)]
 
 
-def iter_set_partitions_with_blocks(
-    n: int, k: int, apart: SetPartition | None = None
-) -> Iterator[SetPartition]:
+def iter_set_partitions_with_blocks(n: int, k: int) -> Iterator[SetPartition]:
     """Set partitions of {1..n} with exactly k blocks, in restricted-growth
     order, grown one element at a time.  An element joins an open block
-    only while the later elements can still open the missing blocks, and,
-    with ``apart``, never joins a block that holds an element of its own
-    block of ``apart``.
+    only while the later elements can still open the missing blocks.
     """
     if k < 1 or k > n:
         return
-    if apart is not None and apart.n != n:
-        raise DomainError(f"ground set sizes differ: {n} vs {apart.n}")
-    bits = [0] * (n + 1)
-    for j, block in enumerate(apart.blocks if apart is not None else ()):
-        for x in block:
-            bits[x] = 1 << j
-    # (elements, bitmask of the blocks of apart they come from) per block
-    blocks: list[tuple[tuple[int, ...], int]] = []
+    blocks: list[tuple[int, ...]] = []
 
     def grow(x: int) -> Iterator[SetPartition]:
         if x > n:
-            yield SetPartition(tuple(b for b, _ in blocks), n)
+            yield SetPartition(tuple(blocks), n)
             return
-        bit = bits[x]
         if n - x >= k - len(blocks):
-            for j, (block, mask) in enumerate(blocks):
-                if not mask & bit:
-                    blocks[j] = (block + (x,), mask | bit)
-                    yield from grow(x + 1)
-                    blocks[j] = (block, mask)
+            for j, block in enumerate(blocks):
+                blocks[j] = block + (x,)
+                yield from grow(x + 1)
+                blocks[j] = block
         if len(blocks) < k:
-            blocks.append(((x,), bit))
+            blocks.append((x,))
             yield from grow(x + 1)
             blocks.pop()
 
@@ -337,20 +324,72 @@ def is_complementary(a: SetPartition, rho: SetPartition) -> bool:
     return a.length + rho.length - 1 == a.n
 
 
-def enum_complementary(rho: SetPartition) -> list[SetPartition]:
-    """All partitions complementary to rho.
+def _complementary_blocks(group_of: Sequence[int]) -> Iterator[Blocks]:
+    """Blocks of every partition of {1..n} complementary to rho, where
+    element x lies in block group_of[x - 1] of rho (labels 0..l-1, each
+    used), in restricted-growth order.
 
-    A complementary partition has exactly n - length(rho) + 1 blocks and
-    never puts two elements of one block of rho together, so only those
-    candidates are generated before the coarsening test.
+    alpha is complementary to rho exactly when the incidence graph with a
+    vertex per block of either partition and an edge per element is a
+    tree.  Elements are placed in order, with a component label kept for
+    every group and every open block: x joins a block only in another
+    component than its group's, and the join merges the two, so no cycle
+    forms; opening a block adds a leaf.  At most n - l + 1 blocks are
+    opened, and a forest with n edges on l + n - l + 1 vertices is
+    connected, so every partition grown to the end is complementary.
+    A join is always possible once that many blocks are open, so no
+    branch dies on the way either.
+    """
+    n = len(group_of)
+    ell = max(group_of) + 1
+    most = n - ell + 1
+    blocks: list[tuple[int, ...]] = []
+
+    def grow(x: int, comp: tuple[int, ...]) -> Iterator[Blocks]:
+        # comp[g]: component of group g; comp[ell + j]: component of block j
+        own = comp[group_of[x - 1]]
+        if x == n:
+            # The last element yields directly: one generator frame less
+            # per partition.
+            for j, block in enumerate(blocks):
+                if comp[ell + j] != own:
+                    blocks[j] = block + (x,)
+                    yield tuple(blocks)
+                    blocks[j] = block
+            if len(blocks) < most:
+                yield tuple(blocks) + ((x,),)
+            return
+        for j, block in enumerate(blocks):
+            other = comp[ell + j]
+            if other != own:
+                blocks[j] = block + (x,)
+                yield from grow(x + 1, tuple(own if c == other else c for c in comp))
+                blocks[j] = block
+        if len(blocks) < most:
+            blocks.append((x,))
+            yield from grow(x + 1, comp + (own,))
+            blocks.pop()
+
+    yield from grow(1, tuple(range(ell)))
+
+
+def enum_complementary(rho: SetPartition) -> list[SetPartition]:
+    """All partitions complementary to rho, in restricted-growth order.
+
+    They are grown directly as the trees described in
+    ``_complementary_blocks``: every partition built is complementary, and
+    no coarsening test is run.
     """
     n = rho.n
     if n > SET_PARTITION_CAP:
         raise ResourceCapError(
             f"set partition ground set {n} exceeds cap {SET_PARTITION_CAP}"
         )
-    candidates = iter_set_partitions_with_blocks(n, n - rho.length + 1, apart=rho)
-    return [alpha for alpha in candidates if meet(alpha, rho).length == 1]
+    group_of = [0] * n
+    for j, block in enumerate(rho.blocks):
+        for x in block:
+            group_of[x - 1] = j
+    return [SetPartition(blocks, n) for blocks in _complementary_blocks(group_of)]
 
 
 def mobius_coeff(l: int) -> int:

@@ -124,8 +124,8 @@ def suite_dual_route(nmax: int = 8) -> list[PropertyResult]:
 
 
 def suite_cumulant_oracles() -> list[PropertyResult]:
-    """Composition-sum cumulants against the multivariate series oracle and
-    the closed one- and two-part formulas."""
+    """Exponential-formula cumulants against the multivariate series oracle
+    and the closed one- and two-part formulas."""
     out: list[PropertyResult] = []
     bad = []
     count = 0

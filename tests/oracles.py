@@ -5,12 +5,16 @@ library code it checks: partition counts through the pentagonal recurrence,
 Bell numbers through the Bell triangle, Stirling numbers through their
 recurrence, Bernoulli numbers through the Akiyama-Tanigawa transform, set
 partitions through recursive insertion, integer partitions through
-largest-part-first recursion.
+largest-part-first recursion, elementary cumulants through one term per set
+partition of the key instead of the library's exponential formula.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
+
+from stratavol.exact_arith import frak_z_over_pi
 
 
 def partition_count(n: int) -> int:
@@ -87,6 +91,56 @@ def set_partitions_by_insertion(n: int) -> list[tuple[tuple[int, ...], ...]]:
     for p in parts:
         out.append(tuple(sorted((tuple(sorted(b)) for b in p), key=lambda b: b[0])))
     return out
+
+
+def _bounded_compositions(total: int, bounds):
+    """Compositions of ``total`` into len(bounds) parts with 0 <= part_k <=
+    bounds[k]."""
+    if total < 0:
+        return
+    if len(bounds) == 1:
+        if total <= bounds[0]:
+            yield (total,)
+        return
+    for v in range(min(bounds[0], total) + 1):
+        for rest in _bounded_compositions(total - v, bounds[1:]):
+            yield (v,) + rest
+
+
+def cumulant_by_set_partitions(key) -> Fraction:
+    """The elementary cumulant of ``key`` divided by its pi power, one term
+    per set partition alpha of the key's indices: the one-block term
+    |m|! frak_z(|m| - n + 2), and for l >= 2 blocks the sign (-1)^(l-1)
+    times (l-2)! prod_B |m_B|! frak_z(|m_B| - #B - d_B + 1) / d_B! summed
+    over compositions d of l - 2.  Each d_B has the parity that makes the
+    frak_z argument even, so only those compositions are enumerated."""
+    n = len(key)
+    total_size = sum(key)
+    result = Fraction(0)
+    for alpha in set_partitions_by_insertion(n):
+        ell = len(alpha)
+        msums = [sum(key[i - 1] for i in block) for block in alpha]
+        bsizes = [len(block) for block in alpha]
+        if ell == 1:
+            result += factorial(total_size) * frak_z_over_pi(total_size - n + 2)
+            continue
+        parities = [(1 + msums[k] - bsizes[k]) % 2 for k in range(ell)]
+        excess = ell - 2 - sum(parities)
+        if excess < 0 or excess % 2 == 1:
+            continue
+        e_bounds = [(msums[k] - bsizes[k] + 1 - parities[k]) // 2 for k in range(ell)]
+        if any(b < 0 for b in e_bounds):
+            continue
+        prefactor = (1 if ell % 2 == 1 else -1) * factorial(ell - 2)
+        for msum in msums:
+            prefactor *= factorial(msum)
+        for e in _bounded_compositions(excess // 2, e_bounds):
+            term = Fraction(prefactor)
+            for k in range(ell):
+                d_k = parities[k] + 2 * e[k]
+                term *= frak_z_over_pi(msums[k] - bsizes[k] - d_k + 1) / factorial(d_k)
+            result += term
+    return result
 
 
 def sigma1(n: int) -> int:

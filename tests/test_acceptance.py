@@ -55,8 +55,8 @@ def test_criterion_3_dual_route_identity():
 
 
 def test_criterion_4_cumulant_oracle_equivalence():
-    """Composition sums equal the series oracle (n <= 3, |m| <= 8) and the
-    closed two-part covariance formula (k, l <= 6)."""
+    """Exponential-formula cumulants equal the series oracle (n <= 3,
+    |m| <= 8) and the closed two-part covariance formula (k, l <= 6)."""
     _run("4 (cumulant oracles)", suite_cumulant_oracles, time_budget=120.0)
 
 

@@ -129,6 +129,19 @@ class TestCoversCommand:
             assert out == "" and "cap" in err
 
 
+    def test_brute_force_work_cap_exits_fast(self, capsys, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a covering row was computed")
+
+        monkeypatch.setattr(stratavol.cli, "cov_d", forbidden)
+        monkeypatch.setattr(stratavol.cli, "brute_force_hom_count", forbidden)
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "covers", "5,5,5", "--dmax", "5", "--brute-force")
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        assert out == "" and "work" in err
+
+
 class TestSimpleTable:
     def test_rows(self, capsys):
         code, out, _ = run_cli(capsys, "simple-table", "--nmax", "4")

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 from math import factorial
 
 import pytest
@@ -10,11 +11,15 @@ from stratavol.characters import (
     content_poly,
     dimension,
 )
+import stratavol.coverings
 from stratavol.coverings import (
+    BRUTE_FORCE_WORK_CAP,
     CoverCountRecord,
     CoverProfile,
     asymptotic_ratio,
     brute_force_hom_count,
+    brute_force_work,
+    check_brute_force_caps,
     cov_connected_series,
     cov_d,
     cov_prime_series,
@@ -164,6 +169,37 @@ class TestBruteForce:
     def test_degree_validation(self):
         with pytest.raises(DomainError):
             brute_force_hom_count((2,), 0, False)
+
+    def test_work_is_pairs_times_all_classes_but_the_last(self):
+        for profile in [(), (2,), (3, 2), (2, 2, 2), (4, 3, 2), (5, 5)]:
+            want = 0
+            for d in range(1, 6):
+                if any(m > d for m in profile):
+                    continue
+                work = factorial(d) ** 2
+                for m in profile[:-1]:
+                    work *= len(stratavol.coverings._class_elements(d, m))
+                want += work
+            assert brute_force_work(profile, 5) == want, profile
+        assert brute_force_work((5, 5, 5), 5) == 120**2 * 24**2
+        assert brute_force_work((5, 5), 5) == 120**2 * 24
+
+    def test_work_cap_checked_before_enumeration(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a permutation class was enumerated")
+
+        monkeypatch.setattr(stratavol.coverings, "_class_elements", forbidden)
+        assert brute_force_work((5, 5, 5), 5) > BRUTE_FORCE_WORK_CAP
+        with pytest.raises(ResourceCapError, match="work"):
+            brute_force_hom_count((5, 5, 5), 5, False)
+
+    def test_tested_requests_under_cap(self):
+        # Criterion 5 (profiles of at most three points with entries in
+        # {2, 3, 4}, degrees up to 4) and the degree-5 count used below.
+        for s in (1, 2, 3):
+            for profile in product((2, 3, 4), repeat=s):
+                check_brute_force_caps(profile, 4)
+        check_brute_force_caps((2, 2), 5)
 
     def test_burnside_agreement_small(self):
         for profile in [(2,), (3,), (2, 2), (3, 2), (3, 3), (2, 2, 2)]:

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 from math import factorial
 
 import pytest
@@ -20,6 +21,7 @@ from stratavol.errors import DomainError, ResourceCapError
 from stratavol.exact_arith import PiScalar, frak_z
 from stratavol.partitions import SET_PARTITION_CAP, IntPartition, enum_set_partitions
 from stratavol.shifted_symmetric import f_top_expansion
+from .oracles import cumulant_by_set_partitions
 
 
 def keys_up_to(max_parts, max_size):
@@ -83,13 +85,13 @@ class TestElementaryCumulant:
 
     def test_memoized_on_sorted_key(self, monkeypatch):
         calls = []
-        real = stratavol.cumulants.set_partitions_of
+        real = stratavol.cumulants._partition_table
 
-        def counting(items):
-            calls.append(tuple(items))
-            return real(items)
+        def counting(key):
+            calls.append(key)
+            return real(key)
 
-        monkeypatch.setattr(stratavol.cumulants, "set_partitions_of", counting)
+        monkeypatch.setattr(stratavol.cumulants, "_partition_table", counting)
         stratavol.cumulants._cumulant_over_pi.cache_clear()
         first = elementary_cumulant((1, 2, 3))
         assert elementary_cumulant((3, 2, 1)) == first
@@ -104,6 +106,19 @@ class TestElementaryCumulant:
         with pytest.raises(ResourceCapError):
             elementary_cumulant((1,) * (SET_PARTITION_CAP + 1))
         assert memo.cache_info().currsize == filled
+
+
+class TestSetPartitionOracle:
+    def test_agrees_up_to_seven_parts(self):
+        # The exponential formula against one term per set partition.
+        for key in keys_up_to(7, 14):
+            got = stratavol.cumulants._cumulant_over_pi(key)
+            assert got == cumulant_by_set_partitions(key), key
+
+    def test_agrees_on_repeated_entries(self):
+        for key in [(2,) * 8, (1,) * 8, (3, 2, 2, 2, 1, 1, 1, 1)]:
+            got = stratavol.cumulants._cumulant_over_pi(key)
+            assert got == cumulant_by_set_partitions(key), key
 
 
 class TestSeriesOracle:
@@ -195,6 +210,30 @@ class TestCConst:
         for m in [(2,), (3, 2), (2, 2, 2)]:
             if (sum(m) + len(m)) % 2 == 1:
                 assert c_const(m).is_zero()
+
+    def test_one_wick_call_per_multiset_of_groups(self, monkeypatch):
+        calls = []
+        real = stratavol.cumulants.wick_leading
+
+        def counting(groups):
+            calls.append(groups.groups)
+            return real(groups)
+
+        monkeypatch.setattr(stratavol.cumulants, "wick_leading", counting)
+        key = (5, 5, 3)
+        value = f_cumulant_leading(key)
+        choices = list(product(*(f_top_expansion(k).terms for k in key)))
+        multisets = {tuple(sorted(lam for lam, _ in choice)) for choice in choices}
+        assert len(calls) == len(multisets) < len(choices)
+        assert {tuple(sorted(groups)) for groups in calls} == multisets
+        # The same sum, one Wick call per choice of terms.
+        want = PiScalar.zero()
+        for choice in choices:
+            coeff = Fraction(1)
+            for _, c in choice:
+                coeff *= c
+            want = want + real(WickGroups(tuple(lam for lam, _ in choice))).value * coeff
+        assert value == want
 
     def test_longest_expansion_term(self):
         # The up-front cap check assumes the longest top-weight term of

@@ -3,6 +3,9 @@
 ``data/golden_volumes.json`` holds volume(mu) and c(mu + 1) for all 82
 strata of genus 2 to 6, written before the pipeline was refactored: the 40
 strata of genus 2 to 5 first, then the 42 of genus 6.
+``data/golden_genus7_small.json`` holds the same for the 19 strata of genus
+7 with at most three zeros, written before the cumulants moved to the
+exponential formula and the Wick sum to tree growing.
 """
 
 import json
@@ -20,6 +23,9 @@ ROWS = json.loads(
 )
 GOLDEN = [row for row in ROWS if sum(row["mu"]) <= 8]
 GENUS_6 = [row for row in ROWS if sum(row["mu"]) == 10]
+GENUS_7_SMALL = json.loads(
+    (Path(__file__).parent / "data" / "golden_genus7_small.json").read_text()
+)
 
 
 def test_golden_table_covers_genus_2_to_5():
@@ -42,6 +48,18 @@ def test_golden_table_is_genus_2_to_5_then_genus_6():
 
 def test_golden_genus_6_volumes_exact():
     for row in GENUS_6:
+        result = volume(row["mu"])
+        assert result.volume.as_json_dict() == row["volume"], row["mu"]
+        assert result.c_const.as_json_dict() == row["c"], row["mu"]
+
+
+def test_golden_genus_7_table_is_strata_with_at_most_three_zeros():
+    want = [list(mu) for mu in enum_int_partitions(12) if len(mu) <= 3]
+    assert [row["mu"] for row in GENUS_7_SMALL] == want
+
+
+def test_golden_genus_7_small_volumes_exact():
+    for row in GENUS_7_SMALL:
         result = volume(row["mu"])
         assert result.volume.as_json_dict() == row["volume"], row["mu"]
         assert result.c_const.as_json_dict() == row["c"], row["mu"]

@@ -162,26 +162,6 @@ class TestSetPartitions:
                 count = sum(1 for _ in iter_set_partitions_with_blocks(n, k))
                 assert count == stirling2(n, k), (n, k)
 
-    def test_with_blocks_apart_matches_filter(self):
-        # Same partitions in the same order as filtering the full
-        # enumeration for k blocks, none holding two elements of a block
-        # of rho.
-        for n in range(1, 7):
-            every = enum_set_partitions(n)
-            for rho in every:
-                rho_blocks = [set(r) for r in rho.blocks]
-                apart = [
-                    p for p in every
-                    if all(len(r.intersection(b)) <= 1 for b in p.blocks for r in rho_blocks)
-                ]
-                for k in range(1, n + 1):
-                    got = list(iter_set_partitions_with_blocks(n, k, apart=rho))
-                    assert got == [p for p in apart if p.length == k]
-
-    def test_with_blocks_apart_ground_mismatch(self):
-        with pytest.raises(DomainError):
-            list(iter_set_partitions_with_blocks(3, 2, apart=SetPartition.discrete(4)))
-
     def test_set_partitions_of_labels(self):
         blocks = list(set_partitions_of(("a", "b", "c")))
         assert len(blocks) == 5
@@ -253,8 +233,9 @@ class TestComplementary:
                 assert from_enum == from_pred
 
     def test_predicate_matches_enum_by_block_shape(self):
-        # One rho per block-size shape, blocks of consecutive elements.
-        for n in (6, 7):
+        # One rho per block-size shape, blocks of consecutive elements: the
+        # tree-grown partitions, in order, against the brute-force filter.
+        for n in (6, 7, 8):
             every = enum_set_partitions(n)
             for shape in enum_int_partitions(n):
                 blocks, start = [], 1
