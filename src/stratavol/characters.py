@@ -10,18 +10,15 @@ class is Frobenius' formula in content form,
 expanded at u = infinity, where a box in row i and column j has content
 c = j - i.  It is evaluated in one of two ways, by cycle length:
 
-* short cycles (m <= ``CONTENT_POLY_MAX_M``): f_m is a polynomial in |lam|
-  and the content power sums p_j(lam) = sum of c^j over the boxes of lam
-  (Kerov-Olshanski 1994, Corteel-Goupil-Schaeffer 2004).
-  ``content_poly(m)`` derives it: the log of each box factor is a series
-  in 1/u whose coefficients are binomial combinations of c^j, so the log of
-  the product is linear in the p_j, and exponentiating it gives f_m with
-  rational coefficients over a common denominator;
+* short cycles (m <= ``CONTENT_POLY_MAX_M``): f_m is a polynomial in
+  n = |lam| and the content power sums p_j(lam) = sum of c^j over the boxes
+  of lam (Kerov-Olshanski 1994, Corteel-Goupil-Schaeffer 2004), and the
+  three that are used have closed forms: f_2 = p_1, f_3 = p_2 - n(n-1)/2
+  and f_4 = p_3 - (2n-3) p_1 (``content_value``);
 * long cycles: the box product telescopes row by row to a ratio over the
   beta numbers of lam, and the coefficient of 1/u is the sum of its
-  residues, one per removable rim hook of length m (``hook_value``).  The
-  content polynomial grows quickly with m (1066 terms at m = 24), the
-  residue sum does not.
+  residues, one per removable rim hook of length m (``hook_value``), so
+  its cost does not grow with m.
 
 Every value is an integer, so evaluation stays in integers.
 
@@ -40,10 +37,8 @@ process.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
-from math import comb, factorial, lcm, perm
+from math import factorial, perm
 
-from . import mvpoly
 from .errors import DomainError
 from .partitions import IntPartition
 
@@ -162,68 +157,11 @@ def conjugacy_class_size(rho) -> int:
     return factorial(rho.size) // z
 
 
-# Longest cycle whose central character is evaluated through its content
-# polynomial; longer cycles use the residue sum ``hook_value``, which costs
-# about as much per partition at m = 4 and less for longer cycles, while
-# the polynomial's terms and its derivation time grow quickly with m.
+# Longest cycle whose central character is evaluated in closed form from
+# the content power sums; longer cycles use the residue sum ``hook_value``,
+# which costs about as much per partition at m = 4 and less for longer
+# cycles.
 CONTENT_POLY_MAX_M = 4
-
-# A content polynomial: (L, terms), each term (coefficient, ((j, e), ...)),
-# standing for (sum of coefficient * prod p_j^e) / L.
-ContentPoly = tuple[int, tuple[tuple[int, tuple[tuple[int, int], ...]], ...]]
-
-
-@lru_cache(maxsize=None)
-def content_poly(m: int) -> ContentPoly:
-    """The central character f_m as a polynomial in the content power sums
-    p_0 = |lam|, p_1, ..., p_{m-1}, returned as (L, terms) with integer
-    coefficients over the common denominator L.
-
-    With z = 1/u, the log of the box product in Frobenius' formula is
-    sum_k E_k z^k with E_k = -(1/k) sum_{j<=k-2} C(k, j) a_{k-j} p_j and
-    a_r = (-1)^r + m^r - (m-1)^r; its exponential F = sum_n F_n z^n follows
-    from F_n = (1/n) sum_k k E_k F_{n-k}, and f_m = -(1/m^2) sum_i s(m, i)
-    F_{i+1}, where s(m, i) are the coefficients of u(u-1)...(u-m+1).
-
-    The symbolic exponential is costly for long cycles (f_24 has 1066
-    terms), so ``cov_d`` and ``central_char_f`` derive it only for
-    m <= ``CONTENT_POLY_MAX_M``.
-    """
-    if m < 2:
-        raise DomainError(f"cycle length must be >= 2, got {m}")
-    nvars = m
-    E: list[mvpoly.Poly] = [mvpoly.zero()]
-    for k in range(1, m + 2):
-        terms = mvpoly.zero()
-        for j in range(k - 1):
-            r = k - j
-            a = (-1) ** r + m**r - (m - 1) ** r
-            terms = mvpoly.add_scaled(
-                terms, mvpoly.variable(nvars, j), Fraction(-comb(k, j) * a, k)
-            )
-        E.append(terms)
-    F = [mvpoly.const(nvars, 1)]
-    for n in range(1, m + 2):
-        acc = mvpoly.zero()
-        for k in range(1, n + 1):
-            acc = mvpoly.add_scaled(acc, mvpoly.mul(E[k], F[n - k]), Fraction(k, n))
-        F.append(acc)
-    falling = [1]  # coefficients of u(u-1)...(u-r+1), lowest power first
-    for r in range(m):
-        nxt = [0] * (len(falling) + 1)
-        for i, c in enumerate(falling):
-            nxt[i + 1] += c
-            nxt[i] -= r * c
-        falling = nxt
-    f = mvpoly.zero()
-    for i in range(1, m + 1):
-        f = mvpoly.add_scaled(f, F[i + 1], Fraction(-falling[i], m * m))
-    denominator = lcm(*(c.denominator for c in f.values()))
-    terms = tuple(
-        (int(c * denominator), tuple((j, e) for j, e in enumerate(mono) if e))
-        for mono, c in sorted(f.items())
-    )
-    return denominator, terms
 
 
 def content_prefix(d: int, count: int) -> list[tuple[list[int], list[int]]]:
@@ -255,15 +193,19 @@ def content_power_sums(lam, prefix: list[tuple[list[int], list[int]]]) -> list[i
 
 
 def content_value(m: int, sums: list[int]) -> int:
-    """f_m at a partition with content power sums ``sums`` (at least m of
-    them); exact, since the value is an integer."""
-    denominator, terms = content_poly(m)
-    total = 0
-    for coeff, mono in terms:
-        for j, e in mono:
-            coeff *= sums[j] ** e
-        total += coeff
-    return total // denominator
+    """f_m, for 2 <= m <= ``CONTENT_POLY_MAX_M``, at a partition with
+    content power sums ``sums`` (p_0 = n = |lam| first, at least m of them):
+    f_2 = p_1, f_3 = p_2 - n(n-1)/2 and f_4 = p_3 - (2n-3) p_1."""
+    n = sums[0]
+    if m == 2:
+        return sums[1]
+    if m == 3:
+        return sums[2] - n * (n - 1) // 2
+    if m == 4:
+        return sums[3] - (2 * n - 3) * sums[1]
+    raise DomainError(
+        f"closed forms cover cycle lengths 2..{CONTENT_POLY_MAX_M}, got {m}"
+    )
 
 
 def beta_numbers(lam) -> list[int]:
@@ -311,9 +253,9 @@ def hook_value(m: int, beta: list[int], beta_set: set[int]) -> int:
 def central_char_f(m: int, lam) -> Fraction:
     """Scalar by which the class sum of an m-cycle class acts on the irrep
     lam: (class size) * character / dimension.  Cycles of length at most
-    ``CONTENT_POLY_MAX_M`` are evaluated through the content polynomial of
-    f_m, longer ones through ``hook_value``, as ``cov_d`` does.  Zero when m
-    exceeds |lam|."""
+    ``CONTENT_POLY_MAX_M`` are evaluated by the closed forms of
+    ``content_value``, longer ones by ``hook_value``, as ``cov_d`` does.
+    Zero when m exceeds |lam|."""
     if m < 2:
         raise DomainError(f"cycle length must be >= 2, got {m}")
     lam = IntPartition(lam)

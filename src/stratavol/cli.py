@@ -21,6 +21,7 @@ from .coverings import (
     CoverProfile,
     brute_force_hom_count,
     check_brute_force_caps,
+    check_burnside_cap,
     cov_connected_series,
     cov_d,
 )
@@ -137,6 +138,7 @@ def cmd_covers(args) -> int:
         raise DomainError(f"--dmax must be >= 1, got {dmax}")
     if args.brute_force:
         check_brute_force_caps(profile, dmax)
+    check_burnside_cap(dmax)
     records: list[CoverCountRecord] = []
     if args.connected:
         series = cov_connected_series(profile, dmax)

@@ -3,11 +3,12 @@
 A covering with branch profile m = (m_1, ..., m_s) is counted through the
 character sum over partitions of the degree (the Burnside route, summed in
 integers over central characters from Frobenius' formula in content form:
-content polynomials for short cycles, rim-hook residues for long ones),
-through its generating q-series, and, for small degrees, through direct
-enumeration of monodromy tuples in the symmetric group.  Connected counts
-come from the all-coverings series by inclusion-exclusion over set
-partitions of the branch points.
+closed forms in content power sums for short cycles, rim-hook residues for
+long ones), through its generating q-series, and, for small degrees,
+through direct enumeration of monodromy tuples in the symmetric group.
+Connected counts come from the all-coverings series by inclusion-exclusion
+over set partitions of the branch points; one sweep over the partitions of
+each degree serves every sub-profile those set partitions need.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from itertools import accumulate, islice, permutations
 from math import comb, factorial
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .characters import (
     CONTENT_POLY_MAX_M,
@@ -42,6 +43,9 @@ from .qseries import QSeries, euler_series
 # the last, at a few microseconds a tuple.
 BRUTE_FORCE_CAP = 5
 BRUTE_FORCE_WORK_CAP = 10**6
+# Most partitions the Burnside rows of one request (all degrees up to its
+# largest) may visit, at a few microseconds each: degrees up to 48.
+BURNSIDE_WORK_CAP = 10**6
 
 __all__ = [
     "CoverProfile",
@@ -50,6 +54,8 @@ __all__ = [
     "cov_series",
     "cov_prime_series",
     "cov_connected_series",
+    "burnside_work",
+    "check_burnside_cap",
     "brute_force_work",
     "check_brute_force_caps",
     "brute_force_hom_count",
@@ -90,18 +96,53 @@ def _profile(profile) -> CoverProfile:
     return profile if isinstance(profile, CoverProfile) else CoverProfile(profile)
 
 
+def _burnside_sums(keys: Sequence[Sequence[int]], d: int) -> list[int]:
+    """For each key (a profile), the sum over partitions lam of d of the
+    product of the central characters f_m(lam) over its entries m.
+
+    One sweep over the partitions of d serves every key.  At each lam the
+    beta numbers and the content power sums are computed once, and each
+    distinct cycle length once, longest first: cycles longer than
+    ``CONTENT_POLY_MAX_M`` by the residue sum over removable m-rim hooks
+    (``characters.hook_value``), shorter ones by their closed forms in the
+    content power sums (``characters.content_value``), which are read from
+    prefix tables over the contents -d..d.  Each key then multiplies its
+    values, raised to their multiplicities and longest cycle first, in
+    integers, and a zero factor ends its product.  A key with a cycle
+    longer than d sums to 0, and the empty key counts the partitions of d.
+    """
+    plans = [sorted(Counter(key).items(), reverse=True) for key in keys]
+    live = [(i, plan) for i, plan in enumerate(plans) if not plan or plan[0][0] <= d]
+    lengths = sorted({m for _, plan in live for m, _ in plan}, reverse=True)
+    long = [m for m in lengths if m > CONTENT_POLY_MAX_M]
+    short = [m for m in lengths if m <= CONTENT_POLY_MAX_M]
+    prefix = content_prefix(d, short[0]) if short else None
+    totals = [0] * len(keys)
+    f: dict[int, int] = {}
+    for lam in iter_int_partitions(d):
+        if long:
+            beta = beta_numbers(lam)
+            beta_set = set(beta)
+            for m in long:
+                f[m] = hook_value(m, beta, beta_set)
+        if short:
+            sums = content_power_sums(lam, prefix)
+            for m in short:
+                f[m] = content_value(m, sums)
+        for i, plan in live:
+            term = 1
+            for m, mult in plan:
+                term *= f[m] ** mult
+                if not term:
+                    break
+            totals[i] += term
+    return totals
+
+
 def cov_d(profile, d: int) -> Fraction:
     """Weighted number of degree-d coverings with the given branch profile:
-    the sum over partitions lam of d of the product of central characters.
-
-    Each central character f_m(lam) is an integer, so the sum runs in
-    integers.  Per lam, each distinct m is evaluated once and raised to its
-    multiplicity, longest cycle first, and a zero factor ends the product.
-    Cycles longer than ``CONTENT_POLY_MAX_M`` are evaluated by the residue
-    sum over removable m-rim hooks (``characters.hook_value``, from the beta
-    numbers of lam); shorter ones by their content polynomials
-    (``characters.content_poly``), with the content power sums read from
-    prefix tables over the contents -d..d.
+    the sum over partitions lam of d of the product of central characters,
+    in integers (``_burnside_sums`` for the one profile).
 
     The empty profile counts all unramified coverings, one per partition
     of d.
@@ -109,32 +150,7 @@ def cov_d(profile, d: int) -> Fraction:
     profile = _profile(profile)
     if d < 0:
         raise DomainError("degree must be nonnegative")
-    if d == 0:
-        return Fraction(1) if not profile else Fraction(0)
-    if profile and max(profile) > d:
-        return Fraction(0)
-    counts = sorted(Counter(profile).items(), reverse=True)
-    long = [(m, mult) for m, mult in counts if m > CONTENT_POLY_MAX_M]
-    short = [(m, mult) for m, mult in counts if m <= CONTENT_POLY_MAX_M]
-    prefix = content_prefix(d, short[0][0]) if short else None
-    total = 0
-    for lam in iter_int_partitions(d):
-        term = 1
-        if long:
-            beta = beta_numbers(lam)
-            beta_set = set(beta)
-            for m, mult in long:
-                term *= hook_value(m, beta, beta_set) ** mult
-                if not term:
-                    break
-        if term and short:
-            sums = content_power_sums(lam, prefix)
-            for m, mult in short:
-                term *= content_value(m, sums) ** mult
-                if not term:
-                    break
-        total += term
-    return Fraction(total)
+    return Fraction(_burnside_sums([profile], d)[0])
 
 
 def cov_series(profile, order: int) -> QSeries:
@@ -153,27 +169,69 @@ def cov_prime_series(profile, order: int) -> QSeries:
 
 def cov_connected_series(profile, order: int) -> QSeries:
     """Series counting connected coverings, by inclusion-exclusion over set
-    partitions of the branch points applied to the no-unramified series."""
+    partitions of the branch points applied to the no-unramified series.
+
+    Every block of those set partitions needs the series of its sorted
+    sub-profile; all of them come from one Burnside sweep per degree.
+    """
     profile = _profile(profile)
     s = len(profile)
     if s < 1:
         raise DomainError("connected counts need at least one branch point")
-    prime_cache: dict[tuple[int, ...], QSeries] = {}
-
-    def prime_for(indices: tuple[int, ...]) -> QSeries:
-        key = tuple(sorted(profile[i] for i in indices))
-        if key not in prime_cache:
-            prime_cache[key] = cov_prime_series(key, order)
-        return prime_cache[key]
-
+    if order < 0:
+        raise DomainError("order must be nonnegative")
+    alphas = [
+        [tuple(sorted(profile[i] for i in block)) for block in alpha]
+        for alpha in set_partitions_of(range(s))
+    ]
+    keys = sorted({key for blocks in alphas for key in blocks})
+    rows = [_burnside_sums(keys, d) for d in range(order + 1)]
+    euler = euler_series(order)
+    prime = {
+        key: euler * QSeries.from_coeffs([row[j] for row in rows])
+        for j, key in enumerate(keys)
+    }
     total = QSeries.zero(order)
-    for alpha in set_partitions_of(range(s)):
-        coeff = mobius_coeff(len(alpha))
+    for blocks in alphas:
         prod = QSeries.one(order)
-        for block in alpha:
-            prod = prod * prime_for(block)
-        total = total + coeff * prod
+        for key in blocks:
+            prod = prod * prime[key]
+        total = total + mobius_coeff(len(blocks)) * prod
     return total
+
+
+def _partition_counts() -> Iterator[int]:
+    """p(0), p(1), ... by Euler's pentagonal recurrence
+    p(n) = sum_{k>=1} (-1)^(k-1) (p(n - k(3k-1)/2) + p(n - k(3k+1)/2))."""
+    counts = [1]
+    yield 1
+    while True:
+        n = len(counts)
+        counts.append(sum(
+            (1 if k % 2 else -1) * counts[n - g]
+            for k in range(1, n + 1) for g in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2)
+            if g <= n
+        ))
+        yield counts[-1]
+
+
+def burnside_work(dmax: int) -> int:
+    """Partitions the Burnside sums for degrees 0..dmax visit: the sum of
+    p(d) over d <= dmax.  One sweep per degree serves every sub-profile of
+    a connected series, so the count does not depend on the profile."""
+    return sum(islice(_partition_counts(), dmax + 1))
+
+
+def check_burnside_cap(dmax: int) -> None:
+    """Raise ResourceCapError when the Burnside rows for degrees up to dmax
+    would visit more than ``BURNSIDE_WORK_CAP`` partitions.  The count stops
+    at the first degree past the cap, so the check is cheap for any dmax."""
+    for d, work in enumerate(accumulate(islice(_partition_counts(), dmax + 1))):
+        if work > BURNSIDE_WORK_CAP:
+            raise ResourceCapError(
+                f"Burnside work up to degree {dmax} exceeds cap {BURNSIDE_WORK_CAP} "
+                f"partitions ({work} by degree {d})"
+            )
 
 
 # ---------------------------------------------------------------------------

@@ -40,17 +40,6 @@ def linear(nvars: int, indices: Iterable[int]) -> Poly:
     return out
 
 
-def add(p: Poly, q: Poly) -> Poly:
-    out = dict(p)
-    for mono, c in q.items():
-        s = out.get(mono, Fraction(0)) + c
-        if s:
-            out[mono] = s
-        else:
-            out.pop(mono, None)
-    return out
-
-
 def add_scaled(p: Poly, q: Poly, scale: Fraction) -> Poly:
     if scale == 0:
         return dict(p)

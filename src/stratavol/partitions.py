@@ -185,9 +185,6 @@ class SetPartition:
     def length(self) -> int:
         return len(self.blocks)
 
-    def block_sizes(self) -> IntPartition:
-        return IntPartition(len(b) for b in self.blocks)
-
     def __str__(self) -> str:
         return "{" + " | ".join(",".join(map(str, b)) for b in self.blocks) + "}"
 

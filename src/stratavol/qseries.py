@@ -50,11 +50,6 @@ class QSeries:
             raise DomainError(f"coefficient index {n} outside truncation order {self.order}")
         return self.coeffs[n]
 
-    def truncate(self, order: int) -> "QSeries":
-        if order >= self.order:
-            return self
-        return QSeries(self.coeffs[: order + 1])
-
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 

@@ -43,19 +43,32 @@ def p_eval(k: int, lam) -> Fraction:
 
 def q_average(mu, order: int) -> QSeries:
     """Truncated q-series of the average of prod_i p_{mu_i} over partitions
-    weighted by q^size, normalized so the average of 1 is 1."""
+    weighted by q^size, normalized so the average of 1 is 1.  With
+    zeta(-k) = a_k / b_k, 2^k b_k p_k(lam) is the integer
+    b_k sum_i [(2 lam_i - 2i + 1)^k - (1 - 2i)^k] + (2^k - 1) a_k, so each
+    degree sums integers and divides once by prod_i 2^{mu_i} b_{mu_i}."""
     if order < 0:
         raise DomainError("order must be nonnegative")
     mu = IntPartition(mu)
+    factors = []  # (k, multiplicity, b_k, (2^k - 1) a_k)
+    scale = 1
+    for k, mult in sorted(mu.multiplicities().items()):
+        z = zeta_neg(k)
+        factors.append((k, mult, z.denominator, (2**k - 1) * z.numerator))
+        scale *= (2**k * z.denominator) ** mult
     raw = []
     for d in range(order + 1):
-        acc = Fraction(0)
+        acc = 0
         for lam in iter_int_partitions(d):
-            term = Fraction(1)
-            for k in mu:
-                term *= p_eval(k, lam)
+            term = 1
+            for k, mult, den, shift in factors:
+                rows = sum(
+                    (2 * part - 2 * i + 1) ** k - (1 - 2 * i) ** k
+                    for i, part in enumerate(lam, start=1)
+                )
+                term *= (den * rows + shift) ** mult
             acc += term
-        raw.append(acc)
+        raw.append(Fraction(acc, scale))
     return euler_series(order) * QSeries.from_coeffs(raw)
 
 

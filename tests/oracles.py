@@ -6,7 +6,9 @@ Bell numbers through the Bell triangle, Stirling numbers through their
 recurrence, Bernoulli numbers through the Akiyama-Tanigawa transform, set
 partitions through recursive insertion, integer partitions through
 largest-part-first recursion, elementary cumulants through one term per set
-partition of the key instead of the library's exponential formula.
+partition of the key instead of the library's exponential formula, power-sum
+q-averages through a product of rational ``p_eval`` values per partition
+instead of the library's integer sum.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ from fractions import Fraction
 from math import factorial
 
 from stratavol.exact_arith import frak_z_over_pi
+from stratavol.qseries import QSeries, euler_series
+from stratavol.shifted_symmetric import p_eval
 
 
 def partition_count(n: int) -> int:
@@ -158,3 +162,19 @@ def partitions_by_recursion(d: int, max_part: int | None = None):
     for first in range(top, 0, -1):
         for rest in partitions_by_recursion(d - first, first):
             yield (first,) + rest
+
+
+def q_average_by_p_eval(mu, order: int) -> QSeries:
+    """The q-average of prod_i p_{mu_i}: for each degree, the sum over its
+    partitions of the product of the rational values ``p_eval(k, lam)``,
+    times the Euler product."""
+    raw = []
+    for d in range(order + 1):
+        acc = Fraction(0)
+        for lam in partitions_by_recursion(d):
+            term = Fraction(1)
+            for k in mu:
+                term *= p_eval(k, lam)
+            acc += term
+        raw.append(acc)
+    return euler_series(order) * QSeries.from_coeffs(raw)

@@ -1,8 +1,18 @@
+import importlib.util
 import json
+import re
 import time
+from pathlib import Path
 
 import stratavol.cli
 from stratavol.cli import main
+from stratavol.coverings import BURNSIDE_WORK_CAP, burnside_work, check_burnside_cap
+
+TESTS = Path(__file__).resolve().parent
+# The degree of the covers requests below that must be refused by the
+# Burnside work cap; every literal --dmax in a covers request of the tests
+# must be under it.
+OVER_CAP_DMAX = 70
 
 
 def run_cli(capsys, *argv):
@@ -140,6 +150,39 @@ class TestCoversCommand:
         assert time.perf_counter() - start < 1.0
         assert code == 3
         assert out == "" and "work" in err
+
+    def test_burnside_work_cap_exits_fast(self, capsys, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a covering row was computed")
+
+        monkeypatch.setattr(stratavol.cli, "cov_d", forbidden)
+        monkeypatch.setattr(stratavol.cli, "cov_connected_series", forbidden)
+        for extra in ((), ("--connected",)):
+            start = time.perf_counter()
+            code, out, err = run_cli(
+                capsys, "covers", "2", "--dmax", str(OVER_CAP_DMAX), *extra
+            )
+            assert time.perf_counter() - start < 1.0
+            assert code == 3
+            assert out == "" and "Burnside work" in err
+
+    def test_requests_under_burnside_cap(self):
+        # Every covers request of the benchmark's CLI mix and of these
+        # tests; the acceptance suites call the library, not the CLI.
+        spec = importlib.util.spec_from_file_location(
+            "bench_workloads", TESTS.parent / "bench" / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        degrees = [int(argv[argv.index("--dmax") + 1])
+                   for pool in workloads.cli_pool().values() for argv in pool
+                   if argv[0] == "covers" and "--dmax" in argv]
+        request = re.compile(r'"covers",[^\n]*?"--dmax", "(\d+)"')
+        tested = [int(d) for path in sorted(TESTS.glob("test_*.py"))
+                  for d in request.findall(path.read_text())]
+        assert degrees and tested
+        for dmax in degrees + tested:
+            check_burnside_cap(dmax)
+        assert burnside_work(OVER_CAP_DMAX) > BURNSIDE_WORK_CAP
 
 
 class TestSimpleTable:

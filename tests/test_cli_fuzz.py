@@ -20,6 +20,8 @@ int_lists = st.lists(st.integers(-2, 5), max_size=4).map(
 )
 tokens = st.one_of(st.sampled_from(MALFORMED), int_lists)
 small_ints = st.one_of(st.integers(-3, 6).map(str), st.sampled_from(MALFORMED))
+# Degrees past 48 are over the Burnside work cap and must exit 3 at once.
+degrees = st.one_of(small_ints, st.integers(49, 200).map(str))
 points = st.one_of(tokens, st.sampled_from(["5/2", "-7/3", "1/2", "-1"]))
 suites = st.sampled_from(MALFORMED + ["worked-example", "qseries", "no-such-suite"])
 
@@ -48,7 +50,7 @@ def requests(draw):
     if command == "volume":
         argv += _switch(draw, "--cross-check")
     elif command == "covers":
-        argv += _option(draw, "--dmax", small_ints)
+        argv += _option(draw, "--dmax", degrees)
         argv += _switch(draw, "--connected") + _switch(draw, "--brute-force")
     elif command == "simple-table":
         argv += _option(draw, "--nmax", small_ints)

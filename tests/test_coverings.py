@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, product
 from math import factorial
 
 import pytest
@@ -8,25 +8,28 @@ from stratavol.characters import (
     character,
     character_cache,
     conjugacy_class_size,
-    content_poly,
     dimension,
 )
 import stratavol.coverings
 from stratavol.coverings import (
     BRUTE_FORCE_WORK_CAP,
+    BURNSIDE_WORK_CAP,
+    _burnside_sums,
     CoverCountRecord,
     CoverProfile,
     asymptotic_ratio,
     brute_force_hom_count,
     brute_force_work,
+    burnside_work,
     check_brute_force_caps,
+    check_burnside_cap,
     cov_connected_series,
     cov_d,
     cov_prime_series,
     cov_series,
 )
 from stratavol.errors import DomainError, ResourceCapError
-from stratavol.partitions import enum_int_partitions
+from stratavol.partitions import enum_int_partitions, iter_int_partitions
 from stratavol.qseries import QSeries, euler_series
 from stratavol.shifted_symmetric import q_average
 
@@ -104,12 +107,51 @@ class TestBurnsideRoute:
             assert cov_d((d,), d) == want
 
     def test_long_cycles_derive_no_content_polynomial(self):
-        # Cycles past the content-polynomial cutoff go through the rim-hook
+        # Cycles past the closed-form cutoff go through the rim-hook
         # residues, whose cost does not grow with the cycle length.
-        misses = content_poly.cache_info().misses
         assert cov_d((30,), 32) == _burnside_by_murnaghan_nakayama((30,), 32)
         assert cov_d((17, 9), 28) != 0
-        assert content_poly.cache_info().misses == misses
+
+
+class TestBurnsideKernel:
+    def test_many_keys_match_one_key_and_murnaghan_nakayama(self):
+        # Every sorted sub-profile of a profile with at most three points
+        # and entries 2..6 (which is every such profile), in one sweep.
+        keys = [key for s in (1, 2, 3)
+                for key in combinations_with_replacement(range(2, 7), s)]
+        for d in range(13):
+            sums = _burnside_sums(keys, d)
+            for key, got in zip(keys, sums):
+                assert got == _burnside_sums([key], d)[0], (key, d)
+                want = _burnside_by_murnaghan_nakayama(key, d) if max(key) <= d else 0
+                assert got == want, (key, d)
+
+    @pytest.mark.parametrize("profile", [(4, 3), (2, 2, 2)])
+    def test_connected_series_sweeps_each_degree_once(self, profile, monkeypatch):
+        degrees = []
+
+        def counted(d):
+            degrees.append(d)
+            return iter_int_partitions(d)
+
+        monkeypatch.setattr(stratavol.coverings, "iter_int_partitions", counted)
+        cov_connected_series(profile, 12)
+        assert sorted(degrees) == list(range(13))
+
+
+class TestBurnsideWork:
+    def test_counts_partitions_of_every_degree(self):
+        for dmax in range(25):
+            want = sum(len(enum_int_partitions(d)) for d in range(dmax + 1))
+            assert burnside_work(dmax) == want
+
+    def test_cap_allows_degree_48(self):
+        assert burnside_work(48) == 918_220 <= BURNSIDE_WORK_CAP
+        assert burnside_work(70) == 30_053_954
+        check_burnside_cap(48)
+        for dmax in (49, 70, 10**9):
+            with pytest.raises(ResourceCapError, match="Burnside work"):
+                check_burnside_cap(dmax)
 
 
 class TestSeries:

@@ -6,6 +6,12 @@ strata of genus 2 to 5 first, then the 42 of genus 6.
 ``data/golden_genus7_small.json`` holds the same for the 19 strata of genus
 7 with at most three zeros, written before the cumulants moved to the
 exponential formula and the Wick sum to tree growing.
+``data/golden_covers.json`` holds the Burnside rows ``cov_d(p, d)`` and the
+connected series coefficients for d <= 20 of 13 covering profiles, written
+before the Burnside sums of all sub-profiles were merged into one sweep per
+degree.  Profiles whose total ramification sum(m_i - 1) is odd, such as
+(3,2) or (12,), have every row 0 (the values on lam and its transpose
+cancel), so profiles with nonzero rows are frozen beside them.
 """
 
 import json
@@ -14,6 +20,7 @@ from pathlib import Path
 
 import pytest
 
+from stratavol.coverings import cov_connected_series, cov_d
 from stratavol.cumulants import volume
 from stratavol.exact_arith import PiScalar
 from stratavol.partitions import enum_int_partitions
@@ -26,6 +33,7 @@ GENUS_6 = [row for row in ROWS if sum(row["mu"]) == 10]
 GENUS_7_SMALL = json.loads(
     (Path(__file__).parent / "data" / "golden_genus7_small.json").read_text()
 )
+COVERS = json.loads((Path(__file__).parent / "data" / "golden_covers.json").read_text())
 
 
 def test_golden_table_covers_genus_2_to_5():
@@ -78,3 +86,20 @@ EMZ_ANCHORS = {
 def test_eskin_masur_zorich_values(mu):
     result = volume(mu)
     assert result.volume * (2 * result.dim) == EMZ_ANCHORS[mu]
+
+
+def test_golden_covering_table_profiles():
+    assert list(COVERS["profiles"]) == [
+        "2,2", "3,2", "4,3", "2,2,2", "6,4", "5,3,2", "12", "3,3,3",
+        "3,3", "4,2", "5,3", "2,2,2,2", "13",
+    ]
+
+
+@pytest.mark.parametrize("key", sorted(COVERS["profiles"]))
+def test_golden_covering_rows_exact(key):
+    profile = tuple(int(m) for m in key.split(","))
+    dmax = COVERS["dmax"]
+    want = COVERS["profiles"][key]
+    assert [str(cov_d(profile, d)) for d in range(dmax + 1)] == want["cov_d"]
+    series = cov_connected_series(profile, dmax)
+    assert [str(series.coefficient(d)) for d in range(dmax + 1)] == want["connected"]

@@ -15,7 +15,7 @@ from stratavol.shifted_symmetric import (
     weight,
 )
 
-from .oracles import sigma1
+from .oracles import q_average_by_p_eval, sigma1
 
 
 def p_eval_long_sum(k: int, lam, extra_rows: int = 30) -> Fraction:
@@ -89,6 +89,10 @@ class TestQAverage:
         for mu in [(2,), (4,), (2, 1, 1), (3, 2)]:
             assert (sum(mu) + len(mu)) % 2 == 1
             assert q_average(mu, 8).is_zero()
+
+    def test_against_p_eval_products(self):
+        for mu in [(1,), (2,), (3, 1), (2, 2), (3, 3)]:
+            assert q_average(mu, 16) == q_average_by_p_eval(mu, 16), mu
 
     def test_constant_term_is_empty_evaluation(self):
         for mu in [(1,), (1, 1), (2, 1), (3, 2)]:
