@@ -14,7 +14,9 @@ c = j - i.  It is evaluated in one of two ways, by cycle length:
   n = |lam| and the content power sums p_j(lam) = sum of c^j over the boxes
   of lam (Kerov-Olshanski 1994, Corteel-Goupil-Schaeffer 2004), and the
   three that are used have closed forms: f_2 = p_1, f_3 = p_2 - n(n-1)/2
-  and f_4 = p_3 - (2n-3) p_1 (``content_value``);
+  and f_4 = p_3 - (2n-3) p_1 (``content_value``), so only p_1, p_2 and p_3
+  are ever summed, and each cycle length sums only those it reads
+  (``CONTENT_POWERS``);
 * long cycles: the box product telescopes row by row to a ratio over the
   beta numbers of lam, and the coefficient of 1/u is the sum of its
   residues, one per removable rim hook of length m (``hook_value``), so
@@ -162,41 +164,47 @@ def conjugacy_class_size(rho) -> int:
 # which costs about as much per partition at m = 4 and less for longer
 # cycles.
 CONTENT_POLY_MAX_M = 4
+# The content power sums p_k each closed form reads; p_0 = n = |lam| is
+# known and never summed.
+CONTENT_POWERS = {2: (1,), 3: (2,), 4: (1, 3)}
 
 
-def content_prefix(d: int, count: int) -> list[tuple[list[int], list[int]]]:
-    """Tables for the content power sums p_k, k < count, of partitions of
-    at most d boxes.  For each k, ``table[x + d]`` is the sum of c^k over
-    -d <= c < x, and ``starts[l]`` is the sum of ``table[d - i]`` over the
-    rows i < l, the part every row's prefix difference subtracts."""
+def content_prefix(d: int, powers) -> list[tuple[int, list[int], list[int]]]:
+    """Tables for the content power sums p_k, k in ``powers`` (each >= 1),
+    of partitions of at most d boxes.  For each k, ``table[x + d]`` is the
+    sum of c^k over -d <= c < x, and ``starts[l]`` is the sum of
+    ``table[d - i]`` over the rows i < l, the part every row's prefix
+    difference subtracts."""
     tables = []
-    for k in range(count):
+    for k in powers:
         table = [0]
         for c in range(-d, d):
             table.append(table[-1] + c**k)
         starts = [0]
         for i in range(d):
             starts.append(starts[-1] + table[d - i])
-        tables.append((table, starts))
+        tables.append((k, table, starts))
     return tables
 
 
-def content_power_sums(lam, prefix: list[tuple[list[int], list[int]]]) -> list[int]:
-    """p_k(lam) = sum of c^k over the boxes of lam, for each k with tables
-    in ``prefix`` (from ``content_prefix(d, count)`` with d >= |lam|).  Row
-    i (from 0) covers the contents -i .. lam_i - i - 1, so it adds
-    ``table[d + lam_i - i] - table[d - i]``."""
-    d = len(prefix[0][1]) - 1
+def content_power_sums(
+    lam, prefix: list[tuple[int, list[int], list[int]]]
+) -> dict[int, int]:
+    """p_k(lam) = sum of c^k over the boxes of lam, keyed by k, for each k
+    with tables in ``prefix`` (from ``content_prefix(d, powers)`` with
+    d >= |lam|).  Row i (from 0) covers the contents -i .. lam_i - i - 1,
+    so it adds ``table[d + lam_i - i] - table[d - i]``."""
+    d = len(prefix[0][2]) - 1
     ends = [d + part - i for i, part in enumerate(lam)]
     ell = len(ends)
-    return [sum(map(table.__getitem__, ends)) - starts[ell] for table, starts in prefix]
+    return {k: sum(map(table.__getitem__, ends)) - starts[ell] for k, table, starts in prefix}
 
 
-def content_value(m: int, sums: list[int]) -> int:
-    """f_m, for 2 <= m <= ``CONTENT_POLY_MAX_M``, at a partition with
-    content power sums ``sums`` (p_0 = n = |lam| first, at least m of them):
-    f_2 = p_1, f_3 = p_2 - n(n-1)/2 and f_4 = p_3 - (2n-3) p_1."""
-    n = sums[0]
+def content_value(m: int, n: int, sums) -> int:
+    """f_m, for 2 <= m <= ``CONTENT_POLY_MAX_M``, at a partition of n with
+    content power sums ``sums`` (indexed by k, holding at least the
+    ``CONTENT_POWERS[m]``): f_2 = p_1, f_3 = p_2 - n(n-1)/2 and
+    f_4 = p_3 - (2n-3) p_1."""
     if m == 2:
         return sums[1]
     if m == 3:
@@ -265,4 +273,5 @@ def central_char_f(m: int, lam) -> Fraction:
     if m > CONTENT_POLY_MAX_M:
         beta = beta_numbers(lam)
         return Fraction(hook_value(m, beta, set(beta)))
-    return Fraction(content_value(m, content_power_sums(lam, content_prefix(d, m))))
+    sums = content_power_sums(lam, content_prefix(d, CONTENT_POWERS[m]))
+    return Fraction(content_value(m, d, sums))

@@ -8,7 +8,9 @@ long ones), through its generating q-series, and, for small degrees,
 through direct enumeration of monodromy tuples in the symmetric group.
 Connected counts come from the all-coverings series by inclusion-exclusion
 over set partitions of the branch points; one sweep over the partitions of
-each degree serves every sub-profile those set partitions need.
+each degree serves every sub-profile those set partitions need, and its
+totals are memoized for the life of the process, so no degree is swept
+twice for the same sub-profile.
 """
 
 from __future__ import annotations
@@ -16,12 +18,13 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, islice, permutations
+from itertools import islice, permutations, product
 from math import comb, factorial
 from typing import Iterable, Iterator, Sequence
 
 from .characters import (
     CONTENT_POLY_MAX_M,
+    CONTENT_POWERS,
     beta_numbers,
     content_power_sums,
     content_prefix,
@@ -31,8 +34,10 @@ from .characters import (
 from .errors import DomainError, ResourceCapError
 from .partitions import (
     IntPartition,
+    check_partition_work,
     iter_int_partitions,
     mobius_coeff,
+    partition_counts,
     set_partitions_of,
 )
 from .qseries import QSeries, euler_series
@@ -96,30 +101,75 @@ def _profile(profile) -> CoverProfile:
     return profile if isinstance(profile, CoverProfile) else CoverProfile(profile)
 
 
+# Burnside totals by (sub-profile sorted longest cycle first, degree), for
+# the life of the process.  A sweep stores every sub-multiset of the
+# profiles it was asked for, so whenever a profile is here, all of its
+# sub-profiles are here at the same degree.
+_burnside_totals: dict[tuple[tuple[int, ...], int], int] = {}
+
+
 def _burnside_sums(keys: Sequence[Sequence[int]], d: int) -> list[int]:
     """For each key (a profile), the sum over partitions lam of d of the
     product of the central characters f_m(lam) over its entries m.
 
-    One sweep over the partitions of d serves every key.  At each lam the
-    beta numbers and the content power sums are computed once, and each
-    distinct cycle length once, longest first: cycles longer than
-    ``CONTENT_POLY_MAX_M`` by the residue sum over removable m-rim hooks
+    Totals are memoized in ``_burnside_totals``; the partitions of d are
+    swept only when some key is missing, and that one sweep serves every
+    sorted sub-multiset of the missing keys.  These form a trie, each node
+    one entry longer than its parent, with entries longest cycle first
+    (long cycles give the most zeros).  At each lam the beta numbers and the
+    content power sums the short cycles read are computed once, and each
+    distinct cycle length once: cycles longer than ``CONTENT_POLY_MAX_M``
+    by the residue sum over removable m-rim hooks
     (``characters.hook_value``), shorter ones by their closed forms in the
     content power sums (``characters.content_value``), which are read from
-    prefix tables over the contents -d..d.  Each key then multiplies its
-    values, raised to their multiplicities and longest cycle first, in
-    integers, and a zero factor ends its product.  A key with a cycle
-    longer than d sums to 0, and the empty key counts the partitions of d.
+    prefix tables over the contents -d..d.  Each node then costs one
+    integer multiplication of its parent's value, walking the trie in
+    preorder, and a zero value skips its whole subtree.  A key with a cycle
+    longer than d sums to 0 without a sweep, and the empty key counts the
+    partitions of d.
     """
-    plans = [sorted(Counter(key).items(), reverse=True) for key in keys]
-    live = [(i, plan) for i, plan in enumerate(plans) if not plan or plan[0][0] <= d]
-    lengths = sorted({m for _, plan in live for m, _ in plan}, reverse=True)
+    keys = [tuple(sorted(key, reverse=True)) for key in keys]
+    missing = {key for key in keys if (key, d) not in _burnside_totals}
+    if missing:
+        _sweep(missing, d)
+    return [_burnside_totals[key, d] for key in keys]
+
+
+def _sweep(keys: set[tuple[int, ...]], d: int) -> None:
+    """Store in ``_burnside_totals`` the Burnside sums at degree d of every
+    sorted sub-multiset of ``keys`` (see ``_burnside_sums``)."""
+    subs = set()
+    for key in keys:
+        counts = sorted(Counter(key).items(), reverse=True)
+        for mults in product(*(range(c + 1) for _, c in counts)):
+            subs.add(tuple(m for (m, _), k in zip(counts, mults) for _ in range(k)))
+    for sub in subs:
+        if sub and sub[0] > d:
+            _burnside_totals[sub, d] = 0
+    todo = [sub for sub in subs if (sub, d) not in _burnside_totals]
+    if not todo:
+        return
+    # The trie nodes: the sub-multisets still to sum and all their
+    # prefixes.  Sorted, they come in preorder, each subtree contiguous and
+    # ending at the first node that does not extend its root.
+    nodes = sorted({sub[:i] for sub in todo for i in range(1, len(sub) + 1)})
+    slot = {node: i + 1 for i, node in enumerate(nodes)}
+    plan = [
+        (slot.get(node[:-1], 0), node[-1],
+         next((j for j in range(i + 1, len(nodes)) if nodes[j][:len(node)] != node),
+              len(nodes)))
+        for i, node in enumerate(nodes)
+    ]
+    lengths = sorted({node[-1] for node in nodes}, reverse=True)
     long = [m for m in lengths if m > CONTENT_POLY_MAX_M]
     short = [m for m in lengths if m <= CONTENT_POLY_MAX_M]
-    prefix = content_prefix(d, short[0]) if short else None
-    totals = [0] * len(keys)
-    f: dict[int, int] = {}
+    prefix = content_prefix(d, sorted({k for m in short for k in CONTENT_POWERS[m]}))
+    f = [0] * (lengths[0] + 1 if lengths else 0)
+    values = [1] * (len(nodes) + 1)
+    totals = [0] * (len(nodes) + 1)
+    n = len(plan)
     for lam in iter_int_partitions(d):
+        totals[0] += 1
         if long:
             beta = beta_numbers(lam)
             beta_set = set(beta)
@@ -128,21 +178,29 @@ def _burnside_sums(keys: Sequence[Sequence[int]], d: int) -> list[int]:
         if short:
             sums = content_power_sums(lam, prefix)
             for m in short:
-                f[m] = content_value(m, sums)
-        for i, plan in live:
-            term = 1
-            for m, mult in plan:
-                term *= f[m] ** mult
-                if not term:
-                    break
-            totals[i] += term
-    return totals
+                f[m] = content_value(m, d, sums)
+        i = 0
+        while i < n:
+            parent, m, end = plan[i]
+            value = values[parent] * f[m]
+            if value:
+                i += 1
+                values[i] = value
+                totals[i] += value
+            else:
+                i = end
+    _burnside_totals[(), d] = totals[0]
+    for node, total in zip(nodes, totals[1:]):
+        _burnside_totals[node, d] = total
 
 
 def cov_d(profile, d: int) -> Fraction:
     """Weighted number of degree-d coverings with the given branch profile:
     the sum over partitions lam of d of the product of central characters,
-    in integers (``_burnside_sums`` for the one profile).
+    in integers (``_burnside_sums`` for the one profile).  The totals of
+    the profile and of all its sub-profiles at d are memoized, so a repeat
+    of the row, or a connected series or ratio of the profile through d,
+    sweeps no partitions again.
 
     The empty profile counts all unramified coverings, one per partition
     of d.
@@ -172,7 +230,9 @@ def cov_connected_series(profile, order: int) -> QSeries:
     partitions of the branch points applied to the no-unramified series.
 
     Every block of those set partitions needs the series of its sorted
-    sub-profile; all of them come from one Burnside sweep per degree.
+    sub-profile; all of them come from one Burnside sweep per degree, and
+    from none at the degrees where the memo already holds the profile.
+    The Burnside cap for degrees up to ``order`` is checked first.
     """
     profile = _profile(profile)
     s = len(profile)
@@ -180,6 +240,7 @@ def cov_connected_series(profile, order: int) -> QSeries:
         raise DomainError("connected counts need at least one branch point")
     if order < 0:
         raise DomainError("order must be nonnegative")
+    check_burnside_cap(order)
     alphas = [
         [tuple(sorted(profile[i] for i in block)) for block in alpha]
         for alpha in set_partitions_of(range(s))
@@ -200,38 +261,18 @@ def cov_connected_series(profile, order: int) -> QSeries:
     return total
 
 
-def _partition_counts() -> Iterator[int]:
-    """p(0), p(1), ... by Euler's pentagonal recurrence
-    p(n) = sum_{k>=1} (-1)^(k-1) (p(n - k(3k-1)/2) + p(n - k(3k+1)/2))."""
-    counts = [1]
-    yield 1
-    while True:
-        n = len(counts)
-        counts.append(sum(
-            (1 if k % 2 else -1) * counts[n - g]
-            for k in range(1, n + 1) for g in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2)
-            if g <= n
-        ))
-        yield counts[-1]
-
-
 def burnside_work(dmax: int) -> int:
     """Partitions the Burnside sums for degrees 0..dmax visit: the sum of
     p(d) over d <= dmax.  One sweep per degree serves every sub-profile of
     a connected series, so the count does not depend on the profile."""
-    return sum(islice(_partition_counts(), dmax + 1))
+    return sum(islice(partition_counts(), dmax + 1))
 
 
 def check_burnside_cap(dmax: int) -> None:
     """Raise ResourceCapError when the Burnside rows for degrees up to dmax
-    would visit more than ``BURNSIDE_WORK_CAP`` partitions.  The count stops
-    at the first degree past the cap, so the check is cheap for any dmax."""
-    for d, work in enumerate(accumulate(islice(_partition_counts(), dmax + 1))):
-        if work > BURNSIDE_WORK_CAP:
-            raise ResourceCapError(
-                f"Burnside work up to degree {dmax} exceeds cap {BURNSIDE_WORK_CAP} "
-                f"partitions ({work} by degree {d})"
-            )
+    would visit more than ``BURNSIDE_WORK_CAP`` partitions; cheap for any
+    dmax (``partitions.check_partition_work``)."""
+    check_partition_work(dmax, BURNSIDE_WORK_CAP, "Burnside")
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError
-from .partitions import iter_int_partitions
+from .partitions import check_partition_work, iter_int_partitions
 from .qseries import QSeries, euler_series
+
+# Most partitions one identity check may visit, over every degree up to
+# its order: the direct series sums over all of them, at 4-7 microseconds
+# each (order 44 visits 451,501 and takes about 3 s; order 60 visits 6.6
+# million and took 50 s).
+NPOINT_WORK_CAP = 5 * 10**5
 
 
 @dataclass(frozen=True)
@@ -111,8 +117,13 @@ def direct_one_point(point: EvaluatedPoint, order: int) -> QSeries:
 
 def verify_theorem1_n1(point: EvaluatedPoint, order: int) -> bool:
     """Check theta(at s) * (direct one-point series) = theta'(0) through
-    q^order, in cross-multiplied form."""
+    q^order, in cross-multiplied form.  Before any series is built, the
+    partitions of degrees up to ``order`` that the direct series sums over
+    are counted against ``NPOINT_WORK_CAP``."""
     if not isinstance(point, EvaluatedPoint):
         point = EvaluatedPoint(Fraction(point))
+    if order < 0:
+        raise DomainError("order must be nonnegative")
+    check_partition_work(order, NPOINT_WORK_CAP, "one-point")
     lhs = theta_series(point.s, 0, order) * direct_one_point(point, order)
     return lhs == theta_prime_zero(order)

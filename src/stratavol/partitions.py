@@ -9,6 +9,7 @@ strings, which gives a deterministic order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, islice
 from math import factorial
 from typing import Iterable, Iterator, Sequence
 
@@ -104,6 +105,34 @@ def iter_int_partitions(d: int) -> Iterator[IntPartition]:
 def enum_int_partitions(d: int) -> list[IntPartition]:
     """All partitions of d, each once, in descending lexicographic order."""
     return list(iter_int_partitions(d))
+
+
+def partition_counts() -> Iterator[int]:
+    """p(0), p(1), ... by Euler's pentagonal recurrence
+    p(n) = sum_{k>=1} (-1)^(k-1) (p(n - k(3k-1)/2) + p(n - k(3k+1)/2))."""
+    counts = [1]
+    yield 1
+    while True:
+        n = len(counts)
+        counts.append(sum(
+            (1 if k % 2 else -1) * counts[n - g]
+            for k in range(1, n + 1) for g in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2)
+            if g <= n
+        ))
+        yield counts[-1]
+
+
+def check_partition_work(dmax: int, cap: int, what: str) -> None:
+    """Raise ResourceCapError when a sweep over the partitions of every
+    degree 0..dmax (dmax >= 0) would visit more than ``cap`` of them.  The
+    count stops at the first degree past the cap, so the check is cheap for
+    any dmax."""
+    for d, work in enumerate(accumulate(islice(partition_counts(), dmax + 1))):
+        if work > cap:
+            raise ResourceCapError(
+                f"{what} work up to degree {dmax} exceeds cap {cap} "
+                f"partitions ({work} by degree {d})"
+            )
 
 
 def _partitions_exact_parts(d: int, k: int, max_part: int) -> Iterator[tuple[int, ...]]:

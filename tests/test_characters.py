@@ -6,6 +6,7 @@ import pytest
 
 from stratavol.characters import (
     CONTENT_POLY_MAX_M,
+    CONTENT_POWERS,
     beta_numbers,
     central_char_f,
     character,
@@ -167,10 +168,10 @@ class TestCache:
         assert len(cache) == size
 
 
-def _box_power_sums(lam, count):
-    """p_k(lam) for k < count, summed box by box."""
+def _box_power_sums(lam, powers):
+    """p_k(lam) for k in powers, summed box by box."""
     contents = [j - i for i, part in enumerate(lam) for j in range(part)]
-    return [sum(c**k for c in contents) for k in range(count)]
+    return {k: sum(c**k for c in contents) for k in powers}
 
 
 def _central_by_mn(m, lam):
@@ -185,24 +186,28 @@ def _central_by_mn(m, lam):
 
 class TestContentPoly:
     def test_closed_forms(self):
-        # f_2 = p_1, f_3 = p_2 - n(n-1)/2 and f_4 = p_3 - (2n-3) p_1 with
-        # n = p_0, on every lam with |lam| <= 14, including |lam| < m where
-        # f_m is 0.
+        # f_2 = p_1, f_3 = p_2 - n(n-1)/2 and f_4 = p_3 - (2n-3) p_1, each
+        # given only the power sums it reads, on every lam with |lam| <= 14,
+        # including |lam| < m where f_m is 0.
         for d in range(15):
             for lam in enum_int_partitions(d):
-                sums = _box_power_sums(lam, CONTENT_POLY_MAX_M)
                 for m in range(2, CONTENT_POLY_MAX_M + 1):
-                    assert content_value(m, sums) == _central_by_mn(m, lam), (m, lam)
+                    sums = _box_power_sums(lam, CONTENT_POWERS[m])
+                    assert content_value(m, d, sums) == _central_by_mn(m, lam), (m, lam)
+        assert sorted(CONTENT_POWERS) == list(range(2, CONTENT_POLY_MAX_M + 1))
         for m in (1, CONTENT_POLY_MAX_M + 1):
             with pytest.raises(DomainError):
-                content_value(m, [0] * 8)
+                content_value(m, 8, dict.fromkeys(range(8), 0))
 
     def test_power_sums_match_boxes(self):
-        for d in range(1, 11):
+        # Each power alone and every set a sweep asks for, on tables sized
+        # for |lam| and for larger partitions.
+        for d in range(15):
             for lam in enum_int_partitions(d):
-                want = _box_power_sums(lam, 5)
-                assert content_power_sums(lam, content_prefix(d, 5)) == want
-                assert content_power_sums(lam, content_prefix(d + 3, 5)) == want
+                for powers in ((1,), (2,), (3,), (1, 3), (1, 2, 3)):
+                    want = _box_power_sums(lam, powers)
+                    assert content_power_sums(lam, content_prefix(d, powers)) == want
+                    assert content_power_sums(lam, content_prefix(d + 3, powers)) == want
 
 
 class TestHookValue:
@@ -221,7 +226,7 @@ class TestHookValue:
                     assert hook_value(m, beta, set(beta)) == _central_by_mn(m, lam), (m, lam)
 
     def test_central_char_f_on_both_sides_of_the_cutoff(self):
-        for m in (CONTENT_POLY_MAX_M, CONTENT_POLY_MAX_M + 1):
+        for m in range(2, CONTENT_POLY_MAX_M + 2):
             for d in range(m, 11):
                 for lam in enum_int_partitions(d):
                     assert central_char_f(m, lam) == _central_by_mn(m, lam), (m, lam)

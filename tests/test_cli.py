@@ -4,15 +4,32 @@ import re
 import time
 from pathlib import Path
 
+import pytest
+
 import stratavol.cli
+import stratavol.npoint
 from stratavol.cli import main
 from stratavol.coverings import BURNSIDE_WORK_CAP, burnside_work, check_burnside_cap
+from stratavol.errors import ResourceCapError
+from stratavol.npoint import NPOINT_WORK_CAP
+from stratavol.partitions import check_partition_work
 
 TESTS = Path(__file__).resolve().parent
 # The degree of the covers requests below that must be refused by the
 # Burnside work cap; every literal --dmax in a covers request of the tests
 # must be under it.
 OVER_CAP_DMAX = 70
+# Likewise the npoint-check order that the one-point work cap must refuse.
+OVER_CAP_ORDER = 80
+
+
+def _bench_cli_pool() -> dict[str, list[list[str]]]:
+    """Every CLI request of the benchmark's ``cli_mix``, by kind."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", TESTS.parent / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.cli_pool()
 
 
 def run_cli(capsys, *argv):
@@ -169,12 +186,8 @@ class TestCoversCommand:
     def test_requests_under_burnside_cap(self):
         # Every covers request of the benchmark's CLI mix and of these
         # tests; the acceptance suites call the library, not the CLI.
-        spec = importlib.util.spec_from_file_location(
-            "bench_workloads", TESTS.parent / "bench" / "workloads.py")
-        workloads = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(workloads)
         degrees = [int(argv[argv.index("--dmax") + 1])
-                   for pool in workloads.cli_pool().values() for argv in pool
+                   for pool in _bench_cli_pool().values() for argv in pool
                    if argv[0] == "covers" and "--dmax" in argv]
         request = re.compile(r'"covers",[^\n]*?"--dmax", "(\d+)"')
         tested = [int(d) for path in sorted(TESTS.glob("test_*.py"))
@@ -215,6 +228,32 @@ class TestNpointCheck:
     def test_fraction_point(self, capsys):
         code, out, _ = run_cli(capsys, "npoint-check", "--s", "5/2", "--order", "10")
         assert code == 0
+
+    def test_work_cap_exits_fast(self, capsys, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a series was computed")
+
+        for name in ("theta_series", "theta_prime_zero", "direct_one_point"):
+            monkeypatch.setattr(stratavol.npoint, name, forbidden)
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            capsys, "npoint-check", "--s", "3/2", "--order", str(OVER_CAP_ORDER))
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        assert out == "" and "one-point work" in err
+
+    def test_requests_under_npoint_cap(self):
+        # Every npoint-check of the benchmark's CLI mix and of these tests,
+        # and the order of the theorem1 suite and acceptance criterion 8.
+        orders = [int(argv[-1]) for argv in _bench_cli_pool()["npoint_check"]]
+        request = re.compile(r'"npoint-check",[^\n]*?"--order", "(\d+)"')
+        tested = [int(o) for path in sorted(TESTS.glob("test_*.py"))
+                  for o in request.findall(path.read_text())]
+        assert orders and tested
+        for order in orders + tested + [30]:
+            check_partition_work(order, NPOINT_WORK_CAP, "one-point")
+        with pytest.raises(ResourceCapError):
+            check_partition_work(OVER_CAP_ORDER, NPOINT_WORK_CAP, "one-point")
 
 
 class TestVerifyCommand:

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from math import factorial
@@ -92,8 +93,8 @@ class TestBurnsideRoute:
                 assert cov_d(profile, d) == _burnside_by_murnaghan_nakayama(profile, d)
 
     def test_character_cache_untouched(self):
-        # A profile no other test uses: a cold call does the work a warm
-        # call does, with no character values to fill in.
+        # A profile no other test uses: the Burnside sums read no
+        # character values, cold or warm.
         size = len(character_cache())
         first = cov_d((7, 5, 2), 16)
         assert len(character_cache()) == size
@@ -113,30 +114,88 @@ class TestBurnsideRoute:
         assert cov_d((17, 9), 28) != 0
 
 
+@pytest.fixture
+def cold_memo(monkeypatch):
+    """An empty Burnside memo for the test, the process-wide one restored
+    after it."""
+    monkeypatch.setattr(stratavol.coverings, "_burnside_totals", {})
+
+
+def _count_sweeps(monkeypatch) -> list[int]:
+    """The degrees the Burnside sums sweep from now on, in call order."""
+    degrees = []
+
+    def counted(d):
+        degrees.append(d)
+        return iter_int_partitions(d)
+
+    monkeypatch.setattr(stratavol.coverings, "iter_int_partitions", counted)
+    return degrees
+
+
+def _covering_call(kind, profile, n):
+    if kind == "cov_d":
+        return cov_d(profile, n)
+    if kind == "series":
+        return cov_connected_series(profile, n)
+    return asymptotic_ratio(profile, n)
+
+
+MEMO_PROFILES = [(2, 2), (3, 2), (4, 3), (6, 4), (2, 2, 2)]
+MEMO_CALLS = [(kind, profile, n) for profile in MEMO_PROFILES
+              for kind, n in (("cov_d", 0), ("cov_d", 6), ("cov_d", 11),
+                              ("series", 9), ("ratio", 11), ("ratio", 4))]
+
+
 class TestBurnsideKernel:
-    def test_many_keys_match_one_key_and_murnaghan_nakayama(self):
+    def test_many_keys_match_one_key_and_murnaghan_nakayama(self, monkeypatch):
         # Every sorted sub-profile of a profile with at most three points
-        # and entries 2..6 (which is every such profile), in one sweep.
+        # and entries 2..6 (which is every such profile), in one sweep,
+        # against each key summed alone; every sum starts from an empty memo.
         keys = [key for s in (1, 2, 3)
                 for key in combinations_with_replacement(range(2, 7), s)]
         for d in range(13):
+            monkeypatch.setattr(stratavol.coverings, "_burnside_totals", {})
             sums = _burnside_sums(keys, d)
             for key, got in zip(keys, sums):
+                monkeypatch.setattr(stratavol.coverings, "_burnside_totals", {})
                 assert got == _burnside_sums([key], d)[0], (key, d)
                 want = _burnside_by_murnaghan_nakayama(key, d) if max(key) <= d else 0
                 assert got == want, (key, d)
 
     @pytest.mark.parametrize("profile", [(4, 3), (2, 2, 2)])
-    def test_connected_series_sweeps_each_degree_once(self, profile, monkeypatch):
-        degrees = []
-
-        def counted(d):
-            degrees.append(d)
-            return iter_int_partitions(d)
-
-        monkeypatch.setattr(stratavol.coverings, "iter_int_partitions", counted)
-        cov_connected_series(profile, 12)
+    def test_connected_series_sweeps_each_degree_once(self, profile, cold_memo, monkeypatch):
+        degrees = _count_sweeps(monkeypatch)
+        first = cov_connected_series(profile, 12)
         assert sorted(degrees) == list(range(13))
+        degrees.clear()
+        assert cov_connected_series(profile, 12) == first
+        assert degrees == []
+
+    @pytest.mark.parametrize("profile", [(2, 2), (4, 3), (2, 2, 2)])
+    def test_ratio_after_rows_sweeps_at_most_degree_zero(self, profile, cold_memo, monkeypatch):
+        # A row stores the totals of every sub-profile of its profile, which
+        # is all that the connected series of the ratio needs.
+        for d in range(1, 13):
+            cov_d(profile, d)
+        degrees = _count_sweeps(monkeypatch)
+        asymptotic_ratio(profile, 12)
+        assert set(degrees) <= {0}
+
+    def test_profile_order_does_not_matter(self, cold_memo):
+        assert cov_d((2, 3, 2), 9) == cov_d((3, 2, 2), 9) == cov_d((2, 2, 3), 9)
+
+    def test_any_call_order_matches_a_cold_memo(self, monkeypatch):
+        want = {}
+        for call in MEMO_CALLS:
+            monkeypatch.setattr(stratavol.coverings, "_burnside_totals", {})
+            want[call] = _covering_call(*call)
+        for seed in range(6):
+            calls = list(MEMO_CALLS)
+            random.Random(seed).shuffle(calls)
+            monkeypatch.setattr(stratavol.coverings, "_burnside_totals", {})
+            for call in calls:
+                assert _covering_call(*call) == want[call], (seed, call)
 
 
 class TestBurnsideWork:
@@ -270,6 +329,16 @@ class TestAsymptoticRatio:
     def test_validation(self):
         with pytest.raises(DomainError):
             asymptotic_ratio((2, 2), 0)
+
+    def test_burnside_cap_checked_before_any_sweep(self, monkeypatch):
+        def forbidden(d):
+            raise AssertionError("a partition sweep started")
+
+        monkeypatch.setattr(stratavol.coverings, "iter_int_partitions", forbidden)
+        for call in (lambda: asymptotic_ratio((2, 2), 70),
+                     lambda: cov_connected_series((4, 3), 49)):
+            with pytest.raises(ResourceCapError, match="Burnside work"):
+                call()
 
 
 def test_record_csv_row():

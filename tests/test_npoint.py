@@ -4,15 +4,16 @@ from math import isqrt
 import pytest
 
 import stratavol.npoint
-from stratavol.errors import DomainError
+from stratavol.errors import DomainError, ResourceCapError
 from stratavol.npoint import (
+    NPOINT_WORK_CAP,
     EvaluatedPoint,
     direct_one_point,
     theta_prime_zero,
     theta_series,
     verify_theorem1_n1,
 )
-from stratavol.partitions import enum_int_partitions
+from stratavol.partitions import check_partition_work, enum_int_partitions
 from stratavol.qseries import QSeries, euler_series
 
 
@@ -126,6 +127,20 @@ class TestTheorem1:
     def test_degenerate_point_rejected(self):
         with pytest.raises(DomainError):
             verify_theorem1_n1(Fraction(1), 10)
+
+    def test_work_cap_checked_before_any_series(self, monkeypatch):
+        # Order 44 visits 451,501 partitions, order 45 540,635.
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a series was computed")
+
+        check_partition_work(44, NPOINT_WORK_CAP, "one-point")
+        for name in ("theta_series", "theta_prime_zero", "direct_one_point"):
+            monkeypatch.setattr(stratavol.npoint, name, forbidden)
+        for order in (45, 80, 10**9):
+            with pytest.raises(ResourceCapError, match="one-point work"):
+                verify_theorem1_n1(Fraction(3, 2), order)
+        with pytest.raises(DomainError):
+            verify_theorem1_n1(Fraction(3, 2), -2)
 
     def test_fails_when_top_coefficient_is_off(self, monkeypatch):
         exact = direct_one_point
