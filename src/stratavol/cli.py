@@ -138,7 +138,7 @@ def cmd_covers(args) -> int:
         raise DomainError(f"--dmax must be >= 1, got {dmax}")
     if args.brute_force:
         check_brute_force_caps(profile, dmax)
-    check_burnside_cap(dmax)
+    check_burnside_cap(dmax, profile)
     records: list[CoverCountRecord] = []
     if args.connected:
         series = cov_connected_series(profile, dmax)

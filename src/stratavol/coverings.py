@@ -18,8 +18,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice, permutations, product
-from math import comb, factorial
+from itertools import islice, permutations
+from math import comb, factorial, prod
 from typing import Iterable, Iterator, Sequence
 
 from .characters import (
@@ -49,8 +49,13 @@ from .qseries import QSeries, euler_series
 BRUTE_FORCE_CAP = 5
 BRUTE_FORCE_WORK_CAP = 10**6
 # Most partitions the Burnside rows of one request (all degrees up to its
-# largest) may visit, at a few microseconds each: degrees up to 48.
+# largest) may visit, at a few microseconds each: degrees up to 48.  And
+# the most (partition, sub-profile) products those rows may sum, at about a
+# microsecond each: every profile with at most 10 sub-profiles up to
+# degree 48, while 2,3,...,21 (2^k sub-profiles for k distinct cycles) is
+# refused from degree 15 on.
 BURNSIDE_WORK_CAP = 10**6
+BURNSIDE_PRODUCT_CAP = 10**7
 
 __all__ = [
     "CoverProfile",
@@ -103,71 +108,60 @@ def _profile(profile) -> CoverProfile:
 
 # Burnside totals by (sub-profile sorted longest cycle first, degree), for
 # the life of the process.  A sweep stores every sub-multiset of the
-# profiles it was asked for, so whenever a profile is here, all of its
-# sub-profiles are here at the same degree.
+# profile it was asked for whose cycles fit in the degree, so whenever a
+# profile is here, every sub-profile that can sum to nonzero is too.
 _burnside_totals: dict[tuple[tuple[int, ...], int], int] = {}
 
 
-def _burnside_sums(keys: Sequence[Sequence[int]], d: int) -> list[int]:
-    """For each key (a profile), the sum over partitions lam of d of the
-    product of the central characters f_m(lam) over its entries m.
+def _burnside_sums(profile: Sequence[int], d: int) -> int:
+    """The sum over partitions lam of d of the product of the central
+    characters f_m(lam) over the entries m of the profile.
 
     Totals are memoized in ``_burnside_totals``; the partitions of d are
-    swept only when some key is missing, and that one sweep serves every
-    sorted sub-multiset of the missing keys.  These form a trie, each node
-    one entry longer than its parent, with entries longest cycle first
-    (long cycles give the most zeros).  At each lam the beta numbers and the
-    content power sums the short cycles read are computed once, and each
-    distinct cycle length once: cycles longer than ``CONTENT_POLY_MAX_M``
-    by the residue sum over removable m-rim hooks
-    (``characters.hook_value``), shorter ones by their closed forms in the
-    content power sums (``characters.content_value``), which are read from
-    prefix tables over the contents -d..d.  Each node then costs one
-    integer multiplication of its parent's value, walking the trie in
-    preorder, and a zero value skips its whole subtree.  A key with a cycle
-    longer than d sums to 0 without a sweep, and the empty key counts the
-    partitions of d.
+    swept only when the profile's cycles no longer than d are missing
+    (``_sweep``), and that sweep serves every sorted sub-multiset of them.
+    A cycle longer than d makes the sum 0, and the empty profile counts
+    the partitions of d.
     """
-    keys = [tuple(sorted(key, reverse=True)) for key in keys]
-    missing = {key for key in keys if (key, d) not in _burnside_totals}
-    if missing:
-        _sweep(missing, d)
-    return [_burnside_totals[key, d] for key in keys]
+    key = tuple(sorted(profile, reverse=True))
+    if (key, d) not in _burnside_totals:
+        fit = tuple(m for m in key if m <= d)
+        if (fit, d) not in _burnside_totals:
+            _sweep(fit, d)
+        if fit != key:
+            _burnside_totals[key, d] = 0
+    return _burnside_totals[key, d]
 
 
-def _sweep(keys: set[tuple[int, ...]], d: int) -> None:
-    """Store in ``_burnside_totals`` the Burnside sums at degree d of every
-    sorted sub-multiset of ``keys`` (see ``_burnside_sums``)."""
-    subs = set()
-    for key in keys:
-        counts = sorted(Counter(key).items(), reverse=True)
-        for mults in product(*(range(c + 1) for _, c in counts)):
-            subs.add(tuple(m for (m, _), k in zip(counts, mults) for _ in range(k)))
-    for sub in subs:
-        if sub and sub[0] > d:
-            _burnside_totals[sub, d] = 0
-    todo = [sub for sub in subs if (sub, d) not in _burnside_totals]
-    if not todo:
-        return
-    # The trie nodes: the sub-multisets still to sum and all their
-    # prefixes.  Sorted, they come in preorder, each subtree contiguous and
-    # ending at the first node that does not extend its root.
-    nodes = sorted({sub[:i] for sub in todo for i in range(1, len(sub) + 1)})
-    slot = {node: i + 1 for i, node in enumerate(nodes)}
-    plan = [
-        (slot.get(node[:-1], 0), node[-1],
-         next((j for j in range(i + 1, len(nodes)) if nodes[j][:len(node)] != node),
-              len(nodes)))
-        for i, node in enumerate(nodes)
-    ]
-    lengths = sorted({node[-1] for node in nodes}, reverse=True)
+def _sweep(key: tuple[int, ...], d: int) -> None:
+    """Store in ``_burnside_totals`` the Burnside sum at degree d of every
+    sorted sub-multiset of ``key`` (cycles no longer than d, longest
+    first): prod (c + 1) of them for the multiplicities c.
+
+    At each lam the beta numbers and the content power sums the short
+    cycles read are computed once, and each distinct cycle length once:
+    cycles longer than ``CONTENT_POLY_MAX_M`` by the residue sum over
+    removable m-rim hooks (``characters.hook_value``), shorter ones by
+    their closed forms in the content power sums
+    (``characters.content_value``), which are read from prefix tables over
+    the contents -d..d.  Each sub-multiset then costs one integer
+    multiplication: its value with the last cycle dropped times the value
+    of that cycle.
+    """
+    counts = sorted(Counter(key).items(), reverse=True)
+    # Each sub-multiset comes after the one with its last cycle dropped.
+    subs = [()]
+    for m, c in counts:
+        subs = [sub + (m,) * k for sub in subs for k in range(c + 1)]
+    slot = {sub: i for i, sub in enumerate(subs)}
+    plan = [(i, slot[sub[:-1]], sub[-1]) for i, sub in enumerate(subs) if sub]
+    lengths = [m for m, _ in counts]
     long = [m for m in lengths if m > CONTENT_POLY_MAX_M]
     short = [m for m in lengths if m <= CONTENT_POLY_MAX_M]
     prefix = content_prefix(d, sorted({k for m in short for k in CONTENT_POWERS[m]}))
-    f = [0] * (lengths[0] + 1 if lengths else 0)
-    values = [1] * (len(nodes) + 1)
-    totals = [0] * (len(nodes) + 1)
-    n = len(plan)
+    f = [0] * (key[0] + 1 if key else 0)
+    values = [1] * len(subs)
+    totals = [0] * len(subs)
     for lam in iter_int_partitions(d):
         totals[0] += 1
         if long:
@@ -179,28 +173,23 @@ def _sweep(keys: set[tuple[int, ...]], d: int) -> None:
             sums = content_power_sums(lam, prefix)
             for m in short:
                 f[m] = content_value(m, d, sums)
-        i = 0
-        while i < n:
-            parent, m, end = plan[i]
+        for i, parent, m in plan:
             value = values[parent] * f[m]
-            if value:
-                i += 1
-                values[i] = value
-                totals[i] += value
-            else:
-                i = end
-    _burnside_totals[(), d] = totals[0]
-    for node, total in zip(nodes, totals[1:]):
-        _burnside_totals[node, d] = total
+            values[i] = value
+            totals[i] += value
+    for sub, total in zip(subs, totals):
+        _burnside_totals[sub, d] = total
 
 
 def cov_d(profile, d: int) -> Fraction:
     """Weighted number of degree-d coverings with the given branch profile:
     the sum over partitions lam of d of the product of central characters,
-    in integers (``_burnside_sums`` for the one profile).  The totals of
-    the profile and of all its sub-profiles at d are memoized, so a repeat
-    of the row, or a connected series or ratio of the profile through d,
-    sweeps no partitions again.
+    in integers (``_burnside_sums``).  The totals of the profile and of all
+    its sub-profiles at d are memoized, so a repeat of the row, or a
+    connected series or ratio of the profile through d, sweeps no
+    partitions again.  A cold row sums all prod (c + 1) sub-profiles, for
+    the multiplicities c of its cycles no longer than d, and is not
+    checked against the Burnside caps (``check_burnside_cap``).
 
     The empty profile counts all unramified coverings, one per partition
     of d.
@@ -208,7 +197,7 @@ def cov_d(profile, d: int) -> Fraction:
     profile = _profile(profile)
     if d < 0:
         raise DomainError("degree must be nonnegative")
-    return Fraction(_burnside_sums([profile], d)[0])
+    return Fraction(_burnside_sums(profile, d))
 
 
 def cov_series(profile, order: int) -> QSeries:
@@ -230,9 +219,10 @@ def cov_connected_series(profile, order: int) -> QSeries:
     partitions of the branch points applied to the no-unramified series.
 
     Every block of those set partitions needs the series of its sorted
-    sub-profile; all of them come from one Burnside sweep per degree, and
-    from none at the degrees where the memo already holds the profile.
-    The Burnside cap for degrees up to ``order`` is checked first.
+    sub-profile; all of them come from one Burnside sweep of the profile
+    per degree, and from none at the degrees where the memo already holds
+    the profile.  The Burnside caps for the profile and degrees up to
+    ``order`` are checked first.
     """
     profile = _profile(profile)
     s = len(profile)
@@ -240,13 +230,16 @@ def cov_connected_series(profile, order: int) -> QSeries:
         raise DomainError("connected counts need at least one branch point")
     if order < 0:
         raise DomainError("order must be nonnegative")
-    check_burnside_cap(order)
+    check_burnside_cap(order, profile)
     alphas = [
         [tuple(sorted(profile[i] for i in block)) for block in alpha]
         for alpha in set_partitions_of(range(s))
     ]
     keys = sorted({key for blocks in alphas for key in blocks})
-    rows = [_burnside_sums(keys, d) for d in range(order + 1)]
+    rows = []
+    for d in range(order + 1):
+        _burnside_sums(profile, d)  # the one sweep that stores every block
+        rows.append([_burnside_sums(key, d) for key in keys])
     euler = euler_series(order)
     prime = {
         key: euler * QSeries.from_coeffs([row[j] for row in rows])
@@ -264,15 +257,25 @@ def cov_connected_series(profile, order: int) -> QSeries:
 def burnside_work(dmax: int) -> int:
     """Partitions the Burnside sums for degrees 0..dmax visit: the sum of
     p(d) over d <= dmax.  One sweep per degree serves every sub-profile of
-    a connected series, so the count does not depend on the profile."""
+    a profile, so the count does not depend on the profile; the products
+    each partition costs do (``check_burnside_cap``)."""
     return sum(islice(partition_counts(), dmax + 1))
 
 
-def check_burnside_cap(dmax: int) -> None:
-    """Raise ResourceCapError when the Burnside rows for degrees up to dmax
-    would visit more than ``BURNSIDE_WORK_CAP`` partitions; cheap for any
-    dmax (``partitions.check_partition_work``)."""
-    check_partition_work(dmax, BURNSIDE_WORK_CAP, "Burnside")
+def check_burnside_cap(dmax: int, profile: Iterable[int] = ()) -> None:
+    """Raise ResourceCapError when the Burnside rows of ``profile`` for
+    degrees up to dmax would visit more than ``BURNSIDE_WORK_CAP``
+    partitions, or sum more than ``BURNSIDE_PRODUCT_CAP`` (partition,
+    sub-profile) products: a sweep sums prod (c + 1) sub-profiles, for the
+    multiplicities c of the cycles no longer than its degree.  Cheap for
+    any dmax and profile (``partitions.check_partition_work``)."""
+    partitions = check_partition_work(dmax, BURNSIDE_WORK_CAP, "Burnside")
+    subs = prod(c + 1 for c in Counter(m for m in profile if m <= dmax).values())
+    if partitions * subs > BURNSIDE_PRODUCT_CAP:
+        raise ResourceCapError(
+            f"Burnside work up to degree {dmax} exceeds cap {BURNSIDE_PRODUCT_CAP} "
+            f"products ({partitions} partitions times {subs} sub-profiles)"
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -122,17 +122,18 @@ def partition_counts() -> Iterator[int]:
         yield counts[-1]
 
 
-def check_partition_work(dmax: int, cap: int, what: str) -> None:
-    """Raise ResourceCapError when a sweep over the partitions of every
-    degree 0..dmax (dmax >= 0) would visit more than ``cap`` of them.  The
-    count stops at the first degree past the cap, so the check is cheap for
-    any dmax."""
+def check_partition_work(dmax: int, cap: int, what: str) -> int:
+    """The partitions a sweep over every degree 0..dmax visits; raise
+    ResourceCapError when that is more than ``cap``.  The count stops at
+    the first degree past the cap, so the check is cheap for any dmax."""
+    work = 0
     for d, work in enumerate(accumulate(islice(partition_counts(), dmax + 1))):
         if work > cap:
             raise ResourceCapError(
                 f"{what} work up to degree {dmax} exceeds cap {cap} "
                 f"partitions ({work} by degree {d})"
             )
+    return work
 
 
 def _partitions_exact_parts(d: int, k: int, max_part: int) -> Iterator[tuple[int, ...]]:

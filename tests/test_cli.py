@@ -16,8 +16,8 @@ from stratavol.partitions import check_partition_work
 
 TESTS = Path(__file__).resolve().parent
 # The degree of the covers requests below that must be refused by the
-# Burnside work cap; every literal --dmax in a covers request of the tests
-# must be under it.
+# Burnside work cap; every covers request of the tests with a literal
+# profile and --dmax must be under it.
 OVER_CAP_DMAX = 70
 # Likewise the npoint-check order that the one-point work cap must refuse.
 OVER_CAP_ORDER = 80
@@ -183,18 +183,41 @@ class TestCoversCommand:
             assert code == 3
             assert out == "" and "Burnside work" in err
 
+    def test_wide_profile_exits_fast(self, capsys, monkeypatch):
+        # 20 distinct cycles: 2^19 sub-profiles up to degree 20, refused
+        # before any row; with every cycle longer than the degree, the rows
+        # are zeros at once.
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a covering row was computed")
+
+        wide = ",".join(str(m) for m in range(2, 22))
+        monkeypatch.setattr(stratavol.cli, "cov_d", forbidden)
+        monkeypatch.setattr(stratavol.cli, "cov_connected_series", forbidden)
+        for extra in ((), ("--connected",)):
+            start = time.perf_counter()
+            code, out, err = run_cli(capsys, "covers", wide, "--dmax", "20", *extra)
+            assert time.perf_counter() - start < 1.0
+            assert code == 3
+            assert out == "" and "sub-profiles" in err
+        monkeypatch.undo()
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, "covers", wide + ",22,23,24,25", "--dmax", "1")
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        assert out.splitlines()[1:] == [wide + ",22,23,24,25;1;all;0"]
+
     def test_requests_under_burnside_cap(self):
         # Every covers request of the benchmark's CLI mix and of these
         # tests; the acceptance suites call the library, not the CLI.
-        degrees = [int(argv[argv.index("--dmax") + 1])
-                   for pool in _bench_cli_pool().values() for argv in pool
-                   if argv[0] == "covers" and "--dmax" in argv]
-        request = re.compile(r'"covers",[^\n]*?"--dmax", "(\d+)"')
-        tested = [int(d) for path in sorted(TESTS.glob("test_*.py"))
-                  for d in request.findall(path.read_text())]
-        assert degrees and tested
-        for dmax in degrees + tested:
-            check_burnside_cap(dmax)
+        requests = [(argv[1], int(argv[argv.index("--dmax") + 1]))
+                    for pool in _bench_cli_pool().values() for argv in pool
+                    if argv[0] == "covers" and "--dmax" in argv]
+        request = re.compile(r'"covers", "([\d,]+)",[^\n]*?"--dmax", "(\d+)"')
+        tested = [(profile, int(d)) for path in sorted(TESTS.glob("test_*.py"))
+                  for profile, d in request.findall(path.read_text())]
+        assert requests and tested
+        for profile, dmax in requests + tested:
+            check_burnside_cap(dmax, [int(m) for m in profile.split(",")])
         assert burnside_work(OVER_CAP_DMAX) > BURNSIDE_WORK_CAP
 
 

@@ -14,6 +14,7 @@ from stratavol.characters import (
 import stratavol.coverings
 from stratavol.coverings import (
     BRUTE_FORCE_WORK_CAP,
+    BURNSIDE_PRODUCT_CAP,
     BURNSIDE_WORK_CAP,
     _burnside_sums,
     CoverCountRecord,
@@ -149,17 +150,21 @@ MEMO_CALLS = [(kind, profile, n) for profile in MEMO_PROFILES
 
 class TestBurnsideKernel:
     def test_many_keys_match_one_key_and_murnaghan_nakayama(self, monkeypatch):
-        # Every sorted sub-profile of a profile with at most three points
-        # and entries 2..6 (which is every such profile), in one sweep,
-        # against each key summed alone; every sum starts from an empty memo.
+        # Every profile with at most three points and entries 2..6 is a
+        # sub-profile of the one with three of each; one sweep of that one
+        # must store them all, each equal to its sum from an empty memo.
         keys = [key for s in (1, 2, 3)
                 for key in combinations_with_replacement(range(2, 7), s)]
         for d in range(13):
             monkeypatch.setattr(stratavol.coverings, "_burnside_totals", {})
-            sums = _burnside_sums(keys, d)
+            _burnside_sums([m for m in range(2, 7) for _ in range(3)], d)
+            degrees = _count_sweeps(monkeypatch)
+            sums = [_burnside_sums(key, d) for key in keys]
+            monkeypatch.undo()
+            assert degrees == [], d
             for key, got in zip(keys, sums):
                 monkeypatch.setattr(stratavol.coverings, "_burnside_totals", {})
-                assert got == _burnside_sums([key], d)[0], (key, d)
+                assert got == _burnside_sums(key, d), (key, d)
                 want = _burnside_by_murnaghan_nakayama(key, d) if max(key) <= d else 0
                 assert got == want, (key, d)
 
@@ -211,6 +216,16 @@ class TestBurnsideWork:
         for dmax in (49, 70, 10**9):
             with pytest.raises(ResourceCapError, match="Burnside work"):
                 check_burnside_cap(dmax)
+
+    def test_product_cap_counts_sub_profiles_of_cycles_that_fit(self):
+        # 2,3,...,21 has 2^(k-1) sub-profiles of cycles no longer than k.
+        wide = tuple(range(2, 22))
+        assert burnside_work(14) * 2**13 <= BURNSIDE_PRODUCT_CAP < burnside_work(15) * 2**14
+        check_burnside_cap(14, wide)
+        with pytest.raises(ResourceCapError, match="16384 sub-profiles"):
+            check_burnside_cap(15, wide)
+        check_burnside_cap(48, (4, 4, 2, 2))
+        check_burnside_cap(1, wide + (22, 23, 24, 25))
 
 
 class TestSeries:
@@ -336,7 +351,8 @@ class TestAsymptoticRatio:
 
         monkeypatch.setattr(stratavol.coverings, "iter_int_partitions", forbidden)
         for call in (lambda: asymptotic_ratio((2, 2), 70),
-                     lambda: cov_connected_series((4, 3), 49)):
+                     lambda: cov_connected_series((4, 3), 49),
+                     lambda: cov_connected_series(tuple(range(2, 14)), 20)):
             with pytest.raises(ResourceCapError, match="Burnside work"):
                 call()
 
