@@ -16,10 +16,9 @@ twice for the same sub-profile.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice, permutations
-from math import comb, factorial, prod
+from itertools import permutations
+from math import comb, factorial, inf, prod
 from typing import Iterable, Iterator, Sequence
 
 from .characters import (
@@ -31,7 +30,7 @@ from .characters import (
     content_value,
     hook_value,
 )
-from .errors import DomainError, ResourceCapError
+from .errors import DomainError, Record, ResourceCapError
 from .partitions import (
     IntPartition,
     check_partition_work,
@@ -91,12 +90,9 @@ class CoverProfile(tuple):
         return ",".join(str(e) for e in self)
 
 
-@dataclass(frozen=True)
-class CoverCountRecord:
-    profile: CoverProfile
-    d: int
-    kind: str  # "all" | "no-unramified" | "connected"
-    count: Fraction
+class CoverCountRecord(Record):
+    # CoverProfile, int, "all" | "no-unramified" | "connected", Fraction
+    __slots__ = ("profile", "d", "kind", "count")
 
     def csv_row(self) -> str:
         return f"{self.profile};{self.d};{self.kind};{self.count}"
@@ -127,10 +123,21 @@ def _burnside_sums(profile: Sequence[int], d: int) -> int:
     if (key, d) not in _burnside_totals:
         fit = tuple(m for m in key if m <= d)
         if (fit, d) not in _burnside_totals:
+            _check_sweep_cap(fit, d)
             _sweep(fit, d)
         if fit != key:
             _burnside_totals[key, d] = 0
     return _burnside_totals[key, d]
+
+
+def _check_sweep_cap(key: tuple[int, ...], d: int) -> None:
+    """The Burnside caps for the sweep of degree d alone: its p(d)
+    partitions, and their products with every sub-profile of ``key``."""
+    counts = partition_counts(d, BURNSIDE_WORK_CAP)
+    if len(counts) <= d or counts[d] > BURNSIDE_WORK_CAP:
+        raise ResourceCapError(
+            f"Burnside work at degree {d} exceeds cap {BURNSIDE_WORK_CAP} partitions")
+    _check_products(counts[d], key, d)
 
 
 def _sweep(key: tuple[int, ...], d: int) -> None:
@@ -188,8 +195,9 @@ def cov_d(profile, d: int) -> Fraction:
     its sub-profiles at d are memoized, so a repeat of the row, or a
     connected series or ratio of the profile through d, sweeps no
     partitions again.  A cold row sums all prod (c + 1) sub-profiles, for
-    the multiplicities c of its cycles no longer than d, and is not
-    checked against the Burnside caps (``check_burnside_cap``).
+    the multiplicities c of its cycles no longer than d: it raises
+    ResourceCapError before it sweeps when its p(d) partitions or their
+    products with the sub-profiles are over the Burnside caps.
 
     The empty profile counts all unramified coverings, one per partition
     of d.
@@ -259,7 +267,7 @@ def burnside_work(dmax: int) -> int:
     p(d) over d <= dmax.  One sweep per degree serves every sub-profile of
     a profile, so the count does not depend on the profile; the products
     each partition costs do (``check_burnside_cap``)."""
-    return sum(islice(partition_counts(), dmax + 1))
+    return sum(partition_counts(dmax, inf)[: dmax + 1])
 
 
 def check_burnside_cap(dmax: int, profile: Iterable[int] = ()) -> None:
@@ -269,7 +277,10 @@ def check_burnside_cap(dmax: int, profile: Iterable[int] = ()) -> None:
     sub-profile) products: a sweep sums prod (c + 1) sub-profiles, for the
     multiplicities c of the cycles no longer than its degree.  Cheap for
     any dmax and profile (``partitions.check_partition_work``)."""
-    partitions = check_partition_work(dmax, BURNSIDE_WORK_CAP, "Burnside")
+    _check_products(check_partition_work(dmax, BURNSIDE_WORK_CAP, "Burnside"), profile, dmax)
+
+
+def _check_products(partitions: int, profile: Iterable[int], dmax: int) -> None:
     subs = prod(c + 1 for c in Counter(m for m in profile if m <= dmax).values())
     if partitions * subs > BURNSIDE_PRODUCT_CAP:
         raise ResourceCapError(

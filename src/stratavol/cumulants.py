@@ -14,14 +14,13 @@ division.  Every stage has an independent oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 from math import comb, factorial
 
 from . import mvpoly
-from .errors import DomainError, ResourceCapError
+from .errors import DomainError, Record, ResourceCapError
 from .exact_arith import PiScalar, frak_z_over_pi
 from .partitions import (
     SET_PARTITION_CAP,
@@ -268,17 +267,16 @@ def t_poly_forest_oracle(rho: SetPartition) -> bool:
     return closed == forest_sum
 
 
-@dataclass(frozen=True)
-class WickGroups:
+class WickGroups(Record):
     """An ordered list of partitions whose parts are jointly labeled
     1..n; the grouping partition has one block per consecutive range."""
 
-    groups: tuple[IntPartition, ...]
+    __slots__ = ("groups",)
 
-    def __post_init__(self) -> None:
-        if not self.groups:
+    def __init__(self, groups) -> None:
+        if not groups:
             raise DomainError("need at least one group")
-        groups = tuple(IntPartition(g) for g in self.groups)
+        groups = tuple(IntPartition(g) for g in groups)
         for g in groups:
             if not g:
                 raise DomainError("groups must be nonempty partitions")
@@ -293,10 +291,8 @@ class WickGroups:
         return sum(g.length for g in self.groups)
 
 
-@dataclass(frozen=True)
-class WickLeading:
-    value: PiScalar
-    hbar_exponent: int
+class WickLeading(Record):
+    __slots__ = ("value", "hbar_exponent")  # PiScalar, int
 
 
 def wick_leading(groups) -> WickLeading:
@@ -349,7 +345,7 @@ def wick_leading(groups) -> WickLeading:
                 break
         total += term
     pi_pow = sum(parts) - n + 2 * (n - ell + 1)
-    return WickLeading(value=PiScalar(total, pi_pow), hbar_exponent=exponent)
+    return WickLeading(PiScalar(total, pi_pow), exponent)
 
 
 def f_cumulant_leading(m) -> PiScalar:
@@ -445,15 +441,14 @@ def c_simple(n: int) -> PiScalar:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StratumSpec:
+class StratumSpec(Record):
     """Zero multiplicities of a holomorphic differential: positive parts
     with even total 2g - 2 >= 2."""
 
-    mu: IntPartition
+    __slots__ = ("mu",)
 
-    def __post_init__(self) -> None:
-        mu = IntPartition(self.mu)
+    def __init__(self, mu) -> None:
+        mu = IntPartition(mu)
         if not mu:
             raise DomainError("stratum needs at least one zero")
         if mu.size % 2 != 0:
@@ -473,14 +468,9 @@ ROUTE_GENERAL = "general"
 ROUTE_SIMPLE = "simple-closed-form"
 
 
-@dataclass(frozen=True)
-class VolumeResult:
-    mu: IntPartition
-    genus: int
-    dim: int
-    volume: PiScalar
-    c_const: PiScalar
-    route: str
+class VolumeResult(Record):
+    # IntPartition, int, int, PiScalar, PiScalar and one of the ROUTE_* names
+    __slots__ = ("mu", "genus", "dim", "volume", "c_const", "route")
 
     def as_json_dict(self) -> dict:
         return {

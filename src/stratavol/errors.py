@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types and the immutable value base shared across the package."""
 
 
 class DomainError(ValueError):
@@ -10,3 +10,44 @@ class ResourceCapError(RuntimeError):
     """A request would exceed a fixed enumeration cap (set-partition ground
     set too large, brute-force degree too high).  Raised before the
     enumeration starts."""
+
+
+class Record:
+    """An immutable value whose fields are its class's ``__slots__``: equal
+    to a value of the same class with equal fields, hashed by them, shown as
+    ``Name(field=value, ...)``, and closed to assignment and deletion.  The
+    default ``__init__`` takes every field, by position or by name; one that
+    checks its fields stores them with ``object.__setattr__``."""
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs) -> None:
+        names = self.__slots__
+        if len(args) + len(kwargs) != len(names) or (
+                kwargs and not kwargs.keys() <= set(names[len(args):])):
+            raise TypeError(f"{type(self).__name__}() takes the fields {', '.join(names)}")
+        for name, value in (*zip(names, args), *kwargs.items()):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def _immutable(self, name, *value):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __setattr__ = __delattr__ = _immutable

@@ -12,12 +12,11 @@ pi*x/sin(pi*x).
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from .errors import DomainError
+from .errors import DomainError, Record
 
 # 50 decimal digits of pi, used only for optional numeric annotations and
 # convergence comparisons.  Core results never evaluate pi.
@@ -90,8 +89,7 @@ def zeta_neg(k: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PiScalar:
+class PiScalar(Record):
     """An exact rational multiplied by a nonnegative integer power of pi.
 
     Zero is canonical: coefficient 0 always carries pi power 0.  Addition is
@@ -99,12 +97,10 @@ class PiScalar:
     an error so that accidental loss of the symbolic power cannot happen.
     """
 
-    coeff: Fraction
-    pi_pow: int = 0
+    __slots__ = ("coeff", "pi_pow")
 
-    def __post_init__(self) -> None:
-        coeff = self.coeff if isinstance(self.coeff, Fraction) else Fraction(self.coeff)
-        pi_pow = self.pi_pow
+    def __init__(self, coeff: Fraction, pi_pow: int = 0) -> None:
+        coeff = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
         if pi_pow < 0:
             raise DomainError("pi power must be nonnegative")
         if coeff == 0:

@@ -13,10 +13,9 @@ avoiding series division.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError
+from .errors import DomainError, Record
 from .partitions import check_partition_work, iter_int_partitions
 from .qseries import QSeries, euler_series
 
@@ -27,16 +26,15 @@ from .qseries import QSeries, euler_series
 NPOINT_WORK_CAP = 5 * 10**5
 
 
-@dataclass(frozen=True)
-class EvaluatedPoint:
+class EvaluatedPoint(Record):
     """A rational value for e^(x/2).  Values 0 and +-1 are excluded: they
     sit on the zero of the theta factor and the pole of the row sum at
     x = 0."""
 
-    s: Fraction
+    __slots__ = ("s",)
 
-    def __post_init__(self) -> None:
-        s = Fraction(self.s)
+    def __init__(self, s: Fraction) -> None:
+        s = Fraction(s)
         if s in (0, 1, -1):
             raise DomainError(f"evaluation point must avoid 0 and +-1, got {s}")
         object.__setattr__(self, "s", s)

@@ -8,12 +8,12 @@ strings, which gives a deterministic order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import accumulate, islice
+import threading
+from bisect import bisect_right
 from math import factorial
 from typing import Iterable, Iterator, Sequence
 
-from .errors import DomainError, ResourceCapError
+from .errors import DomainError, Record, ResourceCapError
 
 # Largest ground set the set-partition enumerations accept: Bell(12) is
 # about 4.2 million partitions.
@@ -107,33 +107,45 @@ def enum_int_partitions(d: int) -> list[IntPartition]:
     return list(iter_int_partitions(d))
 
 
-def partition_counts() -> Iterator[int]:
-    """p(0), p(1), ... by Euler's pentagonal recurrence
-    p(n) = sum_{k>=1} (-1)^(k-1) (p(n - k(3k-1)/2) + p(n - k(3k+1)/2))."""
-    counts = [1]
-    yield 1
-    while True:
-        n = len(counts)
-        counts.append(sum(
-            (1 if k % 2 else -1) * counts[n - g]
-            for k in range(1, n + 1) for g in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2)
-            if g <= n
-        ))
-        yield counts[-1]
+# p(0), p(1), ... by Euler's pentagonal recurrence
+#   p(n) = sum_{k>=1} (-1)^(k-1) (p(n - k(3k-1)/2) + p(n - k(3k+1)/2)),
+# and their running sums p(0) + ... + p(n), for the life of the process.
+_partition_counts = [1]
+_partition_sums = [1]
+_partition_lock = threading.Lock()
+
+
+def partition_counts(dmax: int, cap: float) -> list[int]:
+    """The memoized counts p(0), p(1), ...: grown through degree dmax, or
+    only to the first count over ``cap`` (every later one is larger too).
+    The list is shared; callers only read it."""
+    counts, sums = _partition_counts, _partition_sums
+    with _partition_lock:
+        while len(counts) <= dmax and counts[-1] <= cap:
+            n = len(counts)
+            counts.append(sum(
+                (1 if k % 2 else -1) * counts[n - g]
+                for k in range(1, n + 1) for g in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2)
+                if g <= n
+            ))
+            sums.append(sums[-1] + counts[-1])
+    return counts
 
 
 def check_partition_work(dmax: int, cap: int, what: str) -> int:
     """The partitions a sweep over every degree 0..dmax visits; raise
-    ResourceCapError when that is more than ``cap``.  The count stops at
-    the first degree past the cap, so the check is cheap for any dmax."""
-    work = 0
-    for d, work in enumerate(accumulate(islice(partition_counts(), dmax + 1))):
-        if work > cap:
-            raise ResourceCapError(
-                f"{what} work up to degree {dmax} exceeds cap {cap} "
-                f"partitions ({work} by degree {d})"
-            )
-    return work
+    ResourceCapError when that is more than ``cap``.  The counts and their
+    running sums are memoized and grown at most to the first count past
+    the cap, so the check is a lookup after its first call for any dmax."""
+    partition_counts(dmax, cap)
+    sums = _partition_sums
+    d = bisect_right(sums, cap)
+    if d <= dmax:
+        raise ResourceCapError(
+            f"{what} work up to degree {dmax} exceeds cap {cap} "
+            f"partitions ({sums[d]} by degree {d})"
+        )
+    return sums[dmax] if dmax >= 0 else 0
 
 
 def _partitions_exact_parts(d: int, k: int, max_part: int) -> Iterator[tuple[int, ...]]:
@@ -176,25 +188,24 @@ def _canonical_blocks(blocks: Iterable[Iterable[int]]) -> Blocks:
     return tuple(sorted((tuple(sorted(b)) for b in blocks), key=lambda b: b[0]))
 
 
-@dataclass(frozen=True)
-class SetPartition:
+class SetPartition(Record):
     """A partition of the ground set {1..n} into disjoint nonempty blocks."""
 
-    blocks: Blocks
-    n: int
+    __slots__ = ("blocks", "n")
 
-    def __post_init__(self) -> None:
+    def __init__(self, blocks: Iterable[Iterable[int]], n: int) -> None:
         seen: set[int] = set()
-        for b in self.blocks:
+        for b in blocks:
             if not b:
                 raise DomainError("empty block in set partition")
             for x in b:
                 if x in seen:
                     raise DomainError(f"element {x} appears in two blocks")
                 seen.add(x)
-        if seen != set(range(1, self.n + 1)):
-            raise DomainError(f"blocks do not cover 1..{self.n}")
-        object.__setattr__(self, "blocks", _canonical_blocks(self.blocks))
+        if seen != set(range(1, n + 1)):
+            raise DomainError(f"blocks do not cover 1..{n}")
+        object.__setattr__(self, "blocks", _canonical_blocks(blocks))
+        object.__setattr__(self, "n", n)
 
     @staticmethod
     def from_blocks(blocks: Iterable[Iterable[int]], n: int | None = None) -> "SetPartition":

@@ -2,29 +2,25 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .errors import DomainError
+from .errors import DomainError, Record
 
 
-@dataclass(frozen=True)
-class QSeries:
+class QSeries(Record):
     """A power series truncated at order N: coefficients of q^0 .. q^N.
 
     All arithmetic truncates consistently; combining series of different
     orders truncates to the smaller one.
     """
 
-    coeffs: tuple[Fraction, ...]
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self) -> None:
-        if not self.coeffs:
+    def __init__(self, coeffs: tuple[Fraction, ...]) -> None:
+        if not coeffs:
             raise DomainError("QSeries needs at least the constant coefficient")
-        object.__setattr__(
-            self, "coeffs", tuple(Fraction(c) for c in self.coeffs)
-        )
+        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in coeffs))
 
     @property
     def order(self) -> int:

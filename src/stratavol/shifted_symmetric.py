@@ -9,10 +9,9 @@ q-series.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError
+from .errors import DomainError, Record
 from .exact_arith import zeta_neg
 from .partitions import IntPartition, enum_partitions_of_weight, iter_int_partitions
 from .qseries import QSeries, euler_series
@@ -72,12 +71,11 @@ def q_average(mu, order: int) -> QSeries:
     return euler_series(order) * QSeries.from_coeffs(raw)
 
 
-@dataclass(frozen=True)
-class PExpansion:
+class PExpansion(Record):
     """A finite linear combination of power-sum monomials, keyed by the
     index partition.  No zero coefficients are stored."""
 
-    terms: tuple[tuple[IntPartition, Fraction], ...]
+    __slots__ = ("terms",)  # tuple[tuple[IntPartition, Fraction], ...]
 
     @staticmethod
     def from_dict(data: dict[IntPartition, Fraction]) -> "PExpansion":

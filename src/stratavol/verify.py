@@ -8,7 +8,6 @@ and interactive checking share a single entry point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
 from math import factorial
@@ -31,7 +30,7 @@ from .cumulants import (
     volume,
     wick_leading,
 )
-from .errors import DomainError
+from .errors import DomainError, Record
 from .exact_arith import PiScalar, frak_z, pi_approx
 from .npoint import verify_theorem1_n1
 from .partitions import (
@@ -44,11 +43,11 @@ from .qseries import QSeries, euler_series
 from .shifted_symmetric import f_top_expansion, q_average
 
 
-@dataclass(frozen=True)
-class PropertyResult:
-    name: str
-    passed: bool
-    detail: str = ""
+class PropertyResult(Record):
+    __slots__ = ("name", "passed", "detail")
+
+    def __init__(self, name: str, passed: bool, detail: str = "") -> None:
+        super().__init__(name, passed, detail)
 
 
 def _check(results: list[PropertyResult], name: str, passed: bool, detail: str = "") -> None:

@@ -1,6 +1,9 @@
 import importlib.util
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -317,3 +320,23 @@ class TestDeterminism:
                 assert not isinstance(node, float)
 
         walk(data)
+
+
+class TestStartup:
+    def test_import_loads_every_module_but_no_dataclasses(self):
+        # The benchmark's tracer wraps every module that ``import
+        # stratavol.cli`` loads; ``dataclasses`` (with ``inspect``) would
+        # double the cost of that import.
+        src = TESTS.parent / "src"
+        probe = "import stratavol.cli, sys; print(*sorted(sys.modules))"
+        out = subprocess.run(
+            [sys.executable, "-S", "-c", probe], env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, check=True,
+        ).stdout
+        loaded = set(out.split())
+        package = {"stratavol"} | {f"stratavol.{path.stem}"
+                                   for path in (src / "stratavol").glob("*.py")
+                                   if path.stem != "__init__"}
+        assert len(package) >= 13
+        assert package <= loaded
+        assert not loaded & {"dataclasses", "inspect"}

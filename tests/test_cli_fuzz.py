@@ -22,6 +22,8 @@ tokens = st.one_of(st.sampled_from(MALFORMED), int_lists)
 small_ints = st.one_of(st.integers(-3, 6).map(str), st.sampled_from(MALFORMED))
 # Degrees past 48 are over the Burnside work cap and must exit 3 at once.
 degrees = st.one_of(small_ints, st.integers(49, 200).map(str))
+# Orders past 44 are over the one-point work cap and must exit 3 at once.
+orders = st.one_of(small_ints, st.integers(45, 200).map(str))
 points = st.one_of(tokens, st.sampled_from(["5/2", "-7/3", "1/2", "-1"]))
 suites = st.sampled_from(MALFORMED + ["worked-example", "qseries", "no-such-suite"])
 
@@ -55,7 +57,7 @@ def requests(draw):
     elif command == "simple-table":
         argv += _option(draw, "--nmax", small_ints)
     elif command == "npoint-check":
-        argv += ["--s", draw(points)] + _option(draw, "--order", small_ints)
+        argv += ["--s", draw(points)] + _option(draw, "--order", orders)
     argv += _option(draw, "--output", st.sampled_from(["json", "csv", "plain"]))
     argv += _switch(draw, "--approx")
     return argv

@@ -1,7 +1,12 @@
+import importlib.util
+import json
 import random
+import re
+import time
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from math import factorial
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +22,7 @@ from stratavol.coverings import (
     BURNSIDE_PRODUCT_CAP,
     BURNSIDE_WORK_CAP,
     _burnside_sums,
+    _check_sweep_cap,
     CoverCountRecord,
     CoverProfile,
     asymptotic_ratio,
@@ -36,6 +42,8 @@ from stratavol.qseries import QSeries, euler_series
 from stratavol.shifted_symmetric import q_average
 
 from .oracles import partition_count
+
+TESTS = Path(__file__).resolve().parent
 
 
 class TestCovD:
@@ -226,6 +234,59 @@ class TestBurnsideWork:
             check_burnside_cap(15, wide)
         check_burnside_cap(48, (4, 4, 2, 2))
         check_burnside_cap(1, wide + (22, 23, 24, 25))
+
+
+class TestRowCap:
+    def test_cold_row_checked_before_sweep(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("a partition sweep started")
+
+        monkeypatch.setattr(stratavol.coverings, "iter_int_partitions", forbidden)
+        monkeypatch.setattr(stratavol.coverings, "_burnside_totals", {})
+        start = time.perf_counter()
+        with pytest.raises(ResourceCapError, match="exceeds cap 1000000 partitions"):
+            cov_d((2,), 10**4)
+        with pytest.raises(ResourceCapError, match="65536 sub-profiles"):
+            cov_d(tuple(range(2, 22)), 17)
+        assert time.perf_counter() - start < 1.0
+
+    def test_row_cap_is_on_one_degree(self):
+        # p(60) = 966,467 and p(61) = 1,121,505 partitions.
+        _check_sweep_cap((2, 2), 60)
+        with pytest.raises(ResourceCapError):
+            _check_sweep_cap((2, 2), 61)
+        # p(16) = 231 partitions times 2^15 sub-profiles is under 10^7;
+        # p(17) = 297 times 2^16 is over.
+        _check_sweep_cap(tuple(range(16, 1, -1)), 16)
+        with pytest.raises(ResourceCapError, match="65536 sub-profiles"):
+            _check_sweep_cap(tuple(range(17, 1, -1)), 17)
+
+    def test_memo_hit_is_not_checked(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("a memo hit was checked")
+
+        monkeypatch.setattr(stratavol.coverings, "partition_counts", forbidden)
+        monkeypatch.setattr(stratavol.coverings, "_burnside_totals", {((2,), 10**4): 5})
+        assert cov_d((2,), 10**4) == 5
+
+    def test_rows_of_tests_and_benchmark_under_cap(self):
+        spec = importlib.util.spec_from_file_location(
+            "bench_workloads", TESTS.parent / "bench" / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        rows = [(tuple(p), d) for _, p, d in workloads.cover_row_items()]
+        series = [(tuple(p), d) for _, p, d in workloads.cover_ratio_items()]
+        golden = json.loads((TESTS / "data" / "golden_covers.json").read_text())
+        series += [(tuple(map(int, key.split(","))), golden["dmax"]) for key in golden["profiles"]]
+        call = re.compile(r"cov_d\(\(([\d, ]*)\), (\d+)\)")
+        rows += [(tuple(int(m) for m in profile.split(",") if m.strip()), int(d))
+                 for path in sorted(TESTS.glob("test_*.py"))
+                 for profile, d in call.findall(path.read_text())]
+        assert len(rows) > len(workloads.cover_row_items())
+        for profile, d in rows:
+            _check_sweep_cap(tuple(sorted((m for m in profile if m <= d), reverse=True)), d)
+        for profile, dmax in series:
+            check_burnside_cap(dmax, profile)
 
 
 class TestSeries:

@@ -1,12 +1,18 @@
 import random
+import sys
+import threading
 from fractions import Fraction
+from itertools import accumulate
+from math import inf
 
 import pytest
 
+import stratavol.partitions
 from stratavol.errors import DomainError, ResourceCapError
 from stratavol.partitions import (
     IntPartition,
     SetPartition,
+    check_partition_work,
     enum_complementary,
     enum_int_partitions,
     enum_partitions_of_weight,
@@ -17,6 +23,7 @@ from stratavol.partitions import (
     iter_set_partitions_with_blocks,
     meet,
     mobius_coeff,
+    partition_counts,
     set_partitions_of,
 )
 
@@ -293,3 +300,51 @@ class TestMobius:
                     prod *= p_of(block)
                 recovered += prod
             assert recovered == v[ground]
+
+
+class TestPartitionCounts:
+    @pytest.fixture(autouse=True)
+    def cold_memo(self, monkeypatch):
+        monkeypatch.setattr(stratavol.partitions, "_partition_counts", [1])
+        monkeypatch.setattr(stratavol.partitions, "_partition_sums", [1])
+
+    def test_grown_to_the_first_count_over_cap(self):
+        counts = partition_counts(10**9, 1000)
+        assert counts == [partition_count(n) for n in range(len(counts))]
+        assert counts[-2] <= 1000 < counts[-1]
+        assert partition_counts(5, inf) is counts
+
+    def test_check_reads_the_running_sums(self):
+        # p(0..10) = 1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42: the running sum
+        # is 97 at degree 9 and 139 at degree 10.
+        assert check_partition_work(9, 100, "test") == 97
+        assert check_partition_work(-1, 100, "test") == 0
+        for dmax in (10, 12, 10**9):
+            with pytest.raises(ResourceCapError, match=r"\(139 by degree 10\)"):
+                check_partition_work(dmax, 100, "test")
+        assert check_partition_work(30, 10**6, "test") == sum(map(partition_count, range(31)))
+
+    def test_concurrent_growth(self, monkeypatch):
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                monkeypatch.setattr(stratavol.partitions, "_partition_counts", [1])
+                monkeypatch.setattr(stratavol.partitions, "_partition_sums", [1])
+                start = threading.Barrier(8)
+
+                def grow(dmax):
+                    start.wait()
+                    partition_counts(dmax, inf)
+
+                threads = [threading.Thread(target=grow, args=(40 + i,)) for i in range(8)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=10)
+                assert not any(t.is_alive() for t in threads)
+                counts = stratavol.partitions._partition_counts
+                assert counts == [partition_count(n) for n in range(48)]
+                assert stratavol.partitions._partition_sums == list(accumulate(counts))
+        finally:
+            sys.setswitchinterval(interval)
