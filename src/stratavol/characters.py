@@ -13,10 +13,11 @@ c = j - i.  It is evaluated in one of two ways, by cycle length:
 * short cycles (m <= ``CONTENT_POLY_MAX_M``): f_m is a polynomial in
   n = |lam| and the content power sums p_j(lam) = sum of c^j over the boxes
   of lam (Kerov-Olshanski 1994, Corteel-Goupil-Schaeffer 2004), and the
-  three that are used have closed forms: f_2 = p_1, f_3 = p_2 - n(n-1)/2
-  and f_4 = p_3 - (2n-3) p_1 (``content_value``), so only p_1, p_2 and p_3
-  are ever summed, and each cycle length sums only those it reads
-  (``CONTENT_POWERS``);
+  three that are used have closed forms, affine in p_1, p_2 and p_3:
+  f_2 = p_1, f_3 = p_2 - n(n-1)/2 and f_4 = p_3 - (2n-3) p_1
+  (``content_value``, with coefficients ``content_form``), so only p_1,
+  p_2 and p_3 are ever summed, and each cycle length sums only those it
+  reads (``CONTENT_POWERS``);
 * long cycles: the box product telescopes row by row to a ratio over the
   beta numbers of lam, and the coefficient of 1/u is the sum of its
   residues, one per removable rim hook of length m (``hook_value``), so
@@ -164,9 +165,6 @@ def conjugacy_class_size(rho) -> int:
 # which costs about as much per partition at m = 4 and less for longer
 # cycles.
 CONTENT_POLY_MAX_M = 4
-# The content power sums p_k each closed form reads; p_0 = n = |lam| is
-# known and never summed.
-CONTENT_POWERS = {2: (1,), 3: (2,), 4: (1, 3)}
 
 
 def content_prefix(d: int, powers) -> list[tuple[int, list[int], list[int]]]:
@@ -216,6 +214,26 @@ def content_value(m: int, n: int, sums) -> int:
     )
 
 
+def content_form(m: int, n: int) -> tuple[int, int, int, int]:
+    """The closed form of f_m (``content_value``) at the partitions of n as
+    the coefficients (a_0, a_1, a_2, a_3) of
+    f_m = a_0 + a_1 p_1 + a_2 p_2 + a_3 p_3.  Each closed form is affine in
+    the power sums, so they are its values at p = 0 and, less a_0, at each
+    unit vector."""
+    zero = dict.fromkeys((1, 2, 3), 0)
+    a0 = content_value(m, n, zero)
+    return (a0,) + tuple(content_value(m, n, {**zero, k: 1}) - a0 for k in (1, 2, 3))
+
+
+# The content power sums p_k each closed form reads, its nonzero linear
+# coefficients (2n - 3 is odd, so none vanishes at some n); p_0 = n = |lam|
+# is known and never summed.
+CONTENT_POWERS = {
+    m: tuple(k for k in (1, 2, 3) if content_form(m, 0)[k])
+    for m in range(2, CONTENT_POLY_MAX_M + 1)
+}
+
+
 def beta_numbers(lam) -> list[int]:
     """First-column hook lengths lam_i + l - 1 - i of lam (l = its length),
     strictly decreasing."""
@@ -261,9 +279,10 @@ def hook_value(m: int, beta: list[int], beta_set: set[int]) -> int:
 def central_char_f(m: int, lam) -> Fraction:
     """Scalar by which the class sum of an m-cycle class acts on the irrep
     lam: (class size) * character / dimension.  Cycles of length at most
-    ``CONTENT_POLY_MAX_M`` are evaluated by the closed forms of
-    ``content_value``, longer ones by ``hook_value``, as ``cov_d`` does.
-    Zero when m exceeds |lam|."""
+    ``CONTENT_POLY_MAX_M`` are evaluated by their closed forms
+    (``content_value``), longer ones by ``hook_value``, as the partition
+    sweep of ``cov_d`` does (its moment route sums the same closed forms
+    over all partitions at once).  Zero when m exceeds |lam|."""
     if m < 2:
         raise DomainError(f"cycle length must be >= 2, got {m}")
     lam = IntPartition(lam)

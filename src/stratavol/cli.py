@@ -147,10 +147,11 @@ def cmd_covers(args) -> int:
                 CoverCountRecord(profile, d, "connected", series.coefficient(d))
             )
     else:
+        # Top row first, so that the route it takes is weighed against
+        # every row of the request.
+        counts = {d: cov_d(profile, d) for d in range(dmax, 0, -1)}
         for d in range(1, dmax + 1):
-            records.append(
-                CoverCountRecord(profile, d, "all", cov_d(profile, d))
-            )
+            records.append(CoverCountRecord(profile, d, "all", counts[d]))
     if args.brute_force:
         for d in range(1, dmax + 1):
             records.append(

@@ -2,15 +2,26 @@
 
 A covering with branch profile m = (m_1, ..., m_s) is counted through the
 character sum over partitions of the degree (the Burnside route, summed in
-integers over central characters from Frobenius' formula in content form:
-closed forms in content power sums for short cycles, rim-hook residues for
-long ones), through its generating q-series, and, for small degrees,
-through direct enumeration of monodromy tuples in the symmetric group.
+integers over central characters from Frobenius' formula in content form),
+through its generating q-series, and, for small degrees, through direct
+enumeration of monodromy tuples in the symmetric group.
+
+The Burnside sum takes one of two routes per degree.  When every cycle is
+at most 4, each central character is a closed form linear in the content
+power sums p_1, p_2, p_3 (``characters.content_form``), so the sum is a
+combination of the moments sum_{lam |- d} p_1^a p_2^b p_3^c; these come
+from a table over (degree, largest part) grown by removing the first row
+(``_Moments``), which visits no partition and is kept for the life of the
+process.  Otherwise, and for a short profile whose sweep is predicted to
+be cheaper than the table states it would add, one sweep over the
+partitions of the degree evaluates each cycle length once per partition:
+closed forms for short cycles, rim-hook residues for long ones.
+
 Connected counts come from the all-coverings series by inclusion-exclusion
-over set partitions of the branch points; one sweep over the partitions of
-each degree serves every sub-profile those set partitions need, and its
-totals are memoized for the life of the process, so no degree is swept
-twice for the same sub-profile.
+over set partitions of the branch points.  Either route serves every
+sub-profile those set partitions need, and its totals are memoized for the
+life of the process, so no degree is summed twice for the same
+sub-profile.
 """
 
 from __future__ import annotations
@@ -25,6 +36,7 @@ from .characters import (
     CONTENT_POLY_MAX_M,
     CONTENT_POWERS,
     beta_numbers,
+    content_form,
     content_power_sums,
     content_prefix,
     content_value,
@@ -103,7 +115,7 @@ def _profile(profile) -> CoverProfile:
 
 
 # Burnside totals by (sub-profile sorted longest cycle first, degree), for
-# the life of the process.  A sweep stores every sub-multiset of the
+# the life of the process.  Either route stores every sub-multiset of the
 # profile it was asked for whose cycles fit in the degree, so whenever a
 # profile is here, every sub-profile that can sum to nonzero is too.
 _burnside_totals: dict[tuple[tuple[int, ...], int], int] = {}
@@ -113,18 +125,26 @@ def _burnside_sums(profile: Sequence[int], d: int) -> int:
     """The sum over partitions lam of d of the product of the central
     characters f_m(lam) over the entries m of the profile.
 
-    Totals are memoized in ``_burnside_totals``; the partitions of d are
-    swept only when the profile's cycles no longer than d are missing
-    (``_sweep``), and that sweep serves every sorted sub-multiset of them.
-    A cycle longer than d makes the sum 0, and the empty profile counts
-    the partitions of d.
+    Totals are memoized in ``_burnside_totals``.  When the profile's cycles
+    no longer than d are missing, they and every sorted sub-multiset of
+    them are summed by one of two routes, after the Burnside row caps
+    (``_check_sweep_cap``): from the content moments of the partitions of d
+    (``_moment_sums``) when every cycle is short enough for a closed form,
+    unless a sweep over the partitions of d (``_sweep``) is predicted to
+    be cheaper (``_moment_table``); by the sweep otherwise.  A cycle
+    longer than d makes the sum 0, and the empty profile counts the
+    partitions of d.
     """
     key = tuple(sorted(profile, reverse=True))
     if (key, d) not in _burnside_totals:
         fit = tuple(m for m in key if m <= d)
         if (fit, d) not in _burnside_totals:
             _check_sweep_cap(fit, d)
-            _sweep(fit, d)
+            table = _moment_table(fit, d)
+            if table is None:
+                _sweep(fit, d)
+            else:
+                _moment_sums(table, fit, d)
         if fit != key:
             _burnside_totals[key, d] = 0
     return _burnside_totals[key, d]
@@ -140,10 +160,22 @@ def _check_sweep_cap(key: tuple[int, ...], d: int) -> None:
     _check_products(counts[d], key, d)
 
 
+def _sub_profiles(key: tuple[int, ...]) -> tuple[list[tuple[int, ...]], list[tuple[int, int, int]]]:
+    """Every sorted sub-multiset of ``key`` (prod (c + 1) of them for the
+    multiplicities c), each after the one with its last cycle dropped, and
+    the steps (index, index of that parent, last cycle) that build each
+    nonempty one from its parent."""
+    subs = [()]
+    for m, c in sorted(Counter(key).items(), reverse=True):
+        subs = [sub + (m,) * k for sub in subs for k in range(c + 1)]
+    slot = {sub: i for i, sub in enumerate(subs)}
+    return subs, [(i, slot[sub[:-1]], sub[-1]) for i, sub in enumerate(subs) if sub]
+
+
 def _sweep(key: tuple[int, ...], d: int) -> None:
     """Store in ``_burnside_totals`` the Burnside sum at degree d of every
     sorted sub-multiset of ``key`` (cycles no longer than d, longest
-    first): prod (c + 1) of them for the multiplicities c.
+    first), from one pass over the partitions of d.
 
     At each lam the beta numbers and the content power sums the short
     cycles read are computed once, and each distinct cycle length once:
@@ -155,14 +187,8 @@ def _sweep(key: tuple[int, ...], d: int) -> None:
     multiplication: its value with the last cycle dropped times the value
     of that cycle.
     """
-    counts = sorted(Counter(key).items(), reverse=True)
-    # Each sub-multiset comes after the one with its last cycle dropped.
-    subs = [()]
-    for m, c in counts:
-        subs = [sub + (m,) * k for sub in subs for k in range(c + 1)]
-    slot = {sub: i for i, sub in enumerate(subs)}
-    plan = [(i, slot[sub[:-1]], sub[-1]) for i, sub in enumerate(subs) if sub]
-    lengths = [m for m, _ in counts]
+    subs, plan = _sub_profiles(key)
+    lengths = sorted(set(key), reverse=True)
     long = [m for m in lengths if m > CONTENT_POLY_MAX_M]
     short = [m for m in lengths if m <= CONTENT_POLY_MAX_M]
     prefix = content_prefix(d, sorted({k for m in short for k in CONTENT_POWERS[m]}))
@@ -188,16 +214,229 @@ def _sweep(key: tuple[int, ...], d: int) -> None:
         _burnside_totals[sub, d] = total
 
 
+# ---------------------------------------------------------------------------
+# Burnside sums of short cycles from content moments
+# ---------------------------------------------------------------------------
+
+# Terms of the moment transform that cost about as much as one (partition,
+# sub-profile) product of a sweep, the unit of the sweep's prediction.
+MOMENT_TERMS_PER_PRODUCT = 5
+
+
+def _moment_bounds(key: tuple[int, ...]) -> tuple[int, int, int]:
+    """The monomials p_1^a p_2^b p_3^c the product of the closed forms of
+    the cycles of ``key`` (each 2..4) reaches, with those of all its
+    sub-profiles: c at most the number of 4-cycles, b + c at most that of
+    3- and 4-cycles, and a + b + c at most that of all cycles.  The row
+    transform of ``_Moments`` keeps within these bounds."""
+    k4 = key.count(4)
+    k34 = k4 + key.count(3)
+    return k4, k34, k34 + key.count(2)
+
+
+def _monomials(bounds: tuple[int, int, int]) -> list[tuple[int, int, int]]:
+    top3, top23, top = bounds
+    return [(a, b, c) for c in range(top3 + 1) for b in range(top23 - c + 1)
+            for a in range(top - b - c + 1)]
+
+
+def _state_terms(bounds: tuple[int, int, int]) -> int:
+    """Multiply-adds one state of a ``_Moments`` table costs: per monomial
+    one for the sum, and e + 1 for each pass that changes an exponent
+    e > 0 (one for p_1, two for p_2, three for p_3)."""
+    return sum(1 + (a and a + 1) + (b and 2 * b + 2) + (c and 3 * c + 3)
+               for a, b, c in _monomials(bounds))
+
+
+class _Moments:
+    """The content moments sum over lam |- n of p_1^a p_2^b p_3^c, for the
+    monomials (a, b, c) within one set of bounds (``_moment_bounds``) and
+    every n up to the degree the table has grown to.
+
+    ``rows[n][b]`` is V(n, b), the vector of moments over the partitions
+    of n with largest part at most b, so ``rows[n][n]`` is the table at n.
+    A partition with largest part b is the row (b) over a partition mu of
+    n - b with parts at most b, whose boxes move one row down, so
+    p_k((b) u mu) = sum_{0<=c<b} c^k + sum over the boxes of mu of (c-1)^k:
+
+        p_1 -> p_1 + s_1 - |mu|
+        p_2 -> p_2 - 2 p_1 + s_2 + |mu|
+        p_3 -> p_3 - 3 p_2 + 3 p_1 + s_3 - |mu|,
+
+    affine in mu's power sums.  So V(n, b) = V(n, b - 1) + T V(n - b, b'),
+    b' = min(b, n - b), where T substitutes that map into each monomial:
+    the shears p_3 -> p_3 + 3 p_1, p_3 -> p_3 - 3 p_2 and p_2 -> p_2 - 2 p_1,
+    which are the same for every state, so each V is sheared once
+    (``sheared``), then the translations by s_k -+ |mu|.  Each pass
+    rewrites a monomial x^e through (x + y)^e = sum_t C(e, t) x^t y^(e-t),
+    which keeps it within the bounds.
+
+    Rows are stored by degree, each after all lower ones, so two threads
+    growing one table at once only store the same rows twice.
+    """
+
+    __slots__ = ("index", "shears", "shifts", "rows", "sheared")
+
+    def __init__(self, bounds: tuple[int, int, int]) -> None:
+        monomials = _monomials(bounds)
+        self.index = {e: i for i, e in enumerate(monomials)}
+        # [(target, ((source, coefficient), ...)), ...] per shear
+        # x_i -> x_i + beta x_j, in the order the moments take them.
+        self.shears = [
+            [(target, tuple((src, comb(e, t) * beta ** (e - t)) for src, t in terms))
+             for target, e, terms in self._pass(monomials, i, j)]
+            for i, j, beta in ((2, 0, 3), (2, 1, -3), (1, 0, -2))
+        ]
+        # (variable, binomials C(e, t) for e up to its largest exponent,
+        # its pass) per translation that changes some monomial.
+        self.shifts = []
+        for i in range(3):
+            plan = self._pass(monomials, i, None)
+            if plan:
+                top = max(e for _, e, _ in plan)
+                binoms = [[comb(e, t) for t in range(e + 1)] for e in range(top + 1)]
+                self.shifts.append((i, binoms, plan))
+        one = [0] * len(monomials)
+        one[0] = 1
+        self.rows = {0: [one]}
+        self.sheared: dict[tuple[int, int], list[int]] = {}
+
+    def _pass(self, monomials, i: int, j: int | None):
+        """(target, e, ((source, t), ...)) for each monomial with exponent
+        e > 0 at x_i, the terms t = 0..e of x_i -> x_i + y: the source is
+        the monomial with x_i^t and, when y = x_j, x_j^(e - t) more."""
+        out = []
+        for mono in monomials:
+            e = mono[i]
+            if not e:
+                continue
+            terms = []
+            for t in range(e + 1):
+                src = list(mono)
+                src[i] = t
+                if j is not None:
+                    src[j] += e - t
+                terms.append((self.index[tuple(src)], t))
+            out.append((self.index[mono], e, tuple(terms)))
+        return out
+
+    def grow(self, d: int) -> None:
+        """Extend the rows through degree d, bottom-up."""
+        rows, sheared = self.rows, self.sheared
+        zero = [0] * len(self.index)
+        for n in range(len(rows), d + 1):
+            row = [zero]
+            for b in range(1, n + 1):
+                m = n - b
+                low = min(b, m)
+                v = sheared.get((m, low))
+                if v is None:
+                    v = rows[m][low]
+                    for plan in self.shears:
+                        v = _rewrite(v, plan)
+                    sheared[m, low] = v
+                s1 = b * (b - 1) // 2
+                alphas = (s1 - m, (b - 1) * b * (2 * b - 1) // 6 + m, s1 * s1 - m)
+                for i, binoms, plan in self.shifts:
+                    v = _translate(v, binoms, plan, alphas[i])
+                row.append([x + y for x, y in zip(row[-1], v)])
+            rows[n] = row
+
+
+def _rewrite(v: list[int], plan) -> list[int]:
+    """The moments after the shear ``plan``."""
+    out = list(v)
+    for target, terms in plan:
+        out[target] = sum([c * v[src] for src, c in terms])
+    return out
+
+
+def _translate(v: list[int], binoms, plan, alpha: int) -> list[int]:
+    """The moments after x_i -> x_i + alpha, for the translation ``plan``
+    of x_i: C(e, t) alpha^(e-t) times the moment with x_i^t."""
+    powers = [1]
+    for _ in range(len(binoms) - 1):
+        powers.append(powers[-1] * alpha)
+    coeffs = [[c * powers[e - t] for t, c in enumerate(row)] for e, row in enumerate(binoms)]
+    out = list(v)
+    for target, e, terms in plan:
+        row = coeffs[e]
+        out[target] = sum([row[t] * v[src] for src, t in terms])
+    return out
+
+
+# Moment tables by ``_moment_bounds``, grown in place and kept for the life
+# of the process.
+_moment_tables: dict[tuple[int, int, int], _Moments] = {}
+
+
+def _moment_table(key: tuple[int, ...], d: int) -> _Moments | None:
+    """The moment table that serves the Burnside sums of ``key`` and its
+    sub-profiles at degree d, or None when they go by the sweep.
+
+    Predicted before any work: every cycle must be at most
+    ``CONTENT_POLY_MAX_M``.  A table already grown through d whose bounds
+    hold ``key``'s serves at no cost.  Otherwise the table of ``key``'s
+    bounds does when the states still to build through d, times the terms
+    each costs (``_state_terms``), are at most ``MOMENT_TERMS_PER_PRODUCT``
+    times the products the Burnside cap counts for sweeps of every degree
+    up to d, all of which the table then serves: sum_{d' <= d} p(d') times
+    the prod (c + 1) sub-profiles.
+    """
+    if key and key[0] > CONTENT_POLY_MAX_M:
+        return None
+    bounds = _moment_bounds(key)
+    for have, table in _moment_tables.items():
+        if d in table.rows and all(h >= b for h, b in zip(have, bounds)):
+            return table
+    table = _moment_tables.get(bounds)
+    built = len(table.rows) if table else 1
+    states = (d * (d + 1) - built * (built - 1)) // 2
+    products = burnside_work(d) * prod(c + 1 for c in Counter(key).values())
+    if states * _state_terms(bounds) > MOMENT_TERMS_PER_PRODUCT * products:
+        return None
+    if table is None:
+        table = _moment_tables[bounds] = _Moments(bounds)
+    return table
+
+
+def _moment_sums(table: _Moments, key: tuple[int, ...], d: int) -> None:
+    """Store in ``_burnside_totals`` the Burnside sum at degree d of every
+    sorted sub-multiset of ``key`` (cycles 2..4, longest first), each the
+    product of the closed forms of its cycles (``characters.content_form``)
+    expanded in monomials and dotted with the content moments of the
+    partitions of d from ``table``, grown through d first; no partition is
+    visited."""
+    table.grow(d)
+    moments, index = table.rows[d][d], table.index
+    subs, plan = _sub_profiles(key)
+    forms = {m: content_form(m, d) for m in set(key)}
+    polys: list[dict[tuple[int, int, int], int]] = [{(0, 0, 0): 1}] * len(subs)
+    for i, parent, m in plan:
+        poly = {}
+        for (a, b, c), x in polys[parent].items():
+            for mono, y in zip(((a, b, c), (a + 1, b, c), (a, b + 1, c), (a, b, c + 1)),
+                               forms[m]):
+                if y:
+                    poly[mono] = poly.get(mono, 0) + x * y
+        polys[i] = poly
+    for sub, poly in zip(subs, polys):
+        _burnside_totals[sub, d] = sum(x * moments[index[mono]] for mono, x in poly.items())
+
+
 def cov_d(profile, d: int) -> Fraction:
     """Weighted number of degree-d coverings with the given branch profile:
     the sum over partitions lam of d of the product of central characters,
-    in integers (``_burnside_sums``).  The totals of the profile and of all
-    its sub-profiles at d are memoized, so a repeat of the row, or a
-    connected series or ratio of the profile through d, sweeps no
-    partitions again.  A cold row sums all prod (c + 1) sub-profiles, for
-    the multiplicities c of its cycles no longer than d: it raises
-    ResourceCapError before it sweeps when its p(d) partitions or their
-    products with the sub-profiles are over the Burnside caps.
+    in integers (``_burnside_sums``): from content moments when every
+    cycle no longer than d is at most 4 (unless a sweep is predicted to be
+    cheaper), by a sweep over the partitions of d otherwise.  The totals
+    of the profile and of all its sub-profiles at d are memoized, so a
+    repeat of the row, or a connected series or ratio of the profile
+    through d, sums nothing again.  A cold row sums all prod (c + 1)
+    sub-profiles, for the multiplicities c of its cycles no longer than d:
+    it raises ResourceCapError before any work when a sweep's p(d)
+    partitions or their products with the sub-profiles are over the
+    Burnside caps, whichever route it would take.
 
     The empty profile counts all unramified coverings, one per partition
     of d.
@@ -209,8 +448,14 @@ def cov_d(profile, d: int) -> Fraction:
 
 
 def cov_series(profile, order: int) -> QSeries:
-    """Generating series sum_d cov_d(profile) q^d, truncated."""
-    return QSeries.from_coeffs([cov_d(profile, d) for d in range(order + 1)])
+    """Generating series sum_d cov_d(profile) q^d, truncated.  The top
+    degree is summed first, so that the route chosen for it (see
+    ``_burnside_sums``) is weighed against the whole series."""
+    profile = _profile(profile)
+    if order < 0:
+        raise DomainError("order must be nonnegative")
+    coeffs = [cov_d(profile, d) for d in range(order, -1, -1)]
+    return QSeries.from_coeffs(coeffs[::-1])
 
 
 def cov_prime_series(profile, order: int) -> QSeries:
@@ -227,10 +472,12 @@ def cov_connected_series(profile, order: int) -> QSeries:
     partitions of the branch points applied to the no-unramified series.
 
     Every block of those set partitions needs the series of its sorted
-    sub-profile; all of them come from one Burnside sweep of the profile
-    per degree, and from none at the degrees where the memo already holds
-    the profile.  The Burnside caps for the profile and degrees up to
-    ``order`` are checked first.
+    sub-profile; all of them come from the Burnside sums of the profile at
+    each degree (``_burnside_sums``), and from no new work at the degrees
+    where the memo already holds the profile.  The top degree is summed
+    first, so a moment table it builds serves every lower one.  The
+    Burnside caps for the profile and degrees up to ``order`` are checked
+    first.
     """
     profile = _profile(profile)
     s = len(profile)
@@ -245,9 +492,10 @@ def cov_connected_series(profile, order: int) -> QSeries:
     ]
     keys = sorted({key for blocks in alphas for key in blocks})
     rows = []
-    for d in range(order + 1):
-        _burnside_sums(profile, d)  # the one sweep that stores every block
+    for d in range(order, -1, -1):
+        _burnside_sums(profile, d)  # the one route that stores every block
         rows.append([_burnside_sums(key, d) for key in keys])
+    rows.reverse()
     euler = euler_series(order)
     prime = {
         key: euler * QSeries.from_coeffs([row[j] for row in rows])
@@ -263,10 +511,12 @@ def cov_connected_series(profile, order: int) -> QSeries:
 
 
 def burnside_work(dmax: int) -> int:
-    """Partitions the Burnside sums for degrees 0..dmax visit: the sum of
-    p(d) over d <= dmax.  One sweep per degree serves every sub-profile of
-    a profile, so the count does not depend on the profile; the products
-    each partition costs do (``check_burnside_cap``)."""
+    """Partitions sweeps of the Burnside sums for degrees 0..dmax visit:
+    the sum of p(d) over d <= dmax.  One sweep per degree serves every
+    sub-profile of a profile, so the count does not depend on the profile;
+    the products each partition costs do (``check_burnside_cap``).  The
+    moment route visits none; its choice weighs its own predicted work
+    against these products (``_moment_table``)."""
     return sum(partition_counts(dmax, inf)[: dmax + 1])
 
 
@@ -276,7 +526,9 @@ def check_burnside_cap(dmax: int, profile: Iterable[int] = ()) -> None:
     partitions, or sum more than ``BURNSIDE_PRODUCT_CAP`` (partition,
     sub-profile) products: a sweep sums prod (c + 1) sub-profiles, for the
     multiplicities c of the cycles no longer than its degree.  Cheap for
-    any dmax and profile (``partitions.check_partition_work``)."""
+    any dmax and profile (``partitions.check_partition_work``).  The caps
+    predict the work of sweeps; rows that go through content moments do
+    less, so for them the caps are conservative."""
     _check_products(check_partition_work(dmax, BURNSIDE_WORK_CAP, "Burnside"), profile, dmax)
 
 

@@ -12,6 +12,7 @@ from stratavol.characters import (
     character,
     character_cache,
     conjugacy_class_size,
+    content_form,
     content_power_sums,
     content_prefix,
     content_value,
@@ -198,6 +199,20 @@ class TestContentPoly:
         for m in (1, CONTENT_POLY_MAX_M + 1):
             with pytest.raises(DomainError):
                 content_value(m, 8, dict.fromkeys(range(8), 0))
+
+    def test_linear_forms(self):
+        # The coefficients of each closed form give f_m from p_1, p_2, p_3,
+        # and name exactly the powers it reads.
+        for d in range(13):
+            for lam in enum_int_partitions(d):
+                p = _box_power_sums(lam, (1, 2, 3))
+                for m in range(2, CONTENT_POLY_MAX_M + 1):
+                    a = content_form(m, d)
+                    value = a[0] + a[1] * p[1] + a[2] * p[2] + a[3] * p[3]
+                    assert value == _central_by_mn(m, lam), (m, lam)
+                    assert CONTENT_POWERS[m] == tuple(k for k in (1, 2, 3) if a[k])
+        with pytest.raises(DomainError):
+            content_form(CONTENT_POLY_MAX_M + 1, 8)
 
     def test_power_sums_match_boxes(self):
         # Each power alone and every set a sweep asks for, on tables sized

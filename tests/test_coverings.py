@@ -21,8 +21,14 @@ from stratavol.coverings import (
     BRUTE_FORCE_WORK_CAP,
     BURNSIDE_PRODUCT_CAP,
     BURNSIDE_WORK_CAP,
+    _Moments,
     _burnside_sums,
     _check_sweep_cap,
+    _moment_bounds,
+    _moment_sums,
+    _moment_table,
+    _state_terms,
+    _sweep,
     CoverCountRecord,
     CoverProfile,
     asymptotic_ratio,
@@ -36,6 +42,7 @@ from stratavol.coverings import (
     cov_prime_series,
     cov_series,
 )
+from stratavol.cli import main
 from stratavol.errors import DomainError, ResourceCapError
 from stratavol.partitions import enum_int_partitions, iter_int_partitions
 from stratavol.qseries import QSeries, euler_series
@@ -123,11 +130,38 @@ class TestBurnsideRoute:
         assert cov_d((17, 9), 28) != 0
 
 
+def _cold(monkeypatch):
+    """Empty the Burnside memo and the moment tables; the process-wide ones
+    come back when the test ends."""
+    monkeypatch.setattr(stratavol.coverings, "_burnside_totals", {})
+    monkeypatch.setattr(stratavol.coverings, "_moment_tables", {})
+
+
 @pytest.fixture
 def cold_memo(monkeypatch):
-    """An empty Burnside memo for the test, the process-wide one restored
-    after it."""
-    monkeypatch.setattr(stratavol.coverings, "_burnside_totals", {})
+    """An empty Burnside memo and no moment tables for the test, the
+    process-wide ones restored after it."""
+    _cold(monkeypatch)
+
+
+def _forbid(monkeypatch, name):
+    def forbidden(*args):
+        raise AssertionError(f"{name} was called")
+
+    monkeypatch.setattr(stratavol.coverings, name, forbidden)
+
+
+def _moment_states() -> int:
+    return sum(len(row) for table in stratavol.coverings._moment_tables.values()
+               for row in table.rows.values())
+
+
+def _bench_workloads():
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", TESTS.parent / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads
 
 
 def _count_sweeps(monkeypatch) -> list[int]:
@@ -150,7 +184,9 @@ def _covering_call(kind, profile, n):
     return asymptotic_ratio(profile, n)
 
 
-MEMO_PROFILES = [(2, 2), (3, 2), (4, 3), (6, 4), (2, 2, 2)]
+# (4,)*6 goes by the sweep from degree 4 on (TestRoutes), the other short
+# profiles by content moments.
+MEMO_PROFILES = [(2, 2), (3, 2), (4, 3), (6, 4), (2, 2, 2), (4, 4, 4, 4, 4, 4)]
 MEMO_CALLS = [(kind, profile, n) for profile in MEMO_PROFILES
               for kind, n in (("cov_d", 0), ("cov_d", 6), ("cov_d", 11),
                               ("series", 9), ("ratio", 11), ("ratio", 4))]
@@ -176,14 +212,27 @@ class TestBurnsideKernel:
                 want = _burnside_by_murnaghan_nakayama(key, d) if max(key) <= d else 0
                 assert got == want, (key, d)
 
-    @pytest.mark.parametrize("profile", [(4, 3), (2, 2, 2)])
+    @pytest.mark.parametrize("profile", [(6, 4), (5, 2, 2)])
     def test_connected_series_sweeps_each_degree_once(self, profile, cold_memo, monkeypatch):
+        # Below the long cycle the degrees may go through content moments.
         degrees = _count_sweeps(monkeypatch)
         first = cov_connected_series(profile, 12)
-        assert sorted(degrees) == list(range(13))
+        assert len(set(degrees)) == len(degrees)
+        assert set(range(max(profile), 13)) <= set(degrees)
         degrees.clear()
         assert cov_connected_series(profile, 12) == first
         assert degrees == []
+
+    @pytest.mark.parametrize("profile", [(4, 3), (2, 2, 2)])
+    def test_short_connected_series_sweeps_nothing(self, profile, cold_memo, monkeypatch):
+        degrees = _count_sweeps(monkeypatch)
+        first = cov_connected_series(profile, 12)
+        assert degrees == []
+        states = _moment_states()
+        assert states > 0
+        assert cov_connected_series(profile, 12) == first
+        assert degrees == []
+        assert _moment_states() == states
 
     @pytest.mark.parametrize("profile", [(2, 2), (4, 3), (2, 2, 2)])
     def test_ratio_after_rows_sweeps_at_most_degree_zero(self, profile, cold_memo, monkeypatch):
@@ -201,14 +250,106 @@ class TestBurnsideKernel:
     def test_any_call_order_matches_a_cold_memo(self, monkeypatch):
         want = {}
         for call in MEMO_CALLS:
-            monkeypatch.setattr(stratavol.coverings, "_burnside_totals", {})
+            _cold(monkeypatch)
             want[call] = _covering_call(*call)
         for seed in range(6):
             calls = list(MEMO_CALLS)
             random.Random(seed).shuffle(calls)
-            monkeypatch.setattr(stratavol.coverings, "_burnside_totals", {})
+            _cold(monkeypatch)
             for call in calls:
                 assert _covering_call(*call) == want[call], (seed, call)
+
+
+class TestMomentRoute:
+    def test_matches_sweep_and_murnaghan_nakayama(self, monkeypatch):
+        # Every profile of 1-4 cycles from {2, 3, 4}: both routes store the
+        # same totals for its cycles that fit in d and all their
+        # sub-profiles, equal to the character sums.
+        keys = [key[::-1] for s in (1, 2, 3, 4)
+                for key in combinations_with_replacement((2, 3, 4), s)]
+        for d in range(15):
+            for key in keys:
+                fit = tuple(m for m in key if m <= d)
+                monkeypatch.setattr(stratavol.coverings, "_burnside_totals", {})
+                _moment_sums(_Moments(_moment_bounds(fit)), fit, d)
+                moments = stratavol.coverings._burnside_totals
+                monkeypatch.setattr(stratavol.coverings, "_burnside_totals", {})
+                _sweep(fit, d)
+                assert moments == stratavol.coverings._burnside_totals, (key, d)
+                assert moments[fit, d] == _burnside_by_murnaghan_nakayama(fit, d), (key, d)
+
+    def test_empty_profile_counts_partitions(self, monkeypatch):
+        for d in range(25):
+            monkeypatch.setattr(stratavol.coverings, "_burnside_totals", {})
+            _moment_sums(_Moments((0, 0, 0)), (), d)
+            assert stratavol.coverings._burnside_totals == {((), d): partition_count(d)}
+
+    def test_one_table_grown_in_place(self, cold_memo):
+        # Growing through 20 in steps gives the rows of one pass, and a
+        # table whose bounds hold a profile's serves it.
+        table = _Moments((1, 2, 2))
+        for d in (3, 11, 11, 20):
+            table.grow(d)
+        whole = _Moments((1, 2, 2))
+        whole.grow(20)
+        assert table.rows == whole.rows
+        stratavol.coverings._moment_tables[1, 2, 2] = table
+        assert _moment_table((3, 2), 20) is table
+        assert _moment_table((3, 2), 21) is not table
+
+    def test_state_terms_count_the_passes(self):
+        for bounds in [(0, 0, 0), (0, 0, 2), (0, 1, 2), (1, 2, 2), (2, 3, 5), (6, 6, 6)]:
+            table = _Moments(bounds)
+            terms = len(table.index)
+            terms += sum(len(t) for plan in table.shears for _, t in plan)
+            terms += sum(len(t) for _, _, plan in table.shifts for _, _, t in plan)
+            assert _state_terms(bounds) == terms, bounds
+
+
+class TestRoutes:
+    def test_workload_profiles_take_the_moments(self, cold_memo, monkeypatch):
+        # The benchmark's covering rows and ratios, the top row first, the
+        # same rows as covers requests, and every covers request of its CLI
+        # mix, each from cold.
+        _forbid(monkeypatch, "_sweep")
+        workloads = _bench_workloads()
+        top = workloads.COVER_DMAX
+        for profile in workloads.COVER_PROFILES:
+            _cold(monkeypatch)
+            for d in range(top, 0, -1):
+                cov_d(profile, d)
+            asymptotic_ratio(profile, top)
+        covers = [argv for argv in workloads.cli_requests()
+                  if argv[0] == "covers" and argv[1] != "1"]
+        assert len(covers) == 12
+        covers += [["covers", ",".join(map(str, profile)), "--dmax", str(top)]
+                   for profile in workloads.COVER_PROFILES]
+        for argv in covers:
+            _cold(monkeypatch)
+            assert main(argv) == 0, argv
+
+    @pytest.mark.parametrize("profile", [(5,), (6, 4), (5, 2, 2), (12, 3), (7, 5, 2)])
+    def test_long_cycles_take_the_sweep(self, profile, cold_memo, monkeypatch):
+        _forbid(monkeypatch, "_moment_sums")
+        for d in range(max(profile), 18):
+            assert _moment_table(profile, d) is None
+            cov_d(profile, d)
+
+    def test_wide_short_profile_takes_the_sweep(self, cold_memo, monkeypatch):
+        # A table for six 4-cycles carries 84 monomials at 1,176 terms a
+        # state: through degree 18 it took 39 ms against 7 ms for sweeps
+        # of every degree up to 18 (2-core Xeon, Python 3.11).
+        wide = (4,) * 6
+        assert _moment_table(wide, 18) is None
+        _forbid(monkeypatch, "_moment_sums")
+        for d in range(4, 19):
+            cov_d(wide, d)
+        assert stratavol.coverings._moment_tables == {}
+        # Grown through 17, the table needs 18 more states for degree 18.
+        table = _Moments(_moment_bounds(wide))
+        table.grow(17)
+        stratavol.coverings._moment_tables[_moment_bounds(wide)] = table
+        assert _moment_table(wide, 18) is table
 
 
 class TestBurnsideWork:
@@ -242,7 +383,8 @@ class TestRowCap:
             raise AssertionError("a partition sweep started")
 
         monkeypatch.setattr(stratavol.coverings, "iter_int_partitions", forbidden)
-        monkeypatch.setattr(stratavol.coverings, "_burnside_totals", {})
+        _forbid(monkeypatch, "_moment_sums")
+        _cold(monkeypatch)
         start = time.perf_counter()
         with pytest.raises(ResourceCapError, match="exceeds cap 1000000 partitions"):
             cov_d((2,), 10**4)
@@ -270,10 +412,7 @@ class TestRowCap:
         assert cov_d((2,), 10**4) == 5
 
     def test_rows_of_tests_and_benchmark_under_cap(self):
-        spec = importlib.util.spec_from_file_location(
-            "bench_workloads", TESTS.parent / "bench" / "workloads.py")
-        workloads = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(workloads)
+        workloads = _bench_workloads()
         rows = [(tuple(p), d) for _, p, d in workloads.cover_row_items()]
         series = [(tuple(p), d) for _, p, d in workloads.cover_ratio_items()]
         golden = json.loads((TESTS / "data" / "golden_covers.json").read_text())
@@ -324,6 +463,11 @@ class TestSeries:
     def test_connected_empty_profile_rejected(self):
         with pytest.raises(DomainError):
             cov_connected_series((), 5)
+
+    def test_negative_order_rejected(self):
+        for series in (cov_series, cov_prime_series, cov_connected_series):
+            with pytest.raises(DomainError, match="order must be nonnegative"):
+                series((2, 2), -1)
 
 
 class TestBruteForce:
@@ -411,6 +555,7 @@ class TestAsymptoticRatio:
             raise AssertionError("a partition sweep started")
 
         monkeypatch.setattr(stratavol.coverings, "iter_int_partitions", forbidden)
+        _forbid(monkeypatch, "_moment_sums")
         for call in (lambda: asymptotic_ratio((2, 2), 70),
                      lambda: cov_connected_series((4, 3), 49),
                      lambda: cov_connected_series(tuple(range(2, 14)), 20)):
