@@ -4,12 +4,15 @@ volumes of strata of holomorphic differentials.
 The pipeline: connected averages of products of power sums have a leading
 coefficient (the elementary cumulant) given by a closed sum over set
 partitions with explicit rational-times-pi-power terms, summed by the
-exponential formula over the key's multiset; a Wick-type rule reduces
-grouped averages to products of elementary cumulants over complementary set
-partitions, grown directly as trees; expanding the central character
-generators in the power-sum basis, with one Wick sum per multiset of groups,
-then yields the constant c(m), and volumes follow by a shift and a dimension
-division.  Every stage has an independent oracle.
+exponential formula over the key's multiset.  A Wick-type rule reduces
+grouped averages to products of elementary cumulants over set partitions
+complementary to the grouping, which are exactly the trees on groups and
+blocks; the sum is a rooted-tree DP over multiplicity vectors of group
+types, with no partition listed.  Expanding the central character
+generators in the power-sum basis gives each group a choice of terms,
+which the same DP makes inside one call: that yields the constant c(m),
+and volumes follow by a shift and a dimension division.  Every stage has
+an independent oracle.
 """
 
 from __future__ import annotations
@@ -26,14 +29,17 @@ from .partitions import (
     SET_PARTITION_CAP,
     IntPartition,
     SetPartition,
-    _complementary_blocks,
     iter_int_partitions,
+    partition_counts,
     set_partitions_of,
 )
 from .shifted_symmetric import f_top_expansion
 
 SERIES_ORACLE_CAP = 4
 FOREST_ORACLE_CAP = 5
+# Largest Wick tree sum (``_check_wick_work``) that wick_leading and
+# f_cumulant_leading accept: it admits every stratum up to genus 10.
+WICK_WORK_CAP = 10**5
 
 
 def _canon_key(m) -> tuple[int, ...]:
@@ -295,55 +301,150 @@ class WickLeading(Record):
     __slots__ = ("value", "hbar_exponent")  # PiScalar, int
 
 
+def _check_wick_work(counts, terms: int) -> None:
+    """Raise ResourceCapError when the Wick tree sum over groups of types
+    with multiplicities ``counts``, whose term lists hold ``terms`` entries
+    in all, would do more than WICK_WORK_CAP units of work: the sub-vector
+    count prod (c_i + 1), squared because each state sums over the
+    sub-vectors of its own vector, times the terms.  The estimate counts
+    the DP's states and splits, not the partition tables of the block keys
+    it closes."""
+    work = terms
+    for c in counts:
+        work *= (c + 1) ** 2
+    if work > WICK_WORK_CAP:
+        raise ResourceCapError(f"Wick tree sum work {work} exceeds cap {WICK_WORK_CAP}")
+
+
+def _wick_tree_sum(types, counts: tuple[int, ...]) -> Fraction:
+    """The Wick sum, divided by its pi power, over labelled groups:
+    counts[h] groups of type h, each of which picks one (lam, coeff) of
+    ``types[h]`` and contributes coeff; every part of lam is an element.
+    A set partition alpha of the elements is complementary to the grouping
+    exactly when the incidence graph with a vertex per group and per block
+    of alpha and an edge per element is a tree, and the term of alpha is
+    the product over its blocks B of the cumulant of B's parts.
+
+    The tree is rooted at one group of type 0, so each block has a parent
+    group (through one element) and each other group a parent block
+    (through one element).  Groups of the same type are interchangeable,
+    so the sums run over multiplicity vectors S of groups (tuples indexed
+    by type), with binomial factors for the choice of labels:
+
+    - ``dist(values, S)``: the groups S hang below the elements ``values``
+      of one group, in one child block per element; summed over ordered
+      splits S = T_1 + ... with weight prod_i C(S_i, T_i).
+    - ``blk(values, S)``: a block that holds ``values`` so far, with S
+      below it.  At S = 0 it closes with the cumulant of its values.
+      Otherwise the subtree holding the first group of S, of type t, is
+      chosen in C(S_t - 1, T_t - 1) prod_{i != t} C(S_i, T_i) ways; its
+      root, one of the T_h groups of type h, enters the block through a
+      part w of its term and hangs the rest of T below its other parts:
+      ``down(T)``, by w, sums T_h coeff mult_lam(w) dist(lam - w, T - e_h).
+    """
+    entries = []  # per type: (w, lam without one w, coeff * mult_lam(w))
+    for terms in types:
+        row = []
+        for lam, coeff in terms:
+            lam = tuple(lam)
+            for i, w in enumerate(lam):
+                if i == 0 or lam[i - 1] != w:
+                    row.append((w, lam[:i] + lam[i + 1:], coeff * lam.count(w)))
+        entries.append(row)
+    split_memo: dict = {}
+    dist_memo: dict = {}
+    down_memo: dict = {}
+    blk_memo: dict = {}
+
+    def splits(S):
+        out = split_memo.get(S)
+        if out is None:
+            out = []
+            for T in product(*(range(c + 1) for c in S)):
+                ways = 1
+                for c, t in zip(S, T):
+                    ways *= comb(c, t)
+                out.append((T, tuple(c - t for c, t in zip(S, T)), ways))
+            split_memo[S] = out
+        return out
+
+    def dist(values, S):
+        if not values:
+            return 0 if any(S) else 1
+        key = (values, S)
+        got = dist_memo.get(key)
+        if got is None:
+            head, rest = values[:1], values[1:]
+            if not rest:
+                got = blk(head, S)
+            else:
+                got = 0
+                for T, R, ways in splits(S):
+                    b = blk(head, T)
+                    if b:
+                        got += ways * b * dist(rest, R)
+            dist_memo[key] = got
+        return got
+
+    def down(T):
+        got = down_memo.get(T)
+        if got is None:
+            by_part: dict[int, Fraction] = {}
+            for h, row in enumerate(entries):
+                if T[h]:
+                    R = T[:h] + (T[h] - 1,) + T[h + 1:]
+                    for w, rest, weight in row:
+                        d = dist(rest, R)
+                        if d:
+                            by_part[w] = by_part.get(w, 0) + T[h] * weight * d
+            got = down_memo[T] = [(w, v) for w, v in by_part.items() if v]
+        return got
+
+    def blk(values, S):
+        if not any(S):
+            return _cumulant_over_pi(values)
+        key = (values, S)
+        got = blk_memo.get(key)
+        if got is None:
+            t = next(i for i, c in enumerate(S) if c)
+            got = 0
+            for T, R, ways in splits(S):
+                if T[t]:
+                    ways = ways * T[t] // S[t]
+                    for w, d in down(T):
+                        grown = tuple(sorted(values + (w,), reverse=True))
+                        got += ways * d * blk(grown, R)
+            blk_memo[key] = got
+        return got
+
+    below_root = (counts[0] - 1,) + tuple(counts[1:])
+    return sum((coeff * dist(tuple(lam), below_root) for lam, coeff in types[0]), Fraction(0))
+
+
 def wick_leading(groups) -> WickLeading:
     """Leading coefficient of the grouped connected average of power sums:
     the sum, over set partitions complementary to the grouping rho, of the
     product of elementary cumulants of the parts collected per block.
 
-    The complementary partitions are grown directly as trees
-    (``partitions._complementary_blocks``).  A term depends only on the
-    multiset of its sorted block keys, so the partitions are counted per
-    multiset first, and each distinct key's cumulant is looked up once per
-    call.  The accompanying exponent (sum of (part+1) over all parts,
-    minus the number of groups, plus one) is returned as metadata.  Every
-    complementary partition has n - l(rho) + 1 blocks and each block
-    cumulant carries pi^(|block| - #block + 2), so every term carries
-    pi^(sum(parts) - n + 2 (n - l(rho) + 1)): the sum is taken over
-    rationals and the pi power attached once.
+    The sum is the rooted-tree DP of ``_wick_tree_sum``, in which each
+    distinct group is a type whose only term is itself with coefficient
+    1; no complementary partition is listed.  The work cap is checked
+    before any cumulant is computed.  The accompanying exponent (sum of
+    (part+1) over all parts, minus the number of groups, plus one) is
+    returned as metadata.  Every complementary partition has n - l(rho) + 1
+    blocks and each block cumulant carries pi^(|block| - #block + 2), so
+    every term carries pi^(sum(parts) - n + 2 (n - l(rho) + 1)): the sum is
+    taken over rationals and the pi power attached once.
     """
     wg = groups if isinstance(groups, WickGroups) else WickGroups(tuple(groups))
     n = wg.n
-    if n > SET_PARTITION_CAP:
-        raise ResourceCapError(f"total part count {n} exceeds cap {SET_PARTITION_CAP}")
     parts = wg.parts
     ell = len(wg.groups)
+    kinds = sorted(set(wg.groups))
+    counts = tuple(wg.groups.count(g) for g in kinds)
+    _check_wick_work(counts, len(kinds))
+    total = _wick_tree_sum([((g, Fraction(1)),) for g in kinds], counts)
     exponent = sum(p + 1 for p in parts) - ell + 1
-
-    group_of = [j for j, g in enumerate(wg.groups) for _ in g]
-    key_of: dict[tuple[int, ...], tuple[int, ...]] = {}
-    shapes: dict[tuple[tuple[int, ...], ...], int] = {}
-    for blocks in _complementary_blocks(group_of):
-        keys = []
-        for block in blocks:
-            key = key_of.get(block)
-            if key is None:
-                key = key_of[block] = tuple(sorted((parts[x - 1] for x in block), reverse=True))
-            keys.append(key)
-        keys.sort()
-        shape = tuple(keys)
-        shapes[shape] = shapes.get(shape, 0) + 1
-    cumulants: dict[tuple[int, ...], Fraction] = {}
-    total = Fraction(0)
-    for shape, count in shapes.items():
-        term = Fraction(count)
-        for key in shape:
-            value = cumulants.get(key)
-            if value is None:
-                value = cumulants[key] = elementary_cumulant(key).coeff
-            term *= value
-            if not term:
-                break
-        total += term
     pi_pow = sum(parts) - n + 2 * (n - ell + 1)
     return WickLeading(PiScalar(total, pi_pow), exponent)
 
@@ -352,44 +453,37 @@ def f_cumulant_leading(m) -> PiScalar:
     """Leading coefficient of the connected average of the central
     character generators indexed by m: expand each generator in its
     top-weight power-sum terms, distribute multilinearly, and apply the
-    Wick rule to every choice.  Reordering the groups of a choice does not
-    change its Wick value, so the coefficients of all choices with the
-    same multiset of groups are added first and the Wick rule runs once
-    per multiset.  All choices share the same leading exponent |m| + 1,
-    which is asserted.
+    Wick rule to every choice.
 
-    The longest top-weight term of generator k has (k + 1) // 2 parts, so
-    the largest grouping is known before any expansion is computed; the
-    set-partition cap is checked against it up front.
+    The expansion sum is folded into one Wick tree sum (``_wick_tree_sum``)
+    whose types are the distinct generators k, each with the terms of
+    f_k: a group picks its term inside the DP, so no choice is listed.
+    A term of f_k has weight k + 1, so every choice carries the same pi
+    power |m| - l(m) + 2, attached once.  The work cap is checked from the
+    key alone, before any expansion or cumulant is computed: f_k has
+    p(k + 1) - p(k) top-weight terms (the partitions of k + 1 without
+    a part 1).
     """
     key = _canon_key(m)
     if key[-1] < 2:
         raise DomainError("generator indices must be >= 2")
-    most_parts = sum((k + 1) // 2 for k in key)
-    if most_parts > SET_PARTITION_CAP:
-        raise ResourceCapError(
-            f"largest grouping has {most_parts} parts, exceeds cap {SET_PARTITION_CAP}"
-        )
-    expansions = [f_top_expansion(k).terms for k in key]
-    expected_exponent = sum(key) + 1
+    kinds = sorted(set(key), reverse=True)
+    counts = tuple(key.count(k) for k in kinds)
+    _check_wick_work(counts, sum(_top_term_count(k) for k in kinds))
+    types = [f_top_expansion(k).terms for k in kinds]
+    return PiScalar(_wick_tree_sum(types, counts), sum(key) - len(key) + 2)
 
-    weights: dict[tuple[IntPartition, ...], Fraction] = {}
-    for choice in product(*expansions):
-        coeff = Fraction(1)
-        for _, c in choice:
-            coeff *= c
-        groups = tuple(sorted(lam for lam, _ in choice))
-        weights[groups] = weights.get(groups, 0) + coeff
 
-    total = PiScalar.zero()
-    for groups, coeff in weights.items():
-        wl = wick_leading(WickGroups(groups))
-        if wl.hbar_exponent != expected_exponent:
-            raise RuntimeError(
-                f"leading exponent mismatch: {wl.hbar_exponent} != {expected_exponent}"
-            )
-        total = total + wl.value * coeff
-    return total
+def _top_term_count(k: int) -> int:
+    """p(k + 1) - p(k), the number of top-weight terms of f_k, from the
+    memoized partition counts.  Those are grown at most to the first
+    count over WICK_WORK_CAP * (k + 2): p(k + 1) <= (k + 2)(p(k + 1) - p(k))
+    for k >= 2, so when the counts stop early the term count is over the
+    cap, and WICK_WORK_CAP + 1 stands in for it."""
+    counts = partition_counts(k + 1, WICK_WORK_CAP * (k + 2))
+    if len(counts) <= k + 1:
+        return WICK_WORK_CAP + 1
+    return counts[k + 1] - counts[k]
 
 
 def c_const(m) -> PiScalar:

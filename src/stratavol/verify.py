@@ -9,6 +9,7 @@ and interactive checking share a single entry point.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from itertools import product as iter_product
 from math import factorial
 
@@ -35,6 +36,8 @@ from .exact_arith import PiScalar, frak_z, pi_approx
 from .npoint import verify_theorem1_n1
 from .partitions import (
     IntPartition,
+    SetPartition,
+    enum_complementary,
     enum_int_partitions,
     enum_set_partitions,
     meet,
@@ -124,7 +127,8 @@ def suite_dual_route(nmax: int = 8) -> list[PropertyResult]:
 
 def suite_cumulant_oracles() -> list[PropertyResult]:
     """Exponential-formula cumulants against the multivariate series oracle
-    and the closed one- and two-part formulas."""
+    and the closed one- and two-part formulas, and the Wick tree DP against
+    the sum over enumerated complementary partitions."""
     out: list[PropertyResult] = []
     bad = []
     count = 0
@@ -150,7 +154,37 @@ def suite_cumulant_oracles() -> list[PropertyResult]:
             if elementary_cumulant((k, l)) != expect:
                 bad.append((k, l))
     _check(out, "two-part closed form k,l <= 6", not bad, f"mismatches: {bad}")
+
+    # Groupings of 2 or 3 groups with at most 5 parts in {1, 2}; those with
+    # an odd number of 2s vanish term by term by parity and are skipped.
+    kinds = [g for n in range(1, 5) for g in combinations_with_replacement((2, 1), n)]
+    groupings = [
+        groups for r in (2, 3) for groups in combinations_with_replacement(kinds, r)
+        if sum(map(len, groups)) <= 5 and sum(g.count(2) for g in groups) % 2 == 0
+    ]
+    bad = [g for g in groupings if wick_leading(g).value.coeff != _wick_by_enumeration(g)]
+    _check(out, f"Wick tree DP = complementary-partition sum on {len(groupings)} "
+           "groupings (2 or 3 groups, <= 5 parts in {1, 2})", not bad, f"mismatches: {bad}")
     return out
+
+
+def _wick_by_enumeration(groups) -> Fraction:
+    """The Wick sum of ``groups`` over its pi power, one product of block
+    cumulants per partition complementary to the grouping
+    (``enum_complementary``)."""
+    parts = [p for g in groups for p in g]
+    group_of = [j for j, g in enumerate(groups) for _ in g]
+    rho = SetPartition(
+        [[x + 1 for x, j in enumerate(group_of) if j == i] for i in range(len(groups))],
+        len(parts),
+    )
+    total = Fraction(0)
+    for alpha in enum_complementary(rho):
+        term = Fraction(1)
+        for block in alpha.blocks:
+            term *= elementary_cumulant([parts[x - 1] for x in block]).coeff
+        total += term
+    return total
 
 
 def suite_covering_oracles(dmax: int = 4) -> list[PropertyResult]:

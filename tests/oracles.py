@@ -16,7 +16,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from stratavol.exact_arith import frak_z_over_pi
+from stratavol.cumulants import elementary_cumulant
+from stratavol.exact_arith import PiScalar, frak_z_over_pi
+from stratavol.partitions import _complementary_blocks
 from stratavol.qseries import QSeries, euler_series
 from stratavol.shifted_symmetric import p_eval
 
@@ -178,3 +180,28 @@ def q_average_by_p_eval(mu, order: int) -> QSeries:
             acc += term
         raw.append(acc)
     return euler_series(order) * QSeries.from_coeffs(raw)
+
+
+def wick_by_complementary_trees(groups) -> PiScalar:
+    """The Wick sum of ``groups`` (a sequence of partitions whose parts are
+    the elements), one term per set partition complementary to the
+    grouping: the partitions are grown as trees by
+    ``partitions._complementary_blocks``, counted per multiset of sorted
+    block keys, and each term is the product of the blocks' elementary
+    cumulants.  Every term carries the same pi power, attached once."""
+    parts = [p for g in groups for p in g]
+    group_of = [j for j, g in enumerate(groups) for _ in g]
+    shapes: dict[tuple[tuple[int, ...], ...], int] = {}
+    for blocks in _complementary_blocks(group_of):
+        shape = tuple(sorted(
+            tuple(sorted((parts[x - 1] for x in block), reverse=True)) for block in blocks
+        ))
+        shapes[shape] = shapes.get(shape, 0) + 1
+    total = Fraction(0)
+    for shape, count in shapes.items():
+        term = Fraction(count)
+        for key in shape:
+            term *= elementary_cumulant(key).coeff
+        total += term
+    n, ell = len(parts), len(groups)
+    return PiScalar(total, sum(parts) - n + 2 * (n - ell + 1))

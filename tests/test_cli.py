@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import stratavol.cli
+import stratavol.cumulants
 import stratavol.npoint
 from stratavol.cli import main
 from stratavol.coverings import BURNSIDE_WORK_CAP, burnside_work, check_burnside_cap
@@ -67,13 +68,18 @@ class TestVolumeCommand:
         assert code == 0
         assert "8/297675*pi^6" in out
 
-    def test_set_partition_cap_exit_3_up_front(self, capsys):
+    def test_wick_work_cap_exit_3_up_front(self, capsys, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("an expansion or a cumulant was computed")
+
+        for name in ("_cumulant_over_pi", "f_top_expansion"):
+            monkeypatch.setattr(stratavol.cumulants, name, forbidden)
         start = time.perf_counter()
-        code, out, err = run_cli(capsys, "volume", "24")
+        code, out, err = run_cli(capsys, "volume", "60")
         elapsed = time.perf_counter() - start
         assert code == 3
         assert out == "" and "cap" in err
-        assert elapsed < 1.0, f"volume 24 took {elapsed:.2f} s to hit the cap"
+        assert elapsed < 1.0, f"volume 60 took {elapsed:.2f} s to hit the cap"
 
     def test_approx_annotation(self, capsys):
         code, out, _ = run_cli(capsys, "volume", "3,1", "--approx")

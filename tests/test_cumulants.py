@@ -1,10 +1,11 @@
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, product
 from math import factorial
 
 import pytest
 
 import stratavol.cumulants
+import stratavol.partitions
 from stratavol.cumulants import (
     StratumSpec,
     WickGroups,
@@ -19,9 +20,14 @@ from stratavol.cumulants import (
 )
 from stratavol.errors import DomainError, ResourceCapError
 from stratavol.exact_arith import PiScalar, frak_z
-from stratavol.partitions import SET_PARTITION_CAP, IntPartition, enum_set_partitions
+from stratavol.partitions import (
+    SET_PARTITION_CAP,
+    IntPartition,
+    enum_int_partitions,
+    enum_set_partitions,
+)
 from stratavol.shifted_symmetric import f_top_expansion
-from .oracles import cumulant_by_set_partitions
+from .oracles import cumulant_by_set_partitions, partition_count, wick_by_complementary_trees
 
 
 def keys_up_to(max_parts, max_size):
@@ -148,6 +154,23 @@ class TestForestOracle:
             t_poly_forest_oracle(SetPartition.discrete(6))
 
 
+def _groupings(entries, most):
+    """Multisets of partitions with parts in ``entries`` and at most
+    ``most`` parts in all, each as a list of descending tuples."""
+    kinds = [g for n in range(1, most + 1) for g in combinations_with_replacement(entries, n)]
+
+    def rec(start, left, acc):
+        if acc:
+            yield list(acc)
+        for i in range(start, len(kinds)):
+            if len(kinds[i]) <= left:
+                acc.append(kinds[i])
+                yield from rec(i, left - len(kinds[i]), acc)
+                acc.pop()
+
+    yield from rec(0, most, [])
+
+
 class TestWickLeading:
     def test_two_singletons(self):
         wl = wick_leading([[4], [2]])
@@ -188,6 +211,28 @@ class TestWickLeading:
         with pytest.raises(DomainError):
             WickGroups(())
 
+    @pytest.mark.parametrize("entries, most", [((1, 2), 8), ((1, 2, 3), 6)])
+    def test_dp_matches_tree_enumeration(self, entries, most):
+        # Every grouping (a multiset of partitions) with at most ``most``
+        # parts drawn from ``entries``: the DP against one term per
+        # complementary partition.
+        groupings = list(_groupings(entries, most))
+        nonzero = 0
+        for groups in groupings:
+            want = wick_by_complementary_trees(groups)
+            assert wick_leading(groups).value == want, groups
+            nonzero += not want.is_zero()
+        assert nonzero > len(groupings) // 4
+
+    def test_work_cap_checked_before_any_cumulant(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a cumulant was computed")
+
+        monkeypatch.setattr(stratavol.cumulants, "_cumulant_over_pi", forbidden)
+        # 401^2 work for 400 groups of one type
+        with pytest.raises(ResourceCapError):
+            wick_leading([[1]] * 400)
+
 
 class TestCConst:
     def test_leading_42(self):
@@ -211,47 +256,67 @@ class TestCConst:
             if (sum(m) + len(m)) % 2 == 1:
                 assert c_const(m).is_zero()
 
-    def test_one_wick_call_per_multiset_of_groups(self, monkeypatch):
-        calls = []
-        real = stratavol.cumulants.wick_leading
-
-        def counting(groups):
-            calls.append(groups.groups)
-            return real(groups)
-
-        monkeypatch.setattr(stratavol.cumulants, "wick_leading", counting)
-        key = (5, 5, 3)
-        value = f_cumulant_leading(key)
-        choices = list(product(*(f_top_expansion(k).terms for k in key)))
-        multisets = {tuple(sorted(lam for lam, _ in choice)) for choice in choices}
-        assert len(calls) == len(multisets) < len(choices)
-        assert {tuple(sorted(groups)) for groups in calls} == multisets
-        # The same sum, one Wick call per choice of terms.
+    @pytest.mark.parametrize(
+        "key", [(5, 5, 3), (4, 3, 2, 2), (3, 3, 3, 2), (4, 4, 2, 2), (3, 3, 3, 3)]
+    )
+    def test_folded_expansion_matches_oracle_wick_per_choice(self, key):
+        # The expansion sum folded into the tree DP against one
+        # enumerated Wick sum per choice of terms, times its coefficient.
+        # When |m| + l(m) is odd, as for (4,3,2,2) and (3,3,3,2), every
+        # term has a block whose cumulant vanishes by parity.
         want = PiScalar.zero()
-        for choice in choices:
+        nonzero = 0
+        for choice in product(*(f_top_expansion(k).terms for k in key)):
             coeff = Fraction(1)
             for _, c in choice:
                 coeff *= c
-            want = want + real(WickGroups(tuple(lam for lam, _ in choice))).value * coeff
-        assert value == want
+            term = wick_by_complementary_trees([lam for lam, _ in choice]) * coeff
+            nonzero += not term.is_zero()
+            want = want + term
+        assert (nonzero > 0) == ((sum(key) + len(key)) % 2 == 0)
+        assert f_cumulant_leading(key) == want
 
     def test_longest_expansion_term(self):
-        # The up-front cap check assumes the longest top-weight term of
-        # generator k has (k + 1) // 2 parts.
+        # The longest top-weight term of generator k has (k + 1) // 2 parts.
         for k in range(2, 31):
             longest = max(len(lam) for lam, _ in f_top_expansion(k).terms)
             assert longest == (k + 1) // 2, k
 
+    def test_top_term_count(self):
+        # The work cap counts the terms of f_k as p(k + 1) - p(k).
+        for k in range(2, 31):
+            want = len(f_top_expansion(k).terms)
+            assert stratavol.cumulants._top_term_count(k) == want, k
+            assert partition_count(k + 1) - partition_count(k) == want, k
+
     def test_cap_checked_before_any_cumulant(self, monkeypatch):
         def forbidden(*args, **kwargs):
-            raise AssertionError("a cumulant was computed")
+            raise AssertionError("an expansion or a cumulant was computed")
 
-        monkeypatch.setattr(stratavol.cumulants, "elementary_cumulant", forbidden)
-        monkeypatch.setattr(stratavol.cumulants, "f_top_expansion", forbidden)
-        assert (25 + 1) // 2 > SET_PARTITION_CAP
-        for key in ((25,), (5, 5, 5, 5, 3), (2,) * 13):
+        for name in ("elementary_cumulant", "_cumulant_over_pi", "f_top_expansion"):
+            monkeypatch.setattr(stratavol.cumulants, name, forbidden)
+        # f_61 and f_50 have 178,651 and 35,717 terms; 401^2 for 400 twos;
+        # 2^36 for 18 distinct generators.
+        for key in [(61,), (50,), (2,) * 400, tuple(range(2, 20))]:
             with pytest.raises(ResourceCapError):
                 c_const(key)
+
+    def test_cap_admits_genus_ten(self):
+        check = stratavol.cumulants._check_wick_work
+        for mu in enum_int_partitions(18):
+            key = [p + 1 for p in mu]
+            kinds = set(key)
+            check([key.count(k) for k in kinds],
+                  sum(partition_count(k + 1) - partition_count(k) for k in kinds))
+
+    def test_no_complementary_partition_listed(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("complementary partitions were listed")
+
+        monkeypatch.setattr(stratavol.partitions, "_complementary_blocks", forbidden)
+        assert volume((3, 2, 1, 1, 1)).volume == volume((1, 1, 1, 2, 3)).volume
+        assert not c_const((4, 3, 3, 2)).is_zero()
+        assert not wick_leading([[2, 1], [2], [1, 1]]).value.is_zero()
 
     def test_entries_below_two_rejected(self):
         with pytest.raises(DomainError):

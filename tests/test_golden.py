@@ -6,6 +6,10 @@ strata of genus 2 to 5 first, then the 42 of genus 6.
 ``data/golden_genus7_small.json`` holds the same for the 19 strata of genus
 7 with at most three zeros, written before the cumulants moved to the
 exponential formula and the Wick sum to tree growing.
+``data/golden_genus8.json`` holds the same for all 135 strata of genus 8,
+written when the Wick sum became a rooted-tree DP over group multiplicities;
+the 116 strata the tree-growing route could compute were checked identical
+to it first.
 ``data/golden_covers.json`` holds the Burnside rows ``cov_d(p, d)`` and the
 connected series coefficients for d <= 20 of 13 covering profiles, written
 before the Burnside sums of all sub-profiles were merged into one sweep per
@@ -33,6 +37,7 @@ GENUS_6 = [row for row in ROWS if sum(row["mu"]) == 10]
 GENUS_7_SMALL = json.loads(
     (Path(__file__).parent / "data" / "golden_genus7_small.json").read_text()
 )
+GENUS_8 = json.loads((Path(__file__).parent / "data" / "golden_genus8.json").read_text())
 COVERS = json.loads((Path(__file__).parent / "data" / "golden_covers.json").read_text())
 
 
@@ -68,6 +73,17 @@ def test_golden_genus_7_table_is_strata_with_at_most_three_zeros():
 
 def test_golden_genus_7_small_volumes_exact():
     for row in GENUS_7_SMALL:
+        result = volume(row["mu"])
+        assert result.volume.as_json_dict() == row["volume"], row["mu"]
+        assert result.c_const.as_json_dict() == row["c"], row["mu"]
+
+
+def test_golden_genus_8_table_is_every_stratum():
+    assert [row["mu"] for row in GENUS_8] == [list(mu) for mu in enum_int_partitions(14)]
+
+
+def test_golden_genus_8_volumes_exact():
+    for row in GENUS_8:
         result = volume(row["mu"])
         assert result.volume.as_json_dict() == row["volume"], row["mu"]
         assert result.c_const.as_json_dict() == row["c"], row["mu"]
