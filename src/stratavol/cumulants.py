@@ -37,9 +37,14 @@ from .shifted_symmetric import f_top_expansion
 
 SERIES_ORACLE_CAP = 4
 FOREST_ORACLE_CAP = 5
-# Largest Wick tree sum (``_check_wick_work``) that wick_leading and
-# f_cumulant_leading accept: it admits every stratum up to genus 10.
-WICK_WORK_CAP = 10**5
+# Largest Wick tree sum work estimate (``_check_wick_work``) that
+# wick_leading and f_cumulant_leading accept: it admits every stratum up
+# to genus 9.
+WICK_WORK_CAP = 3 * 10**9
+# Units of that work per term of a group type: expanding a term and
+# summing its DP entries takes tens of microseconds, as long as about
+# 10^4 steps of a partition table.
+TERM_WORK = 10**4
 
 
 def _canon_key(m) -> tuple[int, ...]:
@@ -301,17 +306,43 @@ class WickLeading(Record):
     __slots__ = ("value", "hbar_exponent")  # PiScalar, int
 
 
-def _check_wick_work(counts, terms: int) -> None:
+def _check_wick_work(counts, terms: int, values) -> None:
     """Raise ResourceCapError when the Wick tree sum over groups of types
-    with multiplicities ``counts``, whose term lists hold ``terms`` entries
-    in all, would do more than WICK_WORK_CAP units of work: the sub-vector
-    count prod (c_i + 1), squared because each state sums over the
-    sub-vectors of its own vector, times the terms.  The estimate counts
-    the DP's states and splits, not the partition tables of the block keys
-    it closes."""
-    work = terms
+    with multiplicities ``counts`` is estimated to do more than
+    WICK_WORK_CAP units of work.  The types' term lists hold ``terms``
+    entries in all, and ``values`` yields, per type, the set of parts its
+    terms use; it is read only when the DP's own states are under the cap.
+
+    The DP's states are multiplicity vectors below ``counts``, each summing
+    over the sub-vectors of its own: prod (c_h + 1)^2 per block key, and
+    TERM_WORK times that per term.  A block holds at most one part of each group (two would
+    close a cycle in the tree), so its key takes at most c_h parts from
+    the values of type h: at most prod C(c_h + |values_h|, c_h) keys.  The
+    partition table of a key with multiplicities k_v and L parts sums over
+    prod (k_v + 1)(k_v + 2) / 2 sub-vector pairs of up to L^3 cell
+    products; the largest such key spreads the groups evenly over the
+    values, each value up to the number of groups whose type uses it.
+    """
+    sub = 1
     for c in counts:
-        work *= (c + 1) ** 2
+        sub *= c + 1
+    work = TERM_WORK * terms * sub * sub
+    if work <= WICK_WORK_CAP:
+        keys = 1
+        room: dict[int, int] = {}
+        for c, vs in zip(counts, values):
+            keys *= comb(c + len(vs), c)
+            for v in vs:
+                room[v] = room.get(v, 0) + c
+        left = sum(counts)
+        spread = []
+        for i, r in enumerate(sorted(room.values())):
+            spread.append(min(r, left // (len(room) - i)))
+            left -= spread[-1]
+        table = sum(spread) ** 3
+        for k in spread:
+            table *= (k + 1) * (k + 2) // 2
+        work += keys * (sub * sub + table)
     if work > WICK_WORK_CAP:
         raise ResourceCapError(f"Wick tree sum work {work} exceeds cap {WICK_WORK_CAP}")
 
@@ -442,7 +473,7 @@ def wick_leading(groups) -> WickLeading:
     ell = len(wg.groups)
     kinds = sorted(set(wg.groups))
     counts = tuple(wg.groups.count(g) for g in kinds)
-    _check_wick_work(counts, len(kinds))
+    _check_wick_work(counts, len(kinds), (set(g) for g in kinds))
     total = _wick_tree_sum([((g, Fraction(1)),) for g in kinds], counts)
     exponent = sum(p + 1 for p in parts) - ell + 1
     pi_pow = sum(parts) - n + 2 * (n - ell + 1)
@@ -462,14 +493,18 @@ def f_cumulant_leading(m) -> PiScalar:
     power |m| - l(m) + 2, attached once.  The work cap is checked from the
     key alone, before any expansion or cumulant is computed: f_k has
     p(k + 1) - p(k) top-weight terms (the partitions of k + 1 without
-    a part 1).
+    a part 1), whose parts are 2, ..., k - 1 and k + 1.
     """
     key = _canon_key(m)
     if key[-1] < 2:
         raise DomainError("generator indices must be >= 2")
     kinds = sorted(set(key), reverse=True)
     counts = tuple(key.count(k) for k in kinds)
-    _check_wick_work(counts, sum(_top_term_count(k) for k in kinds))
+    _check_wick_work(
+        counts,
+        sum(_top_term_count(k) for k in kinds),
+        ({*range(2, k), k + 1} for k in kinds),
+    )
     types = [f_top_expansion(k).terms for k in kinds]
     return PiScalar(_wick_tree_sum(types, counts), sum(key) - len(key) + 2)
 
@@ -589,14 +624,15 @@ def volume(mu, cross_check: bool = False) -> VolumeResult:
     spec = mu if isinstance(mu, StratumSpec) else StratumSpec(IntPartition(mu))
     shifted = tuple(p + 1 for p in spec.mu)
     if all(p == 1 for p in spec.mu):
+        # The general route goes first so that its work cap is checked
+        # before the closed form runs.
+        general = c_const(shifted) if cross_check else None
         c_value = c_simple(spec.mu.length)
         route = ROUTE_SIMPLE
-        if cross_check:
-            general = c_const(shifted)
-            if general != c_value:
-                raise RuntimeError(
-                    f"route disagreement for mu={spec.mu}: {general} vs {c_value}"
-                )
+        if cross_check and general != c_value:
+            raise RuntimeError(
+                f"route disagreement for mu={spec.mu}: {general} vs {c_value}"
+            )
     else:
         c_value = c_const(shifted)
         route = ROUTE_GENERAL

@@ -36,8 +36,7 @@ from .exact_arith import PiScalar, frak_z, pi_approx
 from .npoint import verify_theorem1_n1
 from .partitions import (
     IntPartition,
-    SetPartition,
-    enum_complementary,
+    _complementary_blocks,
     enum_int_partitions,
     enum_set_partitions,
     meet,
@@ -155,34 +154,38 @@ def suite_cumulant_oracles() -> list[PropertyResult]:
                 bad.append((k, l))
     _check(out, "two-part closed form k,l <= 6", not bad, f"mismatches: {bad}")
 
-    # Groupings of 2 or 3 groups with at most 5 parts in {1, 2}; those with
-    # an odd number of 2s vanish term by term by parity and are skipped.
-    kinds = [g for n in range(1, 5) for g in combinations_with_replacement((2, 1), n)]
+    # Groupings of 3 groups with at most 5 parts in {1, 2}: it takes three
+    # groups for two of one type to hang below a third.  Those with an odd
+    # number of 2s vanish term by term by parity and are skipped.
+    kinds = [g for n in range(1, 4) for g in combinations_with_replacement((2, 1), n)]
     groupings = [
-        groups for r in (2, 3) for groups in combinations_with_replacement(kinds, r)
+        groups for groups in combinations_with_replacement(kinds, 3)
         if sum(map(len, groups)) <= 5 and sum(g.count(2) for g in groups) % 2 == 0
     ]
     bad = [g for g in groupings if wick_leading(g).value.coeff != _wick_by_enumeration(g)]
     _check(out, f"Wick tree DP = complementary-partition sum on {len(groupings)} "
-           "groupings (2 or 3 groups, <= 5 parts in {1, 2})", not bad, f"mismatches: {bad}")
+           "groupings (3 groups, <= 5 parts in {1, 2})", not bad, f"mismatches: {bad}")
     return out
 
 
 def _wick_by_enumeration(groups) -> Fraction:
     """The Wick sum of ``groups`` over its pi power, one product of block
-    cumulants per partition complementary to the grouping
-    (``enum_complementary``)."""
+    cumulants per partition complementary to the grouping: the partitions
+    are grown as trees by ``partitions._complementary_blocks`` and counted
+    per multiset of sorted block keys."""
     parts = [p for g in groups for p in g]
     group_of = [j for j, g in enumerate(groups) for _ in g]
-    rho = SetPartition(
-        [[x + 1 for x, j in enumerate(group_of) if j == i] for i in range(len(groups))],
-        len(parts),
-    )
+    shapes: dict[tuple[tuple[int, ...], ...], int] = {}
+    for blocks in _complementary_blocks(group_of):
+        shape = tuple(sorted(
+            tuple(sorted((parts[x - 1] for x in block), reverse=True)) for block in blocks
+        ))
+        shapes[shape] = shapes.get(shape, 0) + 1
     total = Fraction(0)
-    for alpha in enum_complementary(rho):
-        term = Fraction(1)
-        for block in alpha.blocks:
-            term *= elementary_cumulant([parts[x - 1] for x in block]).coeff
+    for shape, count in shapes.items():
+        term = Fraction(count)
+        for key in shape:
+            term *= elementary_cumulant(key).coeff
         total += term
     return total
 

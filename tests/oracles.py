@@ -16,11 +16,10 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from stratavol.cumulants import elementary_cumulant
 from stratavol.exact_arith import PiScalar, frak_z_over_pi
-from stratavol.partitions import _complementary_blocks
 from stratavol.qseries import QSeries, euler_series
 from stratavol.shifted_symmetric import p_eval
+from stratavol.verify import _wick_by_enumeration
 
 
 def partition_count(n: int) -> int:
@@ -184,24 +183,10 @@ def q_average_by_p_eval(mu, order: int) -> QSeries:
 
 def wick_by_complementary_trees(groups) -> PiScalar:
     """The Wick sum of ``groups`` (a sequence of partitions whose parts are
-    the elements), one term per set partition complementary to the
-    grouping: the partitions are grown as trees by
-    ``partitions._complementary_blocks``, counted per multiset of sorted
-    block keys, and each term is the product of the blocks' elementary
-    cumulants.  Every term carries the same pi power, attached once."""
-    parts = [p for g in groups for p in g]
-    group_of = [j for j, g in enumerate(groups) for _ in g]
-    shapes: dict[tuple[tuple[int, ...], ...], int] = {}
-    for blocks in _complementary_blocks(group_of):
-        shape = tuple(sorted(
-            tuple(sorted((parts[x - 1] for x in block), reverse=True)) for block in blocks
-        ))
-        shapes[shape] = shapes.get(shape, 0) + 1
-    total = Fraction(0)
-    for shape, count in shapes.items():
-        term = Fraction(count)
-        for key in shape:
-            term *= elementary_cumulant(key).coeff
-        total += term
-    n, ell = len(parts), len(groups)
-    return PiScalar(total, sum(parts) - n + 2 * (n - ell + 1))
+    the elements), one product of block cumulants per set partition
+    complementary to the grouping, as ``verify`` computes it
+    (``_wick_by_enumeration``), with its pi power attached."""
+    n = sum(len(g) for g in groups)
+    return PiScalar(
+        _wick_by_enumeration(groups), sum(map(sum, groups)) - n + 2 * (n - len(groups) + 1)
+    )

@@ -68,18 +68,26 @@ class TestVolumeCommand:
         assert code == 0
         assert "8/297675*pi^6" in out
 
-    def test_wick_work_cap_exit_3_up_front(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("argv", [
+        ["volume", "60"],
+        ["cconst", ",".join(["2"] * 60)],
+        ["volume", ",".join(["1"] * 60), "--cross-check"],
+    ])
+    def test_wick_work_cap_exit_3_up_front(self, capsys, monkeypatch, argv):
+        # f_61 has 178,651 terms; sixty groups of one type have few DP
+        # states but blocks of up to sixty parts, whose partition tables
+        # the cap must count.
         def forbidden(*args, **kwargs):
-            raise AssertionError("an expansion or a cumulant was computed")
+            raise AssertionError("an expansion, a cumulant or a closed form was computed")
 
-        for name in ("_cumulant_over_pi", "f_top_expansion"):
+        for name in ("_cumulant_over_pi", "f_top_expansion", "c_simple"):
             monkeypatch.setattr(stratavol.cumulants, name, forbidden)
         start = time.perf_counter()
-        code, out, err = run_cli(capsys, "volume", "60")
+        code, out, err = run_cli(capsys, *argv)
         elapsed = time.perf_counter() - start
         assert code == 3
         assert out == "" and "cap" in err
-        assert elapsed < 1.0, f"volume 60 took {elapsed:.2f} s to hit the cap"
+        assert elapsed < 1.0, f"{argv[0]} took {elapsed:.2f} s to hit the cap"
 
     def test_approx_annotation(self, capsys):
         code, out, _ = run_cli(capsys, "volume", "3,1", "--approx")
