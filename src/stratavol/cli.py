@@ -25,10 +25,11 @@ from .coverings import (
     cov_connected_series,
     cov_d,
 )
-from .cumulants import c_const, c_simple, elementary_cumulant, volume
+from .cumulants import SIMPLE_WORK_CAP, c_const, c_simple, elementary_cumulant, volume
 from .errors import DomainError, ResourceCapError
 from .exact_arith import PiScalar
 from .npoint import EvaluatedPoint, verify_theorem1_n1
+from .partitions import check_partition_work
 from .shifted_symmetric import f_top_expansion
 from .verify import run_suite
 
@@ -176,6 +177,7 @@ def cmd_covers(args) -> int:
 def cmd_simple_table(args) -> int:
     if args.nmax < 1:
         raise DomainError(f"--nmax must be >= 1, got {args.nmax}")
+    check_partition_work((args.nmax + 2) // 2, SIMPLE_WORK_CAP, "simple-branching")
     rows = [(n, c_simple(n)) for n in range(1, args.nmax + 1)]
     fmt = args.output or "csv"
     if fmt == "json":

@@ -17,11 +17,11 @@ be cheaper than the table states it would add, one sweep over the
 partitions of the degree evaluates each cycle length once per partition:
 closed forms for short cycles, rim-hook residues for long ones.
 
-Connected counts come from the all-coverings series by inclusion-exclusion
-over set partitions of the branch points.  Either route serves every
-sub-profile those set partitions need, and its totals are memoized for the
-life of the process, so no degree is summed twice for the same
-sub-profile.
+Connected counts come from the all-coverings series by the exponential
+formula over sub-multisets of the branch points, in integers
+(``cov_connected_series``).  Either route serves every sub-profile those
+sub-multisets need, and its totals are memoized for the life of the
+process, so no degree is summed twice for the same sub-profile.
 """
 
 from __future__ import annotations
@@ -47,9 +47,8 @@ from .partitions import (
     IntPartition,
     check_partition_work,
     iter_int_partitions,
-    mobius_coeff,
     partition_counts,
-    set_partitions_of,
+    vector_splits,
 )
 from .qseries import QSeries, euler_series
 
@@ -468,46 +467,69 @@ def cov_prime_series(profile, order: int) -> QSeries:
 
 
 def cov_connected_series(profile, order: int) -> QSeries:
-    """Series counting connected coverings, by inclusion-exclusion over set
-    partitions of the branch points applied to the no-unramified series.
+    """Series counting connected coverings, from the no-unramified series
+    by the exponential formula over sub-multisets of the branch points.
 
-    Every block of those set partitions needs the series of its sorted
-    sub-profile; all of them come from the Burnside sums of the profile at
-    each degree (``_burnside_sums``), and from no new work at the degrees
-    where the memo already holds the profile.  The top degree is summed
-    first, so a moment table it builds serves every lower one.  The
-    Burnside caps for the profile and degrees up to ``order`` are checked
-    first.
+    A covering without unramified components is a disjoint union of
+    connected ones, each holding a block of the labelled points, and a
+    block's series depends only on its sorted sub-profile.  So
+    prime(b) = sum ways conn(T) prime(b - T) over the blocks T holding
+    the first point (``partitions.vector_splits``), solved for conn(b)
+    for every sub-multiplicity vector b in order of |b|, in integers.
+
+    The Burnside caps are checked first.  A cycle longer than ``order``
+    leaves no connected covering through that order, so the series is
+    zero with no more work.  Otherwise the blocks' series come from the
+    Burnside sums of the profile at each degree, top degree first so
+    that a moment table it builds serves every lower one.
     """
     profile = _profile(profile)
-    s = len(profile)
-    if s < 1:
+    if not profile:
         raise DomainError("connected counts need at least one branch point")
     if order < 0:
         raise DomainError("order must be nonnegative")
     check_burnside_cap(order, profile)
-    alphas = [
-        [tuple(sorted(profile[i] for i in block)) for block in alpha]
-        for alpha in set_partitions_of(range(s))
-    ]
-    keys = sorted({key for blocks in alphas for key in blocks})
-    rows = []
+    if max(profile) > order:
+        return QSeries.zero(order)
     for d in range(order, -1, -1):
         _burnside_sums(profile, d)  # the one route that stores every block
-        rows.append([_burnside_sums(key, d) for key in keys])
-    rows.reverse()
-    euler = euler_series(order)
-    prime = {
-        key: euler * QSeries.from_coeffs([row[j] for row in rows])
-        for j, key in enumerate(keys)
-    }
-    total = QSeries.zero(order)
-    for blocks in alphas:
-        prod = QSeries.one(order)
-        for key in blocks:
-            prod = prod * prime[key]
-        total = total + mobius_coeff(len(blocks)) * prod
-    return total
+    euler = _lead([int(c) for c in euler_series(order).coeffs])
+    lengths = sorted(set(profile), reverse=True)
+    counts = tuple(profile.count(m) for m in lengths)
+    vectors = sorted((T for T, _, _ in vector_splits(counts)), key=sum)
+    prime: dict[tuple[int, ...], tuple[int, list[int]]] = {}
+    conn: dict[tuple[int, ...], tuple[int, list[int]]] = {}
+    for b in vectors[1:]:
+        key = tuple(m for m, k in zip(lengths, b) for _ in range(k))
+        raw = [_burnside_sums(key, d) for d in range(order + 1)]
+        prime[b] = _lead(_product_into([0] * (order + 1), 1, euler, _lead(raw)))
+        total = list(prime[b][1])
+        for T, R, ways in vector_splits(b, True):
+            if any(R):
+                _product_into(total, -ways, conn[T], prime[R])
+        conn[b] = _lead(total)
+    return QSeries.from_coeffs(conn[counts][1])
+
+
+def _lead(x: list[int]) -> tuple[int, list[int]]:
+    """A truncated integer series with the degree of its first nonzero
+    coefficient (its length when there is none)."""
+    return next((i for i, v in enumerate(x) if v), len(x)), x
+
+
+def _product_into(out: list[int], scale: int, x, y) -> list[int]:
+    """Add scale * x * y, truncated to the length of ``out``, to ``out``,
+    for series x and y given as ``_lead`` pairs: degrees below their
+    first nonzero coefficients are skipped."""
+    n = len(out)
+    (low_x, x), (low_y, y) = x, y
+    for i in range(low_x, n - low_y):
+        a = x[i]
+        if a:
+            a *= scale
+            for j in range(low_y, n - i):
+                out[i + j] += a * y[j]
+    return out
 
 
 def burnside_work(dmax: int) -> int:

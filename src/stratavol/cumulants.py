@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations
 from math import comb, factorial
 
 from . import mvpoly
@@ -29,9 +29,11 @@ from .partitions import (
     SET_PARTITION_CAP,
     IntPartition,
     SetPartition,
+    check_partition_work,
     iter_int_partitions,
     partition_counts,
     set_partitions_of,
+    vector_splits,
 )
 from .shifted_symmetric import f_top_expansion
 
@@ -45,6 +47,11 @@ WICK_WORK_CAP = 3 * 10**9
 # summing its DP entries takes tens of microseconds, as long as about
 # 10^4 steps of a partition table.
 TERM_WORK = 10**4
+# Most partitions p(0) + ... + p((n + 2) / 2) (``check_partition_work``)
+# that c_simple(n), or a simple-table up to n, may be sized by: n up to
+# 63.  On a 2-core Xeon with Python 3.11, the slowest admitted request,
+# `simple-table --nmax 63`, takes about 3 s; c_simple(62) alone 0.7 s.
+SIMPLE_WORK_CAP = 5 * 10**4
 
 
 def _canon_key(m) -> tuple[int, ...]:
@@ -114,9 +121,8 @@ def _partition_table(key: tuple[int, ...]) -> dict[tuple[int, int], Fraction]:
 
     Indices with equal entries are interchangeable, so the sum runs over
     sub-multiplicity vectors of the key (the exponential formula): the
-    block holding the first remaining index, of type b within the
-    remaining c, is chosen in C(c_0 - 1, b_0 - 1) prod_{i>0} C(c_i, b_i)
-    ways, c_0 being the first nonzero count.
+    block holding the first remaining index is chosen by
+    ``partitions.vector_splits``.
     """
     values = sorted(set(key), reverse=True)
     top = len(key) - 2
@@ -127,21 +133,13 @@ def _partition_table(key: tuple[int, ...]) -> dict[tuple[int, int], Fraction]:
             return {(0, 0): Fraction(1)}
         if counts in memo:
             return memo[counts]
-        first = next(i for i, c in enumerate(counts) if c)
-        choices = [range(c + 1) for c in counts]
-        choices[first] = range(1, counts[first] + 1)
         out: dict[tuple[int, int], Fraction] = {}
-        for block in product(*choices):
-            ways = comb(counts[first] - 1, block[first] - 1)
-            for i, (c, b) in enumerate(zip(counts, block)):
-                if i != first:
-                    ways *= comb(c, b)
+        for block, rest, ways in vector_splits(counts, True):
             series = _block_series(
                 sum(b * v for b, v in zip(block, values)), sum(block)
             )
             weighted = [(d, ways * g) for d, g in enumerate(series[: top + 1]) if g]
-            rest = table(tuple(c - b for c, b in zip(counts, block)))
-            for (ell, degree), value in rest.items():
+            for (ell, degree), value in table(rest).items():
                 for d, g in weighted:
                     if degree + d <= top:
                         cell = (ell + 1, degree + d)
@@ -364,11 +362,13 @@ def _wick_tree_sum(types, counts: tuple[int, ...]) -> Fraction:
 
     - ``dist(values, S)``: the groups S hang below the elements ``values``
       of one group, in one child block per element; summed over ordered
-      splits S = T_1 + ... with weight prod_i C(S_i, T_i).
+      splits S = T_1 + ... with weight prod_i C(S_i, T_i)
+      (``partitions.vector_splits``).
     - ``blk(values, S)``: a block that holds ``values`` so far, with S
       below it.  At S = 0 it closes with the cumulant of its values.
       Otherwise the subtree holding the first group of S, of type t, is
-      chosen in C(S_t - 1, T_t - 1) prod_{i != t} C(S_i, T_i) ways; its
+      chosen in C(S_t - 1, T_t - 1) prod_{i != t} C(S_i, T_i) ways (the
+      first-block splits of ``vector_splits``); its
       root, one of the T_h groups of type h, enters the block through a
       part w of its term and hangs the rest of T below its other parts:
       ``down(T)``, by w, sums T_h coeff mult_lam(w) dist(lam - w, T - e_h).
@@ -382,22 +382,9 @@ def _wick_tree_sum(types, counts: tuple[int, ...]) -> Fraction:
                 if i == 0 or lam[i - 1] != w:
                     row.append((w, lam[:i] + lam[i + 1:], coeff * lam.count(w)))
         entries.append(row)
-    split_memo: dict = {}
     dist_memo: dict = {}
     down_memo: dict = {}
     blk_memo: dict = {}
-
-    def splits(S):
-        out = split_memo.get(S)
-        if out is None:
-            out = []
-            for T in product(*(range(c + 1) for c in S)):
-                ways = 1
-                for c, t in zip(S, T):
-                    ways *= comb(c, t)
-                out.append((T, tuple(c - t for c, t in zip(S, T)), ways))
-            split_memo[S] = out
-        return out
 
     def dist(values, S):
         if not values:
@@ -410,7 +397,7 @@ def _wick_tree_sum(types, counts: tuple[int, ...]) -> Fraction:
                 got = blk(head, S)
             else:
                 got = 0
-                for T, R, ways in splits(S):
+                for T, R, ways in vector_splits(S):
                     b = blk(head, T)
                     if b:
                         got += ways * b * dist(rest, R)
@@ -437,14 +424,11 @@ def _wick_tree_sum(types, counts: tuple[int, ...]) -> Fraction:
         key = (values, S)
         got = blk_memo.get(key)
         if got is None:
-            t = next(i for i, c in enumerate(S) if c)
             got = 0
-            for T, R, ways in splits(S):
-                if T[t]:
-                    ways = ways * T[t] // S[t]
-                    for w, d in down(T):
-                        grown = tuple(sorted(values + (w,), reverse=True))
-                        got += ways * d * blk(grown, R)
+            for T, R, ways in vector_splits(S, True):
+                for w, d in down(T):
+                    grown = tuple(sorted(values + (w,), reverse=True))
+                    got += ways * d * blk(grown, R)
             blk_memo[key] = got
         return got
 
@@ -546,10 +530,12 @@ def c_simple(n: int) -> PiScalar:
     with l the number of parts and kappa! the product of multiplicity
     factorials.  The even partitions are the doubled partitions of
     (n + 2) / 2, and every term carries pi^(n + 2).  Vanishes for odd n,
-    where no such partition exists.
+    where no such partition exists.  Raises ResourceCapError before any
+    term when the partitions up to (n + 2) / 2 are over SIMPLE_WORK_CAP.
     """
     if n < 1:
         raise DomainError(f"need at least one branch point, got {n}")
+    check_partition_work((n + 2) // 2, SIMPLE_WORK_CAP, "simple-branching")
     if n % 2 == 1:
         return PiScalar.zero()
     total = Fraction(0)

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import threading
 from bisect import bisect_right
-from math import factorial
+from functools import lru_cache
+from itertools import product
+from math import comb, factorial
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DomainError, Record, ResourceCapError
@@ -437,3 +439,33 @@ def mobius_coeff(l: int) -> int:
         raise DomainError("block count must be >= 1")
     sign = 1 if l % 2 == 1 else -1
     return sign * factorial(l - 1)
+
+
+# ---------------------------------------------------------------------------
+# Splits of multiplicity vectors
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=256)
+def vector_splits(counts: tuple[int, ...], first_block: bool = False) -> tuple:
+    """Every split counts = T + R of a multiplicity vector, as (T, R, ways).
+
+    For labelled elements, counts[i] of kind i, ways = prod C(c_i, T_i)
+    sub-multisets have type T.  With ``first_block``, only the T holding
+    the first element, of the first nonzero kind f, with ways
+    C(c_f - 1, T_f - 1) prod_{i != f} C(c_i, T_i): the recursion of the
+    exponential formula, whole(c) = sum ways conn(T) whole(R).  Only the
+    splits of the 256 vectors used last are kept, which bounds the memory
+    of a connected covering series that visits thousands of vectors once
+    each (an unbounded cache took 658 MiB on 13 distinct cycles).
+    """
+    if first_block:
+        f = next(i for i, c in enumerate(counts) if c)
+        return tuple((T, R, ways * T[f] // counts[f])
+                     for T, R, ways in vector_splits(counts) if T[f])
+    out = []
+    for T in product(*(range(c + 1) for c in counts)):
+        ways = 1
+        for c, t in zip(counts, T):
+            ways *= comb(c, t)
+        out.append((T, tuple(c - t for c, t in zip(counts, T)), ways))
+    return tuple(out)

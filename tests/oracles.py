@@ -8,7 +8,9 @@ partitions through recursive insertion, integer partitions through
 largest-part-first recursion, elementary cumulants through one term per set
 partition of the key instead of the library's exponential formula, power-sum
 q-averages through a product of rational ``p_eval`` values per partition
-instead of the library's integer sum.
+instead of the library's integer sum, connected covering series through
+inclusion-exclusion over set partitions of the branch points instead of the
+library's exponential formula over sub-multiplicity vectors.
 """
 
 from __future__ import annotations
@@ -16,7 +18,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
+from stratavol.coverings import cov_prime_series
 from stratavol.exact_arith import PiScalar, frak_z_over_pi
+from stratavol.partitions import mobius_coeff, set_partitions_of
 from stratavol.qseries import QSeries, euler_series
 from stratavol.shifted_symmetric import p_eval
 from stratavol.verify import _wick_by_enumeration
@@ -190,3 +194,22 @@ def wick_by_complementary_trees(groups) -> PiScalar:
     return PiScalar(
         _wick_by_enumeration(groups), sum(map(sum, groups)) - n + 2 * (n - len(groups) + 1)
     )
+
+
+def connected_by_set_partitions(profile, order: int) -> QSeries:
+    """The connected covering series of ``profile`` by inclusion-exclusion
+    over the set partitions alpha of its branch points: the sum of
+    (-1)^(l-1) (l-1)! times the product of the no-unramified series of
+    the blocks, as ``QSeries`` over rationals."""
+    profile = tuple(profile)
+    prime: dict[tuple[int, ...], QSeries] = {}
+    total = QSeries.zero(order)
+    for alpha in set_partitions_of(range(len(profile))):
+        term = QSeries.one(order)
+        for block in alpha:
+            key = tuple(sorted(profile[i] for i in block))
+            if key not in prime:
+                prime[key] = cov_prime_series(key, order)
+            term = term * prime[key]
+        total = total + mobius_coeff(len(alpha)) * term
+    return total

@@ -14,6 +14,7 @@ import stratavol.cumulants
 import stratavol.npoint
 from stratavol.cli import main
 from stratavol.coverings import BURNSIDE_WORK_CAP, burnside_work, check_burnside_cap
+from stratavol.cumulants import SIMPLE_WORK_CAP
 from stratavol.errors import ResourceCapError
 from stratavol.npoint import NPOINT_WORK_CAP
 from stratavol.partitions import check_partition_work
@@ -25,6 +26,9 @@ TESTS = Path(__file__).resolve().parent
 OVER_CAP_DMAX = 70
 # Likewise the npoint-check order that the one-point work cap must refuse.
 OVER_CAP_ORDER = 80
+# And the simple points (of `volume` and `simple-table --nmax`) that the
+# simple-branching work cap must refuse.
+OVER_CAP_SIMPLE = 100
 
 
 def _bench_cli_pool() -> dict[str, list[list[str]]]:
@@ -223,6 +227,17 @@ class TestCoversCommand:
         assert code == 0
         assert out.splitlines()[1:] == [wide + ",22,23,24,25;1;all;0"]
 
+    def test_connected_cycles_longer_than_dmax_exit_fast(self, capsys):
+        # Ten distinct cycles, or twelve transpositions, all longer than
+        # the degree: zero at once, where inclusion-exclusion over set
+        # partitions of the points would sum Bell(10) or Bell(12) terms.
+        for profile in (",".join(map(str, range(2, 12))), ",".join(["2"] * 12)):
+            start = time.perf_counter()
+            code, out, _ = run_cli(capsys, "covers", profile, "--connected", "--dmax", "1")
+            assert time.perf_counter() - start < 1.0
+            assert code == 0
+            assert out.splitlines()[1:] == [f"{profile};1;connected;0"]
+
     def test_requests_under_burnside_cap(self):
         # Every covers request of the benchmark's CLI mix and of these
         # tests; the acceptance suites call the library, not the CLI.
@@ -247,6 +262,38 @@ class TestSimpleTable:
         assert lines[1] == "1;0;1;0"
         assert lines[2] == "2;1;270;4"
         assert lines[4] == "4;1;9720;6"
+
+    @pytest.mark.parametrize("argv", [
+        ["simple-table", "--nmax", str(OVER_CAP_SIMPLE)],
+        ["volume", ",".join(["1"] * OVER_CAP_SIMPLE)],
+    ])
+    def test_simple_work_cap_exit_3_up_front(self, capsys, monkeypatch, argv):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a partition was listed")
+
+        monkeypatch.setattr(stratavol.cumulants, "iter_int_partitions", forbidden)
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        assert out == "" and "simple-branching work" in err
+
+    def test_requests_under_simple_cap(self):
+        # Every simple-table and all-ones volume of the benchmark's CLI
+        # mix, every literal --nmax and run of ones in these tests, and
+        # the dual-route suite's eight points.
+        pool = _bench_cli_pool()
+        points = [int(argv[-1]) for argv in pool["simple_table"]]
+        points += [len(argv[1].split(",")) for argv in pool["volume"]
+                   if set(argv[1].split(",")) == {"1"}]
+        request = re.compile(r'"simple-table", "--nmax", "(\d+)"|\["1"\] \* (\d+)|\(1,\) \* (\d+)')
+        tested = [int(n) for path in sorted(TESTS.glob("test_*.py"))
+                  for match in request.findall(path.read_text()) for n in match if n]
+        assert max(points) >= 8 and max(tested) >= 14
+        for n in points + tested + [8]:
+            check_partition_work((n + 2) // 2, SIMPLE_WORK_CAP, "simple-branching")
+        with pytest.raises(ResourceCapError):
+            check_partition_work((OVER_CAP_SIMPLE + 2) // 2, SIMPLE_WORK_CAP, "simple-branching")
 
     def test_empty_request_exit_2(self, capsys):
         for nmax in ("-2", "0"):

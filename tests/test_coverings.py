@@ -17,6 +17,7 @@ from stratavol.characters import (
     dimension,
 )
 import stratavol.coverings
+import stratavol.partitions
 from stratavol.coverings import (
     BRUTE_FORCE_WORK_CAP,
     BURNSIDE_PRODUCT_CAP,
@@ -48,7 +49,7 @@ from stratavol.partitions import enum_int_partitions, iter_int_partitions
 from stratavol.qseries import QSeries, euler_series
 from stratavol.shifted_symmetric import q_average
 
-from .oracles import partition_count
+from .oracles import connected_by_set_partitions, partition_count
 
 TESTS = Path(__file__).resolve().parent
 
@@ -468,6 +469,55 @@ class TestSeries:
         for series in (cov_series, cov_prime_series, cov_connected_series):
             with pytest.raises(DomainError, match="order must be nonnegative"):
                 series((2, 2), -1)
+
+
+GOLDEN_COVERS = json.loads((TESTS / "data" / "golden_covers.json").read_text())
+# Every sorted profile of one to four cycles of lengths 2..5.
+SMALL_PROFILES = [profile for s in range(1, 5)
+                  for profile in combinations_with_replacement(range(2, 6), s)]
+
+
+class TestConnectedSeries:
+    def test_matches_set_partition_oracle_on_small_profiles(self):
+        for profile in SMALL_PROFILES:
+            want = connected_by_set_partitions(profile, 12)
+            assert cov_connected_series(profile, 12) == want, profile
+
+    @pytest.mark.parametrize("key", sorted(GOLDEN_COVERS["profiles"]))
+    def test_matches_set_partition_oracle_on_golden_profiles(self, key):
+        profile = tuple(int(m) for m in key.split(","))
+        dmax = GOLDEN_COVERS["dmax"]
+        assert cov_connected_series(profile, dmax) == connected_by_set_partitions(profile, dmax)
+
+    def test_no_set_partition_is_listed(self, cold_memo, monkeypatch):
+        profiles = [(2, 2, 2, 2), (5, 3, 2), (3, 3, 3), (4, 3, 2, 2)]
+        want = [connected_by_set_partitions(profile, 14) for profile in profiles]
+
+        def forbidden(*args):
+            raise AssertionError("a set partition or a Mobius coefficient was used")
+
+        for name in ("set_partitions_of", "mobius_coeff"):
+            monkeypatch.setattr(stratavol.partitions, name, forbidden)
+            monkeypatch.setattr(stratavol.coverings, name, forbidden, raising=False)
+        assert [cov_connected_series(profile, 14) for profile in profiles] == want
+
+    def test_eight_points_to_order_108_under_a_second(self, cold_memo, monkeypatch):
+        # Inclusion-exclusion would multiply rational series for each of
+        # the Bell(8) = 4,140 set partitions of the points.  Order 108 is
+        # past the Burnside caps, which are lifted here.
+        monkeypatch.setattr(stratavol.coverings, "BURNSIDE_WORK_CAP", 10**15)
+        monkeypatch.setattr(stratavol.coverings, "BURNSIDE_PRODUCT_CAP", 10**18)
+        start = time.perf_counter()
+        series = cov_connected_series((2,) * 8, 108)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 1.0, f"took {elapsed:.2f} s"
+        assert series.coeffs[:21] == cov_connected_series((2,) * 8, 20).coeffs
+        assert series.coefficient(108) > 0
+
+    def test_cycle_longer_than_order_gives_zero_without_work(self, monkeypatch):
+        _forbid(monkeypatch, "_burnside_sums")
+        for profile, order in [((2,) * 12, 1), (tuple(range(2, 12)), 1), ((7, 2), 6)]:
+            assert cov_connected_series(profile, order).is_zero()
 
 
 class TestBruteForce:

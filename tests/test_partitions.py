@@ -25,6 +25,7 @@ from stratavol.partitions import (
     mobius_coeff,
     partition_counts,
     set_partitions_of,
+    vector_splits,
 )
 
 from .oracles import (
@@ -263,6 +264,45 @@ class TestComplementary:
                     [[perm[x - 1] for x in b] for b in rho.blocks], n
                 )
                 assert len(enum_complementary(rho)) == len(enum_complementary(relabeled))
+
+
+class TestVectorSplits:
+    COUNTS = [(1,), (4,), (2, 1), (0, 3), (2, 0, 2), (1, 1, 1, 1), (3, 2, 1)]
+
+    def test_ways_count_labelled_subsets(self):
+        # Elements are listed kind by kind, so the first element is of the
+        # first nonzero kind.
+        for counts in self.COUNTS:
+            kinds = [i for i, c in enumerate(counts) for _ in range(c)]
+            n = len(kinds)
+            every: dict = {}
+            first: dict = {}
+            for mask in range(1 << n):
+                T = [0] * len(counts)
+                for x in range(n):
+                    if mask >> x & 1:
+                        T[kinds[x]] += 1
+                every[tuple(T)] = every.get(tuple(T), 0) + 1
+                if mask & 1:
+                    first[tuple(T)] = first.get(tuple(T), 0) + 1
+            for want, flag in ((every, False), (first, True)):
+                got = vector_splits(counts, flag)
+                assert {T: ways for T, _, ways in got} == want, (counts, flag)
+                assert all(tuple(t + r for t, r in zip(T, R)) == counts for T, R, _ in got)
+
+    def test_first_block_recursion_counts_set_partitions(self):
+        # With one connected structure per block, whole(c) = Bell(|c|).
+        for counts in self.COUNTS:
+            memo = {}
+
+            def whole(c):
+                if not any(c):
+                    return 1
+                if c not in memo:
+                    memo[c] = sum(ways * whole(R) for _, R, ways in vector_splits(c, True))
+                return memo[c]
+
+            assert whole(counts) == bell_number(sum(counts)), counts
 
 
 class TestMobius:
