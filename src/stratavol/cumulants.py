@@ -11,8 +11,12 @@ blocks; the sum is a rooted-tree DP over multiplicity vectors of group
 types, with no partition listed.  Expanding the central character
 generators in the power-sum basis gives each group a choice of terms,
 which the same DP makes inside one call: that yields the constant c(m),
-and volumes follow by a shift and a dimension division.  Every stage has
-an independent oracle.
+and volumes follow by a shift and a dimension division.  Every rational
+of the partition tables and the DP is a product of frak_z values, whose
+denominators divide products of Bernoulli denominators, so both sum in
+Python ints scaled by one common denominator per call
+(``_common_denominator``) and build one Fraction at the end.  Every stage
+has an independent oracle.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 from . import mvpoly
 from .errors import DomainError, Record, ResourceCapError
@@ -43,9 +47,10 @@ FOREST_ORACLE_CAP = 5
 # wick_leading and f_cumulant_leading accept: it admits every stratum up
 # to genus 9.
 WICK_WORK_CAP = 3 * 10**9
-# Units of that work per term of a group type: expanding a term and
-# summing its DP entries takes tens of microseconds, as long as about
-# 10^4 steps of a partition table.
+# Units of that work per term of a group type.  On a 2-core Xeon with
+# Python 3.11, summing a term's DP entries in integers takes about 15
+# microseconds and expanding it (f_top_expansion) about 45; 10^4
+# estimated steps of a partition table take 10 to 30.
 TERM_WORK = 10**4
 # Most partitions p(0) + ... + p((n + 2) / 2) (``check_partition_work``)
 # that c_simple(n), or a simple-table up to n, may be sized by: n up to
@@ -74,10 +79,10 @@ def elementary_cumulant(m) -> PiScalar:
         g_B(t) = |m_B|! sum_d frak_z(|m_B| - #B - d + 1) t^d / d!.
 
     The terms with l >= 2 are summed by the exponential formula over the
-    key's multiset (``_partition_table``), not partition by partition.
-    Every term carries pi^(|m| - n + 2), so the sum is taken over rationals
-    and memoized on the sorted key; the key is validated and the cap
-    checked on every call.
+    key's multiset (``_partition_table``), not partition by partition, in
+    integers over one common denominator.  Every term carries
+    pi^(|m| - n + 2), so the sum is a rational, memoized on the sorted
+    key; the key is validated and the cap checked on every call.
     """
     key = _canon_key(m)
     n = len(key)
@@ -92,62 +97,100 @@ def elementary_cumulant(m) -> PiScalar:
 def _cumulant_over_pi(key: tuple[int, ...]) -> Fraction:
     """elementary_cumulant(key) divided by its pi power: the one-block term
     plus sum over l >= 2 of (-1)^(l-1) (l-2)! [u^l t^(l-2)] of the
-    partition table."""
+    partition table, whose cells of l blocks are scaled by Q^l for the
+    common denominator Q of the key; one division by Q^n at the end."""
     n = len(key)
     total_size = sum(key)
-    result = factorial(total_size) * frak_z_over_pi(total_size - n + 2)
-    for (ell, degree), value in _partition_table(key).items():
-        if ell >= 2 and degree == ell - 2:
-            sign = 1 if ell % 2 == 1 else -1
-            result += sign * factorial(ell - 2) * value
-    return result
+    top = total_size - n + 2
+    scale = _common_denominator(top)
+    rows = _partition_table(key, scale)
+    numerator = 0
+    for ell in range(2, n + 1):
+        sign = 1 if ell % 2 == 1 else -1
+        numerator += sign * factorial(ell - 2) * rows[ell][ell - 2] * scale ** (n - ell)
+    return factorial(total_size) * frak_z_over_pi(top) + Fraction(numerator, scale**n)
 
 
 @lru_cache(maxsize=None)
-def _block_series(size: int, parts: int) -> tuple[Fraction, ...]:
-    """Coefficients of g_B(t) by degree d, for a block of ``parts`` indices
-    whose entries sum to ``size``; frak_z vanishes beyond degree
-    size - parts + 1."""
+def _common_denominator(top: int) -> int:
+    """The least Q such that Q (j - 1)! frak_z(j) is an integer for every
+    j <= top.  That value is +-(2^j - 2) B_j / j, so Q is made of the odd
+    primes p with p - 1 | j (von Staudt-Clausen) and factors of j.
+
+    For a key m with n parts and top = |m| - n + 2 it clears every block
+    series (``_block_series``): a block of p parts summing to s has
+    s! frak_z(j) / d! = C(s, d) (s - d)! / (j - 1)! * (j - 1)! frak_z(j)
+    with j = s - p + 1 - d, so s - d >= j - 1, and j <= |m| - n + 1.  The
+    one-block term |m|! frak_z(top) is cleared as well, so the cumulant
+    of m times Q^n is an integer.  Q(top) divides Q(top') for top <= top'.
+    """
+    return lcm(*(
+        (factorial(j - 1) * frak_z_over_pi(j)).denominator for j in range(2, top + 1, 2)
+    ))
+
+
+def _scaled(value, scale: int) -> int:
+    """value * scale as an int; ArithmeticError when it is not one, so a
+    wrong common denominator fails where the scaled values are built
+    rather than giving a wrong sum."""
+    whole, rest = divmod(value.numerator * scale, value.denominator)
+    if rest:
+        raise ArithmeticError(f"{value} * {scale} is not an integer")
+    return whole
+
+
+@lru_cache(maxsize=None)
+def _block_series(size: int, parts: int, scale: int) -> tuple[tuple[int, int], ...]:
+    """The nonzero coefficients of scale * g_B(t) as (degree d, integer),
+    for a block of ``parts`` indices whose entries sum to ``size``; frak_z
+    vanishes at odd arguments and beyond degree size - parts + 1."""
     top = size - parts + 1
     return tuple(
-        factorial(size) * frak_z_over_pi(top - d) / factorial(d) for d in range(top + 1)
+        (d, _scaled(factorial(size) * frak_z_over_pi(top - d) / factorial(d), scale))
+        for d in range(top % 2, top + 1, 2)
     )
 
 
-def _partition_table(key: tuple[int, ...]) -> dict[tuple[int, int], Fraction]:
+def _partition_table(key: tuple[int, ...], scale: int) -> list[list[int]]:
     """Sum over set partitions alpha of the key's n indices of
-    u^l(alpha) prod_B g_B(t), as {(l, t-degree): coefficient}, with
-    t-degrees above n - 2 dropped.
+    u^l(alpha) prod_B scale * g_B(t), in integers, as rows[l][t-degree].
 
     Indices with equal entries are interchangeable, so the sum runs over
-    sub-multiplicity vectors of the key (the exponential formula): the
+    sub-multiplicity vectors v of the key (the exponential formula): the
     block holding the first remaining index is chosen by
-    ``partitions.vector_splits``.
+    ``partitions.vector_splits``.  Only the cells (l, l - 2) of the key's
+    own table are read, and each of the n - |v| indices outside v adds at
+    most one block and a nonnegative degree, so the rows of v keep the
+    degrees up to min(n - 2, l - 2 + n - |v|).
     """
     values = sorted(set(key), reverse=True)
-    top = len(key) - 2
-    memo: dict[tuple[int, ...], dict[tuple[int, int], Fraction]] = {}
+    n = len(key)
+    memo: dict[tuple[int, ...], list[list[int]]] = {}
 
-    def table(counts: tuple[int, ...]) -> dict[tuple[int, int], Fraction]:
-        if not any(counts):
-            return {(0, 0): Fraction(1)}
-        if counts in memo:
-            return memo[counts]
-        out: dict[tuple[int, int], Fraction] = {}
-        for block, rest, ways in vector_splits(counts, True):
-            series = _block_series(
-                sum(b * v for b, v in zip(block, values)), sum(block)
-            )
-            weighted = [(d, ways * g) for d, g in enumerate(series[: top + 1]) if g]
-            for (ell, degree), value in table(rest).items():
-                for d, g in weighted:
-                    if degree + d <= top:
-                        cell = (ell + 1, degree + d)
-                        out[cell] = out.get(cell, 0) + g * value
-        memo[counts] = out
-        return out
+    def table(counts: tuple[int, ...], size: int) -> list[list[int]]:
+        if not size:
+            return [[1]]
+        got = memo.get(counts)
+        if got is None:
+            room = n - size - 2
+            got = [[0] * max(0, min(n - 2, ell + room) + 1) for ell in range(size + 1)]
+            for block, rest, ways in vector_splits(counts, True):
+                parts = sum(block)
+                series = [(d, ways * g) for d, g in _block_series(
+                    sum(b * v for b, v in zip(block, values)), parts, scale)]
+                for ell, row in enumerate(table(rest, size - parts)):
+                    target = got[ell + 1]
+                    top = len(target) - 1
+                    for degree, value in enumerate(row):
+                        if value:
+                            for d, g in series:
+                                if degree + d > top:
+                                    break
+                                target[degree + d] += g * value
+            memo[counts] = got
+        return got
 
-    return table(tuple(key.count(v) for v in values))
+    return table(tuple(key.count(v) for v in values), n)
 
 
 def elementary_cumulant_series_oracle(m) -> PiScalar:
@@ -372,19 +415,46 @@ def _wick_tree_sum(types, counts: tuple[int, ...]) -> Fraction:
       root, one of the T_h groups of type h, enters the block through a
       part w of its term and hangs the rest of T below its other parts:
       ``down(T)``, by w, sums T_h coeff mult_lam(w) dist(lam - w, T - e_h).
+
+    Every element carries one factor Q, the common denominator of the
+    largest block key (a block holds at most one part of each group), so
+    a block of k parts closes with Q^k times its cumulant, an integer.
+    The coefficients of type h are scaled by the lcm E_h of their
+    denominators, and a term lam by Q^(L_h - len(lam)) for the longest
+    term length L_h, so every choice carries prod_h (E_h Q^(L_h))^(c_h)
+    and the sum runs in integers, divided by that once at the end.
     """
-    entries = []  # per type: (w, lam without one w, coeff * mult_lam(w))
-    for terms in types:
+    reach = 2 + sum(c * (max(max(lam) for lam, _ in terms) - 1)
+                    for terms, c in zip(types, counts))
+    scale = _common_denominator(reach)
+    scaled_types = []  # per type: (lam, coeff * E_h * Q^(L_h - len(lam)))
+    denominator = 1
+    for terms, c in zip(types, counts):
+        longest = max(len(lam) for lam, _ in terms)
+        unit = lcm(*(coeff.denominator for _, coeff in terms))
+        pads = [unit * scale**k for k in range(longest + 1)]
+        denominator *= pads[longest] ** c
+        scaled_types.append(
+            [(tuple(lam), _scaled(coeff, pads[longest - len(lam)])) for lam, coeff in terms]
+        )
+    entries = []  # per type: (w, lam without one w, scaled coeff * mult_lam(w))
+    for terms in scaled_types:
         row = []
         for lam, coeff in terms:
-            lam = tuple(lam)
             for i, w in enumerate(lam):
                 if i == 0 or lam[i - 1] != w:
                     row.append((w, lam[:i] + lam[i + 1:], coeff * lam.count(w)))
         entries.append(row)
+    leaf_memo: dict = {}
     dist_memo: dict = {}
     down_memo: dict = {}
     blk_memo: dict = {}
+
+    def leaf(values):
+        got = leaf_memo.get(values)
+        if got is None:
+            got = leaf_memo[values] = _scaled(_cumulant_over_pi(values), scale ** len(values))
+        return got
 
     def dist(values, S):
         if not values:
@@ -407,7 +477,7 @@ def _wick_tree_sum(types, counts: tuple[int, ...]) -> Fraction:
     def down(T):
         got = down_memo.get(T)
         if got is None:
-            by_part: dict[int, Fraction] = {}
+            by_part: dict[int, int] = {}
             for h, row in enumerate(entries):
                 if T[h]:
                     R = T[:h] + (T[h] - 1,) + T[h + 1:]
@@ -420,7 +490,7 @@ def _wick_tree_sum(types, counts: tuple[int, ...]) -> Fraction:
 
     def blk(values, S):
         if not any(S):
-            return _cumulant_over_pi(values)
+            return leaf(values)
         key = (values, S)
         got = blk_memo.get(key)
         if got is None:
@@ -433,7 +503,8 @@ def _wick_tree_sum(types, counts: tuple[int, ...]) -> Fraction:
         return got
 
     below_root = (counts[0] - 1,) + tuple(counts[1:])
-    return sum((coeff * dist(tuple(lam), below_root) for lam, coeff in types[0]), Fraction(0))
+    total = sum(coeff * dist(lam, below_root) for lam, coeff in scaled_types[0])
+    return Fraction(total, denominator)
 
 
 def wick_leading(groups) -> WickLeading:
@@ -458,7 +529,7 @@ def wick_leading(groups) -> WickLeading:
     kinds = sorted(set(wg.groups))
     counts = tuple(wg.groups.count(g) for g in kinds)
     _check_wick_work(counts, len(kinds), (set(g) for g in kinds))
-    total = _wick_tree_sum([((g, Fraction(1)),) for g in kinds], counts)
+    total = _wick_tree_sum([((g, 1),) for g in kinds], counts)
     exponent = sum(p + 1 for p in parts) - ell + 1
     pi_pow = sum(parts) - n + 2 * (n - ell + 1)
     return WickLeading(PiScalar(total, pi_pow), exponent)

@@ -84,7 +84,7 @@ class TestVolumeCommand:
         def forbidden(*args, **kwargs):
             raise AssertionError("an expansion, a cumulant or a closed form was computed")
 
-        for name in ("_cumulant_over_pi", "f_top_expansion", "c_simple"):
+        for name in ("_common_denominator", "_cumulant_over_pi", "f_top_expansion", "c_simple"):
             monkeypatch.setattr(stratavol.cumulants, name, forbidden)
         start = time.perf_counter()
         code, out, err = run_cli(capsys, *argv)

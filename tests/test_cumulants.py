@@ -90,25 +90,32 @@ class TestElementaryCumulant:
             elementary_cumulant((1,) * 13)
 
     def test_memoized_on_sorted_key(self, monkeypatch):
+        # One integer table per sorted key, scaled by the key's common
+        # denominator: |m| - n + 2 = 5 for (3, 2, 1).
         calls = []
         real = stratavol.cumulants._partition_table
 
-        def counting(key):
-            calls.append(key)
-            return real(key)
+        def counting(key, scale):
+            calls.append((key, scale))
+            return real(key, scale)
 
         monkeypatch.setattr(stratavol.cumulants, "_partition_table", counting)
         stratavol.cumulants._cumulant_over_pi.cache_clear()
         first = elementary_cumulant((1, 2, 3))
         assert elementary_cumulant((3, 2, 1)) == first
-        assert len(calls) == 1
+        assert calls == [((3, 2, 1), stratavol.cumulants._common_denominator(5))]
         assert first == elementary_cumulant_series_oracle((1, 2, 3))
 
-    def test_cap_checked_with_memo_filled(self):
+    def test_cap_checked_with_memo_filled(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a partition table was built")
+
         memo = stratavol.cumulants._cumulant_over_pi
         elementary_cumulant((1,) * 4)
         filled = memo.cache_info().currsize
         assert filled > 0
+        for name in ("_common_denominator", "_partition_table"):
+            monkeypatch.setattr(stratavol.cumulants, name, forbidden)
         with pytest.raises(ResourceCapError):
             elementary_cumulant((1,) * (SET_PARTITION_CAP + 1))
         assert memo.cache_info().currsize == filled
@@ -125,6 +132,52 @@ class TestSetPartitionOracle:
         for key in [(2,) * 8, (1,) * 8, (3, 2, 2, 2, 1, 1, 1, 1)]:
             got = stratavol.cumulants._cumulant_over_pi(key)
             assert got == cumulant_by_set_partitions(key), key
+
+    def test_agrees_across_bernoulli_primes(self):
+        # |m| - n + 2 reaches 6, 10 and 12, whose Bernoulli denominators
+        # bring the primes 7, 11 and 13 into the common denominator; the
+        # keys with |m| - n odd vanish by parity.
+        keys = [(5,), (6,), (9,), (10,), (11,), (12,), (5, 5, 1), (5, 5, 2),
+                (5, 5, 3), (7, 5), (9, 3), (11, 1), (6, 4, 2, 2)]
+        denominators = 1
+        for key in keys:
+            got = stratavol.cumulants._cumulant_over_pi(key)
+            assert got == cumulant_by_set_partitions(key), key
+            assert (got == 0) == ((sum(key) - len(key)) % 2 == 1), key
+            denominators *= got.denominator
+        assert denominators % (7 * 11 * 13) == 0
+
+
+class TestCommonDenominator:
+    def test_clears_every_frak_z_term(self):
+        # Q (j - 1)! frak_z(j) is an integer for j <= top, so every block
+        # series of a key with |m| - n + 2 = top scales to integers.
+        scale = stratavol.cumulants._common_denominator
+        for top in range(2, 41):
+            for j in range(2, top + 1, 2):
+                assert (scale(top) * factorial(j - 1) * frak_z(j).coeff).denominator == 1
+            assert scale(top + 1) % scale(top) == 0
+
+    def test_wrong_denominator_raises_in_partition_table(self, monkeypatch):
+        # 5! frak_z(4) = 7/3 is the t^1 coefficient of the block (5,).
+        monkeypatch.setattr(stratavol.cumulants, "_common_denominator", lambda top: 1)
+        stratavol.cumulants._cumulant_over_pi.cache_clear()
+        with pytest.raises(ArithmeticError):
+            elementary_cumulant((5, 5, 1))
+        stratavol.cumulants._cumulant_over_pi.cache_clear()
+
+    def test_wrong_denominator_raises_in_wick_sum(self, monkeypatch):
+        # The block (5, 1) closes with its cumulant 6! frak_z(6) = 31/21
+        # pi^6, and the blocks of c(6, 2) with cumulants whose denominators
+        # hold 7 as well; a common denominator without 7 refuses them.
+        real = stratavol.cumulants._common_denominator
+        assert elementary_cumulant((5, 1)) == PiScalar(Fraction(31, 21), 6)
+        monkeypatch.setattr(stratavol.cumulants, "_common_denominator",
+                            lambda top: real(top) // 7 if real(top) % 7 == 0 else real(top))
+        with pytest.raises(ArithmeticError):
+            wick_leading([[5], [1]])
+        with pytest.raises(ArithmeticError):
+            f_cumulant_leading((6, 2))
 
 
 class TestSeriesOracle:
@@ -226,9 +279,10 @@ class TestWickLeading:
 
     def test_work_cap_checked_before_any_cumulant(self, monkeypatch):
         def forbidden(*args, **kwargs):
-            raise AssertionError("a cumulant was computed")
+            raise AssertionError("a cumulant or the tree sum was started")
 
-        monkeypatch.setattr(stratavol.cumulants, "_cumulant_over_pi", forbidden)
+        for name in ("_common_denominator", "_cumulant_over_pi"):
+            monkeypatch.setattr(stratavol.cumulants, name, forbidden)
         # One type each: the block keys (1^j) and (2^a 1^b) of up to 400
         # and 20 parts make the partition tables the work.
         for groups in ([[1]] * 400, [[2, 1]] * 20):
@@ -259,13 +313,16 @@ class TestCConst:
                 assert c_const(m).is_zero()
 
     @pytest.mark.parametrize(
-        "key", [(5, 5, 3), (4, 3, 2, 2), (3, 3, 3, 2), (4, 4, 2, 2), (3, 3, 3, 3)]
+        "key", [(5, 5, 3), (4, 3, 2, 2), (3, 3, 3, 2), (4, 4, 2, 2), (3, 3, 3, 3),
+                (6, 4), (7, 3), (6, 2, 2), (7, 3, 2), (8, 4)]
     )
     def test_folded_expansion_matches_oracle_wick_per_choice(self, key):
         # The expansion sum folded into the tree DP against one
         # enumerated Wick sum per choice of terms, times its coefficient.
         # When |m| + l(m) is odd, as for (4,3,2,2) and (3,3,3,2), every
-        # term has a block whose cumulant vanishes by parity.
+        # term has a block whose cumulant vanishes by parity.  The terms
+        # of f_6, f_7 and f_8 have 1 to 3 or 4 parts, so the DP pads the
+        # short ones by powers of the common denominator.
         want = PiScalar.zero()
         nonzero = 0
         for choice in product(*(f_top_expansion(k).terms for k in key)):
@@ -295,7 +352,8 @@ class TestCConst:
         def forbidden(*args, **kwargs):
             raise AssertionError("an expansion or a cumulant was computed")
 
-        for name in ("elementary_cumulant", "_cumulant_over_pi", "f_top_expansion"):
+        for name in ("elementary_cumulant", "_common_denominator", "_cumulant_over_pi",
+                     "f_top_expansion"):
             monkeypatch.setattr(stratavol.cumulants, name, forbidden)
         # f_61 has 178,651 terms; 60 and 400 twos make blocks of up to 60
         # and 400 parts; 18 distinct generators make 2^36 sub-vector pairs.
