@@ -14,9 +14,11 @@ which the same DP makes inside one call: that yields the constant c(m),
 and volumes follow by a shift and a dimension division.  Every rational
 of the partition tables and the DP is a product of frak_z values, whose
 denominators divide products of Bernoulli denominators, so both sum in
-Python ints scaled by one common denominator per call
-(``_common_denominator``) and build one Fraction at the end.  Every stage
-has an independent oracle.
+Python ints scaled by a common denominator (``_common_denominator``) and
+build one Fraction at the end.  The partition table of each sorted
+sub-multiset is kept for the life of the process, with its own scale,
+and shared by every key, Wick leaf and request that reaches it
+(``_table``).  Every stage has an independent oracle.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import comb, factorial, lcm
+from math import comb, factorial, gcd, lcm
 
 from . import mvpoly
 from .errors import DomainError, Record, ResourceCapError
@@ -48,9 +50,10 @@ FOREST_ORACLE_CAP = 5
 # to genus 9.
 WICK_WORK_CAP = 3 * 10**9
 # Units of that work per term of a group type.  On a 2-core Xeon with
-# Python 3.11, summing a term's DP entries in integers takes about 15
-# microseconds and expanding it (f_top_expansion) about 45; 10^4
-# estimated steps of a partition table take 10 to 30.
+# Python 3.11, summing a term's DP entries in integers takes about 15 to
+# 20 microseconds and expanding it (f_top_expansion, once per process)
+# about 10; 10^4 estimated steps of a partition table take 10 to 30, or
+# nothing when the tables are shared with an earlier key.
 TERM_WORK = 10**4
 # Most partitions p(0) + ... + p((n + 2) / 2) (``check_partition_work``)
 # that c_simple(n), or a simple-table up to n, may be sized by: n up to
@@ -79,8 +82,8 @@ def elementary_cumulant(m) -> PiScalar:
         g_B(t) = |m_B|! sum_d frak_z(|m_B| - #B - d + 1) t^d / d!.
 
     The terms with l >= 2 are summed by the exponential formula over the
-    key's multiset (``_partition_table``), not partition by partition, in
-    integers over one common denominator.  Every term carries
+    key's multiset (``_table``), not partition by partition, in integers
+    over one common denominator.  Every term carries
     pi^(|m| - n + 2), so the sum is a rational, memoized on the sorted
     key; the key is validated and the cap checked on every call.
     """
@@ -102,8 +105,7 @@ def _cumulant_over_pi(key: tuple[int, ...]) -> Fraction:
     n = len(key)
     total_size = sum(key)
     top = total_size - n + 2
-    scale = _common_denominator(top)
-    rows = _partition_table(key, scale)
+    scale, rows = _table(key, -2)
     numerator = 0
     for ell in range(2, n + 1):
         sign = 1 if ell % 2 == 1 else -1
@@ -124,73 +126,102 @@ def _common_denominator(top: int) -> int:
     one-block term |m|! frak_z(top) is cleared as well, so the cumulant
     of m times Q^n is an integer.  Q(top) divides Q(top') for top <= top'.
     """
-    return lcm(*(
-        (factorial(j - 1) * frak_z_over_pi(j)).denominator for j in range(2, top + 1, 2)
-    ))
+    scale = 1
+    for j in range(2, top + 1, 2):
+        denominator = frak_z_over_pi(j).denominator
+        scale = lcm(scale, denominator // gcd(denominator, factorial(j - 1)))
+    return scale
 
 
-def _scaled(value, scale: int) -> int:
-    """value * scale as an int; ArithmeticError when it is not one, so a
-    wrong common denominator fails where the scaled values are built
-    rather than giving a wrong sum."""
-    whole, rest = divmod(value.numerator * scale, value.denominator)
+def _quotient(numerator: int, denominator: int) -> int:
+    """numerator / denominator as an int; ArithmeticError when it is not
+    one, so a wrong common denominator fails where the scaled values are
+    built rather than giving a wrong sum."""
+    whole, rest = divmod(numerator, denominator)
     if rest:
-        raise ArithmeticError(f"{value} * {scale} is not an integer")
+        raise ArithmeticError(f"{numerator}/{denominator} is not an integer")
     return whole
 
 
+def _scaled(value, scale: int) -> int:
+    """value * scale as an int (``_quotient``)."""
+    return _quotient(value.numerator * scale, value.denominator)
+
+
 @lru_cache(maxsize=None)
-def _block_series(size: int, parts: int, scale: int) -> tuple[tuple[int, int], ...]:
-    """The nonzero coefficients of scale * g_B(t) as (degree d, integer),
-    for a block of ``parts`` indices whose entries sum to ``size``; frak_z
-    vanishes at odd arguments and beyond degree size - parts + 1."""
+def _block_series(size: int, parts: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """(Q_B, the nonzero coefficients of Q_B g_B(t) as (degree d, integer))
+    for a block of ``parts`` indices whose entries sum to ``size``, with
+    Q_B = ``_common_denominator(size - parts + 1)``; frak_z vanishes at odd
+    arguments and beyond degree size - parts + 1.  Q_B divides Q_v for
+    every multiset v holding the block."""
     top = size - parts + 1
-    return tuple(
-        (d, _scaled(factorial(size) * frak_z_over_pi(top - d) / factorial(d), scale))
-        for d in range(top % 2, top + 1, 2)
-    )
+    scale = _common_denominator(top)
+    series = []
+    for d in range(top % 2, top + 1, 2):
+        z = frak_z_over_pi(top - d)
+        series.append((d, _quotient(factorial(size) * z.numerator * scale,
+                                    z.denominator * factorial(d))))
+    return scale, tuple(series)
 
 
-def _partition_table(key: tuple[int, ...], scale: int) -> list[list[int]]:
-    """Sum over set partitions alpha of the key's n indices of
-    u^l(alpha) prod_B scale * g_B(t), in integers, as rows[l][t-degree].
+# The partition tables of sorted sub-multisets v, shared by every key for
+# the life of the process: v -> (excess, Q_v, rows) (``_table``).  An
+# entry is stored whole once built and its rows are only read, so two
+# threads that need one table at once only build it twice.
+_tables: dict[tuple[int, ...], tuple[int, int, list[list[int]]]] = {}
+
+
+def _table(v: tuple[int, ...], excess: int) -> tuple[int, list[list[int]]]:
+    """(Q_v, rows) of the sorted multiset v, from the memo when its entry
+    keeps degrees up to l + ``excess`` or more, else built anew and kept
+    in place of the smaller one."""
+    got = _tables.get(v)
+    if got is None or got[0] < excess:
+        got = _tables[v] = (excess, *_build_table(v, excess))
+    return got[1], got[2]
+
+
+def _build_table(v: tuple[int, ...], excess: int) -> tuple[int, list[list[int]]]:
+    """Sum over set partitions alpha of the indices of v of
+    u^l(alpha) prod_B Q_v g_B(t), in integers, as rows[l][t-degree], with
+    Q_v = ``_common_denominator(|v| - #v + 2)``; returns (Q_v, rows).
 
     Indices with equal entries are interchangeable, so the sum runs over
-    sub-multiplicity vectors v of the key (the exponential formula): the
-    block holding the first remaining index is chosen by
-    ``partitions.vector_splits``.  Only the cells (l, l - 2) of the key's
-    own table are read, and each of the n - |v| indices outside v adds at
-    most one block and a nonnegative degree, so the rows of v keep the
-    degrees up to min(n - 2, l - 2 + n - |v|).
+    the sub-multisets of v (the exponential formula): the block holding
+    the first index is chosen by ``partitions.vector_splits``, and the
+    rest's table is taken from the memo, its row l times (Q_v / Q_rest)^l.
+    A key reads only its cells (l, l - 2), and every index outside v adds
+    at most one block and a nonnegative degree, so v keeps the degrees up
+    to l + ``excess``: -2 for a key, one more for each block taken off.
     """
-    values = sorted(set(key), reverse=True)
-    n = len(key)
-    memo: dict[tuple[int, ...], list[list[int]]] = {}
-
-    def table(counts: tuple[int, ...], size: int) -> list[list[int]]:
-        if not size:
-            return [[1]]
-        got = memo.get(counts)
-        if got is None:
-            room = n - size - 2
-            got = [[0] * max(0, min(n - 2, ell + room) + 1) for ell in range(size + 1)]
-            for block, rest, ways in vector_splits(counts, True):
-                parts = sum(block)
-                series = [(d, ways * g) for d, g in _block_series(
-                    sum(b * v for b, v in zip(block, values)), parts, scale)]
-                for ell, row in enumerate(table(rest, size - parts)):
-                    target = got[ell + 1]
-                    top = len(target) - 1
-                    for degree, value in enumerate(row):
-                        if value:
-                            for d, g in series:
-                                if degree + d > top:
-                                    break
-                                target[degree + d] += g * value
-            memo[counts] = got
-        return got
-
-    return table(tuple(key.count(v) for v in values), n)
+    values = sorted(set(v), reverse=True)
+    scale = _common_denominator(sum(v) - len(v) + 2)
+    rows = [[0] * max(0, ell + excess + 1) for ell in range(len(v) + 1)]
+    for block, rest, ways in vector_splits(tuple(v.count(x) for x in values), True):
+        block_scale, series = _block_series(
+            sum(b * x for b, x in zip(block, values)), sum(block))
+        weight = ways * _quotient(scale, block_scale)
+        series = [(d, weight * g) for d, g in series]
+        if any(rest):
+            rest_scale, rest_rows = _table(
+                tuple(x for x, c in zip(values, rest) for _ in range(c)), excess + 1)
+            ratio = _quotient(scale, rest_scale)
+        else:
+            ratio, rest_rows = 1, [[1]]
+        factor = 1
+        for ell, row in enumerate(rest_rows):
+            target = rows[ell + 1]
+            top = len(target) - 1
+            for degree in range(min(len(row), top + 1)):
+                value = row[degree] * factor
+                if value:
+                    for d, g in series:
+                        if degree + d > top:
+                            break
+                        target[degree + d] += g * value
+            factor *= ratio
+    return scale, rows
 
 
 def elementary_cumulant_series_oracle(m) -> PiScalar:
@@ -363,6 +394,8 @@ def _check_wick_work(counts, terms: int, values) -> None:
     prod (k_v + 1)(k_v + 2) / 2 sub-vector pairs of up to L^3 cell
     products; the largest such key spreads the groups evenly over the
     values, each value up to the number of groups whose type uses it.
+    Keys share the tables of their sub-multisets (``_table``), so this
+    counts the tables' work at most once per key, an upper bound.
     """
     sub = 1
     for c in counts:

@@ -150,32 +150,39 @@ def check_partition_work(dmax: int, cap: int, what: str) -> int:
     return sums[dmax] if dmax >= 0 else 0
 
 
-def _partitions_exact_parts(d: int, k: int, max_part: int) -> Iterator[tuple[int, ...]]:
-    """Partitions of d into exactly k parts, each <= max_part."""
-    if k == 0:
-        if d == 0:
-            yield ()
-        return
-    if d < k:
-        return
-    top = min(max_part, d - k + 1)
-    for first in range(top, 0, -1):
-        for rest in _partitions_exact_parts(d - first, k - 1, first):
-            yield (first,) + rest
-
-
 def enum_partitions_of_weight(w: int) -> list[IntPartition]:
-    """All partitions lam with size(lam) + length(lam) = w.
+    """All partitions lam with size(lam) + length(lam) = w, ordered by
+    length and then lexicographically.
 
-    Empty for w = 1 (a nonempty partition has weight at least 2).
+    These are mu - (1, ..., 1) for the partitions mu of w into parts >= 2,
+    which are generated in ascending form by Kelleher's AccelAsc with the
+    smallest part raised to 2.  Empty for w = 1 (a nonempty partition has
+    weight at least 2).
     """
     if w < 1:
         raise DomainError("weight must be >= 1")
     out: list[IntPartition] = []
-    for ell in range(1, w // 2 + 1):
-        d = w - ell
-        for t in _partitions_exact_parts(d, ell, d):
-            out.append(IntPartition._make(t))
+    if w < 2:
+        return out
+    a = [0] * (w + 1)  # a[:k] ascending parts; y is left for the rest
+    a[0] = 1
+    k, y = 1, w - 2
+    while k:
+        x = a[k - 1] + 1
+        k -= 1
+        while 2 * x <= y:
+            a[k] = x
+            y -= x
+            k += 1
+        while x <= y:
+            out.append(IntPartition._make((y - 1, x - 1) + tuple(p - 1 for p in reversed(a[:k]))))
+            x += 1
+            y -= 1
+        a[k] = x + y
+        y = x + y - 1
+        out.append(IntPartition._make(tuple(p - 1 for p in reversed(a[:k + 1]))))
+    out.sort()
+    out.sort(key=len)
     return out
 
 

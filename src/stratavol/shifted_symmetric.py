@@ -10,6 +10,7 @@ q-series.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import DomainError, Record
 from .exact_arith import zeta_neg
@@ -107,23 +108,27 @@ class PExpansion(Record):
         return "".join(chunks)
 
 
+@lru_cache(maxsize=None)
 def f_top_expansion(k: int) -> PExpansion:
     """Top-weight part of the central character generator of k-cycles in
     the power-sum basis: a sum over partitions of weight k+1 with
     coefficient (-k)^(length-1) / (k * prod of multiplicity factorials).
 
     Lower-weight terms are not produced; leading-order computations
-    downstream depend only on this part.
+    downstream depend only on this part.  The product of multiplicity
+    factorials is taken in integers along the runs of equal parts, one
+    Fraction per term; ``enum_partitions_of_weight`` lists the partitions
+    by length and then lexicographically, which is PExpansion's order.
+    The expansion is immutable and memoized on k.
     """
     if k < 2:
         raise DomainError(f"expansion needs k >= 2, got {k}")
-    terms: dict[IntPartition, Fraction] = {}
+    terms = []
     for lam in enum_partitions_of_weight(k + 1):
-        coeff = Fraction((-k) ** (lam.length - 1), k)
-        for mult in lam.multiplicities().values():
-            denom = 1
-            for j in range(2, mult + 1):
-                denom *= j
-            coeff /= denom
-        terms[lam] = coeff
-    return PExpansion.from_dict(terms)
+        denominator = k
+        run = 1
+        for i in range(1, len(lam)):
+            run = run + 1 if lam[i] == lam[i - 1] else 1
+            denominator *= run
+        terms.append((lam, Fraction((-k) ** (len(lam) - 1), denominator)))
+    return PExpansion(tuple(terms))

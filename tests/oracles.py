@@ -10,7 +10,10 @@ partition of the key instead of the library's exponential formula, power-sum
 q-averages through a product of rational ``p_eval`` values per partition
 instead of the library's integer sum, connected covering series through
 inclusion-exclusion over set partitions of the branch points instead of the
-library's exponential formula over sub-multiplicity vectors.
+library's exponential formula over sub-multiplicity vectors, the top-weight
+f_k expansion through a Fraction division per multiplicity factorial over
+partitions filtered by weight instead of the library's integer product over
+partitions of weight k + 1 generated directly.
 """
 
 from __future__ import annotations
@@ -20,9 +23,9 @@ from math import factorial
 
 from stratavol.coverings import cov_prime_series
 from stratavol.exact_arith import PiScalar, frak_z_over_pi
-from stratavol.partitions import mobius_coeff, set_partitions_of
+from stratavol.partitions import IntPartition, mobius_coeff, set_partitions_of
 from stratavol.qseries import QSeries, euler_series
-from stratavol.shifted_symmetric import p_eval
+from stratavol.shifted_symmetric import PExpansion, p_eval
 from stratavol.verify import _wick_by_enumeration
 
 
@@ -213,3 +216,20 @@ def connected_by_set_partitions(profile, order: int) -> QSeries:
             term = term * prime[key]
         total = total + mobius_coeff(len(alpha)) * term
     return total
+
+
+def f_top_expansion_by_division(k: int) -> PExpansion:
+    """The top-weight part of f_k term by term: for each partition of
+    size d and length k + 1 - d (listed by ``partitions_by_recursion``),
+    (-k)^(length - 1) / k divided by each multiplicity factorial in turn,
+    sorted as ``PExpansion.from_dict`` sorts."""
+    terms = {}
+    for d in range(k + 1):
+        for parts in partitions_by_recursion(d):
+            if d + len(parts) == k + 1:
+                lam = IntPartition(parts)
+                coeff = Fraction((-k) ** (lam.length - 1), k)
+                for mult in lam.multiplicities().values():
+                    coeff /= factorial(mult)
+                terms[lam] = coeff
+    return PExpansion.from_dict(terms)

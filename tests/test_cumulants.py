@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from math import factorial
@@ -28,6 +29,14 @@ from stratavol.partitions import (
 )
 from stratavol.shifted_symmetric import f_top_expansion
 from .oracles import cumulant_by_set_partitions, partition_count, wick_by_complementary_trees
+
+
+def clear_cumulant_memos():
+    """Forget every cumulant, partition table and block series, so that
+    the next call builds them with the common denominator in force."""
+    stratavol.cumulants._cumulant_over_pi.cache_clear()
+    stratavol.cumulants._tables.clear()
+    stratavol.cumulants._block_series.cache_clear()
 
 
 def keys_up_to(max_parts, max_size):
@@ -90,21 +99,24 @@ class TestElementaryCumulant:
             elementary_cumulant((1,) * 13)
 
     def test_memoized_on_sorted_key(self, monkeypatch):
-        # One integer table per sorted key, scaled by the key's common
-        # denominator: |m| - n + 2 = 5 for (3, 2, 1).
-        calls = []
-        real = stratavol.cumulants._partition_table
+        # One integer table per sorted sub-multiset, shared across keys:
+        # (3, 2, 1, 1) builds every table that the later keys read, for at
+        # least as many degrees, so none is built twice.
+        built = []
+        real = stratavol.cumulants._build_table
 
-        def counting(key, scale):
-            calls.append((key, scale))
-            return real(key, scale)
+        def counting(v, excess):
+            built.append(v)
+            return real(v, excess)
 
-        monkeypatch.setattr(stratavol.cumulants, "_partition_table", counting)
-        stratavol.cumulants._cumulant_over_pi.cache_clear()
-        first = elementary_cumulant((1, 2, 3))
-        assert elementary_cumulant((3, 2, 1)) == first
-        assert calls == [((3, 2, 1), stratavol.cumulants._common_denominator(5))]
-        assert first == elementary_cumulant_series_oracle((1, 2, 3))
+        monkeypatch.setattr(stratavol.cumulants, "_build_table", counting)
+        clear_cumulant_memos()
+        first = elementary_cumulant((1, 1, 2, 3))
+        for key in [(3, 2, 1, 1), (1, 1, 2), (2, 1, 1), (1, 2), (1, 1), (2,), (1,)]:
+            assert elementary_cumulant(key).coeff == cumulant_by_set_partitions(key), key
+        assert sorted(built) == sorted({(3, 2, 1, 1), (2, 1, 1), (2, 1), (2,), (1, 1), (1,)})
+        assert elementary_cumulant((3, 2, 1, 1)) == first
+        assert first.coeff == cumulant_by_set_partitions((3, 2, 1, 1))
 
     def test_cap_checked_with_memo_filled(self, monkeypatch):
         def forbidden(*args, **kwargs):
@@ -114,11 +126,52 @@ class TestElementaryCumulant:
         elementary_cumulant((1,) * 4)
         filled = memo.cache_info().currsize
         assert filled > 0
-        for name in ("_common_denominator", "_partition_table"):
+        for name in ("_common_denominator", "_build_table"):
             monkeypatch.setattr(stratavol.cumulants, name, forbidden)
         with pytest.raises(ResourceCapError):
             elementary_cumulant((1,) * (SET_PARTITION_CAP + 1))
         assert memo.cache_info().currsize == filled
+
+
+class TestSharedTables:
+    # Nested keys and keys that share sub-multisets without nesting.
+    KEYS = [(1,), (2, 1), (2, 1, 1), (3, 2, 1, 1), (3, 3, 2, 1, 1), (4, 3, 3, 2, 1, 1),
+            (4, 3, 1), (3, 3, 1, 1), (5, 3, 2, 2, 1), (2, 2, 2, 2, 1, 1, 1)]
+
+    def test_any_order_matches_oracle(self):
+        want = {key: cumulant_by_set_partitions(key) for key in self.KEYS}
+        shuffled = list(self.KEYS)
+        random.Random(5).shuffle(shuffled)
+        for order in (self.KEYS, self.KEYS[::-1], shuffled):
+            clear_cumulant_memos()
+            for key in order:
+                assert stratavol.cumulants._cumulant_over_pi(key) == want[key], (order, key)
+
+    def test_super_key_widens_an_entry(self):
+        # The key (2, 1, 1) keeps its degrees up to l - 2; inside (3, 2, 1, 1)
+        # one block lies outside it, so it is rebuilt up to l - 1.
+        tables = stratavol.cumulants._tables
+        clear_cumulant_memos()
+        small = stratavol.cumulants._cumulant_over_pi((2, 1, 1))
+        assert tables[(2, 1, 1)][0] == -2
+        big = stratavol.cumulants._cumulant_over_pi((3, 2, 1, 1))
+        assert tables[(2, 1, 1)][0] == -1
+        assert small == cumulant_by_set_partitions((2, 1, 1))
+        assert big == cumulant_by_set_partitions((3, 2, 1, 1))
+        stratavol.cumulants._cumulant_over_pi.cache_clear()
+        assert stratavol.cumulants._cumulant_over_pi((2, 1, 1)) == small
+
+    def test_inexact_rescale_raises(self, monkeypatch):
+        # The rests (5, 1) and (5,) of (5, 5, 1) have |v| - #v + 2 = 6;
+        # no block of it has size - parts + 1 = 6, so only the rescaling
+        # of a rest's rows by Q_v / Q_rest meets the stray factor 101.
+        real = stratavol.cumulants._common_denominator
+        monkeypatch.setattr(stratavol.cumulants, "_common_denominator",
+                            lambda top: real(top) * 101 if top == 6 else real(top))
+        clear_cumulant_memos()
+        with pytest.raises(ArithmeticError, match=f"/{real(6) * 101} is not"):
+            elementary_cumulant((5, 5, 1))
+        clear_cumulant_memos()
 
 
 class TestSetPartitionOracle:
@@ -159,12 +212,14 @@ class TestCommonDenominator:
             assert scale(top + 1) % scale(top) == 0
 
     def test_wrong_denominator_raises_in_partition_table(self, monkeypatch):
-        # 5! frak_z(4) = 7/3 is the t^1 coefficient of the block (5,).
+        # With Q = 1 the block series keep their fractions, e.g. the t^1
+        # coefficient 5! frak_z(4) = 7/3 of the block (5,); the memos are
+        # cleared so that no series or table built with the real Q is read.
         monkeypatch.setattr(stratavol.cumulants, "_common_denominator", lambda top: 1)
-        stratavol.cumulants._cumulant_over_pi.cache_clear()
-        with pytest.raises(ArithmeticError):
+        clear_cumulant_memos()
+        with pytest.raises(ArithmeticError, match="is not an integer"):
             elementary_cumulant((5, 5, 1))
-        stratavol.cumulants._cumulant_over_pi.cache_clear()
+        clear_cumulant_memos()
 
     def test_wrong_denominator_raises_in_wick_sum(self, monkeypatch):
         # The block (5, 1) closes with its cumulant 6! frak_z(6) = 31/21

@@ -117,6 +117,15 @@ class TestPartitionsOfWeight:
             }
             assert parities <= {w % 2}
 
+    def test_every_member_once_by_length_then_lexicographic(self):
+        for w in range(1, 21):
+            want = sorted(
+                (lam for d in range(w + 1) for lam in partitions_by_recursion(d)
+                 if d + len(lam) == w),
+                key=lambda lam: (len(lam), lam),
+            )
+            assert [tuple(lam) for lam in enum_partitions_of_weight(w)] == want, w
+
     def test_empty_iff_weight_one(self):
         assert enum_partitions_of_weight(1) == []
         for w in range(2, 13):

@@ -15,7 +15,7 @@ from stratavol.shifted_symmetric import (
     weight,
 )
 
-from .oracles import q_average_by_p_eval, sigma1
+from .oracles import f_top_expansion_by_division, q_average_by_p_eval, sigma1
 
 
 def p_eval_long_sum(k: int, lam, extra_rows: int = 30) -> Fraction:
@@ -138,6 +138,18 @@ class TestFTopExpansion:
 
     def test_str_format(self):
         assert str(f_top_expansion(4)) == "1/4 p[4] - 1 p[2,1]"
+
+    def test_matches_division_oracle(self):
+        # Same terms in the same order, reduced Fractions, same text.
+        for k in range(2, 31):
+            got, want = f_top_expansion(k), f_top_expansion_by_division(k)
+            assert got.terms == want.terms, k
+            assert all(type(c) is Fraction and type(lam) is IntPartition
+                       for lam, c in got.terms), k
+            assert str(got) == str(want), k
+
+    def test_memoized(self):
+        assert f_top_expansion(9) is f_top_expansion(9)
 
     def test_pexpansion_drops_zeros(self):
         exp = PExpansion.from_dict({IntPartition([2]): Fraction(0)})
