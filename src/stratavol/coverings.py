@@ -9,11 +9,14 @@ enumeration of monodromy tuples in the symmetric group.
 The Burnside sum takes one of two routes per degree.  When every cycle is
 at most 4, each central character is a closed form linear in the content
 power sums p_1, p_2, p_3 (``characters.content_form``), so the sum is a
-combination of the moments sum_{lam |- d} p_1^a p_2^b p_3^c; these come
-from a table over (degree, largest part) grown by removing the first row
-(``_Moments``), which visits no partition and is kept for the life of the
-process.  Otherwise, and for a short profile whose sweep is predicted to
-be cheaper than the table states it would add, one sweep over the
+combination of the moments sum_{lam |- d} p_1^a p_2^b p_3^c.  These live
+in one table shared by every profile for the life of the process: one
+integer column per monomial over the states (degree, largest part), each
+a scalar recursion that removes the first row of a partition and reads
+only earlier columns (``_grow_columns``).  A request grows only the
+columns of its monomials and only through its degree, and visits no
+partition.  Otherwise, and for a short profile whose sweep is predicted
+to be cheaper than the column-states it would add, one sweep over the
 partitions of the degree evaluates each cycle length once per partition:
 closed forms for short cycles, rim-hook residues for long ones.
 
@@ -26,10 +29,13 @@ process, so no degree is summed twice for the same sub-profile.
 
 from __future__ import annotations
 
+import threading
 from collections import Counter
 from fractions import Fraction
-from itertools import permutations
-from math import comb, factorial, inf, prod
+from functools import lru_cache
+from itertools import accumulate, permutations, repeat
+from math import comb, factorial, inf, isqrt, prod
+from operator import add, mul
 from typing import Iterable, Iterator, Sequence
 
 from .characters import (
@@ -139,11 +145,11 @@ def _burnside_sums(profile: Sequence[int], d: int) -> int:
         fit = tuple(m for m in key if m <= d)
         if (fit, d) not in _burnside_totals:
             _check_sweep_cap(fit, d)
-            table = _moment_table(fit, d)
-            if table is None:
+            columns = _moment_table(fit, d)
+            if columns is None:
                 _sweep(fit, d)
             else:
-                _moment_sums(table, fit, d)
+                _moment_sums(columns, fit, d)
         if fit != key:
             _burnside_totals[key, d] = 0
     return _burnside_totals[key, d]
@@ -159,11 +165,13 @@ def _check_sweep_cap(key: tuple[int, ...], d: int) -> None:
     _check_products(counts[d], key, d)
 
 
+@lru_cache(maxsize=32)
 def _sub_profiles(key: tuple[int, ...]) -> tuple[list[tuple[int, ...]], list[tuple[int, int, int]]]:
     """Every sorted sub-multiset of ``key`` (prod (c + 1) of them for the
     multiplicities c), each after the one with its last cycle dropped, and
     the steps (index, index of that parent, last cycle) that build each
-    nonempty one from its parent."""
+    nonempty one from its parent; memoized for the latest keys, so only
+    read."""
     subs = [()]
     for m, c in sorted(Counter(key).items(), reverse=True):
         subs = [sub + (m,) * k for sub in subs for k in range(c + 1)]
@@ -217,197 +225,264 @@ def _sweep(key: tuple[int, ...], d: int) -> None:
 # Burnside sums of short cycles from content moments
 # ---------------------------------------------------------------------------
 
-# Terms of the moment transform that cost about as much as one (partition,
-# sub-profile) product of a sweep, the unit of the sweep's prediction.
-MOMENT_TERMS_PER_PRODUCT = 5
+# Multiply-adds of the column passes that cost about as much as one
+# (partition, sub-profile) product of a sweep, the unit of the sweep's
+# prediction.  On a 2-core Xeon with Python 3.11, cold columns through
+# degree 20 or 28 cost 0.2-0.4 us a multiply-add, and one sweep of that
+# degree 0.5-2.5 us a product, for eleven short profiles from (2, 2) to
+# (4, 4, 3, 3, 2, 2) and six 4-cycles: 2.3 to 12 multiply-adds a product,
+# median 5.8.
+MOMENT_TERMS_PER_PRODUCT = 6
 
 
 def _moment_bounds(key: tuple[int, ...]) -> tuple[int, int, int]:
     """The monomials p_1^a p_2^b p_3^c the product of the closed forms of
     the cycles of ``key`` (each 2..4) reaches, with those of all its
     sub-profiles: c at most the number of 4-cycles, b + c at most that of
-    3- and 4-cycles, and a + b + c at most that of all cycles.  The row
-    transform of ``_Moments`` keeps within these bounds."""
+    3- and 4-cycles, and a + b + c at most that of all cycles.  The passes
+    of ``_grow_columns`` keep within these bounds."""
     k4 = key.count(4)
     k34 = k4 + key.count(3)
     return k4, k34, k34 + key.count(2)
 
 
-def _monomials(bounds: tuple[int, int, int]) -> list[tuple[int, int, int]]:
+@lru_cache(maxsize=None)
+def _monomials(bounds: tuple[int, int, int]) -> tuple[tuple[int, int, int], ...]:
+    """The monomials (a, b, c) within ``bounds``, by degree a + b + c and
+    then by weight a + 2b + 3c: every pass term of a monomial other than
+    the monomial itself comes earlier in this order (``_plan``)."""
     top3, top23, top = bounds
-    return [(a, b, c) for c in range(top3 + 1) for b in range(top23 - c + 1)
-            for a in range(top - b - c + 1)]
+    monomials = [(a, b, c) for c in range(top3 + 1) for b in range(top23 - c + 1)
+                 for a in range(top - b - c + 1)]
+    return tuple(sorted(monomials, key=lambda e: (sum(e), e[0] + 2 * e[1] + 3 * e[2])))
+
+
+def _terms(e: tuple[int, int, int]) -> int:
+    """Multiply-adds one state of the column of e costs: one for the sum,
+    and e_i + 1 for each pass that changes an exponent e_i > 0 (one pass
+    for p_1, two for p_2, three for p_3), the monomial itself and e_i
+    earlier ones."""
+    a, b, c = e
+    return 1 + (a and a + 1) + (b and 2 * b + 2) + (c and 3 * c + 3)
 
 
 def _state_terms(bounds: tuple[int, int, int]) -> int:
-    """Multiply-adds one state of a ``_Moments`` table costs: per monomial
-    one for the sum, and e + 1 for each pass that changes an exponent
-    e > 0 (one for p_1, two for p_2, three for p_3)."""
-    return sum(1 + (a and a + 1) + (b and 2 * b + 2) + (c and 3 * c + 3)
-               for a, b, c in _monomials(bounds))
+    """Multiply-adds one state costs over every column of ``bounds``."""
+    return sum(map(_terms, _monomials(bounds)))
 
 
-class _Moments:
-    """The content moments sum over lam |- n of p_1^a p_2^b p_3^c, for the
-    monomials (a, b, c) within one set of bounds (``_moment_bounds``) and
-    every n up to the degree the table has grown to.
+# The passes of the row map in the order they are taken: the shears
+# x_i -> x_i + beta x_j as (i, j, beta), then the translations
+# x_i -> x_i + alpha_i as (i, None, None), for x = (p_1, p_2, p_3).
+_PASSES = ((2, 0, 3), (2, 1, -3), (1, 0, -2), (0, None, None), (1, None, None), (2, None, None))
 
-    ``rows[n][b]`` is V(n, b), the vector of moments over the partitions
-    of n with largest part at most b, so ``rows[n][n]`` is the table at n.
-    A partition with largest part b is the row (b) over a partition mu of
-    n - b with parts at most b, whose boxes move one row down, so
-    p_k((b) u mu) = sum_{0<=c<b} c^k + sum over the boxes of mu of (c-1)^k:
+
+@lru_cache(maxsize=None)
+def _plan(e: tuple[int, int, int]) -> tuple[tuple, ...]:
+    """Per pass, the terms of the image of x^e other than x^e itself, as
+    (source monomial, weight): x_i^e_i -> sum_{t < e_i} C(e_i, t) x_i^t
+    y^(e_i - t) reads the monomial with x_i^t and, for a shear y = beta
+    x_j, x_j^(e_i - t) more, at the weight C(e_i, t) beta^(e_i - t); for a
+    translation y = alpha_i the weight is (i, e_i - t, C(e_i, t)), a
+    different number at every state."""
+    plan = []
+    for i, j, beta in _PASSES:
+        k = e[i]
+        terms = []
+        for t in range(k):
+            src = list(e)
+            src[i] = t
+            if j is None:
+                terms.append((tuple(src), (i, k - t, comb(k, t))))
+            else:
+                src[j] += k - t
+                terms.append((tuple(src), comb(k, t) * beta ** (k - t)))
+        plan.append(tuple(terms))
+    return tuple(plan)
+
+
+# The content moments sum_{lam |- n, lam_1 <= b} p_1^a p_2^b p_3^c, one
+# integer column per monomial (a, b, c) over the states (n, b), 0 <= b <= n,
+# row by row at index n (n + 1) / 2 + b, so a column of (n + 1)(n + 2) / 2
+# entries is complete through degree n.  Shared by every profile and kept
+# for the life of the process.  A column is only ever replaced, under the
+# lock, by a longer one whose new rows are complete, and never changed in
+# place, so two threads that grow one column at once only compute the same
+# cells twice.
+_columns: dict[tuple[int, int, int], list[int]] = {}
+_columns_lock = threading.Lock()
+# Per set of bounds a request has grown, a degree every column of its
+# ``_monomials`` reaches and those columns, so that a row within it costs
+# one lookup.
+_views: dict[tuple[int, int, int], tuple[int, dict[tuple[int, int, int], list[int]]]] = {}
+
+
+def _moment_columns(bounds: tuple[int, int, int]) -> dict[tuple[int, int, int], list[int]]:
+    """The columns of ``_monomials(bounds)`` as they stand in ``_columns``,
+    in that order; a missing one is empty."""
+    return {e: _columns.get(e, ()) for e in _monomials(bounds)}
+
+
+def _degree(size: int) -> int:
+    """The degree a column of ``size`` entries is complete through (-1
+    when empty)."""
+    return (isqrt(8 * size + 1) - 3) // 2
+
+
+@lru_cache(maxsize=4)
+def _targets(lo: int, d: int) -> tuple[list[int], tuple[list[int], list[int], list[int]]]:
+    """For the states (n, b), 1 <= b <= n, of rows lo + 1..d, row by row:
+    the index of the state (n - b, min(b, n - b)) they build on, and the
+    three translations alpha of the row map (``_grow_columns``)."""
+    pairs = [(n - b, b) for n in range(lo + 1, d + 1) for b in range(1, n + 1)]
+    s1 = [b * (b - 1) // 2 for _, b in pairs]
+    return [m * (m + 1) // 2 + min(b, m) for m, b in pairs], (
+        [s - m for s, (m, _) in zip(s1, pairs)],
+        [(b - 1) * b * (2 * b - 1) // 6 + m for m, b in pairs],
+        [s * s - m for s, (m, _) in zip(s1, pairs)],
+    )
+
+
+def _growth_terms(columns: dict[tuple[int, int, int], list[int]], d: int) -> int:
+    """Multiply-adds ``_grow_columns`` makes to bring ``columns`` through
+    degree d: every column's passes over the states (n, b), b >= 1, of the
+    rows above the lowest degree lo any of them reaches, and one sum for
+    each such state it adds.  A column complete past lo re-runs its passes
+    there for the columns after it; none is counted twice otherwise."""
+    have = [_degree(len(col)) for col in columns.values()]
+    lo = min(have)
+    if lo >= d:
+        return 0
+    states = d * (d + 1) // 2
+    return sum((states - lo * (lo + 1) // 2) * (_terms(e) - 1)
+               + max(0, states - n * (n + 1) // 2)
+               for e, n in zip(columns, have))
+
+
+def _grow_columns(bounds: tuple[int, int, int], columns: dict[tuple[int, int, int], list[int]],
+                  d: int) -> dict[tuple[int, int, int], list[int]]:
+    """Extend every column of ``columns`` (``_moment_columns(bounds)``)
+    through degree d, in the dict and in ``_columns``, and keep the dict in
+    ``_views``; return it.
+
+    V(n, b) is the vector of moments over the partitions of n with largest
+    part at most b, so V(n, n) is the table at n.  A partition with largest
+    part b is the row (b) over a partition mu of n - b with parts at most
+    b, whose boxes move one row down, so p_k((b) u mu) = sum_{0<=c<b} c^k
+    + sum over the boxes of mu of (c-1)^k:
 
         p_1 -> p_1 + s_1 - |mu|
         p_2 -> p_2 - 2 p_1 + s_2 + |mu|
         p_3 -> p_3 - 3 p_2 + 3 p_1 + s_3 - |mu|,
 
-    affine in mu's power sums.  So V(n, b) = V(n, b - 1) + T V(n - b, b'),
-    b' = min(b, n - b), where T substitutes that map into each monomial:
-    the shears p_3 -> p_3 + 3 p_1, p_3 -> p_3 - 3 p_2 and p_2 -> p_2 - 2 p_1,
-    which are the same for every state, so each V is sheared once
-    (``sheared``), then the translations by s_k -+ |mu|.  Each pass
-    rewrites a monomial x^e through (x + y)^e = sum_t C(e, t) x^t y^(e-t),
-    which keeps it within the bounds.
+    affine in mu's power sums.  So V(n, b) = V(n, b - 1) + T S V(n - b, b'),
+    b' = min(b, n - b), where S is the shears p_3 -> p_3 + 3 p_1,
+    p_3 -> p_3 - 3 p_2 and p_2 -> p_2 - 2 p_1 and T the translations by
+    s_k -+ |mu|, six passes that each rewrite a monomial x^e through
+    (x + y)^e = sum_t C(e, t) x^t y^(e-t).  The term t = e is the monomial
+    itself and every other term an earlier one (``_plan``), so each column
+    is one scalar recursion
 
-    Rows are stored by degree, each after all lower ones, so two threads
-    growing one table at once only store the same rows twice.
+        V_e(n, b) = V_e(n, b - 1) + V_e(n - b, b') + R_e(n, b),
+
+    where R_e, what the passes add from earlier columns, is gathered over
+    all new states at once, one list per pass.  Each pass reads the earlier
+    columns after the passes before it; those values are kept for this
+    growth only.  The states are those of the rows above the lowest degree
+    lo any column reaches (``_growth_terms``).  A column is stored once its
+    new rows are complete.
     """
-
-    __slots__ = ("index", "shears", "shifts", "rows", "sheared")
-
-    def __init__(self, bounds: tuple[int, int, int]) -> None:
-        monomials = _monomials(bounds)
-        self.index = {e: i for i, e in enumerate(monomials)}
-        # [(target, ((source, coefficient), ...)), ...] per shear
-        # x_i -> x_i + beta x_j, in the order the moments take them.
-        self.shears = [
-            [(target, tuple((src, comb(e, t) * beta ** (e - t)) for src, t in terms))
-             for target, e, terms in self._pass(monomials, i, j)]
-            for i, j, beta in ((2, 0, 3), (2, 1, -3), (1, 0, -2))
-        ]
-        # (variable, binomials C(e, t) for e up to its largest exponent,
-        # its pass) per translation that changes some monomial.
-        self.shifts = []
-        for i in range(3):
-            plan = self._pass(monomials, i, None)
-            if plan:
-                top = max(e for _, e, _ in plan)
-                binoms = [[comb(e, t) for t in range(e + 1)] for e in range(top + 1)]
-                self.shifts.append((i, binoms, plan))
-        one = [0] * len(monomials)
-        one[0] = 1
-        self.rows = {0: [one]}
-        self.sheared: dict[tuple[int, int], list[int]] = {}
-
-    def _pass(self, monomials, i: int, j: int | None):
-        """(target, e, ((source, t), ...)) for each monomial with exponent
-        e > 0 at x_i, the terms t = 0..e of x_i -> x_i + y: the source is
-        the monomial with x_i^t and, when y = x_j, x_j^(e - t) more."""
-        out = []
-        for mono in monomials:
-            e = mono[i]
-            if not e:
-                continue
-            terms = []
-            for t in range(e + 1):
-                src = list(mono)
-                src[i] = t
-                if j is not None:
-                    src[j] += e - t
-                terms.append((self.index[tuple(src)], t))
-            out.append((self.index[mono], e, tuple(terms)))
-        return out
-
-    def grow(self, d: int) -> None:
-        """Extend the rows through degree d, bottom-up."""
-        rows, sheared = self.rows, self.sheared
-        zero = [0] * len(self.index)
-        for n in range(len(rows), d + 1):
-            row = [zero]
-            for b in range(1, n + 1):
-                m = n - b
-                low = min(b, m)
-                v = sheared.get((m, low))
-                if v is None:
-                    v = rows[m][low]
-                    for plan in self.shears:
-                        v = _rewrite(v, plan)
-                    sheared[m, low] = v
-                s1 = b * (b - 1) // 2
-                alphas = (s1 - m, (b - 1) * b * (2 * b - 1) // 6 + m, s1 * s1 - m)
-                for i, binoms, plan in self.shifts:
-                    v = _translate(v, binoms, plan, alphas[i])
-                row.append([x + y for x, y in zip(row[-1], v)])
-            rows[n] = row
+    have = [_degree(len(col)) for col in columns.values()]
+    lo = min(have)
+    if lo >= d:
+        _views[bounds] = lo, columns
+        return columns
+    srcs, alphas = _targets(lo, d)
+    base = lo * (lo + 1) // 2
+    weights: dict[tuple[int, int, int], list[int]] = {}
+    read = {f for e in columns for terms in _plan(e) for f, _ in terms}
+    # monomial -> its values before each pass, at every state
+    inputs: dict[tuple[int, int, int], list[list[int]]] = {}
+    for (e, col), n_e in zip(list(columns.items()), have):
+        sums, added = [], None
+        for k, terms in enumerate(_plan(e)):
+            if terms:
+                parts = []
+                for f, w in terms:
+                    if isinstance(w, int):
+                        parts.append(map(mul, repeat(w), inputs[f][k]))
+                    else:
+                        weight = weights.get(w)
+                        if weight is None:
+                            i, power, binomial = w
+                            weight = weights[w] = [binomial * x ** power for x in alphas[i]]
+                        parts.append(map(mul, weight, inputs[f][k]))
+                if added is not None:
+                    parts.append(added)
+                added = list(map(sum, zip(*parts)) if len(parts) > 1 else parts[0])
+            sums.append(added)
+        if n_e < d:
+            col = list(col) if col else [int(not any(e))]
+            for n in range(max(n_e, 0) + 1, d + 1):
+                at = n * (n - 1) // 2 - base
+                values = map(col.__getitem__, srcs[at:at + n])
+                if added is not None:
+                    values = map(add, values, added[at:at + n])
+                col.extend(accumulate(values, initial=0))
+            columns[e] = col
+            with _columns_lock:
+                if len(col) > len(_columns.get(e, ())):
+                    _columns[e] = col
+        if e in read:
+            start = list(map(col.__getitem__, srcs))
+            ins, prev = [start], None
+            for s in sums[:-1]:
+                ins.append(ins[-1] if s is prev else list(map(add, start, s)))
+                prev = s
+            inputs[e] = ins
+    _views[bounds] = d, columns
+    return columns
 
 
-def _rewrite(v: list[int], plan) -> list[int]:
-    """The moments after the shear ``plan``."""
-    out = list(v)
-    for target, terms in plan:
-        out[target] = sum([c * v[src] for src, c in terms])
-    return out
-
-
-def _translate(v: list[int], binoms, plan, alpha: int) -> list[int]:
-    """The moments after x_i -> x_i + alpha, for the translation ``plan``
-    of x_i: C(e, t) alpha^(e-t) times the moment with x_i^t."""
-    powers = [1]
-    for _ in range(len(binoms) - 1):
-        powers.append(powers[-1] * alpha)
-    coeffs = [[c * powers[e - t] for t, c in enumerate(row)] for e, row in enumerate(binoms)]
-    out = list(v)
-    for target, e, terms in plan:
-        row = coeffs[e]
-        out[target] = sum([row[t] * v[src] for src, t in terms])
-    return out
-
-
-# Moment tables by ``_moment_bounds``, grown in place and kept for the life
-# of the process.
-_moment_tables: dict[tuple[int, int, int], _Moments] = {}
-
-
-def _moment_table(key: tuple[int, ...], d: int) -> _Moments | None:
-    """The moment table that serves the Burnside sums of ``key`` and its
-    sub-profiles at degree d, or None when they go by the sweep.
+def _moment_table(key: tuple[int, ...], d: int) -> dict[tuple[int, int, int], list[int]] | None:
+    """The moment columns that serve the Burnside sums of ``key`` and its
+    sub-profiles at degree d, those of ``_moment_bounds(key)`` as they
+    stand, or None when the sums go by the sweep.
 
     Predicted before any work: every cycle must be at most
-    ``CONTENT_POLY_MAX_M``.  A table already grown through d whose bounds
-    hold ``key``'s serves at no cost.  Otherwise the table of ``key``'s
-    bounds does when the states still to build through d, times the terms
-    each costs (``_state_terms``), are at most ``MOMENT_TERMS_PER_PRODUCT``
-    times the products the Burnside cap counts for sweeps of every degree
-    up to d, all of which the table then serves: sum_{d' <= d} p(d') times
-    the prod (c + 1) sub-profiles.
+    ``CONTENT_POLY_MAX_M``.  Columns complete through d serve at no cost.
+    Otherwise they do when the multiply-adds that growing them through d
+    makes (``_growth_terms``: the column-states it adds at their terms
+    each, and the passes of columns complete further on the rows the
+    others add) are at most ``MOMENT_TERMS_PER_PRODUCT`` times the products
+    the Burnside cap counts for sweeps of every degree up to d, all of
+    which the columns then serve: sum_{d' <= d} p(d') times the
+    prod (c + 1) sub-profiles.
     """
     if key and key[0] > CONTENT_POLY_MAX_M:
         return None
     bounds = _moment_bounds(key)
-    for have, table in _moment_tables.items():
-        if d in table.rows and all(h >= b for h, b in zip(have, bounds)):
-            return table
-    table = _moment_tables.get(bounds)
-    built = len(table.rows) if table else 1
-    states = (d * (d + 1) - built * (built - 1)) // 2
-    products = burnside_work(d) * prod(c + 1 for c in Counter(key).values())
-    if states * _state_terms(bounds) > MOMENT_TERMS_PER_PRODUCT * products:
-        return None
-    if table is None:
-        table = _moment_tables[bounds] = _Moments(bounds)
-    return table
+    view = _views.get(bounds)
+    if view is not None and view[0] >= d:
+        return view[1]
+    columns = _moment_columns(bounds)
+    terms = _growth_terms(columns, d)
+    if terms:
+        products = burnside_work(d) * prod(c + 1 for c in Counter(key).values())
+        if terms > MOMENT_TERMS_PER_PRODUCT * products:
+            return None
+    return _grow_columns(bounds, columns, d)
 
 
-def _moment_sums(table: _Moments, key: tuple[int, ...], d: int) -> None:
+def _moment_sums(columns: dict[tuple[int, int, int], list[int]], key: tuple[int, ...],
+                 d: int) -> None:
     """Store in ``_burnside_totals`` the Burnside sum at degree d of every
     sorted sub-multiset of ``key`` (cycles 2..4, longest first), each the
     product of the closed forms of its cycles (``characters.content_form``)
     expanded in monomials and dotted with the content moments of the
-    partitions of d from ``table``, grown through d first; no partition is
-    visited."""
-    table.grow(d)
-    moments, index = table.rows[d][d], table.index
+    partitions of d, read at the state (d, d) of ``columns``, which reach
+    degree d (``_moment_table``); no partition is visited."""
+    last = d * (d + 3) // 2
     subs, plan = _sub_profiles(key)
     forms = {m: content_form(m, d) for m in set(key)}
     polys: list[dict[tuple[int, int, int], int]] = [{(0, 0, 0): 1}] * len(subs)
@@ -420,7 +495,7 @@ def _moment_sums(table: _Moments, key: tuple[int, ...], d: int) -> None:
                     poly[mono] = poly.get(mono, 0) + x * y
         polys[i] = poly
     for sub, poly in zip(subs, polys):
-        _burnside_totals[sub, d] = sum(x * moments[index[mono]] for mono, x in poly.items())
+        _burnside_totals[sub, d] = sum(x * columns[mono][last] for mono, x in poly.items())
 
 
 def cov_d(profile, d: int) -> Fraction:
@@ -481,7 +556,7 @@ def cov_connected_series(profile, order: int) -> QSeries:
     leaves no connected covering through that order, so the series is
     zero with no more work.  Otherwise the blocks' series come from the
     Burnside sums of the profile at each degree, top degree first so
-    that a moment table it builds serves every lower one.
+    that the moment columns it grows serve every lower one.
     """
     profile = _profile(profile)
     if not profile:

@@ -17,8 +17,9 @@ denominators divide products of Bernoulli denominators, so both sum in
 Python ints scaled by a common denominator (``_common_denominator``) and
 build one Fraction at the end.  The partition table of each sorted
 sub-multiset is kept for the life of the process, with its own scale,
-and shared by every key, Wick leaf and request that reaches it
-(``_table``).  Every stage has an independent oracle.
+shared by every key, Wick leaf and request that reaches it, and widened
+by the cells of new degrees only (``_table``).  Every stage has an
+independent oracle.
 """
 
 from __future__ import annotations
@@ -167,18 +168,21 @@ def _block_series(size: int, parts: int) -> tuple[int, tuple[tuple[int, int], ..
 
 # The partition tables of sorted sub-multisets v, shared by every key for
 # the life of the process: v -> (excess, Q_v, rows) (``_table``).  An
-# entry is stored whole once built and its rows are only read, so two
-# threads that need one table at once only build it twice.
+# entry is stored whole once built or widened, and its rows are only read,
+# so two threads that need one table at once only compute it twice.
 _tables: dict[tuple[int, ...], tuple[int, int, list[list[int]]]] = {}
 
 
 def _table(v: tuple[int, ...], excess: int) -> tuple[int, list[list[int]]]:
     """(Q_v, rows) of the sorted multiset v, from the memo when its entry
-    keeps degrees up to l + ``excess`` or more, else built anew and kept
-    in place of the smaller one."""
+    keeps degrees up to l + ``excess`` or more; else built, or widened
+    by the cells of the degrees it lacks, and kept in place of the
+    smaller one."""
     got = _tables.get(v)
-    if got is None or got[0] < excess:
+    if got is None:
         got = _tables[v] = (excess, *_build_table(v, excess))
+    elif got[0] < excess:
+        got = _tables[v] = (excess, got[1], _fill_rows(v, got[1], got[2], excess))
     return got[1], got[2]
 
 
@@ -186,18 +190,27 @@ def _build_table(v: tuple[int, ...], excess: int) -> tuple[int, list[list[int]]]
     """Sum over set partitions alpha of the indices of v of
     u^l(alpha) prod_B Q_v g_B(t), in integers, as rows[l][t-degree], with
     Q_v = ``_common_denominator(|v| - #v + 2)``; returns (Q_v, rows).
+    A key reads only its cells (l, l - 2), and every index outside v adds
+    at most one block and a nonnegative degree, so v keeps the degrees up
+    to l + ``excess``: -2 for a key, one more for each block taken off.
+    """
+    scale = _common_denominator(sum(v) - len(v) + 2)
+    return scale, _fill_rows(v, scale, [[] for _ in range(len(v) + 1)], excess)
+
+
+def _fill_rows(v: tuple[int, ...], scale: int, old: list[list[int]],
+               excess: int) -> list[list[int]]:
+    """Copies of the rows ``old`` of v's table (scaled by ``scale``),
+    each row l extended to the degrees up to l + ``excess`` with only the
+    cells it lacks computed.
 
     Indices with equal entries are interchangeable, so the sum runs over
     the sub-multisets of v (the exponential formula): the block holding
     the first index is chosen by ``partitions.vector_splits``, and the
     rest's table is taken from the memo, its row l times (Q_v / Q_rest)^l.
-    A key reads only its cells (l, l - 2), and every index outside v adds
-    at most one block and a nonnegative degree, so v keeps the degrees up
-    to l + ``excess``: -2 for a key, one more for each block taken off.
     """
     values = sorted(set(v), reverse=True)
-    scale = _common_denominator(sum(v) - len(v) + 2)
-    rows = [[0] * max(0, ell + excess + 1) for ell in range(len(v) + 1)]
+    rows = [row + [0] * (ell + excess + 1 - len(row)) for ell, row in enumerate(old)]
     for block, rest, ways in vector_splits(tuple(v.count(x) for x in values), True):
         block_scale, series = _block_series(
             sum(b * x for b, x in zip(block, values)), sum(block))
@@ -212,16 +225,17 @@ def _build_table(v: tuple[int, ...], excess: int) -> tuple[int, list[list[int]]]
         factor = 1
         for ell, row in enumerate(rest_rows):
             target = rows[ell + 1]
-            top = len(target) - 1
-            for degree in range(min(len(row), top + 1)):
+            low, top = len(old[ell + 1]), len(target) - 1
+            for degree in range(max(0, low - series[-1][0]), min(len(row), top + 1)):
                 value = row[degree] * factor
                 if value:
                     for d, g in series:
                         if degree + d > top:
                             break
-                        target[degree + d] += g * value
+                        if degree + d >= low:
+                            target[degree + d] += g * value
             factor *= ratio
-    return scale, rows
+    return rows
 
 
 def elementary_cumulant_series_oracle(m) -> PiScalar:

@@ -2,6 +2,8 @@ import importlib.util
 import json
 import random
 import re
+import sys
+import threading
 import time
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
@@ -9,6 +11,8 @@ from math import factorial
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stratavol.characters import (
     character,
@@ -22,12 +26,17 @@ from stratavol.coverings import (
     BRUTE_FORCE_WORK_CAP,
     BURNSIDE_PRODUCT_CAP,
     BURNSIDE_WORK_CAP,
-    _Moments,
     _burnside_sums,
     _check_sweep_cap,
+    _degree,
+    _grow_columns,
+    _growth_terms,
     _moment_bounds,
+    _moment_columns,
     _moment_sums,
     _moment_table,
+    _monomials,
+    _plan,
     _state_terms,
     _sweep,
     CoverCountRecord,
@@ -131,16 +140,17 @@ class TestBurnsideRoute:
         assert cov_d((17, 9), 28) != 0
 
 
-def _cold(monkeypatch):
-    """Empty the Burnside memo and the moment tables; the process-wide ones
-    come back when the test ends."""
+def _cold(monkeypatch, columns=None):
+    """Empty the Burnside memo and the moment columns (or start them from
+    ``columns``); the process-wide ones come back when the test ends."""
     monkeypatch.setattr(stratavol.coverings, "_burnside_totals", {})
-    monkeypatch.setattr(stratavol.coverings, "_moment_tables", {})
+    monkeypatch.setattr(stratavol.coverings, "_columns", {} if columns is None else columns)
+    monkeypatch.setattr(stratavol.coverings, "_views", {})
 
 
 @pytest.fixture
 def cold_memo(monkeypatch):
-    """An empty Burnside memo and no moment tables for the test, the
+    """An empty Burnside memo and no moment columns for the test, the
     process-wide ones restored after it."""
     _cold(monkeypatch)
 
@@ -152,9 +162,14 @@ def _forbid(monkeypatch, name):
     monkeypatch.setattr(stratavol.coverings, name, forbidden)
 
 
-def _moment_states() -> int:
-    return sum(len(row) for table in stratavol.coverings._moment_tables.values()
-               for row in table.rows.values())
+def _moment_cells() -> int:
+    return sum(map(len, stratavol.coverings._columns.values()))
+
+
+def _grown(bounds, d):
+    """The moment columns of ``bounds``, grown through degree d from the
+    process's columns as they stand."""
+    return _grow_columns(bounds, _moment_columns(bounds), d)
 
 
 def _bench_workloads():
@@ -229,11 +244,11 @@ class TestBurnsideKernel:
         degrees = _count_sweeps(monkeypatch)
         first = cov_connected_series(profile, 12)
         assert degrees == []
-        states = _moment_states()
-        assert states > 0
+        cells = _moment_cells()
+        assert cells > 0
         assert cov_connected_series(profile, 12) == first
         assert degrees == []
-        assert _moment_states() == states
+        assert _moment_cells() == cells
 
     @pytest.mark.parametrize("profile", [(2, 2), (4, 3), (2, 2, 2)])
     def test_ratio_after_rows_sweeps_at_most_degree_zero(self, profile, cold_memo, monkeypatch):
@@ -265,46 +280,217 @@ class TestMomentRoute:
     def test_matches_sweep_and_murnaghan_nakayama(self, monkeypatch):
         # Every profile of 1-4 cycles from {2, 3, 4}: both routes store the
         # same totals for its cycles that fit in d and all their
-        # sub-profiles, equal to the character sums.
+        # sub-profiles, equal to the character sums.  The moment columns
+        # start cold for every profile and degree.
         keys = [key[::-1] for s in (1, 2, 3, 4)
                 for key in combinations_with_replacement((2, 3, 4), s)]
         for d in range(15):
             for key in keys:
                 fit = tuple(m for m in key if m <= d)
-                monkeypatch.setattr(stratavol.coverings, "_burnside_totals", {})
-                _moment_sums(_Moments(_moment_bounds(fit)), fit, d)
+                _cold(monkeypatch)
+                _moment_sums(_grown(_moment_bounds(fit), d), fit, d)
                 moments = stratavol.coverings._burnside_totals
                 monkeypatch.setattr(stratavol.coverings, "_burnside_totals", {})
                 _sweep(fit, d)
                 assert moments == stratavol.coverings._burnside_totals, (key, d)
                 assert moments[fit, d] == _burnside_by_murnaghan_nakayama(fit, d), (key, d)
 
+    @pytest.mark.parametrize("profile", [(4, 3), (4, 4, 3, 3, 2, 2)])
+    def test_matches_sweep_at_high_degrees(self, profile, cold_memo, monkeypatch):
+        # Degrees 36..40, past the Murnaghan-Nakayama checks: columns grown
+        # once through 40 against one sweep per degree, for the profile
+        # and every sub-profile.
+        columns = _grown(_moment_bounds(profile), 40)
+        for d in range(36, 41):
+            monkeypatch.setattr(stratavol.coverings, "_burnside_totals", {})
+            _moment_sums(columns, profile, d)
+            moments = stratavol.coverings._burnside_totals
+            monkeypatch.setattr(stratavol.coverings, "_burnside_totals", {})
+            _sweep(profile, d)
+            assert moments == stratavol.coverings._burnside_totals, d
+
     def test_empty_profile_counts_partitions(self, monkeypatch):
         for d in range(25):
-            monkeypatch.setattr(stratavol.coverings, "_burnside_totals", {})
-            _moment_sums(_Moments((0, 0, 0)), (), d)
+            _cold(monkeypatch)
+            _moment_sums(_grown((0, 0, 0), d), (), d)
             assert stratavol.coverings._burnside_totals == {((), d): partition_count(d)}
 
-    def test_one_table_grown_in_place(self, cold_memo):
-        # Growing through 20 in steps gives the rows of one pass, and a
-        # table whose bounds hold a profile's serves it.
-        table = _Moments((1, 2, 2))
+    def test_one_table_grown_in_place(self, cold_memo, monkeypatch):
+        # Growing through 20 in steps gives the columns of one growth, and
+        # columns that reach a degree serve every profile they hold.
         for d in (3, 11, 11, 20):
-            table.grow(d)
-        whole = _Moments((1, 2, 2))
-        whole.grow(20)
-        assert table.rows == whole.rows
-        stratavol.coverings._moment_tables[1, 2, 2] = table
-        assert _moment_table((3, 2), 20) is table
-        assert _moment_table((3, 2), 21) is not table
+            _grown((1, 2, 2), d)
+        stepped = dict(stratavol.coverings._columns)
+        assert set(stepped) == set(_monomials((1, 2, 2)))
+        assert {_degree(len(col)) for col in stepped.values()} == {20}
+        _cold(monkeypatch)
+        _grown((1, 2, 2), 20)
+        assert stratavol.coverings._columns == stepped
+        columns = _moment_table((3, 2), 20)
+        assert columns == {e: stepped[e] for e in _monomials((0, 1, 2))}
+        assert _moment_table((3, 2), 20) is columns
+        wider = _moment_table((3, 2), 21)
+        assert {_degree(len(col)) for col in wider.values()} == {21}
+        for e, col in stratavol.coverings._columns.items():
+            assert col[:len(stepped[e])] == stepped[e], e
 
     def test_state_terms_count_the_passes(self):
+        # One multiply-add per term of each pass that changes an exponent,
+        # the monomial itself included, and one for the sum; every other
+        # term reads a column earlier in the growth order, within the bounds.
         for bounds in [(0, 0, 0), (0, 0, 2), (0, 1, 2), (1, 2, 2), (2, 3, 5), (6, 6, 6)]:
-            table = _Moments(bounds)
-            terms = len(table.index)
-            terms += sum(len(t) for plan in table.shears for _, t in plan)
-            terms += sum(len(t) for _, _, plan in table.shifts for _, _, t in plan)
+            order = {e: i for i, e in enumerate(_monomials(bounds))}
+            terms = 0
+            for e in order:
+                terms += 1 + sum(len(t) + 1 for t in _plan(e) if t)
+                for f, _ in (term for t in _plan(e) for term in t):
+                    assert order[f] < order[e], (bounds, e, f)
             assert _state_terms(bounds) == terms, bounds
+
+    @pytest.mark.parametrize("bounds", [(0, 0, 2), (1, 2, 2), (2, 4, 6), (6, 6, 6)])
+    def test_multiplies_per_column_state_are_the_pass_terms(self, bounds, cold_memo, monkeypatch):
+        # Each new column-state (n, b), b >= 1, multiplies once per term of
+        # each pass other than the monomial itself, through degree 9 from
+        # cold and then on to 13; the prediction adds one sum per pass and
+        # per state to those, which makes _state_terms a state.
+        calls = []
+
+        def counting(x, y):
+            calls.append(None)
+            return x * y
+
+        monkeypatch.setattr(stratavol.coverings, "mul", counting)
+        per_state = sum(len(t) for e in _monomials(bounds) for t in _plan(e))
+        for low, d in ((0, 9), (9, 13)):
+            states = d * (d + 1) // 2 - low * (low + 1) // 2
+            assert _growth_terms(_moment_columns(bounds), d) == states * _state_terms(bounds)
+            calls.clear()
+            _grown(bounds, d)
+            assert len(calls) == states * per_state, (low, d)
+
+    def test_lower_columns_rerun_their_passes_for_new_ones(self, cold_memo, monkeypatch):
+        # (2, 2) grown through 20 holds three of the nine columns of (4, 3):
+        # growing (4, 3) through 20 adds the other six at every state and
+        # re-runs the passes of the three, as the prediction counts.
+        _grown((0, 0, 2), 20)
+        columns = _moment_columns((1, 2, 2))
+        states = 20 * 21 // 2
+        new = [e for e in columns if not columns[e]]
+        assert len(new) == 6
+        assert _growth_terms(columns, 20) == states * (_state_terms((1, 2, 2)) - 3)
+        cells = _moment_cells()
+        _grown((1, 2, 2), 20)
+        assert _moment_cells() - cells == 6 * 21 * 22 // 2
+
+    def test_each_cell_computed_once(self, monkeypatch):
+        # Columns grown by degree and by monomial, in a mixed order: each is
+        # only ever replaced by a longer one of whole rows that keeps its
+        # cells, so every (monomial, state) cell is computed once.
+        added = []
+
+        class Recording(dict):
+            def __setitem__(self, e, col):
+                old = self.get(e, [])
+                n = _degree(len(col))
+                assert len(col) > len(old) and len(col) == (n + 1) * (n + 2) // 2, e
+                assert col[:len(old)] == old, e
+                added.append(len(col) - len(old))
+                super().__setitem__(e, col)
+
+        _cold(monkeypatch, Recording())
+        for bounds, d in [((0, 0, 2), 12), ((0, 1, 2), 9), ((1, 2, 2), 15), ((0, 0, 2), 20),
+                          ((1, 2, 2), 20), ((0, 1, 2), 25), ((2, 3, 3), 14), ((0, 0, 2), 5),
+                          ((2, 3, 3), 26)]:
+            _grown(bounds, d)
+        for profile in _bench_workloads().COVER_PROFILES:
+            for d in (28, 3, 30):
+                cov_d(profile, d)
+        assert sum(added) == _moment_cells()
+
+    def test_threads_growing_at_once_lose_no_column(self, cold_memo):
+        # Four threads (more than the cores) grow nested bounds to
+        # different degrees at once, switching every microsecond: each
+        # gets the columns of a cold growth, and no column is replaced by a
+        # shorter one, so every column ends at the largest degree asked.
+        requests = [((2, 4, 6), 30), ((1, 2, 2), 34), ((2, 4, 6), 18), ((0, 1, 2), 26)]
+        start = threading.Barrier(len(requests))
+        out = {}
+
+        def grow(bounds, d):
+            start.wait()
+            out[bounds, d] = _grown(bounds, d)
+
+        threads = [threading.Thread(target=grow, args=request) for request in requests]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        whole = _cold_columns((2, 4, 6), 34)
+        for (bounds, d), columns in out.items():
+            assert list(columns) == list(_monomials(bounds))
+            for e, col in columns.items():
+                assert _degree(len(col)) >= d and col == whole[e][:len(col)], (bounds, e)
+        reach = {}
+        for bounds, d in requests:
+            for e in _monomials(bounds):
+                reach[e] = max(reach.get(e, -1), d)
+        columns = stratavol.coverings._columns
+        assert {e: _degree(len(col)) for e, col in columns.items()} == reach
+        assert all(col == whole[e][:len(col)] for e, col in columns.items())
+
+
+# Bounds whose monomials all lie within (2, 3, 4).
+INTERLEAVED_BOUNDS = [(0, 0, 0), (0, 0, 2), (0, 1, 2), (1, 2, 2), (0, 2, 3), (1, 1, 3),
+                      (2, 3, 4)]
+_COLD_COLUMNS = {}
+
+
+def _cold_columns(bounds, d):
+    """The columns of one cold growth of ``bounds`` through d, memoized;
+    the process's columns are left as they are."""
+    if (bounds, d) not in _COLD_COLUMNS:
+        _COLD_COLUMNS[bounds, d] = _growth_sequence([(bounds, d)])
+    return _COLD_COLUMNS[bounds, d]
+
+
+def _growth_sequence(requests):
+    """The columns after growing each (bounds, degree) of ``requests`` in
+    turn from none, in a table of their own."""
+    saved = stratavol.coverings._columns, stratavol.coverings._views
+    stratavol.coverings._columns, stratavol.coverings._views = {}, {}
+    try:
+        for bounds, d in requests:
+            _grown(bounds, d)
+        return stratavol.coverings._columns
+    finally:
+        stratavol.coverings._columns, stratavol.coverings._views = saved
+
+
+class TestColumnInterleavings:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(INTERLEAVED_BOUNDS), st.integers(0, 16)),
+                    min_size=1, max_size=8))
+    def test_any_growth_order_gives_one_cold_build(self, requests):
+        # Any interleaving of new monomials and new degrees: each column
+        # reaches the largest degree a request that holds it asked for, no
+        # further, and equals the column of one cold growth of (2, 3, 4)
+        # through 16 that far.
+        columns = _growth_sequence(requests)
+        whole = _cold_columns((2, 3, 4), 16)
+        reach = {}
+        for bounds, d in requests:
+            for e in _monomials(bounds):
+                reach[e] = max(reach.get(e, -1), d)
+        assert set(columns) == set(reach)
+        for e, col in columns.items():
+            assert _degree(len(col)) == reach[e], e
+            assert col == whole[e][:len(col)], e
 
 
 class TestRoutes:
@@ -337,20 +523,20 @@ class TestRoutes:
             cov_d(profile, d)
 
     def test_wide_short_profile_takes_the_sweep(self, cold_memo, monkeypatch):
-        # A table for six 4-cycles carries 84 monomials at 1,176 terms a
-        # state: through degree 18 it took 39 ms against 7 ms for sweeps
-        # of every degree up to 18 (2-core Xeon, Python 3.11).
+        # Six 4-cycles carry 84 monomial columns at 1,176 multiply-adds a
+        # state: grown cold through degree 18 they took 38 ms against 12 ms
+        # for sweeps of every degree up to 18 (2-core Xeon, Python 3.11;
+        # the one table per profile they replace took 55 ms there).
         wide = (4,) * 6
         assert _moment_table(wide, 18) is None
         _forbid(monkeypatch, "_moment_sums")
         for d in range(4, 19):
             cov_d(wide, d)
-        assert stratavol.coverings._moment_tables == {}
-        # Grown through 17, the table needs 18 more states for degree 18.
-        table = _Moments(_moment_bounds(wide))
-        table.grow(17)
-        stratavol.coverings._moment_tables[_moment_bounds(wide)] = table
-        assert _moment_table(wide, 18) is table
+        assert stratavol.coverings._columns == {}
+        # Grown through 17, the columns need 18 more states for degree 18.
+        _grown(_moment_bounds(wide), 17)
+        columns = _moment_table(wide, 18)
+        assert {_degree(len(col)) for col in columns.values()} == {18}
 
 
 class TestBurnsideWork:

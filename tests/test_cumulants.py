@@ -1,7 +1,9 @@
+import importlib.util
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from math import factorial
+from pathlib import Path
 
 import pytest
 
@@ -160,6 +162,39 @@ class TestSharedTables:
         assert big == cumulant_by_set_partitions((3, 2, 1, 1))
         stratavol.cumulants._cumulant_over_pi.cache_clear()
         assert stratavol.cumulants._cumulant_over_pi((2, 1, 1)) == small
+
+    def test_volume_table_builds_each_sub_multiset_once(self, monkeypatch):
+        # The benchmark's volume_table strata from cold: an entry that a
+        # later key needs to more degrees gains only the cells of those
+        # degrees, in place of a rebuild, and every volume is unchanged.
+        spec = importlib.util.spec_from_file_location(
+            "bench_workloads", Path(__file__).resolve().parents[1] / "bench" / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        strata = workloads.volume_strata()
+        want = [volume(mu).volume for mu in strata]
+        built, widened = [], []
+        real_build, real_fill = stratavol.cumulants._build_table, stratavol.cumulants._fill_rows
+
+        def building(v, excess):
+            built.append(v)
+            return real_build(v, excess)
+
+        def filling(v, scale, old, excess):
+            if any(old):
+                widened.append(v)
+                assert all(len(row) <= max(0, ell + excess) for ell, row in enumerate(old))
+            return real_fill(v, scale, old, excess)
+
+        monkeypatch.setattr(stratavol.cumulants, "_build_table", building)
+        monkeypatch.setattr(stratavol.cumulants, "_fill_rows", filling)
+        clear_cumulant_memos()
+        try:
+            assert [volume(mu).volume for mu in strata] == want
+        finally:
+            clear_cumulant_memos()
+        assert len(built) == len(set(built)) == 146
+        assert widened and set(widened) <= set(built)
 
     def test_inexact_rescale_raises(self, monkeypatch):
         # The rests (5, 1) and (5,) of (5, 5, 1) have |v| - #v + 2 = 6;
