@@ -25,7 +25,14 @@ from .coverings import (
     cov_connected_series,
     cov_d,
 )
-from .cumulants import SIMPLE_WORK_CAP, c_const, c_simple, elementary_cumulant, volume
+from .cumulants import (
+    SIMPLE_WORK_CAP,
+    c_const,
+    c_simple,
+    check_generator_work,
+    elementary_cumulant,
+    volume,
+)
 from .errors import DomainError, ResourceCapError
 from .exact_arith import PiScalar
 from .npoint import EvaluatedPoint, verify_theorem1_n1
@@ -120,6 +127,9 @@ def cmd_cconst(args) -> int:
 
 
 def cmd_fk(args) -> int:
+    if args.k >= 2:
+        # Refused exactly when ``cconst k`` is, before any expansion.
+        check_generator_work((args.k,), (1,))
     expansion = f_top_expansion(args.k)
     fmt = args.output or "plain"
     if fmt == "json":

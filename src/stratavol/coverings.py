@@ -31,12 +31,12 @@ from __future__ import annotations
 
 import threading
 from collections import Counter
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, permutations, repeat
 from math import comb, factorial, inf, isqrt, prod
 from operator import add, mul
-from typing import Iterable, Iterator, Sequence
 
 from .characters import (
     CONTENT_POLY_MAX_M,
@@ -50,7 +50,6 @@ from .characters import (
 )
 from .errors import DomainError, Record, ResourceCapError
 from .partitions import (
-    IntPartition,
     check_partition_work,
     iter_int_partitions,
     partition_counts,
@@ -73,22 +72,6 @@ BRUTE_FORCE_WORK_CAP = 10**6
 BURNSIDE_WORK_CAP = 10**6
 BURNSIDE_PRODUCT_CAP = 10**7
 
-__all__ = [
-    "CoverProfile",
-    "CoverCountRecord",
-    "cov_d",
-    "cov_series",
-    "cov_prime_series",
-    "cov_connected_series",
-    "burnside_work",
-    "check_burnside_cap",
-    "brute_force_work",
-    "check_brute_force_caps",
-    "brute_force_hom_count",
-    "asymptotic_ratio",
-    "euler_series",
-]
-
 
 class CoverProfile(tuple):
     """Branch point types: one cycle length >= 2 per marked point.
@@ -108,7 +91,8 @@ class CoverProfile(tuple):
 
 
 class CoverCountRecord(Record):
-    # CoverProfile, int, "all" | "no-unramified" | "connected", Fraction
+    # CoverProfile, int, kind, Fraction: the kind is "all" or "connected"
+    # for a Burnside count, "brute-all" or "brute-connected" for brute force
     __slots__ = ("profile", "d", "kind", "count")
 
     def csv_row(self) -> str:

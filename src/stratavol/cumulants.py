@@ -592,23 +592,31 @@ def f_cumulant_leading(m) -> PiScalar:
     whose types are the distinct generators k, each with the terms of
     f_k: a group picks its term inside the DP, so no choice is listed.
     A term of f_k has weight k + 1, so every choice carries the same pi
-    power |m| - l(m) + 2, attached once.  The work cap is checked from the
-    key alone, before any expansion or cumulant is computed: f_k has
-    p(k + 1) - p(k) top-weight terms (the partitions of k + 1 without
-    a part 1), whose parts are 2, ..., k - 1 and k + 1.
+    power |m| - l(m) + 2, attached once.
     """
     key = _canon_key(m)
     if key[-1] < 2:
         raise DomainError("generator indices must be >= 2")
     kinds = sorted(set(key), reverse=True)
     counts = tuple(key.count(k) for k in kinds)
+    check_generator_work(kinds, counts)
+    types = [f_top_expansion(k).terms for k in kinds]
+    return PiScalar(_wick_tree_sum(types, counts), sum(key) - len(key) + 2)
+
+
+def check_generator_work(kinds, counts) -> None:
+    """Raise ResourceCapError when the Wick tree sum over counts[i] groups
+    of the generator f_k, k = kinds[i] (each >= 2), is over the work cap.
+    It reads only the generators' indices, so it runs before any expansion
+    or cumulant is computed: f_k has p(k + 1) - p(k) top-weight terms (the
+    partitions of k + 1 without a part 1), whose parts are 2, ..., k - 1
+    and k + 1.
+    """
     _check_wick_work(
         counts,
         sum(_top_term_count(k) for k in kinds),
         ({*range(2, k), k + 1} for k in kinds),
     )
-    types = [f_top_expansion(k).terms for k in kinds]
-    return PiScalar(_wick_tree_sum(types, counts), sum(key) - len(key) + 2)
 
 
 def _top_term_count(k: int) -> int:

@@ -158,10 +158,9 @@ class PiScalar(Record):
             return PiScalar(self.coeff / other, self.pi_pow)
         return NotImplemented
 
-    def approx(self, pi_value: Fraction | None = None) -> Fraction:
-        """Numeric value at a rational approximation of pi (default 50 digits)."""
-        pv = pi_value if pi_value is not None else pi_approx()
-        return self.coeff * pv**self.pi_pow
+    def approx(self) -> Fraction:
+        """Numeric value at the 50-digit rational approximation of pi."""
+        return self.coeff * pi_approx() ** self.pi_pow
 
     def as_json_dict(self) -> dict:
         return {

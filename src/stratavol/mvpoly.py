@@ -8,8 +8,8 @@ expansions used by the cumulant oracle finite.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from fractions import Fraction
-from typing import Iterable
 
 Mono = tuple[int, ...]
 Poly = dict[Mono, Fraction]

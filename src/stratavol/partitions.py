@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import threading
 from bisect import bisect_right
+from collections.abc import Iterable, Iterator, Sequence
 from functools import lru_cache
 from itertools import product
 from math import comb, factorial
-from typing import Iterable, Iterator, Sequence
 
 from .errors import DomainError, Record, ResourceCapError
 
@@ -193,16 +193,14 @@ def enum_partitions_of_weight(w: int) -> list[IntPartition]:
 Blocks = tuple[tuple[int, ...], ...]
 
 
-def _canonical_blocks(blocks: Iterable[Iterable[int]]) -> Blocks:
-    return tuple(sorted((tuple(sorted(b)) for b in blocks), key=lambda b: b[0]))
-
-
 class SetPartition(Record):
-    """A partition of the ground set {1..n} into disjoint nonempty blocks."""
+    """A partition of the ground set {1..n} into disjoint nonempty blocks,
+    kept with each block ascending and the blocks sorted by their minimum."""
 
     __slots__ = ("blocks", "n")
 
     def __init__(self, blocks: Iterable[Iterable[int]], n: int) -> None:
+        blocks = tuple(tuple(sorted(b)) for b in blocks)
         seen: set[int] = set()
         for b in blocks:
             if not b:
@@ -213,23 +211,9 @@ class SetPartition(Record):
                 seen.add(x)
         if seen != set(range(1, n + 1)):
             raise DomainError(f"blocks do not cover 1..{n}")
-        object.__setattr__(self, "blocks", _canonical_blocks(blocks))
+        # Disjoint blocks sort by their minimum.
+        object.__setattr__(self, "blocks", tuple(sorted(blocks)))
         object.__setattr__(self, "n", n)
-
-    @staticmethod
-    def from_blocks(blocks: Iterable[Iterable[int]], n: int | None = None) -> "SetPartition":
-        bl = _canonical_blocks(blocks)
-        if n is None:
-            n = sum(len(b) for b in bl)
-        return SetPartition(bl, n)
-
-    @staticmethod
-    def one_block(n: int) -> "SetPartition":
-        return SetPartition((tuple(range(1, n + 1)),), n)
-
-    @staticmethod
-    def discrete(n: int) -> "SetPartition":
-        return SetPartition(tuple((i,) for i in range(1, n + 1)), n)
 
     @property
     def length(self) -> int:
@@ -255,14 +239,6 @@ def _rgs_iter(n: int) -> Iterator[list[int]]:
     yield from rec(1, 0) if n > 0 else iter(())
 
 
-def _rgs_to_partition(a: Sequence[int], n: int) -> SetPartition:
-    nblocks = max(a) + 1
-    blocks: list[list[int]] = [[] for _ in range(nblocks)]
-    for i, v in enumerate(a):
-        blocks[v].append(i + 1)
-    return SetPartition(tuple(tuple(b) for b in blocks), n)
-
-
 def enum_set_partitions(n: int) -> list[SetPartition]:
     """All set partitions of {1..n} in restricted-growth-string order."""
     if n < 1:
@@ -271,35 +247,15 @@ def enum_set_partitions(n: int) -> list[SetPartition]:
         raise ResourceCapError(
             f"set partition ground set {n} exceeds cap {SET_PARTITION_CAP}"
         )
-    if n == 1:
-        return [SetPartition.discrete(1)]
-    return [_rgs_to_partition(a, n) for a in _rgs_iter(n)]
+    return [SetPartition(blocks, n) for blocks in set_partitions_of(range(1, n + 1))]
 
 
 def iter_set_partitions_with_blocks(n: int, k: int) -> Iterator[SetPartition]:
     """Set partitions of {1..n} with exactly k blocks, in restricted-growth
-    order, grown one element at a time.  An element joins an open block
-    only while the later elements can still open the missing blocks.
-    """
-    if k < 1 or k > n:
-        return
-    blocks: list[tuple[int, ...]] = []
-
-    def grow(x: int) -> Iterator[SetPartition]:
-        if x > n:
-            yield SetPartition(tuple(blocks), n)
-            return
-        if n - x >= k - len(blocks):
-            for j, block in enumerate(blocks):
-                blocks[j] = block + (x,)
-                yield from grow(x + 1)
-                blocks[j] = block
-        if len(blocks) < k:
-            blocks.append((x,))
-            yield from grow(x + 1)
-            blocks.pop()
-
-    yield from grow(1)
+    order."""
+    for blocks in set_partitions_of(range(1, n + 1)):
+        if len(blocks) == k:
+            yield SetPartition(blocks, n)
 
 
 def set_partitions_of(items: Sequence) -> Iterator[tuple[tuple, ...]]:
@@ -318,16 +274,12 @@ def set_partitions_of(items: Sequence) -> Iterator[tuple[tuple, ...]]:
         yield tuple(tuple(b) for b in blocks)
 
 
-def _check_same_ground(a: SetPartition, b: SetPartition) -> None:
-    if a.n != b.n:
-        raise DomainError(f"ground set sizes differ: {a.n} vs {b.n}")
-
-
 def meet(a: SetPartition, b: SetPartition) -> SetPartition:
     """The smallest partition whose blocks are unions of whole blocks of
     both arguments: the common-coarsening closure, computed as connected
     components of the union of the two block-membership relations."""
-    _check_same_ground(a, b)
+    if a.n != b.n:
+        raise DomainError(f"ground set sizes differ: {a.n} vs {b.n}")
     parent = list(range(a.n + 1))
 
     def find(x: int) -> int:
@@ -351,24 +303,6 @@ def meet(a: SetPartition, b: SetPartition) -> SetPartition:
     for x in range(1, a.n + 1):
         groups.setdefault(find(x), []).append(x)
     return SetPartition(tuple(tuple(g) for g in groups.values()), a.n)
-
-
-def is_transversal(a: SetPartition, b: SetPartition) -> bool:
-    """True when length(a) + length(b) - length(meet(a,b)) equals n, the
-    maximal possible value."""
-    _check_same_ground(a, b)
-    return a.length + b.length - meet(a, b).length == a.n
-
-
-def is_complementary(a: SetPartition, rho: SetPartition) -> bool:
-    """True when a is transversal to rho and their common coarsening is the
-    one-block partition: a glues all of rho's blocks with the minimum
-    number of merges."""
-    _check_same_ground(a, rho)
-    m = meet(a, rho)
-    if m.length != 1:
-        return False
-    return a.length + rho.length - 1 == a.n
 
 
 def _complementary_blocks(group_of: Sequence[int]) -> Iterator[Blocks]:

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from fractions import Fraction
-from typing import Iterable
 
 from .errors import DomainError, Record
 
@@ -27,11 +27,8 @@ class QSeries(Record):
         return len(self.coeffs) - 1
 
     @staticmethod
-    def from_coeffs(coeffs: Iterable, order: int | None = None) -> "QSeries":
-        cs = [Fraction(c) for c in coeffs]
-        if order is not None:
-            cs = cs[: order + 1] + [Fraction(0)] * (order + 1 - len(cs))
-        return QSeries(tuple(cs))
+    def from_coeffs(coeffs: Iterable) -> "QSeries":
+        return QSeries(tuple(coeffs))
 
     @staticmethod
     def zero(order: int) -> "QSeries":

@@ -113,9 +113,10 @@ def suite_expansions() -> list[PropertyResult]:
     return out
 
 
-def suite_dual_route(nmax: int = 8) -> list[PropertyResult]:
+def suite_dual_route() -> list[PropertyResult]:
     """Closed form for simple branching against the general pipeline."""
     out: list[PropertyResult] = []
+    nmax = 8
     for n in range(1, nmax + 1):
         simple = c_simple(n)
         general = c_const((2,) * n)
@@ -190,10 +191,11 @@ def _wick_by_enumeration(groups) -> Fraction:
     return total
 
 
-def suite_covering_oracles(dmax: int = 4) -> list[PropertyResult]:
+def suite_covering_oracles() -> list[PropertyResult]:
     """Burnside character sums against direct monodromy enumeration, for
     every profile with up to three points and entries in {2,3,4}."""
     out: list[PropertyResult] = []
+    dmax = 4
     profiles = [
         p
         for s in (1, 2, 3)
@@ -216,10 +218,11 @@ def suite_covering_oracles(dmax: int = 4) -> list[PropertyResult]:
     return out
 
 
-def suite_convergence(d_far: int = 40, d_near: int = 20) -> list[PropertyResult]:
+def suite_convergence() -> list[PropertyResult]:
     """Normalized covering partial sums for the profile (2,2) against the
     exact constant pi^4/270, at 50-digit pi."""
     out: list[PropertyResult] = []
+    d_far, d_near = 40, 20
     target = Fraction(1, 270) * pi_approx() ** 4
     r_near = asymptotic_ratio((2, 2), d_near) / target
     r_far = asymptotic_ratio((2, 2), d_far) / target
@@ -240,11 +243,12 @@ def _sigma1(n: int) -> int:
     return sum(d for d in range(1, n + 1) if n % d == 0)
 
 
-def suite_qseries(order: int = 20) -> list[PropertyResult]:
+def suite_qseries() -> list[PropertyResult]:
     """q-series identities: the first power-sum average is the weight-2
     Eisenstein expansion, the second vanishes, and the sparse pentagonal
     product inverts the partition-count series."""
     out: list[PropertyResult] = []
+    order = 20
     g2 = QSeries.from_coeffs(
         [Fraction(-1, 24)] + [Fraction(_sigma1(n)) for n in range(1, order + 1)]
     )
@@ -259,10 +263,11 @@ def suite_qseries(order: int = 20) -> list[PropertyResult]:
     return out
 
 
-def suite_theorem1(order: int = 30) -> list[PropertyResult]:
+def suite_theorem1() -> list[PropertyResult]:
     """Theta-ratio identity for the one-point function at three generic
     rational points."""
     out: list[PropertyResult] = []
+    order = 30
     for s in (Fraction(2), Fraction(3), Fraction(5, 2)):
         _check(out, f"one-point identity at s={s}, order {order}",
                verify_theorem1_n1(s, order))

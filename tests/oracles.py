@@ -4,16 +4,18 @@ Everything here is deliberately implemented by a different route than the
 library code it checks: partition counts through the pentagonal recurrence,
 Bell numbers through the Bell triangle, Stirling numbers through their
 recurrence, Bernoulli numbers through the Akiyama-Tanigawa transform, set
-partitions through recursive insertion, integer partitions through
-largest-part-first recursion, elementary cumulants through one term per set
-partition of the key instead of the library's exponential formula, power-sum
-q-averages through a product of rational ``p_eval`` values per partition
-instead of the library's integer sum, connected covering series through
-inclusion-exclusion over set partitions of the branch points instead of the
-library's exponential formula over sub-multiplicity vectors, the top-weight
-f_k expansion through a Fraction division per multiplicity factorial over
-partitions filtered by weight instead of the library's integer product over
-partitions of weight k + 1 generated directly.
+partitions through recursive insertion, complementary set partitions through
+a common-coarsening test instead of the library's tree growth, integer
+partitions through largest-part-first recursion, elementary cumulants
+through one term per set partition of the key instead of the library's
+exponential formula, power-sum q-averages through a product of rational
+``p_eval`` values per partition instead of the library's integer sum,
+connected covering series through inclusion-exclusion over set partitions
+of the branch points instead of the library's exponential formula over
+sub-multiplicity vectors, the top-weight f_k expansion through a Fraction
+division per multiplicity factorial over partitions filtered by weight
+instead of the library's integer product over partitions of weight k + 1
+generated directly.
 """
 
 from __future__ import annotations
@@ -23,7 +25,13 @@ from math import factorial
 
 from stratavol.coverings import cov_prime_series
 from stratavol.exact_arith import PiScalar, frak_z_over_pi
-from stratavol.partitions import IntPartition, mobius_coeff, set_partitions_of
+from stratavol.partitions import (
+    IntPartition,
+    SetPartition,
+    meet,
+    mobius_coeff,
+    set_partitions_of,
+)
 from stratavol.qseries import QSeries, euler_series
 from stratavol.shifted_symmetric import PExpansion, p_eval
 from stratavol.verify import _wick_by_enumeration
@@ -103,6 +111,13 @@ def set_partitions_by_insertion(n: int) -> list[tuple[tuple[int, ...], ...]]:
     for p in parts:
         out.append(tuple(sorted((tuple(sorted(b)) for b in p), key=lambda b: b[0])))
     return out
+
+
+def is_complementary(a: SetPartition, rho: SetPartition) -> bool:
+    """True when a is transversal to rho and their common coarsening is the
+    one-block partition: a glues all of rho's blocks with the minimum
+    number of merges."""
+    return meet(a, rho).length == 1 and a.length + rho.length - 1 == a.n
 
 
 def _bounded_compositions(total: int, bounds):

@@ -22,9 +22,9 @@ from stratavol.verify import (
 )
 
 
-def _run(criterion: str, suite_fn, time_budget: float | None = None, **kwargs):
+def _run(criterion: str, suite_fn, time_budget: float | None = None):
     start = time.monotonic()
-    results = suite_fn(**kwargs)
+    results = suite_fn()
     elapsed = time.monotonic() - start
     failed = [r for r in results if not r.passed]
     status = "PASS" if not failed else "FAIL"
@@ -51,7 +51,7 @@ def test_criterion_2_expansion_reproduction():
 
 def test_criterion_3_dual_route_identity():
     """Closed form equals the general pipeline for 1..8 simple points."""
-    _run("3 (dual route n<=8)", suite_dual_route, time_budget=300.0, nmax=8)
+    _run("3 (dual route n<=8)", suite_dual_route, time_budget=300.0)
 
 
 def test_criterion_4_cumulant_oracle_equivalence():
@@ -64,24 +64,23 @@ def test_criterion_5_covering_oracle_equivalence():
     """Burnside sums equal brute-force monodromy enumeration for all
     profiles with s <= 3 points, entries in {2,3,4}, d <= 4, in both the
     all-coverings and the connected count."""
-    _run("5 (covering oracles)", suite_covering_oracles, time_budget=600.0, dmax=4)
+    _run("5 (covering oracles)", suite_covering_oracles, time_budget=600.0)
 
 
 def test_criterion_6_asymptotic_convergence():
     """Normalized partial sums for profile (2,2) against pi^4/270 at
     50-digit pi: within 30% at D=40 and closer than at D=20."""
-    _run("6 (convergence)", suite_convergence, time_budget=600.0,
-         d_far=40, d_near=20)
+    _run("6 (convergence)", suite_convergence, time_budget=600.0)
 
 
 def test_criterion_7_qseries_identities():
     """Exact q-series identities through order 20."""
-    _run("7 (q-series identities)", suite_qseries, order=20)
+    _run("7 (q-series identities)", suite_qseries)
 
 
 def test_criterion_8_theorem1_at_n1():
     """One-point theta identity at s in {2, 3, 5/2}, order 30."""
-    _run("8 (one-point identity)", suite_theorem1, order=30)
+    _run("8 (one-point identity)", suite_theorem1)
 
 
 def test_criterion_9_property_suites():

@@ -76,16 +76,19 @@ class TestVolumeCommand:
         ["volume", "60"],
         ["cconst", ",".join(["2"] * 60)],
         ["volume", ",".join(["1"] * 60), "--cross-check"],
+        ["fk", "70"],
     ])
     def test_wick_work_cap_exit_3_up_front(self, capsys, monkeypatch, argv):
         # f_61 has 178,651 terms; sixty groups of one type have few DP
         # states but blocks of up to sixty parts, whose partition tables
-        # the cap must count.
+        # the cap must count.  ``fk k`` is refused exactly when ``cconst k``
+        # is.
         def forbidden(*args, **kwargs):
             raise AssertionError("an expansion, a cumulant or a closed form was computed")
 
         for name in ("_common_denominator", "_cumulant_over_pi", "f_top_expansion", "c_simple"):
             monkeypatch.setattr(stratavol.cumulants, name, forbidden)
+        monkeypatch.setattr(stratavol.cli, "f_top_expansion", forbidden)
         start = time.perf_counter()
         code, out, err = run_cli(capsys, *argv)
         elapsed = time.perf_counter() - start
@@ -387,7 +390,7 @@ class TestStartup:
     def test_import_loads_every_module_but_no_dataclasses(self):
         # The benchmark's tracer wraps every module that ``import
         # stratavol.cli`` loads; ``dataclasses`` (with ``inspect``) would
-        # double the cost of that import.
+        # double the cost of that import, and ``typing`` adds milliseconds.
         src = TESTS.parent / "src"
         probe = "import stratavol.cli, sys; print(*sorted(sys.modules))"
         out = subprocess.run(
@@ -400,4 +403,4 @@ class TestStartup:
                                    if path.stem != "__init__"}
         assert len(package) >= 13
         assert package <= loaded
-        assert not loaded & {"dataclasses", "inspect"}
+        assert not loaded & {"dataclasses", "inspect", "typing"}

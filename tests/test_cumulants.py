@@ -294,7 +294,7 @@ class TestForestOracle:
         from stratavol.partitions import SetPartition
 
         with pytest.raises(ResourceCapError):
-            t_poly_forest_oracle(SetPartition.discrete(6))
+            t_poly_forest_oracle(SetPartition([[x] for x in range(1, 7)], 6))
 
 
 def _groupings(entries, most):

@@ -17,8 +17,6 @@ from stratavol.partitions import (
     enum_int_partitions,
     enum_partitions_of_weight,
     enum_set_partitions,
-    is_complementary,
-    is_transversal,
     iter_int_partitions,
     iter_set_partitions_with_blocks,
     meet,
@@ -30,6 +28,7 @@ from stratavol.partitions import (
 
 from .oracles import (
     bell_number,
+    is_complementary,
     partition_count,
     partitions_by_recursion,
     set_partitions_by_insertion,
@@ -166,6 +165,10 @@ class TestSetPartitions:
         with pytest.raises(DomainError):
             SetPartition(((1, 2),), 3)
 
+    def test_canonical_form_from_any_iterable(self):
+        p = SetPartition((reversed(b) for b in ([3, 1], [2])), 3)
+        assert p.blocks == ((1, 3), (2,)) and p.length == 2
+
     def test_with_blocks_filter(self):
         for n in range(1, 7):
             for k in range(1, n + 1):
@@ -187,9 +190,9 @@ class TestSetPartitions:
 
 class TestMeet:
     def test_chains_connect(self):
-        a = SetPartition.from_blocks([[1, 2], [3]])
-        b = SetPartition.from_blocks([[1], [2, 3]])
-        assert meet(a, b) == SetPartition.one_block(3)
+        a = SetPartition([[1, 2], [3]], 3)
+        b = SetPartition([[1], [2, 3]], 3)
+        assert meet(a, b) == SetPartition([[1, 2, 3]], 3)
 
     def test_idempotent(self):
         for p in enum_set_partitions(4):
@@ -197,27 +200,14 @@ class TestMeet:
 
     def test_discrete_neutral(self):
         for p in enum_set_partitions(4):
-            assert meet(SetPartition.discrete(4), p) == p
+            assert meet(SetPartition([[1], [2], [3], [4]], 4), p) == p
 
     def test_mismatched_ground(self):
         with pytest.raises(DomainError):
-            meet(SetPartition.discrete(3), SetPartition.discrete(4))
+            meet(SetPartition([[1], [2], [3]], 3), SetPartition([[1], [2], [3], [4]], 4))
 
 
 class TestTransversal:
-    def test_example_true(self):
-        a = SetPartition.from_blocks([[1, 3], [2]])
-        r = SetPartition.from_blocks([[1, 2], [3]])
-        assert is_transversal(a, r)
-
-    def test_discrete_always(self):
-        for p in enum_set_partitions(4):
-            assert is_transversal(SetPartition.discrete(4), p)
-
-    def test_example_false(self):
-        a = SetPartition.from_blocks([[1, 2], [3, 4]])
-        assert not is_transversal(a, a)
-
     def test_bound_small(self):
         for n in range(1, 6):
             parts = enum_set_partitions(n)
@@ -228,17 +218,17 @@ class TestTransversal:
 
 class TestComplementary:
     def test_two_blocks_example(self):
-        rho = SetPartition.from_blocks([[1, 2], [3]])
+        rho = SetPartition([[1, 2], [3]], 3)
         comp = enum_complementary(rho)
         assert {p.blocks for p in comp} == {((1, 3), (2,)), ((1,), (2, 3))}
 
     def test_one_block_gives_discrete(self):
-        rho = SetPartition.one_block(3)
-        assert enum_complementary(rho) == [SetPartition.discrete(3)]
+        rho = SetPartition([[1, 2, 3]], 3)
+        assert enum_complementary(rho) == [SetPartition([[1], [2], [3]], 3)]
 
     def test_discrete_gives_one_block(self):
-        rho = SetPartition.discrete(2)
-        assert enum_complementary(rho) == [SetPartition.one_block(2)]
+        rho = SetPartition([[1], [2]], 2)
+        assert enum_complementary(rho) == [SetPartition([[1, 2]], 2)]
 
     def test_predicate_matches_enum(self):
         for n in range(1, 6):
@@ -259,7 +249,7 @@ class TestComplementary:
                 for size in shape:
                     blocks.append(range(start, start + size))
                     start += size
-                rho = SetPartition.from_blocks(blocks, n)
+                rho = SetPartition(blocks, n)
                 want = [p for p in every if is_complementary(p, rho)]
                 assert enum_complementary(rho) == want, shape
 
@@ -269,7 +259,7 @@ class TestComplementary:
             for rho in enum_set_partitions(n):
                 perm = list(range(1, n + 1))
                 rng.shuffle(perm)
-                relabeled = SetPartition.from_blocks(
+                relabeled = SetPartition(
                     [[perm[x - 1] for x in b] for b in rho.blocks], n
                 )
                 assert len(enum_complementary(rho)) == len(enum_complementary(relabeled))
