@@ -665,27 +665,13 @@ def _class_elements(d: int, m: int) -> list[Perm]:
     return [p for p in permutations(range(d)) if _cycle_type(p) == target]
 
 
-def _is_transitive(gens: Sequence[Perm], d: int) -> bool:
-    seen = [False] * d
-    seen[0] = True
-    stack = [0]
-    count = 1
-    while stack:
-        x = stack.pop()
-        for g in gens:
-            y = g[x]
-            if not seen[y]:
-                seen[y] = True
-                count += 1
-                stack.append(y)
-    return count == d
-
-
 def brute_force_work(profile, dmax: int) -> int:
-    """Tuples the brute-force enumeration visits over degrees 1..dmax: at
-    degree d, (d!)^2 pairs (a, b) times the size of every branch class but
-    the last, whose element is solved for.  A degree below some cycle
-    length visits none."""
+    """Tuples a pair-by-pair brute-force enumeration visits over degrees
+    1..dmax: at degree d, (d!)^2 pairs (a, b) times the size of every
+    branch class but the last, whose element is solved for.  An upper
+    bound on the work of ``brute_force_hom_count``, which enumerates the
+    branch elements once per tally key rather than once per pair.  A
+    degree below some cycle length visits none."""
     profile = _profile(profile)
     total = 0
     for d in range(1, dmax + 1):
@@ -711,15 +697,47 @@ def check_brute_force_caps(profile, dmax: int) -> None:
         )
 
 
+def _orbit_cycles(gens: Sequence[Perm], d: int) -> Perm:
+    """A permutation whose cycles are the orbits of the group generated by
+    ``gens``: each orbit, sorted, is one cycle.  With any more generators,
+    it generates a transitive group exactly when ``gens`` do with them."""
+    out = list(range(d))
+    seen = [False] * d
+    for start in range(d):
+        if seen[start]:
+            continue
+        seen[start] = True
+        orbit = [start]
+        for x in orbit:
+            for g in gens:
+                y = g[x]
+                if not seen[y]:
+                    seen[y] = True
+                    orbit.append(y)
+        orbit.sort()
+        for x, y in zip(orbit, orbit[1:] + orbit[:1]):
+            out[x] = y
+    return tuple(out)
+
+
+def _is_transitive(gens: Sequence[Perm], d: int) -> bool:
+    """Whether ``gens`` generate a transitive group on {0..d-1}: whether
+    the orbit of 0, the cycle of 0 in ``_orbit_cycles``, is all of it."""
+    return _orbit_cycles(gens, d) == tuple(range(1, d)) + (0,)
+
+
 def brute_force_hom_count(profile, d: int, connected_only: bool = False) -> Fraction:
     """Count monodromy tuples (a, b, g_1, ..., g_s) with g_i in the i-th
     branch class and a b a^-1 b^-1 g_1 ... g_s = id, divided by d!.
 
     With ``connected_only`` the generated subgroup must act transitively.
-    Enumerates a, b and all but the last branch element, solving for the
-    last one; the division by d! reproduces the weighting of coverings by
-    the reciprocal of their automorphism group order.  The caps are those
-    of a request for degrees 1..d (``check_brute_force_caps``).
+    Enumerates the pairs (a, b) and tallies them by their commutator and,
+    for a transitive count, by ``_orbit_cycles`` of (a, b): the tuples a
+    pair completes depend on nothing else.  Then, once per tally key, it
+    enumerates all but the last branch element, solving for the last one.
+    The division by d! reproduces the weighting of coverings by the
+    reciprocal of their automorphism group order.  The caps are those of a
+    request for degrees 1..d (``check_brute_force_caps``).
     """
     profile = _profile(profile)
     if d < 1:
@@ -733,36 +751,39 @@ def brute_force_hom_count(profile, d: int, connected_only: bool = False) -> Frac
     classes = [_class_elements(d, m) for m in profile]
     s = len(profile)
     last_type = ((profile[-1],) + (1,) * (d - profile[-1])) if s else None
+    identity = tuple(range(d))
 
-    count = 0
+    tally: dict[tuple[Perm, Perm | None], int] = {}
     for a in perms:
         a_inv = _inverse(a)
         for b in perms:
             # commutator a b a^-1 b^-1
             w = _compose(_compose(a, b), _compose(a_inv, _inverse(b)))
-            if s == 0:
-                if w == tuple(range(d)) and (
-                    not connected_only or _is_transitive((a, b), d)
-                ):
-                    count += 1
-                continue
+            key = (w, _orbit_cycles((a, b), d) if connected_only else None)
+            tally[key] = tally.get(key, 0) + 1
 
-            def rec(i: int, prefix: Perm, chosen: tuple[Perm, ...]) -> int:
-                if i == s - 1:
-                    g_last = _inverse(prefix)
-                    if _cycle_type(g_last) != last_type:
-                        return 0
-                    if connected_only and not _is_transitive(
-                        (a, b) + chosen + (g_last,), d
-                    ):
-                        return 0
-                    return 1
-                acc = 0
-                for g in classes[i]:
-                    acc += rec(i + 1, _compose(prefix, g), chosen + (g,))
-                return acc
+    count = 0
+    for (w, orbits), pairs in tally.items():
+        joined = (orbits,) if connected_only else ()
+        if s == 0:
+            if w == identity and (not connected_only or _is_transitive(joined, d)):
+                count += pairs
+            continue
 
-            count += rec(0, w, ())
+        def rec(i: int, prefix: Perm, chosen: tuple[Perm, ...]) -> int:
+            if i == s - 1:
+                g_last = _inverse(prefix)
+                if _cycle_type(g_last) != last_type:
+                    return 0
+                if connected_only and not _is_transitive(joined + chosen + (g_last,), d):
+                    return 0
+                return 1
+            acc = 0
+            for g in classes[i]:
+                acc += rec(i + 1, _compose(prefix, g), chosen + (g,))
+            return acc
+
+        count += pairs * rec(0, w, ())
     return Fraction(count, factorial(d))
 
 

@@ -18,16 +18,19 @@ Python ints scaled by a common denominator (``_common_denominator``) and
 build one Fraction at the end.  The partition table of each sorted
 sub-multiset is kept for the life of the process, with its own scale,
 shared by every key, Wick leaf and request that reaches it, and widened
-by the cells of new degrees only (``_table``).  Every stage has an
-independent oracle.
+by the cells of new degrees only (``_table``).  The Wick DP's states are
+kept for the whole process too, keyed by generator or group rather than
+by position in a call, under one common denominator that only grows
+(``_wick_memo``).  Every stage has an independent oracle.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations, product, repeat
 from math import comb, factorial, gcd, lcm
+from operator import mul
 
 from . import mvpoly
 from .errors import DomainError, Record, ResourceCapError
@@ -102,16 +105,17 @@ def _cumulant_over_pi(key: tuple[int, ...]) -> Fraction:
     """elementary_cumulant(key) divided by its pi power: the one-block term
     plus sum over l >= 2 of (-1)^(l-1) (l-2)! [u^l t^(l-2)] of the
     partition table, whose cells of l blocks are scaled by Q^l for the
-    common denominator Q of the key; one division by Q^n at the end."""
+    common denominator Q of the key; the one-block term is scaled by Q^n
+    too, and one division by Q^n ends the sum."""
     n = len(key)
     total_size = sum(key)
-    top = total_size - n + 2
-    scale, rows = _table(key, -2)
-    numerator = 0
+    z = frak_z_over_pi(total_size - n + 2)
+    _, scale, rows = _table(key, -2)
+    numerator = _quotient(factorial(total_size) * z.numerator * scale**n, z.denominator)
     for ell in range(2, n + 1):
         sign = 1 if ell % 2 == 1 else -1
         numerator += sign * factorial(ell - 2) * rows[ell][ell - 2] * scale ** (n - ell)
-    return factorial(total_size) * frak_z_over_pi(top) + Fraction(numerator, scale**n)
+    return Fraction(numerator, scale**n)
 
 
 @lru_cache(maxsize=None)
@@ -150,20 +154,21 @@ def _scaled(value, scale: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _block_series(size: int, parts: int) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """(Q_B, the nonzero coefficients of Q_B g_B(t) as (degree d, integer))
-    for a block of ``parts`` indices whose entries sum to ``size``, with
-    Q_B = ``_common_denominator(size - parts + 1)``; frak_z vanishes at odd
-    arguments and beyond degree size - parts + 1.  Q_B divides Q_v for
-    every multiset v holding the block."""
+def _block_series(size: int, parts: int) -> tuple[int, int, tuple[int, ...]]:
+    """(Q_B, d_0, the coefficients of Q_B g_B(t) at the degrees d_0,
+    d_0 + 2, ..., size - parts + 1 in integers) for a block of ``parts``
+    indices whose entries sum to ``size``, with d_0 = (size - parts + 1)
+    mod 2 and Q_B = ``_common_denominator(size - parts + 1)``; frak_z
+    vanishes at odd arguments and beyond, so the other coefficients are 0.
+    Q_B divides Q_v for every multiset v holding the block."""
     top = size - parts + 1
     scale = _common_denominator(top)
     series = []
     for d in range(top % 2, top + 1, 2):
         z = frak_z_over_pi(top - d)
-        series.append((d, _quotient(factorial(size) * z.numerator * scale,
-                                    z.denominator * factorial(d))))
-    return scale, tuple(series)
+        series.append(_quotient(factorial(size) * z.numerator * scale,
+                                z.denominator * factorial(d)))
+    return scale, top % 2, tuple(series)
 
 
 # The partition tables of sorted sub-multisets v, shared by every key for
@@ -173,17 +178,17 @@ def _block_series(size: int, parts: int) -> tuple[int, tuple[tuple[int, int], ..
 _tables: dict[tuple[int, ...], tuple[int, int, list[list[int]]]] = {}
 
 
-def _table(v: tuple[int, ...], excess: int) -> tuple[int, list[list[int]]]:
-    """(Q_v, rows) of the sorted multiset v, from the memo when its entry
-    keeps degrees up to l + ``excess`` or more; else built, or widened
-    by the cells of the degrees it lacks, and kept in place of the
-    smaller one."""
+def _table(v: tuple[int, ...], excess: int) -> tuple[int, int, list[list[int]]]:
+    """The entry (excess, Q_v, rows) of the sorted multiset v, from the
+    memo when it keeps degrees up to l + ``excess`` or more; else built,
+    or widened by the cells of the degrees it lacks, and kept in place of
+    the smaller one."""
     got = _tables.get(v)
     if got is None:
         got = _tables[v] = (excess, *_build_table(v, excess))
     elif got[0] < excess:
         got = _tables[v] = (excess, got[1], _fill_rows(v, got[1], got[2], excess))
-    return got[1], got[2]
+    return got
 
 
 def _build_table(v: tuple[int, ...], excess: int) -> tuple[int, list[list[int]]]:
@@ -207,34 +212,38 @@ def _fill_rows(v: tuple[int, ...], scale: int, old: list[list[int]],
     Indices with equal entries are interchangeable, so the sum runs over
     the sub-multisets of v (the exponential formula): the block holding
     the first index is chosen by ``partitions.vector_splits``, and the
-    rest's table is taken from the memo, its row l times (Q_v / Q_rest)^l.
+    rest's table is taken from the memo, its row l times (Q_v / Q_rest)^l,
+    with the degrees up to l + 1 + ``excess`` at least.  A block series
+    has degrees of one parity only (``_block_series``), so the cells of
+    row l of the table of any u lie at degrees of the parity of
+    |u| - #u + l, and only those are computed.
     """
     values = sorted(set(v), reverse=True)
     rows = [row + [0] * (ell + excess + 1 - len(row)) for ell, row in enumerate(old)]
+    parity = sum(v) - len(v)
+    # Per row l >= 1: (l - 1, the row, its first new cell, the row's end).
+    plan = []
+    for ell in range(1, len(rows)):
+        low = len(old[ell])
+        plan.append((ell - 1, rows[ell], low + ((low + parity + ell) & 1), ell + excess + 1))
+    if all(start >= stop for _, _, start, stop in plan):
+        return rows  # every new cell has the other parity
     for block, rest, ways in vector_splits(tuple(v.count(x) for x in values), True):
-        block_scale, series = _block_series(
-            sum(b * x for b, x in zip(block, values)), sum(block))
+        key = tuple(chain.from_iterable(map(repeat, values, rest)))
+        block_scale, d0, series = _block_series(sum(map(mul, block, values)), sum(block))
         weight = ways * _quotient(scale, block_scale)
-        series = [(d, weight * g) for d, g in series]
-        if any(rest):
-            rest_scale, rest_rows = _table(
-                tuple(x for x, c in zip(values, rest) for _ in range(c)), excess + 1)
+        if key:
+            _, rest_scale, rest_rows = _table(key, excess + 1)
             ratio = _quotient(scale, rest_scale)
-        else:
-            ratio, rest_rows = 1, [[1]]
-        factor = 1
-        for ell, row in enumerate(rest_rows):
-            target = rows[ell + 1]
-            low, top = len(old[ell + 1]), len(target) - 1
-            for degree in range(max(0, low - series[-1][0]), min(len(row), top + 1)):
-                value = row[degree] * factor
-                if value:
-                    for d, g in series:
-                        if degree + d > top:
-                            break
-                        if degree + d >= low:
-                            target[degree + d] += g * value
-            factor *= ratio
+            reached = plan[1:len(key) + 1]  # row 0 of a nonempty rest is empty
+        else:  # the block is all of v: the empty rest has one partition, of no block
+            ratio, rest_rows, reached = 1, [[1] + [0] * (excess + 1)], plan[:1]
+        for r, target, start, stop in reached:
+            row, factor = rest_rows[r], weight * ratio**r
+            # The series at d0, d0 + 2, ... meets row r of the rest at
+            # degree - d0, degree - d0 - 2, ..., down to 0 or 1.
+            for degree in range(start if start >= d0 else start + 2, stop, 2):
+                target[degree] += factor * sum(map(mul, series, row[degree - d0::-2]))
     return rows
 
 
@@ -244,7 +253,10 @@ def elementary_cumulant_series_oracle(m) -> PiScalar:
     Builds, per set partition alpha, the product of per-block series
     sum_j frak_z(j) (block sum)^(j + #block - 1) times the tree factor
     (-1)^(l-1) (sum of all variables)^(l-2), extracts the coefficient of
-    x^m, and multiplies by m!.  Independent of the exponential-formula route.
+    x^m, and multiplies by m!.  Independent of the exponential-formula
+    route: it sums in integers, every frak_z(j) scaled by the lcm U of
+    their denominators and a term of l blocks by U^(n - l), and divides
+    by U^n once.
     """
     key = _canon_key(m)
     n = len(key)
@@ -255,49 +267,43 @@ def elementary_cumulant_series_oracle(m) -> PiScalar:
     total_size = sum(key)
     max_deg = total_size
     target = key  # exponent tuple in variable order
+    zs = [frak_z_over_pi(j) for j in range(max_deg + 2)]
+    unit = lcm(*(z.denominator for z in zs))
+    zs = [z.numerator * (unit // z.denominator) for z in zs]
 
-    total = Fraction(0)
+    def series(variables, shift: int) -> mvpoly.Poly:
+        """sum_j U frak_z(j) (sum of ``variables``)^(j + shift), for the
+        exponents 0 to max_deg, each power one product from the last."""
+        form = mvpoly.linear(n, variables)
+        first = max(0, -shift)
+        power = mvpoly.power(form, first + shift, n, max_deg)
+        out = mvpoly.zero()
+        for j in range(first, max_deg - shift + 1):
+            if zs[j]:
+                out = mvpoly.add_scaled(out, power, zs[j])
+            power = mvpoly.mul(power, form, max_deg)
+        return out
+
+    total = 0
     all_vars = mvpoly.linear(n, range(n))
     for alpha in set_partitions_of(range(n)):
         ell = len(alpha)
         if ell == 1:
             # tree factor is 1; series is sum_j frak_z(j) (sum x)^(j+n-2)
-            poly = mvpoly.zero()
-            for j in range(0, max_deg - n + 3):
-                exp = j + n - 2
-                if exp < 0 or exp > max_deg:
-                    continue
-                zj = frak_z_over_pi(j)
-                if zj == 0:
-                    continue
-                poly = mvpoly.add_scaled(
-                    poly, mvpoly.power(all_vars, exp, n, max_deg), zj
-                )
-            total += mvpoly.coefficient(poly, target)
+            poly = series(range(n), n - 2)
+            total += mvpoly.coefficient(poly, target) * unit ** (n - 1)
             continue
 
-        sign = Fraction(1 if ell % 2 == 1 else -1)
+        sign = 1 if ell % 2 == 1 else -1
         poly = mvpoly.power(all_vars, ell - 2, n, max_deg)
         for block in alpha:
-            bsum = mvpoly.linear(n, block)
-            bseries = mvpoly.zero()
-            for j in range(0, max_deg + 2):
-                exp = j + len(block) - 1
-                if exp > max_deg:
-                    break
-                zj = frak_z_over_pi(j)
-                if zj == 0:
-                    continue
-                bseries = mvpoly.add_scaled(
-                    bseries, mvpoly.power(bsum, exp, n, max_deg), zj
-                )
-            poly = mvpoly.mul(poly, bseries, max_deg)
-        total += sign * mvpoly.coefficient(poly, target)
+            poly = mvpoly.mul(poly, series(block, len(block) - 1), max_deg)
+        total += sign * mvpoly.coefficient(poly, target) * unit ** (n - ell)
 
     m_factorial = 1
     for v in key:
         m_factorial *= factorial(v)
-    return PiScalar(m_factorial * total, total_size - n + 2)
+    return PiScalar(Fraction(m_factorial * total, unit**n), total_size - n + 2)
 
 
 def t_poly_forest_oracle(rho: SetPartition) -> bool:
@@ -321,7 +327,7 @@ def t_poly_forest_oracle(rho: SetPartition) -> bool:
         closed = mvpoly.power(mvpoly.linear(n, range(n)), ell - 2, n)
         for block in rho.blocks:
             closed = mvpoly.mul(closed, mvpoly.linear(n, [i - 1 for i in block]))
-        closed = mvpoly.add_scaled(mvpoly.zero(), closed, Fraction(sign))
+        closed = mvpoly.add_scaled(mvpoly.zero(), closed, sign)
 
     # Forest sum over (l-1)-subsets of cross-block edges whose contraction
     # is a spanning tree on the blocks.
@@ -335,7 +341,7 @@ def t_poly_forest_oracle(rho: SetPartition) -> bool:
         for j in range(i + 1, n + 1)
         if block_of[i] != block_of[j]
     ]
-    sign = Fraction(1 if ell % 2 == 1 else -1)
+    sign = 1 if ell % 2 == 1 else -1
     forest_sum = mvpoly.zero()
     for edges in combinations(cross_edges, ell - 1):
         parent = list(range(ell))
@@ -435,7 +441,21 @@ def _check_wick_work(counts, terms: int, values) -> None:
         raise ResourceCapError(f"Wick tree sum work {work} exceeds cap {WICK_WORK_CAP}")
 
 
-def _wick_tree_sum(types, counts: tuple[int, ...]) -> Fraction:
+# The Wick tree sum's states for the whole process, as the tuple
+# (Q, leaf, dist, down, blk): the common denominator Q whose powers scale
+# them, then the ``leaf``, ``down`` and ``blk`` values of
+# ``_wick_tree_sum`` and its ``dist`` values with groups below, each a
+# dict.  It is kept under the key "memo" of a dict that, like every other
+# memo of the package, is changed in place and never rebound.  A call
+# whose common denominator does not divide Q puts a fresh tuple at its
+# own, larger Q in its place; the old dicts are never cleared, so a thread
+# still using them writes only to them.  Each call computes with the
+# tuple it read and checked, so two threads that replace it at once, or
+# compute one state twice, lose only work.
+_wick_memo = {"memo": (1, {}, {}, {}, {})}
+
+
+def _wick_tree_sum(labels, types, counts: tuple[int, ...]) -> Fraction:
     """The Wick sum, divided by its pi power, over labelled groups:
     counts[h] groups of type h, each of which picks one (lam, coeff) of
     ``types[h]`` and contributes coeff; every part of lam is an element.
@@ -463,17 +483,28 @@ def _wick_tree_sum(types, counts: tuple[int, ...]) -> Fraction:
       part w of its term and hangs the rest of T below its other parts:
       ``down(T)``, by w, sums T_h coeff mult_lam(w) dist(lam - w, T - e_h).
 
-    Every element carries one factor Q, the common denominator of the
-    largest block key (a block holds at most one part of each group), so
-    a block of k parts closes with Q^k times its cumulant, an integer.
-    The coefficients of type h are scaled by the lcm E_h of their
-    denominators, and a term lam by Q^(L_h - len(lam)) for the longest
-    term length L_h, so every choice carries prod_h (E_h Q^(L_h))^(c_h)
-    and the sum runs in integers, divided by that once at the end.
+    Every element carries one factor Q, a multiple of the common
+    denominator of the largest block key (a block holds at most one part
+    of each group), so a block of k parts closes with Q^k times its
+    cumulant, an integer.  The coefficients of type h are scaled by the
+    lcm E_h of their denominators, and a term lam by Q^(L_h - len(lam))
+    for the longest term length L_h, so every choice carries
+    prod_h (E_h Q^(L_h))^(c_h) and the sum runs in integers, divided by
+    that once at the end.
+
+    Type h has the label ``labels[h]``, which fixes its terms: the
+    generator k (an int) for f_cumulant_leading, the group partition (a
+    tuple) for wick_leading, so the two never meet.  A state is keyed by
+    the labels and multiplicities of its S, not by type positions, and
+    its value depends only on them and Q, so every call whose Q divides
+    the memo's (``_wick_memo``) reads and adds to the same states.
     """
     reach = 2 + sum(c * (max(max(lam) for lam, _ in terms) - 1)
                     for terms, c in zip(types, counts))
-    scale = _common_denominator(reach)
+    memo = _wick_memo["memo"]
+    if memo[0] % _common_denominator(reach):
+        memo = _wick_memo["memo"] = (_common_denominator(reach), {}, {}, {}, {})
+    scale, leaf_memo, dist_memo, down_memo, blk_memo = memo
     scaled_types = []  # per type: (lam, coeff * E_h * Q^(L_h - len(lam)))
     denominator = 1
     for terms, c in zip(types, counts):
@@ -492,10 +523,8 @@ def _wick_tree_sum(types, counts: tuple[int, ...]) -> Fraction:
                 if i == 0 or lam[i - 1] != w:
                     row.append((w, lam[:i] + lam[i + 1:], coeff * lam.count(w)))
         entries.append(row)
-    leaf_memo: dict = {}
-    dist_memo: dict = {}
-    down_memo: dict = {}
-    blk_memo: dict = {}
+    tag = {S: tuple((label, c) for label, c in zip(labels, S) if c)
+           for S in product(*(range(c + 1) for c in counts))}
 
     def leaf(values):
         got = leaf_memo.get(values)
@@ -503,11 +532,17 @@ def _wick_tree_sum(types, counts: tuple[int, ...]) -> Fraction:
             got = leaf_memo[values] = _scaled(_cumulant_over_pi(values), scale ** len(values))
         return got
 
+    # States with no group below are products of leaves, reached through
+    # the terms this call lists anyway: they are kept for the call only, so
+    # the memo does not grow with the terms of one large generator.
+    products: dict = {}
+
     def dist(values, S):
         if not values:
             return 0 if any(S) else 1
-        key = (values, S)
-        got = dist_memo.get(key)
+        key = (values, tag[S])
+        store = dist_memo if key[1] else products
+        got = store.get(key)
         if got is None:
             head, rest = values[:1], values[1:]
             if not rest:
@@ -518,11 +553,12 @@ def _wick_tree_sum(types, counts: tuple[int, ...]) -> Fraction:
                     b = blk(head, T)
                     if b:
                         got += ways * b * dist(rest, R)
-            dist_memo[key] = got
+            store[key] = got
         return got
 
     def down(T):
-        got = down_memo.get(T)
+        key = tag[T]
+        got = down_memo.get(key)
         if got is None:
             by_part: dict[int, int] = {}
             for h, row in enumerate(entries):
@@ -532,13 +568,13 @@ def _wick_tree_sum(types, counts: tuple[int, ...]) -> Fraction:
                         d = dist(rest, R)
                         if d:
                             by_part[w] = by_part.get(w, 0) + T[h] * weight * d
-            got = down_memo[T] = [(w, v) for w, v in by_part.items() if v]
+            got = down_memo[key] = [(w, v) for w, v in by_part.items() if v]
         return got
 
     def blk(values, S):
         if not any(S):
             return leaf(values)
-        key = (values, S)
+        key = (values, tag[S])
         got = blk_memo.get(key)
         if got is None:
             got = 0
@@ -576,7 +612,7 @@ def wick_leading(groups) -> WickLeading:
     kinds = sorted(set(wg.groups))
     counts = tuple(wg.groups.count(g) for g in kinds)
     _check_wick_work(counts, len(kinds), (set(g) for g in kinds))
-    total = _wick_tree_sum([((g, 1),) for g in kinds], counts)
+    total = _wick_tree_sum([tuple(g) for g in kinds], [((g, 1),) for g in kinds], counts)
     exponent = sum(p + 1 for p in parts) - ell + 1
     pi_pow = sum(parts) - n + 2 * (n - ell + 1)
     return WickLeading(PiScalar(total, pi_pow), exponent)
@@ -601,7 +637,7 @@ def f_cumulant_leading(m) -> PiScalar:
     counts = tuple(key.count(k) for k in kinds)
     check_generator_work(kinds, counts)
     types = [f_top_expansion(k).terms for k in kinds]
-    return PiScalar(_wick_tree_sum(types, counts), sum(key) - len(key) + 2)
+    return PiScalar(_wick_tree_sum(kinds, types, counts), sum(key) - len(key) + 2)
 
 
 def check_generator_work(kinds, counts) -> None:

@@ -1,9 +1,10 @@
-"""Sparse multivariate polynomials over exact rationals.
+"""Sparse multivariate polynomials with exact coefficients.
 
 Monomials are exponent tuples; polynomials are dicts mapping monomials to
-Fraction coefficients with no zero entries.  Multiplication optionally
-truncates at a total-degree bound, which keeps the multivariate series
-expansions used by the cumulant oracle finite.
+coefficients with no zero entries: ints, or Fractions where a caller
+scales by one.  Multiplication optionally truncates at a total-degree
+bound, which keeps the multivariate series expansions used by the
+cumulant oracle finite.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from collections.abc import Iterable
 from fractions import Fraction
 
 Mono = tuple[int, ...]
-Poly = dict[Mono, Fraction]
+Poly = dict[Mono, int | Fraction]
 
 
 def zero() -> Poly:
@@ -20,15 +21,14 @@ def zero() -> Poly:
 
 
 def const(nvars: int, value) -> Poly:
-    c = Fraction(value)
-    if c == 0:
+    if value == 0:
         return {}
-    return {(0,) * nvars: c}
+    return {(0,) * nvars: value}
 
 
 def variable(nvars: int, index: int) -> Poly:
     mono = tuple(1 if i == index else 0 for i in range(nvars))
-    return {mono: Fraction(1)}
+    return {mono: 1}
 
 
 def linear(nvars: int, indices: Iterable[int]) -> Poly:
@@ -36,16 +36,16 @@ def linear(nvars: int, indices: Iterable[int]) -> Poly:
     out: Poly = {}
     for i in indices:
         mono = tuple(1 if j == i else 0 for j in range(nvars))
-        out[mono] = out.get(mono, Fraction(0)) + 1
+        out[mono] = out.get(mono, 0) + 1
     return out
 
 
-def add_scaled(p: Poly, q: Poly, scale: Fraction) -> Poly:
+def add_scaled(p: Poly, q: Poly, scale) -> Poly:
     if scale == 0:
         return dict(p)
     out = dict(p)
     for mono, c in q.items():
-        s = out.get(mono, Fraction(0)) + c * scale
+        s = out.get(mono, 0) + c * scale
         if s:
             out[mono] = s
         else:
@@ -61,7 +61,7 @@ def mul(p: Poly, q: Poly, max_degree: int | None = None) -> Poly:
             if max_degree is not None and d1 + sum(m2) > max_degree:
                 continue
             mono = tuple(a + b for a, b in zip(m1, m2))
-            s = out.get(mono, Fraction(0)) + c1 * c2
+            s = out.get(mono, 0) + c1 * c2
             if s:
                 out[mono] = s
             else:
@@ -76,5 +76,5 @@ def power(p: Poly, exponent: int, nvars: int, max_degree: int | None = None) -> 
     return out
 
 
-def coefficient(p: Poly, mono: Mono) -> Fraction:
-    return p.get(mono, Fraction(0))
+def coefficient(p: Poly, mono: Mono):
+    return p.get(mono, 0)

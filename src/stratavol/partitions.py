@@ -13,7 +13,8 @@ from bisect import bisect_right
 from collections.abc import Iterable, Iterator, Sequence
 from functools import lru_cache
 from itertools import product
-from math import comb, factorial
+from math import comb, factorial, prod
+from operator import sub
 
 from .errors import DomainError, Record, ResourceCapError
 
@@ -403,10 +404,5 @@ def vector_splits(counts: tuple[int, ...], first_block: bool = False) -> tuple:
         f = next(i for i, c in enumerate(counts) if c)
         return tuple((T, R, ways * T[f] // counts[f])
                      for T, R, ways in vector_splits(counts) if T[f])
-    out = []
-    for T in product(*(range(c + 1) for c in counts)):
-        ways = 1
-        for c, t in zip(counts, T):
-            ways *= comb(c, t)
-        out.append((T, tuple(c - t for c, t in zip(counts, T)), ways))
-    return tuple(out)
+    return tuple((T, tuple(map(sub, counts, T)), prod(map(comb, counts, T)))
+                 for T in product(*(range(c + 1) for c in counts)))

@@ -15,12 +15,14 @@ of the branch points instead of the library's exponential formula over
 sub-multiplicity vectors, the top-weight f_k expansion through a Fraction
 division per multiplicity factorial over partitions filtered by weight
 instead of the library's integer product over partitions of weight k + 1
-generated directly.
+generated directly, brute-force monodromy counts pair by pair instead of
+the library's tally of pairs by commutator and orbits.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import permutations
 from math import factorial
 
 from stratavol.coverings import cov_prime_series
@@ -248,3 +250,64 @@ def f_top_expansion_by_division(k: int) -> PExpansion:
                     coeff /= factorial(mult)
                 terms[lam] = coeff
     return PExpansion.from_dict(terms)
+
+
+def brute_force_per_pair(profile, d: int) -> tuple[Fraction, Fraction]:
+    """The monodromy tuples (a, b, g_1, ..., g_s) with g_i an m_i-cycle and
+    a b a^-1 b^-1 g_1 ... g_s = id, divided by d!, counted for every pair
+    (a, b) and every choice of g_1, ..., g_(s-1) in turn, the last element
+    solved for: all of them, and those whose orbit of 0 is everything."""
+    def compose(p, q):
+        return tuple(p[x] for x in q)
+
+    def inverse(p):
+        out = [0] * len(p)
+        for i, x in enumerate(p):
+            out[x] = i
+        return tuple(out)
+
+    def cycle_type(p):
+        lengths, seen = [], set()
+        for start in range(len(p)):
+            x, n = start, 0
+            while x not in seen:
+                seen.add(x)
+                x, n = p[x], n + 1
+            if n:
+                lengths.append(n)
+        return sorted(lengths, reverse=True)
+
+    def transitive(gens):
+        orbit = {0}
+        grown = True
+        while grown:
+            new = {g[x] for g in gens for x in orbit} - orbit
+            orbit |= new
+            grown = bool(new)
+        return len(orbit) == d
+
+    perms = list(permutations(range(d)))
+    classes = [[p for p in perms if cycle_type(p) == [m] + [1] * (d - m)] for m in profile]
+    if any(not c for c in classes):
+        return Fraction(0), Fraction(0)
+    counts = [0, 0]  # all tuples, transitive tuples
+
+    def rec(i, prefix, gens):
+        if i == len(profile) - 1:
+            last = inverse(prefix)
+            if cycle_type(last) == [profile[-1]] + [1] * (d - profile[-1]):
+                counts[0] += 1
+                counts[1] += transitive(gens + (last,))
+            return
+        for g in classes[i]:
+            rec(i + 1, compose(prefix, g), gens + (g,))
+
+    for a in perms:
+        for b in perms:
+            w = compose(compose(a, b), compose(inverse(a), inverse(b)))
+            if profile:
+                rec(0, w, (a, b))
+            elif w == tuple(range(d)):
+                counts[0] += 1
+                counts[1] += transitive((a, b))
+    return Fraction(counts[0], factorial(d)), Fraction(counts[1], factorial(d))

@@ -58,7 +58,7 @@ from stratavol.partitions import enum_int_partitions, iter_int_partitions
 from stratavol.qseries import QSeries, euler_series
 from stratavol.shifted_symmetric import q_average
 
-from .oracles import connected_by_set_partitions, partition_count
+from .oracles import brute_force_per_pair, connected_by_set_partitions, partition_count
 
 TESTS = Path(__file__).resolve().parent
 
@@ -768,6 +768,16 @@ class TestBruteForce:
             series = cov_connected_series(profile, 3)
             for d in range(1, 4):
                 assert series.coefficient(d) == brute_force_hom_count(profile, d, True)
+
+    def test_tallies_match_per_pair_enumeration(self):
+        # Every profile of at most three points with entries in {2, 3, 4},
+        # degrees up to 4.
+        for s in range(4):
+            for profile in product((2, 3, 4), repeat=s):
+                for d in range(1, 5):
+                    got = (brute_force_hom_count(profile, d, False),
+                           brute_force_hom_count(profile, d, True))
+                    assert got == brute_force_per_pair(profile, d), (profile, d)
 
 
 class TestAsymptoticRatio:

@@ -1,11 +1,16 @@
 import importlib.util
+import json
 import random
+import sys
+import threading
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from math import factorial
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import stratavol.cumulants
 import stratavol.partitions
@@ -33,12 +38,19 @@ from stratavol.shifted_symmetric import f_top_expansion
 from .oracles import cumulant_by_set_partitions, partition_count, wick_by_complementary_trees
 
 
+GOLDEN_GENUS_2_TO_6 = json.loads(
+    (Path(__file__).parent / "data" / "golden_volumes.json").read_text()
+)
+
+
 def clear_cumulant_memos():
-    """Forget every cumulant, partition table and block series, so that
-    the next call builds them with the common denominator in force."""
+    """Forget every cumulant, partition table, block series and Wick tree
+    sum state, so that the next call builds them with the common
+    denominator in force."""
     stratavol.cumulants._cumulant_over_pi.cache_clear()
     stratavol.cumulants._tables.clear()
     stratavol.cumulants._block_series.cache_clear()
+    stratavol.cumulants._wick_memo["memo"] = (1, {}, {}, {}, {})
 
 
 def keys_up_to(max_parts, max_size):
@@ -209,6 +221,101 @@ class TestSharedTables:
         clear_cumulant_memos()
 
 
+class TestSharedWickMemo:
+    # c(m) needs the common denominator Q(2 + |m|): up to Q(10) for SMALL,
+    # and Q(17) for (7, 5, 3), with the primes 13 and 17 that Q(10) lacks.
+    SMALL = [(2, 2), (3, 2, 2), (3, 3, 2), (4, 2)]
+    BIG = [(7, 5, 3), (6, 4, 2)]
+
+    @staticmethod
+    def cold(calls):
+        values = []
+        for call in calls:
+            clear_cumulant_memos()
+            values.append(call())
+        clear_cumulant_memos()
+        return values
+
+    def test_clear_forgets_the_wick_memo(self):
+        c_const((3, 2, 2))
+        _, *states = stratavol.cumulants._wick_memo["memo"]
+        assert all(states)
+        clear_cumulant_memos()
+        assert stratavol.cumulants._wick_memo["memo"] == (1, {}, {}, {}, {})
+
+    @settings(max_examples=6, deadline=None)
+    @given(order=st.permutations(GOLDEN_GENUS_2_TO_6), cold=st.booleans())
+    def test_volumes_in_any_order_cold_or_warm(self, order, cold):
+        if cold:
+            clear_cumulant_memos()
+        for row in order:
+            result = volume(row["mu"])
+            assert result.volume.as_json_dict() == row["volume"], row["mu"]
+            assert result.c_const.as_json_dict() == row["c"], row["mu"]
+
+    def test_larger_reach_replaces_the_memo(self):
+        want = self.cold([lambda key=key: c_const(key) for key in self.SMALL + self.BIG])
+        assert [c_const(key) for key in self.SMALL] == want[:len(self.SMALL)]
+        small = stratavol.cumulants._wick_memo["memo"]
+        states = len(small[4])  # blk
+        assert states
+        assert [c_const(key) for key in self.BIG] == want[len(self.SMALL):]
+        big = stratavol.cumulants._wick_memo["memo"]
+        assert big is not small
+        assert big[0] % small[0] == 0 and big[0] > small[0]
+        assert len(small[4]) == states  # replaced, not cleared in place
+        assert [c_const(key) for key in self.SMALL] == want[:len(self.SMALL)]
+        assert stratavol.cumulants._wick_memo["memo"] is big
+
+    def test_wick_and_generator_calls_do_not_collide(self):
+        # The group (3,) and the generator f_3 are different types with
+        # the same part 3; both kinds of call share the leaves only.
+        calls = [
+            lambda: wick_leading([[3], [3]]).value,
+            lambda: f_cumulant_leading((3, 3)),
+            lambda: wick_leading([[3], [2], [2]]).value,
+            lambda: f_cumulant_leading((3, 2, 2)),
+            lambda: wick_leading([[3, 1], [2], [2]]).value,
+            lambda: f_cumulant_leading((4, 2)),
+        ]
+        want = self.cold(calls)
+        assert len({value.coeff for value in want}) == len(want)
+        assert [call() for call in calls] == want
+        clear_cumulant_memos()
+        assert [call() for call in calls[::-1]] == want[::-1]
+
+    def test_threads_at_different_scales(self):
+        # Half the threads start at a small Q and half at a large Q, so the
+        # memo is replaced while others are still using the old one.
+        keys = self.SMALL + self.BIG
+        want = dict(zip(keys, self.cold([lambda key=key: c_const(key) for key in keys])))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                clear_cumulant_memos()
+                start = threading.Barrier(4)
+                got = [{} for _ in range(4)]
+
+                def run(order, out):
+                    start.wait()
+                    for key in order:
+                        out[key] = c_const(key)
+
+                orders = [keys, keys[::-1]]
+                threads = [threading.Thread(target=run, args=(orders[i % 2], got[i]))
+                           for i in range(4)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+                assert got == [want] * 4
+        finally:
+            sys.setswitchinterval(interval)
+            clear_cumulant_memos()
+
+
 class TestSetPartitionOracle:
     def test_agrees_up_to_seven_parts(self):
         # The exponential formula against one term per set partition.
@@ -260,14 +367,26 @@ class TestCommonDenominator:
         # The block (5, 1) closes with its cumulant 6! frak_z(6) = 31/21
         # pi^6, and the blocks of c(6, 2) with cumulants whose denominators
         # hold 7 as well; a common denominator without 7 refuses them.
+        # Both calls first run with the real Q, so every cumulant they
+        # reach is cached with its right value; then only the Wick memo is
+        # reset, so that the error can come only from scaling a leaf.
         real = stratavol.cumulants._common_denominator
         assert elementary_cumulant((5, 1)) == PiScalar(Fraction(31, 21), 6)
+        wick_leading([[5], [1]])
+        f_cumulant_leading((6, 2))
         monkeypatch.setattr(stratavol.cumulants, "_common_denominator",
                             lambda top: real(top) // 7 if real(top) % 7 == 0 else real(top))
-        with pytest.raises(ArithmeticError):
-            wick_leading([[5], [1]])
-        with pytest.raises(ArithmeticError):
-            f_cumulant_leading((6, 2))
+        try:
+            for call in (lambda: wick_leading([[5], [1]]),
+                         lambda: f_cumulant_leading((6, 2))):
+                stratavol.cumulants._wick_memo["memo"] = (1, {}, {}, {}, {})
+                with pytest.raises(ArithmeticError, match="is not an integer") as caught:
+                    call()
+                names = [entry.name for entry in caught.traceback]
+                assert "_wick_tree_sum" in names and "_scaled" in names, names
+                assert "_cumulant_over_pi" not in names, names
+        finally:
+            clear_cumulant_memos()
 
 
 class TestSeriesOracle:

@@ -10,6 +10,8 @@ exponential formula and the Wick sum to tree growing.
 written when the Wick sum became a rooted-tree DP over group multiplicities;
 the 116 strata the tree-growing route could compute were checked identical
 to it first.
+``data/golden_genus9.json`` holds the same for all 231 strata of genus 9,
+written before the Wick tree sum's states were shared across calls.
 ``data/golden_covers.json`` holds the Burnside rows ``cov_d(p, d)`` and the
 connected series coefficients for d <= 20 of 13 covering profiles, written
 before the Burnside sums of all sub-profiles were merged into one sweep per
@@ -38,6 +40,7 @@ GENUS_7_SMALL = json.loads(
     (Path(__file__).parent / "data" / "golden_genus7_small.json").read_text()
 )
 GENUS_8 = json.loads((Path(__file__).parent / "data" / "golden_genus8.json").read_text())
+GENUS_9 = json.loads((Path(__file__).parent / "data" / "golden_genus9.json").read_text())
 COVERS = json.loads((Path(__file__).parent / "data" / "golden_covers.json").read_text())
 
 
@@ -84,6 +87,17 @@ def test_golden_genus_8_table_is_every_stratum():
 
 def test_golden_genus_8_volumes_exact():
     for row in GENUS_8:
+        result = volume(row["mu"])
+        assert result.volume.as_json_dict() == row["volume"], row["mu"]
+        assert result.c_const.as_json_dict() == row["c"], row["mu"]
+
+
+def test_golden_genus_9_table_is_every_stratum():
+    assert [row["mu"] for row in GENUS_9] == [list(mu) for mu in enum_int_partitions(16)]
+
+
+def test_golden_genus_9_volumes_exact():
+    for row in GENUS_9:
         result = volume(row["mu"])
         assert result.volume.as_json_dict() == row["volume"], row["mu"]
         assert result.c_const.as_json_dict() == row["c"], row["mu"]
