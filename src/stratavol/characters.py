@@ -139,18 +139,6 @@ def character(lam, rho) -> int:
     return _char_core(tuple(lam), core)
 
 
-def m_cycle_class_size(d: int, m: int) -> int:
-    """Number of permutations of d points with one m-cycle and d-m fixed
-    points: d!/((d-m)! m).  Zero when the class is empty (m > d)."""
-    if m < 2:
-        raise DomainError(f"cycle length must be >= 2, got {m}")
-    if d < 1:
-        raise DomainError(f"degree must be >= 1, got {d}")
-    if m > d:
-        return 0
-    return factorial(d) // (factorial(d - m) * m)
-
-
 def conjugacy_class_size(rho) -> int:
     """Size of the conjugacy class with cycle type rho: d!/prod(k^c_k c_k!)."""
     rho = IntPartition(rho)

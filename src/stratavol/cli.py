@@ -17,7 +17,6 @@ from fractions import Fraction
 from .coverings import (
     BRUTE_FORCE_CAP,
     BRUTE_FORCE_WORK_CAP,
-    CoverCountRecord,
     CoverProfile,
     brute_force_hom_count,
     check_brute_force_caps,
@@ -47,8 +46,12 @@ EXIT_RESOURCE = 3
 
 
 def _parse_int_list(text: str) -> list[int]:
+    """Comma-separated integers; the empty string is the empty list, and
+    an empty token in a nonempty list is an error."""
+    if not text:
+        return []
     try:
-        return [int(tok) for tok in text.split(",") if tok != ""]
+        return [int(tok) for tok in text.split(",")]
     except ValueError as exc:
         raise DomainError(f"expected comma-separated integers, got {text!r}") from exc
 
@@ -79,13 +82,12 @@ def _pi_json(value: PiScalar, approx: bool) -> dict:
 
 def cmd_volume(args) -> int:
     result = volume(_parse_int_list(args.mu), cross_check=args.cross_check)
-    fmt = args.output or "json"
-    if fmt == "json":
+    if args.output == "json":
         data = result.as_json_dict()
         if args.approx:
             data["volume"]["approx"] = _approx_decimal(result.volume)
         _emit(json.dumps(data))
-    elif fmt == "csv":
+    elif args.output == "csv":
         _emit("mu;genus;dim;route;volume")
         _emit(
             f"{','.join(map(str, result.mu))};{result.genus};{result.dim};"
@@ -105,8 +107,7 @@ def cmd_volume(args) -> int:
 def cmd_cumulant(args) -> int:
     m = _parse_int_list(args.m)
     value = elementary_cumulant(m)
-    fmt = args.output or "json"
-    if fmt == "json":
+    if args.output == "json":
         _emit(json.dumps({"m": sorted(m, reverse=True),
                           "value": _pi_json(value, args.approx)}))
     else:
@@ -117,8 +118,7 @@ def cmd_cumulant(args) -> int:
 def cmd_cconst(args) -> int:
     m = _parse_int_list(args.m)
     value = c_const(m)
-    fmt = args.output or "json"
-    if fmt == "json":
+    if args.output == "json":
         _emit(json.dumps({"m": sorted(m, reverse=True),
                           "c": _pi_json(value, args.approx)}))
     else:
@@ -131,8 +131,7 @@ def cmd_fk(args) -> int:
         # Refused exactly when ``cconst k`` is, before any expansion.
         check_generator_work((args.k,), (1,))
     expansion = f_top_expansion(args.k)
-    fmt = args.output or "plain"
-    if fmt == "json":
+    if args.output == "json":
         terms = [
             {"p": list(lam), "coeff": str(coeff)} for lam, coeff in expansion.terms
         ]
@@ -150,37 +149,29 @@ def cmd_covers(args) -> int:
     if args.brute_force:
         check_brute_force_caps(profile, dmax)
     check_burnside_cap(dmax, profile)
-    records: list[CoverCountRecord] = []
+    # (d, kind, count) rows: the kind is "all" or "connected" for a
+    # Burnside count, "brute-all" or "brute-connected" for brute force.
+    kind = "connected" if args.connected else "all"
     if args.connected:
         series = cov_connected_series(profile, dmax)
-        for d in range(1, dmax + 1):
-            records.append(
-                CoverCountRecord(profile, d, "connected", series.coefficient(d))
-            )
+        counts = {d: series.coefficient(d) for d in range(1, dmax + 1)}
     else:
         # Top row first, so that the route it takes is weighed against
         # every row of the request.
         counts = {d: cov_d(profile, d) for d in range(dmax, 0, -1)}
-        for d in range(1, dmax + 1):
-            records.append(CoverCountRecord(profile, d, "all", counts[d]))
+    rows = [(d, kind, counts[d]) for d in range(1, dmax + 1)]
     if args.brute_force:
-        for d in range(1, dmax + 1):
-            records.append(
-                CoverCountRecord(
-                    profile, d, "brute-" + ("connected" if args.connected else "all"),
-                    brute_force_hom_count(profile, d, args.connected),
-                )
-            )
-    fmt = args.output or "csv"
-    if fmt == "json":
+        rows += [(d, "brute-" + kind, brute_force_hom_count(profile, d, args.connected))
+                 for d in range(1, dmax + 1)]
+    if args.output == "json":
         _emit(json.dumps([
-            {"profile": list(r.profile), "d": r.d, "kind": r.kind, "count": str(r.count)}
-            for r in records
+            {"profile": list(profile), "d": d, "kind": k, "count": str(count)}
+            for d, k, count in rows
         ]))
     else:
         _emit("profile;d;kind;count")
-        for r in records:
-            _emit(r.csv_row())
+        for d, k, count in rows:
+            _emit(f"{profile};{d};{k};{count}")
     return EXIT_OK
 
 
@@ -189,8 +180,7 @@ def cmd_simple_table(args) -> int:
         raise DomainError(f"--nmax must be >= 1, got {args.nmax}")
     check_partition_work((args.nmax + 2) // 2, SIMPLE_WORK_CAP, "simple-branching")
     rows = [(n, c_simple(n)) for n in range(1, args.nmax + 1)]
-    fmt = args.output or "csv"
-    if fmt == "json":
+    if args.output == "json":
         _emit(json.dumps([
             {"n": n, "c": _pi_json(value, args.approx)} for n, value in rows
         ]))
@@ -204,8 +194,7 @@ def cmd_simple_table(args) -> int:
 def cmd_npoint_check(args) -> int:
     point = EvaluatedPoint(_parse_fraction(args.s))
     ok = verify_theorem1_n1(point, args.order)
-    fmt = args.output or "json"
-    if fmt == "json":
+    if args.output == "json":
         _emit(json.dumps({"s": str(point.s), "order": args.order, "verified": ok}))
     else:
         _emit(f"one-point identity at s={point.s}, order {args.order}: "
@@ -216,8 +205,7 @@ def cmd_npoint_check(args) -> int:
 def cmd_verify(args) -> int:
     results = run_suite(args.suite)
     failed = [r for r in results if not r.passed]
-    fmt = args.output or "plain"
-    if fmt == "json":
+    if args.output == "json":
         _emit(json.dumps([
             {"name": r.name, "passed": r.passed, "detail": r.detail}
             for r in results
@@ -233,42 +221,46 @@ def cmd_verify(args) -> int:
     return EXIT_VERIFY_FAILED if failed else EXIT_OK
 
 
+def _command(sub, name: str, summary: str, fn, outputs: tuple[str, ...],
+             approx: bool = False) -> argparse.ArgumentParser:
+    """A subcommand that prints in the formats ``outputs``, the first by
+    default, with ``--approx`` where some format annotates a value."""
+    p = sub.add_parser(name, help=summary)
+    p.add_argument("--output", choices=outputs, default=outputs[0],
+                   help=f"output format (default {outputs[0]})")
+    if approx:
+        p.add_argument("--approx", action="store_true",
+                       help="append a decimal annotation computed from 50 digits of pi")
+    p.set_defaults(fn=fn)
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stratavol",
         description="Exact volumes of strata of holomorphic differentials "
         "and weighted counts of torus coverings.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--output", choices=("json", "csv", "plain"), default=None,
-        help="output format (each command has a sensible default)",
-    )
-    common.add_argument(
-        "--approx", action="store_true",
-        help="append a decimal annotation computed from 50 digits of pi",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("volume", help="exact stratum volume", parents=[common])
+    p = _command(sub, "volume", "exact stratum volume", cmd_volume,
+                 ("json", "csv", "plain"), approx=True)
     p.add_argument("mu", help="zero multiplicities, e.g. 3,1")
     p.add_argument("--cross-check", action="store_true",
                    help="run both routes when applicable and compare")
-    p.set_defaults(fn=cmd_volume)
 
-    p = sub.add_parser("cumulant", parents=[common], help="elementary cumulant of a key")
+    p = _command(sub, "cumulant", "elementary cumulant of a key", cmd_cumulant,
+                 ("json", "plain"), approx=True)
     p.add_argument("m", help="key entries, e.g. 4,2")
-    p.set_defaults(fn=cmd_cumulant)
 
-    p = sub.add_parser("cconst", parents=[common], help="leading covering constant c(m)")
+    p = _command(sub, "cconst", "leading covering constant c(m)", cmd_cconst,
+                 ("json", "plain"), approx=True)
     p.add_argument("m", help="profile entries (each >= 2), e.g. 4,2")
-    p.set_defaults(fn=cmd_cconst)
 
-    p = sub.add_parser("fk", parents=[common], help="top-weight power-sum expansion")
+    p = _command(sub, "fk", "top-weight power-sum expansion", cmd_fk, ("plain", "json"))
     p.add_argument("k", type=int)
-    p.set_defaults(fn=cmd_fk)
 
-    p = sub.add_parser("covers", parents=[common], help="covering counts for a profile")
+    p = _command(sub, "covers", "covering counts for a profile", cmd_covers, ("csv", "json"))
     p.add_argument("profile", help="branch profile, e.g. 2,2")
     p.add_argument("--dmax", type=int, default=5)
     p.add_argument("--connected", action="store_true")
@@ -276,20 +268,19 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also tabulate the direct enumeration "
                    f"(--dmax at most {BRUTE_FORCE_CAP}, at most "
                    f"{BRUTE_FORCE_WORK_CAP} tuples in all)")
-    p.set_defaults(fn=cmd_covers)
 
-    p = sub.add_parser("simple-table", parents=[common], help="constants for simple branching")
+    p = _command(sub, "simple-table", "constants for simple branching", cmd_simple_table,
+                 ("csv", "json"), approx=True)
     p.add_argument("--nmax", type=int, default=8)
-    p.set_defaults(fn=cmd_simple_table)
 
-    p = sub.add_parser("npoint-check", parents=[common], help="one-point theta identity check")
+    p = _command(sub, "npoint-check", "one-point theta identity check", cmd_npoint_check,
+                 ("json", "plain"))
     p.add_argument("--s", required=True, help="rational evaluation point, |s| > 1")
     p.add_argument("--order", type=int, default=30)
-    p.set_defaults(fn=cmd_npoint_check)
 
-    p = sub.add_parser("verify", parents=[common], help="run a named verification suite")
+    p = _command(sub, "verify", "run a named verification suite", cmd_verify,
+                 ("plain", "json"))
     p.add_argument("suite", help="suite name or 'all'")
-    p.set_defaults(fn=cmd_verify)
 
     return parser
 

@@ -48,7 +48,7 @@ from .characters import (
     content_value,
     hook_value,
 )
-from .errors import DomainError, Record, ResourceCapError
+from .errors import DomainError, ResourceCapError
 from .partitions import (
     check_partition_work,
     iter_int_partitions,
@@ -71,6 +71,15 @@ BRUTE_FORCE_WORK_CAP = 10**6
 # refused from degree 15 on.
 BURNSIDE_WORK_CAP = 10**6
 BURNSIDE_PRODUCT_CAP = 10**7
+# Most multiply-adds the exponential formula of one connected series may
+# make, counted before any Burnside sum as its (b, T) first-block pairs,
+# at most prod (c + 1)(c + 2) / 2 for the multiplicities c, times the
+# (order + 1)(order + 2) / 2 of one series product.  At 0.5-1.7 us a
+# multiply-add on a 2-core Xeon with Python 3.11 (the binomial weights of
+# many equal cycles are long integers), a request at the cap takes under
+# a second: four hundred 2s to order 2 (483,606) took 0.63 s, while a
+# thousand (3.0 million) took 11 s.
+CONNECTED_WORK_CAP = 5 * 10**5
 
 
 class CoverProfile(tuple):
@@ -88,15 +97,6 @@ class CoverProfile(tuple):
 
     def __str__(self) -> str:
         return ",".join(str(e) for e in self)
-
-
-class CoverCountRecord(Record):
-    # CoverProfile, int, kind, Fraction: the kind is "all" or "connected"
-    # for a Burnside count, "brute-all" or "brute-connected" for brute force
-    __slots__ = ("profile", "d", "kind", "count")
-
-    def csv_row(self) -> str:
-        return f"{self.profile};{self.d};{self.kind};{self.count}"
 
 
 def _profile(profile) -> CoverProfile:
@@ -250,11 +250,6 @@ def _terms(e: tuple[int, int, int]) -> int:
     return 1 + (a and a + 1) + (b and 2 * b + 2) + (c and 3 * c + 3)
 
 
-def _state_terms(bounds: tuple[int, int, int]) -> int:
-    """Multiply-adds one state costs over every column of ``bounds``."""
-    return sum(map(_terms, _monomials(bounds)))
-
-
 # The passes of the row map in the order they are taken: the shears
 # x_i -> x_i + beta x_j as (i, j, beta), then the translations
 # x_i -> x_i + alpha_i as (i, None, None), for x = (p_1, p_2, p_3).
@@ -295,10 +290,6 @@ def _plan(e: tuple[int, int, int]) -> tuple[tuple, ...]:
 # cells twice.
 _columns: dict[tuple[int, int, int], list[int]] = {}
 _columns_lock = threading.Lock()
-# Per set of bounds a request has grown, a degree every column of its
-# ``_monomials`` reaches and those columns, so that a row within it costs
-# one lookup.
-_views: dict[tuple[int, int, int], tuple[int, dict[tuple[int, int, int], list[int]]]] = {}
 
 
 def _moment_columns(bounds: tuple[int, int, int]) -> dict[tuple[int, int, int], list[int]]:
@@ -333,21 +324,19 @@ def _growth_terms(columns: dict[tuple[int, int, int], list[int]], d: int) -> int
     rows above the lowest degree lo any of them reaches, and one sum for
     each such state it adds.  A column complete past lo re-runs its passes
     there for the columns after it; none is counted twice otherwise."""
-    have = [_degree(len(col)) for col in columns.values()]
-    lo = min(have)
+    lo = _degree(min(map(len, columns.values())))
     if lo >= d:
         return 0
     states = d * (d + 1) // 2
     return sum((states - lo * (lo + 1) // 2) * (_terms(e) - 1)
                + max(0, states - n * (n + 1) // 2)
-               for e, n in zip(columns, have))
+               for e, n in zip(columns, map(_degree, map(len, columns.values()))))
 
 
-def _grow_columns(bounds: tuple[int, int, int], columns: dict[tuple[int, int, int], list[int]],
+def _grow_columns(columns: dict[tuple[int, int, int], list[int]],
                   d: int) -> dict[tuple[int, int, int], list[int]]:
     """Extend every column of ``columns`` (``_moment_columns(bounds)``)
-    through degree d, in the dict and in ``_columns``, and keep the dict in
-    ``_views``; return it.
+    through degree d, in the dict and in ``_columns``; return it.
 
     V(n, b) is the vector of moments over the partitions of n with largest
     part at most b, so V(n, n) is the table at n.  A partition with largest
@@ -376,11 +365,10 @@ def _grow_columns(bounds: tuple[int, int, int], columns: dict[tuple[int, int, in
     lo any column reaches (``_growth_terms``).  A column is stored once its
     new rows are complete.
     """
-    have = [_degree(len(col)) for col in columns.values()]
-    lo = min(have)
+    lo = _degree(min(map(len, columns.values())))
     if lo >= d:
-        _views[bounds] = lo, columns
         return columns
+    have = [_degree(len(col)) for col in columns.values()]
     srcs, alphas = _targets(lo, d)
     base = lo * (lo + 1) // 2
     weights: dict[tuple[int, int, int], list[int]] = {}
@@ -424,7 +412,6 @@ def _grow_columns(bounds: tuple[int, int, int], columns: dict[tuple[int, int, in
                 ins.append(ins[-1] if s is prev else list(map(add, start, s)))
                 prev = s
             inputs[e] = ins
-    _views[bounds] = d, columns
     return columns
 
 
@@ -445,17 +432,13 @@ def _moment_table(key: tuple[int, ...], d: int) -> dict[tuple[int, int, int], li
     """
     if key and key[0] > CONTENT_POLY_MAX_M:
         return None
-    bounds = _moment_bounds(key)
-    view = _views.get(bounds)
-    if view is not None and view[0] >= d:
-        return view[1]
-    columns = _moment_columns(bounds)
+    columns = _moment_columns(_moment_bounds(key))
     terms = _growth_terms(columns, d)
     if terms:
         products = burnside_work(d) * prod(c + 1 for c in Counter(key).values())
         if terms > MOMENT_TERMS_PER_PRODUCT * products:
             return None
-    return _grow_columns(bounds, columns, d)
+    return _grow_columns(columns, d)
 
 
 def _moment_sums(columns: dict[tuple[int, int, int], list[int]], key: tuple[int, ...],
@@ -538,7 +521,8 @@ def cov_connected_series(profile, order: int) -> QSeries:
 
     The Burnside caps are checked first.  A cycle longer than ``order``
     leaves no connected covering through that order, so the series is
-    zero with no more work.  Otherwise the blocks' series come from the
+    zero with no more work.  Otherwise the formula's work is checked
+    against ``CONNECTED_WORK_CAP``, and the blocks' series come from the
     Burnside sums of the profile at each degree, top degree first so
     that the moment columns it grows serve every lower one.
     """
@@ -550,11 +534,15 @@ def cov_connected_series(profile, order: int) -> QSeries:
     check_burnside_cap(order, profile)
     if max(profile) > order:
         return QSeries.zero(order)
+    lengths = sorted(set(profile), reverse=True)
+    counts = tuple(profile.count(m) for m in lengths)
+    work = prod((c + 1) * (c + 2) // 2 for c in counts) * ((order + 1) * (order + 2) // 2)
+    if work > CONNECTED_WORK_CAP:
+        raise ResourceCapError(
+            f"connected series work {work} up to order {order} exceeds cap {CONNECTED_WORK_CAP}")
     for d in range(order, -1, -1):
         _burnside_sums(profile, d)  # the one route that stores every block
     euler = _lead([int(c) for c in euler_series(order).coeffs])
-    lengths = sorted(set(profile), reverse=True)
-    counts = tuple(profile.count(m) for m in lengths)
     vectors = sorted((T for T, _, _ in vector_splits(counts)), key=sum)
     prime: dict[tuple[int, ...], tuple[int, list[int]]] = {}
     conn: dict[tuple[int, ...], tuple[int, list[int]]] = {}

@@ -29,7 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations, product, repeat
-from math import comb, factorial, gcd, lcm
+from math import comb, factorial, gcd, lcm, prod
 from operator import mul
 
 from . import mvpoly
@@ -674,14 +674,6 @@ def c_const(m) -> PiScalar:
     return f_cumulant_leading(key) / factorial(sum(key))
 
 
-def _odd_double_factorial(v: int) -> int:
-    out = 1
-    while v > 1:
-        out *= v
-        v -= 2
-    return out
-
-
 def c_simple(n: int) -> PiScalar:
     """The constant for n simple branch points, via the closed form that
     sums over partitions mu of n + 2 into even parts only:
@@ -708,7 +700,7 @@ def c_simple(n: int) -> PiScalar:
             kappa *= factorial(c)
         term = Fraction((-1) ** (ell - 1), kappa * factorial(2 * n - ell + 2))
         for p in (2 * h for h in half):
-            term *= _odd_double_factorial(2 * p - 3) * frak_z_over_pi(p)
+            term *= prod(range(2 * p - 3, 0, -2)) * frak_z_over_pi(p)
         total += term
     return PiScalar(total * factorial(n), n + 2)
 

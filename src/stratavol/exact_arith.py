@@ -112,10 +112,6 @@ class PiScalar(Record):
     def zero() -> "PiScalar":
         return PiScalar(Fraction(0), 0)
 
-    @staticmethod
-    def rational(value) -> "PiScalar":
-        return PiScalar(Fraction(value), 0)
-
     def is_zero(self) -> bool:
         return self.coeff == 0
 

@@ -46,12 +46,6 @@ class IntPartition(tuple):
     def length(self) -> int:
         return len(self)
 
-    def conjugate(self) -> "IntPartition":
-        if not self:
-            return IntPartition()
-        cols = [sum(1 for p in self if p > j) for j in range(self[0])]
-        return IntPartition(cols)
-
     def multiplicities(self) -> dict[int, int]:
         out: dict[int, int] = {}
         for p in self:

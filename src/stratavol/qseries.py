@@ -88,21 +88,6 @@ class QSeries(Record):
 
     __rmul__ = __mul__
 
-    def inverse(self) -> "QSeries":
-        """Multiplicative inverse; requires a unit constant term."""
-        if self.coeffs[0] == 0:
-            raise DomainError("series with zero constant term has no inverse")
-        n = self.order
-        inv = [Fraction(0)] * (n + 1)
-        inv[0] = 1 / self.coeffs[0]
-        for k in range(1, n + 1):
-            acc = Fraction(0)
-            for i in range(1, k + 1):
-                if self.coeffs[i]:
-                    acc += self.coeffs[i] * inv[k - i]
-            inv[k] = -acc / self.coeffs[0]
-        return QSeries(tuple(inv))
-
     def __str__(self) -> str:
         parts = []
         for i, c in enumerate(self.coeffs):

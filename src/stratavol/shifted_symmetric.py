@@ -2,9 +2,9 @@
 
 The generator p_k evaluates on a partition lam as a finite sum over the
 rows plus a zeta-regularization constant; monomials p_lam form the working
-basis, graded by weight(lam) = size + length.  The q-average of p_mu is the
-normalized sum over all partitions weighted by q^size, an exact truncated
-q-series.
+basis, graded by the weight |lam| + length(lam).  The q-average of p_mu is
+the normalized sum over all partitions weighted by q^size, an exact
+truncated q-series.
 """
 
 from __future__ import annotations
@@ -16,12 +16,6 @@ from .errors import DomainError, Record
 from .exact_arith import zeta_neg
 from .partitions import IntPartition, enum_partitions_of_weight, iter_int_partitions
 from .qseries import QSeries, euler_series
-
-
-def weight(mu) -> int:
-    """size + length; zero for the empty partition."""
-    mu = IntPartition(mu)
-    return mu.size + mu.length
 
 
 def p_eval(k: int, lam) -> Fraction:
@@ -77,12 +71,6 @@ class PExpansion(Record):
     index partition.  No zero coefficients are stored."""
 
     __slots__ = ("terms",)  # tuple[tuple[IntPartition, Fraction], ...]
-
-    @staticmethod
-    def from_dict(data: dict[IntPartition, Fraction]) -> "PExpansion":
-        cleaned = [(lam, Fraction(c)) for lam, c in data.items() if c != 0]
-        cleaned.sort(key=lambda item: (-item[0].size, item[0]))
-        return PExpansion(tuple(cleaned))
 
     def as_dict(self) -> dict[IntPartition, Fraction]:
         return dict(self.terms)

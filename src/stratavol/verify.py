@@ -39,6 +39,7 @@ from .partitions import (
     _complementary_blocks,
     enum_int_partitions,
     enum_set_partitions,
+    iter_int_partitions,
     meet,
 )
 from .qseries import QSeries, euler_series
@@ -54,21 +55,6 @@ class PropertyResult(Record):
 
 def _check(results: list[PropertyResult], name: str, passed: bool, detail: str = "") -> None:
     results.append(PropertyResult(name, bool(passed), detail))
-
-
-def _keys_with_parts(max_parts: int, max_size: int, min_entry: int = 1):
-    """All cumulant keys (descending tuples) with the given bounds."""
-    def rec(rem_size: int, rem_parts: int, max_part: int):
-        if rem_parts == 0:
-            yield ()
-            return
-        for first in range(min(rem_size - (rem_parts - 1) * min_entry, max_part), min_entry - 1, -1):
-            for rest in rec(rem_size - first, rem_parts - 1, first):
-                yield (first,) + rest
-
-    for nparts in range(1, max_parts + 1):
-        for size in range(nparts * min_entry, max_size + 1):
-            yield from rec(size, nparts, size)
 
 
 # ---------------------------------------------------------------------------
@@ -130,13 +116,10 @@ def suite_cumulant_oracles() -> list[PropertyResult]:
     and the closed one- and two-part formulas, and the Wick tree DP against
     the sum over enumerated complementary partitions."""
     out: list[PropertyResult] = []
-    bad = []
-    count = 0
-    for key in _keys_with_parts(3, 8):
-        count += 1
-        if elementary_cumulant(key) != elementary_cumulant_series_oracle(key):
-            bad.append(key)
-    _check(out, f"series oracle agrees on {count} keys (n <= 3, |m| <= 8)",
+    keys = [key for size in range(1, 9) for key in iter_int_partitions(size) if len(key) <= 3]
+    bad = [key for key in keys
+           if elementary_cumulant(key) != elementary_cumulant_series_oracle(key)]
+    _check(out, f"series oracle agrees on {len(keys)} keys (n <= 3, |m| <= 8)",
            not bad, f"mismatches: {bad}")
 
     bad = []
@@ -281,7 +264,8 @@ def suite_properties() -> list[PropertyResult]:
     out: list[PropertyResult] = []
 
     bad = []
-    for key in _keys_with_parts(4, 10):
+    for key in (key for size in range(1, 11) for key in iter_int_partitions(size)
+                if len(key) <= 4):
         n = len(key)
         size = sum(key)
         value = elementary_cumulant(key)

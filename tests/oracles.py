@@ -17,6 +17,10 @@ division per multiplicity factorial over partitions filtered by weight
 instead of the library's integer product over partitions of weight k + 1
 generated directly, brute-force monodromy counts pair by pair instead of
 the library's tally of pairs by commutator and orbits.
+
+It also holds the small helpers that only the tests use: the size of a
+single-cycle class, the conjugate partition, the partition weight, the
+inverse of a q-series and a power-sum expansion from a dict.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from itertools import permutations
 from math import factorial
 
 from stratavol.coverings import cov_prime_series
+from stratavol.errors import DomainError
 from stratavol.exact_arith import PiScalar, frak_z_over_pi
 from stratavol.partitions import (
     IntPartition,
@@ -239,7 +244,7 @@ def f_top_expansion_by_division(k: int) -> PExpansion:
     """The top-weight part of f_k term by term: for each partition of
     size d and length k + 1 - d (listed by ``partitions_by_recursion``),
     (-k)^(length - 1) / k divided by each multiplicity factorial in turn,
-    sorted as ``PExpansion.from_dict`` sorts."""
+    sorted as ``expansion_from_dict`` sorts."""
     terms = {}
     for d in range(k + 1):
         for parts in partitions_by_recursion(d):
@@ -249,7 +254,7 @@ def f_top_expansion_by_division(k: int) -> PExpansion:
                 for mult in lam.multiplicities().values():
                     coeff /= factorial(mult)
                 terms[lam] = coeff
-    return PExpansion.from_dict(terms)
+    return expansion_from_dict(terms)
 
 
 def brute_force_per_pair(profile, d: int) -> tuple[Fraction, Fraction]:
@@ -311,3 +316,40 @@ def brute_force_per_pair(profile, d: int) -> tuple[Fraction, Fraction]:
                 counts[0] += 1
                 counts[1] += transitive((a, b))
     return Fraction(counts[0], factorial(d)), Fraction(counts[1], factorial(d))
+
+
+def m_cycle_class_size(d: int, m: int) -> int:
+    """Number of permutations of d points with one m-cycle and d-m fixed
+    points: d!/((d-m)! m).  Zero when the class is empty (m > d)."""
+    if m > d:
+        return 0
+    return factorial(d) // (factorial(d - m) * m)
+
+
+def conjugate(lam) -> IntPartition:
+    """The conjugate partition: its parts are the column lengths of lam."""
+    return IntPartition(sum(1 for p in lam if p > j) for j in range(lam[0] if lam else 0))
+
+
+def weight(mu) -> int:
+    """size + length; zero for the empty partition."""
+    return sum(mu) + len(mu)
+
+
+def series_inverse(series: QSeries) -> QSeries:
+    """Multiplicative inverse of a series with a unit constant term."""
+    c = series.coeffs
+    if c[0] == 0:
+        raise DomainError("series with zero constant term has no inverse")
+    inv = [1 / c[0]]
+    for k in range(1, series.order + 1):
+        inv.append(-sum((c[i] * inv[k - i] for i in range(1, k + 1)), Fraction(0)) / c[0])
+    return QSeries(tuple(inv))
+
+
+def expansion_from_dict(data: dict[IntPartition, Fraction]) -> PExpansion:
+    """The expansion with the nonzero coefficients of ``data``, sorted by
+    size, largest first, and then by partition."""
+    cleaned = [(lam, Fraction(c)) for lam, c in data.items() if c != 0]
+    cleaned.sort(key=lambda item: (-item[0].size, item[0]))
+    return PExpansion(tuple(cleaned))

@@ -241,6 +241,21 @@ class TestCoversCommand:
             assert code == 0
             assert out.splitlines()[1:] == [f"{profile};1;connected;0"]
 
+    def test_many_equal_cycles_connected_exit_3_fast(self, capsys):
+        # Under the Burnside caps, but 501,501 first-block pairs: refused
+        # by the connected-series cap before any row.
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "covers", ",".join(["2"] * 1000),
+                                 "--connected", "--dmax", "2")
+        assert time.perf_counter() - start < 1.0
+        assert code == 3 and out == ""
+        assert "connected series work" in err
+
+    def test_empty_profile_counts_unramified_coverings(self, capsys):
+        code, out, _ = run_cli(capsys, "covers", "", "--dmax", "3")
+        assert code == 0
+        assert out.splitlines() == ["profile;d;kind;count", ";1;all;1", ";2;all;2", ";3;all;3"]
+
     def test_requests_under_burnside_cap(self):
         # Every covers request of the benchmark's CLI mix and of these
         # tests; the acceptance suites call the library, not the CLI.
@@ -361,6 +376,57 @@ class TestVerifyCommand:
         code, out, _ = run_cli(capsys, "verify", "expansions", "--output", "json")
         results = json.loads(out)
         assert all(r["passed"] for r in results)
+
+
+class TestIntegerLists:
+    @pytest.mark.parametrize("argv", [("cconst", "2,,3"), ("volume", "3,,1"), ("cumulant", "2,")])
+    def test_empty_token_exit_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "expected comma-separated integers" in err
+
+
+# One request per subcommand, and its stdout under every setting of
+# --output (unset for the default) and --approx that the subcommand
+# accepts, as the CLI printed them before unaccepted settings exited 2.
+SETTINGS = json.loads((TESTS / "data" / "cli_settings.json").read_text())
+OUTPUTS = {
+    "volume": ("json", "csv", "plain"),
+    "cumulant": ("json", "plain"),
+    "cconst": ("json", "plain"),
+    "fk": ("plain", "json"),
+    "covers": ("csv", "json"),
+    "simple-table": ("csv", "json"),
+    "npoint-check": ("json", "plain"),
+    "verify": ("plain", "json"),
+}
+APPROX = {"volume", "cumulant", "cconst", "simple-table"}
+
+
+class TestSettings:
+    def test_frozen_outputs_cover_every_accepted_setting(self):
+        # 38 accepted settings, of 64, with 22 distinct outputs.
+        assert set(SETTINGS["requests"]) == set(OUTPUTS)
+        accepted = sum((len(v) + 1) * (2 if k in APPROX else 1) for k, v in OUTPUTS.items())
+        assert len(SETTINGS["stdout"]) == accepted == 38
+        assert len(set(SETTINGS["stdout"].values())) == 22
+
+    @pytest.mark.parametrize("approx", [False, True], ids=["exact", "approx"])
+    @pytest.mark.parametrize("output", [None, "json", "csv", "plain"], ids=str)
+    @pytest.mark.parametrize("command", sorted(OUTPUTS))
+    def test_accepted_exactly_where_implemented(self, capsys, command, output, approx):
+        argv = SETTINGS["requests"][command] + (["--output", output] if output else []) \
+            + (["--approx"] if approx else [])
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr().out
+        if output in (None, *OUTPUTS[command]) and (not approx or command in APPROX):
+            assert code == 0
+            assert out == SETTINGS["stdout"][" ".join(argv)]
+        else:
+            assert code == 2 and out == ""
 
 
 class TestDeterminism:

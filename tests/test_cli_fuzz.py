@@ -2,7 +2,8 @@
 
 Every request either succeeds with output on stdout (exit 0) or fails
 cleanly with a usage or domain error (exit 2) or a resource cap (exit 3);
-no other exception escapes ``main``.
+no other exception escapes ``main``, and a malformed positional never
+succeeds.
 """
 
 from contextlib import redirect_stderr, redirect_stdout
@@ -75,3 +76,7 @@ def test_cli_exits_cleanly(argv):
     assert code in (0, 2, 3), (argv, code, err.getvalue())
     if code == 0:
         assert out.getvalue(), argv
+    # A malformed positional is never read as some other request; only the
+    # empty string is valid, as the empty list.
+    if argv[0] not in ("simple-table", "npoint-check") and argv[1] in MALFORMED and argv[1] != "":
+        assert code != 0, argv

@@ -37,9 +37,8 @@ from stratavol.coverings import (
     _moment_table,
     _monomials,
     _plan,
-    _state_terms,
     _sweep,
-    CoverCountRecord,
+    _terms,
     CoverProfile,
     asymptotic_ratio,
     brute_force_hom_count,
@@ -145,7 +144,6 @@ def _cold(monkeypatch, columns=None):
     ``columns``); the process-wide ones come back when the test ends."""
     monkeypatch.setattr(stratavol.coverings, "_burnside_totals", {})
     monkeypatch.setattr(stratavol.coverings, "_columns", {} if columns is None else columns)
-    monkeypatch.setattr(stratavol.coverings, "_views", {})
 
 
 @pytest.fixture
@@ -169,7 +167,7 @@ def _moment_cells() -> int:
 def _grown(bounds, d):
     """The moment columns of ``bounds``, grown through degree d from the
     process's columns as they stand."""
-    return _grow_columns(bounds, _moment_columns(bounds), d)
+    return _grow_columns(_moment_columns(bounds), d)
 
 
 def _bench_workloads():
@@ -326,9 +324,11 @@ class TestMomentRoute:
         _cold(monkeypatch)
         _grown((1, 2, 2), 20)
         assert stratavol.coverings._columns == stepped
+        cells = _moment_cells()
         columns = _moment_table((3, 2), 20)
         assert columns == {e: stepped[e] for e in _monomials((0, 1, 2))}
-        assert _moment_table((3, 2), 20) is columns
+        assert all(col is stratavol.coverings._columns[e] for e, col in columns.items())
+        assert _moment_cells() == cells
         wider = _moment_table((3, 2), 21)
         assert {_degree(len(col)) for col in wider.values()} == {21}
         for e, col in stratavol.coverings._columns.items():
@@ -345,14 +345,14 @@ class TestMomentRoute:
                 terms += 1 + sum(len(t) + 1 for t in _plan(e) if t)
                 for f, _ in (term for t in _plan(e) for term in t):
                     assert order[f] < order[e], (bounds, e, f)
-            assert _state_terms(bounds) == terms, bounds
+            assert sum(map(_terms, _monomials(bounds))) == terms, bounds
 
     @pytest.mark.parametrize("bounds", [(0, 0, 2), (1, 2, 2), (2, 4, 6), (6, 6, 6)])
     def test_multiplies_per_column_state_are_the_pass_terms(self, bounds, cold_memo, monkeypatch):
         # Each new column-state (n, b), b >= 1, multiplies once per term of
         # each pass other than the monomial itself, through degree 9 from
         # cold and then on to 13; the prediction adds one sum per pass and
-        # per state to those, which makes _state_terms a state.
+        # per state to those, so a state costs the terms of all its columns.
         calls = []
 
         def counting(x, y):
@@ -363,7 +363,8 @@ class TestMomentRoute:
         per_state = sum(len(t) for e in _monomials(bounds) for t in _plan(e))
         for low, d in ((0, 9), (9, 13)):
             states = d * (d + 1) // 2 - low * (low + 1) // 2
-            assert _growth_terms(_moment_columns(bounds), d) == states * _state_terms(bounds)
+            state_terms = sum(map(_terms, _monomials(bounds)))
+            assert _growth_terms(_moment_columns(bounds), d) == states * state_terms
             calls.clear()
             _grown(bounds, d)
             assert len(calls) == states * per_state, (low, d)
@@ -377,7 +378,8 @@ class TestMomentRoute:
         states = 20 * 21 // 2
         new = [e for e in columns if not columns[e]]
         assert len(new) == 6
-        assert _growth_terms(columns, 20) == states * (_state_terms((1, 2, 2)) - 3)
+        state_terms = sum(map(_terms, _monomials((1, 2, 2))))
+        assert _growth_terms(columns, 20) == states * (state_terms - 3)
         cells = _moment_cells()
         _grown((1, 2, 2), 20)
         assert _moment_cells() - cells == 6 * 21 * 22 // 2
@@ -462,14 +464,14 @@ def _cold_columns(bounds, d):
 def _growth_sequence(requests):
     """The columns after growing each (bounds, degree) of ``requests`` in
     turn from none, in a table of their own."""
-    saved = stratavol.coverings._columns, stratavol.coverings._views
-    stratavol.coverings._columns, stratavol.coverings._views = {}, {}
+    saved = stratavol.coverings._columns
+    stratavol.coverings._columns = {}
     try:
         for bounds, d in requests:
             _grown(bounds, d)
         return stratavol.coverings._columns
     finally:
-        stratavol.coverings._columns, stratavol.coverings._views = saved
+        stratavol.coverings._columns = saved
 
 
 class TestColumnInterleavings:
@@ -700,6 +702,24 @@ class TestConnectedSeries:
         assert series.coeffs[:21] == cov_connected_series((2,) * 8, 20).coeffs
         assert series.coefficient(108) > 0
 
+    @pytest.mark.parametrize("profile, order", [
+        ((2,) * 8, 48), ((2,) * 12, 1), ((4, 4, 3, 3, 2, 2), 40), ((4, 3), 48), ((2, 2), 48)])
+    def test_connected_requests_of_ci_admitted(self, profile, order):
+        assert cov_connected_series(profile, order).order == order
+
+    def test_many_equal_cycles_refused_before_any_sum(self):
+        # A thousand 2s to order 2 pass the Burnside caps (4,004 products),
+        # but their 501,501 first-block pairs at 6 multiply-adds each are
+        # over the connected cap: refused at once, with no total stored.
+        profile = (2,) * 1000
+        check_burnside_cap(2, profile)
+        totals = dict(stratavol.coverings._burnside_totals)
+        start = time.perf_counter()
+        with pytest.raises(ResourceCapError, match="connected series work 3009006 "):
+            cov_connected_series(profile, 2)
+        assert time.perf_counter() - start < 1.0
+        assert stratavol.coverings._burnside_totals == totals
+
     def test_cycle_longer_than_order_gives_zero_without_work(self, monkeypatch):
         _forbid(monkeypatch, "_burnside_sums")
         for profile, order in [((2,) * 12, 1), (tuple(range(2, 12)), 1), ((7, 2), 6)]:
@@ -808,7 +828,3 @@ class TestAsymptoticRatio:
             with pytest.raises(ResourceCapError, match="Burnside work"):
                 call()
 
-
-def test_record_csv_row():
-    rec = CoverCountRecord(CoverProfile((2, 2)), 2, "connected", Fraction(2))
-    assert rec.csv_row() == "2,2;2;connected;2"

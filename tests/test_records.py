@@ -7,7 +7,6 @@ from fractions import Fraction
 
 import pytest
 
-from stratavol.coverings import CoverCountRecord, CoverProfile
 from stratavol.cumulants import StratumSpec, VolumeResult, WickGroups, WickLeading
 from stratavol.errors import DomainError, Record
 from stratavol.exact_arith import PiScalar
@@ -99,9 +98,6 @@ CASES = [
      "volume=PiScalar(coeff=Fraction(1, 2), pi_pow=3), "
      "c_const=PiScalar(coeff=Fraction(1, 2), pi_pow=3), route='general')",
      _all_fields_required(VolumeResult)),
-    (CoverCountRecord, (CoverProfile((2, 2)), 4, "all", Fraction(7, 2)),
-     "CoverCountRecord(profile=(2, 2), d=4, kind='all', count=Fraction(7, 2))",
-     _all_fields_required(CoverCountRecord)),
     (PropertyResult, ("p", False, "why"), "PropertyResult(name='p', passed=False, detail='why')",
      _property_result),
 ]
