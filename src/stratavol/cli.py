@@ -22,7 +22,7 @@ from .coverings import (
     check_brute_force_caps,
     check_burnside_cap,
     cov_connected_series,
-    cov_d,
+    cov_series,
 )
 from .cumulants import (
     SIMPLE_WORK_CAP,
@@ -152,14 +152,8 @@ def cmd_covers(args) -> int:
     # (d, kind, count) rows: the kind is "all" or "connected" for a
     # Burnside count, "brute-all" or "brute-connected" for brute force.
     kind = "connected" if args.connected else "all"
-    if args.connected:
-        series = cov_connected_series(profile, dmax)
-        counts = {d: series.coefficient(d) for d in range(1, dmax + 1)}
-    else:
-        # Top row first, so that the route it takes is weighed against
-        # every row of the request.
-        counts = {d: cov_d(profile, d) for d in range(dmax, 0, -1)}
-    rows = [(d, kind, counts[d]) for d in range(1, dmax + 1)]
+    series = (cov_connected_series if args.connected else cov_series)(profile, dmax)
+    rows = [(d, kind, series.coefficient(d)) for d in range(1, dmax + 1)]
     if args.brute_force:
         rows += [(d, "brute-" + kind, brute_force_hom_count(profile, d, args.connected))
                  for d in range(1, dmax + 1)]

@@ -10,21 +10,31 @@ The Burnside sum takes one of two routes per degree.  When every cycle is
 at most 4, each central character is a closed form linear in the content
 power sums p_1, p_2, p_3 (``characters.content_form``), so the sum is a
 combination of the moments sum_{lam |- d} p_1^a p_2^b p_3^c.  These live
-in one table shared by every profile for the life of the process: one
-integer column per monomial over the states (degree, largest part), each
-a scalar recursion that removes the first row of a partition and reads
-only earlier columns (``_grow_columns``).  A request grows only the
-columns of its monomials and only through its degree, and visits no
-partition.  Otherwise, and for a short profile whose sweep is predicted
-to be cheaper than the column-states it would add, one sweep over the
-partitions of the degree evaluates each cycle length once per partition:
-closed forms for short cycles, rim-hook residues for long ones.
+in one table shared by every profile for the life of the process,
+``_columns``: one integer column per monomial over the states (degree,
+largest part), each a scalar recursion that removes the first row of a
+partition and reads only earlier columns (``_grow_columns``).  A request
+grows only the columns of its monomials and only through its degree, and
+visits no partition.  Otherwise, and for a short profile whose sweep is
+predicted to be cheaper than the column-states it would add, one sweep
+over the partitions of the degree evaluates each cycle length once per
+partition: closed forms for short cycles, rim-hook residues for long ones.
 
-Connected counts come from the all-coverings series by the exponential
-formula over sub-multisets of the branch points, in integers
-(``cov_connected_series``).  Either route serves every sub-profile those
-sub-multisets need, and its totals are memoized for the life of the
-process, so no degree is summed twice for the same sub-profile.
+A profile's monomials lie within bounds (``_moment_bounds``) whose last
+monomial in growth order (``_monomials``), the corner, has top degree and
+then top weight.  Bounds that hold a corner hold all its bounds'
+monomials, and a growth stores columns in growth order, so the corner's
+column never reaches past another of its bounds, threads included: its
+length alone tells whether the table serves a degree (``_moment_table``).
+
+``cov_series`` alone orders rows, top degree first, so that the route
+chosen for the top row is weighed against the whole series and the
+columns it grows serve every lower row; the CLI and the connected series
+take their rows from it.  Connected counts come from the all-coverings
+series by the exponential formula over sub-multisets of the branch
+points, in integers (``cov_connected_series``).  Either route serves
+every sub-profile those sub-multisets need, and its totals are memoized
+for the life of the process, so no degree is summed twice.
 """
 
 from __future__ import annotations
@@ -129,11 +139,10 @@ def _burnside_sums(profile: Sequence[int], d: int) -> int:
         fit = tuple(m for m in key if m <= d)
         if (fit, d) not in _burnside_totals:
             _check_sweep_cap(fit, d)
-            columns = _moment_table(fit, d)
-            if columns is None:
-                _sweep(fit, d)
+            if _moment_table(fit, d):
+                _moment_sums(fit, d)
             else:
-                _moment_sums(columns, fit, d)
+                _sweep(fit, d)
         if fit != key:
             _burnside_totals[key, d] = 0
     return _burnside_totals[key, d]
@@ -287,15 +296,9 @@ def _plan(e: tuple[int, int, int]) -> tuple[tuple, ...]:
 # for the life of the process.  A column is only ever replaced, under the
 # lock, by a longer one whose new rows are complete, and never changed in
 # place, so two threads that grow one column at once only compute the same
-# cells twice.
+# cells twice, and no bounds' corner reaches past another of its columns.
 _columns: dict[tuple[int, int, int], list[int]] = {}
 _columns_lock = threading.Lock()
-
-
-def _moment_columns(bounds: tuple[int, int, int]) -> dict[tuple[int, int, int], list[int]]:
-    """The columns of ``_monomials(bounds)`` as they stand in ``_columns``,
-    in that order; a missing one is empty."""
-    return {e: _columns.get(e, ()) for e in _monomials(bounds)}
 
 
 def _degree(size: int) -> int:
@@ -318,25 +321,27 @@ def _targets(lo: int, d: int) -> tuple[list[int], tuple[list[int], list[int], li
     )
 
 
-def _growth_terms(columns: dict[tuple[int, int, int], list[int]], d: int) -> int:
-    """Multiply-adds ``_grow_columns`` makes to bring ``columns`` through
-    degree d: every column's passes over the states (n, b), b >= 1, of the
-    rows above the lowest degree lo any of them reaches, and one sum for
-    each such state it adds.  A column complete past lo re-runs its passes
-    there for the columns after it; none is counted twice otherwise."""
-    lo = _degree(min(map(len, columns.values())))
+def _growth_terms(bounds: tuple[int, int, int], d: int) -> int:
+    """Multiply-adds ``_grow_columns(bounds, d)`` makes: every column's
+    passes over the states (n, b), b >= 1, of the rows above the lowest
+    degree lo any of them reaches, and one sum for each such state it
+    adds.  A column complete past lo re-runs its passes there for the
+    columns after it; none is counted twice otherwise."""
+    monomials = _monomials(bounds)
+    have = [_degree(len(_columns.get(e, ()))) for e in monomials]
+    lo = min(have)
     if lo >= d:
         return 0
     states = d * (d + 1) // 2
     return sum((states - lo * (lo + 1) // 2) * (_terms(e) - 1)
                + max(0, states - n * (n + 1) // 2)
-               for e, n in zip(columns, map(_degree, map(len, columns.values()))))
+               for e, n in zip(monomials, have))
 
 
-def _grow_columns(columns: dict[tuple[int, int, int], list[int]],
-                  d: int) -> dict[tuple[int, int, int], list[int]]:
-    """Extend every column of ``columns`` (``_moment_columns(bounds)``)
-    through degree d, in the dict and in ``_columns``; return it.
+def _grow_columns(bounds: tuple[int, int, int], d: int) -> None:
+    """Extend the column of every monomial of ``_monomials(bounds)`` in
+    ``_columns`` through degree d, storing them in that order, so the
+    bounds' corner last.
 
     V(n, b) is the vector of moments over the partitions of n with largest
     part at most b, so V(n, n) is the table at n.  A partition with largest
@@ -365,17 +370,19 @@ def _grow_columns(columns: dict[tuple[int, int, int], list[int]],
     lo any column reaches (``_growth_terms``).  A column is stored once its
     new rows are complete.
     """
-    lo = _degree(min(map(len, columns.values())))
+    monomials = _monomials(bounds)
+    columns = [_columns.get(e, ()) for e in monomials]
+    have = [_degree(len(col)) for col in columns]
+    lo = min(have)
     if lo >= d:
-        return columns
-    have = [_degree(len(col)) for col in columns.values()]
+        return
     srcs, alphas = _targets(lo, d)
     base = lo * (lo + 1) // 2
     weights: dict[tuple[int, int, int], list[int]] = {}
-    read = {f for e in columns for terms in _plan(e) for f, _ in terms}
+    read = {f for e in monomials for terms in _plan(e) for f, _ in terms}
     # monomial -> its values before each pass, at every state
     inputs: dict[tuple[int, int, int], list[list[int]]] = {}
-    for (e, col), n_e in zip(list(columns.items()), have):
+    for e, col, n_e in zip(monomials, columns, have):
         sums, added = [], None
         for k, terms in enumerate(_plan(e)):
             if terms:
@@ -401,7 +408,6 @@ def _grow_columns(columns: dict[tuple[int, int, int], list[int]],
                 if added is not None:
                     values = map(add, values, added[at:at + n])
                 col.extend(accumulate(values, initial=0))
-            columns[e] = col
             with _columns_lock:
                 if len(col) > len(_columns.get(e, ())):
                     _columns[e] = col
@@ -412,43 +418,44 @@ def _grow_columns(columns: dict[tuple[int, int, int], list[int]],
                 ins.append(ins[-1] if s is prev else list(map(add, start, s)))
                 prev = s
             inputs[e] = ins
-    return columns
 
 
-def _moment_table(key: tuple[int, ...], d: int) -> dict[tuple[int, int, int], list[int]] | None:
-    """The moment columns that serve the Burnside sums of ``key`` and its
-    sub-profiles at degree d, those of ``_moment_bounds(key)`` as they
-    stand, or None when the sums go by the sweep.
+def _moment_table(key: tuple[int, ...], d: int) -> bool:
+    """Whether the Burnside sums of ``key`` and its sub-profiles at degree
+    d go by content moments, the columns of ``_moment_bounds(key)`` then
+    complete through d; False when they go by the sweep.
 
     Predicted before any work: every cycle must be at most
-    ``CONTENT_POLY_MAX_M``.  Columns complete through d serve at no cost.
-    Otherwise they do when the multiply-adds that growing them through d
-    makes (``_growth_terms``: the column-states it adds at their terms
-    each, and the passes of columns complete further on the rows the
-    others add) are at most ``MOMENT_TERMS_PER_PRODUCT`` times the products
-    the Burnside cap counts for sweeps of every degree up to d, all of
-    which the columns then serve: sum_{d' <= d} p(d') times the
-    prod (c + 1) sub-profiles.
+    ``CONTENT_POLY_MAX_M``.  Columns complete through d serve at no cost,
+    and one column tells: that of the bounds' corner, whose degree is the
+    least of theirs (see the module docstring).  Otherwise they serve when
+    the multiply-adds that growing them through d makes (``_growth_terms``:
+    the column-states it adds at their terms each, and the passes of
+    columns complete further on the rows the others add) are at most
+    ``MOMENT_TERMS_PER_PRODUCT`` times the products the Burnside cap
+    counts for sweeps of every degree up to d, all of which the columns
+    then serve: sum_{d' <= d} p(d') times the prod (c + 1) sub-profiles.
     """
     if key and key[0] > CONTENT_POLY_MAX_M:
-        return None
-    columns = _moment_columns(_moment_bounds(key))
-    terms = _growth_terms(columns, d)
-    if terms:
-        products = burnside_work(d) * prod(c + 1 for c in Counter(key).values())
-        if terms > MOMENT_TERMS_PER_PRODUCT * products:
-            return None
-    return _grow_columns(columns, d)
+        return False
+    bounds = _moment_bounds(key)
+    if len(_columns.get(_monomials(bounds)[-1], ())) > d * (d + 3) // 2:
+        return True  # the corner holds the state (d, d)
+    products = burnside_work(d) * prod(c + 1 for c in Counter(key).values())
+    if _growth_terms(bounds, d) > MOMENT_TERMS_PER_PRODUCT * products:
+        return False
+    _grow_columns(bounds, d)
+    return True
 
 
-def _moment_sums(columns: dict[tuple[int, int, int], list[int]], key: tuple[int, ...],
-                 d: int) -> None:
+def _moment_sums(key: tuple[int, ...], d: int) -> None:
     """Store in ``_burnside_totals`` the Burnside sum at degree d of every
     sorted sub-multiset of ``key`` (cycles 2..4, longest first), each the
     product of the closed forms of its cycles (``characters.content_form``)
     expanded in monomials and dotted with the content moments of the
-    partitions of d, read at the state (d, d) of ``columns``, which reach
-    degree d (``_moment_table``); no partition is visited."""
+    partitions of d, read at the state (d, d) of ``_columns``, which
+    reach degree d for the bounds of ``key`` (``_moment_table``); no
+    partition is visited."""
     last = d * (d + 3) // 2
     subs, plan = _sub_profiles(key)
     forms = {m: content_form(m, d) for m in set(key)}
@@ -462,7 +469,7 @@ def _moment_sums(columns: dict[tuple[int, int, int], list[int]], key: tuple[int,
                     poly[mono] = poly.get(mono, 0) + x * y
         polys[i] = poly
     for sub, poly in zip(subs, polys):
-        _burnside_totals[sub, d] = sum(x * columns[mono][last] for mono, x in poly.items())
+        _burnside_totals[sub, d] = sum(x * _columns[mono][last] for mono, x in poly.items())
 
 
 def cov_d(profile, d: int) -> Fraction:
@@ -489,9 +496,10 @@ def cov_d(profile, d: int) -> Fraction:
 
 
 def cov_series(profile, order: int) -> QSeries:
-    """Generating series sum_d cov_d(profile) q^d, truncated.  The top
-    degree is summed first, so that the route chosen for it (see
-    ``_burnside_sums``) is weighed against the whole series."""
+    """Generating series sum_d cov_d(profile) q^d, truncated: the rows of
+    the CLI's ``covers``.  The top degree is summed first, so that the
+    route chosen for it (``_moment_table``) is weighed against the whole
+    series and the moment columns it grows serve every lower row."""
     profile = _profile(profile)
     if order < 0:
         raise DomainError("order must be nonnegative")
@@ -523,8 +531,7 @@ def cov_connected_series(profile, order: int) -> QSeries:
     leaves no connected covering through that order, so the series is
     zero with no more work.  Otherwise the formula's work is checked
     against ``CONNECTED_WORK_CAP``, and the blocks' series come from the
-    Burnside sums of the profile at each degree, top degree first so
-    that the moment columns it grows serve every lower one.
+    Burnside sums the rows of the profile's ``cov_series`` store.
     """
     profile = _profile(profile)
     if not profile:
@@ -540,8 +547,7 @@ def cov_connected_series(profile, order: int) -> QSeries:
     if work > CONNECTED_WORK_CAP:
         raise ResourceCapError(
             f"connected series work {work} up to order {order} exceeds cap {CONNECTED_WORK_CAP}")
-    for d in range(order, -1, -1):
-        _burnside_sums(profile, d)  # the one route that stores every block
+    cov_series(profile, order)
     euler = _lead([int(c) for c in euler_series(order).coeffs])
     vectors = sorted((T for T, _, _ in vector_splits(counts)), key=sum)
     prime: dict[tuple[int, ...], tuple[int, list[int]]] = {}
@@ -585,8 +591,9 @@ def burnside_work(dmax: int) -> int:
     sub-profile of a profile, so the count does not depend on the profile;
     the products each partition costs do (``check_burnside_cap``).  The
     moment route visits none; its choice weighs its own predicted work
-    against these products (``_moment_table``)."""
-    return sum(partition_counts(dmax, inf)[: dmax + 1])
+    against these products (``_moment_table``).  A lookup in the running
+    sums of ``partitions.check_partition_work``."""
+    return check_partition_work(dmax, inf, "Burnside")
 
 
 def check_burnside_cap(dmax: int, profile: Iterable[int] = ()) -> None:

@@ -64,6 +64,16 @@ TERM_WORK = 10**4
 # 63.  On a 2-core Xeon with Python 3.11, the slowest admitted request,
 # `simple-table --nmax 63`, takes about 3 s; c_simple(62) alone 0.7 s.
 SIMPLE_WORK_CAP = 5 * 10**4
+# Most units of work elementary_cumulant may predict for a key m of n
+# parts, with top = |m| - n + 2: top^3 for the Bernoulli numbers up to
+# B_top behind frak_z(top) (about top^2 / 4 terms of the recurrence, on
+# numbers whose size grows with top), and top^2 / 20000 per cell product
+# of the key's partition table (``_table_work``), each a product of two
+# numbers whose size grows with top.  On a 2-core Xeon with Python 3.11 a
+# unit takes about 4 ns from a cold start: the keys found nearest the cap
+# take 0.9 to 3.1 s with start-up, the slowest `cumulant 115,114,...,109`,
+# and `cumulant 792` 2.1 s, where `cumulant 1800` took 27 s.
+CUMULANT_WORK_CAP = 5 * 10**8
 
 
 def _canon_key(m) -> tuple[int, ...]:
@@ -89,7 +99,9 @@ def elementary_cumulant(m) -> PiScalar:
     key's multiset (``_table``), not partition by partition, in integers
     over one common denominator.  Every term carries
     pi^(|m| - n + 2), so the sum is a rational, memoized on the sorted
-    key; the key is validated and the cap checked on every call.
+    key; the key is validated and the caps checked on every call, before
+    any work: its parts against ``SET_PARTITION_CAP``, then its predicted
+    work against ``CUMULANT_WORK_CAP``.
     """
     key = _canon_key(m)
     n = len(key)
@@ -97,7 +109,11 @@ def elementary_cumulant(m) -> PiScalar:
         raise ResourceCapError(
             f"cumulant key with {n} parts exceeds cap {SET_PARTITION_CAP}"
         )
-    return PiScalar(_cumulant_over_pi(key), sum(key) - n + 2)
+    top = sum(key) - n + 2
+    work = top**3 + top**2 * _table_work([key.count(v) for v in set(key)]) // 20000
+    if work > CUMULANT_WORK_CAP:
+        raise ResourceCapError(f"cumulant work {work} exceeds cap {CUMULANT_WORK_CAP}")
+    return PiScalar(_cumulant_over_pi(key), top)
 
 
 @lru_cache(maxsize=None)
@@ -410,10 +426,9 @@ def _check_wick_work(counts, terms: int, values) -> None:
     TERM_WORK times that per term.  A block holds at most one part of each group (two would
     close a cycle in the tree), so its key takes at most c_h parts from
     the values of type h: at most prod C(c_h + |values_h|, c_h) keys.  The
-    partition table of a key with multiplicities k_v and L parts sums over
-    prod (k_v + 1)(k_v + 2) / 2 sub-vector pairs of up to L^3 cell
-    products; the largest such key spreads the groups evenly over the
-    values, each value up to the number of groups whose type uses it.
+    largest partition table (``_table_work``) is that of the key that
+    spreads the groups evenly over the values, each value up to the
+    number of groups whose type uses it.
     Keys share the tables of their sub-multisets (``_table``), so this
     counts the tables' work at most once per key, an upper bound.
     """
@@ -433,12 +448,19 @@ def _check_wick_work(counts, terms: int, values) -> None:
         for i, r in enumerate(sorted(room.values())):
             spread.append(min(r, left // (len(room) - i)))
             left -= spread[-1]
-        table = sum(spread) ** 3
-        for k in spread:
-            table *= (k + 1) * (k + 2) // 2
-        work += keys * (sub * sub + table)
+        work += keys * (sub * sub + _table_work(spread))
     if work > WICK_WORK_CAP:
         raise ResourceCapError(f"Wick tree sum work {work} exceeds cap {WICK_WORK_CAP}")
+
+
+def _table_work(multiplicities) -> int:
+    """The cell products of the partition table of a key with these
+    multiplicities and L parts in all: prod (k + 1)(k + 2) / 2 sub-vector
+    pairs of up to L^3 cell products each (``_fill_rows``)."""
+    work = sum(multiplicities) ** 3
+    for k in multiplicities:
+        work *= (k + 1) * (k + 2) // 2
+    return work
 
 
 # The Wick tree sum's states for the whole process, as the tuple

@@ -75,13 +75,6 @@ class PExpansion(Record):
     def as_dict(self) -> dict[IntPartition, Fraction]:
         return dict(self.terms)
 
-    def coefficient(self, lam) -> Fraction:
-        lam = IntPartition(lam)
-        for key, c in self.terms:
-            if key == lam:
-                return c
-        return Fraction(0)
-
     def __str__(self) -> str:
         if not self.terms:
             return "0"

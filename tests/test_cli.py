@@ -120,6 +120,19 @@ class TestCumulantCommands:
         assert code == 3
         assert "cap" in err
 
+    @pytest.mark.parametrize("key", ["2400", "1800", ",".join(["100"] * 12)])
+    def test_work_cap_exits_fast(self, capsys, monkeypatch, key):
+        # Uncapped, `cumulant 1800` ran 27 s and twelve 100s 8.5 s.
+        def forbidden(*args):
+            raise AssertionError("a cumulant was computed")
+
+        monkeypatch.setattr(stratavol.cumulants, "_cumulant_over_pi", forbidden)
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "cumulant", key)
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        assert out == "" and "cumulant work" in err
+
 
 class TestFkCommand:
     def test_plain_default(self, capsys):
@@ -169,7 +182,7 @@ class TestCoversCommand:
         def forbidden(*args, **kwargs):
             raise AssertionError("a covering row was computed")
 
-        monkeypatch.setattr(stratavol.cli, "cov_d", forbidden)
+        monkeypatch.setattr(stratavol.cli, "cov_series", forbidden)
         monkeypatch.setattr(stratavol.cli, "cov_connected_series", forbidden)
         monkeypatch.setattr(stratavol.cli, "brute_force_hom_count", forbidden)
         for extra in ((), ("--connected",)):
@@ -184,7 +197,7 @@ class TestCoversCommand:
         def forbidden(*args, **kwargs):
             raise AssertionError("a covering row was computed")
 
-        monkeypatch.setattr(stratavol.cli, "cov_d", forbidden)
+        monkeypatch.setattr(stratavol.cli, "cov_series", forbidden)
         monkeypatch.setattr(stratavol.cli, "brute_force_hom_count", forbidden)
         start = time.perf_counter()
         code, out, err = run_cli(capsys, "covers", "5,5,5", "--dmax", "5", "--brute-force")
@@ -196,7 +209,7 @@ class TestCoversCommand:
         def forbidden(*args, **kwargs):
             raise AssertionError("a covering row was computed")
 
-        monkeypatch.setattr(stratavol.cli, "cov_d", forbidden)
+        monkeypatch.setattr(stratavol.cli, "cov_series", forbidden)
         monkeypatch.setattr(stratavol.cli, "cov_connected_series", forbidden)
         for extra in ((), ("--connected",)):
             start = time.perf_counter()
@@ -215,7 +228,7 @@ class TestCoversCommand:
             raise AssertionError("a covering row was computed")
 
         wide = ",".join(str(m) for m in range(2, 22))
-        monkeypatch.setattr(stratavol.cli, "cov_d", forbidden)
+        monkeypatch.setattr(stratavol.cli, "cov_series", forbidden)
         monkeypatch.setattr(stratavol.cli, "cov_connected_series", forbidden)
         for extra in ((), ("--connected",)):
             start = time.perf_counter()

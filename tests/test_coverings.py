@@ -32,7 +32,6 @@ from stratavol.coverings import (
     _grow_columns,
     _growth_terms,
     _moment_bounds,
-    _moment_columns,
     _moment_sums,
     _moment_table,
     _monomials,
@@ -165,9 +164,10 @@ def _moment_cells() -> int:
 
 
 def _grown(bounds, d):
-    """The moment columns of ``bounds``, grown through degree d from the
-    process's columns as they stand."""
-    return _grow_columns(_moment_columns(bounds), d)
+    """The moment columns of ``bounds`` after growing them through degree
+    d from the process's columns as they stand, in growth order."""
+    _grow_columns(bounds, d)
+    return {e: stratavol.coverings._columns[e] for e in _monomials(bounds)}
 
 
 def _bench_workloads():
@@ -286,7 +286,8 @@ class TestMomentRoute:
             for key in keys:
                 fit = tuple(m for m in key if m <= d)
                 _cold(monkeypatch)
-                _moment_sums(_grown(_moment_bounds(fit), d), fit, d)
+                _grown(_moment_bounds(fit), d)
+                _moment_sums(fit, d)
                 moments = stratavol.coverings._burnside_totals
                 monkeypatch.setattr(stratavol.coverings, "_burnside_totals", {})
                 _sweep(fit, d)
@@ -298,10 +299,10 @@ class TestMomentRoute:
         # Degrees 36..40, past the Murnaghan-Nakayama checks: columns grown
         # once through 40 against one sweep per degree, for the profile
         # and every sub-profile.
-        columns = _grown(_moment_bounds(profile), 40)
+        _grown(_moment_bounds(profile), 40)
         for d in range(36, 41):
             monkeypatch.setattr(stratavol.coverings, "_burnside_totals", {})
-            _moment_sums(columns, profile, d)
+            _moment_sums(profile, d)
             moments = stratavol.coverings._burnside_totals
             monkeypatch.setattr(stratavol.coverings, "_burnside_totals", {})
             _sweep(profile, d)
@@ -310,7 +311,8 @@ class TestMomentRoute:
     def test_empty_profile_counts_partitions(self, monkeypatch):
         for d in range(25):
             _cold(monkeypatch)
-            _moment_sums(_grown((0, 0, 0), d), (), d)
+            _grown((0, 0, 0), d)
+            _moment_sums((), d)
             assert stratavol.coverings._burnside_totals == {((), d): partition_count(d)}
 
     def test_one_table_grown_in_place(self, cold_memo, monkeypatch):
@@ -325,12 +327,11 @@ class TestMomentRoute:
         _grown((1, 2, 2), 20)
         assert stratavol.coverings._columns == stepped
         cells = _moment_cells()
-        columns = _moment_table((3, 2), 20)
-        assert columns == {e: stepped[e] for e in _monomials((0, 1, 2))}
-        assert all(col is stratavol.coverings._columns[e] for e, col in columns.items())
+        assert _moment_table((3, 2), 20) is True
         assert _moment_cells() == cells
-        wider = _moment_table((3, 2), 21)
-        assert {_degree(len(col)) for col in wider.values()} == {21}
+        assert _moment_table((3, 2), 21) is True
+        columns = stratavol.coverings._columns
+        assert {_degree(len(columns[e])) for e in _monomials((0, 1, 2))} == {21}
         for e, col in stratavol.coverings._columns.items():
             assert col[:len(stepped[e])] == stepped[e], e
 
@@ -364,7 +365,7 @@ class TestMomentRoute:
         for low, d in ((0, 9), (9, 13)):
             states = d * (d + 1) // 2 - low * (low + 1) // 2
             state_terms = sum(map(_terms, _monomials(bounds)))
-            assert _growth_terms(_moment_columns(bounds), d) == states * state_terms
+            assert _growth_terms(bounds, d) == states * state_terms
             calls.clear()
             _grown(bounds, d)
             assert len(calls) == states * per_state, (low, d)
@@ -374,12 +375,11 @@ class TestMomentRoute:
         # growing (4, 3) through 20 adds the other six at every state and
         # re-runs the passes of the three, as the prediction counts.
         _grown((0, 0, 2), 20)
-        columns = _moment_columns((1, 2, 2))
         states = 20 * 21 // 2
-        new = [e for e in columns if not columns[e]]
+        new = [e for e in _monomials((1, 2, 2)) if e not in stratavol.coverings._columns]
         assert len(new) == 6
         state_terms = sum(map(_terms, _monomials((1, 2, 2))))
-        assert _growth_terms(columns, 20) == states * (state_terms - 3)
+        assert _growth_terms((1, 2, 2), 20) == states * (state_terms - 3)
         cells = _moment_cells()
         _grown((1, 2, 2), 20)
         assert _moment_cells() - cells == 6 * 21 * 22 // 2
@@ -495,6 +495,57 @@ class TestColumnInterleavings:
             assert col == whole[e][:len(col)], e
 
 
+# Short profiles whose bounds overlap: (2, 2) and (3, 2) lie within (4, 3),
+# and all three within (4, 4, 3, 3, 2, 2).
+CORNER_PROFILES = [(2, 2), (4, 3), (3, 2), (4, 4, 3, 3, 2, 2)]
+
+
+class _CountedReads(dict):
+    """A column table that counts the columns read from it."""
+
+    reads = 0
+
+    def get(self, *args):
+        self.reads += 1
+        return super().get(*args)
+
+    def __getitem__(self, e):
+        self.reads += 1
+        return super().__getitem__(e)
+
+
+class TestCorner:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(CORNER_PROFILES), st.integers(0, 12)),
+                    min_size=1, max_size=8))
+    def test_corner_reaches_least_and_answers_warm_rows(self, requests):
+        # After every growth, the corner of each profile's bounds (the last
+        # of its monomials) reaches the least degree of the bounds' columns,
+        # so a row the table already serves reads that one column and grows
+        # nothing.
+        coverings = stratavol.coverings
+        saved, grow = coverings._columns, coverings._grow_columns
+
+        def forbidden(*args):
+            raise AssertionError("_grow_columns was called")
+
+        coverings._columns = columns = _CountedReads()
+        try:
+            for profile, d in requests:
+                grow(_moment_bounds(profile), d)
+                for other in CORNER_PROFILES:
+                    reach = [_degree(len(dict.get(columns, e, ())))
+                             for e in _monomials(_moment_bounds(other))]
+                    assert reach[-1] == min(reach), (other, requests)
+                cells, columns.reads = _moment_cells(), 0
+                coverings._grow_columns = forbidden
+                assert _moment_table(profile, d) is True
+                coverings._grow_columns = grow
+                assert columns.reads == 1 and _moment_cells() == cells
+        finally:
+            coverings._columns, coverings._grow_columns = saved, grow
+
+
 class TestRoutes:
     def test_workload_profiles_take_the_moments(self, cold_memo, monkeypatch):
         # The benchmark's covering rows and ratios, the top row first, the
@@ -521,7 +572,7 @@ class TestRoutes:
     def test_long_cycles_take_the_sweep(self, profile, cold_memo, monkeypatch):
         _forbid(monkeypatch, "_moment_sums")
         for d in range(max(profile), 18):
-            assert _moment_table(profile, d) is None
+            assert _moment_table(profile, d) is False
             cov_d(profile, d)
 
     def test_wide_short_profile_takes_the_sweep(self, cold_memo, monkeypatch):
@@ -530,15 +581,16 @@ class TestRoutes:
         # for sweeps of every degree up to 18 (2-core Xeon, Python 3.11;
         # the one table per profile they replace took 55 ms there).
         wide = (4,) * 6
-        assert _moment_table(wide, 18) is None
+        assert _moment_table(wide, 18) is False
         _forbid(monkeypatch, "_moment_sums")
         for d in range(4, 19):
             cov_d(wide, d)
         assert stratavol.coverings._columns == {}
         # Grown through 17, the columns need 18 more states for degree 18.
         _grown(_moment_bounds(wide), 17)
-        columns = _moment_table(wide, 18)
-        assert {_degree(len(col)) for col in columns.values()} == {18}
+        assert _moment_table(wide, 18) is True
+        columns = stratavol.coverings._columns
+        assert {_degree(len(columns[e])) for e in _monomials(_moment_bounds(wide))} == {18}
 
 
 class TestBurnsideWork:

@@ -112,6 +112,17 @@ class TestElementaryCumulant:
         with pytest.raises(ResourceCapError):
             elementary_cumulant((1,) * 13)
 
+    def test_work_cap_boundary(self, monkeypatch):
+        # The keys found nearest the cap from each side, from the
+        # prediction alone: the Bernoulli term decides a key of few parts,
+        # the partition table one of many distinct parts.
+        monkeypatch.setattr(stratavol.cumulants, "_cumulant_over_pi", lambda key: Fraction(0))
+        for admitted, refused in [((792,), (793,)), ((397, 396), (398, 396)),
+                                  (tuple(range(15, 3, -1)), tuple(range(16, 4, -1)))]:
+            elementary_cumulant(admitted)
+            with pytest.raises(ResourceCapError, match="cumulant work"):
+                elementary_cumulant(refused)
+
     def test_memoized_on_sorted_key(self, monkeypatch):
         # One integer table per sorted sub-multiset, shared across keys:
         # (3, 2, 1, 1) builds every table that the later keys read, for at
