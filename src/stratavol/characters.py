@@ -40,6 +40,7 @@ process.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial, perm
 
 from .errors import DomainError
@@ -202,12 +203,13 @@ def content_value(m: int, n: int, sums) -> int:
     )
 
 
+@lru_cache(maxsize=None)
 def content_form(m: int, n: int) -> tuple[int, int, int, int]:
     """The closed form of f_m (``content_value``) at the partitions of n as
     the coefficients (a_0, a_1, a_2, a_3) of
     f_m = a_0 + a_1 p_1 + a_2 p_2 + a_3 p_3.  Each closed form is affine in
     the power sums, so they are its values at p = 0 and, less a_0, at each
-    unit vector."""
+    unit vector; memoized, so a Burnside row reads them at no cost."""
     zero = dict.fromkeys((1, 2, 3), 0)
     a0 = content_value(m, n, zero)
     return (a0,) + tuple(content_value(m, n, {**zero, k: 1}) - a0 for k in (1, 2, 3))

@@ -27,14 +27,14 @@ monomials, and a growth stores columns in growth order, so the corner's
 column never reaches past another of its bounds, threads included: its
 length alone tells whether the table serves a degree (``_moment_table``).
 
-``cov_series`` alone orders rows, top degree first, so that the route
-chosen for the top row is weighed against the whole series and the
-columns it grows serve every lower row; the CLI and the connected series
-take their rows from it.  Connected counts come from the all-coverings
-series by the exponential formula over sub-multisets of the branch
-points, in integers (``cov_connected_series``).  Either route serves
-every sub-profile those sub-multisets need, and its totals are memoized
-for the life of the process, so no degree is summed twice.
+``cov_series`` alone orders rows, top degree first (``_rows``), so that
+the route chosen for the top row is weighed against the whole series and
+the columns it grows serve every lower row; the CLI and the connected
+series take their rows from it.  Connected counts come from the
+all-coverings series by the exponential formula over sub-multisets of the
+branch points, in integers (``cov_connected_series``).  Either route
+serves every sub-profile those sub-multisets need, and its totals are
+memoized for the life of the process, so no degree is summed twice.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from collections import Counter
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, permutations, repeat
+from itertools import accumulate, islice, permutations, repeat
 from math import comb, factorial, inf, isqrt, prod
 from operator import add, mul
 
@@ -150,12 +150,15 @@ def _burnside_sums(profile: Sequence[int], d: int) -> int:
 
 def _check_sweep_cap(key: tuple[int, ...], d: int) -> None:
     """The Burnside caps for the sweep of degree d alone: its p(d)
-    partitions, and their products with every sub-profile of ``key``."""
+    partitions, and their products with every sub-profile of ``key``.  A
+    key of k cycles has at most 2^k sub-profiles, so they are only counted
+    when that bound is over the product cap."""
     counts = partition_counts(d, BURNSIDE_WORK_CAP)
     if len(counts) <= d or counts[d] > BURNSIDE_WORK_CAP:
         raise ResourceCapError(
             f"Burnside work at degree {d} exceeds cap {BURNSIDE_WORK_CAP} partitions")
-    _check_products(counts[d], key, d)
+    if counts[d] << len(key) > BURNSIDE_PRODUCT_CAP:
+        _check_products(counts[d], key, d)
 
 
 @lru_cache(maxsize=32)
@@ -292,12 +295,17 @@ def _plan(e: tuple[int, int, int]) -> tuple[tuple, ...]:
 # The content moments sum_{lam |- n, lam_1 <= b} p_1^a p_2^b p_3^c, one
 # integer column per monomial (a, b, c) over the states (n, b), 0 <= b <= n,
 # row by row at index n (n + 1) / 2 + b, so a column of (n + 1)(n + 2) / 2
-# entries is complete through degree n.  Shared by every profile and kept
-# for the life of the process.  A column is only ever replaced, under the
-# lock, by a longer one whose new rows are complete, and never changed in
+# entries is complete through degree n.  Beside each column, its pass sums:
+# for each pass of ``_PASSES`` but the last, what the passes up to it add
+# to the column (R_e, ``_grow_columns``) over the states (n, b), b >= 1, of
+# the rows the column holds, n (n - 1) / 2 + b - 1 by row, or None for a
+# pass without terms.  Shared by every profile and kept for the life of the
+# process.  A column and its sums are only ever replaced together, under
+# the lock, by longer ones whose new rows are complete, and never changed in
 # place, so two threads that grow one column at once only compute the same
 # cells twice, and no bounds' corner reaches past another of its columns.
 _columns: dict[tuple[int, int, int], list[int]] = {}
+_pass_sums: dict[tuple[int, int, int], list[list[int] | None]] = {}
 _columns_lock = threading.Lock()
 
 
@@ -322,20 +330,22 @@ def _targets(lo: int, d: int) -> tuple[list[int], tuple[list[int], list[int], li
 
 
 def _growth_terms(bounds: tuple[int, int, int], d: int) -> int:
-    """Multiply-adds ``_grow_columns(bounds, d)`` makes: every column's
-    passes over the states (n, b), b >= 1, of the rows above the lowest
-    degree lo any of them reaches, and one sum for each such state it
-    adds.  A column complete past lo re-runs its passes there for the
-    columns after it; none is counted twice otherwise."""
-    monomials = _monomials(bounds)
-    have = [_degree(len(_columns.get(e, ()))) for e in monomials]
-    lo = min(have)
-    if lo >= d:
-        return 0
+    """Multiply-adds ``_grow_columns(bounds, d)`` makes: for each column
+    below degree d, its passes and its sum at every state (n, b), b >= 1,
+    of the rows it adds (``_terms``).  The passes of rows a column already
+    holds never run again, so nested growths cost what one growth of the
+    widest bounds does."""
     states = d * (d + 1) // 2
-    return sum((states - lo * (lo + 1) // 2) * (_terms(e) - 1)
-               + max(0, states - n * (n + 1) // 2)
-               for e, n in zip(monomials, have))
+    total = 0
+    for e in _monomials(bounds):
+        n = _degree(len(_columns.get(e, ())))
+        total += max(0, states - n * (n + 1) // 2) * _terms(e)
+    return total
+
+
+def _tail(values: list[int], cut: int) -> list[int]:
+    """``values`` from index ``cut`` on, copied only when cut > 0."""
+    return values[cut:] if cut else values
 
 
 def _grow_columns(bounds: tuple[int, int, int], d: int) -> None:
@@ -364,59 +374,68 @@ def _grow_columns(bounds: tuple[int, int, int], d: int) -> None:
         V_e(n, b) = V_e(n, b - 1) + V_e(n - b, b') + R_e(n, b),
 
     where R_e, what the passes add from earlier columns, is gathered over
-    all new states at once, one list per pass.  Each pass reads the earlier
-    columns after the passes before it; those values are kept for this
-    growth only.  The states are those of the rows above the lowest degree
-    lo any column reaches (``_growth_terms``).  A column is stored once its
-    new rows are complete.
+    all new states of the column at once, one list per pass.  Each pass
+    reads the earlier columns' inputs, their values after the passes before
+    it, over the states of the rows above the lowest degree lo any column
+    reaches.  A column that adds rows runs its passes over those rows only;
+    its inputs, and those of a column already complete through d, are its
+    values at the states built on plus its stored pass sums
+    (``_pass_sums``), so no pass runs twice over a state.  A column is
+    stored with its sums once its new rows are complete.
     """
     monomials = _monomials(bounds)
-    columns = [_columns.get(e, ()) for e in monomials]
-    have = [_degree(len(col)) for col in columns]
+    with _columns_lock:
+        held = [(_columns.get(e, ()), _pass_sums.get(e)) for e in monomials]
+    have = [_degree(len(col)) for col, _ in held]
     lo = min(have)
     if lo >= d:
         return
     srcs, alphas = _targets(lo, d)
     base = lo * (lo + 1) // 2
     weights: dict[tuple[int, int, int], list[int]] = {}
-    read = {f for e in monomials for terms in _plan(e) for f, _ in terms}
+    read = {f for e, n_e in zip(monomials, have) if n_e < d
+            for terms in _plan(e) for f, _ in terms}
     # monomial -> its values before each pass, at every state
     inputs: dict[tuple[int, int, int], list[list[int]]] = {}
-    for e, col, n_e in zip(monomials, columns, have):
-        sums, added = [], None
-        for k, terms in enumerate(_plan(e)):
-            if terms:
-                parts = []
-                for f, w in terms:
-                    if isinstance(w, int):
-                        parts.append(map(mul, repeat(w), inputs[f][k]))
-                    else:
-                        weight = weights.get(w)
-                        if weight is None:
-                            i, power, binomial = w
-                            weight = weights[w] = [binomial * x ** power for x in alphas[i]]
-                        parts.append(map(mul, weight, inputs[f][k]))
-                if added is not None:
-                    parts.append(added)
-                added = list(map(sum, zip(*parts)) if len(parts) > 1 else parts[0])
-            sums.append(added)
+    for e, (col, sums), n_e in zip(monomials, held, have):
+        plan = _plan(e)
         if n_e < d:
+            cut = n_e * (n_e + 1) // 2 - base  # the states of rows the column holds
+            fresh, added = [], None
+            for k, terms in enumerate(plan):
+                if terms:
+                    parts = []
+                    for f, w in terms:
+                        if isinstance(w, int):
+                            parts.append(map(mul, repeat(w), _tail(inputs[f][k], cut)))
+                        else:
+                            weight = weights.get(w)
+                            if weight is None:
+                                i, power, binomial = w
+                                weight = weights[w] = [binomial * x ** power for x in alphas[i]]
+                            parts.append(map(mul, _tail(weight, cut), _tail(inputs[f][k], cut)))
+                    if added is not None:
+                        parts.append(added)
+                    added = list(map(sum, zip(*parts)) if len(parts) > 1 else parts[0])
+                fresh.append(added)
             col = list(col) if col else [int(not any(e))]
             for n in range(max(n_e, 0) + 1, d + 1):
                 at = n * (n - 1) // 2 - base
                 values = map(col.__getitem__, srcs[at:at + n])
                 if added is not None:
-                    values = map(add, values, added[at:at + n])
+                    values = map(add, values, added[at - cut:at - cut + n])
                 col.extend(accumulate(values, initial=0))
+            sums = [(s if sums is None else sums[k] + s) if terms else None
+                    for k, (terms, s) in enumerate(zip(plan[:-1], fresh))]
             with _columns_lock:
                 if len(col) > len(_columns.get(e, ())):
                     _columns[e] = col
+                    _pass_sums[e] = sums
         if e in read:
             start = list(map(col.__getitem__, srcs))
-            ins, prev = [start], None
-            for s in sums[:-1]:
-                ins.append(ins[-1] if s is prev else list(map(add, start, s)))
-                prev = s
+            ins = [start]
+            for terms, s in zip(plan[:-1], sums):
+                ins.append(list(map(add, start, islice(s, base, None))) if terms else ins[-1])
             inputs[e] = ins
 
 
@@ -430,46 +449,63 @@ def _moment_table(key: tuple[int, ...], d: int) -> bool:
     and one column tells: that of the bounds' corner, whose degree is the
     least of theirs (see the module docstring).  Otherwise they serve when
     the multiply-adds that growing them through d makes (``_growth_terms``:
-    the column-states it adds at their terms each, and the passes of
-    columns complete further on the rows the others add) are at most
+    the column-states it adds, at their terms each) are at most
     ``MOMENT_TERMS_PER_PRODUCT`` times the products the Burnside cap
     counts for sweeps of every degree up to d, all of which the columns
     then serve: sum_{d' <= d} p(d') times the prod (c + 1) sub-profiles.
+
+    A growth also sums the rows of ``key`` at the degrees it adds below d
+    (``_moment_sums``), while the columns are at hand: every caller but a
+    lone ``cov_d`` asks for them next, and each costs a small part of the
+    growth.
     """
     if key and key[0] > CONTENT_POLY_MAX_M:
         return False
     bounds = _moment_bounds(key)
-    if len(_columns.get(_monomials(bounds)[-1], ())) > d * (d + 3) // 2:
+    corner = _columns.get(_monomials(bounds)[-1], ())
+    if len(corner) > d * (d + 3) // 2:
         return True  # the corner holds the state (d, d)
     products = burnside_work(d) * prod(c + 1 for c in Counter(key).values())
     if _growth_terms(bounds, d) > MOMENT_TERMS_PER_PRODUCT * products:
         return False
     _grow_columns(bounds, d)
+    for n in range(max(_degree(len(corner)) + 1, key[0] if key else 0), d):
+        if (key, n) not in _burnside_totals:
+            _moment_sums(key, n)
     return True
 
 
 def _moment_sums(key: tuple[int, ...], d: int) -> None:
     """Store in ``_burnside_totals`` the Burnside sum at degree d of every
-    sorted sub-multiset of ``key`` (cycles 2..4, longest first), each the
+    sorted sub-multiset of ``key`` (cycles 2..4, longest first): the
     product of the closed forms of its cycles (``characters.content_form``)
-    expanded in monomials and dotted with the content moments of the
-    partitions of d, read at the state (d, d) of ``_columns``, which
-    reach degree d for the bounds of ``key`` (``_moment_table``); no
-    partition is visited."""
+    expanded in monomials, dotted with the content moments of the
+    partitions of d, read at the state (d, d) of ``_columns``, which reach
+    degree d for the bounds of ``key`` (``_moment_table``); no partition is
+    visited.  A monomial p_1^a p_2^b p_3^c is keyed by a + r b + r^2 c for
+    an r above every exponent, so multiplying by p_k adds r^(k - 1)."""
     last = d * (d + 3) // 2
     subs, plan = _sub_profiles(key)
-    forms = {m: content_form(m, d) for m in set(key)}
-    polys: list[dict[tuple[int, int, int], int]] = [{(0, 0, 0): 1}] * len(subs)
+    r = len(key) + 1
+    moments = {a + r * (b + r * c): _columns[a, b, c][last]
+               for a, b, c in _monomials(_moment_bounds(key))}
+    polys: list[dict[int, int]] = [{0: 1}] * len(subs)
     for i, parent, m in plan:
-        poly = {}
-        for (a, b, c), x in polys[parent].items():
-            for mono, y in zip(((a, b, c), (a + 1, b, c), (a, b + 1, c), (a, b, c + 1)),
-                               forms[m]):
-                if y:
-                    poly[mono] = poly.get(mono, 0) + x * y
+        a0, a1, a2, a3 = content_form(m, d)
+        poly: dict[int, int] = {}
+        get = poly.get
+        for mono, x in polys[parent].items():
+            if a0:
+                poly[mono] = get(mono, 0) + a0 * x
+            if a1:
+                poly[mono + 1] = get(mono + 1, 0) + a1 * x
+            if a2:
+                poly[mono + r] = get(mono + r, 0) + a2 * x
+            if a3:
+                poly[mono + r * r] = get(mono + r * r, 0) + a3 * x
         polys[i] = poly
     for sub, poly in zip(subs, polys):
-        _burnside_totals[sub, d] = sum(x * _columns[mono][last] for mono, x in poly.items())
+        _burnside_totals[sub, d] = sum(map(mul, poly.values(), map(moments.__getitem__, poly)))
 
 
 def cov_d(profile, d: int) -> Fraction:
@@ -503,8 +539,13 @@ def cov_series(profile, order: int) -> QSeries:
     profile = _profile(profile)
     if order < 0:
         raise DomainError("order must be nonnegative")
-    coeffs = [cov_d(profile, d) for d in range(order, -1, -1)]
-    return QSeries.from_coeffs(coeffs[::-1])
+    return QSeries.from_coeffs(_rows(profile, order))
+
+
+def _rows(profile: CoverProfile, order: int) -> list[int]:
+    """The Burnside sums of degrees 0..order, summed top degree first."""
+    rows = [_burnside_sums(profile, d) for d in range(order, -1, -1)]
+    return rows[::-1]
 
 
 def cov_prime_series(profile, order: int) -> QSeries:
@@ -531,7 +572,8 @@ def cov_connected_series(profile, order: int) -> QSeries:
     leaves no connected covering through that order, so the series is
     zero with no more work.  Otherwise the formula's work is checked
     against ``CONNECTED_WORK_CAP``, and the blocks' series come from the
-    Burnside sums the rows of the profile's ``cov_series`` store.
+    Burnside sums the rows of the profile's ``cov_series`` (``_rows``)
+    store.
     """
     profile = _profile(profile)
     if not profile:
@@ -547,7 +589,7 @@ def cov_connected_series(profile, order: int) -> QSeries:
     if work > CONNECTED_WORK_CAP:
         raise ResourceCapError(
             f"connected series work {work} up to order {order} exceeds cap {CONNECTED_WORK_CAP}")
-    cov_series(profile, order)
+    _rows(profile, order)
     euler = _lead([int(c) for c in euler_series(order).coeffs])
     vectors = sorted((T for T, _, _ in vector_splits(counts)), key=sum)
     prime: dict[tuple[int, ...], tuple[int, list[int]]] = {}
@@ -796,5 +838,5 @@ def asymptotic_ratio(profile, D: int) -> Fraction:
         raise DomainError("degree bound must be >= 1")
     total_weight = sum(profile)
     series = cov_connected_series(profile, D)
-    partial = sum(series.coeffs[1:], Fraction(0))
-    return (total_weight + 1) * Fraction(partial, 1) / Fraction(D ** (total_weight + 1))
+    partial = sum(c.numerator for c in series.coeffs[1:])  # integer counts
+    return Fraction((total_weight + 1) * partial, D ** (total_weight + 1))

@@ -66,13 +66,13 @@ TERM_WORK = 10**4
 SIMPLE_WORK_CAP = 5 * 10**4
 # Most units of work elementary_cumulant may predict for a key m of n
 # parts, with top = |m| - n + 2: top^3 for the Bernoulli numbers up to
-# B_top behind frak_z(top) (about top^2 / 4 terms of the recurrence, on
-# numbers whose size grows with top), and top^2 / 20000 per cell product
-# of the key's partition table (``_table_work``), each a product of two
-# numbers whose size grows with top.  On a 2-core Xeon with Python 3.11 a
-# unit takes about 4 ns from a cold start: the keys found nearest the cap
-# take 0.9 to 3.1 s with start-up, the slowest `cumulant 115,114,...,109`,
-# and `cumulant 792` 2.1 s, where `cumulant 1800` took 27 s.
+# B_top behind frak_z(top), and top^2 / 20000 per cell product of the
+# key's partition table (``_table_work``), each a product of two numbers
+# whose size grows with top.  The top^3 was set when the Bernoulli numbers
+# took top^2 / 4 Fraction terms; the tangent-number triangle takes top^2 / 8
+# small multiply-adds, so it now over-counts them.  On a 2-core Xeon with
+# Python 3.11 and start-up, `cumulant 115,114,...,109`, the slowest key
+# found near the cap, takes about 1 s, and `cumulant 792` 0.2 s.
 CUMULANT_WORK_CAP = 5 * 10**8
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import threading
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import factorial
 
 from .errors import DomainError, Record
 
@@ -34,13 +34,22 @@ def pi_approx() -> Fraction:
 # ---------------------------------------------------------------------------
 
 _bernoulli_lock = threading.Lock()
-_bernoulli_memo: dict[int, Fraction] = {0: Fraction(1), 1: Fraction(-1, 2)}
+_bernoulli_memo: dict[int, Fraction] = {0: Fraction(1), 1: Fraction(-1, 2), 2: Fraction(1, 6)}
+# The last column of the tangent-number triangle (``bernoulli``): T_K after
+# each pass 1..K, for the largest K computed so far, from T_1 = 1 (B_2).
+_tangent_column: list[int] = [1]
 
 
 def bernoulli(n: int) -> Fraction:
     """Bernoulli number B_n with the convention B_1 = -1/2.
 
-    Uses the recurrence sum_{k=0}^{n} C(n+1, k) B_k = 0, filled bottom-up;
+    Even indices come from the tangent numbers T_k = tan^(2k-1)(0):
+    B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)).  These fill a triangle in
+    integers (Brent and Harvey, "Fast computation of Bernoulli, tangent and
+    secant numbers", arXiv:1108.0286): T_k starts at (k-1)!, and each pass
+    j = 2..k makes it (k-j) T_{k-1} + (k-j+2) T_k, with T_{k-1} as pass j
+    left it.  So each column follows from the one before in k
+    multiply-adds by small integers, and only the last column is kept;
     every value computed is memoized.
     """
     if n < 0:
@@ -51,18 +60,17 @@ def bernoulli(n: int) -> Fraction:
     if n % 2 == 1:
         return Fraction(0)
     with _bernoulli_lock:
-        memo = _bernoulli_memo
-        for m in range(2, n + 1, 2):
-            if m in memo:
-                continue
-            # odd indices above 1 contribute nothing to the recurrence
-            acc = comb(m + 1, 1) * memo[1]
-            for k in range(0, m, 2):
-                b = memo[k]
-                if b:
-                    acc += comb(m + 1, k) * b
-            memo[m] = -acc / (m + 1)
-        return memo[n]
+        column = _tangent_column
+        for k in range(len(column) + 1, n // 2 + 1):
+            nxt = [(k - 1) * column[0]]
+            for j in range(2, k):
+                nxt.append((k - j) * column[j - 1] + (k - j + 2) * nxt[-1])
+            nxt.append(2 * nxt[-1])
+            column[:] = nxt
+            power = 4**k
+            _bernoulli_memo[2 * k] = Fraction((-1) ** (k - 1) * 2 * k * nxt[-1],
+                                              power * (power - 1))
+        return _bernoulli_memo[n]
 
 
 def zeta_even_over_pi(k: int) -> Fraction:

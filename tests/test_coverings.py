@@ -6,7 +6,7 @@ import sys
 import threading
 import time
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement, permutations, product
 from math import factorial
 from pathlib import Path
 
@@ -36,6 +36,7 @@ from stratavol.coverings import (
     _moment_table,
     _monomials,
     _plan,
+    _sub_profiles,
     _sweep,
     _terms,
     CoverProfile,
@@ -52,7 +53,7 @@ from stratavol.coverings import (
 )
 from stratavol.cli import main
 from stratavol.errors import DomainError, ResourceCapError
-from stratavol.partitions import enum_int_partitions, iter_int_partitions
+from stratavol.partitions import enum_int_partitions, iter_int_partitions, partition_counts
 from stratavol.qseries import QSeries, euler_series
 from stratavol.shifted_symmetric import q_average
 
@@ -139,10 +140,12 @@ class TestBurnsideRoute:
 
 
 def _cold(monkeypatch, columns=None):
-    """Empty the Burnside memo and the moment columns (or start them from
-    ``columns``); the process-wide ones come back when the test ends."""
+    """Empty the Burnside memo, the moment columns (or start them from an
+    empty ``columns``) and their pass sums; the process-wide ones come back
+    when the test ends."""
     monkeypatch.setattr(stratavol.coverings, "_burnside_totals", {})
     monkeypatch.setattr(stratavol.coverings, "_columns", {} if columns is None else columns)
+    monkeypatch.setattr(stratavol.coverings, "_pass_sums", {})
 
 
 @pytest.fixture
@@ -308,6 +311,39 @@ class TestMomentRoute:
             _sweep(profile, d)
             assert moments == stratavol.coverings._burnside_totals, d
 
+    def test_warm_rows_match_the_sweep_for_every_sub_profile(self, cold_memo, monkeypatch):
+        # Each sub-profile's own row, read from columns grown once through
+        # 30, stores the totals of one sweep of the widest key.
+        key = (4, 4, 3, 3, 2, 2)
+        _grown(_moment_bounds(key), 30)
+        for d in (10, 20, 30):
+            monkeypatch.setattr(stratavol.coverings, "_burnside_totals", {})
+            _sweep(key, d)
+            swept = stratavol.coverings._burnside_totals
+            for sub in _sub_profiles(key)[0]:
+                monkeypatch.setattr(stratavol.coverings, "_burnside_totals", {})
+                _moment_sums(sub, d)
+                totals = stratavol.coverings._burnside_totals
+                assert (sub, d) in totals
+                assert all(swept[row] == total for row, total in totals.items()), (sub, d)
+
+    def test_growth_sums_the_rows_it_adds(self, cold_memo, monkeypatch):
+        # A row that grows the columns also sums its key's rows at every
+        # degree the growth adds, so those rows sum nothing when asked.
+        key = (4, 3)
+        for d, want in ((20, range(4, 21)), (12, range(4, 21)), (24, range(4, 25))):
+            cov_d(key, d)
+            totals = stratavol.coverings._burnside_totals
+            assert sorted(n for sub, n in totals if sub == key) == list(want), d
+        _forbid(monkeypatch, "_moment_sums")
+        _forbid(monkeypatch, "_check_sweep_cap")
+        rows = [cov_d(key, n) for n in range(4, 25)]
+        monkeypatch.undo()
+        for n, row in zip(range(4, 25), rows):
+            monkeypatch.setattr(stratavol.coverings, "_burnside_totals", {})
+            _sweep(key, n)
+            assert row == stratavol.coverings._burnside_totals[key, n], n
+
     def test_empty_profile_counts_partitions(self, monkeypatch):
         for d in range(25):
             _cold(monkeypatch)
@@ -370,19 +406,57 @@ class TestMomentRoute:
             _grown(bounds, d)
             assert len(calls) == states * per_state, (low, d)
 
-    def test_lower_columns_rerun_their_passes_for_new_ones(self, cold_memo, monkeypatch):
-        # (2, 2) grown through 20 holds three of the nine columns of (4, 3):
-        # growing (4, 3) through 20 adds the other six at every state and
-        # re-runs the passes of the three, as the prediction counts.
-        _grown((0, 0, 2), 20)
+    @pytest.mark.parametrize("requests", [
+        [((0, 0, 2), 20), ((0, 1, 2), 20), ((1, 2, 2), 20)],
+        [((0, 0, 2), 12), ((1, 2, 2), 7), ((0, 1, 2), 20), ((0, 0, 2), 16), ((1, 2, 2), 20)],
+    ])
+    def test_nested_growths_run_each_pass_once(self, requests, cold_memo, monkeypatch):
+        # (2, 2) holds three of the nine columns of (4, 3), (3, 2) six.
+        # Growing nested bounds in turn runs the passes of each column over
+        # each state once, as one cold growth of the widest through 20 does:
+        # as many multiplications, the predictions summing to its own, and
+        # the same columns.
+        calls = []
+
+        def counting(x, y):
+            calls.append(None)
+            return x * y
+
+        monkeypatch.setattr(stratavol.coverings, "mul", counting)
+        predicted = 0
+        for bounds, d in requests:
+            predicted += _growth_terms(bounds, d)
+            _grown(bounds, d)
+        nested, columns = len(calls), stratavol.coverings._columns
+        _cold(monkeypatch)
+        calls.clear()
         states = 20 * 21 // 2
-        new = [e for e in _monomials((1, 2, 2)) if e not in stratavol.coverings._columns]
-        assert len(new) == 6
-        state_terms = sum(map(_terms, _monomials((1, 2, 2))))
-        assert _growth_terms((1, 2, 2), 20) == states * (state_terms - 3)
-        cells = _moment_cells()
+        whole = _growth_terms((1, 2, 2), 20)
+        assert whole == states * sum(map(_terms, _monomials((1, 2, 2))))
         _grown((1, 2, 2), 20)
-        assert _moment_cells() - cells == 6 * 21 * 22 // 2
+        assert nested == len(calls) == states * sum(
+            len(t) for e in _monomials((1, 2, 2)) for t in _plan(e))
+        assert predicted == whole
+        assert columns == stratavol.coverings._columns
+
+    def test_profiles_grown_in_any_order_give_one_table(self, monkeypatch):
+        # The benchmark's profiles (2, 2), (3, 2) and (4, 3), their rows
+        # through 28 grown from cold in each of the six orders: the same
+        # columns, those of one cold growth of the widest bounds, and the
+        # same totals, equal to the character sums.
+        orders = []
+        for profiles in permutations([(2, 2), (3, 2), (4, 3)]):
+            _cold(monkeypatch)
+            for profile in profiles:
+                cov_series(profile, 28)
+            orders.append((stratavol.coverings._columns, stratavol.coverings._burnside_totals))
+        assert all(got == orders[0] for got in orders[1:])
+        columns, totals = orders[0]
+        assert columns == _cold_columns((1, 2, 2), 28)
+        for (sub, d), total in totals.items():
+            if d <= 12 or (sub, d) == ((4, 3), 28):
+                want = _burnside_by_murnaghan_nakayama(sub, d) if max(sub, default=0) <= d else 0
+                assert total == want, (sub, d)
 
     def test_each_cell_computed_once(self, monkeypatch):
         # Columns grown by degree and by monomial, in a mixed order: each is
@@ -464,14 +538,15 @@ def _cold_columns(bounds, d):
 def _growth_sequence(requests):
     """The columns after growing each (bounds, degree) of ``requests`` in
     turn from none, in a table of their own."""
-    saved = stratavol.coverings._columns
-    stratavol.coverings._columns = {}
+    coverings = stratavol.coverings
+    saved = coverings._columns, coverings._pass_sums
+    coverings._columns, coverings._pass_sums = {}, {}
     try:
         for bounds, d in requests:
             _grown(bounds, d)
-        return stratavol.coverings._columns
+        return coverings._columns
     finally:
-        stratavol.coverings._columns = saved
+        coverings._columns, coverings._pass_sums = saved
 
 
 class TestColumnInterleavings:
@@ -524,12 +599,13 @@ class TestCorner:
         # so a row the table already serves reads that one column and grows
         # nothing.
         coverings = stratavol.coverings
-        saved, grow = coverings._columns, coverings._grow_columns
+        saved, grow = (coverings._columns, coverings._pass_sums), coverings._grow_columns
 
         def forbidden(*args):
             raise AssertionError("_grow_columns was called")
 
-        coverings._columns = columns = _CountedReads()
+        columns = _CountedReads()
+        coverings._columns, coverings._pass_sums = columns, {}
         try:
             for profile, d in requests:
                 grow(_moment_bounds(profile), d)
@@ -543,7 +619,7 @@ class TestCorner:
                 coverings._grow_columns = grow
                 assert columns.reads == 1 and _moment_cells() == cells
         finally:
-            coverings._columns, coverings._grow_columns = saved, grow
+            (coverings._columns, coverings._pass_sums), coverings._grow_columns = saved, grow
 
 
 class TestRoutes:
@@ -632,6 +708,50 @@ class TestRowCap:
         with pytest.raises(ResourceCapError, match="65536 sub-profiles"):
             cov_d(tuple(range(2, 22)), 17)
         assert time.perf_counter() - start < 1.0
+
+    def test_refusals_and_messages_as_counted_per_row(self):
+        # Against the sub-profiles counted on every row, as the caps were
+        # first checked: the same rows refused, with the same messages,
+        # though the count is now skipped while 2^k sub-profiles are under
+        # the product cap.
+        def counted(key, d):
+            counts = partition_counts(d, BURNSIDE_WORK_CAP)
+            if len(counts) <= d or counts[d] > BURNSIDE_WORK_CAP:
+                return f"Burnside work at degree {d} exceeds cap {BURNSIDE_WORK_CAP} partitions"
+            subs = 1
+            for m in set(key):
+                subs *= key.count(m) + 1
+            if counts[d] * subs > BURNSIDE_PRODUCT_CAP:
+                return (f"Burnside work up to degree {d} exceeds cap {BURNSIDE_PRODUCT_CAP} "
+                        f"products ({counts[d]} partitions times {subs} sub-profiles)")
+            return None
+
+        keys = [(), (2,), (2, 2), (4, 4, 3, 3, 2, 2), (2,) * 30, (3,) * 200 + (2,) * 200,
+                tuple(range(16, 1, -1)), tuple(range(17, 1, -1)), tuple(range(40, 1, -1))]
+        refused = 0
+        for d in (2, 10, 16, 17, 20, 30, 40, 60, 61, 10**4):
+            for key in keys:
+                fit = tuple(m for m in key if m <= d)
+                want = counted(fit, d)
+                try:
+                    _check_sweep_cap(fit, d)
+                except ResourceCapError as exc:
+                    refused += 1
+                    assert str(exc) == want, (key, d)
+                else:
+                    assert want is None, (key, d)
+        assert 0 < refused < 90
+
+    def test_refused_rows_grow_no_column(self, cold_memo, monkeypatch):
+        # p(61) = 1,121,505 partitions: the first degree over the row cap.
+        _forbid(monkeypatch, "_grow_columns")
+        for profile, d in [((2,), 10**4), ((4, 3, 2, 2), 61)]:
+            with pytest.raises(ResourceCapError) as refused:
+                cov_d(profile, d)
+            want = f"Burnside work at degree {d} exceeds cap {BURNSIDE_WORK_CAP} partitions"
+            assert str(refused.value) == want
+        assert stratavol.coverings._columns == {}
+        assert stratavol.coverings._burnside_totals == {}
 
     def test_row_cap_is_on_one_degree(self):
         # p(60) = 966,467 and p(61) = 1,121,505 partitions.

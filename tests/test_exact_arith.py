@@ -1,5 +1,6 @@
 import threading
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -42,6 +43,19 @@ class TestBernoulli:
     def test_negative_rejected(self):
         with pytest.raises(DomainError):
             bernoulli(-1)
+
+    def test_denominators_by_von_staudt_clausen(self):
+        # The denominator of B_n, n even, is the product of the primes p
+        # with p - 1 dividing n; the signs alternate.
+        primes = [p for p in range(2, 602) if all(p % q for q in range(2, int(p**0.5) + 1))]
+        for n in range(2, 601, 2):
+            b = bernoulli(n)
+            assert b.denominator == prod(p for p in primes if n % (p - 1) == 0), n
+            assert (b > 0) == (n % 4 == 2), n
+
+    def test_against_akiyama_tanigawa_far_out(self):
+        for n in (98, 150):
+            assert bernoulli(n) == bernoulli_akiyama_tanigawa(n)
 
     def test_large_index_memoized(self):
         from stratavol.exact_arith import _bernoulli_memo
