@@ -16,23 +16,25 @@ largest part), each a scalar recursion that removes the first row of a
 partition and reads only earlier columns (``_grow_columns``).  A request
 grows only the columns of its monomials and only through its degree, and
 visits no partition.  Otherwise, and for a short profile whose sweep is
-predicted to be cheaper than the column-states it would add, one sweep
-over the partitions of the degree evaluates each cycle length once per
-partition: closed forms for short cycles, rim-hook residues for long ones.
+priced cheaper than the column-states it would add, one sweep over the
+partitions of the degree evaluates each cycle length once per partition:
+closed forms for short cycles, rim-hook residues for long ones.
 
 A profile's monomials lie within bounds (``_moment_bounds``) whose last
 monomial in growth order (``_monomials``), the corner, has top degree and
 then top weight.  Bounds that hold a corner hold all its bounds'
 monomials, and a growth stores columns in growth order, so the corner's
 column never reaches past another of its bounds, threads included: its
-length alone tells whether the table serves a degree (``_moment_table``).
+length alone tells whether the table serves a degree.
 
+One function prices a row the table does not serve, before any work, and
+that price is both the route choice and the Burnside cap (``_route``).
 ``cov_series`` alone orders rows, top degree first (``_rows``), so that
-the route chosen for the top row is weighed against the whole series and
-the columns it grows serve every lower row; the CLI and the connected
-series take their rows from it.  Connected counts come from the
-all-coverings series by the exponential formula over sub-multisets of the
-branch points, in integers (``cov_connected_series``).  Either route
+the top row's price covers the whole series and the columns it grows
+serve every lower row; the CLI and the connected series take their rows
+from it.  Connected counts come from the all-coverings series by the
+exponential formula over sub-multisets of the branch points, in integers
+(``cov_connected_series``).  Either route
 serves every sub-profile those sub-multisets need, and its totals are
 memoized for the life of the process, so no degree is summed twice.
 """
@@ -60,9 +62,8 @@ from .characters import (
 )
 from .errors import DomainError, ResourceCapError
 from .partitions import (
-    check_partition_work,
     iter_int_partitions,
-    partition_counts,
+    partition_sums,
     vector_splits,
 )
 from .qseries import QSeries, euler_series
@@ -73,12 +74,12 @@ from .qseries import QSeries, euler_series
 # the last, at a few microseconds a tuple.
 BRUTE_FORCE_CAP = 5
 BRUTE_FORCE_WORK_CAP = 10**6
-# Most partitions the Burnside rows of one request (all degrees up to its
-# largest) may visit, at a few microseconds each: degrees up to 48.  And
-# the most (partition, sub-profile) products those rows may sum, at about a
-# microsecond each: every profile with at most 10 sub-profiles up to
-# degree 48, while 2,3,...,21 (2^k sub-profiles for k distinct cycles) is
-# refused from degree 15 on.
+# The caps of a Burnside row priced as the series through it (``_route``).
+# The most partitions its sweeps may visit, at a few microseconds each
+# (degrees up to 48), or column-states its moments may store; and the most
+# (partition, sub-profile) products the sweeps may sum, at about a
+# microsecond each, or multiply-adds the moments may make: 2,3,...,21 (2^k
+# sub-profiles for k distinct cycles) is refused from degree 15 on.
 BURNSIDE_WORK_CAP = 10**6
 BURNSIDE_PRODUCT_CAP = 10**7
 # Most multiply-adds the exponential formula of one connected series may
@@ -126,39 +127,23 @@ def _burnside_sums(profile: Sequence[int], d: int) -> int:
 
     Totals are memoized in ``_burnside_totals``.  When the profile's cycles
     no longer than d are missing, they and every sorted sub-multiset of
-    them are summed by one of two routes, after the Burnside row caps
-    (``_check_sweep_cap``): from the content moments of the partitions of d
-    (``_moment_sums``) when every cycle is short enough for a closed form,
-    unless a sweep over the partitions of d (``_sweep``) is predicted to
-    be cheaper (``_moment_table``); by the sweep otherwise.  A cycle
-    longer than d makes the sum 0, and the empty profile counts the
-    partitions of d.
+    them are summed by the route ``_route`` prices and chooses, which
+    raises ResourceCapError first when neither is under the caps: from the
+    content moments of the partitions of d (``_moment_sums``), or by a
+    sweep over the partitions of d (``_sweep``).  A cycle longer than d
+    makes the sum 0, and the empty profile counts the partitions of d.
     """
     key = tuple(sorted(profile, reverse=True))
     if (key, d) not in _burnside_totals:
         fit = tuple(m for m in key if m <= d)
         if (fit, d) not in _burnside_totals:
-            _check_sweep_cap(fit, d)
-            if _moment_table(fit, d):
+            if _route(fit, d):
                 _moment_sums(fit, d)
             else:
                 _sweep(fit, d)
         if fit != key:
             _burnside_totals[key, d] = 0
     return _burnside_totals[key, d]
-
-
-def _check_sweep_cap(key: tuple[int, ...], d: int) -> None:
-    """The Burnside caps for the sweep of degree d alone: its p(d)
-    partitions, and their products with every sub-profile of ``key``.  A
-    key of k cycles has at most 2^k sub-profiles, so they are only counted
-    when that bound is over the product cap."""
-    counts = partition_counts(d, BURNSIDE_WORK_CAP)
-    if len(counts) <= d or counts[d] > BURNSIDE_WORK_CAP:
-        raise ResourceCapError(
-            f"Burnside work at degree {d} exceeds cap {BURNSIDE_WORK_CAP} partitions")
-    if counts[d] << len(key) > BURNSIDE_PRODUCT_CAP:
-        _check_products(counts[d], key, d)
 
 
 @lru_cache(maxsize=32)
@@ -223,11 +208,11 @@ def _sweep(key: tuple[int, ...], d: int) -> None:
 
 # Multiply-adds of the column passes that cost about as much as one
 # (partition, sub-profile) product of a sweep, the unit of the sweep's
-# prediction.  On a 2-core Xeon with Python 3.11, cold columns through
-# degree 20 or 28 cost 0.2-0.4 us a multiply-add, and one sweep of that
-# degree 0.5-2.5 us a product, for eleven short profiles from (2, 2) to
-# (4, 4, 3, 3, 2, 2) and six 4-cycles: 2.3 to 12 multiply-adds a product,
-# median 5.8.
+# price (``_route``).  On a 2-core Xeon with Python 3.11, cold columns
+# through degree 20 or 28 cost 0.2-0.4 us a multiply-add, and one sweep
+# of that degree 0.5-2.5 us a product, for eleven short profiles from
+# (2, 2) to (4, 4, 3, 3, 2, 2) and six 4-cycles: 2.3 to 12 multiply-adds
+# a product, median 5.8.
 MOMENT_TERMS_PER_PRODUCT = 6
 
 
@@ -251,6 +236,14 @@ def _monomials(bounds: tuple[int, int, int]) -> tuple[tuple[int, int, int], ...]
     monomials = [(a, b, c) for c in range(top3 + 1) for b in range(top23 - c + 1)
                  for a in range(top - b - c + 1)]
     return tuple(sorted(monomials, key=lambda e: (sum(e), e[0] + 2 * e[1] + 3 * e[2])))
+
+
+def _monomial_count(bounds: tuple[int, int, int]) -> int:
+    """len(_monomials(bounds)) without listing them: for each c, b takes
+    top23 - c + 1 values and a then top - b - c + 1."""
+    top3, top23, top = bounds
+    return sum((top23 - c + 1) * (top - c + 1) - (top23 - c) * (top23 - c + 1) // 2
+               for c in range(top3 + 1))
 
 
 def _terms(e: tuple[int, int, int]) -> int:
@@ -439,35 +432,51 @@ def _grow_columns(bounds: tuple[int, int, int], d: int) -> None:
             inputs[e] = ins
 
 
-def _moment_table(key: tuple[int, ...], d: int) -> bool:
-    """Whether the Burnside sums of ``key`` and its sub-profiles at degree
-    d go by content moments, the columns of ``_moment_bounds(key)`` then
-    complete through d; False when they go by the sweep.
+def _route(key: tuple[int, ...], d: int) -> bool:
+    """The route of the Burnside sums of ``key`` and its sub-profiles at
+    degree d, which is also their cap: True by content moments, the
+    columns of ``_moment_bounds(key)`` then complete through d, False by
+    the sweep, and ResourceCapError when neither is admitted.
 
-    Predicted before any work: every cycle must be at most
-    ``CONTENT_POLY_MAX_M``.  Columns complete through d serve at no cost,
-    and one column tells: that of the bounds' corner, whose degree is the
-    least of theirs (see the module docstring).  Otherwise they serve when
-    the multiply-adds that growing them through d makes (``_growth_terms``:
-    the column-states it adds, at their terms each) are at most
-    ``MOMENT_TERMS_PER_PRODUCT`` times the products the Burnside cap
-    counts for sweeps of every degree up to d, all of which the columns
-    then serve: sum_{d' <= d} p(d') times the prod (c + 1) sub-profiles.
+    Columns that hold d serve at no cost; the corner's column tells (see
+    the module docstring).  Any other row is priced before any work as the
+    series through d, which the route then serves, in two units a route:
+    the sweep's sum_{d' <= d} p(d') partitions, and those times the
+    prod (c + 1) sub-profiles; and, when every cycle is at most
+    ``CONTENT_POLY_MAX_M``, the column-states a growth stores, at most the
+    bounds' monomials times the corner's new states, and its multiply-adds
+    (``_growth_terms``, which lists the monomials), counted only when the
+    states are under their cap.  A route is admitted when its first figure
+    is at most ``BURNSIDE_WORK_CAP`` and its second at most
+    ``BURNSIDE_PRODUCT_CAP``; of two, the moments go unless their
+    multiply-adds are over ``MOMENT_TERMS_PER_PRODUCT`` times the sweep's.
 
     A growth also sums the rows of ``key`` at the degrees it adds below d
-    (``_moment_sums``), while the columns are at hand: every caller but a
-    lone ``cov_d`` asks for them next, and each costs a small part of the
-    growth.
+    (``_moment_sums``) while the columns are at hand: every caller but a
+    lone ``cov_d`` asks for them next, at a small part of the growth.
     """
-    if key and key[0] > CONTENT_POLY_MAX_M:
-        return False
-    bounds = _moment_bounds(key)
-    corner = _columns.get(_monomials(bounds)[-1], ())
-    if len(corner) > d * (d + 3) // 2:
-        return True  # the corner holds the state (d, d)
-    products = burnside_work(d) * prod(c + 1 for c in Counter(key).values())
-    if _growth_terms(bounds, d) > MOMENT_TERMS_PER_PRODUCT * products:
-        return False
+    states = terms = inf
+    if not key or key[0] <= CONTENT_POLY_MAX_M:
+        top3, top23, top = bounds = _moment_bounds(key)
+        corner = _columns.get((top - top23, top23 - top3, top3), ())
+        if len(corner) > d * (d + 3) // 2:
+            return True  # the corner holds the state (d, d)
+        states = _monomial_count(bounds) * ((d + 1) * (d + 2) // 2 - len(corner))
+        if states <= BURNSIDE_WORK_CAP:
+            terms = _growth_terms(bounds, d)
+    sums = partition_sums(d, BURNSIDE_WORK_CAP)
+    partitions = sums[d] if d < len(sums) else inf
+    subs = prod(c + 1 for c in Counter(key).values())
+    products = partitions * subs
+    sweep = partitions <= BURNSIDE_WORK_CAP and products <= BURNSIDE_PRODUCT_CAP
+    if terms > BURNSIDE_PRODUCT_CAP or sweep and terms > MOMENT_TERMS_PER_PRODUCT * products:
+        if sweep:
+            return False
+        raise ResourceCapError(
+            f"Burnside work up to degree {d} exceeds caps {BURNSIDE_WORK_CAP} partitions or "
+            f"column-states and {BURNSIDE_PRODUCT_CAP} products or multiply-adds: the sweep "
+            f"{partitions} partitions times {subs} sub-profiles, the moments {states} "
+            f"column-states and {terms} multiply-adds (inf: past a cap, or no such route)")
     _grow_columns(bounds, d)
     for n in range(max(_degree(len(corner)) + 1, key[0] if key else 0), d):
         if (key, n) not in _burnside_totals:
@@ -481,7 +490,7 @@ def _moment_sums(key: tuple[int, ...], d: int) -> None:
     product of the closed forms of its cycles (``characters.content_form``)
     expanded in monomials, dotted with the content moments of the
     partitions of d, read at the state (d, d) of ``_columns``, which reach
-    degree d for the bounds of ``key`` (``_moment_table``); no partition is
+    degree d for the bounds of ``key`` (``_route``); no partition is
     visited.  A monomial p_1^a p_2^b p_3^c is keyed by a + r b + r^2 c for
     an r above every exponent, so multiplying by p_k adds r^(k - 1)."""
     last = d * (d + 3) // 2
@@ -512,15 +521,15 @@ def cov_d(profile, d: int) -> Fraction:
     """Weighted number of degree-d coverings with the given branch profile:
     the sum over partitions lam of d of the product of central characters,
     in integers (``_burnside_sums``): from content moments when every
-    cycle no longer than d is at most 4 (unless a sweep is predicted to be
+    cycle no longer than d is at most 4 (unless a sweep is priced
     cheaper), by a sweep over the partitions of d otherwise.  The totals
     of the profile and of all its sub-profiles at d are memoized, so a
     repeat of the row, or a connected series or ratio of the profile
     through d, sums nothing again.  A cold row sums all prod (c + 1)
-    sub-profiles, for the multiplicities c of its cycles no longer than d:
-    it raises ResourceCapError before any work when a sweep's p(d)
-    partitions or their products with the sub-profiles are over the
-    Burnside caps, whichever route it would take.
+    sub-profiles, for the multiplicities c of its cycles no longer than d,
+    and is priced as the series through d, which its route serves: it
+    raises ResourceCapError before any work when neither route is under
+    the Burnside caps (``_route``).
 
     The empty profile counts all unramified coverings, one per partition
     of d.
@@ -533,9 +542,9 @@ def cov_d(profile, d: int) -> Fraction:
 
 def cov_series(profile, order: int) -> QSeries:
     """Generating series sum_d cov_d(profile) q^d, truncated: the rows of
-    the CLI's ``covers``.  The top degree is summed first, so that the
-    route chosen for it (``_moment_table``) is weighed against the whole
-    series and the moment columns it grows serve every lower row."""
+    the CLI's ``covers``.  The top degree is summed first, so that its
+    price (``_route``) is checked before any work and the moment columns
+    it grows serve every lower row."""
     profile = _profile(profile)
     if order < 0:
         raise DomainError("order must be nonnegative")
@@ -544,8 +553,7 @@ def cov_series(profile, order: int) -> QSeries:
 
 def _rows(profile: CoverProfile, order: int) -> list[int]:
     """The Burnside sums of degrees 0..order, summed top degree first."""
-    rows = [_burnside_sums(profile, d) for d in range(order, -1, -1)]
-    return rows[::-1]
+    return [_burnside_sums(profile, d) for d in range(order, -1, -1)][::-1]
 
 
 def cov_prime_series(profile, order: int) -> QSeries:
@@ -568,19 +576,17 @@ def cov_connected_series(profile, order: int) -> QSeries:
     the first point (``partitions.vector_splits``), solved for conn(b)
     for every sub-multiplicity vector b in order of |b|, in integers.
 
-    The Burnside caps are checked first.  A cycle longer than ``order``
-    leaves no connected covering through that order, so the series is
-    zero with no more work.  Otherwise the formula's work is checked
-    against ``CONNECTED_WORK_CAP``, and the blocks' series come from the
-    Burnside sums the rows of the profile's ``cov_series`` (``_rows``)
-    store.
+    A cycle longer than ``order`` leaves no connected covering through
+    that order, so the series is zero with no work.  Otherwise the
+    formula's work is checked against ``CONNECTED_WORK_CAP``, and the
+    blocks' series come from the rows of the profile's ``cov_series``
+    (``_rows``), whose top row is priced before any is summed.
     """
     profile = _profile(profile)
     if not profile:
         raise DomainError("connected counts need at least one branch point")
     if order < 0:
         raise DomainError("order must be nonnegative")
-    check_burnside_cap(order, profile)
     if max(profile) > order:
         return QSeries.zero(order)
     lengths = sorted(set(profile), reverse=True)
@@ -625,38 +631,6 @@ def _product_into(out: list[int], scale: int, x, y) -> list[int]:
             for j in range(low_y, n - i):
                 out[i + j] += a * y[j]
     return out
-
-
-def burnside_work(dmax: int) -> int:
-    """Partitions sweeps of the Burnside sums for degrees 0..dmax visit:
-    the sum of p(d) over d <= dmax.  One sweep per degree serves every
-    sub-profile of a profile, so the count does not depend on the profile;
-    the products each partition costs do (``check_burnside_cap``).  The
-    moment route visits none; its choice weighs its own predicted work
-    against these products (``_moment_table``).  A lookup in the running
-    sums of ``partitions.check_partition_work``."""
-    return check_partition_work(dmax, inf, "Burnside")
-
-
-def check_burnside_cap(dmax: int, profile: Iterable[int] = ()) -> None:
-    """Raise ResourceCapError when the Burnside rows of ``profile`` for
-    degrees up to dmax would visit more than ``BURNSIDE_WORK_CAP``
-    partitions, or sum more than ``BURNSIDE_PRODUCT_CAP`` (partition,
-    sub-profile) products: a sweep sums prod (c + 1) sub-profiles, for the
-    multiplicities c of the cycles no longer than its degree.  Cheap for
-    any dmax and profile (``partitions.check_partition_work``).  The caps
-    predict the work of sweeps; rows that go through content moments do
-    less, so for them the caps are conservative."""
-    _check_products(check_partition_work(dmax, BURNSIDE_WORK_CAP, "Burnside"), profile, dmax)
-
-
-def _check_products(partitions: int, profile: Iterable[int], dmax: int) -> None:
-    subs = prod(c + 1 for c in Counter(m for m in profile if m <= dmax).values())
-    if partitions * subs > BURNSIDE_PRODUCT_CAP:
-        raise ResourceCapError(
-            f"Burnside work up to degree {dmax} exceeds cap {BURNSIDE_PRODUCT_CAP} "
-            f"products ({partitions} partitions times {subs} sub-profiles)"
-        )
 
 
 # ---------------------------------------------------------------------------

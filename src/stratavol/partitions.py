@@ -129,13 +129,19 @@ def partition_counts(dmax: int, cap: float) -> list[int]:
     return counts
 
 
+def partition_sums(dmax: int, cap: float) -> list[int]:
+    """The running sums p(0) + ... + p(n) of ``partition_counts(dmax,
+    cap)``, as far as it grows them; shared, so callers only read it."""
+    partition_counts(dmax, cap)
+    return _partition_sums
+
+
 def check_partition_work(dmax: int, cap: int, what: str) -> int:
     """The partitions a sweep over every degree 0..dmax visits; raise
     ResourceCapError when that is more than ``cap``.  The counts and their
     running sums are memoized and grown at most to the first count past
     the cap, so the check is a lookup after its first call for any dmax."""
-    partition_counts(dmax, cap)
-    sums = _partition_sums
+    sums = partition_sums(dmax, cap)
     d = bisect_right(sums, cap)
     if d <= dmax:
         raise ResourceCapError(

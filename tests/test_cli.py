@@ -10,20 +10,24 @@ from pathlib import Path
 import pytest
 
 import stratavol.cli
+import stratavol.coverings
 import stratavol.cumulants
 import stratavol.npoint
 from stratavol.cli import main
-from stratavol.coverings import BURNSIDE_WORK_CAP, burnside_work, check_burnside_cap
 from stratavol.cumulants import SIMPLE_WORK_CAP
 from stratavol.errors import ResourceCapError
 from stratavol.npoint import NPOINT_WORK_CAP
 from stratavol.partitions import check_partition_work
 
+from .test_coverings import _priced
+
 TESTS = Path(__file__).resolve().parent
-# The degree of the covers requests below that must be refused by the
-# Burnside work cap; every covers request of the tests with a literal
-# profile and --dmax must be under it.
-OVER_CAP_DMAX = 70
+# Covers requests (profile, --dmax) that the Burnside caps must refuse: a
+# short cycle whose moment columns through 2000 are over the state cap,
+# and a long one whose sweeps through 70 are over the partition cap.  Every
+# covers request of the tests with a literal profile and --dmax must be
+# under the caps.
+OVER_CAP_COVERS = (("2", 2000), ("5", 70))
 # Likewise the npoint-check order that the one-point work cap must refuse.
 OVER_CAP_ORDER = 80
 # And the simple points (of `volume` and `simple-table --nmax`) that the
@@ -149,6 +153,15 @@ class TestFkCommand:
         }
 
 
+def _forbid_burnside_work(monkeypatch):
+    """Make any partition sweep or column growth fail the test."""
+    def forbidden(*args):
+        raise AssertionError("a Burnside row was summed")
+
+    monkeypatch.setattr(stratavol.coverings, "iter_int_partitions", forbidden)
+    monkeypatch.setattr(stratavol.coverings, "_grow_columns", forbidden)
+
+
 class TestCoversCommand:
     def test_connected_csv(self, capsys):
         code, out, _ = run_cli(capsys, "covers", "2,2", "--dmax", "4", "--connected")
@@ -206,36 +219,31 @@ class TestCoversCommand:
         assert out == "" and "work" in err
 
     def test_burnside_work_cap_exits_fast(self, capsys, monkeypatch):
-        def forbidden(*args, **kwargs):
-            raise AssertionError("a covering row was computed")
-
-        monkeypatch.setattr(stratavol.cli, "cov_series", forbidden)
-        monkeypatch.setattr(stratavol.cli, "cov_connected_series", forbidden)
-        for extra in ((), ("--connected",)):
+        # Over the connected cap too, 2 --connected --dmax 2000 is refused
+        # by that one first.
+        _forbid_burnside_work(monkeypatch)
+        for profile, dmax, extra in [(*OVER_CAP_COVERS[0], ()), (*OVER_CAP_COVERS[1], ()),
+                                     (*OVER_CAP_COVERS[1], ("--connected",))]:
             start = time.perf_counter()
-            code, out, err = run_cli(
-                capsys, "covers", "2", "--dmax", str(OVER_CAP_DMAX), *extra
-            )
+            code, out, err = run_cli(capsys, "covers", profile, "--dmax", str(dmax), *extra)
             assert time.perf_counter() - start < 1.0
             assert code == 3
             assert out == "" and "Burnside work" in err
 
     def test_wide_profile_exits_fast(self, capsys, monkeypatch):
         # 20 distinct cycles: 2^19 sub-profiles up to degree 20, refused
-        # before any row; with every cycle longer than the degree, the rows
-        # are zeros at once.
-        def forbidden(*args, **kwargs):
-            raise AssertionError("a covering row was computed")
-
+        # before any row, and their connected series to 21 by the connected
+        # cap first; with every cycle longer than the degree, the rows are
+        # zeros at once.
         wide = ",".join(str(m) for m in range(2, 22))
-        monkeypatch.setattr(stratavol.cli, "cov_series", forbidden)
-        monkeypatch.setattr(stratavol.cli, "cov_connected_series", forbidden)
-        for extra in ((), ("--connected",)):
+        _forbid_burnside_work(monkeypatch)
+        for dmax, extra, why in ((20, (), "524288 sub-profiles"),
+                                 (21, ("--connected",), "connected series work")):
             start = time.perf_counter()
-            code, out, err = run_cli(capsys, "covers", wide, "--dmax", "20", *extra)
+            code, out, err = run_cli(capsys, "covers", wide, "--dmax", str(dmax), *extra)
             assert time.perf_counter() - start < 1.0
             assert code == 3
-            assert out == "" and "sub-profiles" in err
+            assert out == "" and why in err
         monkeypatch.undo()
         start = time.perf_counter()
         code, out, _ = run_cli(capsys, "covers", wide + ",22,23,24,25", "--dmax", "1")
@@ -269,9 +277,10 @@ class TestCoversCommand:
         assert code == 0
         assert out.splitlines() == ["profile;d;kind;count", ";1;all;1", ";2;all;2", ";3;all;3"]
 
-    def test_requests_under_burnside_cap(self):
+    def test_requests_under_burnside_cap(self, monkeypatch):
         # Every covers request of the benchmark's CLI mix and of these
-        # tests; the acceptance suites call the library, not the CLI.
+        # tests, priced as its top row; the acceptance suites call the
+        # library, not the CLI.
         requests = [(argv[1], int(argv[argv.index("--dmax") + 1]))
                     for pool in _bench_cli_pool().values() for argv in pool
                     if argv[0] == "covers" and "--dmax" in argv]
@@ -280,8 +289,10 @@ class TestCoversCommand:
                   for profile, d in request.findall(path.read_text())]
         assert requests and tested
         for profile, dmax in requests + tested:
-            check_burnside_cap(dmax, [int(m) for m in profile.split(",")])
-        assert burnside_work(OVER_CAP_DMAX) > BURNSIDE_WORK_CAP
+            _priced(monkeypatch, [int(m) for m in profile.split(",")], dmax)
+        for profile, dmax in OVER_CAP_COVERS:
+            with pytest.raises(ResourceCapError):
+                _priced(monkeypatch, [int(profile)], dmax)
 
 
 class TestSimpleTable:
@@ -297,6 +308,7 @@ class TestSimpleTable:
     @pytest.mark.parametrize("argv", [
         ["simple-table", "--nmax", str(OVER_CAP_SIMPLE)],
         ["volume", ",".join(["1"] * OVER_CAP_SIMPLE)],
+        ["simple-table", "--nmax", str(64)],  # the first --nmax over the cap
     ])
     def test_simple_work_cap_exit_3_up_front(self, capsys, monkeypatch, argv):
         def forbidden(*args, **kwargs):

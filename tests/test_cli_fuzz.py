@@ -21,7 +21,8 @@ int_lists = st.lists(st.integers(-2, 5), max_size=4).map(
 )
 tokens = st.one_of(st.sampled_from(MALFORMED), int_lists)
 small_ints = st.one_of(st.integers(-3, 6).map(str), st.sampled_from(MALFORMED))
-# Degrees past 48 are over the Burnside work cap and must exit 3 at once.
+# Degrees past 48 are over the sweep's partition cap: each exits 3 at once
+# unless the content moments of a profile of short cycles answer it.
 degrees = st.one_of(small_ints, st.integers(49, 200).map(str))
 # Orders past 44 are over the one-point work cap and must exit 3 at once.
 orders = st.one_of(small_ints, st.integers(45, 200).map(str))

@@ -26,16 +26,17 @@ from stratavol.coverings import (
     BRUTE_FORCE_WORK_CAP,
     BURNSIDE_PRODUCT_CAP,
     BURNSIDE_WORK_CAP,
+    MOMENT_TERMS_PER_PRODUCT,
     _burnside_sums,
-    _check_sweep_cap,
     _degree,
     _grow_columns,
     _growth_terms,
     _moment_bounds,
     _moment_sums,
-    _moment_table,
+    _monomial_count,
     _monomials,
     _plan,
+    _route,
     _sub_profiles,
     _sweep,
     _terms,
@@ -43,9 +44,7 @@ from stratavol.coverings import (
     asymptotic_ratio,
     brute_force_hom_count,
     brute_force_work,
-    burnside_work,
     check_brute_force_caps,
-    check_burnside_cap,
     cov_connected_series,
     cov_d,
     cov_prime_series,
@@ -53,7 +52,7 @@ from stratavol.coverings import (
 )
 from stratavol.cli import main
 from stratavol.errors import DomainError, ResourceCapError
-from stratavol.partitions import enum_int_partitions, iter_int_partitions, partition_counts
+from stratavol.partitions import enum_int_partitions, iter_int_partitions
 from stratavol.qseries import QSeries, euler_series
 from stratavol.shifted_symmetric import q_average
 
@@ -171,6 +170,16 @@ def _grown(bounds, d):
     d from the process's columns as they stand, in growth order."""
     _grow_columns(bounds, d)
     return {e: stratavol.coverings._columns[e] for e in _monomials(bounds)}
+
+
+def _priced(monkeypatch, profile, d) -> bool:
+    """The route ``_route`` takes for the cold row of ``profile`` at d,
+    which raises ResourceCapError over the Burnside caps; the row is only
+    priced: no column is grown and nothing is summed."""
+    _cold(monkeypatch)
+    monkeypatch.setattr(stratavol.coverings, "_grow_columns", lambda *args: None)
+    monkeypatch.setattr(stratavol.coverings, "_moment_sums", lambda *args: None)
+    return _route(tuple(sorted((m for m in profile if m <= d), reverse=True)), d)
 
 
 def _bench_workloads():
@@ -336,7 +345,7 @@ class TestMomentRoute:
             totals = stratavol.coverings._burnside_totals
             assert sorted(n for sub, n in totals if sub == key) == list(want), d
         _forbid(monkeypatch, "_moment_sums")
-        _forbid(monkeypatch, "_check_sweep_cap")
+        _forbid(monkeypatch, "_route")
         rows = [cov_d(key, n) for n in range(4, 25)]
         monkeypatch.undo()
         for n, row in zip(range(4, 25), rows):
@@ -363,9 +372,9 @@ class TestMomentRoute:
         _grown((1, 2, 2), 20)
         assert stratavol.coverings._columns == stepped
         cells = _moment_cells()
-        assert _moment_table((3, 2), 20) is True
+        assert _route((3, 2), 20) is True
         assert _moment_cells() == cells
-        assert _moment_table((3, 2), 21) is True
+        assert _route((3, 2), 21) is True
         columns = stratavol.coverings._columns
         assert {_degree(len(columns[e])) for e in _monomials((0, 1, 2))} == {21}
         for e, col in stratavol.coverings._columns.items():
@@ -615,7 +624,7 @@ class TestCorner:
                     assert reach[-1] == min(reach), (other, requests)
                 cells, columns.reads = _moment_cells(), 0
                 coverings._grow_columns = forbidden
-                assert _moment_table(profile, d) is True
+                assert _route(profile, d) is True
                 coverings._grow_columns = grow
                 assert columns.reads == 1 and _moment_cells() == cells
         finally:
@@ -648,7 +657,7 @@ class TestRoutes:
     def test_long_cycles_take_the_sweep(self, profile, cold_memo, monkeypatch):
         _forbid(monkeypatch, "_moment_sums")
         for d in range(max(profile), 18):
-            assert _moment_table(profile, d) is False
+            assert _route(profile, d) is False
             cov_d(profile, d)
 
     def test_wide_short_profile_takes_the_sweep(self, cold_memo, monkeypatch):
@@ -657,41 +666,47 @@ class TestRoutes:
         # for sweeps of every degree up to 18 (2-core Xeon, Python 3.11;
         # the one table per profile they replace took 55 ms there).
         wide = (4,) * 6
-        assert _moment_table(wide, 18) is False
+        assert _route(wide, 18) is False
         _forbid(monkeypatch, "_moment_sums")
         for d in range(4, 19):
             cov_d(wide, d)
         assert stratavol.coverings._columns == {}
         # Grown through 17, the columns need 18 more states for degree 18.
         _grown(_moment_bounds(wide), 17)
-        assert _moment_table(wide, 18) is True
+        assert _route(wide, 18) is True
         columns = stratavol.coverings._columns
         assert {_degree(len(columns[e])) for e in _monomials(_moment_bounds(wide))} == {18}
 
 
 class TestBurnsideWork:
-    def test_counts_partitions_of_every_degree(self):
-        for dmax in range(25):
+    def test_counts_partitions_of_every_degree(self, monkeypatch):
+        # A long cycle takes the sweep, admitted while the partitions of
+        # every degree up to the row's are at most the cap.
+        for dmax in range(5, 25):
             want = sum(len(enum_int_partitions(d)) for d in range(dmax + 1))
-            assert burnside_work(dmax) == want
+            monkeypatch.setattr(stratavol.coverings, "BURNSIDE_WORK_CAP", want)
+            assert _route((5,), dmax) is False
+            monkeypatch.setattr(stratavol.coverings, "BURNSIDE_WORK_CAP", want - 1)
+            with pytest.raises(ResourceCapError, match=f"the sweep {want} partitions"):
+                _route((5,), dmax)
 
     def test_cap_allows_degree_48(self):
-        assert burnside_work(48) == 918_220 <= BURNSIDE_WORK_CAP
-        assert burnside_work(70) == 30_053_954
-        check_burnside_cap(48)
+        # sum_{d <= 48} p(d) = 918,220 partitions; through 49, 1,091,745.
+        assert _route((5,), 48) is False
         for dmax in (49, 70, 10**9):
-            with pytest.raises(ResourceCapError, match="Burnside work"):
-                check_burnside_cap(dmax)
+            with pytest.raises(ResourceCapError, match=f"Burnside work up to degree {dmax} "):
+                _route((5,), dmax)
 
-    def test_product_cap_counts_sub_profiles_of_cycles_that_fit(self):
-        # 2,3,...,21 has 2^(k-1) sub-profiles of cycles no longer than k.
+    def test_product_cap_counts_sub_profiles_of_cycles_that_fit(self, monkeypatch):
+        # 2,3,...,21 has 2^(k-1) sub-profiles of cycles no longer than k:
+        # 508 partitions through 14 times 2^13, and 684 through 15 times
+        # 2^14, about either side of 10^7 products.
         wide = tuple(range(2, 22))
-        assert burnside_work(14) * 2**13 <= BURNSIDE_PRODUCT_CAP < burnside_work(15) * 2**14
-        check_burnside_cap(14, wide)
-        with pytest.raises(ResourceCapError, match="16384 sub-profiles"):
-            check_burnside_cap(15, wide)
-        check_burnside_cap(48, (4, 4, 2, 2))
-        check_burnside_cap(1, wide + (22, 23, 24, 25))
+        assert _priced(monkeypatch, wide, 14) is False
+        with pytest.raises(ResourceCapError, match="684 partitions times 16384 sub-profiles"):
+            _priced(monkeypatch, wide, 15)
+        _priced(monkeypatch, (4, 4, 2, 2), 48)
+        _priced(monkeypatch, wide + (22, 23, 24, 25), 1)
 
 
 class TestRowCap:
@@ -701,92 +716,109 @@ class TestRowCap:
 
         monkeypatch.setattr(stratavol.coverings, "iter_int_partitions", forbidden)
         _forbid(monkeypatch, "_moment_sums")
+        _forbid(monkeypatch, "_grow_columns")
         _cold(monkeypatch)
         start = time.perf_counter()
-        with pytest.raises(ResourceCapError, match="exceeds cap 1000000 partitions"):
+        with pytest.raises(ResourceCapError, match="up to degree 10000 exceeds caps"):
             cov_d((2,), 10**4)
         with pytest.raises(ResourceCapError, match="65536 sub-profiles"):
             cov_d(tuple(range(2, 22)), 17)
         assert time.perf_counter() - start < 1.0
 
-    def test_refusals_and_messages_as_counted_per_row(self):
-        # Against the sub-profiles counted on every row, as the caps were
-        # first checked: the same rows refused, with the same messages,
-        # though the count is now skipped while 2^k sub-profiles are under
-        # the product cap.
+    def test_refusals_and_messages_as_counted_per_row(self, monkeypatch):
+        # Against each route's work counted from the partitions and the
+        # monomials themselves: the sweep's partitions of every degree up to
+        # the row's, times its sub-profiles; the moments' column-states
+        # bounded by the corner's, and the multiply-adds of every listed
+        # column.  The cheaper admitted route is taken, or the row refused.
         def counted(key, d):
-            counts = partition_counts(d, BURNSIDE_WORK_CAP)
-            if len(counts) <= d or counts[d] > BURNSIDE_WORK_CAP:
-                return f"Burnside work at degree {d} exceeds cap {BURNSIDE_WORK_CAP} partitions"
-            subs = 1
-            for m in set(key):
-                subs *= key.count(m) + 1
-            if counts[d] * subs > BURNSIDE_PRODUCT_CAP:
-                return (f"Burnside work up to degree {d} exceeds cap {BURNSIDE_PRODUCT_CAP} "
-                        f"products ({counts[d]} partitions times {subs} sub-profiles)")
-            return None
+            partitions = sum(partition_count(n) for n in range(d + 1))
+            products = partitions * len(_sub_profiles(key)[0])
+            sweep = partitions <= BURNSIDE_WORK_CAP and products <= BURNSIDE_PRODUCT_CAP
+            if key and key[0] > 4:
+                return False if sweep else None
+            monomials = _monomials(_moment_bounds(key))
+            states = len(monomials) * (d + 1) * (d + 2) // 2
+            terms = d * (d + 1) // 2 * sum(map(_terms, monomials))
+            if states > BURNSIDE_WORK_CAP or terms > BURNSIDE_PRODUCT_CAP:
+                return False if sweep else None
+            return not sweep or terms <= MOMENT_TERMS_PER_PRODUCT * products
 
-        keys = [(), (2,), (2, 2), (4, 4, 3, 3, 2, 2), (2,) * 30, (3,) * 200 + (2,) * 200,
-                tuple(range(16, 1, -1)), tuple(range(17, 1, -1)), tuple(range(40, 1, -1))]
-        refused = 0
-        for d in (2, 10, 16, 17, 20, 30, 40, 60, 61, 10**4):
+        keys = [(), (2,), (2, 2), (4, 4, 3, 3, 2, 2), (2,) * 30, (4,) * 9, (5, 5, 2),
+                tuple(range(9, 1, -1)), tuple(range(16, 1, -1))]
+        seen = set()
+        for d in (2, 10, 16, 17, 20, 30, 40, 48, 49, 60, 90, 300):
             for key in keys:
                 fit = tuple(m for m in key if m <= d)
                 want = counted(fit, d)
+                seen.add(want)
                 try:
-                    _check_sweep_cap(fit, d)
+                    got = _priced(monkeypatch, fit, d)
                 except ResourceCapError as exc:
-                    refused += 1
-                    assert str(exc) == want, (key, d)
-                else:
                     assert want is None, (key, d)
-        assert 0 < refused < 90
+                    assert str(exc).startswith(f"Burnside work up to degree {d} exceeds caps")
+                else:
+                    assert got is want, (key, d)
+        assert seen == {True, False, None}
 
     def test_refused_rows_grow_no_column(self, cold_memo, monkeypatch):
-        # p(61) = 1,121,505 partitions: the first degree over the row cap.
+        # Six 4-cycles at degree 400: 84 monomial columns of 80,601 states.
         _forbid(monkeypatch, "_grow_columns")
-        for profile, d in [((2,), 10**4), ((4, 3, 2, 2), 61)]:
-            with pytest.raises(ResourceCapError) as refused:
+        for profile, d in [((2,), 10**4), ((4,) * 6, 400), ((5, 2, 2), 49)]:
+            with pytest.raises(ResourceCapError, match=f"Burnside work up to degree {d} "):
                 cov_d(profile, d)
-            want = f"Burnside work at degree {d} exceeds cap {BURNSIDE_WORK_CAP} partitions"
-            assert str(refused.value) == want
         assert stratavol.coverings._columns == {}
         assert stratavol.coverings._burnside_totals == {}
 
-    def test_row_cap_is_on_one_degree(self):
-        # p(60) = 966,467 and p(61) = 1,121,505 partitions.
-        _check_sweep_cap((2, 2), 60)
-        with pytest.raises(ResourceCapError):
-            _check_sweep_cap((2, 2), 61)
-        # p(16) = 231 partitions times 2^15 sub-profiles is under 10^7;
-        # p(17) = 297 times 2^16 is over.
-        _check_sweep_cap(tuple(range(16, 1, -1)), 16)
-        with pytest.raises(ResourceCapError, match="65536 sub-profiles"):
-            _check_sweep_cap(tuple(range(17, 1, -1)), 17)
+    def test_row_cap_is_on_the_series_through_it(self, monkeypatch):
+        # p(49) = 173,525 partitions, but 1,091,745 through 49: a lone row
+        # is priced as the series its route serves.
+        assert _priced(monkeypatch, (5, 5), 48) is False
+        with pytest.raises(ResourceCapError, match="1091745 partitions times 3 sub-profiles"):
+            _priced(monkeypatch, (5, 5), 49)
+        # p(16) = 231 times 2^15 sub-profiles is under 10^7; the 915
+        # partitions through 16 times 2^15 are over.
+        with pytest.raises(ResourceCapError, match="915 partitions times 32768 sub-profiles"):
+            _priced(monkeypatch, tuple(range(16, 1, -1)), 16)
+        # Short cycles past the sweep's caps go by the moments.
+        assert _priced(monkeypatch, (2, 2), 61) is True
 
     def test_memo_hit_is_not_checked(self, monkeypatch):
         def forbidden(*args):
             raise AssertionError("a memo hit was checked")
 
-        monkeypatch.setattr(stratavol.coverings, "partition_counts", forbidden)
+        monkeypatch.setattr(stratavol.coverings, "partition_sums", forbidden)
+        monkeypatch.setattr(stratavol.coverings, "_route", forbidden)
         monkeypatch.setattr(stratavol.coverings, "_burnside_totals", {((2,), 10**4): 5})
         assert cov_d((2,), 10**4) == 5
 
-    def test_rows_of_tests_and_benchmark_under_cap(self):
+    def test_rows_of_tests_and_benchmark_under_cap(self, monkeypatch):
         workloads = _bench_workloads()
         rows = [(tuple(p), d) for _, p, d in workloads.cover_row_items()]
-        series = [(tuple(p), d) for _, p, d in workloads.cover_ratio_items()]
+        rows += [(tuple(p), d) for _, p, d in workloads.cover_ratio_items()]
         golden = json.loads((TESTS / "data" / "golden_covers.json").read_text())
-        series += [(tuple(map(int, key.split(","))), golden["dmax"]) for key in golden["profiles"]]
+        rows += [(tuple(map(int, key.split(","))), golden["dmax"]) for key in golden["profiles"]]
         call = re.compile(r"cov_d\(\(([\d, ]*)\), (\d+)\)")
-        rows += [(tuple(int(m) for m in profile.split(",") if m.strip()), int(d))
-                 for path in sorted(TESTS.glob("test_*.py"))
-                 for profile, d in call.findall(path.read_text())]
-        assert len(rows) > len(workloads.cover_row_items())
-        for profile, d in rows:
-            _check_sweep_cap(tuple(sorted((m for m in profile if m <= d), reverse=True)), d)
-        for profile, dmax in series:
-            check_burnside_cap(dmax, profile)
+        tested = [(tuple(int(m) for m in profile.split(",") if m.strip()), int(d))
+                  for path in sorted(TESTS.glob("test_*.py"))
+                  for profile, d in call.findall(path.read_text())]
+        assert tested
+        for profile, d in rows + tested:
+            _priced(monkeypatch, profile, d)
+
+    def test_many_fours_take_the_sweep(self, monkeypatch, capsys):
+        # 300 fours at degree 4 bound 4,590,551 monomials; a sweep of the
+        # five partitions of 4 makes 1,505 products.  Lower rows hold no
+        # four and read the columns of the empty profile.
+        want = _burnside_by_murnaghan_nakayama((4,) * 300, 4)
+        cov_series((), 4)
+        _forbid(monkeypatch, "_monomials")
+        start = time.perf_counter()
+        assert cov_d((4,) * 300, 4) == want
+        assert main(["covers", ",".join(["4"] * 1000), "--dmax", "4"]) == 0
+        assert time.perf_counter() - start < 1.0
+        assert _monomial_count(_moment_bounds((4,) * 300)) == 4_590_551
+        assert capsys.readouterr().out.count("\n") == 5
 
 
 class TestSeries:
@@ -861,12 +893,10 @@ class TestConnectedSeries:
             monkeypatch.setattr(stratavol.coverings, name, forbidden, raising=False)
         assert [cov_connected_series(profile, 14) for profile in profiles] == want
 
-    def test_eight_points_to_order_108_under_a_second(self, cold_memo, monkeypatch):
+    def test_eight_points_to_order_108_under_a_second(self, cold_memo):
         # Inclusion-exclusion would multiply rational series for each of
         # the Bell(8) = 4,140 set partitions of the points.  Order 108 is
-        # past the Burnside caps, which are lifted here.
-        monkeypatch.setattr(stratavol.coverings, "BURNSIDE_WORK_CAP", 10**15)
-        monkeypatch.setattr(stratavol.coverings, "BURNSIDE_PRODUCT_CAP", 10**18)
+        # past the sweep's caps; the moment columns answer it.
         start = time.perf_counter()
         series = cov_connected_series((2,) * 8, 108)
         elapsed = time.perf_counter() - start
@@ -879,18 +909,29 @@ class TestConnectedSeries:
     def test_connected_requests_of_ci_admitted(self, profile, order):
         assert cov_connected_series(profile, order).order == order
 
-    def test_many_equal_cycles_refused_before_any_sum(self):
-        # A thousand 2s to order 2 pass the Burnside caps (4,004 products),
-        # but their 501,501 first-block pairs at 6 multiply-adds each are
-        # over the connected cap: refused at once, with no total stored.
+    def test_many_equal_cycles_refused_before_any_sum(self, monkeypatch):
+        # A thousand 2s to order 2 pass the Burnside caps, but their
+        # 501,501 first-block pairs at 6 multiply-adds each are over the
+        # connected cap: refused at once, with no total stored.
         profile = (2,) * 1000
-        check_burnside_cap(2, profile)
         totals = dict(stratavol.coverings._burnside_totals)
         start = time.perf_counter()
         with pytest.raises(ResourceCapError, match="connected series work 3009006 "):
             cov_connected_series(profile, 2)
         assert time.perf_counter() - start < 1.0
         assert stratavol.coverings._burnside_totals == totals
+        _priced(monkeypatch, profile, 2)
+
+    def test_short_series_past_the_sweep_caps(self, cold_memo, capsys):
+        # Order 100 is past the sweep's partition cap from degree 49 on;
+        # the moment columns of (2, 2) answer it from cold.
+        start = time.perf_counter()
+        assert main(["covers", "2,2", "--connected", "--dmax", "100"]) == 0
+        assert time.perf_counter() - start < 1.0
+        rows = [line.split(";") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert [int(d) for _, d, _, _ in rows] == list(range(1, 101))
+        want = connected_by_set_partitions((2, 2), 30)
+        assert [Fraction(count) for *_, count in rows[:30]] == list(want.coeffs[1:])
 
     def test_cycle_longer_than_order_gives_zero_without_work(self, monkeypatch):
         _forbid(monkeypatch, "_burnside_sums")
@@ -989,14 +1030,16 @@ class TestAsymptoticRatio:
             asymptotic_ratio((2, 2), 0)
 
     def test_burnside_cap_checked_before_any_sweep(self, monkeypatch):
-        def forbidden(d):
-            raise AssertionError("a partition sweep started")
-
-        monkeypatch.setattr(stratavol.coverings, "iter_int_partitions", forbidden)
+        # Six 4-cycles to order 180: 84 monomial columns of 16,471 states
+        # each are over the state cap.
+        _forbid(monkeypatch, "iter_int_partitions")
+        _forbid(monkeypatch, "_grow_columns")
         _forbid(monkeypatch, "_moment_sums")
-        for call in (lambda: asymptotic_ratio((2, 2), 70),
-                     lambda: cov_connected_series((4, 3), 49),
-                     lambda: cov_connected_series(tuple(range(2, 14)), 20)):
+        for call in (lambda: asymptotic_ratio((5,), 70),
+                     lambda: cov_connected_series((5, 3), 49),
+                     lambda: cov_connected_series((4,) * 6, 180)):
+            start = time.perf_counter()
             with pytest.raises(ResourceCapError, match="Burnside work"):
                 call()
+            assert time.perf_counter() - start < 1.0
 

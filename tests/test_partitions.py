@@ -22,6 +22,7 @@ from stratavol.partitions import (
     meet,
     mobius_coeff,
     partition_counts,
+    partition_sums,
     set_partitions_of,
     vector_splits,
 )
@@ -353,6 +354,7 @@ class TestPartitionCounts:
         assert counts == [partition_count(n) for n in range(len(counts))]
         assert counts[-2] <= 1000 < counts[-1]
         assert partition_counts(5, inf) is counts
+        assert partition_sums(5, inf) == list(accumulate(counts))
 
     def test_check_reads_the_running_sums(self):
         # p(0..10) = 1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42: the running sum
