@@ -118,8 +118,7 @@ def cmd_cconst(args) -> int:
 
 
 def cmd_fk(args) -> int:
-    if args.k >= 2:
-        # Refused exactly when ``cconst k`` is, before any expansion.
+    if args.k >= 2:  # refused exactly when ``cconst k`` is, before any expansion
         check_generator_work((args.k,), (1,))
     expansion = f_top_expansion(args.k)
     if args.output == "json":
@@ -138,7 +137,7 @@ def cmd_covers(args) -> int:
     if dmax < 1:
         raise DomainError(f"--dmax must be >= 1, got {dmax}")
     if args.brute_force:
-        check_brute_force_caps(profile, dmax)
+        check_brute_force_caps(profile, dmax, args.connected)
     # (d, kind, count) rows: the kind is "all" or "connected" for a
     # Burnside count, "brute-all" or "brute-connected" for brute force.
     kind = "connected" if args.connected else "all"
@@ -251,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--brute-force", action="store_true",
                    help="also tabulate the direct enumeration "
                    f"(--dmax at most {BRUTE_FORCE_CAP}, at most "
-                   f"{BRUTE_FORCE_WORK_CAP} tuples in all)")
+                   f"{BRUTE_FORCE_WORK_CAP} pairs and tallied tuples in all)")
 
     p = _command(sub, "simple-table", "constants for simple branching", cmd_simple_table,
                  ("csv", "json"), approx=True)
@@ -270,8 +269,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    if hasattr(sys, "set_int_max_str_digits"):  # exact results print in full
+        sys.set_int_max_str_digits(0)
     try:
         return args.fn(args)
     except DomainError as exc:

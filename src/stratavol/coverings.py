@@ -64,16 +64,16 @@ from .errors import DomainError, ResourceCapError
 from .partitions import (
     iter_int_partitions,
     partition_sums,
+    set_partitions_of,
     vector_splits,
 )
 from .qseries import QSeries, euler_series
 
-# Largest degree the brute-force monodromy enumeration accepts, and the
-# most tuples one request (all degrees up to its largest) may visit: it
-# loops over all (d!)^2 pairs of permutations times every branch class but
-# the last, at a few microseconds a tuple.
+# Largest degree of the brute-force monodromy enumeration, and the most
+# steps (``brute_force_work``) of one request, all degrees up to it: at a
+# few microseconds a step, `covers 5,5,5 --dmax 5 --brute-force` is 49k.
 BRUTE_FORCE_CAP = 5
-BRUTE_FORCE_WORK_CAP = 10**6
+BRUTE_FORCE_WORK_CAP = 5 * 10**5
 # The caps of a Burnside row priced as the series through it (``_route``).
 # The most partitions its sweeps may visit, at a few microseconds each
 # (degrees up to 48), or column-states its moments may store; and the most
@@ -676,32 +676,30 @@ def _class_elements(d: int, m: int) -> list[Perm]:
     return [p for p in permutations(range(d)) if _cycle_type(p) == target]
 
 
-def brute_force_work(profile, dmax: int) -> int:
-    """Tuples a pair-by-pair brute-force enumeration visits over degrees
-    1..dmax: at degree d, (d!)^2 pairs (a, b) times the size of every
-    branch class but the last, whose element is solved for.  An upper
-    bound on the work of ``brute_force_hom_count``, which enumerates the
-    branch elements once per tally key rather than once per pair.  A
-    degree below some cycle length visits none."""
+def brute_force_work(profile, dmax: int, connected: bool = False) -> int:
+    """The steps of ``brute_force_hom_count`` up to degree dmax: (d!)^2
+    pairs, then per tally key, an even commutator (and for a connected
+    count an orbit partition, Bell(d)), the elements of every branch class
+    but the last.  A degree below some cycle length takes none."""
     profile = _profile(profile)
     total = 0
     for d in range(1, dmax + 1):
         if any(m > d for m in profile):
             continue
-        work = factorial(d) ** 2
+        orbits = sum(1 for _ in set_partitions_of(range(d))) if connected else 1
+        keys = (factorial(d) + 1) // 2 * orbits
         for m in profile[:-1]:
-            work *= comb(d, m) * factorial(m - 1)
-        total += work
+            keys *= comb(d, m) * factorial(m - 1)
+        total += factorial(d) ** 2 + keys
     return total
 
 
-def check_brute_force_caps(profile, dmax: int) -> None:
-    """Raise ResourceCapError when a brute-force request for degrees
-    1..dmax is over the degree cap or its predicted work is over the work
-    cap; the degree is checked first, so the prediction stays cheap."""
+def check_brute_force_caps(profile, dmax: int, connected: bool = False) -> None:
+    """Raise ResourceCapError when a brute-force request up to degree dmax
+    is over the degree cap, checked first, or its steps over the work cap."""
     if dmax > BRUTE_FORCE_CAP:
         raise ResourceCapError(f"brute-force degree {dmax} exceeds cap {BRUTE_FORCE_CAP}")
-    work = brute_force_work(profile, dmax)
+    work = brute_force_work(profile, dmax, connected)
     if work > BRUTE_FORCE_WORK_CAP:
         raise ResourceCapError(
             f"brute-force work {work} up to degree {dmax} exceeds cap {BRUTE_FORCE_WORK_CAP}"
@@ -753,7 +751,7 @@ def brute_force_hom_count(profile, d: int, connected_only: bool = False) -> Frac
     profile = _profile(profile)
     if d < 1:
         raise DomainError("degree must be positive")
-    check_brute_force_caps(profile, d)
+    check_brute_force_caps(profile, d, connected_only)
     for m in profile:
         if m > d:
             return Fraction(0)

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, combinations, product, repeat
+from itertools import chain, combinations, combinations_with_replacement, product, repeat
 from math import comb, factorial, gcd, lcm, prod
 from operator import mul
 
@@ -36,7 +36,6 @@ from . import mvpoly
 from .errors import DomainError, Record, ResourceCapError
 from .exact_arith import PiScalar, frak_z_over_pi
 from .partitions import (
-    SET_PARTITION_CAP,
     IntPartition,
     SetPartition,
     check_partition_work,
@@ -49,31 +48,15 @@ from .shifted_symmetric import f_top_expansion
 
 SERIES_ORACLE_CAP = 4
 FOREST_ORACLE_CAP = 5
-# Largest Wick tree sum work estimate (``_check_wick_work``) that
-# wick_leading and f_cumulant_leading accept: it admits every stratum up
-# to genus 9.
-WICK_WORK_CAP = 3 * 10**9
-# Units of that work per term of a group type.  On a 2-core Xeon with
-# Python 3.11, summing a term's DP entries in integers takes about 15 to
-# 20 microseconds and expanding it (f_top_expansion, once per process)
-# about 10; 10^4 estimated steps of a partition table take 10 to 30, or
-# nothing when the tables are shared with an earlier key.
-TERM_WORK = 10**4
+# Most steps (``_check_work``) of a Wick tree sum or elementary cumulant: at
+# 0.7-1.3 us a step (2-core Xeon, Python 3.11), `cconst 54`, 56 2s and
+# `cumulant 1998` take 1.6-2.5 s cold; every stratum to genus 12 is admitted.
+WICK_WORK_CAP = 2 * 10**6
 # Most partitions p(0) + ... + p((n + 2) / 2) (``check_partition_work``)
 # that c_simple(n), or a simple-table up to n, may be sized by: n up to
 # 63.  On a 2-core Xeon with Python 3.11, the slowest admitted request,
 # `simple-table --nmax 63`, takes about 3 s; c_simple(62) alone 0.7 s.
 SIMPLE_WORK_CAP = 5 * 10**4
-# Most units of work elementary_cumulant may predict for a key m of n
-# parts, with top = |m| - n + 2: top^3 for the Bernoulli numbers up to
-# B_top behind frak_z(top), and top^2 / 20000 per cell product of the
-# key's partition table (``_table_work``), each a product of two numbers
-# whose size grows with top.  The top^3 was set when the Bernoulli numbers
-# took top^2 / 4 Fraction terms; the tangent-number triangle takes top^2 / 8
-# small multiply-adds, so it now over-counts them.  On a 2-core Xeon with
-# Python 3.11 and start-up, `cumulant 115,114,...,109`, the slowest key
-# found near the cap, takes about 1 s, and `cumulant 792` 0.2 s.
-CUMULANT_WORK_CAP = 5 * 10**8
 
 
 def _canon_key(m) -> tuple[int, ...]:
@@ -99,20 +82,12 @@ def elementary_cumulant(m) -> PiScalar:
     key's multiset (``_table``), not partition by partition, in integers
     over one common denominator.  Every term carries
     pi^(|m| - n + 2), so the sum is a rational, memoized on the sorted
-    key; the key is validated and the caps checked on every call, before
-    any work: its parts against ``SET_PARTITION_CAP``, then its predicted
-    work against ``CUMULANT_WORK_CAP``.
+    key; its price is checked (``_check_work``) on every call, first.
     """
     key = _canon_key(m)
-    n = len(key)
-    if n > SET_PARTITION_CAP:
-        raise ResourceCapError(
-            f"cumulant key with {n} parts exceeds cap {SET_PARTITION_CAP}"
-        )
-    top = sum(key) - n + 2
-    work = top**3 + top**2 * _table_work([key.count(v) for v in set(key)]) // 20000
-    if work > CUMULANT_WORK_CAP:
-        raise ResourceCapError(f"cumulant work {work} exceeds cap {CUMULANT_WORK_CAP}")
+    values = sorted(set(key))
+    top = sum(key) - len(key) + 2
+    _check_work("cumulant", [{v} for v in values], [key.count(v) for v in values], top)
     return PiScalar(_cumulant_over_pi(key), top)
 
 
@@ -147,11 +122,14 @@ def _common_denominator(top: int) -> int:
     one-block term |m|! frak_z(top) is cleared as well, so the cumulant
     of m times Q^n is an integer.  Q(top) divides Q(top') for top <= top'.
     """
-    scale = 1
-    for j in range(2, top + 1, 2):
-        denominator = frak_z_over_pi(j).denominator
-        scale = lcm(scale, denominator // gcd(denominator, factorial(j - 1)))
-    return scale
+    return lcm(*map(_denominator_factor, range(2, top + 1, 2)))
+
+
+@lru_cache(maxsize=None)
+def _denominator_factor(j: int) -> int:
+    """j's factor of ``_common_denominator``: (j - 1)! once per process."""
+    denominator = frak_z_over_pi(j).denominator
+    return denominator // gcd(denominator, factorial(j - 1))
 
 
 def _quotient(numerator: int, denominator: int) -> int:
@@ -414,53 +392,80 @@ class WickLeading(Record):
     __slots__ = ("value", "hbar_exponent")  # PiScalar, int
 
 
-def _check_wick_work(counts, terms: int, values) -> None:
-    """Raise ResourceCapError when the Wick tree sum over groups of types
-    with multiplicities ``counts`` is estimated to do more than
-    WICK_WORK_CAP units of work.  The types' term lists hold ``terms``
-    entries in all, and ``values`` yields, per type, the set of parts its
-    terms use; it is read only when the DP's own states are under the cap.
-
-    The DP's states are multiplicity vectors below ``counts``, each summing
-    over the sub-vectors of its own: prod (c_h + 1)^2 per block key, and
-    TERM_WORK times that per term.  A block holds at most one part of each group (two would
-    close a cycle in the tree), so its key takes at most c_h parts from
-    the values of type h: at most prod C(c_h + |values_h|, c_h) keys.  The
-    largest partition table (``_table_work``) is that of the key that
-    spreads the groups evenly over the values, each value up to the
-    number of groups whose type uses it.
-    Keys share the tables of their sub-multisets (``_table``), so this
-    counts the tables' work at most once per key, an upper bound.
-    """
-    sub = 1
-    for c in counts:
-        sub *= c + 1
-    work = TERM_WORK * terms * sub * sub
-    if work <= WICK_WORK_CAP:
-        keys = 1
-        room: dict[int, int] = {}
-        for c, vs in zip(counts, values):
-            keys *= comb(c + len(vs), c)
-            for v in vs:
-                room[v] = room.get(v, 0) + c
-        left = sum(counts)
-        spread = []
-        for i, r in enumerate(sorted(room.values())):
-            spread.append(min(r, left // (len(room) - i)))
-            left -= spread[-1]
-        work += keys * (sub * sub + _table_work(spread))
-    if work > WICK_WORK_CAP:
-        raise ResourceCapError(f"Wick tree sum work {work} exceeds cap {WICK_WORK_CAP}")
+def _check_work(what: str, values, counts, top: int, dp=()) -> int:
+    """The price of a request from its key, before any expansion, cumulant
+    or table; ResourceCapError when over WICK_WORK_CAP.  counts[h] groups
+    or key entries of type h take parts from ``values[h]``, one per group
+    in a block.  It bounds the products of the tangent triangle and the
+    factorials up to ``top``, the tables (``_table_price``), and for a Wick
+    tree sum, with ``dp`` per type (terms, parts, parts expanded, entries,
+    value tuples), a step per term and part, then per vector S below the
+    root each T <= S per value tuple (``dist``) and entry (``down``), and
+    per block key each first-block split and part (``blk``)."""
+    price = 2 * (top // 2) ** 2
+    if dp:
+        below = (counts[0] - 1, *counts[1:])
+        price += prod(c + 1 for c in counts) + dp[0][0] + sum(sum(d[:3]) for d in dp)
+        price += prod((c + 1) * (c + 2) // 2 for c in below) * sum(d[4] for d in dp)
+        price += (prod(c + 1 for c in below) - 1) * sum(d[3] for d in dp)
+        blocks = [(comb(c + len(vs) + 2, c) - (c + 1) * (h == 0),
+                   (comb(c + len(vs) + 1, c - 1) - c * (h == 0)) * len(vs))
+                  for h, (vs, c) in enumerate(zip(values, counts))]
+        price += sum(prod(b[0] for b in blocks) // every * some for every, some in blocks)
+    if price <= WICK_WORK_CAP:
+        price += _table_price(values, counts, WICK_WORK_CAP - price, not dp)
+    if price > WICK_WORK_CAP:
+        raise ResourceCapError(f"{what} work of at least {price} steps exceeds cap {WICK_WORK_CAP}")
+    return price
 
 
-def _table_work(multiplicities) -> int:
-    """The cell products of the partition table of a key with these
-    multiplicities and L parts in all: prod (k + 1)(k + 2) / 2 sub-vector
-    pairs of up to L^3 cell products each (``_fill_rows``)."""
-    work = sum(multiplicities) ** 3
-    for k in multiplicities:
-        work *= (k + 1) * (k + 2) // 2
-    return work
+def _table_price(values, counts, left: int, one_key: bool) -> int:
+    """Steps (rows, cell products) of the tables read by block keys of <=
+    counts[h] parts from values[h], or by ``one_key`` (largest last).  The
+    bound prod C(c + v, c) tables of n + 1 rows, <= prod (m + 1) splits of
+    rows of 0, 1, 1, 2, ... n / 2 cells of as many products, unless it is
+    past ``left`` with its rows under the cap: then each table read is
+    counted, a key's and its sub-multisets' less a block with its largest
+    part, to degrees l - 2 + (parts left out that are >= their largest)."""
+    n, keys, total = sum(counts), {()}, 0
+    rows = (n + 1) * prod(comb(c + len(vs), c) for vs, c in zip(values, counts))
+    bound = rows + (n // 2) * (n // 2 + 1) * (n // 2 + 2) // 3 * prod(
+        comb(c + 2 * len(vs), c) for vs, c in zip(values, counts))
+    if rows > WICK_WORK_CAP or bound <= left:
+        return bound
+    for h, (vs, c) in enumerate(zip(values, counts)):
+        picks = [p for j in range(c + 1 - (one_key and h == len(counts) - 1))
+                 for p in combinations_with_replacement(sorted(vs), j)]
+        keys = {tuple(sorted(k + p, reverse=True)) for k in keys for p in picks}
+    if one_key:
+        keys.add(tuple(sorted(chain(*map(repeat, chain(*values), counts)), reverse=True)))
+    reach = {x: sum(c for vs, c in zip(values, counts) if max(vs) >= x) for x in chain(*values)}
+    for key in keys - {()}:
+        above = reach[key[0]] - key.count(key[0])
+        total += len(key) + 1 + _cells(key, min(n - len(key), above) - 2)
+        if total > left:
+            break
+    return total
+
+
+@lru_cache(maxsize=None)
+def _cells(v: tuple[int, ...], excess: int) -> int:
+    """The cell products of v's table to degrees l + ``excess`` (``_fill_rows``): per split,
+    rows of cells of one parity, the i-th of min(i, block series length) products."""
+    values = sorted(set(v), reverse=True)
+    mult = [v.count(x) for x in values]
+    parity, total = sum(v) - len(v), 0
+    for block in product(range(1, mult[0] + 1), *(range(c + 1) for c in mult[1:])):
+        parts = sum(block)
+        top = sum(map(mul, block, values)) - parts + 1
+        length, odd = top // 2 + 1, top % 2
+        for ell in range(2, len(v) - parts + 2) if parts < len(v) else (1,):
+            start = (parity + ell) & 1
+            cells = (ell + excess - start - 2 * (start < odd)) // 2 + 1
+            if cells > 0:
+                low = cells if cells < length else length
+                total += low * (low + 1) // 2 + (cells - low) * length
+    return total
 
 
 # The Wick tree sum's states for the whole process, as the tuple
@@ -619,8 +624,8 @@ def wick_leading(groups) -> WickLeading:
 
     The sum is the rooted-tree DP of ``_wick_tree_sum``, in which each
     distinct group is a type whose only term is itself with coefficient
-    1; no complementary partition is listed.  The work cap is checked
-    before any cumulant is computed.  The accompanying exponent (sum of
+    1; no complementary partition is listed.  Its price (``_check_work``)
+    is checked before any cumulant.  The accompanying exponent (sum of
     (part+1) over all parts, minus the number of groups, plus one) is
     returned as metadata.  Every complementary partition has n - l(rho) + 1
     blocks and each block cumulant carries pi^(|block| - #block + 2), so
@@ -633,7 +638,9 @@ def wick_leading(groups) -> WickLeading:
     ell = len(wg.groups)
     kinds = sorted(set(wg.groups))
     counts = tuple(wg.groups.count(g) for g in kinds)
-    _check_wick_work(counts, len(kinds), (set(g) for g in kinds))
+    _check_work("Wick tree sum", [set(g) for g in kinds], counts,
+                2 + sum(c * (g[0] - 1) for g, c in zip(kinds, counts)),
+                [(1, len(g), 0, len(set(g)), len(g) * (len(set(g)) + 1)) for g in kinds])
     total = _wick_tree_sum([tuple(g) for g in kinds], [((g, 1),) for g in kinds], counts)
     exponent = sum(p + 1 for p in parts) - ell + 1
     pi_pow = sum(parts) - n + 2 * (n - ell + 1)
@@ -662,31 +669,25 @@ def f_cumulant_leading(m) -> PiScalar:
     return PiScalar(_wick_tree_sum(kinds, types, counts), sum(key) - len(key) + 2)
 
 
-def check_generator_work(kinds, counts) -> None:
-    """Raise ResourceCapError when the Wick tree sum over counts[i] groups
-    of the generator f_k, k = kinds[i] (each >= 2), is over the work cap.
-    It reads only the generators' indices, so it runs before any expansion
-    or cumulant is computed: f_k has p(k + 1) - p(k) top-weight terms (the
-    partitions of k + 1 without a part 1), whose parts are 2, ..., k - 1
-    and k + 1.
-    """
-    _check_wick_work(
-        counts,
-        sum(_top_term_count(k) for k in kinds),
-        ({*range(2, k), k + 1} for k in kinds),
-    )
+def check_generator_work(kinds, counts) -> int:
+    """The price of the Wick tree sum over counts[i] groups of f_k, k =
+    kinds[i] >= 2 decreasing, whose terms are partitions of k + 1 without
+    a part 1, less 1 in each part."""
+    return _check_work(
+        "Wick tree sum", [{*range(1, k - 1), k} for k in kinds], counts,
+        2 + sum(c * (k - 1) for k, c in zip(kinds, counts)), [_generator_steps(k) for k in kinds])
 
 
-def _top_term_count(k: int) -> int:
-    """p(k + 1) - p(k), the number of top-weight terms of f_k, from the
-    memoized partition counts.  Those are grown at most to the first
-    count over WICK_WORK_CAP * (k + 2): p(k + 1) <= (k + 2)(p(k + 1) - p(k))
-    for k >= 2, so when the counts stop early the term count is over the
-    cap, and WICK_WORK_CAP + 1 stands in for it."""
-    counts = partition_counts(k + 1, WICK_WORK_CAP * (k + 2))
-    if len(counts) <= k + 1:
-        return WICK_WORK_CAP + 1
-    return counts[k + 1] - counts[k]
+@lru_cache(maxsize=None)
+def _generator_steps(k: int) -> tuple[int, int, int, int, int]:
+    """f_k's figures for ``_check_work`` from partition counts p, q(i) = p(i) - p(i - 1):
+    q(k + 1) terms, q(k + 1 - jr) with r parts j, p(k - 1) entries, p(k + 1) tuples."""
+    p = partition_counts(k + 1, WICK_WORK_CAP)
+    if len(p) <= k + 1:
+        return 0, 0, 0, 0, WICK_WORK_CAP + 1
+    q = [1] + [p[i] - p[i - 1] for i in range(1, k + 2)]
+    parts = sum(q[k + 1 - j * r] for j in range(2, k + 2) for r in range(1, (k + 1) // j + 1))
+    return q[k + 1], parts, parts, p[k - 1], p[k + 1]
 
 
 def c_const(m) -> PiScalar:

@@ -78,15 +78,15 @@ class TestVolumeCommand:
 
     @pytest.mark.parametrize("argv", [
         ["volume", "60"],
-        ["cconst", ",".join(["2"] * 60)],
-        ["volume", ",".join(["1"] * 60), "--cross-check"],
+        ["cconst", ",".join(["2"] * 100)],
+        ["volume", ",".join(["1"] * OVER_CAP_SIMPLE), "--cross-check"],
         ["fk", "70"],
     ])
     def test_wick_work_cap_exit_3_up_front(self, capsys, monkeypatch, argv):
-        # f_61 has 178,651 terms; sixty groups of one type have few DP
-        # states but blocks of up to sixty parts, whose partition tables
-        # the cap must count.  ``fk k`` is refused exactly when ``cconst k``
-        # is.
+        # f_61 has 178,651 terms; a hundred groups of one type have few DP
+        # states but blocks of up to a hundred parts, whose partition
+        # tables the price must count.  ``fk k`` is refused exactly when
+        # ``cconst k`` is.
         def forbidden(*args, **kwargs):
             raise AssertionError("an expansion, a cumulant or a closed form was computed")
 
@@ -120,13 +120,15 @@ class TestCumulantCommands:
         assert data["c"] == {"num": "8", "den": "42525", "pi_pow": 6}
 
     def test_resource_cap_exit_3(self, capsys):
-        code, _, err = run_cli(capsys, "cumulant", ",".join(["1"] * 13))
+        code, _, err = run_cli(capsys, "cumulant", ",".join(["2"] * 100))
         assert code == 3
         assert "cap" in err
 
-    @pytest.mark.parametrize("key", ["2400", "1800", ",".join(["100"] * 12)])
+    @pytest.mark.parametrize("key", ["2400", "3000", ",".join(["300"] * 12)])
     def test_work_cap_exits_fast(self, capsys, monkeypatch, key):
-        # Uncapped, `cumulant 1800` ran 27 s and twelve 100s 8.5 s.
+        # Over the price by the Bernoulli numbers, and by them and the
+        # tables: uncapped, `cumulant 2400` took 2.4 s and `cumulant 3000`
+        # 4.9 s.
         def forbidden(*args):
             raise AssertionError("a cumulant was computed")
 
@@ -213,10 +215,18 @@ class TestCoversCommand:
         monkeypatch.setattr(stratavol.cli, "cov_series", forbidden)
         monkeypatch.setattr(stratavol.cli, "brute_force_hom_count", forbidden)
         start = time.perf_counter()
-        code, out, err = run_cli(capsys, "covers", "5,5,5", "--dmax", "5", "--brute-force")
+        code, out, err = run_cli(capsys, "covers", "5,5,5,5", "--dmax", "5", "--brute-force")
         assert time.perf_counter() - start < 1.0
         assert code == 3
         assert out == "" and "work" in err
+
+    def test_brute_force_of_three_five_cycles_admitted(self, capsys):
+        # Priced by its tally, the degree-5 count of (5,5,5) is admitted
+        # and agrees with the Burnside row.
+        code, out, _ = run_cli(capsys, "covers", "5,5,5", "--dmax", "5", "--brute-force")
+        assert code == 0
+        rows = dict(line.rsplit(";", 1) for line in out.splitlines()[1:])
+        assert rows["5,5,5;5;brute-all"] == rows["5,5,5;5;all"] != "0"
 
     def test_burnside_work_cap_exits_fast(self, capsys, monkeypatch):
         # Over the connected cap too, 2 --connected --dmax 2000 is refused

@@ -960,28 +960,40 @@ class TestBruteForce:
         with pytest.raises(DomainError):
             brute_force_hom_count((2,), 0, False)
 
-    def test_work_is_pairs_times_all_classes_but_the_last(self):
+    def test_work_is_pairs_then_keys_times_all_classes_but_the_last(self):
+        # Per degree, the (d!)^2 pairs, then per tally key (an even
+        # commutator, with its orbit partition when connected) the tuples
+        # of every class but the last; at least the keys the tally makes.
+        bell = [1, 1, 2, 5, 15, 52]
         for profile in [(), (2,), (3, 2), (2, 2, 2), (4, 3, 2), (5, 5)]:
-            want = 0
-            for d in range(1, 6):
-                if any(m > d for m in profile):
-                    continue
-                work = factorial(d) ** 2
-                for m in profile[:-1]:
-                    work *= len(stratavol.coverings._class_elements(d, m))
-                want += work
-            assert brute_force_work(profile, 5) == want, profile
-        assert brute_force_work((5, 5, 5), 5) == 120**2 * 24**2
-        assert brute_force_work((5, 5), 5) == 120**2 * 24
+            for connected in (False, True):
+                want = 0
+                for d in range(1, 6):
+                    if any(m > d for m in profile):
+                        continue
+                    work = (factorial(d) + 1) // 2 * (bell[d] if connected else 1)
+                    for m in profile[:-1]:
+                        work *= len(stratavol.coverings._class_elements(d, m))
+                    want += factorial(d) ** 2 + work
+                assert brute_force_work(profile, 5, connected) == want, profile
+        assert brute_force_work((5, 5, 5), 5) == 120**2 + 60 * 24**2
+        assert brute_force_work((5, 5, 5), 5) <= BRUTE_FORCE_WORK_CAP
+        perms = list(permutations(range(4)))
+        keys = {stratavol.coverings._compose(stratavol.coverings._compose(a, b),
+                                             stratavol.coverings._compose(
+                                                 stratavol.coverings._inverse(a),
+                                                 stratavol.coverings._inverse(b)))
+                for a in perms for b in perms}
+        assert len(keys) <= (factorial(4) + 1) // 2
 
     def test_work_cap_checked_before_enumeration(self, monkeypatch):
         def forbidden(*args, **kwargs):
             raise AssertionError("a permutation class was enumerated")
 
         monkeypatch.setattr(stratavol.coverings, "_class_elements", forbidden)
-        assert brute_force_work((5, 5, 5), 5) > BRUTE_FORCE_WORK_CAP
+        assert brute_force_work((5, 5, 5, 5), 5) > BRUTE_FORCE_WORK_CAP
         with pytest.raises(ResourceCapError, match="work"):
-            brute_force_hom_count((5, 5, 5), 5, False)
+            brute_force_hom_count((5, 5, 5, 5), 5, False)
 
     def test_tested_requests_under_cap(self):
         # Criterion 5 (profiles of at most three points with entries in

@@ -1,11 +1,12 @@
 import importlib.util
 import json
+import linecache
 import random
 import sys
 import threading
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
-from math import factorial
+from math import factorial, prod
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stratavol.cumulants
+import stratavol.exact_arith
 import stratavol.partitions
 from stratavol.cumulants import (
     StratumSpec,
@@ -29,7 +31,6 @@ from stratavol.cumulants import (
 from stratavol.errors import DomainError, ResourceCapError
 from stratavol.exact_arith import PiScalar, frak_z
 from stratavol.partitions import (
-    SET_PARTITION_CAP,
     IntPartition,
     enum_int_partitions,
     enum_set_partitions,
@@ -110,15 +111,16 @@ class TestElementaryCumulant:
 
     def test_cap(self):
         with pytest.raises(ResourceCapError):
-            elementary_cumulant((1,) * 13)
+            elementary_cumulant((2,) * 100)
 
     def test_work_cap_boundary(self, monkeypatch):
-        # The keys found nearest the cap from each side, from the
-        # prediction alone: the Bernoulli term decides a key of few parts,
-        # the partition table one of many distinct parts.
+        # The keys nearest the cap from each side, from the price alone:
+        # the Bernoulli numbers decide a key of few parts, the partition
+        # tables one of many equal or distinct parts.
         monkeypatch.setattr(stratavol.cumulants, "_cumulant_over_pi", lambda key: Fraction(0))
-        for admitted, refused in [((792,), (793,)), ((397, 396), (398, 396)),
-                                  (tuple(range(15, 3, -1)), tuple(range(16, 4, -1)))]:
+        for admitted, refused in [((1998,), (1999,)), ((1001, 997), (1002, 998)),
+                                  ((2,) * 57, (2,) * 58),
+                                  (tuple(range(136, 124, -1)), tuple(range(137, 125, -1)))]:
             elementary_cumulant(admitted)
             with pytest.raises(ResourceCapError, match="cumulant work"):
                 elementary_cumulant(refused)
@@ -154,7 +156,7 @@ class TestElementaryCumulant:
         for name in ("_common_denominator", "_build_table"):
             monkeypatch.setattr(stratavol.cumulants, name, forbidden)
         with pytest.raises(ResourceCapError):
-            elementary_cumulant((1,) * (SET_PARTITION_CAP + 1))
+            elementary_cumulant((2,) * 100)
         assert memo.cache_info().currsize == filled
 
 
@@ -504,8 +506,8 @@ class TestWickLeading:
         for name in ("_common_denominator", "_cumulant_over_pi"):
             monkeypatch.setattr(stratavol.cumulants, name, forbidden)
         # One type each: the block keys (1^j) and (2^a 1^b) of up to 400
-        # and 20 parts make the partition tables the work.
-        for groups in ([[1]] * 400, [[2, 1]] * 20):
+        # and 40 parts make the partition tables the work.
+        for groups in ([[1]] * 400, [[2, 1]] * 40):
             with pytest.raises(ResourceCapError):
                 wick_leading(groups)
 
@@ -562,11 +564,16 @@ class TestCConst:
             assert longest == (k + 1) // 2, k
 
     def test_top_term_count(self):
-        # The work cap counts the terms of f_k as p(k + 1) - p(k).
+        # The price counts the terms of f_k as p(k + 1) - p(k), their parts
+        # and their distinct parts from the partition counts too, and the
+        # DP's value tuples as at most p(k + 1).
         for k in range(2, 31):
-            want = len(f_top_expansion(k).terms)
-            assert stratavol.cumulants._top_term_count(k) == want, k
-            assert partition_count(k + 1) - partition_count(k) == want, k
+            terms = [lam for lam, _ in f_top_expansion(k).terms]
+            steps = stratavol.cumulants._generator_steps(k)
+            assert steps[:4] == (len(terms), sum(map(len, terms)), sum(map(len, terms)),
+                                 sum(len(set(lam)) for lam in terms)), k
+            assert partition_count(k + 1) - partition_count(k) == len(terms), k
+            assert steps[4] == partition_count(k + 1), k
 
     def test_cap_checked_before_any_cumulant(self, monkeypatch):
         def forbidden(*args, **kwargs):
@@ -575,9 +582,9 @@ class TestCConst:
         for name in ("elementary_cumulant", "_common_denominator", "_cumulant_over_pi",
                      "f_top_expansion"):
             monkeypatch.setattr(stratavol.cumulants, name, forbidden)
-        # f_61 has 178,651 terms; 60 and 400 twos make blocks of up to 60
-        # and 400 parts; 18 distinct generators make 2^36 sub-vector pairs.
-        for key in [(61,), (2,) * 60, (2,) * 400, tuple(range(2, 20))]:
+        # f_61 has 178,651 terms; 100 and 400 twos make blocks of up to
+        # 100 and 400 parts; 18 distinct generators make 2^36 sub-vector pairs.
+        for key in [(61,), (2,) * 100, (2,) * 400, tuple(range(2, 20))]:
             with pytest.raises(ResourceCapError):
                 c_const(key)
 
@@ -599,6 +606,119 @@ class TestCConst:
     def test_entries_below_two_rejected(self):
         with pytest.raises(DomainError):
             c_const((2, 1))
+
+
+class TestPrice:
+    """The price of a Wick tree sum or an elementary cumulant
+    (``cumulants._check_work``) against the steps its route takes cold,
+    counted by tracing the lines that make them."""
+
+    @staticmethod
+    def _counted(monkeypatch, call) -> dict[str, int]:
+        clear_cumulant_memos()
+        stratavol.cumulants._common_denominator.cache_clear()
+        stratavol.cumulants._denominator_factor.cache_clear()
+        monkeypatch.setattr(stratavol.exact_arith, "_tangent_column", [1])
+        monkeypatch.setattr(stratavol.exact_arith, "_bernoulli_memo",
+                            {0: Fraction(1), 1: Fraction(-1, 2), 2: Fraction(1, 6)})
+        stratavol.exact_arith.frak_z.cache_clear()
+        stratavol.exact_arith.frak_z_over_pi.cache_clear()
+        steps = {"dp": 0, "tables": 0, "bernoulli": 0}
+        # (function, start of a line) -> (kind, steps the line makes)
+        lines = {
+            ("_fill_rows", "target[degree] +="):
+                ("tables", lambda f: min(len(f["series"]), len(f["row"][f["degree"] - f["d0"]::-2]))),
+            ("dist", "b = blk(head, T)"): ("dp", lambda f: 1),
+            ("dist", "got = blk(head, S)"): ("dp", lambda f: 1),
+            ("down", "d = dist(rest, R)"): ("dp", lambda f: 1),
+            ("blk", "grown = tuple("): ("dp", lambda f: 1),
+            ("_wick_tree_sum", "if i == 0 or lam[i - 1] != w:"): ("dp", lambda f: 1),
+            ("bernoulli", "nxt.append((k - j)"): ("bernoulli", lambda f: 2),
+            ("_denominator_factor", "denominator = frak_z_over_pi(j)"):
+                ("bernoulli", lambda f: f["j"] - 2),
+        }
+        names = {name for name, _ in lines}
+
+        def local(frame, event, arg):
+            if event == "line":
+                text = linecache.getline(frame.f_code.co_filename, frame.f_lineno).strip()
+                for (name, start), (kind, count) in lines.items():
+                    if name == frame.f_code.co_name and text.startswith(start):
+                        steps[kind] += count(frame.f_locals)
+            return local
+
+        def tracer(frame, event, arg):
+            if frame.f_code.co_name == "_build_table":
+                steps["tables"] += len(frame.f_locals["v"]) + 1  # its rows
+            return local if frame.f_code.co_name in names else None
+
+        previous = sys.gettrace()
+        sys.settrace(tracer)
+        try:
+            call()
+        finally:
+            sys.settrace(previous)
+        return steps
+
+    @staticmethod
+    def _parts(request):
+        """(what, values, counts, top, dp) of ``_check_work`` for a request
+        of c_const, wick_leading or elementary_cumulant."""
+        kind, key = request
+        if kind == "cumulant":
+            values = sorted(set(key))
+            return ("cumulant", [{v} for v in values], [key.count(v) for v in values],
+                    sum(key) - len(key) + 2, ())
+        if kind == "wick":
+            kinds = sorted(set(key))
+            return ("Wick", [set(g) for g in kinds], [key.count(g) for g in kinds],
+                    2 + sum(key.count(g) * (g[0] - 1) for g in kinds),
+                    [(1, len(g), 0, len(set(g)), len(g) * (len(set(g)) + 1)) for g in kinds])
+        kinds = sorted(set(key), reverse=True)
+        return ("Wick", [{*range(1, k - 1), k} for k in kinds], [key.count(k) for k in kinds],
+                2 + sum(key.count(k) * (k - 1) for k in kinds),
+                [stratavol.cumulants._generator_steps(k) for k in kinds])
+
+    @pytest.mark.parametrize("request_", [
+        ("cconst", (2,) * 12), ("cconst", (3,) * 8), ("cconst", (4,) * 6),
+        ("cconst", (5,) * 4), ("cconst", (3, 2) * 4), ("cconst", (4, 3, 2) * 2),
+        ("cconst", (6, 5, 4, 3, 3)), ("cconst", (5, 4, 3, 2, 2, 2, 2)),
+        ("cconst", (12,)), ("cconst", (20,)), ("cconst", (26,)),
+        ("wick", ((1,),) * 12), ("wick", ((2, 1),) * 6),
+        ("wick", ((3, 1, 1), (2, 2), (2, 1))), ("wick", ((2,), (2,), (1, 1), (3,))),
+        ("cumulant", (6, 5, 4, 3)), ("cumulant", (1,) * 10), ("cumulant", (200,)),
+        ("cumulant", (30, 30, 29)), ("cumulant", (7, 7, 5, 5, 5, 3)), ("cumulant", (9,) * 6),
+    ], ids=lambda r: f"{r[0]}-{len(r[1])}-{r[1][0]}")
+    def test_price_bounds_the_counted_steps(self, monkeypatch, request_):
+        kind, key = request_
+        call = {"cconst": lambda: c_const(key), "wick": lambda: wick_leading(key),
+                "cumulant": lambda: elementary_cumulant(key)}[kind]
+        counted = self._counted(monkeypatch, call)
+        what, values, counts, top, dp = self._parts(request_)
+        if kind == "cconst":  # the expansions' parts, the terms, their scaling and the states' tags
+            terms = [f_top_expansion(k).terms for k in sorted(set(key), reverse=True)]
+            counted["dp"] += sum(len(lam) for t in terms for lam, _ in t) + len(terms[0])
+            counted["dp"] += sum(map(len, terms)) + prod(c + 1 for c in counts)
+        elif kind == "wick":
+            counted["dp"] += 1 + len(counts) + prod(c + 1 for c in counts)
+        one_key = kind == "cumulant"
+        bound = stratavol.cumulants._table_price(values, counts, 10**30, one_key)
+        listed = stratavol.cumulants._table_price(values, counts, bound - 1, one_key)
+        assert counted["tables"] <= listed <= bound
+        if one_key:  # one key: every table and cell is counted exactly
+            assert listed == counted["tables"]
+        monkeypatch.setattr(stratavol.cumulants, "_table_price", lambda *args: 0)
+        assert stratavol.cumulants._check_work(what, values, counts, top, dp) >= (
+            counted["dp"] + counted["bernoulli"])
+
+    def test_price_admits_every_stratum_through_genus_twelve(self):
+        # Priced only; the 2,011 strata with a zero of order >= 2.
+        for genus in range(2, 13):
+            for mu in enum_int_partitions(2 * genus - 2):
+                if mu[0] > 1:
+                    key = sorted((p + 1 for p in mu), reverse=True)
+                    kinds = sorted(set(key), reverse=True)
+                    stratavol.cumulants.check_generator_work(kinds, [key.count(k) for k in kinds])
 
 
 class TestCSimple:

@@ -12,6 +12,10 @@ the 116 strata the tree-growing route could compute were checked identical
 to it first.
 ``data/golden_genus9.json`` holds the same for all 231 strata of genus 9,
 written before the Wick tree sum's states were shared across calls.
+``data/golden_genus7.json`` and ``data/golden_genus10.json`` hold the same
+for all 77 strata of genus 7 and all 385 of genus 10, written before the
+Wick and cumulant caps became one price, with the caps lifted in the
+writing process only (56 of the genus-10 strata were over them).
 ``data/golden_covers.json`` holds the Burnside rows ``cov_d(p, d)`` and the
 connected series coefficients for d <= 20 of 13 covering profiles, written
 before the Burnside sums of all sub-profiles were merged into one sweep per
@@ -41,6 +45,8 @@ GENUS_7_SMALL = json.loads(
 )
 GENUS_8 = json.loads((Path(__file__).parent / "data" / "golden_genus8.json").read_text())
 GENUS_9 = json.loads((Path(__file__).parent / "data" / "golden_genus9.json").read_text())
+GENUS_7 = json.loads((Path(__file__).parent / "data" / "golden_genus7.json").read_text())
+GENUS_10 = json.loads((Path(__file__).parent / "data" / "golden_genus10.json").read_text())
 COVERS = json.loads((Path(__file__).parent / "data" / "golden_covers.json").read_text())
 
 
@@ -98,6 +104,29 @@ def test_golden_genus_9_table_is_every_stratum():
 
 def test_golden_genus_9_volumes_exact():
     for row in GENUS_9:
+        result = volume(row["mu"])
+        assert result.volume.as_json_dict() == row["volume"], row["mu"]
+        assert result.c_const.as_json_dict() == row["c"], row["mu"]
+
+
+def test_golden_genus_7_table_is_every_stratum_and_holds_the_small_one():
+    assert [row["mu"] for row in GENUS_7] == [list(mu) for mu in enum_int_partitions(12)]
+    assert [row for row in GENUS_7 if len(row["mu"]) <= 3] == GENUS_7_SMALL
+
+
+def test_golden_genus_7_volumes_exact():
+    for row in GENUS_7:
+        result = volume(row["mu"])
+        assert result.volume.as_json_dict() == row["volume"], row["mu"]
+        assert result.c_const.as_json_dict() == row["c"], row["mu"]
+
+
+def test_golden_genus_10_table_is_every_stratum():
+    assert [row["mu"] for row in GENUS_10] == [list(mu) for mu in enum_int_partitions(18)]
+
+
+def test_golden_genus_10_volumes_exact():
+    for row in GENUS_10:
         result = volume(row["mu"])
         assert result.volume.as_json_dict() == row["volume"], row["mu"]
         assert result.c_const.as_json_dict() == row["c"], row["mu"]
