@@ -270,8 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if hasattr(sys, "set_int_max_str_digits"):  # exact results print in full
-        sys.set_int_max_str_digits(0)
     try:
         return args.fn(args)
     except DomainError as exc:

@@ -49,8 +49,8 @@ from .shifted_symmetric import f_top_expansion
 SERIES_ORACLE_CAP = 4
 FOREST_ORACLE_CAP = 5
 # Most steps (``_check_work``) of a Wick tree sum or elementary cumulant: at
-# 0.7-1.3 us a step (2-core Xeon, Python 3.11), `cconst 54`, 56 2s and
-# `cumulant 1998` take 1.6-2.5 s cold; every stratum to genus 12 is admitted.
+# 0.3-1.0 us a step (2-core Xeon, Python 3.11), `cconst 54`, `cumulant 1998`
+# and 20, 19, ..., 9 take 1.4-1.9 s cold; every stratum to genus 12 is admitted.
 WICK_WORK_CAP = 2 * 10**6
 # Most partitions p(0) + ... + p((n + 2) / 2) (``check_partition_work``)
 # that c_simple(n), or a simple-table up to n, may be sized by: n up to
@@ -147,22 +147,29 @@ def _scaled(value, scale: int) -> int:
     return _quotient(value.numerator * scale, value.denominator)
 
 
-@lru_cache(maxsize=None)
-def _block_series(size: int, parts: int) -> tuple[int, int, tuple[int, ...]]:
+_series: dict[tuple[int, int], tuple[int, int, tuple[int, ...]]] = {}
+
+
+def _block_series(size: int, parts: int, degree: int) -> tuple[int, int, tuple[int, ...]]:
     """(Q_B, d_0, the coefficients of Q_B g_B(t) at the degrees d_0,
-    d_0 + 2, ..., size - parts + 1 in integers) for a block of ``parts``
-    indices whose entries sum to ``size``, with d_0 = (size - parts + 1)
-    mod 2 and Q_B = ``_common_denominator(size - parts + 1)``; frak_z
-    vanishes at odd arguments and beyond, so the other coefficients are 0.
-    Q_B divides Q_v for every multiset v holding the block."""
+    d_0 + 2, ... up to ``degree`` at least, in integers) for a block of
+    ``parts`` indices whose entries sum to ``size``, with top = size -
+    parts + 1, d_0 = top mod 2 and Q_B = ``_common_denominator(top)``;
+    frak_z vanishes at odd arguments and beyond, so the other coefficients
+    are 0.  Q_B divides Q_v for every multiset v holding the block.  v's
+    table reads the degrees up to #v + its excess, so a series is widened
+    only as far as a table asks."""
     top = size - parts + 1
-    scale = _common_denominator(top)
-    series = []
-    for d in range(top % 2, top + 1, 2):
-        z = frak_z_over_pi(top - d)
-        series.append(_quotient(factorial(size) * z.numerator * scale,
-                                z.denominator * factorial(d)))
-    return scale, top % 2, tuple(series)
+    got = _series.get((size, parts))
+    if got is None or got[1] + 2 * len(got[2]) <= degree:
+        scale, d0, series = got or (_common_denominator(top), top % 2, ())
+        series = list(series)
+        for d in range(d0 + 2 * len(series), degree + 1, 2):
+            z = frak_z_over_pi(top - d)
+            series.append(_quotient(factorial(size) * z.numerator * scale,
+                                    z.denominator * factorial(d)))
+        got = _series[size, parts] = (scale, d0, tuple(series))
+    return got
 
 
 # The partition tables of sorted sub-multisets v, shared by every key for
@@ -224,7 +231,8 @@ def _fill_rows(v: tuple[int, ...], scale: int, old: list[list[int]],
         return rows  # every new cell has the other parity
     for block, rest, ways in vector_splits(tuple(v.count(x) for x in values), True):
         key = tuple(chain.from_iterable(map(repeat, values, rest)))
-        block_scale, d0, series = _block_series(sum(map(mul, block, values)), sum(block))
+        size, parts = sum(map(mul, block, values)), sum(block)
+        block_scale, d0, series = _block_series(size, parts, min(size - parts + 1, len(v) + excess))
         weight = ways * _quotient(scale, block_scale)
         if key:
             _, rest_scale, rest_rows = _table(key, excess + 1)
@@ -252,15 +260,10 @@ def elementary_cumulant_series_oracle(m) -> PiScalar:
     their denominators and a term of l blocks by U^(n - l), and divides
     by U^n once.
     """
-    key = _canon_key(m)
-    n = len(key)
+    key = _canon_key(m)  # also the exponents of x^m, in variable order
+    n, max_deg = len(key), sum(key)
     if n > SERIES_ORACLE_CAP:
-        raise ResourceCapError(
-            f"series oracle supports at most {SERIES_ORACLE_CAP} parts, got {n}"
-        )
-    total_size = sum(key)
-    max_deg = total_size
-    target = key  # exponent tuple in variable order
+        raise ResourceCapError(f"series oracle supports at most {SERIES_ORACLE_CAP} parts, got {n}")
     zs = [frak_z_over_pi(j) for j in range(max_deg + 2)]
     unit = lcm(*(z.denominator for z in zs))
     zs = [z.numerator * (unit // z.denominator) for z in zs]
@@ -285,19 +288,15 @@ def elementary_cumulant_series_oracle(m) -> PiScalar:
         if ell == 1:
             # tree factor is 1; series is sum_j frak_z(j) (sum x)^(j+n-2)
             poly = series(range(n), n - 2)
-            total += mvpoly.coefficient(poly, target) * unit ** (n - 1)
+            total += mvpoly.coefficient(poly, key) * unit ** (n - 1)
             continue
 
         sign = 1 if ell % 2 == 1 else -1
         poly = mvpoly.power(all_vars, ell - 2, n, max_deg)
         for block in alpha:
             poly = mvpoly.mul(poly, series(block, len(block) - 1), max_deg)
-        total += sign * mvpoly.coefficient(poly, target) * unit ** (n - ell)
-
-    m_factorial = 1
-    for v in key:
-        m_factorial *= factorial(v)
-    return PiScalar(Fraction(m_factorial * total, unit**n), total_size - n + 2)
+        total += sign * mvpoly.coefficient(poly, key) * unit ** (n - ell)
+    return PiScalar(Fraction(prod(map(factorial, key)) * total, unit**n), max_deg - n + 2)
 
 
 def t_poly_forest_oracle(rho: SetPartition) -> bool:
@@ -307,9 +306,8 @@ def t_poly_forest_oracle(rho: SetPartition) -> bool:
     blocks of rho, each contributing the product of x_i x_j over edges."""
     n = rho.n
     if n > FOREST_ORACLE_CAP:
-        raise ResourceCapError(
-            f"forest oracle supports at most {FOREST_ORACLE_CAP} points, got {n}"
-        )
+        raise ResourceCapError(f"forest oracle supports at most {FOREST_ORACLE_CAP} points, "
+                               f"got {n}")
     ell = rho.length
 
     # Closed form: (-1)^(l-1) (sum x)^(l-2) prod_blocks (block sum); equal
@@ -325,16 +323,9 @@ def t_poly_forest_oracle(rho: SetPartition) -> bool:
 
     # Forest sum over (l-1)-subsets of cross-block edges whose contraction
     # is a spanning tree on the blocks.
-    block_of = {}
-    for bi, block in enumerate(rho.blocks):
-        for x in block:
-            block_of[x] = bi
-    cross_edges = [
-        (i, j)
-        for i in range(1, n + 1)
-        for j in range(i + 1, n + 1)
-        if block_of[i] != block_of[j]
-    ]
+    block_of = {x: bi for bi, block in enumerate(rho.blocks) for x in block}
+    cross_edges = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)
+                   if block_of[i] != block_of[j]]
     sign = 1 if ell % 2 == 1 else -1
     forest_sum = mvpoly.zero()
     for edges in combinations(cross_edges, ell - 1):
@@ -346,20 +337,17 @@ def t_poly_forest_oracle(rho: SetPartition) -> bool:
                 x = parent[x]
             return x
 
-        acyclic = True
         for i, j in edges:
             ri, rj = find(block_of[i]), find(block_of[j])
             if ri == rj:
-                acyclic = False
-                break
+                break  # a cycle
             parent[ri] = rj
-        if not acyclic:
-            continue
-        mono_poly = mvpoly.const(n, 1)
-        for i, j in edges:
-            mono_poly = mvpoly.mul(mono_poly, mvpoly.variable(n, i - 1))
-            mono_poly = mvpoly.mul(mono_poly, mvpoly.variable(n, j - 1))
-        forest_sum = mvpoly.add_scaled(forest_sum, mono_poly, sign)
+        else:
+            mono_poly = mvpoly.const(n, 1)
+            for i, j in edges:
+                mono_poly = mvpoly.mul(mono_poly, mvpoly.variable(n, i - 1))
+                mono_poly = mvpoly.mul(mono_poly, mvpoly.variable(n, j - 1))
+            forest_sum = mvpoly.add_scaled(forest_sum, mono_poly, sign)
 
     return closed == forest_sum
 
@@ -396,43 +384,60 @@ def _check_work(what: str, values, counts, top: int, dp=()) -> int:
     """The price of a request from its key, before any expansion, cumulant
     or table; ResourceCapError when over WICK_WORK_CAP.  counts[h] groups
     or key entries of type h take parts from ``values[h]``, one per group
-    in a block.  It bounds the products of the tangent triangle and the
-    factorials up to ``top``, the tables (``_table_price``), and for a Wick
-    tree sum, with ``dp`` per type (terms, parts, parts expanded, entries,
-    value tuples), a step per term and part, then per vector S below the
-    root each T <= S per value tuple (``dist``) and entry (``down``), and
-    per block key each first-block split and part (``blk``)."""
-    price = 2 * (top // 2) ** 2
+    in a block, n in all; a product or division of an a-bit and a b-bit
+    integer is 1 + a b / 2^20 steps.  It bounds the tangent triangle and
+    factorials up to ``top``; for a Wick tree sum, with ``dp`` per type
+    (terms, parts, parts expanded, entries, value tuples), a step per term
+    and part, per vector S below the root each T <= S per value tuple
+    (``dist``) and entry (``down``), per block key each first-block split
+    and part (``blk``); per number p of parts, a block series per size s
+    from the sum of the p smallest parts to that of the p largest, of
+    <= n / 2 + 1 coefficients of <= 2 s log2 s bits; and prod C(c + v, c)
+    tables of n + 1 rows, <= prod (m + 1) splits of n steps (the rest's
+    key) and rows of 0, 1, 1, 2, ... n / 2 cells of as many products of a
+    coefficient by a cell of <= n bits(Q) + s log2 s bits, bits(Q) <= 3 top
+    / 2 + 8.  When that bound is over the cap but not its rows, the tables
+    are listed: 150-250 us a genus-6 stratum, against 10-20 us for all else."""
+    n = sum(counts)
+    price, rows, splits, hi, lo = 2 * (top // 2) ** 2, n + 1, 1, [], []
+    states = pairs = below = every = 1
+    steps, tuples, entries, blocks = dp[0][0] if dp else 0, 0, 0, []
+    for h, (vs, c) in enumerate(zip(values, counts)):
+        v, first = len(vs), h == 0
+        rows, splits = rows * comb(c + v, c), splits * comb(c + 2 * v, c)
+        hi += [max(vs)] * c
+        lo += [min(vs)] * c
+        if dp:
+            d, b = dp[h], c - first
+            states, pairs, below = states * (c + 1), pairs * (b + 1) * (b + 2) // 2, below * (b + 1)
+            steps, tuples, entries = steps + d[0] + d[1] + d[2], tuples + d[4], entries + d[3]
+            blocks.append((comb(c + v + 2, c) - (c + 1) * first,
+                           (comb(c + v + 1, c - 1) - c * first) * v))
+            every *= blocks[-1][0]
     if dp:
-        below = (counts[0] - 1, *counts[1:])
-        price += prod(c + 1 for c in counts) + dp[0][0] + sum(sum(d[:3]) for d in dp)
-        price += prod((c + 1) * (c + 2) // 2 for c in below) * sum(d[4] for d in dp)
-        price += (prod(c + 1 for c in below) - 1) * sum(d[3] for d in dp)
-        blocks = [(comb(c + len(vs) + 2, c) - (c + 1) * (h == 0),
-                   (comb(c + len(vs) + 1, c - 1) - c * (h == 0)) * len(vs))
-                  for h, (vs, c) in enumerate(zip(values, counts))]
-        price += sum(prod(b[0] for b in blocks) // every * some for every, some in blocks)
-    if price <= WICK_WORK_CAP:
-        price += _table_price(values, counts, WICK_WORK_CAP - price, not dp)
+        price += states + steps + pairs * tuples + (below - 1) * entries + sum(
+            every // own * some for own, some in blocks)
+    size = low = 0
+    for big, small in zip(sorted(hi, reverse=True), sorted(lo)):
+        size, low = size + big, low + small
+        price += (size - low + 1) * (n // 2 + 1) * (1 + ((2 * size * size.bit_length()) ** 2 >> 20))
+    log = size * size.bit_length()
+    tables = rows + splits * (n + (n // 2) * (n // 2 + 1) * (n // 2 + 2) // 3
+                              * (1 + (2 * log * (n * (3 * (size - n + 2) // 2 + 8) + log) >> 20)))
+    if rows <= WICK_WORK_CAP and price <= WICK_WORK_CAP < price + tables:
+        tables = _listed_tables(values, counts, WICK_WORK_CAP - price, not dp)
+    price += tables * (price <= WICK_WORK_CAP)
     if price > WICK_WORK_CAP:
         raise ResourceCapError(f"{what} work of at least {price} steps exceeds cap {WICK_WORK_CAP}")
     return price
 
 
-def _table_price(values, counts, left: int, one_key: bool) -> int:
-    """Steps (rows, cell products) of the tables read by block keys of <=
-    counts[h] parts from values[h], or by ``one_key`` (largest last).  The
-    bound prod C(c + v, c) tables of n + 1 rows, <= prod (m + 1) splits of
-    rows of 0, 1, 1, 2, ... n / 2 cells of as many products, unless it is
-    past ``left`` with its rows under the cap: then each table read is
-    counted, a key's and its sub-multisets' less a block with its largest
-    part, to degrees l - 2 + (parts left out that are >= their largest)."""
+def _listed_tables(values, counts, left: int, one_key: bool) -> int:
+    """The steps of each table read by block keys of <= counts[h] parts
+    from values[h], or by ``one_key`` (largest last), until past ``left``
+    (``_cells``): a key's and its sub-multisets' less a block with its
+    largest part, to degrees l - 2 + (parts left out that are >= it)."""
     n, keys, total = sum(counts), {()}, 0
-    rows = (n + 1) * prod(comb(c + len(vs), c) for vs, c in zip(values, counts))
-    bound = rows + (n // 2) * (n // 2 + 1) * (n // 2 + 2) // 3 * prod(
-        comb(c + 2 * len(vs), c) for vs, c in zip(values, counts))
-    if rows > WICK_WORK_CAP or bound <= left:
-        return bound
     for h, (vs, c) in enumerate(zip(values, counts)):
         picks = [p for j in range(c + 1 - (one_key and h == len(counts) - 1))
                  for p in combinations_with_replacement(sorted(vs), j)]
@@ -450,21 +455,24 @@ def _table_price(values, counts, left: int, one_key: bool) -> int:
 
 @lru_cache(maxsize=None)
 def _cells(v: tuple[int, ...], excess: int) -> int:
-    """The cell products of v's table to degrees l + ``excess`` (``_fill_rows``): per split,
-    rows of cells of one parity, the i-th of min(i, block series length) products."""
+    """The steps of v's table to degrees l + ``excess`` (``_fill_rows``):
+    per split, #v for the rest's key and rows of cells of one parity, the
+    i-th of min(i, series length) products of a coefficient of the block
+    (size s, <= 2 s log2 s bits) by a cell of row l (``_check_work``)."""
     values = sorted(set(v), reverse=True)
     mult = [v.count(x) for x in values]
-    parity, total = sum(v) - len(v), 0
+    parity, log, total = sum(v) - len(v), sum(v) * sum(v).bit_length(), 0
     for block in product(range(1, mult[0] + 1), *(range(c + 1) for c in mult[1:])):
-        parts = sum(block)
-        top = sum(map(mul, block, values)) - parts + 1
-        length, odd = top // 2 + 1, top % 2
+        parts, s = sum(block), sum(map(mul, block, values))
+        length, odd = (s - parts + 1) // 2 + 1, (s - parts + 1) % 2
+        total += len(v)
         for ell in range(2, len(v) - parts + 2) if parts < len(v) else (1,):
             start = (parity + ell) & 1
             cells = (ell + excess - start - 2 * (start < odd)) // 2 + 1
             if cells > 0:
                 low = cells if cells < length else length
-                total += low * (low + 1) // 2 + (cells - low) * length
+                total += (low * (low + 1) // 2 + (cells - low) * length) * (
+                    1 + (2 * s * s.bit_length() * (ell * (3 * parity // 2 + 11) + log) >> 20))
     return total
 
 
@@ -718,9 +726,7 @@ def c_simple(n: int) -> PiScalar:
     total = Fraction(0)
     for half in iter_int_partitions((n + 2) // 2):
         ell = len(half)
-        kappa = 1
-        for c in half.multiplicities().values():
-            kappa *= factorial(c)
+        kappa = prod(map(factorial, half.multiplicities().values()))
         term = Fraction((-1) ** (ell - 1), kappa * factorial(2 * n - ell + 2))
         for p in (2 * h for h in half):
             term *= prod(range(2 * p - 3, 0, -2)) * frak_z_over_pi(p)
@@ -765,14 +771,9 @@ class VolumeResult(Record):
     __slots__ = ("mu", "genus", "dim", "volume", "c_const", "route")
 
     def as_json_dict(self) -> dict:
-        return {
-            "mu": list(self.mu),
-            "genus": self.genus,
-            "dim": self.dim,
-            "c": self.c_const.as_json_dict(),
-            "volume": self.volume.as_json_dict(),
-            "route": self.route,
-        }
+        return {"mu": list(self.mu), "genus": self.genus, "dim": self.dim,
+                "c": self.c_const.as_json_dict(), "volume": self.volume.as_json_dict(),
+                "route": self.route}
 
 
 def volume(mu, cross_check: bool = False) -> VolumeResult:
@@ -793,18 +794,9 @@ def volume(mu, cross_check: bool = False) -> VolumeResult:
         c_value = c_simple(spec.mu.length)
         route = ROUTE_SIMPLE
         if cross_check and general != c_value:
-            raise RuntimeError(
-                f"route disagreement for mu={spec.mu}: {general} vs {c_value}"
-            )
+            raise RuntimeError(f"route disagreement for mu={spec.mu}: {general} vs {c_value}")
     else:
         c_value = c_const(shifted)
         route = ROUTE_GENERAL
-    vol = c_value / spec.dim
-    return VolumeResult(
-        mu=spec.mu,
-        genus=spec.genus,
-        dim=spec.dim,
-        volume=vol,
-        c_const=c_value,
-        route=route,
-    )
+    return VolumeResult(mu=spec.mu, genus=spec.genus, dim=spec.dim, volume=c_value / spec.dim,
+                        c_const=c_value, route=route)

@@ -12,6 +12,7 @@ pi*x/sin(pi*x).
 from __future__ import annotations
 
 import threading
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
@@ -168,20 +169,29 @@ class PiScalar(Record):
 
     def as_json_dict(self) -> dict:
         return {
-            "num": str(self.coeff.numerator),
-            "den": str(self.coeff.denominator),
+            "num": _digits(self.coeff.numerator),
+            "den": _digits(self.coeff.denominator),
             "pi_pow": self.pi_pow,
         }
 
     def __str__(self) -> str:
         if self.coeff == 0:
             return "0"
+        coeff = _digits(self.coeff.numerator)
+        if self.coeff.denominator != 1:
+            coeff += "/" + _digits(self.coeff.denominator)
         if self.pi_pow == 0:
-            return str(self.coeff)
+            return coeff
         pi_part = "pi" if self.pi_pow == 1 else f"pi^{self.pi_pow}"
         if self.coeff == 1:
             return pi_part
-        return f"{self.coeff}*{pi_part}"
+        return f"{coeff}*{pi_part}"
+
+
+def _digits(n: int) -> str:
+    """n in decimal, every digit: unlike str(n), str(Decimal(n)) is exact
+    at any length, with no limit on the digits of an int."""
+    return str(Decimal(n))
 
 
 @lru_cache(maxsize=None)

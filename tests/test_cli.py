@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ import stratavol.npoint
 from stratavol.cli import main
 from stratavol.cumulants import SIMPLE_WORK_CAP
 from stratavol.errors import ResourceCapError
+from stratavol.exact_arith import PiScalar
 from stratavol.npoint import NPOINT_WORK_CAP
 from stratavol.partitions import check_partition_work
 
@@ -124,11 +126,14 @@ class TestCumulantCommands:
         assert code == 3
         assert "cap" in err
 
-    @pytest.mark.parametrize("key", ["2400", "3000", ",".join(["300"] * 12)])
+    @pytest.mark.parametrize("key", ["2400", "3000", ",".join(["300"] * 12),
+                                     ",".join(map(str, range(41, 29, -1))),
+                                     ",".join(map(str, range(136, 124, -1)))])
     def test_work_cap_exits_fast(self, capsys, monkeypatch, key):
         # Over the price by the Bernoulli numbers, and by them and the
-        # tables: uncapped, `cumulant 2400` took 2.4 s and `cumulant 3000`
-        # 4.9 s.
+        # tables, whose cells grow with the parts: uncapped, `cumulant
+        # 2400` took 2.4 s, `cumulant 3000` 4.9 s, 41, 40, ..., 30 3.3 s
+        # and 136, 135, ..., 125 over a minute.
         def forbidden(*args):
             raise AssertionError("a cumulant was computed")
 
@@ -138,6 +143,20 @@ class TestCumulantCommands:
         assert time.perf_counter() - start < 1.0
         assert code == 3
         assert out == "" and "cumulant work" in err
+
+
+    @pytest.mark.parametrize("output", ["json", "plain"])
+    def test_long_results_print_in_full(self, capsys, monkeypatch, output):
+        # 7^6000 has 5,071 digits, over the 4,300 that str(int) allows by
+        # default; the limit itself is left as it was.
+        value = PiScalar(Fraction(7**6000, 3), 2)
+        monkeypatch.setattr(stratavol.cli, "elementary_cumulant", lambda m: value)
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        code, out, _ = run_cli(capsys, "cumulant", "2", "--output", output)
+        assert code == 0 and out.count(f"{pow(7, 6000, 10**6)}/3*pi^2" if output == "plain"
+                                       else f"{pow(7, 6000, 10**6)}\"") == 1
+        assert len(out) > 5071
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
 
 class TestFkCommand:

@@ -50,7 +50,7 @@ def clear_cumulant_memos():
     denominator in force."""
     stratavol.cumulants._cumulant_over_pi.cache_clear()
     stratavol.cumulants._tables.clear()
-    stratavol.cumulants._block_series.cache_clear()
+    stratavol.cumulants._series.clear()
     stratavol.cumulants._wick_memo["memo"] = (1, {}, {}, {}, {})
 
 
@@ -116,11 +116,13 @@ class TestElementaryCumulant:
     def test_work_cap_boundary(self, monkeypatch):
         # The keys nearest the cap from each side, from the price alone:
         # the Bernoulli numbers decide a key of few parts, the partition
-        # tables one of many equal or distinct parts.
+        # tables one of many equal or distinct parts.  Cold, with start-up,
+        # 1998 takes 1.3-1.7 s, fifty-five 2s 1.0-1.3 s and 20, 19, ..., 9
+        # 1.4-1.9 s on a 2-core Xeon.
         monkeypatch.setattr(stratavol.cumulants, "_cumulant_over_pi", lambda key: Fraction(0))
-        for admitted, refused in [((1998,), (1999,)), ((1001, 997), (1002, 998)),
-                                  ((2,) * 57, (2,) * 58),
-                                  (tuple(range(136, 124, -1)), tuple(range(137, 125, -1)))]:
+        for admitted, refused in [((1998,), (1999,)), ((999, 995), (1000, 996)),
+                                  ((2,) * 55, (2,) * 56),
+                                  (tuple(range(20, 8, -1)), tuple(range(21, 9, -1)))]:
             elementary_cumulant(admitted)
             with pytest.raises(ResourceCapError, match="cumulant work"):
                 elementary_cumulant(refused)
@@ -623,11 +625,19 @@ class TestPrice:
                             {0: Fraction(1), 1: Fraction(-1, 2), 2: Fraction(1, 6)})
         stratavol.exact_arith.frak_z.cache_clear()
         stratavol.exact_arith.frak_z_over_pi.cache_clear()
-        steps = {"dp": 0, "tables": 0, "bernoulli": 0}
-        # (function, start of a line) -> (kind, steps the line makes)
+        steps = {"dp": 0, "tables": 0, "series": 0, "bernoulli": 0}
+        # (function, start of a line) -> (kind, steps the line makes); a
+        # product or division of an a-bit and a b-bit integer makes
+        # 1 + a b / 2^20, from the sizes of the integers as they are.
         lines = {
-            ("_fill_rows", "target[degree] +="):
-                ("tables", lambda f: min(len(f["series"]), len(f["row"][f["degree"] - f["d0"]::-2]))),
+            ("_fill_rows", "key = tuple("): ("tables", lambda f: len(f["v"])),
+            ("_fill_rows", "target[degree] +="): ("tables", lambda f: sum(
+                1 + (a.bit_length() * b.bit_length() >> 20)
+                for a, b in zip(f["series"], f["row"][f["degree"] - f["d0"]::-2]))),
+            ("_block_series", "z = frak_z_over_pi(top - d)"): ("series", lambda f: 1 + ((
+                factorial(f["size"]) * f["scale"]
+                * stratavol.exact_arith.frak_z_over_pi(f["top"] - f["d"]).numerator
+            ).bit_length() ** 2 >> 20)),
             ("dist", "b = blk(head, T)"): ("dp", lambda f: 1),
             ("dist", "got = blk(head, S)"): ("dp", lambda f: 1),
             ("down", "d = dist(rest, R)"): ("dp", lambda f: 1),
@@ -688,6 +698,8 @@ class TestPrice:
         ("wick", ((3, 1, 1), (2, 2), (2, 1))), ("wick", ((2,), (2,), (1, 1), (3,))),
         ("cumulant", (6, 5, 4, 3)), ("cumulant", (1,) * 10), ("cumulant", (200,)),
         ("cumulant", (30, 30, 29)), ("cumulant", (7, 7, 5, 5, 5, 3)), ("cumulant", (9,) * 6),
+        ("cumulant", (90, 80, 70, 60, 50)), ("cumulant", (150,) * 5), ("cumulant", (300, 200)),
+        ("cumulant", (40, 37, 34, 31, 28, 25, 22)),
     ], ids=lambda r: f"{r[0]}-{len(r[1])}-{r[1][0]}")
     def test_price_bounds_the_counted_steps(self, monkeypatch, request_):
         kind, key = request_
@@ -701,15 +713,15 @@ class TestPrice:
             counted["dp"] += sum(map(len, terms)) + prod(c + 1 for c in counts)
         elif kind == "wick":
             counted["dp"] += 1 + len(counts) + prod(c + 1 for c in counts)
-        one_key = kind == "cumulant"
-        bound = stratavol.cumulants._table_price(values, counts, 10**30, one_key)
-        listed = stratavol.cumulants._table_price(values, counts, bound - 1, one_key)
-        assert counted["tables"] <= listed <= bound
-        if one_key:  # one key: every table and cell is counted exactly
-            assert listed == counted["tables"]
-        monkeypatch.setattr(stratavol.cumulants, "_table_price", lambda *args: 0)
-        assert stratavol.cumulants._check_work(what, values, counts, top, dp) >= (
-            counted["dp"] + counted["bernoulli"])
+        # The price by the closed-form bound, then with the tables listed;
+        # the listed tables, and all else, each bound their own steps.
+        monkeypatch.setattr(stratavol.cumulants, "WICK_WORK_CAP", 10**30)
+        bound = stratavol.cumulants._check_work(what, values, counts, top, dp)
+        monkeypatch.setattr(stratavol.cumulants, "WICK_WORK_CAP", bound - 1)
+        listed = stratavol.cumulants._check_work(what, values, counts, top, dp)
+        tables = stratavol.cumulants._listed_tables(values, counts, 10**30, kind == "cumulant")
+        assert counted["tables"] <= tables and listed < bound
+        assert counted["dp"] + counted["series"] + counted["bernoulli"] <= listed - tables
 
     def test_price_admits_every_stratum_through_genus_twelve(self):
         # Priced only; the 2,011 strata with a zero of order >= 2.

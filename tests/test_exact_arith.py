@@ -195,6 +195,14 @@ class TestPiScalar:
         assert str(PiScalar(Fraction(8, 135), 6)) == "8/135*pi^6"
         assert str(PiScalar.zero()) == "0"
 
+    def test_every_digit_printed(self):
+        # 7^6000 has 5,071 digits, over the 4,300 of str(int) by default.
+        value = PiScalar(Fraction(-(7**6000), 3), 2)
+        text, data = str(value), value.as_json_dict()
+        assert text.startswith("-") and text.endswith(f"{pow(7, 6000, 10**6)}/3*pi^2")
+        assert len(text) == 1 + 5071 + len("/3*pi^2")
+        assert data["num"] == text[:1 + 5071] and data["den"] == "3"
+
 
 def test_pi_approx_digits():
     v = pi_approx()
