@@ -6,19 +6,21 @@ integers over central characters from Frobenius' formula in content form),
 through its generating q-series, and, for small degrees, through direct
 enumeration of monodromy tuples in the symmetric group.
 
-The Burnside sum takes one of two routes per degree.  When every cycle is
-at most 4, each central character is a closed form linear in the content
-power sums p_1, p_2, p_3 (``characters.content_form``), so the sum is a
-combination of the moments sum_{lam |- d} p_1^a p_2^b p_3^c.  These live
-in one table shared by every profile for the life of the process,
-``_columns``: one integer column per monomial over the states (degree,
-largest part), each a scalar recursion that removes the first row of a
-partition and reads only earlier columns (``_grow_columns``).  A request
-grows only the columns of its monomials and only through its degree, and
-visits no partition.  Otherwise, and for a short profile whose sweep is
-priced cheaper than the column-states it would add, one sweep over the
-partitions of the degree evaluates each cycle length once per partition:
-closed forms for short cycles, rim-hook residues for long ones.
+The Burnside sum takes one of two routes per degree, which share no
+formula for f_m.  When every cycle is at most 4, each central character
+is a closed form linear in the content power sums p_1, p_2, p_3
+(``characters.content_form``), so the sum is a combination of the
+moments sum_{lam |- d} p_1^a p_2^b p_3^c.  These live in one table shared
+by every profile for the life of the process, ``_columns``: one integer
+column per monomial over the states (degree, largest part), each a
+scalar recursion that removes the first row of a partition and reads
+only earlier columns (``_grow_columns``).  A request grows only the
+columns of its monomials and only through its degree, and visits no
+partition.  Otherwise, and for a short profile whose sweep is priced
+cheaper than the column-states it would add, one sweep over the
+partitions of the degree evaluates each cycle length once per partition
+by its rim-hook residues (``characters.hook_value``), whatever its
+length.
 
 A profile's monomials lie within bounds (``_moment_bounds``) whose last
 monomial in growth order (``_monomials``), the corner, has top degree and
@@ -50,16 +52,7 @@ from itertools import accumulate, islice, permutations, repeat
 from math import comb, factorial, inf, isqrt, prod
 from operator import add, mul
 
-from .characters import (
-    CONTENT_POLY_MAX_M,
-    CONTENT_POWERS,
-    beta_numbers,
-    content_form,
-    content_power_sums,
-    content_prefix,
-    content_value,
-    hook_value,
-)
+from .characters import CONTENT_POLY_MAX_M, beta_numbers, content_form, hook_value
 from .errors import DomainError, ResourceCapError
 from .partitions import (
     iter_int_partitions,
@@ -75,11 +68,12 @@ from .qseries import QSeries, euler_series
 BRUTE_FORCE_CAP = 5
 BRUTE_FORCE_WORK_CAP = 5 * 10**5
 # The caps of a Burnside row priced as the series through it (``_route``).
-# The most partitions its sweeps may visit, at a few microseconds each
-# (degrees up to 48), or column-states its moments may store; and the most
-# (partition, sub-profile) products the sweeps may sum, at about a
-# microsecond each, or multiply-adds the moments may make: 2,3,...,21 (2^k
-# sub-profiles for k distinct cycles) is refused from degree 15 on.
+# The most partitions its sweeps may visit, at 2-7 microseconds each per
+# distinct cycle length (degrees up to 48), or column-states its moments
+# may store; and the most (partition, sub-profile) products the sweeps may
+# sum, at about a microsecond each, or multiply-adds the moments may make:
+# 2,3,...,21 (2^k sub-profiles for k distinct cycles) is refused from
+# degree 15 on.
 BURNSIDE_WORK_CAP = 10**6
 BURNSIDE_PRODUCT_CAP = 10**7
 # Most multiply-adds the exponential formula of one connected series may
@@ -165,35 +159,23 @@ def _sweep(key: tuple[int, ...], d: int) -> None:
     sorted sub-multiset of ``key`` (cycles no longer than d, longest
     first), from one pass over the partitions of d.
 
-    At each lam the beta numbers and the content power sums the short
-    cycles read are computed once, and each distinct cycle length once:
-    cycles longer than ``CONTENT_POLY_MAX_M`` by the residue sum over
-    removable m-rim hooks (``characters.hook_value``), shorter ones by
-    their closed forms in the content power sums
-    (``characters.content_value``), which are read from prefix tables over
-    the contents -d..d.  Each sub-multiset then costs one integer
-    multiplication: its value with the last cycle dropped times the value
-    of that cycle.
+    At each lam the beta numbers are computed once, and each distinct cycle
+    length m once, by the residue sum over removable m-rim hooks
+    (``characters.hook_value``): the sweep reads no closed form.  Each
+    sub-multiset then costs one integer multiplication: its value with the
+    last cycle dropped times the value of that cycle.
     """
     subs, plan = _sub_profiles(key)
     lengths = sorted(set(key), reverse=True)
-    long = [m for m in lengths if m > CONTENT_POLY_MAX_M]
-    short = [m for m in lengths if m <= CONTENT_POLY_MAX_M]
-    prefix = content_prefix(d, sorted({k for m in short for k in CONTENT_POWERS[m]}))
     f = [0] * (key[0] + 1 if key else 0)
     values = [1] * len(subs)
     totals = [0] * len(subs)
     for lam in iter_int_partitions(d):
         totals[0] += 1
-        if long:
-            beta = beta_numbers(lam)
-            beta_set = set(beta)
-            for m in long:
-                f[m] = hook_value(m, beta, beta_set)
-        if short:
-            sums = content_power_sums(lam, prefix)
-            for m in short:
-                f[m] = content_value(m, d, sums)
+        beta = beta_numbers(lam)
+        beta_set = set(beta)
+        for m in lengths:
+            f[m] = hook_value(m, beta, beta_set)
         for i, parent, m in plan:
             value = values[parent] * f[m]
             values[i] = value
@@ -209,10 +191,11 @@ def _sweep(key: tuple[int, ...], d: int) -> None:
 # Multiply-adds of the column passes that cost about as much as one
 # (partition, sub-profile) product of a sweep, the unit of the sweep's
 # price (``_route``).  On a 2-core Xeon with Python 3.11, cold columns
-# through degree 20 or 28 cost 0.2-0.4 us a multiply-add, and one sweep
-# of that degree 0.5-2.5 us a product, for eleven short profiles from
-# (2, 2) to (4, 4, 3, 3, 2, 2) and six 4-cycles: 2.3 to 12 multiply-adds
-# a product, median 5.8.
+# through degree 20 or 28 cost 0.1-0.4 us a multiply-add, and one sweep
+# of that degree, by rim-hook residues, 0.8-4.5 us a product, for eleven
+# short profiles from (2, 2) to (4, 4, 3, 3, 2, 2) and six 4-cycles: 4 to
+# 26 multiply-adds a product, median 11-12 over three runs.  Only wide
+# profiles at low degree take the sweep, where six 4-cycles measure 6 to 8.
 MOMENT_TERMS_PER_PRODUCT = 6
 
 

@@ -7,9 +7,10 @@ class DomainError(ValueError):
 
 
 class ResourceCapError(RuntimeError):
-    """A request would exceed a fixed enumeration cap (set-partition ground
-    set too large, brute-force degree too high).  Raised before the
-    enumeration starts."""
+    """A request's price, counted from its key before any work, exceeds a
+    fixed cap: the steps of a Wick tree sum or elementary cumulant, the
+    partitions or column-states of a Burnside row's route, the tuples of a
+    brute-force count.  Raised before the work starts."""
 
 
 class Record:

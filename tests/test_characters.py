@@ -6,16 +6,12 @@ import pytest
 
 from stratavol.characters import (
     CONTENT_POLY_MAX_M,
-    CONTENT_POWERS,
     beta_numbers,
     central_char_f,
     character,
     character_cache,
     conjugacy_class_size,
     content_form,
-    content_power_sums,
-    content_prefix,
-    content_value,
     dimension,
     hook_value,
 )
@@ -188,22 +184,13 @@ def _central_by_mn(m, lam):
 
 class TestContentPoly:
     def test_closed_forms(self):
-        # f_2 = p_1, f_3 = p_2 - n(n-1)/2 and f_4 = p_3 - (2n-3) p_1, each
-        # given only the power sums it reads, on every lam with |lam| <= 14,
-        # including |lam| < m where f_m is 0.
-        for d in range(15):
-            for lam in enum_int_partitions(d):
-                for m in range(2, CONTENT_POLY_MAX_M + 1):
-                    sums = _box_power_sums(lam, CONTENT_POWERS[m])
-                    assert content_value(m, d, sums) == _central_by_mn(m, lam), (m, lam)
-        assert sorted(CONTENT_POWERS) == list(range(2, CONTENT_POLY_MAX_M + 1))
+        # Closed forms exist for cycle lengths 2..CONTENT_POLY_MAX_M only.
         for m in (1, CONTENT_POLY_MAX_M + 1):
             with pytest.raises(DomainError):
-                content_value(m, 8, dict.fromkeys(range(8), 0))
+                content_form(m, 8)
 
     def test_linear_forms(self):
-        # The coefficients of each closed form give f_m from p_1, p_2, p_3,
-        # and name exactly the powers it reads.
+        # The coefficients of each closed form give f_m from p_1, p_2, p_3.
         for d in range(13):
             for lam in enum_int_partitions(d):
                 p = _box_power_sums(lam, (1, 2, 3))
@@ -211,19 +198,6 @@ class TestContentPoly:
                     a = content_form(m, d)
                     value = a[0] + a[1] * p[1] + a[2] * p[2] + a[3] * p[3]
                     assert value == _central_by_mn(m, lam), (m, lam)
-                    assert CONTENT_POWERS[m] == tuple(k for k in (1, 2, 3) if a[k])
-        with pytest.raises(DomainError):
-            content_form(CONTENT_POLY_MAX_M + 1, 8)
-
-    def test_power_sums_match_boxes(self):
-        # Each power alone and every set a sweep asks for, on tables sized
-        # for |lam| and for larger partitions.
-        for d in range(15):
-            for lam in enum_int_partitions(d):
-                for powers in ((1,), (2,), (3,), (1, 3), (1, 2, 3)):
-                    want = _box_power_sums(lam, powers)
-                    assert content_power_sums(lam, content_prefix(d, powers)) == want
-                    assert content_power_sums(lam, content_prefix(d + 3, powers)) == want
 
 
 class TestHookValue:
@@ -242,6 +216,8 @@ class TestHookValue:
                     assert hook_value(m, beta, set(beta)) == _central_by_mn(m, lam), (m, lam)
 
     def test_central_char_f_on_both_sides_of_the_cutoff(self):
+        # One evaluation, the residues, below and past the moment route's
+        # closed forms.
         for m in range(2, CONTENT_POLY_MAX_M + 2):
             for d in range(m, 11):
                 for lam in enum_int_partitions(d):

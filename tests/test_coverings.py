@@ -336,6 +336,20 @@ class TestMomentRoute:
                 assert (sub, d) in totals
                 assert all(swept[row] == total for row, total in totals.items()), (sub, d)
 
+    def test_sweep_reads_no_closed_form(self, cold_memo, monkeypatch):
+        # Six 4-cycles at degree 18 take the sweep (TestRoutes), which
+        # evaluates every cycle by its rim-hook residues: the two routes
+        # share no formula, so each comparison of them checks the closed
+        # forms of the moments.
+        wide = (4,) * 6
+        _grown(_moment_bounds(wide), 18)
+        _moment_sums(wide, 18)
+        moments = stratavol.coverings._burnside_totals
+        monkeypatch.setattr(stratavol.coverings, "_burnside_totals", {})
+        _forbid(monkeypatch, "content_form")
+        _sweep(wide, 18)
+        assert moments == stratavol.coverings._burnside_totals
+
     def test_growth_sums_the_rows_it_adds(self, cold_memo, monkeypatch):
         # A row that grows the columns also sums its key's rows at every
         # degree the growth adds, so those rows sum nothing when asked.

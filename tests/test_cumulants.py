@@ -694,6 +694,8 @@ class TestPrice:
         ("cconst", (5,) * 4), ("cconst", (3, 2) * 4), ("cconst", (4, 3, 2) * 2),
         ("cconst", (6, 5, 4, 3, 3)), ("cconst", (5, 4, 3, 2, 2, 2, 2)),
         ("cconst", (12,)), ("cconst", (20,)), ("cconst", (26,)),
+        # The cold stratum of genus <= 9 whose tables widen most (58 times).
+        pytest.param(("cconst", (5, 4, 4, 4, 2, 2, 2)), id="cconst-most-widenings"),
         ("wick", ((1,),) * 12), ("wick", ((2, 1),) * 6),
         ("wick", ((3, 1, 1), (2, 2), (2, 1))), ("wick", ((2,), (2,), (1, 1), (3,))),
         ("cumulant", (6, 5, 4, 3)), ("cumulant", (1,) * 10), ("cumulant", (200,)),
