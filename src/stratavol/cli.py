@@ -15,7 +15,6 @@ from decimal import Decimal, getcontext
 from fractions import Fraction
 
 from .coverings import (
-    BRUTE_FORCE_CAP,
     BRUTE_FORCE_WORK_CAP,
     CoverProfile,
     brute_force_hom_count,
@@ -249,8 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--connected", action="store_true")
     p.add_argument("--brute-force", action="store_true",
                    help="also tabulate the direct enumeration "
-                   f"(--dmax at most {BRUTE_FORCE_CAP}, at most "
-                   f"{BRUTE_FORCE_WORK_CAP} pairs and tallied tuples in all)")
+                   f"(at most {BRUTE_FORCE_WORK_CAP} pairs and tallied tuples in all)")
 
     p = _command(sub, "simple-table", "constants for simple branching", cmd_simple_table,
                  ("csv", "json"), approx=True)

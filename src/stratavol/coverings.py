@@ -17,10 +17,9 @@ scalar recursion that removes the first row of a partition and reads
 only earlier columns (``_grow_columns``).  A request grows only the
 columns of its monomials and only through its degree, and visits no
 partition.  Otherwise, and for a short profile whose sweep is priced
-cheaper than the column-states it would add, one sweep over the
-partitions of the degree evaluates each cycle length once per partition
-by its rim-hook residues (``characters.hook_value``), whatever its
-length.
+cheaper, one sweep over the partitions of the degree evaluates each cycle
+length once per partition by its rim-hook residues
+(``characters.hook_value``), whatever its length.
 
 A profile's monomials lie within bounds (``_moment_bounds``) whose last
 monomial in growth order (``_monomials``), the corner, has top degree and
@@ -29,8 +28,9 @@ monomials, and a growth stores columns in growth order, so the corner's
 column never reaches past another of its bounds, threads included: its
 length alone tells whether the table serves a degree.
 
-One function prices a row the table does not serve, before any work, and
-that price is both the route choice and the Burnside cap (``_route``).
+One function prices a row the table does not serve, before any work, in
+one unit for either route, the steps it takes, and that price is both the
+route choice and the Burnside cap (``_route``).
 ``cov_series`` alone orders rows, top degree first (``_rows``), so that
 the top row's price covers the whole series and the columns it grows
 serve every lower row; the CLI and the connected series take their rows
@@ -56,26 +56,21 @@ from .characters import CONTENT_POLY_MAX_M, beta_numbers, content_form, hook_val
 from .errors import DomainError, ResourceCapError
 from .partitions import (
     iter_int_partitions,
+    length_sums,
     partition_sums,
     set_partitions_of,
     vector_splits,
 )
 from .qseries import QSeries, euler_series
 
-# Largest degree of the brute-force monodromy enumeration, and the most
-# steps (``brute_force_work``) of one request, all degrees up to it: at a
-# few microseconds a step, `covers 5,5,5 --dmax 5 --brute-force` is 49k.
-BRUTE_FORCE_CAP = 5
+# The most steps (``brute_force_work``) of one brute-force request, all
+# degrees up to its --dmax, at a few microseconds a step: the (6!)^2 pairs
+# of degree 6 are over it, and `covers 5,5,5 --dmax 5 --brute-force` is 49k.
 BRUTE_FORCE_WORK_CAP = 5 * 10**5
-# The caps of a Burnside row priced as the series through it (``_route``).
-# The most partitions its sweeps may visit, at 2-7 microseconds each per
-# distinct cycle length (degrees up to 48), or column-states its moments
-# may store; and the most (partition, sub-profile) products the sweeps may
-# sum, at about a microsecond each, or multiply-adds the moments may make:
-# 2,3,...,21 (2^k sub-profiles for k distinct cycles) is refused from
-# degree 15 on.
-BURNSIDE_WORK_CAP = 10**6
-BURNSIDE_PRODUCT_CAP = 10**7
+# The most steps of the route of a Burnside row, priced as the series
+# through it (``_route``): 0.09-0.14 us a step cold on either route (2-core
+# Xeon, Python 3.11), up to 0.3 us for many equal short cycles.
+BURNSIDE_WORK_CAP = 10**7
 # Most multiply-adds the exponential formula of one connected series may
 # make, counted before any Burnside sum as its (b, T) first-block pairs,
 # at most prod (c + 1)(c + 2) / 2 for the multiplicities c, times the
@@ -122,7 +117,7 @@ def _burnside_sums(profile: Sequence[int], d: int) -> int:
     Totals are memoized in ``_burnside_totals``.  When the profile's cycles
     no longer than d are missing, they and every sorted sub-multiset of
     them are summed by the route ``_route`` prices and chooses, which
-    raises ResourceCapError first when neither is under the caps: from the
+    raises ResourceCapError first when neither is under the cap: from the
     content moments of the partitions of d (``_moment_sums``), or by a
     sweep over the partitions of d (``_sweep``).  A cycle longer than d
     makes the sum 0, and the empty profile counts the partitions of d.
@@ -187,16 +182,6 @@ def _sweep(key: tuple[int, ...], d: int) -> None:
 # ---------------------------------------------------------------------------
 # Burnside sums of short cycles from content moments
 # ---------------------------------------------------------------------------
-
-# Multiply-adds of the column passes that cost about as much as one
-# (partition, sub-profile) product of a sweep, the unit of the sweep's
-# price (``_route``).  On a 2-core Xeon with Python 3.11, cold columns
-# through degree 20 or 28 cost 0.1-0.4 us a multiply-add, and one sweep
-# of that degree, by rim-hook residues, 0.8-4.5 us a product, for eleven
-# short profiles from (2, 2) to (4, 4, 3, 3, 2, 2) and six 4-cycles: 4 to
-# 26 multiply-adds a product, median 11-12 over three runs.  Only wide
-# profiles at low degree take the sweep, where six 4-cycles measure 6 to 8.
-MOMENT_TERMS_PER_PRODUCT = 6
 
 
 def _moment_bounds(key: tuple[int, ...]) -> tuple[int, int, int]:
@@ -423,45 +408,55 @@ def _route(key: tuple[int, ...], d: int) -> bool:
 
     Columns that hold d serve at no cost; the corner's column tells (see
     the module docstring).  Any other row is priced before any work as the
-    series through d, which the route then serves, in two units a route:
-    the sweep's sum_{d' <= d} p(d') partitions, and those times the
-    prod (c + 1) sub-profiles; and, when every cycle is at most
-    ``CONTENT_POLY_MAX_M``, the column-states a growth stores, at most the
-    bounds' monomials times the corner's new states, and its multiply-adds
-    (``_growth_terms``, which lists the monomials), counted only when the
-    states are under their cap.  A route is admitted when its first figure
-    is at most ``BURNSIDE_WORK_CAP`` and its second at most
-    ``BURNSIDE_PRODUCT_CAP``; of two, the moments go unless their
-    multiply-adds are over ``MOMENT_TERMS_PER_PRODUCT`` times the sweep's.
+    series through d, in the steps its route takes, and the cheaper route
+    goes when at most ``BURNSIDE_WORK_CAP``; the moments also on a tie and
+    at up to 10,000 steps (about a millisecond), as their columns serve
+    every later row, while each lower row is priced and swept on its own.
+    Per partition lam of each n <= d, a sweep takes l(lam) for the beta
+    numbers and l(lam) for their set, and per distinct cycle length m a
+    ``hook_value`` scan of l(lam) and a loop of l(lam) per removable m-rim
+    hook, then a product per sub-profile, prod (c + 1) for the
+    multiplicities c.  Its sums over lam read those of p(n) and of l(lam)
+    (``length_sums``): a partition mu of n - m has m more addable m-rim
+    hooks than removable ones, each adding at most m rows, so the hook
+    loops at n are those at n - m plus at most m sum l(mu) + m (m + 1)
+    p(n - m) / 2.  For cycles up to ``CONTENT_POLY_MAX_M``, the moments
+    take the column-states a growth stores, at most the bounds' monomials
+    times the corner's new states, and per new state with b >= 1, six
+    values of ``_targets``, one per distinct translation weight, and the
+    multiply-adds (``_growth_terms``, which lists the monomials, so only
+    when the rest is under the cap).
 
     A growth also sums the rows of ``key`` at the degrees it adds below d
     (``_moment_sums``) while the columns are at hand: every caller but a
     lone ``cov_d`` asks for them next, at a small part of the growth.
     """
-    states = terms = inf
+    sweep = moments = inf
     if not key or key[0] <= CONTENT_POLY_MAX_M:
         top3, top23, top = bounds = _moment_bounds(key)
         corner = _columns.get((top - top23, top23 - top3, top3), ())
         if len(corner) > d * (d + 3) // 2:
             return True  # the corner holds the state (d, d)
-        states = _monomial_count(bounds) * ((d + 1) * (d + 2) // 2 - len(corner))
-        if states <= BURNSIDE_WORK_CAP:
-            terms = _growth_terms(bounds, d)
-    sums = partition_sums(d, BURNSIDE_WORK_CAP)
-    partitions = sums[d] if d < len(sums) else inf
-    subs = prod(c + 1 for c in Counter(key).values())
-    products = partitions * subs
-    sweep = partitions <= BURNSIDE_WORK_CAP and products <= BURNSIDE_PRODUCT_CAP
-    if terms > BURNSIDE_PRODUCT_CAP or sweep and terms > MOMENT_TERMS_PER_PRODUCT * products:
-        if sweep:
-            return False
-        raise ResourceCapError(
-            f"Burnside work up to degree {d} exceeds caps {BURNSIDE_WORK_CAP} partitions or "
-            f"column-states and {BURNSIDE_PRODUCT_CAP} products or multiply-adds: the sweep "
-            f"{partitions} partitions times {subs} sub-profiles, the moments {states} "
-            f"column-states and {terms} multiply-adds (inf: past a cap, or no such route)")
+        held = _degree(len(corner))
+        new = d * (d + 1) // 2 - held * (held + 1) // 2
+        moments = _monomial_count(bounds) * ((d + 1) * (d + 2) // 2 - len(corner)) + 6 * new
+        if moments <= BURNSIDE_WORK_CAP:
+            weights = {w for e in _monomials(bounds) for terms in _plan(e) for _, w in terms
+                       if not isinstance(w, int)}
+            moments += _growth_terms(bounds, d) + len(weights) * new
+    parts, sums = length_sums(d, BURNSIDE_WORK_CAP), partition_sums(d, BURNSIDE_WORK_CAP)
+    subs, lengths = prod(c + 1 for c in Counter(key).values()), set(key)
+    if d < len(parts):
+        sweep = (2 + len(lengths)) * parts[d] + subs * sums[d] + sum(
+            m * parts[n] + m * (m + 1) // 2 * sums[n] for m in lengths for n in range(d % m, d, m))
+    if min(sweep, moments) > BURNSIDE_WORK_CAP:
+        raise ResourceCapError(f"Burnside work up to degree {d} exceeds cap {BURNSIDE_WORK_CAP} "
+                               f"steps: the sweep {sweep} ({subs} sub-profiles), the moments "
+                               f"{moments} (inf: no such route, or past the cap)")
+    if sweep < moments and moments > 10**4:
+        return False
     _grow_columns(bounds, d)
-    for n in range(max(_degree(len(corner)) + 1, key[0] if key else 0), d):
+    for n in range(max(held + 1, key[0] if key else 0), d):
         if (key, n) not in _burnside_totals:
             _moment_sums(key, n)
     return True
@@ -512,7 +507,7 @@ def cov_d(profile, d: int) -> Fraction:
     sub-profiles, for the multiplicities c of its cycles no longer than d,
     and is priced as the series through d, which its route serves: it
     raises ResourceCapError before any work when neither route is under
-    the Burnside caps (``_route``).
+    the Burnside cap (``_route``).
 
     The empty profile counts all unramified coverings, one per partition
     of d.
@@ -660,33 +655,30 @@ def _class_elements(d: int, m: int) -> list[Perm]:
 
 
 def brute_force_work(profile, dmax: int, connected: bool = False) -> int:
-    """The steps of ``brute_force_hom_count`` up to degree dmax: (d!)^2
-    pairs, then per tally key, an even commutator (and for a connected
-    count an orbit partition, Bell(d)), the elements of every branch class
-    but the last.  A degree below some cycle length takes none."""
+    """The steps of ``brute_force_hom_count`` up to degree dmax, from the
+    longest cycle on, until the pairs pass ``BRUTE_FORCE_WORK_CAP``: (d!)^2
+    pairs (d^2 past the cap), then per tally key (an even commutator, and
+    an orbit partition, Bell(d), if connected) each class but the last."""
     profile = _profile(profile)
     total = 0
-    for d in range(1, dmax + 1):
-        if any(m > d for m in profile):
-            continue
+    for d in range(max(profile, default=1), dmax + 1):
+        total += factorial(d) ** 2 if d * d <= BRUTE_FORCE_WORK_CAP else d * d
+        if total > BRUTE_FORCE_WORK_CAP:
+            break
         orbits = sum(1 for _ in set_partitions_of(range(d))) if connected else 1
         keys = (factorial(d) + 1) // 2 * orbits
         for m in profile[:-1]:
             keys *= comb(d, m) * factorial(m - 1)
-        total += factorial(d) ** 2 + keys
+        total += keys
     return total
 
 
 def check_brute_force_caps(profile, dmax: int, connected: bool = False) -> None:
-    """Raise ResourceCapError when a brute-force request up to degree dmax
-    is over the degree cap, checked first, or its steps over the work cap."""
-    if dmax > BRUTE_FORCE_CAP:
-        raise ResourceCapError(f"brute-force degree {dmax} exceeds cap {BRUTE_FORCE_CAP}")
+    """Raise ResourceCapError when ``brute_force_work`` is over its cap."""
     work = brute_force_work(profile, dmax, connected)
     if work > BRUTE_FORCE_WORK_CAP:
-        raise ResourceCapError(
-            f"brute-force work {work} up to degree {dmax} exceeds cap {BRUTE_FORCE_WORK_CAP}"
-        )
+        raise ResourceCapError(f"brute-force work {work} up to degree {dmax} exceeds cap "
+                               f"{BRUTE_FORCE_WORK_CAP}")
 
 
 def _orbit_cycles(gens: Sequence[Perm], d: int) -> Perm:
@@ -728,7 +720,7 @@ def brute_force_hom_count(profile, d: int, connected_only: bool = False) -> Frac
     pair completes depend on nothing else.  Then, once per tally key, it
     enumerates all but the last branch element, solving for the last one.
     The division by d! reproduces the weighting of coverings by the
-    reciprocal of their automorphism group order.  The caps are those of a
+    reciprocal of their automorphism group order.  The cap is that of a
     request for degrees 1..d (``check_brute_force_caps``).
     """
     profile = _profile(profile)

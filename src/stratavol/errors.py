@@ -9,8 +9,8 @@ class DomainError(ValueError):
 class ResourceCapError(RuntimeError):
     """A request's price, counted from its key before any work, exceeds a
     fixed cap: the steps of a Wick tree sum or elementary cumulant, the
-    partitions or column-states of a Burnside row's route, the tuples of a
-    brute-force count.  Raised before the work starts."""
+    steps of either route of a Burnside row, the tuples of a brute-force
+    count.  Raised before the work starts."""
 
 
 class Record:

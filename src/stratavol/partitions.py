@@ -106,9 +106,10 @@ def enum_int_partitions(d: int) -> list[IntPartition]:
 
 # p(0), p(1), ... by Euler's pentagonal recurrence
 #   p(n) = sum_{k>=1} (-1)^(k-1) (p(n - k(3k-1)/2) + p(n - k(3k+1)/2)),
-# and their running sums p(0) + ... + p(n), for the life of the process.
+# and the running sums of p(n) and of the parts of all partitions of n.
 _partition_counts = [1]
 _partition_sums = [1]
+_length_sums = [0]
 _partition_lock = threading.Lock()
 
 
@@ -116,7 +117,7 @@ def partition_counts(dmax: int, cap: float) -> list[int]:
     """The memoized counts p(0), p(1), ...: grown through degree dmax, or
     only to the first count over ``cap`` (every later one is larger too).
     The list is shared; callers only read it."""
-    counts, sums = _partition_counts, _partition_sums
+    counts, sums, lengths = _partition_counts, _partition_sums, _length_sums
     with _partition_lock:
         while len(counts) <= dmax and counts[-1] <= cap:
             n = len(counts)
@@ -126,6 +127,8 @@ def partition_counts(dmax: int, cap: float) -> list[int]:
                 if g <= n
             ))
             sums.append(sums[-1] + counts[-1])
+            lengths.append(lengths[-1] + sum(
+                counts[n - j * k] for j in range(1, n + 1) for k in range(1, n // j + 1)))
     return counts
 
 
@@ -134,6 +137,13 @@ def partition_sums(dmax: int, cap: float) -> list[int]:
     cap)``, as far as it grows them; shared, so callers only read it."""
     partition_counts(dmax, cap)
     return _partition_sums
+
+
+def length_sums(dmax: int, cap: float) -> list[int]:
+    """The running sums over n of sum_{lam |- n} l(lam) = sum_{j, k >= 1}
+    p(n - jk), grown with ``partition_counts(dmax, cap)``; only read it."""
+    partition_counts(dmax, cap)
+    return _length_sums
 
 
 def check_partition_work(dmax: int, cap: int, what: str) -> int:

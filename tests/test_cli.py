@@ -24,11 +24,10 @@ from stratavol.partitions import check_partition_work
 from .test_coverings import _priced
 
 TESTS = Path(__file__).resolve().parent
-# Covers requests (profile, --dmax) that the Burnside caps must refuse: a
-# short cycle whose moment columns through 2000 are over the state cap,
-# and a long one whose sweeps through 70 are over the partition cap.  Every
-# covers request of the tests with a literal profile and --dmax must be
-# under the caps.
+# Covers requests (profile, --dmax) that the Burnside cap must refuse: a
+# short cycle whose moment growth through 2000 is over it, and a long one
+# whose sweeps through 70 are.  Every covers request of the tests with a
+# literal profile and --dmax must be under the cap.
 OVER_CAP_COVERS = (("2", 2000), ("5", 70))
 # Likewise the npoint-check order that the one-point work cap must refuse.
 OVER_CAP_ORDER = 80
@@ -239,6 +238,19 @@ class TestCoversCommand:
         assert code == 3
         assert out == "" and "work" in err
 
+    def test_brute_force_work_cap_alone_bounds_the_degree(self, capsys):
+        # Degree 6 alone is past the work cap, so a huge --dmax is refused
+        # at once, while cycles longer than every degree take no work: each
+        # row is zero.
+        start = time.perf_counter()
+        argv = ["covers", "2", "--brute-force", "--dmax", str(10**9)]
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 3 and out == "" and "brute-force work 533492 " in err
+        code, out, _ = run_cli(capsys, "covers", "9", "--dmax", "8", "--brute-force")
+        assert code == 0
+        assert [row.rsplit(";", 1)[1] for row in out.splitlines()[1:]] == ["0"] * 16
+
     def test_brute_force_of_three_five_cycles_admitted(self, capsys):
         # Priced by its tally, the degree-5 count of (5,5,5) is admitted
         # and agrees with the Burnside row.
@@ -292,7 +304,7 @@ class TestCoversCommand:
             assert out.splitlines()[1:] == [f"{profile};1;connected;0"]
 
     def test_many_equal_cycles_connected_exit_3_fast(self, capsys):
-        # Under the Burnside caps, but 501,501 first-block pairs: refused
+        # Under the Burnside cap, but 501,501 first-block pairs: refused
         # by the connected-series cap before any row.
         start = time.perf_counter()
         code, out, err = run_cli(capsys, "covers", ",".join(["2"] * 1000),

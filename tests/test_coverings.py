@@ -7,7 +7,7 @@ import threading
 import time
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations, product
-from math import factorial
+from math import factorial, inf
 from pathlib import Path
 
 import pytest
@@ -20,13 +20,12 @@ from stratavol.characters import (
     conjugacy_class_size,
     dimension,
 )
+import stratavol.characters
 import stratavol.coverings
 import stratavol.partitions
 from stratavol.coverings import (
     BRUTE_FORCE_WORK_CAP,
-    BURNSIDE_PRODUCT_CAP,
     BURNSIDE_WORK_CAP,
-    MOMENT_TERMS_PER_PRODUCT,
     _burnside_sums,
     _degree,
     _grow_columns,
@@ -174,7 +173,7 @@ def _grown(bounds, d):
 
 def _priced(monkeypatch, profile, d) -> bool:
     """The route ``_route`` takes for the cold row of ``profile`` at d,
-    which raises ResourceCapError over the Burnside caps; the row is only
+    which raises ResourceCapError over the Burnside cap; the row is only
     priced: no column is grown and nothing is summed."""
     _cold(monkeypatch)
     monkeypatch.setattr(stratavol.coverings, "_grow_columns", lambda *args: None)
@@ -692,35 +691,126 @@ class TestRoutes:
         assert {_degree(len(columns[e])) for e in _monomials(_moment_bounds(wide))} == {18}
 
 
+def _partition_tallies(d):
+    """p(n) and the parts of all partitions of n for n <= d, from adding
+    parts one size at a time: a part j added to a partition of n - j makes
+    one of n, one part longer."""
+    counts, parts = [1] + [0] * d, [0] * (d + 1)
+    for j in range(1, d + 1):
+        for n in range(j, d + 1):
+            counts[n] += counts[n - j]
+            parts[n] += parts[n - j] + counts[n - j]
+    return counts, parts
+
+
+def _sweep_price(key, d):
+    """The sweep's price of the series of ``key`` through d: per partition,
+    its parts twice for the beta numbers and their set and once per
+    distinct cycle length, and one product per sub-profile, with the hook
+    loops of length m at n bounded by those at n - m plus m times the parts
+    and m(m + 1)/2 times the partitions of n - m."""
+    counts, parts = _partition_tallies(d)
+    lengths = set(key)
+    price = (2 + len(lengths)) * sum(parts) + len(_sub_profiles(key)[0]) * sum(counts)
+    for m in lengths:
+        loops = [0] * (d + 1)
+        for n in range(m, d + 1):
+            loops[n] = loops[n - m] + m * parts[n - m] + m * (m + 1) // 2 * counts[n - m]
+        price += sum(loops)
+    return price
+
+
+def _moment_price(key, d):
+    """The moments' price of the cold series of ``key`` through d, from
+    the listed monomials: their column-states, six values per state
+    (n, b), b >= 1, for the targets, and per such state the terms of every
+    column and one value per distinct translation weight."""
+    monomials = _monomials(_moment_bounds(key))
+    weights = {w for e in monomials for terms in _plan(e) for _, w in terms
+               if not isinstance(w, int)}
+    return (len(monomials) * (d + 1) * (d + 2) // 2 + d * (d + 1) // 2
+            * (6 + len(weights) + sum(map(_terms, monomials))))
+
+
 class TestBurnsideWork:
     def test_counts_partitions_of_every_degree(self, monkeypatch):
-        # A long cycle takes the sweep, admitted while the partitions of
-        # every degree up to the row's are at most the cap.
+        # A long cycle takes the sweep, admitted while its price over the
+        # partitions of every degree up to the row's is at most the cap.
         for dmax in range(5, 25):
-            want = sum(len(enum_int_partitions(d)) for d in range(dmax + 1))
+            want = _sweep_price((5,), dmax)
             monkeypatch.setattr(stratavol.coverings, "BURNSIDE_WORK_CAP", want)
             assert _route((5,), dmax) is False
             monkeypatch.setattr(stratavol.coverings, "BURNSIDE_WORK_CAP", want - 1)
-            with pytest.raises(ResourceCapError, match=f"the sweep {want} partitions"):
+            with pytest.raises(ResourceCapError, match=f"the sweep {want} "):
                 _route((5,), dmax)
 
-    def test_cap_allows_degree_48(self):
-        # sum_{d <= 48} p(d) = 918,220 partitions; through 49, 1,091,745.
-        assert _route((5,), 48) is False
-        for dmax in (49, 70, 10**9):
+    def test_cap_allows_degree_38(self):
+        # The series through 38 is priced at 8,183,419 steps; through 39,
+        # 10,215,148.
+        assert _sweep_price((5,), 38) <= BURNSIDE_WORK_CAP < _sweep_price((5,), 39)
+        assert _route((5,), 38) is False
+        for dmax in (39, 48, 70, 10**9):
             with pytest.raises(ResourceCapError, match=f"Burnside work up to degree {dmax} "):
                 _route((5,), dmax)
 
-    def test_product_cap_counts_sub_profiles_of_cycles_that_fit(self, monkeypatch):
+    def test_price_counts_sub_profiles_of_cycles_that_fit(self, monkeypatch):
         # 2,3,...,21 has 2^(k-1) sub-profiles of cycles no longer than k:
         # 508 partitions through 14 times 2^13, and 684 through 15 times
-        # 2^14, about either side of 10^7 products.
+        # 2^14, about either side of 10^7 steps with the rest of the sweep.
         wide = tuple(range(2, 22))
         assert _priced(monkeypatch, wide, 14) is False
-        with pytest.raises(ResourceCapError, match="684 partitions times 16384 sub-profiles"):
+        with pytest.raises(ResourceCapError, match=r"\(16384 sub-profiles\)"):
             _priced(monkeypatch, wide, 15)
         _priced(monkeypatch, (4, 4, 2, 2), 48)
         _priced(monkeypatch, wide + (22, 23, 24, 25), 1)
+
+    @pytest.mark.parametrize("profile, degrees", [
+        ((5,), (5, 12, 20, 26)), ((5, 2), (2, 9, 18, 24)), ((7, 5, 2), (7, 15, 22)),
+        ((4,) * 6, (4, 11, 18)), ((6, 5, 4, 3, 2), (6, 13, 20))])
+    def test_sweep_price_bounds_the_counted_steps(self, profile, degrees, cold_memo,
+                                                  monkeypatch):
+        # The steps of the sweeps of every degree up to d, counted where
+        # they happen: each beta number, listed and put in a set, each
+        # element a hook_value scan and each hook loop visits, and each
+        # sub-profile product.  The
+        # price is at least that count, and from degree 2 max(key) on
+        # within 10% of it.
+        steps = []
+
+        def partitions(n):
+            for lam in iter_int_partitions(n):
+                steps.append(len(subs))
+                yield lam
+
+        def beta_numbers(lam):
+            steps.append(2 * len(lam))
+            return stratavol.characters.beta_numbers(lam)
+
+        def hook_value(m, beta, beta_set):
+            hooks = sum(b >= m and b - m not in beta_set for b in beta)
+            steps.append(len(beta) * (1 + hooks))
+            return stratavol.characters.hook_value(m, beta, beta_set)
+
+        monkeypatch.setattr(stratavol.coverings, "iter_int_partitions", partitions)
+        monkeypatch.setattr(stratavol.coverings, "beta_numbers", beta_numbers)
+        monkeypatch.setattr(stratavol.coverings, "hook_value", hook_value)
+        monkeypatch.setattr(stratavol.coverings, "CONTENT_POLY_MAX_M", 1)  # no moments
+        key = tuple(sorted(profile, reverse=True))
+        for d in degrees:
+            steps.clear()
+            for n in range(d + 1):
+                fit = tuple(m for m in key if m <= n)
+                subs = _sub_profiles(fit)[0]
+                _sweep(fit, n)
+            counted = sum(steps)
+            monkeypatch.setattr(stratavol.coverings, "BURNSIDE_WORK_CAP", counted - 1)
+            with pytest.raises(ResourceCapError):
+                _route(key, d)
+            # The whole key is priced at every degree, loosely while some
+            # of its cycles do not fit.
+            tight = counted * (20 if d < 2 * key[0] else 11) // 10
+            monkeypatch.setattr(stratavol.coverings, "BURNSIDE_WORK_CAP", tight)
+            assert _route(key, d) is False, (profile, d)
 
 
 class TestRowCap:
@@ -733,44 +823,43 @@ class TestRowCap:
         _forbid(monkeypatch, "_grow_columns")
         _cold(monkeypatch)
         start = time.perf_counter()
-        with pytest.raises(ResourceCapError, match="up to degree 10000 exceeds caps"):
+        with pytest.raises(ResourceCapError, match="up to degree 10000 exceeds cap "):
             cov_d((2,), 10**4)
-        with pytest.raises(ResourceCapError, match="65536 sub-profiles"):
+        with pytest.raises(ResourceCapError, match=r"\(65536 sub-profiles\)"):
             cov_d(tuple(range(2, 22)), 17)
         assert time.perf_counter() - start < 1.0
 
     def test_refusals_and_messages_as_counted_per_row(self, monkeypatch):
-        # Against each route's work counted from the partitions and the
-        # monomials themselves: the sweep's partitions of every degree up to
-        # the row's, times its sub-profiles; the moments' column-states
-        # bounded by the corner's, and the multiply-adds of every listed
-        # column.  The cheaper admitted route is taken, or the row refused.
-        def counted(key, d):
-            partitions = sum(partition_count(n) for n in range(d + 1))
-            products = partitions * len(_sub_profiles(key)[0])
-            sweep = partitions <= BURNSIDE_WORK_CAP and products <= BURNSIDE_PRODUCT_CAP
-            if key and key[0] > 4:
-                return False if sweep else None
-            monomials = _monomials(_moment_bounds(key))
-            states = len(monomials) * (d + 1) * (d + 2) // 2
-            terms = d * (d + 1) // 2 * sum(map(_terms, monomials))
-            if states > BURNSIDE_WORK_CAP or terms > BURNSIDE_PRODUCT_CAP:
-                return False if sweep else None
-            return not sweep or terms <= MOMENT_TERMS_PER_PRODUCT * products
-
+        # Against each route's price counted from the partitions and the
+        # monomials themselves (``_sweep_price``, ``_moment_price``): the
+        # cheaper route is taken, the moments on a tie or at most 10,000
+        # steps, when it is at most the cap; otherwise the row is refused
+        # with one figure per route, each over the cap and, when fully
+        # counted, the price.
+        message = re.compile(
+            rf"Burnside work up to degree (\d+) exceeds cap {BURNSIDE_WORK_CAP} steps: "
+            r"the sweep (\d+|inf) \((\d+) sub-profiles\), the moments (\d+|inf) \(")
         keys = [(), (2,), (2, 2), (4, 4, 3, 3, 2, 2), (2,) * 30, (4,) * 9, (5, 5, 2),
                 tuple(range(9, 1, -1)), tuple(range(16, 1, -1))]
         seen = set()
-        for d in (2, 10, 16, 17, 20, 30, 40, 48, 49, 60, 90, 300):
+        for d in (2, 10, 16, 17, 20, 30, 38, 39, 48, 60, 90, 300):
             for key in keys:
                 fit = tuple(m for m in key if m <= d)
-                want = counted(fit, d)
+                sweep = _sweep_price(fit, d)
+                moments = inf if fit and fit[0] > 4 else _moment_price(fit, d)
+                want = (True if moments <= BURNSIDE_WORK_CAP and moments <= max(sweep, 10**4)
+                        else False if sweep <= BURNSIDE_WORK_CAP else None)
                 seen.add(want)
                 try:
                     got = _priced(monkeypatch, fit, d)
                 except ResourceCapError as exc:
                     assert want is None, (key, d)
-                    assert str(exc).startswith(f"Burnside work up to degree {d} exceeds caps")
+                    found = message.match(str(exc))
+                    assert found, str(exc)
+                    assert found[1] == str(d) and int(found[3]) == len(_sub_profiles(fit)[0])
+                    for figure, price in ((found[2], sweep), (found[4], moments)):
+                        assert figure == "inf" or BURNSIDE_WORK_CAP < int(figure) <= price
+                    assert found[2] in ("inf", str(sweep)), (key, d)
                 else:
                     assert got is want, (key, d)
         assert seen == {True, False, None}
@@ -785,16 +874,17 @@ class TestRowCap:
         assert stratavol.coverings._burnside_totals == {}
 
     def test_row_cap_is_on_the_series_through_it(self, monkeypatch):
-        # p(49) = 173,525 partitions, but 1,091,745 through 49: a lone row
-        # is priced as the series its route serves.
-        assert _priced(monkeypatch, (5, 5), 48) is False
-        with pytest.raises(ResourceCapError, match="1091745 partitions times 3 sub-profiles"):
-            _priced(monkeypatch, (5, 5), 49)
+        # The sweep of degree 39 alone, its 31,185 partitions, is priced at
+        # 2,425,501 steps, but the 177,970 partitions through 39 at
+        # 12,296,872: a lone row is priced as the series its route serves.
+        assert _priced(monkeypatch, (5, 5), 38) is False
+        with pytest.raises(ResourceCapError, match=r"the sweep 12296872 \(3 sub-profiles\)"):
+            _priced(monkeypatch, (5, 5), 39)
         # p(16) = 231 times 2^15 sub-profiles is under 10^7; the 915
         # partitions through 16 times 2^15 are over.
-        with pytest.raises(ResourceCapError, match="915 partitions times 32768 sub-profiles"):
+        with pytest.raises(ResourceCapError, match=r"\(32768 sub-profiles\)"):
             _priced(monkeypatch, tuple(range(16, 1, -1)), 16)
-        # Short cycles past the sweep's caps go by the moments.
+        # Short cycles past the sweep's cap go by the moments.
         assert _priced(monkeypatch, (2, 2), 61) is True
 
     def test_memo_hit_is_not_checked(self, monkeypatch):
@@ -910,7 +1000,7 @@ class TestConnectedSeries:
     def test_eight_points_to_order_108_under_a_second(self, cold_memo):
         # Inclusion-exclusion would multiply rational series for each of
         # the Bell(8) = 4,140 set partitions of the points.  Order 108 is
-        # past the sweep's caps; the moment columns answer it.
+        # past the sweep's price; the moment columns answer it.
         start = time.perf_counter()
         series = cov_connected_series((2,) * 8, 108)
         elapsed = time.perf_counter() - start
@@ -924,7 +1014,7 @@ class TestConnectedSeries:
         assert cov_connected_series(profile, order).order == order
 
     def test_many_equal_cycles_refused_before_any_sum(self, monkeypatch):
-        # A thousand 2s to order 2 pass the Burnside caps, but their
+        # A thousand 2s to order 2 pass the Burnside cap, but their
         # 501,501 first-block pairs at 6 multiply-adds each are over the
         # connected cap: refused at once, with no total stored.
         profile = (2,) * 1000
@@ -937,7 +1027,7 @@ class TestConnectedSeries:
         _priced(monkeypatch, profile, 2)
 
     def test_short_series_past_the_sweep_caps(self, cold_memo, capsys):
-        # Order 100 is past the sweep's partition cap from degree 49 on;
+        # Order 100 is past the sweep's price from degree 38 on;
         # the moment columns of (2, 2) answer it from cold.
         start = time.perf_counter()
         assert main(["covers", "2,2", "--connected", "--dmax", "100"]) == 0
@@ -1009,6 +1099,21 @@ class TestBruteForce:
         with pytest.raises(ResourceCapError, match="work"):
             brute_force_hom_count((5, 5, 5, 5), 5, False)
 
+    def test_work_stops_at_the_first_degree_past_the_cap(self, monkeypatch):
+        # (6!)^2 pairs pass the cap at degree 6, before its Bell(6) orbit
+        # partitions are listed; no factorial is taken of a degree whose
+        # square is past the cap; a cycle longer than every degree takes none.
+        def forbidden(*args):
+            raise AssertionError("orbit partitions were listed")
+
+        start = time.perf_counter()
+        assert brute_force_work((2,), 5, True) <= BRUTE_FORCE_WORK_CAP
+        monkeypatch.setattr(stratavol.coverings, "set_partitions_of", forbidden)
+        assert brute_force_work((6,), 10**9, True) == factorial(6) ** 2
+        assert brute_force_work((10**8,), 10**8) == 10**16
+        assert brute_force_work((9,), 8, True) == 0
+        assert time.perf_counter() - start < 1.0
+
     def test_tested_requests_under_cap(self):
         # Criterion 5 (profiles of at most three points with entries in
         # {2, 3, 4}, degrees up to 4) and the degree-5 count used below.
@@ -1057,7 +1162,7 @@ class TestAsymptoticRatio:
 
     def test_burnside_cap_checked_before_any_sweep(self, monkeypatch):
         # Six 4-cycles to order 180: 84 monomial columns of 16,471 states
-        # each are over the state cap.
+        # each, at 1,176 multiply-adds a state, are over the cap.
         _forbid(monkeypatch, "iter_int_partitions")
         _forbid(monkeypatch, "_grow_columns")
         _forbid(monkeypatch, "_moment_sums")

@@ -8,6 +8,7 @@ from math import inf
 import pytest
 
 import stratavol.partitions
+from stratavol.characters import beta_numbers
 from stratavol.errors import DomainError, ResourceCapError
 from stratavol.partitions import (
     IntPartition,
@@ -18,6 +19,7 @@ from stratavol.partitions import (
     enum_partitions_of_weight,
     enum_set_partitions,
     iter_int_partitions,
+    length_sums,
     iter_set_partitions_with_blocks,
     meet,
     mobius_coeff,
@@ -348,6 +350,7 @@ class TestPartitionCounts:
     def cold_memo(self, monkeypatch):
         monkeypatch.setattr(stratavol.partitions, "_partition_counts", [1])
         monkeypatch.setattr(stratavol.partitions, "_partition_sums", [1])
+        monkeypatch.setattr(stratavol.partitions, "_length_sums", [0])
 
     def test_grown_to_the_first_count_over_cap(self):
         counts = partition_counts(10**9, 1000)
@@ -355,6 +358,25 @@ class TestPartitionCounts:
         assert counts[-2] <= 1000 < counts[-1]
         assert partition_counts(5, inf) is counts
         assert partition_sums(5, inf) == list(accumulate(counts))
+        assert len(length_sums(5, inf)) == len(counts)
+
+    def test_length_sums_count_the_parts(self):
+        # sum_{lam |- n} l(lam) = sum_{j, k >= 1} p(n - jk), against the
+        # partitions themselves.
+        parts = [sum(map(len, enum_int_partitions(n))) for n in range(15)]
+        assert length_sums(14, inf)[:15] == list(accumulate(parts))
+
+    def test_removable_rim_hooks(self):
+        # The partitions of n have m sum_{k >= 1} p(n - km) removable
+        # m-rim hooks in all, one per beta number b with b - m >= 0 free.
+        for n in range(15):
+            for m in range(1, n + 2):
+                hooks = 0
+                for lam in enum_int_partitions(n):
+                    beta = beta_numbers(lam)
+                    hooks += sum(b >= m and b - m not in beta for b in beta)
+                assert hooks == m * sum(partition_count(n - k * m)
+                                        for k in range(1, n // m + 1)), (n, m)
 
     def test_check_reads_the_running_sums(self):
         # p(0..10) = 1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42: the running sum
@@ -367,12 +389,14 @@ class TestPartitionCounts:
         assert check_partition_work(30, 10**6, "test") == sum(map(partition_count, range(31)))
 
     def test_concurrent_growth(self, monkeypatch):
+        lengths = list(length_sums(47, inf))  # grown by one thread
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(10):
                 monkeypatch.setattr(stratavol.partitions, "_partition_counts", [1])
                 monkeypatch.setattr(stratavol.partitions, "_partition_sums", [1])
+                monkeypatch.setattr(stratavol.partitions, "_length_sums", [0])
                 start = threading.Barrier(8)
 
                 def grow(dmax):
@@ -388,5 +412,6 @@ class TestPartitionCounts:
                 counts = stratavol.partitions._partition_counts
                 assert counts == [partition_count(n) for n in range(48)]
                 assert stratavol.partitions._partition_sums == list(accumulate(counts))
+                assert stratavol.partitions._length_sums == lengths
         finally:
             sys.setswitchinterval(interval)
