@@ -406,30 +406,31 @@ def _route(key: tuple[int, ...], d: int) -> bool:
     columns of ``_moment_bounds(key)`` then complete through d, False by
     the sweep, and ResourceCapError when neither is admitted.
 
-    Columns that hold d serve at no cost; the corner's column tells (see
-    the module docstring).  Any other row is priced before any work as the
+    Columns that hold d serve at no cost; the corner's column tells (see the
+    module docstring).  Any other row is priced before any work as the
     series through d, in the steps its route takes, and the cheaper route
-    goes when at most ``BURNSIDE_WORK_CAP``; the moments also on a tie and
-    at up to 10,000 steps (about a millisecond), as their columns serve
-    every later row, while each lower row is priced and swept on its own.
-    Per partition lam of each n <= d, a sweep takes l(lam) for the beta
-    numbers and l(lam) for their set, and per distinct cycle length m a
+    goes when at most ``BURNSIDE_WORK_CAP``, the moments on a tie.  Per
+    partition lam of each n <= d, a sweep takes l(lam) for the beta numbers
+    and l(lam) for their set, and per distinct cycle length m a
     ``hook_value`` scan of l(lam) and a loop of l(lam) per removable m-rim
     hook, then a product per sub-profile, prod (c + 1) for the
     multiplicities c.  Its sums over lam read those of p(n) and of l(lam)
     (``length_sums``): a partition mu of n - m has m more addable m-rim
-    hooks than removable ones, each adding at most m rows, so the hook
-    loops at n are those at n - m plus at most m sum l(mu) + m (m + 1)
-    p(n - m) / 2.  For cycles up to ``CONTENT_POLY_MAX_M``, the moments
-    take the column-states a growth stores, at most the bounds' monomials
-    times the corner's new states, and per new state with b >= 1, six
-    values of ``_targets``, one per distinct translation weight, and the
-    multiply-adds (``_growth_terms``, which lists the monomials, so only
-    when the rest is under the cap).
+    hooks than removable ones, each adding at most m rows, so the hook loops
+    at n are those at n - m plus at most m sum l(mu) +
+    m (m + 1) p(n - m) / 2.  Each of its d + 1 rows is also routed and set
+    up on its own: the cycles counted, d hook-loop terms per length, f, and
+    per sub-profile a value, a total and a store.  For cycles up to
+    ``CONTENT_POLY_MAX_M``, the moments take the column-states a growth
+    stores, at most the monomials times the corner's new states, six
+    ``_targets`` values per new state with b >= 1 and, only while that is at
+    most the sweep and the cap (pricing lists no more monomials than a route
+    visits), the multiply-adds (``_growth_terms``) and per state one value
+    per translation weight (i, k - t, C(k, t)), t < k <= the bound on
+    exponent i, all distinct.
 
-    A growth also sums the rows of ``key`` at the degrees it adds below d
-    (``_moment_sums``) while the columns are at hand: every caller but a
-    lone ``cov_d`` asks for them next, at a small part of the growth.
+    A growth also sums the rows of ``key`` it adds below d, at a small part
+    of its cost (``_moment_sums``): all but a lone ``cov_d`` read them next.
     """
     sweep = moments = inf
     if not key or key[0] <= CONTENT_POLY_MAX_M:
@@ -440,20 +441,19 @@ def _route(key: tuple[int, ...], d: int) -> bool:
         held = _degree(len(corner))
         new = d * (d + 1) // 2 - held * (held + 1) // 2
         moments = _monomial_count(bounds) * ((d + 1) * (d + 2) // 2 - len(corner)) + 6 * new
-        if moments <= BURNSIDE_WORK_CAP:
-            weights = {w for e in _monomials(bounds) for terms in _plan(e) for _, w in terms
-                       if not isinstance(w, int)}
-            moments += _growth_terms(bounds, d) + len(weights) * new
     parts, sums = length_sums(d, BURNSIDE_WORK_CAP), partition_sums(d, BURNSIDE_WORK_CAP)
     subs, lengths = prod(c + 1 for c in Counter(key).values()), set(key)
     if d < len(parts):
         sweep = (2 + len(lengths)) * parts[d] + subs * sums[d] + sum(
             m * parts[n] + m * (m + 1) // 2 * sums[n] for m in lengths for n in range(d % m, d, m))
+        sweep += (d + 1) * (len(key) + d * len(lengths) + max(key, default=0) + 1 + 3 * subs)
+    if moments <= min(sweep, BURNSIDE_WORK_CAP):
+        moments += _growth_terms(bounds, d) + sum(k * (k + 1) // 2 for k in bounds) * new
     if min(sweep, moments) > BURNSIDE_WORK_CAP:
         raise ResourceCapError(f"Burnside work up to degree {d} exceeds cap {BURNSIDE_WORK_CAP} "
                                f"steps: the sweep {sweep} ({subs} sub-profiles), the moments "
                                f"{moments} (inf: no such route, or past the cap)")
-    if sweep < moments and moments > 10**4:
+    if sweep < moments:
         return False
     _grow_columns(bounds, d)
     for n in range(max(held + 1, key[0] if key else 0), d):

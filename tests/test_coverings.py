@@ -647,19 +647,28 @@ class TestCorner:
 class TestRoutes:
     def test_workload_profiles_take_the_moments(self, cold_memo, monkeypatch):
         # The benchmark's covering rows and ratios, the top row first, the
-        # same rows as covers requests, and every covers request of its CLI
-        # mix, each from cold.
-        _forbid(monkeypatch, "_sweep")
+        # same rows as covers requests, and every connected covers request
+        # of its CLI mix, each from cold.  Its brute-force requests stop at
+        # degree 4, where the sweep is priced cheaper and takes the top row:
+        # (3,2) through 4 took 75 us by sweeps and 181 us by the moments
+        # (in-process, cold, without the pricing).
         workloads = _bench_workloads()
+        covers = [argv for argv in workloads.cli_requests()
+                  if argv[0] == "covers" and argv[1] != "1"]
+        assert len(covers) == 12
+        for argv in covers:
+            if "--brute-force" in argv:
+                assert argv[argv.index("--dmax") + 1] == "4", argv
+                assert _priced(monkeypatch, tuple(map(int, argv[1].split(","))), 4) is False
+        monkeypatch.undo()
+        _forbid(monkeypatch, "_sweep")
         top = workloads.COVER_DMAX
         for profile in workloads.COVER_PROFILES:
             _cold(monkeypatch)
             for d in range(top, 0, -1):
                 cov_d(profile, d)
             asymptotic_ratio(profile, top)
-        covers = [argv for argv in workloads.cli_requests()
-                  if argv[0] == "covers" and argv[1] != "1"]
-        assert len(covers) == 12
+        covers = [argv for argv in covers if "--brute-force" not in argv]
         covers += [["covers", ",".join(map(str, profile)), "--dmax", str(top)]
                    for profile in workloads.COVER_PROFILES]
         for argv in covers:
@@ -708,10 +717,13 @@ def _sweep_price(key, d):
     its parts twice for the beta numbers and their set and once per
     distinct cycle length, and one product per sub-profile, with the hook
     loops of length m at n bounded by those at n - m plus m times the parts
-    and m(m + 1)/2 times the partitions of n - m."""
+    and m(m + 1)/2 times the partitions of n - m; and per row 0..d, its
+    routing (its cycles and d per length) and its setup (1 + its longest
+    cycle, and 3 per sub-profile)."""
     counts, parts = _partition_tallies(d)
-    lengths = set(key)
-    price = (2 + len(lengths)) * sum(parts) + len(_sub_profiles(key)[0]) * sum(counts)
+    lengths, subs = set(key), len(_sub_profiles(key)[0])
+    price = (2 + len(lengths)) * sum(parts) + subs * sum(counts) + (d + 1) * (
+        len(key) + d * len(lengths) + max(key, default=0) + 1 + 3 * subs)
     for m in lengths:
         loops = [0] * (d + 1)
         for n in range(m, d + 1):
@@ -745,8 +757,8 @@ class TestBurnsideWork:
                 _route((5,), dmax)
 
     def test_cap_allows_degree_38(self):
-        # The series through 38 is priced at 8,183,419 steps; through 39,
-        # 10,215,148.
+        # The series through 38 is priced at 9,726,575 steps; through 39,
+        # 12,120,982.
         assert _sweep_price((5,), 38) <= BURNSIDE_WORK_CAP < _sweep_price((5,), 39)
         assert _route((5,), 38) is False
         for dmax in (39, 48, 70, 10**9):
@@ -772,10 +784,18 @@ class TestBurnsideWork:
         # The steps of the sweeps of every degree up to d, counted where
         # they happen: each beta number, listed and put in a set, each
         # element a hook_value scan and each hook loop visits, and each
-        # sub-profile product.  The
-        # price is at least that count, and from degree 2 max(key) on
-        # within 10% of it.
-        steps = []
+        # sub-profile product; and per row, as it is set up, its routing
+        # (its cycles and n hook-loop terms per length) and its setup (f,
+        # and a value, a total and a store per sub-profile).  The price is
+        # at least that count, and from degree 2 max(key) on within 10% of
+        # it.
+        steps, subs = [], ()
+
+        def sub_profiles(fit):
+            nonlocal subs
+            subs = _sub_profiles(fit)[0]
+            steps.append(len(fit) + n * len(set(fit)) + max(fit, default=0) + 1 + 3 * len(subs))
+            return _sub_profiles(fit)
 
         def partitions(n):
             for lam in iter_int_partitions(n):
@@ -794,21 +814,21 @@ class TestBurnsideWork:
         monkeypatch.setattr(stratavol.coverings, "iter_int_partitions", partitions)
         monkeypatch.setattr(stratavol.coverings, "beta_numbers", beta_numbers)
         monkeypatch.setattr(stratavol.coverings, "hook_value", hook_value)
+        monkeypatch.setattr(stratavol.coverings, "_sub_profiles", sub_profiles)
         monkeypatch.setattr(stratavol.coverings, "CONTENT_POLY_MAX_M", 1)  # no moments
         key = tuple(sorted(profile, reverse=True))
         for d in degrees:
             steps.clear()
             for n in range(d + 1):
-                fit = tuple(m for m in key if m <= n)
-                subs = _sub_profiles(fit)[0]
-                _sweep(fit, n)
+                _sweep(tuple(m for m in key if m <= n), n)
             counted = sum(steps)
             monkeypatch.setattr(stratavol.coverings, "BURNSIDE_WORK_CAP", counted - 1)
             with pytest.raises(ResourceCapError):
                 _route(key, d)
-            # The whole key is priced at every degree, loosely while some
-            # of its cycles do not fit.
-            tight = counted * (20 if d < 2 * key[0] else 11) // 10
+            # The whole key is priced at every row, loosely while some of
+            # its cycles do not fit: its setup and routing are counted at
+            # every row with all its cycles.
+            tight = counted * (30 if d < 2 * key[0] else 11) // 10
             monkeypatch.setattr(stratavol.coverings, "BURNSIDE_WORK_CAP", tight)
             assert _route(key, d) is False, (profile, d)
 
@@ -832,10 +852,9 @@ class TestRowCap:
     def test_refusals_and_messages_as_counted_per_row(self, monkeypatch):
         # Against each route's price counted from the partitions and the
         # monomials themselves (``_sweep_price``, ``_moment_price``): the
-        # cheaper route is taken, the moments on a tie or at most 10,000
-        # steps, when it is at most the cap; otherwise the row is refused
-        # with one figure per route, each over the cap and, when fully
-        # counted, the price.
+        # cheaper route is taken, the moments on a tie, when it is at most
+        # the cap; otherwise the row is refused with one figure per route,
+        # each over the cap and, when fully counted, the price.
         message = re.compile(
             rf"Burnside work up to degree (\d+) exceeds cap {BURNSIDE_WORK_CAP} steps: "
             r"the sweep (\d+|inf) \((\d+) sub-profiles\), the moments (\d+|inf) \(")
@@ -847,7 +866,7 @@ class TestRowCap:
                 fit = tuple(m for m in key if m <= d)
                 sweep = _sweep_price(fit, d)
                 moments = inf if fit and fit[0] > 4 else _moment_price(fit, d)
-                want = (True if moments <= BURNSIDE_WORK_CAP and moments <= max(sweep, 10**4)
+                want = (True if moments <= BURNSIDE_WORK_CAP and moments <= sweep
                         else False if sweep <= BURNSIDE_WORK_CAP else None)
                 seen.add(want)
                 try:
@@ -860,9 +879,13 @@ class TestRowCap:
                     for figure, price in ((found[2], sweep), (found[4], moments)):
                         assert figure == "inf" or BURNSIDE_WORK_CAP < int(figure) <= price
                     assert found[2] in ("inf", str(sweep)), (key, d)
+                    if moments < inf and (len(_monomials(_moment_bounds(fit))) * (d + 1) * (d + 2)
+                                          + 6 * d * (d + 1)) // 2 <= BURNSIDE_WORK_CAP:
+                        assert found[4] == str(moments), (key, d)
+                        seen.add("counted")
                 else:
                     assert got is want, (key, d)
-        assert seen == {True, False, None}
+        assert seen == {True, False, None, "counted"}
 
     def test_refused_rows_grow_no_column(self, cold_memo, monkeypatch):
         # Six 4-cycles at degree 400: 84 monomial columns of 80,601 states.
@@ -874,11 +897,11 @@ class TestRowCap:
         assert stratavol.coverings._burnside_totals == {}
 
     def test_row_cap_is_on_the_series_through_it(self, monkeypatch):
-        # The sweep of degree 39 alone, its 31,185 partitions, is priced at
-        # 2,425,501 steps, but the 177,970 partitions through 39 at
-        # 12,296,872: a lone row is priced as the series its route serves.
+        # The sweep of degree 39 alone visits 31,185 partitions, but the
+        # series through 39, 177,970 partitions, is priced at 12,299,112
+        # steps: a lone row is priced as the series its route serves.
         assert _priced(monkeypatch, (5, 5), 38) is False
-        with pytest.raises(ResourceCapError, match=r"the sweep 12296872 \(3 sub-profiles\)"):
+        with pytest.raises(ResourceCapError, match=r"the sweep 12299112 \(3 sub-profiles\)"):
             _priced(monkeypatch, (5, 5), 39)
         # p(16) = 231 times 2^15 sub-profiles is under 10^7; the 915
         # partitions through 16 times 2^15 are over.
@@ -912,13 +935,17 @@ class TestRowCap:
 
     def test_many_fours_take_the_sweep(self, monkeypatch, capsys):
         # 300 fours at degree 4 bound 4,590,551 monomials; a sweep of the
-        # five partitions of 4 makes 1,505 products.  Lower rows hold no
-        # four and read the columns of the empty profile.
-        want = _burnside_by_murnaghan_nakayama((4,) * 300, 4)
+        # five partitions of 4 makes 1,505 products.  155 fours bound
+        # 644,956 monomials, 9,674,400 column-states through 4, under the
+        # cap but over the sweep's price, so pricing lists no monomial and
+        # plans no pass.  Lower rows hold no four and read the columns of
+        # the empty profile.
+        want = [_burnside_by_murnaghan_nakayama((4,) * k, 4) for k in (155, 300)]
         cov_series((), 4)
         _forbid(monkeypatch, "_monomials")
+        _forbid(monkeypatch, "_plan")
         start = time.perf_counter()
-        assert cov_d((4,) * 300, 4) == want
+        assert [cov_d((4,) * k, 4) for k in (155, 300)] == want
         assert main(["covers", ",".join(["4"] * 1000), "--dmax", "4"]) == 0
         assert time.perf_counter() - start < 1.0
         assert _monomial_count(_moment_bounds((4,) * 300)) == 4_590_551
