@@ -28,17 +28,15 @@ monomials, and a growth stores columns in growth order, so the corner's
 column never reaches past another of its bounds, threads included: its
 length alone tells whether the table serves a degree.
 
-One function prices a row the table does not serve, before any work, in
-one unit for either route, the steps it takes, and that price is both the
-route choice and the Burnside cap (``_route``).
-``cov_series`` alone orders rows, top degree first (``_rows``), so that
-the top row's price covers the whole series and the columns it grows
-serve every lower row; the CLI and the connected series take their rows
-from it.  Connected counts come from the all-coverings series by the
-exponential formula over sub-multisets of the branch points, in integers
-(``cov_connected_series``).  Either route
-serves every sub-profile those sub-multisets need, and its totals are
-memoized for the life of the process, so no degree is summed twice.
+One function prices the series through a row the table does not serve,
+before any work, in one unit for either route, the steps it takes, and
+that price is both the route choice and the Burnside cap (``_route``);
+another does all the work of that route (``_fill``).  A series is priced
+and routed once, at its top row (``_rows``).  Connected counts come from
+the all-coverings series by the exponential formula over sub-multisets
+of the branch points, in integers (``cov_connected_series``); its rows
+serve every sub-profile those need, memoized for the life of the
+process, so no degree is summed twice.
 """
 
 from __future__ import annotations
@@ -105,43 +103,53 @@ def _profile(profile) -> CoverProfile:
 
 # Burnside totals by (sub-profile sorted longest cycle first, degree), for
 # the life of the process.  Either route stores every sub-multiset of the
-# profile it was asked for whose cycles fit in the degree, so whenever a
-# profile is here, every sub-profile that can sum to nonzero is too.
+# key it fills at each degree it sums, so whenever a profile is here, every
+# sub-profile that can sum to nonzero is too.
 _burnside_totals: dict[tuple[tuple[int, ...], int], int] = {}
 
 
 def _burnside_sums(profile: Sequence[int], d: int) -> int:
     """The sum over partitions lam of d of the product of the central
-    characters f_m(lam) over the entries m of the profile.
-
-    Totals are memoized in ``_burnside_totals``.  When the profile's cycles
-    no longer than d are missing, they and every sorted sub-multiset of
-    them are summed by the route ``_route`` prices and chooses, which
-    raises ResourceCapError first when neither is under the cap: from the
-    content moments of the partitions of d (``_moment_sums``), or by a
-    sweep over the partitions of d (``_sweep``).  A cycle longer than d
-    makes the sum 0, and the empty profile counts the partitions of d.
-    """
+    characters f_m(lam) over the entries m of the profile (``_fill``),
+    memoized in ``_burnside_totals``: 0 when a cycle is longer than d, and
+    the number of partitions of d for the empty profile."""
     key = tuple(sorted(profile, reverse=True))
     if (key, d) not in _burnside_totals:
         fit = tuple(m for m in key if m <= d)
-        if (fit, d) not in _burnside_totals:
-            if _route(fit, d):
-                _moment_sums(fit, d)
-            else:
-                _sweep(fit, d)
+        _fill(fit, d)
         if fit != key:
             _burnside_totals[key, d] = 0
     return _burnside_totals[key, d]
 
 
-@lru_cache(maxsize=32)
+def _fill(key: tuple[int, ...], d: int, series: bool = False) -> None:
+    """Sum the missing rows of ``key`` and its sub-profiles, at d or, with
+    ``series``, through d, by the route ``_route`` prices for the series
+    through d: a sweep per row (``_sweep``), or a growth of the columns
+    (``_grow_columns``) and a dot product per row (``_moment_sums``), the
+    rows the growth adds included.  Below the longest cycle, where the
+    key's row is 0, both serve the sub-profiles' rows of a series too."""
+    rows = [n for n in range(0 if series else d, d + 1) if (key, n) not in _burnside_totals]
+    if rows and not _route(key, d):
+        for n in rows:
+            _sweep(key, n)
+    elif rows:
+        bounds = _moment_bounds(key)
+        held = _degree(len(_columns.get(_monomials(bounds)[-1], ())))  # the corner's
+        if held < d:
+            _grow_columns(bounds, d)
+            rows[:0] = range(max(held + 1, key[0] if key else 0), d)
+        for n in rows:
+            if (key, n) not in _burnside_totals:
+                _moment_sums(key, n)
+
+
+@lru_cache(maxsize=None)
 def _sub_profiles(key: tuple[int, ...]) -> tuple[list[tuple[int, ...]], list[tuple[int, int, int]]]:
     """Every sorted sub-multiset of ``key`` (prod (c + 1) of them for the
     multiplicities c), each after the one with its last cycle dropped, and
     the steps (index, index of that parent, last cycle) that build each
-    nonempty one from its parent; memoized for the latest keys, so only
-    read."""
+    nonempty one from its parent; memoized, so only read."""
     subs = [()]
     for m, c in sorted(Counter(key).items(), reverse=True):
         subs = [sub + (m,) * k for sub in subs for k in range(c + 1)]
@@ -151,15 +159,12 @@ def _sub_profiles(key: tuple[int, ...]) -> tuple[list[tuple[int, ...]], list[tup
 
 def _sweep(key: tuple[int, ...], d: int) -> None:
     """Store in ``_burnside_totals`` the Burnside sum at degree d of every
-    sorted sub-multiset of ``key`` (cycles no longer than d, longest
-    first), from one pass over the partitions of d.
-
-    At each lam the beta numbers are computed once, and each distinct cycle
-    length m once, by the residue sum over removable m-rim hooks
-    (``characters.hook_value``): the sweep reads no closed form.  Each
-    sub-multiset then costs one integer multiplication: its value with the
-    last cycle dropped times the value of that cycle.
-    """
+    sorted sub-multiset of ``key`` (longest cycle first), from one pass over
+    the partitions of d.  At each lam the beta numbers are computed once,
+    and each distinct cycle length m once, by the residue sum over
+    removable m-rim hooks (``characters.hook_value``, 0 when m > d): the
+    sweep reads no closed form.  Each sub-multiset then costs one product,
+    its value without its last cycle times the value of that cycle."""
     subs, plan = _sub_profiles(key)
     lengths = sorted(set(key), reverse=True)
     f = [0] * (key[0] + 1 if key else 0)
@@ -276,11 +281,15 @@ def _degree(size: int) -> int:
     return (isqrt(8 * size + 1) - 3) // 2
 
 
-@lru_cache(maxsize=4)
+# For the states (n, b), 1 <= b <= n, of rows 1 through the largest degree
+# grown, at n (n - 1) / 2 + b - 1: the index of the state (n - b, min(b,
+# n - b)) each builds on and the three translations alpha of the row map,
+# each computed once; like a column, only replaced, under the lock.
+_target_table: list = [[], ([], [], [])]
+
+
 def _targets(lo: int, d: int) -> tuple[list[int], tuple[list[int], list[int], list[int]]]:
-    """For the states (n, b), 1 <= b <= n, of rows lo + 1..d, row by row:
-    the index of the state (n - b, min(b, n - b)) they build on, and the
-    three translations alpha of the row map (``_grow_columns``)."""
+    """The ``_target_table`` entries of rows lo + 1..d."""
     pairs = [(n - b, b) for n in range(lo + 1, d + 1) for b in range(1, n + 1)]
     s1 = [b * (b - 1) // 2 for _, b in pairs]
     return [m * (m + 1) // 2 + min(b, m) for m, b in pairs], (
@@ -345,14 +354,21 @@ def _grow_columns(bounds: tuple[int, int, int], d: int) -> None:
     stored with its sums once its new rows are complete.
     """
     monomials = _monomials(bounds)
+    end = d * (d + 1) // 2  # the states (n, b), b >= 1, through row d
     with _columns_lock:
         held = [(_columns.get(e, ()), _pass_sums.get(e)) for e in monomials]
-    have = [_degree(len(col)) for col, _ in held]
-    lo = min(have)
-    if lo >= d:
-        return
-    srcs, alphas = _targets(lo, d)
+        have = [_degree(len(col)) for col, _ in held]
+        lo = min(have)
+        if lo >= d:
+            return
+        srcs, alphas = _target_table
+        if len(srcs) < end:
+            new_srcs, new_alphas = _targets((isqrt(8 * len(srcs) + 1) - 1) // 2, d)
+            srcs, alphas = srcs + new_srcs, tuple(map(add, alphas, new_alphas))
+            _target_table[:] = srcs, alphas
     base = lo * (lo + 1) // 2
+    if base or len(srcs) > end:
+        srcs, alphas = srcs[base:end], [a[base:end] for a in alphas]
     weights: dict[tuple[int, int, int], list[int]] = {}
     read = {f for e, n_e in zip(monomials, have) if n_e < d
             for terms in _plan(e) for f, _ in terms}
@@ -401,36 +417,29 @@ def _grow_columns(bounds: tuple[int, int, int], d: int) -> None:
 
 
 def _route(key: tuple[int, ...], d: int) -> bool:
-    """The route of the Burnside sums of ``key`` and its sub-profiles at
-    degree d, which is also their cap: True by content moments, the
-    columns of ``_moment_bounds(key)`` then complete through d, False by
-    the sweep, and ResourceCapError when neither is admitted.
+    """The route of the Burnside sums of ``key`` and its sub-profiles
+    through degree d, which is also their cap: True by content moments,
+    False by the sweep, ResourceCapError when neither is admitted.  It only
+    prices; ``_fill`` does the work.
 
-    Columns that hold d serve at no cost; the corner's column tells (see the
-    module docstring).  Any other row is priced before any work as the
-    series through d, in the steps its route takes, and the cheaper route
-    goes when at most ``BURNSIDE_WORK_CAP``, the moments on a tie.  Per
-    partition lam of each n <= d, a sweep takes l(lam) for the beta numbers
-    and l(lam) for their set, and per distinct cycle length m a
-    ``hook_value`` scan of l(lam) and a loop of l(lam) per removable m-rim
-    hook, then a product per sub-profile, prod (c + 1) for the
-    multiplicities c.  Its sums over lam read those of p(n) and of l(lam)
-    (``length_sums``): a partition mu of n - m has m more addable m-rim
-    hooks than removable ones, each adding at most m rows, so the hook loops
-    at n are those at n - m plus at most m sum l(mu) +
-    m (m + 1) p(n - m) / 2.  Each of its d + 1 rows is also routed and set
-    up on its own: the cycles counted, d hook-loop terms per length, f, and
-    per sub-profile a value, a total and a store.  For cycles up to
-    ``CONTENT_POLY_MAX_M``, the moments take the column-states a growth
-    stores, at most the monomials times the corner's new states, six
-    ``_targets`` values per new state with b >= 1 and, only while that is at
-    most the sweep and the cap (pricing lists no more monomials than a route
-    visits), the multiply-adds (``_growth_terms``) and per state one value
-    per translation weight (i, k - t, C(k, t)), t < k <= the bound on
-    exponent i, all distinct.
-
-    A growth also sums the rows of ``key`` it adds below d, at a small part
-    of its cost (``_moment_sums``): all but a lone ``cov_d`` read them next.
+    Columns that hold d serve at no cost; the corner's column tells (see
+    the module docstring).  Otherwise the series through d is priced before
+    any work in the steps each route takes; the cheaper goes when at most
+    ``BURNSIDE_WORK_CAP``, the moments on a tie.  Per partition lam of each
+    n <= d, a sweep takes 2 l(lam) for the beta numbers and their set, per
+    distinct cycle length m a ``hook_value`` scan of l(lam) and a loop of
+    l(lam) per removable m-rim hook, and a product per sub-profile, prod
+    (c + 1) for the multiplicities c; per row, f and a value, a total and
+    a store per sub-profile.  A partition mu of n - m has m more addable
+    m-rim hooks than removable ones, each adding at most m rows, so from
+    the sums of p(n) and l(lam) (``length_sums``) the hook loops at n are at
+    most those at n - m plus m sum l(mu) + m (m + 1) p(n - m) / 2.  For
+    cycles up to ``CONTENT_POLY_MAX_M``, the moments take at most the
+    monomials times the corner's new states, six ``_targets`` values per
+    new state with b >= 1 and, only while that is at most the sweep and
+    the cap (pricing lists no more monomials than a route visits), the
+    multiply-adds (``_growth_terms``) and per state one value per distinct
+    translation weight (i, k - t, C(k, t)), t < k <= the bound of exponent i.
     """
     sweep = moments = inf
     if not key or key[0] <= CONTENT_POLY_MAX_M:
@@ -446,20 +455,14 @@ def _route(key: tuple[int, ...], d: int) -> bool:
     if d < len(parts):
         sweep = (2 + len(lengths)) * parts[d] + subs * sums[d] + sum(
             m * parts[n] + m * (m + 1) // 2 * sums[n] for m in lengths for n in range(d % m, d, m))
-        sweep += (d + 1) * (len(key) + d * len(lengths) + max(key, default=0) + 1 + 3 * subs)
+        sweep += (d + 1) * (max(key, default=0) + 1 + 3 * subs)
     if moments <= min(sweep, BURNSIDE_WORK_CAP):
         moments += _growth_terms(bounds, d) + sum(k * (k + 1) // 2 for k in bounds) * new
     if min(sweep, moments) > BURNSIDE_WORK_CAP:
         raise ResourceCapError(f"Burnside work up to degree {d} exceeds cap {BURNSIDE_WORK_CAP} "
                                f"steps: the sweep {sweep} ({subs} sub-profiles), the moments "
                                f"{moments} (inf: no such route, or past the cap)")
-    if sweep < moments:
-        return False
-    _grow_columns(bounds, d)
-    for n in range(max(held + 1, key[0] if key else 0), d):
-        if (key, n) not in _burnside_totals:
-            _moment_sums(key, n)
-    return True
+    return moments <= sweep
 
 
 def _moment_sums(key: tuple[int, ...], d: int) -> None:
@@ -468,7 +471,7 @@ def _moment_sums(key: tuple[int, ...], d: int) -> None:
     product of the closed forms of its cycles (``characters.content_form``)
     expanded in monomials, dotted with the content moments of the
     partitions of d, read at the state (d, d) of ``_columns``, which reach
-    degree d for the bounds of ``key`` (``_route``); no partition is
+    degree d for the bounds of ``key`` (``_fill``); no partition is
     visited.  A monomial p_1^a p_2^b p_3^c is keyed by a + r b + r^2 c for
     an r above every exponent, so multiplying by p_k adds r^(k - 1)."""
     last = d * (d + 3) // 2
@@ -498,16 +501,11 @@ def _moment_sums(key: tuple[int, ...], d: int) -> None:
 def cov_d(profile, d: int) -> Fraction:
     """Weighted number of degree-d coverings with the given branch profile:
     the sum over partitions lam of d of the product of central characters,
-    in integers (``_burnside_sums``): from content moments when every
-    cycle no longer than d is at most 4 (unless a sweep is priced
-    cheaper), by a sweep over the partitions of d otherwise.  The totals
-    of the profile and of all its sub-profiles at d are memoized, so a
-    repeat of the row, or a connected series or ratio of the profile
-    through d, sums nothing again.  A cold row sums all prod (c + 1)
-    sub-profiles, for the multiplicities c of its cycles no longer than d,
-    and is priced as the series through d, which its route serves: it
-    raises ResourceCapError before any work when neither route is under
-    the Burnside cap (``_route``).
+    in integers (``_burnside_sums``), by content moments or by a sweep over
+    the partitions of d, whichever ``_route`` prices cheaper for the series
+    through d; ResourceCapError before any work when neither is under the
+    Burnside cap.  A cold row sums and memoizes all prod (c + 1)
+    sub-profiles, for the multiplicities c of its cycles no longer than d.
 
     The empty profile counts all unramified coverings, one per partition
     of d.
@@ -520,9 +518,7 @@ def cov_d(profile, d: int) -> Fraction:
 
 def cov_series(profile, order: int) -> QSeries:
     """Generating series sum_d cov_d(profile) q^d, truncated: the rows of
-    the CLI's ``covers``.  The top degree is summed first, so that its
-    price (``_route``) is checked before any work and the moment columns
-    it grows serve every lower row."""
+    the CLI's ``covers``, priced and routed once as one series (``_rows``)."""
     profile = _profile(profile)
     if order < 0:
         raise DomainError("order must be nonnegative")
@@ -530,8 +526,12 @@ def cov_series(profile, order: int) -> QSeries:
 
 
 def _rows(profile: CoverProfile, order: int) -> list[int]:
-    """The Burnside sums of degrees 0..order, summed top degree first."""
-    return [_burnside_sums(profile, d) for d in range(order, -1, -1)][::-1]
+    """The Burnside sums of degrees 0..order, filled as one series: one
+    price before any work and one route for every missing row."""
+    key = tuple(sorted(profile, reverse=True))
+    fit = tuple(m for m in key if m <= order)
+    _fill(fit, order, True)
+    return [_burnside_totals[key, d] if fit == key else 0 for d in range(order + 1)]
 
 
 def cov_prime_series(profile, order: int) -> QSeries:
@@ -556,9 +556,9 @@ def cov_connected_series(profile, order: int) -> QSeries:
 
     A cycle longer than ``order`` leaves no connected covering through
     that order, so the series is zero with no work.  Otherwise the
-    formula's work is checked against ``CONNECTED_WORK_CAP``, and the
-    blocks' series come from the rows of the profile's ``cov_series``
-    (``_rows``), whose top row is priced before any is summed.
+    formula's work is checked against ``CONNECTED_WORK_CAP``, the blocks'
+    series come from the profile's rows (``_rows``), priced once before any
+    is summed, and each vector's splits are read once, so none is kept.
     """
     profile = _profile(profile)
     if not profile:
@@ -575,7 +575,7 @@ def cov_connected_series(profile, order: int) -> QSeries:
             f"connected series work {work} up to order {order} exceeds cap {CONNECTED_WORK_CAP}")
     _rows(profile, order)
     euler = _lead([int(c) for c in euler_series(order).coeffs])
-    vectors = sorted((T for T, _, _ in vector_splits(counts)), key=sum)
+    vectors = sorted((T for T, _, _ in vector_splits.__wrapped__(counts)), key=sum)
     prime: dict[tuple[int, ...], tuple[int, list[int]]] = {}
     conn: dict[tuple[int, ...], tuple[int, list[int]]] = {}
     for b in vectors[1:]:
@@ -583,7 +583,7 @@ def cov_connected_series(profile, order: int) -> QSeries:
         raw = [_burnside_sums(key, d) for d in range(order + 1)]
         prime[b] = _lead(_product_into([0] * (order + 1), 1, euler, _lead(raw)))
         total = list(prime[b][1])
-        for T, R, ways in vector_splits(b, True):
+        for T, R, ways in vector_splits.__wrapped__(b, True):
             if any(R):
                 _product_into(total, -ways, conn[T], prime[R])
         conn[b] = _lead(total)

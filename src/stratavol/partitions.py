@@ -397,7 +397,7 @@ def mobius_coeff(l: int) -> int:
 # Splits of multiplicity vectors
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=None)
 def vector_splits(counts: tuple[int, ...], first_block: bool = False) -> tuple:
     """Every split counts = T + R of a multiplicity vector, as (T, R, ways).
 
@@ -405,14 +405,13 @@ def vector_splits(counts: tuple[int, ...], first_block: bool = False) -> tuple:
     sub-multisets have type T.  With ``first_block``, only the T holding
     the first element, of the first nonzero kind f, with ways
     C(c_f - 1, T_f - 1) prod_{i != f} C(c_i, T_i): the recursion of the
-    exponential formula, whole(c) = sum ways conn(T) whole(R).  Only the
-    splits of the 256 vectors used last are kept, which bounds the memory
-    of a connected covering series that visits thousands of vectors once
-    each (an unbounded cache took 658 MiB on 13 distinct cycles).
+    exponential formula, whole(c) = sum ways conn(T) whole(R).  Memoized
+    for the cumulant tables and the Wick DP; a caller that reads each
+    vector once calls ``vector_splits.__wrapped__``, which keeps nothing.
     """
     if first_block:
         f = next(i for i, c in enumerate(counts) if c)
         return tuple((T, R, ways * T[f] // counts[f])
-                     for T, R, ways in vector_splits(counts) if T[f])
+                     for T, R, ways in vector_splits.__wrapped__(counts) if T[f])
     return tuple((T, tuple(map(sub, counts, T)), prod(map(comb, counts, T)))
                  for T in product(*(range(c + 1) for c in counts)))

@@ -28,6 +28,7 @@ from stratavol.coverings import (
     BURNSIDE_WORK_CAP,
     _burnside_sums,
     _degree,
+    _fill,
     _grow_columns,
     _growth_terms,
     _moment_bounds,
@@ -38,6 +39,7 @@ from stratavol.coverings import (
     _route,
     _sub_profiles,
     _sweep,
+    _targets,
     _terms,
     CoverProfile,
     asymptotic_ratio,
@@ -51,7 +53,7 @@ from stratavol.coverings import (
 )
 from stratavol.cli import main
 from stratavol.errors import DomainError, ResourceCapError
-from stratavol.partitions import enum_int_partitions, iter_int_partitions
+from stratavol.partitions import enum_int_partitions, iter_int_partitions, vector_splits
 from stratavol.qseries import QSeries, euler_series
 from stratavol.shifted_symmetric import q_average
 
@@ -139,17 +141,18 @@ class TestBurnsideRoute:
 
 def _cold(monkeypatch, columns=None):
     """Empty the Burnside memo, the moment columns (or start them from an
-    empty ``columns``) and their pass sums; the process-wide ones come back
-    when the test ends."""
+    empty ``columns``), their pass sums and the state targets; the
+    process-wide ones come back when the test ends."""
     monkeypatch.setattr(stratavol.coverings, "_burnside_totals", {})
     monkeypatch.setattr(stratavol.coverings, "_columns", {} if columns is None else columns)
     monkeypatch.setattr(stratavol.coverings, "_pass_sums", {})
+    monkeypatch.setattr(stratavol.coverings, "_target_table", [[], ([], [], [])])
 
 
 @pytest.fixture
 def cold_memo(monkeypatch):
-    """An empty Burnside memo and no moment columns for the test, the
-    process-wide ones restored after it."""
+    """An empty Burnside memo and no moment columns or state targets for
+    the test, the process-wide ones restored after it."""
     _cold(monkeypatch)
 
 
@@ -173,12 +176,27 @@ def _grown(bounds, d):
 
 def _priced(monkeypatch, profile, d) -> bool:
     """The route ``_route`` takes for the cold row of ``profile`` at d,
-    which raises ResourceCapError over the Burnside cap; the row is only
-    priced: no column is grown and nothing is summed."""
+    which raises ResourceCapError over the Burnside cap."""
     _cold(monkeypatch)
-    monkeypatch.setattr(stratavol.coverings, "_grow_columns", lambda *args: None)
-    monkeypatch.setattr(stratavol.coverings, "_moment_sums", lambda *args: None)
     return _route(tuple(sorted((m for m in profile if m <= d), reverse=True)), d)
+
+
+def _state():
+    """Copies of the moment columns, their pass sums and the Burnside memo."""
+    coverings = stratavol.coverings
+    return dict(coverings._columns), dict(coverings._pass_sums), dict(coverings._burnside_totals)
+
+
+def _count_routes(monkeypatch) -> list[tuple]:
+    """The (key, degree) of every ``_route`` call from now on."""
+    calls, route = [], stratavol.coverings._route
+
+    def counted(key, d):
+        calls.append((key, d))
+        return route(key, d)
+
+    monkeypatch.setattr(stratavol.coverings, "_route", counted)
+    return calls
 
 
 def _bench_workloads():
@@ -385,9 +403,9 @@ class TestMomentRoute:
         _grown((1, 2, 2), 20)
         assert stratavol.coverings._columns == stepped
         cells = _moment_cells()
-        assert _route((3, 2), 20) is True
+        _fill((3, 2), 20)
         assert _moment_cells() == cells
-        assert _route((3, 2), 21) is True
+        _fill((3, 2), 21)
         columns = stratavol.coverings._columns
         assert {_degree(len(columns[e])) for e in _monomials((0, 1, 2))} == {21}
         for e, col in stratavol.coverings._columns.items():
@@ -598,17 +616,15 @@ CORNER_PROFILES = [(2, 2), (4, 3), (3, 2), (4, 4, 3, 3, 2, 2)]
 
 
 class _CountedReads(dict):
-    """A column table that counts the columns read from it."""
+    """A column table that records the columns looked up with ``get``."""
 
-    reads = 0
+    def __init__(self):
+        super().__init__()
+        self.reads = []
 
-    def get(self, *args):
-        self.reads += 1
-        return super().get(*args)
-
-    def __getitem__(self, e):
-        self.reads += 1
-        return super().__getitem__(e)
+    def get(self, e, *args):
+        self.reads.append(e)
+        return super().get(e, *args)
 
 
 class TestCorner:
@@ -618,10 +634,11 @@ class TestCorner:
     def test_corner_reaches_least_and_answers_warm_rows(self, requests):
         # After every growth, the corner of each profile's bounds (the last
         # of its monomials) reaches the least degree of the bounds' columns,
-        # so a row the table already serves reads that one column and grows
-        # nothing.
+        # so a row the table already serves is routed and filled from that
+        # one column's length and grows nothing.
         coverings = stratavol.coverings
-        saved, grow = (coverings._columns, coverings._pass_sums), coverings._grow_columns
+        saved = coverings._columns, coverings._pass_sums, coverings._burnside_totals
+        grow = coverings._grow_columns
 
         def forbidden(*args):
             raise AssertionError("_grow_columns was called")
@@ -635,13 +652,15 @@ class TestCorner:
                     reach = [_degree(len(dict.get(columns, e, ())))
                              for e in _monomials(_moment_bounds(other))]
                     assert reach[-1] == min(reach), (other, requests)
-                cells, columns.reads = _moment_cells(), 0
-                coverings._grow_columns = forbidden
-                assert _route(profile, d) is True
+                cells, columns.reads = _moment_cells(), []
+                coverings._grow_columns, coverings._burnside_totals = forbidden, {}
+                _fill(profile, d)
                 coverings._grow_columns = grow
-                assert columns.reads == 1 and _moment_cells() == cells
+                assert set(columns.reads) == {_monomials(_moment_bounds(profile))[-1]}
+                assert _moment_cells() == cells and (profile, d) in coverings._burnside_totals
         finally:
-            (coverings._columns, coverings._pass_sums), coverings._grow_columns = saved, grow
+            coverings._columns, coverings._pass_sums, coverings._burnside_totals = saved
+            coverings._grow_columns = grow
 
 
 class TestRoutes:
@@ -694,10 +713,74 @@ class TestRoutes:
             cov_d(wide, d)
         assert stratavol.coverings._columns == {}
         # Grown through 17, the columns need 18 more states for degree 18.
+        monkeypatch.undo()
+        _cold(monkeypatch)
         _grown(_moment_bounds(wide), 17)
         assert _route(wide, 18) is True
+        _fill(wide, 18)
         columns = stratavol.coverings._columns
         assert {_degree(len(columns[e])) for e in _monomials(_moment_bounds(wide))} == {18}
+
+
+class TestOneRoutePerSeries:
+    @pytest.mark.parametrize("key, d, route", [
+        ((4, 3), 20, True), ((2,), 30, True), ((5, 2), 20, False), ((4,) * 6, 18, False)])
+    def test_route_only_prices(self, key, d, route, cold_memo):
+        # Cold and then served, by either route: the route is chosen and
+        # priced with no column grown, no pass summed and no row stored.
+        before = _state()
+        assert _route(key, d) is route
+        assert _state() == before
+        _fill(key, d)
+        served = _state()
+        assert served != before
+        assert _route(key, d) is route and _route(key, d - 1) is route
+        assert _state() == served
+
+    @pytest.mark.parametrize("series, profile, order", [
+        (cov_series, (5, 2), 20), (cov_series, (4, 3), 28), (cov_connected_series, (3, 3), 9)])
+    def test_series_is_routed_once(self, series, profile, order, cold_memo, monkeypatch):
+        # One price at the top row, one route for every row and sub-profile
+        # below it, whichever rows a lone row summed before.
+        calls = _count_routes(monkeypatch)
+        got = series(profile, order)
+        assert calls == [(profile, order)]
+        want = [cov_d(profile, d) for d in range(order + 1)]
+        if series is cov_connected_series:
+            want = list(connected_by_set_partitions(profile, order).coeffs)
+        assert list(got.coeffs) == want
+        _cold(monkeypatch)
+        cov_d(profile, order // 2)
+        calls.clear()
+        assert series(profile, order) == got
+        assert calls == [(profile, order)]
+
+    def test_targets_of_a_state_computed_once(self, cold_memo, monkeypatch):
+        # Growing (0, 0, 1) through 20 computes the targets of rows 1-20;
+        # narrower and wider bounds grown cold below 20 compute none, and
+        # growing on through 30 computes those of rows 21-30 only.
+        calls = []
+
+        def counted(lo, d):
+            calls.append((lo, d))
+            return _targets(lo, d)
+
+        monkeypatch.setattr(stratavol.coverings, "_targets", counted)
+        _grown((0, 0, 1), 20)
+        _grown((0, 1, 2), 12)
+        _grown((1, 2, 2), 20)
+        _grown((0, 0, 1), 30)
+        assert calls == [(0, 20), (20, 30)]
+        assert stratavol.coverings._target_table == list(_targets(0, 30))
+        whole = _cold_columns((1, 2, 2), 30)
+        assert all(col == whole[e][:len(col)] for e, col in stratavol.coverings._columns.items())
+
+    def test_connected_series_keeps_no_splits(self, cold_memo):
+        # Forty points: the 41 multiplicity vectors' splits are read once
+        # each, so the splits memo of the cumulant tables is not touched.
+        info = vector_splits.cache_info()
+        assert cov_connected_series((2,) * 40, 2).order == 2
+        assert vector_splits.cache_info() == info
 
 
 def _partition_tallies(d):
@@ -718,12 +801,11 @@ def _sweep_price(key, d):
     distinct cycle length, and one product per sub-profile, with the hook
     loops of length m at n bounded by those at n - m plus m times the parts
     and m(m + 1)/2 times the partitions of n - m; and per row 0..d, its
-    routing (its cycles and d per length) and its setup (1 + its longest
-    cycle, and 3 per sub-profile)."""
+    setup (1 + its longest cycle, and 3 per sub-profile)."""
     counts, parts = _partition_tallies(d)
     lengths, subs = set(key), len(_sub_profiles(key)[0])
     price = (2 + len(lengths)) * sum(parts) + subs * sum(counts) + (d + 1) * (
-        len(key) + d * len(lengths) + max(key, default=0) + 1 + 3 * subs)
+        max(key, default=0) + 1 + 3 * subs)
     for m in lengths:
         loops = [0] * (d + 1)
         for n in range(m, d + 1):
@@ -757,8 +839,8 @@ class TestBurnsideWork:
                 _route((5,), dmax)
 
     def test_cap_allows_degree_38(self):
-        # The series through 38 is priced at 9,726,575 steps; through 39,
-        # 12,120,982.
+        # The series through 38 is priced at 9,725,054 steps; through 39,
+        # 12,119,382.
         assert _sweep_price((5,), 38) <= BURNSIDE_WORK_CAP < _sweep_price((5,), 39)
         assert _route((5,), 38) is False
         for dmax in (39, 48, 70, 10**9):
@@ -781,21 +863,19 @@ class TestBurnsideWork:
         ((4,) * 6, (4, 11, 18)), ((6, 5, 4, 3, 2), (6, 13, 20))])
     def test_sweep_price_bounds_the_counted_steps(self, profile, degrees, cold_memo,
                                                   monkeypatch):
-        # The steps of the sweeps of every degree up to d, counted where
-        # they happen: each beta number, listed and put in a set, each
-        # element a hook_value scan and each hook loop visits, and each
-        # sub-profile product; and per row, as it is set up, its routing
-        # (its cycles and n hook-loop terms per length) and its setup (f,
-        # and a value, a total and a store per sub-profile).  The price is
-        # at least that count, and from degree 2 max(key) on within 10% of
-        # it.
+        # The steps of the sweeps of a series through d, every row with the
+        # whole key, counted where they happen: each beta number, listed
+        # and put in a set, each element a hook_value scan and each hook
+        # loop visits, and each sub-profile product; and per row, as it is
+        # set up, f and a value, a total and a store per sub-profile.  The
+        # price is at least that count and within 10% of it (7% measured).
         steps, subs = [], ()
 
-        def sub_profiles(fit):
+        def sub_profiles(key):
             nonlocal subs
-            subs = _sub_profiles(fit)[0]
-            steps.append(len(fit) + n * len(set(fit)) + max(fit, default=0) + 1 + 3 * len(subs))
-            return _sub_profiles(fit)
+            subs = _sub_profiles(key)[0]
+            steps.append(max(key, default=0) + 1 + 3 * len(subs))
+            return _sub_profiles(key)
 
         def partitions(n):
             for lam in iter_int_partitions(n):
@@ -820,16 +900,12 @@ class TestBurnsideWork:
         for d in degrees:
             steps.clear()
             for n in range(d + 1):
-                _sweep(tuple(m for m in key if m <= n), n)
+                _sweep(key, n)
             counted = sum(steps)
             monkeypatch.setattr(stratavol.coverings, "BURNSIDE_WORK_CAP", counted - 1)
             with pytest.raises(ResourceCapError):
                 _route(key, d)
-            # The whole key is priced at every row, loosely while some of
-            # its cycles do not fit: its setup and routing are counted at
-            # every row with all its cycles.
-            tight = counted * (30 if d < 2 * key[0] else 11) // 10
-            monkeypatch.setattr(stratavol.coverings, "BURNSIDE_WORK_CAP", tight)
+            monkeypatch.setattr(stratavol.coverings, "BURNSIDE_WORK_CAP", counted * 11 // 10)
             assert _route(key, d) is False, (profile, d)
 
 
@@ -898,10 +974,10 @@ class TestRowCap:
 
     def test_row_cap_is_on_the_series_through_it(self, monkeypatch):
         # The sweep of degree 39 alone visits 31,185 partitions, but the
-        # series through 39, 177,970 partitions, is priced at 12,299,112
+        # series through 39, 177,970 partitions, is priced at 12,297,472
         # steps: a lone row is priced as the series its route serves.
         assert _priced(monkeypatch, (5, 5), 38) is False
-        with pytest.raises(ResourceCapError, match=r"the sweep 12299112 \(3 sub-profiles\)"):
+        with pytest.raises(ResourceCapError, match=r"the sweep 12297472 \(3 sub-profiles\)"):
             _priced(monkeypatch, (5, 5), 39)
         # p(16) = 231 times 2^15 sub-profiles is under 10^7; the 915
         # partitions through 16 times 2^15 are over.
@@ -938,8 +1014,8 @@ class TestRowCap:
         # five partitions of 4 makes 1,505 products.  155 fours bound
         # 644,956 monomials, 9,674,400 column-states through 4, under the
         # cap but over the sweep's price, so pricing lists no monomial and
-        # plans no pass.  Lower rows hold no four and read the columns of
-        # the empty profile.
+        # plans no pass.  The CLI's series sweeps every row with all its
+        # fours.
         want = [_burnside_by_murnaghan_nakayama((4,) * k, 4) for k in (155, 300)]
         cov_series((), 4)
         _forbid(monkeypatch, "_monomials")

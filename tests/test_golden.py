@@ -3,9 +3,6 @@
 ``data/golden_volumes.json`` holds volume(mu) and c(mu + 1) for all 82
 strata of genus 2 to 6, written before the pipeline was refactored: the 40
 strata of genus 2 to 5 first, then the 42 of genus 6.
-``data/golden_genus7_small.json`` holds the same for the 19 strata of genus
-7 with at most three zeros, written before the cumulants moved to the
-exponential formula and the Wick sum to tree growing.
 ``data/golden_genus8.json`` holds the same for all 135 strata of genus 8,
 written when the Wick sum became a rooted-tree DP over group multiplicities;
 the 116 strata the tree-growing route could compute were checked identical
@@ -15,7 +12,9 @@ written before the Wick tree sum's states were shared across calls.
 ``data/golden_genus7.json`` and ``data/golden_genus10.json`` hold the same
 for all 77 strata of genus 7 and all 385 of genus 10, written before the
 Wick and cumulant caps became one price, with the caps lifted in the
-writing process only (56 of the genus-10 strata were over them).
+writing process only (56 of the genus-10 strata were over them).  Its 19
+genus-7 strata with at most three zeros equal a table written before the
+cumulants moved to the exponential formula, which it replaced.
 ``data/golden_covers.json`` holds the Burnside rows ``cov_d(p, d)`` and the
 connected series coefficients for d <= 20 of 13 covering profiles, written
 before the Burnside sums of all sub-profiles were merged into one sweep per
@@ -40,9 +39,6 @@ ROWS = json.loads(
 )
 GOLDEN = [row for row in ROWS if sum(row["mu"]) <= 8]
 GENUS_6 = [row for row in ROWS if sum(row["mu"]) == 10]
-GENUS_7_SMALL = json.loads(
-    (Path(__file__).parent / "data" / "golden_genus7_small.json").read_text()
-)
 GENUS_8 = json.loads((Path(__file__).parent / "data" / "golden_genus8.json").read_text())
 GENUS_9 = json.loads((Path(__file__).parent / "data" / "golden_genus9.json").read_text())
 GENUS_7 = json.loads((Path(__file__).parent / "data" / "golden_genus7.json").read_text())
@@ -75,18 +71,6 @@ def test_golden_genus_6_volumes_exact():
         assert result.c_const.as_json_dict() == row["c"], row["mu"]
 
 
-def test_golden_genus_7_table_is_strata_with_at_most_three_zeros():
-    want = [list(mu) for mu in enum_int_partitions(12) if len(mu) <= 3]
-    assert [row["mu"] for row in GENUS_7_SMALL] == want
-
-
-def test_golden_genus_7_small_volumes_exact():
-    for row in GENUS_7_SMALL:
-        result = volume(row["mu"])
-        assert result.volume.as_json_dict() == row["volume"], row["mu"]
-        assert result.c_const.as_json_dict() == row["c"], row["mu"]
-
-
 def test_golden_genus_8_table_is_every_stratum():
     assert [row["mu"] for row in GENUS_8] == [list(mu) for mu in enum_int_partitions(14)]
 
@@ -109,9 +93,8 @@ def test_golden_genus_9_volumes_exact():
         assert result.c_const.as_json_dict() == row["c"], row["mu"]
 
 
-def test_golden_genus_7_table_is_every_stratum_and_holds_the_small_one():
+def test_golden_genus_7_table_is_every_stratum():
     assert [row["mu"] for row in GENUS_7] == [list(mu) for mu in enum_int_partitions(12)]
-    assert [row for row in GENUS_7 if len(row["mu"]) <= 3] == GENUS_7_SMALL
 
 
 def test_golden_genus_7_volumes_exact():
