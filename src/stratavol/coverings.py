@@ -29,14 +29,13 @@ column never reaches past another of its bounds, threads included: its
 length alone tells whether the table serves a degree.
 
 One function prices the series through a row the table does not serve,
-before any work, in one unit for either route, the steps it takes, and
-that price is both the route choice and the Burnside cap (``_route``);
-another does all the work of that route (``_fill``).  A series is priced
-and routed once, at its top row (``_rows``).  Connected counts come from
-the all-coverings series by the exponential formula over sub-multisets
-of the branch points, in integers (``cov_connected_series``); its rows
-serve every sub-profile those need, memoized for the life of the
-process, so no degree is summed twice.
+before any work, in the steps either route takes; that price is both the
+route choice and the Burnside cap (``_route``).  Another does the work of
+that route (``_fill``); a series is priced and routed once, at its top
+row (``_rows``).  Connected counts come from the all-coverings series by
+the exponential formula over sub-multisets of the branch points, in
+integers (``cov_connected_series``), whose rows serve every sub-profile
+they need; totals are memoized, so no degree is summed twice.
 """
 
 from __future__ import annotations
@@ -104,7 +103,7 @@ def _profile(profile) -> CoverProfile:
 # Burnside totals by (sub-profile sorted longest cycle first, degree), for
 # the life of the process.  Either route stores every sub-multiset of the
 # key it fills at each degree it sums, so whenever a profile is here, every
-# sub-profile that can sum to nonzero is too.
+# sub-profile that can sum to nonzero is too, and one that is not reads 0.
 _burnside_totals: dict[tuple[tuple[int, ...], int], int] = {}
 
 
@@ -115,33 +114,32 @@ def _burnside_sums(profile: Sequence[int], d: int) -> int:
     the number of partitions of d for the empty profile."""
     key = tuple(sorted(profile, reverse=True))
     if (key, d) not in _burnside_totals:
-        fit = tuple(m for m in key if m <= d)
-        _fill(fit, d)
-        if fit != key:
-            _burnside_totals[key, d] = 0
-    return _burnside_totals[key, d]
+        _fill(tuple(m for m in key if m <= d), d)
+    return _burnside_totals.get((key, d), 0)
 
 
 def _fill(key: tuple[int, ...], d: int, series: bool = False) -> None:
-    """Sum the missing rows of ``key`` and its sub-profiles, at d or, with
-    ``series``, through d, by the route ``_route`` prices for the series
-    through d: a sweep per row (``_sweep``), or a growth of the columns
-    (``_grow_columns``) and a dot product per row (``_moment_sums``), the
-    rows the growth adds included.  Below the longest cycle, where the
-    key's row is 0, both serve the sub-profiles' rows of a series too."""
-    rows = [n for n in range(0 if series else d, d + 1) if (key, n) not in _burnside_totals]
+    """Sum the missing rows of ``key`` and its sub-profiles at d or, with
+    ``series``, through d (below the longest cycle, those of the cycles
+    that fit), by the route ``_route`` prices: a sweep per row, or a growth
+    of the columns and a dot product per row (``_moment_sums``), for a lone
+    row also the rows the growth adds."""
+    top = key[0] if key and series else 0
+    rows = [(fit, n) for n in range(0 if series else d, d + 1)
+            for fit in [key if n >= top else tuple(m for m in key if m <= n)]
+            if (fit, n) not in _burnside_totals]
     if rows and not _route(key, d):
-        for n in rows:
-            _sweep(key, n)
+        for row in rows:
+            _sweep(*row)
     elif rows:
-        bounds = _moment_bounds(key)
-        held = _degree(len(_columns.get(_monomials(bounds)[-1], ())))  # the corner's
+        held = _held(key)
         if held < d:
-            _grow_columns(bounds, d)
-            rows[:0] = range(max(held + 1, key[0] if key else 0), d)
-        for n in rows:
-            if (key, n) not in _burnside_totals:
-                _moment_sums(key, n)
+            _grow_columns(_moment_bounds(key), d)
+            if not series:
+                rows[:0] = [(key, n) for n in range(max(held + 1, key[0] if key else 0), d)
+                            if (key, n) not in _burnside_totals]
+        for row in rows:
+            _moment_sums(*row)
 
 
 @lru_cache(maxsize=None)
@@ -281,10 +279,16 @@ def _degree(size: int) -> int:
     return (isqrt(8 * size + 1) - 3) // 2
 
 
+def _held(key: tuple[int, ...]) -> int:
+    """The degree the column of the corner of the bounds of ``key`` holds."""
+    top3, top23, top = _moment_bounds(key)
+    return _degree(len(_columns.get((top - top23, top23 - top3, top3), ())))
+
+
 # For the states (n, b), 1 <= b <= n, of rows 1 through the largest degree
 # grown, at n (n - 1) / 2 + b - 1: the index of the state (n - b, min(b,
 # n - b)) each builds on and the three translations alpha of the row map,
-# each computed once; like a column, only replaced, under the lock.
+# each computed once: the four lists only grow, under the lock.
 _target_table: list = [[], ([], [], [])]
 
 
@@ -354,21 +358,22 @@ def _grow_columns(bounds: tuple[int, int, int], d: int) -> None:
     stored with its sums once its new rows are complete.
     """
     monomials = _monomials(bounds)
-    end = d * (d + 1) // 2  # the states (n, b), b >= 1, through row d
     with _columns_lock:
         held = [(_columns.get(e, ()), _pass_sums.get(e)) for e in monomials]
-        have = [_degree(len(col)) for col, _ in held]
-        lo = min(have)
-        if lo >= d:
-            return
-        srcs, alphas = _target_table
-        if len(srcs) < end:
-            new_srcs, new_alphas = _targets((isqrt(8 * len(srcs) + 1) - 1) // 2, d)
-            srcs, alphas = srcs + new_srcs, tuple(map(add, alphas, new_alphas))
-            _target_table[:] = srcs, alphas
+    have = [_degree(len(col)) for col, _ in held]
+    lo = min(have)
+    if lo >= d:
+        return
+    end = d * (d + 1) // 2  # the states (n, b), b >= 1, through row d
+    srcs, alphas = _target_table
+    if len(srcs) < end:
+        start = len(srcs)
+        new_srcs, new_alphas = _targets((isqrt(8 * start + 1) - 1) // 2, d)
+        with _columns_lock:  # the index list last: its length is read unlocked
+            for table, new in zip((*alphas, srcs), (*new_alphas, new_srcs)):
+                table.extend(new[len(table) - start:])  # less another growth's
     base = lo * (lo + 1) // 2
-    if base or len(srcs) > end:
-        srcs, alphas = srcs[base:end], [a[base:end] for a in alphas]
+    srcs, alphas = srcs[base:end], [a[base:end] for a in alphas]
     weights: dict[tuple[int, int, int], list[int]] = {}
     read = {f for e, n_e in zip(monomials, have) if n_e < d
             for terms in _plan(e) for f, _ in terms}
@@ -419,12 +424,10 @@ def _grow_columns(bounds: tuple[int, int, int], d: int) -> None:
 def _route(key: tuple[int, ...], d: int) -> bool:
     """The route of the Burnside sums of ``key`` and its sub-profiles
     through degree d, which is also their cap: True by content moments,
-    False by the sweep, ResourceCapError when neither is admitted.  It only
-    prices; ``_fill`` does the work.
-
-    Columns that hold d serve at no cost; the corner's column tells (see
-    the module docstring).  Otherwise the series through d is priced before
-    any work in the steps each route takes; the cheaper goes when at most
+    False by the sweep, ResourceCapError when neither is admitted; it only
+    prices (``_fill`` does the work).  Columns that hold d serve at no cost
+    (``_held``).  Otherwise the series through d is priced before any work
+    in the steps each route takes; the cheaper goes when at most
     ``BURNSIDE_WORK_CAP``, the moments on a tie.  Per partition lam of each
     n <= d, a sweep takes 2 l(lam) for the beta numbers and their set, per
     distinct cycle length m a ``hook_value`` scan of l(lam) and a loop of
@@ -439,17 +442,14 @@ def _route(key: tuple[int, ...], d: int) -> bool:
     new state with b >= 1 and, only while that is at most the sweep and
     the cap (pricing lists no more monomials than a route visits), the
     multiply-adds (``_growth_terms``) and per state one value per distinct
-    translation weight (i, k - t, C(k, t)), t < k <= the bound of exponent i.
-    """
+    translation weight (i, k - t, C(k, t)), t < k <= the bound of exponent i."""
     sweep = moments = inf
     if not key or key[0] <= CONTENT_POLY_MAX_M:
-        top3, top23, top = bounds = _moment_bounds(key)
-        corner = _columns.get((top - top23, top23 - top3, top3), ())
-        if len(corner) > d * (d + 3) // 2:
-            return True  # the corner holds the state (d, d)
-        held = _degree(len(corner))
-        new = d * (d + 1) // 2 - held * (held + 1) // 2
-        moments = _monomial_count(bounds) * ((d + 1) * (d + 2) // 2 - len(corner)) + 6 * new
+        bounds, held = _moment_bounds(key), _held(key)
+        if held >= d:
+            return True
+        new = d * (d + 1) // 2 - held * (held + 1) // 2  # states with b >= 1
+        moments = _monomial_count(bounds) * (new + d - held) + 6 * new
     parts, sums = length_sums(d, BURNSIDE_WORK_CAP), partition_sums(d, BURNSIDE_WORK_CAP)
     subs, lengths = prod(c + 1 for c in Counter(key).values()), set(key)
     if d < len(parts):
@@ -526,12 +526,10 @@ def cov_series(profile, order: int) -> QSeries:
 
 
 def _rows(profile: CoverProfile, order: int) -> list[int]:
-    """The Burnside sums of degrees 0..order, filled as one series: one
-    price before any work and one route for every missing row."""
+    """The Burnside sums of degrees 0..order, priced and routed once."""
     key = tuple(sorted(profile, reverse=True))
-    fit = tuple(m for m in key if m <= order)
-    _fill(fit, order, True)
-    return [_burnside_totals[key, d] if fit == key else 0 for d in range(order + 1)]
+    _fill(tuple(m for m in key if m <= order), order, True)
+    return [_burnside_totals.get((key, d), 0) for d in range(order + 1)]
 
 
 def cov_prime_series(profile, order: int) -> QSeries:
@@ -556,9 +554,9 @@ def cov_connected_series(profile, order: int) -> QSeries:
 
     A cycle longer than ``order`` leaves no connected covering through
     that order, so the series is zero with no work.  Otherwise the
-    formula's work is checked against ``CONNECTED_WORK_CAP``, the blocks'
-    series come from the profile's rows (``_rows``), priced once before any
-    is summed, and each vector's splits are read once, so none is kept.
+    formula's work is checked against ``CONNECTED_WORK_CAP``, and the
+    blocks' series come from the profile's rows (``_rows``), priced once
+    before any is summed.
     """
     profile = _profile(profile)
     if not profile:
@@ -575,15 +573,15 @@ def cov_connected_series(profile, order: int) -> QSeries:
             f"connected series work {work} up to order {order} exceeds cap {CONNECTED_WORK_CAP}")
     _rows(profile, order)
     euler = _lead([int(c) for c in euler_series(order).coeffs])
-    vectors = sorted((T for T, _, _ in vector_splits.__wrapped__(counts)), key=sum)
+    vectors = sorted((T for T, _, _ in vector_splits(counts)), key=sum)
     prime: dict[tuple[int, ...], tuple[int, list[int]]] = {}
     conn: dict[tuple[int, ...], tuple[int, list[int]]] = {}
     for b in vectors[1:]:
         key = tuple(m for m, k in zip(lengths, b) for _ in range(k))
-        raw = [_burnside_sums(key, d) for d in range(order + 1)]
+        raw = [_burnside_totals.get((key, d), 0) for d in range(order + 1)]
         prime[b] = _lead(_product_into([0] * (order + 1), 1, euler, _lead(raw)))
         total = list(prime[b][1])
-        for T, R, ways in vector_splits.__wrapped__(b, True):
+        for T, R, ways in vector_splits(b, True):
             if any(R):
                 _product_into(total, -ways, conn[T], prime[R])
         conn[b] = _lead(total)

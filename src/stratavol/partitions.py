@@ -406,12 +406,13 @@ def vector_splits(counts: tuple[int, ...], first_block: bool = False) -> tuple:
     the first element, of the first nonzero kind f, with ways
     C(c_f - 1, T_f - 1) prod_{i != f} C(c_i, T_i): the recursion of the
     exponential formula, whole(c) = sum ways conn(T) whole(R).  Memoized
-    for the cumulant tables and the Wick DP; a caller that reads each
-    vector once calls ``vector_splits.__wrapped__``, which keeps nothing.
+    without a bound: a connected covering series, which visits every
+    sub-vector of its profile, is held to ``CONNECTED_WORK_CAP``, and so
+    to at most cap / 3 split triples in all (``coverings``).
     """
     if first_block:
         f = next(i for i, c in enumerate(counts) if c)
         return tuple((T, R, ways * T[f] // counts[f])
-                     for T, R, ways in vector_splits.__wrapped__(counts) if T[f])
+                     for T, R, ways in vector_splits(counts) if T[f])
     return tuple((T, tuple(map(sub, counts, T)), prod(map(comb, counts, T)))
                  for T in product(*(range(c + 1) for c in counts)))

@@ -53,7 +53,7 @@ from stratavol.coverings import (
 )
 from stratavol.cli import main
 from stratavol.errors import DomainError, ResourceCapError
-from stratavol.partitions import enum_int_partitions, iter_int_partitions, vector_splits
+from stratavol.partitions import enum_int_partitions, iter_int_partitions
 from stratavol.qseries import QSeries, euler_series
 from stratavol.shifted_symmetric import q_average
 
@@ -755,6 +755,30 @@ class TestOneRoutePerSeries:
         assert series(profile, order) == got
         assert calls == [(profile, order)]
 
+    def test_lone_rows_leave_their_series_one_row(self, cold_memo, monkeypatch):
+        # The benchmark's rows, each alone from the top degree down, then
+        # its ratios: below the longest cycle a series sums the rows of the
+        # cycles that fit, and of those only row 0 of the empty profile,
+        # which no lone row asked for, is missing.
+        profiles = [(2, 2), (3, 2), (4, 3)]
+        for d in range(28, 0, -1):
+            for profile in profiles:
+                cov_d(profile, d)
+        summed, moment_sums = [], stratavol.coverings._moment_sums
+
+        def counted(key, d):
+            summed.append((key, d))
+            moment_sums(key, d)
+
+        monkeypatch.setattr(stratavol.coverings, "_moment_sums", counted)
+        _forbid(monkeypatch, "_grow_columns")
+        _forbid(monkeypatch, "_sweep")
+        got = [asymptotic_ratio(profile, 28) for profile in profiles]
+        assert summed == [((), 0)]
+        monkeypatch.undo()
+        _cold(monkeypatch)
+        assert got == [asymptotic_ratio(profile, 28) for profile in profiles]
+
     def test_targets_of_a_state_computed_once(self, cold_memo, monkeypatch):
         # Growing (0, 0, 1) through 20 computes the targets of rows 1-20;
         # narrower and wider bounds grown cold below 20 compute none, and
@@ -774,13 +798,6 @@ class TestOneRoutePerSeries:
         assert stratavol.coverings._target_table == list(_targets(0, 30))
         whole = _cold_columns((1, 2, 2), 30)
         assert all(col == whole[e][:len(col)] for e, col in stratavol.coverings._columns.items())
-
-    def test_connected_series_keeps_no_splits(self, cold_memo):
-        # Forty points: the 41 multiplicity vectors' splits are read once
-        # each, so the splits memo of the cumulant tables is not touched.
-        info = vector_splits.cache_info()
-        assert cov_connected_series((2,) * 40, 2).order == 2
-        assert vector_splits.cache_info() == info
 
 
 def _partition_tallies(d):
