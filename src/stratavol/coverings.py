@@ -104,6 +104,8 @@ def _profile(profile) -> CoverProfile:
 # the life of the process.  Either route stores every sub-multiset of the
 # key it fills at each degree it sums, so whenever a profile is here, every
 # sub-profile that can sum to nonzero is too, and one that is not reads 0.
+# A key is stored only once its total is complete, so ``cov_d`` returns a
+# held row from one lookup.
 _burnside_totals: dict[tuple[tuple[int, ...], int], int] = {}
 
 
@@ -509,7 +511,17 @@ def cov_d(profile, d: int) -> Fraction:
 
     The empty profile counts all unramified coverings, one per partition
     of d.
+
+    A tuple (a ``CoverProfile`` too) whose row is held, sorted longest
+    cycle first, is read from ``_burnside_totals`` with no check: only
+    checked keys with every cycle at most d >= 0 are stored, each once its
+    total is complete.  Another tuple pays one failed lookup; one holding
+    an unhashable entry raises TypeError there, as the check would.
     """
+    if isinstance(profile, tuple):
+        total = _burnside_totals.get((profile, d))
+        if total is not None:
+            return Fraction(total)
     profile = _profile(profile)
     if d < 0:
         raise DomainError("degree must be nonnegative")

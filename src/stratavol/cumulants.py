@@ -478,17 +478,18 @@ def _cells(v: tuple[int, ...], excess: int) -> int:
 
 
 # The Wick tree sum's states for the whole process, as the tuple
-# (Q, leaf, dist, down, blk): the common denominator Q whose powers scale
-# them, then the ``leaf``, ``down`` and ``blk`` values of
-# ``_wick_tree_sum`` and its ``dist`` values with groups below, each a
-# dict.  It is kept under the key "memo" of a dict that, like every other
+# (Q, leaf, dist, down, blk, types): the common denominator Q whose powers
+# scale them, then the ``leaf``, ``down`` and ``blk`` values of
+# ``_wick_tree_sum``, its ``dist`` values with groups below, and per type
+# label its pad E_h Q^(L_h), scaled terms and entries, each a dict.  It is
+# kept under the key "memo" of a dict that, like every other
 # memo of the package, is changed in place and never rebound.  A call
 # whose common denominator does not divide Q puts a fresh tuple at its
 # own, larger Q in its place; the old dicts are never cleared, so a thread
 # still using them writes only to them.  Each call computes with the
 # tuple it read and checked, so two threads that replace it at once, or
 # compute one state twice, lose only work.
-_wick_memo = {"memo": (1, {}, {}, {}, {})}
+_wick_memo = {"memo": (1, {}, {}, {}, {}, {})}
 
 
 def _wick_tree_sum(labels, types, counts: tuple[int, ...]) -> Fraction:
@@ -533,32 +534,34 @@ def _wick_tree_sum(labels, types, counts: tuple[int, ...]) -> Fraction:
     tuple) for wick_leading, so the two never meet.  A state is keyed by
     the labels and multiplicities of its S, not by type positions, and
     its value depends only on them and Q, so every call whose Q divides
-    the memo's (``_wick_memo``) reads and adds to the same states.
+    the memo's (``_wick_memo``) reads and adds to the same states.  So
+    does a type's pad E_h Q^(L_h), its scaled terms and its entries (w,
+    lam without one w, scaled coeff * mult_lam(w)): each is built once
+    per label and Q, or per call for a lone group.
     """
     reach = 2 + sum(c * (max(max(lam) for lam, _ in terms) - 1)
                     for terms, c in zip(types, counts))
     memo = _wick_memo["memo"]
     if memo[0] % _common_denominator(reach):
-        memo = _wick_memo["memo"] = (_common_denominator(reach), {}, {}, {}, {})
-    scale, leaf_memo, dist_memo, down_memo, blk_memo = memo
-    scaled_types = []  # per type: (lam, coeff * E_h * Q^(L_h - len(lam)))
-    denominator = 1
-    for terms, c in zip(types, counts):
-        longest = max(len(lam) for lam, _ in terms)
-        unit = lcm(*(coeff.denominator for _, coeff in terms))
-        pads = [unit * scale**k for k in range(longest + 1)]
-        denominator *= pads[longest] ** c
-        scaled_types.append(
-            [(tuple(lam), _scaled(coeff, pads[longest - len(lam)])) for lam, coeff in terms]
-        )
-    entries = []  # per type: (w, lam without one w, scaled coeff * mult_lam(w))
-    for terms in scaled_types:
-        row = []
-        for lam, coeff in terms:
-            for i, w in enumerate(lam):
-                if i == 0 or lam[i - 1] != w:
-                    row.append((w, lam[:i] + lam[i + 1:], coeff * lam.count(w)))
-        entries.append(row)
+        memo = _wick_memo["memo"] = (_common_denominator(reach), {}, {}, {}, {}, {})
+    scale, leaf_memo, dist_memo, down_memo, blk_memo, type_memo = memo
+    # A lone group keeps no state but its leaves, so its type is kept for
+    # the call only too: the memo does not grow with one large generator.
+    kept = type_memo if sum(counts) > 1 else {}
+    held = []  # per type: E_h Q^(L_h), (lam, coeff E_h Q^(L_h - len(lam))), entries
+    for label, terms in zip(labels, types):
+        got = kept.get(label)
+        if got is None:
+            longest = max(len(lam) for lam, _ in terms)
+            unit = lcm(*(coeff.denominator for _, coeff in terms))
+            pads = [unit * scale**k for k in range(longest + 1)]
+            scaled = [(tuple(lam), _scaled(coeff, pads[longest - len(lam)])) for lam, coeff in terms]
+            row = [(w, lam[:i] + lam[i + 1:], coeff * lam.count(w))
+                   for lam, coeff in scaled for i, w in enumerate(lam) if i == 0 or lam[i - 1] != w]
+            got = kept[label] = pads[longest], scaled, row
+        held.append(got)
+    denominator = prod(pad**c for (pad, _, _), c in zip(held, counts))
+    _, scaled_types, entries = zip(*held)
     tag = {S: tuple((label, c) for label, c in zip(labels, S) if c)
            for S in product(*(range(c + 1) for c in counts))}
 

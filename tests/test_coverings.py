@@ -94,6 +94,56 @@ class TestCovD:
             CoverProfile((1, 2))
 
 
+# Requests that no held row may answer, by the exception a cold call raises.
+_INVALID_REQUESTS = [
+    (((4, 1), 20), DomainError),
+    (((4, 3), -1), DomainError),
+    ((("x", 3), 20), ValueError),
+    ((([4], 3), 20), TypeError),
+]
+
+
+class TestWarmRow:
+    FORMS = [(4, 3, 2), CoverProfile((4, 3, 2)), (2, 4, 3), [4, 3, 2], [2, 3, 4]]
+
+    def test_every_profile_form_reads_the_cold_value(self, cold_memo, monkeypatch):
+        want = []
+        for form in self.FORMS:
+            _cold(monkeypatch)
+            want.append(cov_d(form, 20))
+        assert want[0] != 0 and len(set(want)) == 1
+        cov_series((4, 3, 2), 28)
+        for form in self.FORMS:
+            got = cov_d(form, 20)
+            assert type(got) is Fraction and got == want[0], form
+
+    @pytest.mark.parametrize("request_, error", _INVALID_REQUESTS)
+    def test_invalid_requests_raise_alike_warm_or_cold(self, request_, error, cold_memo):
+        with pytest.raises(error):
+            cov_d(*request_)
+        cov_series((4, 3), 28)
+        with pytest.raises(error):
+            cov_d(*request_)
+
+    def test_hit_runs_no_check_and_no_route(self, cold_memo, monkeypatch):
+        # (4, 3) rows vanish by parity; its sub-profiles' are held too.
+        want = {key: [cov_d(key, d) for d in range(29)] for key in ((3,), ())}
+        _cold(monkeypatch)
+        cov_series((4, 3), 28)
+        for name in ("_profile", "_fill", "_route"):
+            _forbid(monkeypatch, name)
+        for d in range(4, 29):
+            assert cov_d((4, 3), d) == cov_d(CoverProfile((4, 3)), d) == 0, d
+            for key, rows in want.items():
+                assert cov_d(key, d) == cov_d(CoverProfile(key), d) == rows[d] != 0, (key, d)
+
+    def test_rows_below_the_longest_cycle_read_zero(self, cold_memo):
+        cov_series((4, 3), 28)
+        for form in ((4, 3), CoverProfile((4, 3)), (3, 4), [4, 3]):
+            assert [cov_d(form, d) for d in range(4)] == [0] * 4, form
+        assert cov_d((3,), 3) != 0
+
+
 def _burnside_by_murnaghan_nakayama(profile, d):
     """Sum over lam of d of prod_i |C_i| chi(C_i) / dim(lam), characters by
     Murnaghan-Nakayama."""

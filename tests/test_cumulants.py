@@ -51,7 +51,7 @@ def clear_cumulant_memos():
     stratavol.cumulants._cumulant_over_pi.cache_clear()
     stratavol.cumulants._tables.clear()
     stratavol.cumulants._series.clear()
-    stratavol.cumulants._wick_memo["memo"] = (1, {}, {}, {}, {})
+    stratavol.cumulants._wick_memo["memo"] = (1, {}, {}, {}, {}, {})
 
 
 def keys_up_to(max_parts, max_size):
@@ -256,7 +256,7 @@ class TestSharedWickMemo:
         _, *states = stratavol.cumulants._wick_memo["memo"]
         assert all(states)
         clear_cumulant_memos()
-        assert stratavol.cumulants._wick_memo["memo"] == (1, {}, {}, {}, {})
+        assert stratavol.cumulants._wick_memo["memo"] == (1, {}, {}, {}, {}, {})
 
     @settings(max_examples=6, deadline=None)
     @given(order=st.permutations(GOLDEN_GENUS_2_TO_6), cold=st.booleans())
@@ -281,6 +281,62 @@ class TestSharedWickMemo:
         assert len(small[4]) == states  # replaced, not cleared in place
         assert [c_const(key) for key in self.SMALL] == want[:len(self.SMALL)]
         assert stratavol.cumulants._wick_memo["memo"] is big
+
+    def test_each_generator_scaled_once_per_q(self, monkeypatch):
+        # f_top_expansion is memoized, so each coefficient of f_k is one
+        # object, and the _scaled calls on those objects are k's scalings.
+        calls, real = [], stratavol.cumulants._scaled
+
+        def counted(value, scale):
+            calls.append(value)
+            return real(value, scale)
+
+        def scalings(k):
+            coeffs = {id(coeff) for _, coeff in f_top_expansion(k).terms}
+            return sum(id(value) in coeffs for value in calls)
+
+        keys = [(4, 3, 2), (3, 2, 2), (5, 3), (7, 5, 3)]
+        want = self.cold([lambda key=key: c_const(key) for key in keys])
+        monkeypatch.setattr(stratavol.cumulants, "_scaled", counted)
+        terms = {k: len(f_top_expansion(k).terms) for k in range(2, 8)}
+        # Q(8) for (4, 3, 2) and (5, 3), Q(6) for (3, 2, 2): one memo.
+        assert c_const(keys[0]) == want[0]
+        assert [scalings(k) for k in (4, 3, 2)] == [terms[4], terms[3], terms[2]]
+        first = stratavol.cumulants._wick_memo["memo"]
+        calls.clear()
+        assert c_const(keys[0]) == want[0] and calls == []
+        assert c_const(keys[1]) == want[1]
+        assert scalings(3) == scalings(2) == 0
+        assert c_const(keys[2]) == want[2]
+        assert scalings(5) == terms[5] and scalings(3) == 0
+        assert stratavol.cumulants._wick_memo["memo"] is first
+        # Q(14) holds 13, which Q(8) lacks: a fresh memo scales 3 and 5 again.
+        calls.clear()
+        assert c_const(keys[3]) == want[3]
+        assert stratavol.cumulants._wick_memo["memo"] is not first
+        assert [scalings(k) for k in (7, 5, 3)] == [terms[7], terms[5], terms[3]]
+        assert set(first[5]) == {4, 3, 2, 5}
+        clear_cumulant_memos()
+
+    def test_a_lone_group_keeps_no_type(self):
+        clear_cumulant_memos()
+        c_const((9,))
+        wick_leading([[4, 2]])
+        assert stratavol.cumulants._wick_memo["memo"][5] == {}
+        c_const((9, 2))
+        assert set(stratavol.cumulants._wick_memo["memo"][5]) == {9, 2}
+        clear_cumulant_memos()
+
+    def test_generator_and_group_types_keep_their_own_entries(self):
+        # Values in either order are checked by the test below.
+        clear_cumulant_memos()
+        wick_leading([[3], [3]])
+        f_cumulant_leading((3, 3))
+        types = stratavol.cumulants._wick_memo["memo"][5]
+        assert set(types) == {3, (3,)}
+        assert types[(3,)][1:] == ([((3,), 1)], [(3, (), 1)])
+        assert len(types[3][1]) == len(f_top_expansion(3).terms) > 1
+        clear_cumulant_memos()
 
     def test_wick_and_generator_calls_do_not_collide(self):
         # The group (3,) and the generator f_3 are different types with
@@ -394,7 +450,7 @@ class TestCommonDenominator:
         try:
             for call in (lambda: wick_leading([[5], [1]]),
                          lambda: f_cumulant_leading((6, 2))):
-                stratavol.cumulants._wick_memo["memo"] = (1, {}, {}, {}, {})
+                stratavol.cumulants._wick_memo["memo"] = (1, {}, {}, {}, {}, {})
                 with pytest.raises(ArithmeticError, match="is not an integer") as caught:
                     call()
                 names = [entry.name for entry in caught.traceback]
