@@ -9,9 +9,9 @@ decimal annotation computed from 50 digits of pi.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import json
+import os
 import sys
-from decimal import Decimal, getcontext
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 from .coverings import (
@@ -54,13 +54,20 @@ def _parse_fraction(text: str) -> Fraction:
 
 
 def _approx_decimal(value: PiScalar) -> str:
-    getcontext().prec = 50
     v = value.approx()
-    return str(Decimal(v.numerator) / Decimal(v.denominator))
+    with localcontext() as ctx:  # the caller's precision stays as it was
+        ctx.prec = 50
+        return str(Decimal(v.numerator) / Decimal(v.denominator))
 
 
 def _emit(payload: str) -> None:
     sys.stdout.write(payload + "\n")
+
+
+def _emit_json(data) -> None:
+    import json  # about 3 ms of start-up that only JSON output needs
+
+    _emit(json.dumps(data))
 
 
 def _pi_json(value: PiScalar, approx: bool) -> dict:
@@ -76,7 +83,7 @@ def cmd_volume(args) -> int:
         data = result.as_json_dict()
         if args.approx:
             data["volume"]["approx"] = _approx_decimal(result.volume)
-        _emit(json.dumps(data))
+        _emit_json(data)
     elif args.output == "csv":
         _emit("mu;genus;dim;route;volume")
         _emit(
@@ -98,8 +105,7 @@ def cmd_cumulant(args) -> int:
     m = _parse_int_list(args.m)
     value = elementary_cumulant(m)
     if args.output == "json":
-        _emit(json.dumps({"m": sorted(m, reverse=True),
-                          "value": _pi_json(value, args.approx)}))
+        _emit_json({"m": sorted(m, reverse=True), "value": _pi_json(value, args.approx)})
     else:
         _emit(f"cumulant({args.m}) = {value}")
     return EXIT_OK
@@ -109,8 +115,7 @@ def cmd_cconst(args) -> int:
     m = _parse_int_list(args.m)
     value = c_const(m)
     if args.output == "json":
-        _emit(json.dumps({"m": sorted(m, reverse=True),
-                          "c": _pi_json(value, args.approx)}))
+        _emit_json({"m": sorted(m, reverse=True), "c": _pi_json(value, args.approx)})
     else:
         _emit(f"c({args.m}) = {value}")
     return EXIT_OK
@@ -124,7 +129,7 @@ def cmd_fk(args) -> int:
         terms = [
             {"p": list(lam), "coeff": str(coeff)} for lam, coeff in expansion.terms
         ]
-        _emit(json.dumps({"k": args.k, "terms": terms}))
+        _emit_json({"k": args.k, "terms": terms})
     else:
         _emit(str(expansion))
     return EXIT_OK
@@ -146,10 +151,10 @@ def cmd_covers(args) -> int:
         rows += [(d, "brute-" + kind, brute_force_hom_count(profile, d, args.connected))
                  for d in range(1, dmax + 1)]
     if args.output == "json":
-        _emit(json.dumps([
+        _emit_json([
             {"profile": list(profile), "d": d, "kind": k, "count": str(count)}
             for d, k, count in rows
-        ]))
+        ])
     else:
         _emit("profile;d;kind;count")
         for d, k, count in rows:
@@ -163,9 +168,9 @@ def cmd_simple_table(args) -> int:
     # Top row first: c_simple(nmax) checks the work cap of the whole table.
     rows = [(n, c_simple(n)) for n in range(args.nmax, 0, -1)][::-1]
     if args.output == "json":
-        _emit(json.dumps([
+        _emit_json([
             {"n": n, "c": _pi_json(value, args.approx)} for n, value in rows
-        ]))
+        ])
     else:
         _emit("n;num;den;pi_pow")
         for n, value in rows:
@@ -177,7 +182,7 @@ def cmd_npoint_check(args) -> int:
     point = EvaluatedPoint(_parse_fraction(args.s))
     ok = verify_theorem1_n1(point, args.order)
     if args.output == "json":
-        _emit(json.dumps({"s": str(point.s), "order": args.order, "verified": ok}))
+        _emit_json({"s": str(point.s), "order": args.order, "verified": ok})
     else:
         _emit(f"one-point identity at s={point.s}, order {args.order}: "
               + ("ok" if ok else "FAIL"))
@@ -188,10 +193,10 @@ def cmd_verify(args) -> int:
     results = run_suite(args.suite)
     failed = [r for r in results if not r.passed]
     if args.output == "json":
-        _emit(json.dumps([
+        _emit_json([
             {"name": r.name, "passed": r.passed, "detail": r.detail}
             for r in results
-        ]))
+        ])
     else:
         for r in results:
             status = "ok  " if r.passed else "FAIL"
@@ -203,71 +208,88 @@ def cmd_verify(args) -> int:
     return EXIT_VERIFY_FAILED if failed else EXIT_OK
 
 
-def _command(sub, name: str, summary: str, fn, outputs: tuple[str, ...],
-             approx: bool = False) -> argparse.ArgumentParser:
-    """A subcommand that prints in the formats ``outputs``, the first by
-    default, with ``--approx`` where some format annotates a value."""
-    p = sub.add_parser(name, help=summary)
-    p.add_argument("--output", choices=outputs, default=outputs[0],
-                   help=f"output format (default {outputs[0]})")
-    if approx:
-        p.add_argument("--approx", action="store_true",
-                       help="append a decimal annotation computed from 50 digits of pi")
-    p.set_defaults(fn=fn)
-    return p
+def _arg(*flags: str, **options) -> tuple:
+    return flags, options
 
 
-def build_parser() -> argparse.ArgumentParser:
+# Each subcommand: its summary and handler, the formats it prints (the first
+# by default), whether it takes ``--approx`` (where some format annotates a
+# value), and its own arguments.
+_SUBCOMMANDS = {
+    "volume": ("exact stratum volume", cmd_volume, ("json", "csv", "plain"), True, (
+        _arg("mu", help="zero multiplicities, e.g. 3,1"),
+        _arg("--cross-check", action="store_true",
+             help="run both routes when applicable and compare"),
+    )),
+    "cumulant": ("elementary cumulant of a key", cmd_cumulant, ("json", "plain"), True, (
+        _arg("m", help="key entries, e.g. 4,2"),
+    )),
+    "cconst": ("leading covering constant c(m)", cmd_cconst, ("json", "plain"), True, (
+        _arg("m", help="profile entries (each >= 2), e.g. 4,2"),
+    )),
+    "fk": ("top-weight power-sum expansion", cmd_fk, ("plain", "json"), False, (
+        _arg("k", type=int),
+    )),
+    "covers": ("covering counts for a profile", cmd_covers, ("csv", "json"), False, (
+        _arg("profile", help="branch profile, e.g. 2,2"),
+        _arg("--dmax", type=int, default=5),
+        _arg("--connected", action="store_true"),
+        _arg("--brute-force", action="store_true",
+             help="also tabulate the direct enumeration "
+             f"(at most {BRUTE_FORCE_WORK_CAP} pairs and tallied tuples in all)"),
+    )),
+    "simple-table": ("constants for simple branching", cmd_simple_table,
+                     ("csv", "json"), True, (
+        _arg("--nmax", type=int, default=8),
+    )),
+    "npoint-check": ("one-point theta identity check", cmd_npoint_check,
+                     ("json", "plain"), False, (
+        _arg("--s", required=True, help="rational evaluation point, |s| > 1"),
+        _arg("--order", type=int, default=30),
+    )),
+    "verify": ("run a named verification suite", cmd_verify, ("plain", "json"), False, (
+        _arg("suite", help="suite name or 'all'"),
+    )),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of ``command`` alone when it names
+    one: a request pays for building the one it runs.  Usage, help and error
+    text are the same either way."""
     parser = argparse.ArgumentParser(
         prog="stratavol",
         description="Exact volumes of strata of holomorphic differentials "
         "and weighted counts of torus coverings.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = _command(sub, "volume", "exact stratum volume", cmd_volume,
-                 ("json", "csv", "plain"), approx=True)
-    p.add_argument("mu", help="zero multiplicities, e.g. 3,1")
-    p.add_argument("--cross-check", action="store_true",
-                   help="run both routes when applicable and compare")
-
-    p = _command(sub, "cumulant", "elementary cumulant of a key", cmd_cumulant,
-                 ("json", "plain"), approx=True)
-    p.add_argument("m", help="key entries, e.g. 4,2")
-
-    p = _command(sub, "cconst", "leading covering constant c(m)", cmd_cconst,
-                 ("json", "plain"), approx=True)
-    p.add_argument("m", help="profile entries (each >= 2), e.g. 4,2")
-
-    p = _command(sub, "fk", "top-weight power-sum expansion", cmd_fk, ("plain", "json"))
-    p.add_argument("k", type=int)
-
-    p = _command(sub, "covers", "covering counts for a profile", cmd_covers, ("csv", "json"))
-    p.add_argument("profile", help="branch profile, e.g. 2,2")
-    p.add_argument("--dmax", type=int, default=5)
-    p.add_argument("--connected", action="store_true")
-    p.add_argument("--brute-force", action="store_true",
-                   help="also tabulate the direct enumeration "
-                   f"(at most {BRUTE_FORCE_WORK_CAP} pairs and tallied tuples in all)")
-
-    p = _command(sub, "simple-table", "constants for simple branching", cmd_simple_table,
-                 ("csv", "json"), approx=True)
-    p.add_argument("--nmax", type=int, default=8)
-
-    p = _command(sub, "npoint-check", "one-point theta identity check", cmd_npoint_check,
-                 ("json", "plain"))
-    p.add_argument("--s", required=True, help="rational evaluation point, |s| > 1")
-    p.add_argument("--order", type=int, default=30)
-
-    p = _command(sub, "verify", "run a named verification suite", cmd_verify,
-                 ("plain", "json"))
-    p.add_argument("suite", help="suite name or 'all'")
-
+    if command in _SUBCOMMANDS:
+        # The usage line lists all eight, as the full parser's does.  Only
+        # the full parser leaves the metavar unset, so that its errors still
+        # name ``argument command``.
+        sub = parser.add_subparsers(dest="command", required=True,
+                                    metavar="{" + ",".join(_SUBCOMMANDS) + "}")
+        names = (command,)
+    else:
+        sub = parser.add_subparsers(dest="command", required=True)
+        names = _SUBCOMMANDS
+    for name in names:
+        summary, fn, outputs, approx, arguments = _SUBCOMMANDS[name]
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--output", choices=outputs, default=outputs[0],
+                       help=f"output format (default {outputs[0]})")
+        if approx:
+            p.add_argument("--approx", action="store_true",
+                           help="append a decimal annotation computed from 50 digits of pi")
+        for flags, options in arguments:
+            p.add_argument(*flags, **options)
+        p.set_defaults(fn=fn)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.fn(args)
     except DomainError as exc:
@@ -278,5 +300,21 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_RESOURCE
 
 
+def run() -> None:
+    """The ``stratavol`` command: ``main``, then the end of the process once
+    stdout and stderr are flushed, without the interpreter's teardown.
+    Skipping it loses nothing: the package registers no ``atexit`` handler,
+    starts no thread and opens no file.  An exception, and argparse's
+    ``SystemExit``, take the normal exit path.  A reader of stdout that has
+    gone away ends the request with exit code 1 and nothing on stderr."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        code = 1
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

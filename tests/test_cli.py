@@ -1,3 +1,4 @@
+import argparse
 import importlib.util
 import json
 import os
@@ -5,6 +6,7 @@ import re
 import subprocess
 import sys
 import time
+from decimal import getcontext, localcontext
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,7 +16,7 @@ import stratavol.cli
 import stratavol.coverings
 import stratavol.cumulants
 import stratavol.npoint
-from stratavol.cli import main
+from stratavol.cli import build_parser, main
 from stratavol.cumulants import SIMPLE_WORK_CAP
 from stratavol.errors import ResourceCapError
 from stratavol.exact_arith import PiScalar
@@ -495,6 +497,126 @@ class TestSettings:
             assert code == 2 and out == ""
 
 
+class TestApproxPrecision:
+    def test_caller_precision_kept_and_output_unchanged(self, capsys):
+        # ``--approx`` prints 50 digits whatever the caller's decimal
+        # precision is, and leaves that precision as it found it.
+        prec = getcontext().prec
+        assert main(["volume", "3,1", "--approx"]) == 0
+        assert getcontext().prec == prec
+        capsys.readouterr()
+        approx = {k: v for k, v in SETTINGS["stdout"].items() if "--approx" in k.split()}
+        assert len(approx) == 13
+        for request, stdout in approx.items():
+            with localcontext() as ctx:
+                ctx.prec = 7
+                assert main(request.split()) == 0
+                assert getcontext().prec == 7
+            assert capsys.readouterr().out == stdout, request
+
+
+def _outcome(capsys, call, argv):
+    """Exit code (or parsed arguments), stdout and stderr of ``call(argv)``."""
+    try:
+        result = call(argv)
+    except SystemExit as exc:
+        result = exc.code
+    captured = capsys.readouterr()
+    return (vars(result) if isinstance(result, argparse.Namespace) else result,
+            captured.out, captured.err)
+
+
+def _spawn_cli(argv, unbuffered=False, **kwargs):
+    """``python -m stratavol.cli argv`` in a fresh process; stdout is
+    block-buffered unless ``unbuffered``, so that a lost flush shows."""
+    env = {**os.environ, "PYTHONPATH": str(TESTS.parent / "src"), "COLUMNS": "80"}
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run([sys.executable, "-m", "stratavol.cli", *argv], env=env,
+                          timeout=60, **kwargs)
+
+
+# A request of each subcommand under each --output, a domain error, a cap
+# refusal, the top-level help and an argparse error.
+RUN_REQUESTS = [SETTINGS["requests"][command] + ["--output", output]
+                for command, outputs in OUTPUTS.items() for output in outputs] + [
+    ["volume", "3"], ["covers", OVER_CAP_COVERS[1][0], "--dmax", str(OVER_CAP_COVERS[1][1])],
+    ["--help"], ["volume", "2,2", "extra"],
+]
+
+
+class TestRun:
+    def test_fresh_process_prints_what_main_prints(self, capsys, monkeypatch):
+        # ``run()`` ends the process without the interpreter's teardown, so
+        # it must flush what ``main`` wrote; stdout is block-buffered here.
+        monkeypatch.setenv("COLUMNS", "80")
+        codes = []
+        for argv in RUN_REQUESTS:
+            proc = _spawn_cli(argv, capture_output=True, text=True)
+            assert (proc.returncode, proc.stdout, proc.stderr) \
+                == _outcome(capsys, main, argv), argv
+            codes.append(proc.returncode)
+        assert codes[-4:] == [2, 3, 0, 2]
+        assert set(codes[:-4]) == {0}
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv", [["volume", "3,1"], ["covers", "2", "--dmax", "300"]],
+                             ids=" ".join)
+    def test_closed_stdout_exits_1_quietly(self, argv, unbuffered):
+        # The reader has gone before the first byte: a small payload fails
+        # when it is flushed, a large one (or any, unbuffered) when written.
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = _spawn_cli(argv, unbuffered, stdout=write, stderr=subprocess.PIPE)
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (1, b"")
+
+
+# Each subcommand's request, then with the argument that argparse rejects
+# or answers by itself appended, or without its arguments.
+PARSER_TAILS = {"request": [], "help": ["--help"], "unknown option": ["--bogus"],
+                "extra argument": ["extra"], "bad output": ["--output", "xml"]}
+
+
+class TestOneSubparser:
+    @pytest.mark.parametrize("tail", list(PARSER_TAILS) + ["bare"])
+    @pytest.mark.parametrize("command", sorted(OUTPUTS))
+    def test_same_as_the_full_parser(self, capsys, command, tail):
+        # "bare" is the subcommand alone: a missing positional (or --s),
+        # and a complete request for simple-table.
+        argv = [command] if tail == "bare" else SETTINGS["requests"][command] + PARSER_TAILS[tail]
+        one = _outcome(capsys, build_parser(command).parse_args, argv)
+        assert one == _outcome(capsys, build_parser().parse_args, argv)
+        result, out, err = one
+        if tail == "help":
+            assert result == 0 and out.startswith(f"usage: stratavol {command}")
+        elif tail == "request" or argv == ["simple-table"]:
+            assert result["command"] == command
+        else:
+            assert result == 2 and "error:" in err
+
+    @pytest.mark.parametrize("argv", [[], ["bogus"], ["-h", "volume"], ["--help"]], ids=str)
+    def test_main_builds_every_subcommand_without_one(self, capsys, argv):
+        assert _outcome(capsys, main, argv) == _outcome(capsys, build_parser().parse_args, argv)
+
+    @pytest.mark.parametrize("argv, error", [
+        ([], "the following arguments are required: command"),
+        (["bogus"], "argument command: invalid choice: 'bogus'"),
+    ], ids=str)
+    def test_errors_name_the_command_argument(self, capsys, argv, error):
+        code, out, err = _outcome(capsys, main, argv)
+        assert code == 2 and out == ""
+        assert err.startswith("usage: stratavol [-h]") and f"stratavol: error: {error}" in err
+
+    def test_builds_only_the_named_subcommand(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser("volume").parse_args(["cumulant", "4,2"])
+        assert build_parser().parse_args(["cumulant", "4,2"]).command == "cumulant"
+
+
 class TestDeterminism:
     def test_byte_identical_runs(self, capsys):
         _, first, _ = run_cli(capsys, "volume", "3,1", "--approx")
@@ -523,6 +645,7 @@ class TestStartup:
         # The benchmark's tracer wraps every module that ``import
         # stratavol.cli`` loads; ``dataclasses`` (with ``inspect``) would
         # double the cost of that import, and ``typing`` adds milliseconds.
+        # ``json`` (3 ms) is imported only where a JSON payload is written.
         src = TESTS.parent / "src"
         probe = "import stratavol.cli, sys; print(*sorted(sys.modules))"
         out = subprocess.run(
@@ -535,4 +658,4 @@ class TestStartup:
                                    if path.stem != "__init__"}
         assert len(package) >= 13
         assert package <= loaded
-        assert not loaded & {"dataclasses", "inspect", "typing"}
+        assert not loaded & {"dataclasses", "inspect", "typing", "json"}
