@@ -304,11 +304,15 @@ def run() -> None:
     """The ``stratavol`` command: ``main``, then the end of the process once
     stdout and stderr are flushed, without the interpreter's teardown.
     Skipping it loses nothing: the package registers no ``atexit`` handler,
-    starts no thread and opens no file.  An exception, and argparse's
-    ``SystemExit``, take the normal exit path.  A reader of stdout that has
-    gone away ends the request with exit code 1 and nothing on stderr."""
+    starts no thread and opens no file.  Argparse's ``SystemExit`` (help,
+    usage errors) ends the same way, with its code; any other exception
+    takes the normal exit path.  A reader of stdout that has gone away ends
+    the request with exit code 1 and nothing on stderr."""
     try:
-        code = main()
+        try:
+            code = main()
+        except SystemExit as exit_:
+            code = exit_.code
         sys.stdout.flush()
     except BrokenPipeError:
         code = 1

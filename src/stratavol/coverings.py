@@ -15,11 +15,11 @@ by every profile for the life of the process, ``_columns``: one integer
 column per monomial over the states (degree, largest part), each a
 scalar recursion that removes the first row of a partition and reads
 only earlier columns (``_grow_columns``).  A request grows only the
-columns of its monomials and only through its degree, and visits no
-partition.  Otherwise, and for a short profile whose sweep is priced
-cheaper, one sweep over the partitions of the degree evaluates each cycle
-length once per partition by its rim-hook residues
-(``characters.hook_value``), whatever its length.
+columns of its monomials, only through its degree, keeps nothing but
+their values and visits no partition.  Otherwise, and for a short profile
+whose sweep is priced cheaper, one sweep over the partitions of the
+degree evaluates each cycle length once per partition by its rim-hook
+residues (``characters.hook_value``), whatever its length.
 
 A profile's monomials lie within bounds (``_moment_bounds``) whose last
 monomial in growth order (``_monomials``), the corner, has top degree and
@@ -45,12 +45,12 @@ from collections import Counter
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, islice, permutations, repeat
+from itertools import accumulate, permutations, repeat
 from math import comb, factorial, inf, isqrt, prod
 from operator import add, mul
 
 from .characters import CONTENT_POLY_MAX_M, beta_numbers, content_form, hook_value
-from .errors import DomainError, ResourceCapError
+from .errors import DomainError, ResourceCapError, as_int
 from .partitions import (
     iter_int_partitions,
     length_sums,
@@ -86,7 +86,7 @@ class CoverProfile(tuple):
     """
 
     def __new__(cls, entries: Iterable[int] = ()):
-        items = tuple(int(e) for e in entries)
+        items = tuple(map(as_int, entries))
         for e in items:
             if e < 2:
                 raise DomainError(f"profile entries must be >= 2, got {e}")
@@ -211,21 +211,26 @@ def _monomials(bounds: tuple[int, int, int]) -> tuple[tuple[int, int, int], ...]
     return tuple(sorted(monomials, key=lambda e: (sum(e), e[0] + 2 * e[1] + 3 * e[2])))
 
 
-def _monomial_count(bounds: tuple[int, int, int]) -> int:
-    """len(_monomials(bounds)) without listing them: for each c, b takes
-    top23 - c + 1 values and a then top - b - c + 1."""
+def _monomial_terms(bounds: tuple[int, int, int]) -> tuple[int, int]:
+    """The number of monomials within ``bounds`` and the multiply-adds
+    their columns make per state, listing none.  The column of (a, b, c)
+    makes one for its sum and e + 1 for each pass that changes an exponent
+    e > 0 (one pass for a, two for b, three for c): the monomial itself and
+    e earlier ones.  For c <= top3 and b <= B = top23 - c, the a <= A =
+    T - b, T = top - c, make (A + 1)(1 + [b > 0](2b + 2) + [c > 0](3c + 3))
+    + A (A + 3) / 2; over b, A (A + 3) / 2 sums to F(T) - F(T - B - 1),
+    F(n) = n (n + 1)(n + 5) / 6, and (A + 1)(2b + 2) to (T + 1) B (B + 3)
+    - 2 B (B + 1)(B + 2) / 3."""
     top3, top23, top = bounds
-    return sum((top23 - c + 1) * (top - c + 1) - (top23 - c) * (top23 - c + 1) // 2
-               for c in range(top3 + 1))
-
-
-def _terms(e: tuple[int, int, int]) -> int:
-    """Multiply-adds one state of the column of e costs: one for the sum,
-    and e_i + 1 for each pass that changes an exponent e_i > 0 (one pass
-    for p_1, two for p_2, three for p_3), the monomial itself and e_i
-    earlier ones."""
-    a, b, c = e
-    return 1 + (a and a + 1) + (b and 2 * b + 2) + (c and 3 * c + 3)
+    count = terms = 0
+    for c in range(top3 + 1):
+        B, T = top23 - c, top - c
+        n = (B + 1) * (T + 1) - B * (B + 1) // 2
+        count += n
+        terms += (n * (1 + (c and 3 * c + 3)) + T * (T + 1) * (T + 5) // 6
+                  - (T - B - 1) * (T - B) * (T - B + 4) // 6
+                  + (T + 1) * B * (B + 3) - 2 * B * (B + 1) * (B + 2) // 3)
+    return count, terms
 
 
 # The passes of the row map in the order they are taken: the shears
@@ -261,17 +266,12 @@ def _plan(e: tuple[int, int, int]) -> tuple[tuple, ...]:
 # The content moments sum_{lam |- n, lam_1 <= b} p_1^a p_2^b p_3^c, one
 # integer column per monomial (a, b, c) over the states (n, b), 0 <= b <= n,
 # row by row at index n (n + 1) / 2 + b, so a column of (n + 1)(n + 2) / 2
-# entries is complete through degree n.  Beside each column, its pass sums:
-# for each pass of ``_PASSES`` but the last, what the passes up to it add
-# to the column (R_e, ``_grow_columns``) over the states (n, b), b >= 1, of
-# the rows the column holds, n (n - 1) / 2 + b - 1 by row, or None for a
-# pass without terms.  Shared by every profile and kept for the life of the
-# process.  A column and its sums are only ever replaced together, under
-# the lock, by longer ones whose new rows are complete, and never changed in
+# entries is complete through degree n.  Shared by every profile and kept
+# for the life of the process.  A column is only ever replaced, under the
+# lock, by a longer one whose new rows are complete, and never changed in
 # place, so two threads that grow one column at once only compute the same
 # cells twice, and no bounds' corner reaches past another of its columns.
 _columns: dict[tuple[int, int, int], list[int]] = {}
-_pass_sums: dict[tuple[int, int, int], list[list[int] | None]] = {}
 _columns_lock = threading.Lock()
 
 
@@ -305,25 +305,6 @@ def _targets(lo: int, d: int) -> tuple[list[int], tuple[list[int], list[int], li
     )
 
 
-def _growth_terms(bounds: tuple[int, int, int], d: int) -> int:
-    """Multiply-adds ``_grow_columns(bounds, d)`` makes: for each column
-    below degree d, its passes and its sum at every state (n, b), b >= 1,
-    of the rows it adds (``_terms``).  The passes of rows a column already
-    holds never run again, so nested growths cost what one growth of the
-    widest bounds does."""
-    states = d * (d + 1) // 2
-    total = 0
-    for e in _monomials(bounds):
-        n = _degree(len(_columns.get(e, ())))
-        total += max(0, states - n * (n + 1) // 2) * _terms(e)
-    return total
-
-
-def _tail(values: list[int], cut: int) -> list[int]:
-    """``values`` from index ``cut`` on, copied only when cut > 0."""
-    return values[cut:] if cut else values
-
-
 def _grow_columns(bounds: tuple[int, int, int], d: int) -> None:
     """Extend the column of every monomial of ``_monomials(bounds)`` in
     ``_columns`` through degree d, storing them in that order, so the
@@ -350,19 +331,17 @@ def _grow_columns(bounds: tuple[int, int, int], d: int) -> None:
         V_e(n, b) = V_e(n, b - 1) + V_e(n - b, b') + R_e(n, b),
 
     where R_e, what the passes add from earlier columns, is gathered over
-    all new states of the column at once, one list per pass.  Each pass
-    reads the earlier columns' inputs, their values after the passes before
-    it, over the states of the rows above the lowest degree lo any column
-    reaches.  A column that adds rows runs its passes over those rows only;
-    its inputs, and those of a column already complete through d, are its
-    values at the states built on plus its stored pass sums
-    (``_pass_sums``), so no pass runs twice over a state.  A column is
-    stored with its sums once its new rows are complete.
+    all states at once, one list per pass.  Each pass reads the inputs of
+    earlier columns, their values after the passes before it, at the states
+    (n, b), b >= 1, of rows lo + 1..d, lo the least degree the bounds hold,
+    the corner's (``_held``).  So every column extended or read runs its
+    passes over those states; only the columns are stored, each once its
+    new rows are complete.
     """
     monomials = _monomials(bounds)
     with _columns_lock:
-        held = [(_columns.get(e, ()), _pass_sums.get(e)) for e in monomials]
-    have = [_degree(len(col)) for col, _ in held]
+        held = [_columns.get(e, ()) for e in monomials]
+    have = [_degree(len(col)) for col in held]
     lo = min(have)
     if lo >= d:
         return
@@ -377,49 +356,49 @@ def _grow_columns(bounds: tuple[int, int, int], d: int) -> None:
     base = lo * (lo + 1) // 2
     srcs, alphas = srcs[base:end], [a[base:end] for a in alphas]
     weights: dict[tuple[int, int, int], list[int]] = {}
-    read = {f for e, n_e in zip(monomials, have) if n_e < d
-            for terms in _plan(e) for f, _ in terms}
+    read: set[tuple[int, int, int]] = set()  # what the passes that run read
+    for e, n_e in zip(reversed(monomials), reversed(have)):
+        if n_e < d or e in read:
+            read.update(f for terms in _plan(e) for f, _ in terms)
     # monomial -> its values before each pass, at every state
     inputs: dict[tuple[int, int, int], list[list[int]]] = {}
-    for e, (col, sums), n_e in zip(monomials, held, have):
+    for e, col, n_e in zip(monomials, held, have):
+        if n_e >= d and e not in read:
+            continue
         plan = _plan(e)
+        fresh, added = [], None
+        for k, terms in enumerate(plan):
+            if terms:
+                parts = []
+                for f, w in terms:
+                    if isinstance(w, int):
+                        parts.append(map(mul, repeat(w), inputs[f][k]))
+                    else:
+                        weight = weights.get(w)
+                        if weight is None:
+                            i, power, binomial = w
+                            weight = weights[w] = [binomial * x ** power for x in alphas[i]]
+                        parts.append(map(mul, weight, inputs[f][k]))
+                if added is not None:
+                    parts.append(added)
+                added = list(map(sum, zip(*parts)) if len(parts) > 1 else parts[0])
+            fresh.append(added)
         if n_e < d:
-            cut = n_e * (n_e + 1) // 2 - base  # the states of rows the column holds
-            fresh, added = [], None
-            for k, terms in enumerate(plan):
-                if terms:
-                    parts = []
-                    for f, w in terms:
-                        if isinstance(w, int):
-                            parts.append(map(mul, repeat(w), _tail(inputs[f][k], cut)))
-                        else:
-                            weight = weights.get(w)
-                            if weight is None:
-                                i, power, binomial = w
-                                weight = weights[w] = [binomial * x ** power for x in alphas[i]]
-                            parts.append(map(mul, _tail(weight, cut), _tail(inputs[f][k], cut)))
-                    if added is not None:
-                        parts.append(added)
-                    added = list(map(sum, zip(*parts)) if len(parts) > 1 else parts[0])
-                fresh.append(added)
             col = list(col) if col else [int(not any(e))]
             for n in range(max(n_e, 0) + 1, d + 1):
                 at = n * (n - 1) // 2 - base
                 values = map(col.__getitem__, srcs[at:at + n])
                 if added is not None:
-                    values = map(add, values, added[at - cut:at - cut + n])
+                    values = map(add, values, added[at:at + n])
                 col.extend(accumulate(values, initial=0))
-            sums = [(s if sums is None else sums[k] + s) if terms else None
-                    for k, (terms, s) in enumerate(zip(plan[:-1], fresh))]
             with _columns_lock:
                 if len(col) > len(_columns.get(e, ())):
                     _columns[e] = col
-                    _pass_sums[e] = sums
         if e in read:
             start = list(map(col.__getitem__, srcs))
             ins = [start]
-            for terms, s in zip(plan[:-1], sums):
-                ins.append(list(map(add, start, islice(s, base, None))) if terms else ins[-1])
+            for terms, s in zip(plan[:-1], fresh):
+                ins.append(list(map(add, start, s)) if terms else ins[-1])
             inputs[e] = ins
 
 
@@ -438,28 +417,26 @@ def _route(key: tuple[int, ...], d: int) -> bool:
     a store per sub-profile.  A partition mu of n - m has m more addable
     m-rim hooks than removable ones, each adding at most m rows, so from
     the sums of p(n) and l(lam) (``length_sums``) the hook loops at n are at
-    most those at n - m plus m sum l(mu) + m (m + 1) p(n - m) / 2.  For
-    cycles up to ``CONTENT_POLY_MAX_M``, the moments take at most the
-    monomials times the corner's new states, six ``_targets`` values per
-    new state with b >= 1 and, only while that is at most the sweep and
-    the cap (pricing lists no more monomials than a route visits), the
-    multiply-adds (``_growth_terms``) and per state one value per distinct
-    translation weight (i, k - t, C(k, t)), t < k <= the bound of exponent i."""
+    most those at n - m plus m sum l(mu) + m (m + 1) p(n - m) / 2.  The
+    moments (cycles up to ``CONTENT_POLY_MAX_M``) take, over the states the
+    corner adds, a value per monomial and column-state and, per state with
+    b >= 1, six ``_targets`` values, every column's multiply-adds
+    (``_monomial_terms``) and a value per translation weight (i, k - t,
+    C(k, t)), t < k <= the bound of exponent i."""
     sweep = moments = inf
     if not key or key[0] <= CONTENT_POLY_MAX_M:
         bounds, held = _moment_bounds(key), _held(key)
         if held >= d:
             return True
         new = d * (d + 1) // 2 - held * (held + 1) // 2  # states with b >= 1
-        moments = _monomial_count(bounds) * (new + d - held) + 6 * new
+        count, terms = _monomial_terms(bounds)
+        moments = count * (new + d - held) + new * (6 + terms + sum(k * (k + 1) // 2 for k in bounds))
     parts, sums = length_sums(d, BURNSIDE_WORK_CAP), partition_sums(d, BURNSIDE_WORK_CAP)
     subs, lengths = prod(c + 1 for c in Counter(key).values()), set(key)
     if d < len(parts):
         sweep = (2 + len(lengths)) * parts[d] + subs * sums[d] + sum(
             m * parts[n] + m * (m + 1) // 2 * sums[n] for m in lengths for n in range(d % m, d, m))
         sweep += (d + 1) * (max(key, default=0) + 1 + 3 * subs)
-    if moments <= min(sweep, BURNSIDE_WORK_CAP):
-        moments += _growth_terms(bounds, d) + sum(k * (k + 1) // 2 for k in bounds) * new
     if min(sweep, moments) > BURNSIDE_WORK_CAP:
         raise ResourceCapError(f"Burnside work up to degree {d} exceeds cap {BURNSIDE_WORK_CAP} "
                                f"steps: the sweep {sweep} ({subs} sub-profiles), the moments "
@@ -515,14 +492,16 @@ def cov_d(profile, d: int) -> Fraction:
     A tuple (a ``CoverProfile`` too) whose row is held, sorted longest
     cycle first, is read from ``_burnside_totals`` with no check: only
     checked keys with every cycle at most d >= 0 are stored, each once its
-    total is complete.  Another tuple pays one failed lookup; one holding
-    an unhashable entry raises TypeError there, as the check would.
+    total is complete, so an entry or degree equal to an integer (4.0)
+    reads its row, as the check would.  Another tuple pays one failed
+    lookup; one holding an unhashable entry raises TypeError there, as the
+    check would.
     """
     if isinstance(profile, tuple):
         total = _burnside_totals.get((profile, d))
         if total is not None:
             return Fraction(total)
-    profile = _profile(profile)
+    profile, d = _profile(profile), as_int(d)
     if d < 0:
         raise DomainError("degree must be nonnegative")
     return Fraction(_burnside_sums(profile, d))

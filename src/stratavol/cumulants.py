@@ -33,7 +33,7 @@ from math import comb, factorial, gcd, lcm, prod
 from operator import mul
 
 from . import mvpoly
-from .errors import DomainError, Record, ResourceCapError
+from .errors import DomainError, Record, ResourceCapError, as_int
 from .exact_arith import PiScalar, frak_z_over_pi
 from .partitions import (
     IntPartition,
@@ -60,7 +60,7 @@ SIMPLE_WORK_CAP = 5 * 10**4
 
 
 def _canon_key(m) -> tuple[int, ...]:
-    key = tuple(sorted((int(v) for v in m), reverse=True))
+    key = tuple(sorted(map(as_int, m), reverse=True))
     if not key:
         raise DomainError("cumulant key must be nonempty")
     if key[-1] < 1:

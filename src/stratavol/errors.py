@@ -1,4 +1,5 @@
-"""Exception types and the immutable value base shared across the package."""
+"""Exception types, the integer check of inputs and the immutable value
+base shared across the package."""
 
 
 class DomainError(ValueError):
@@ -9,8 +10,19 @@ class DomainError(ValueError):
 class ResourceCapError(RuntimeError):
     """A request's price, counted from its key before any work, exceeds a
     fixed cap: the steps of a Wick tree sum or elementary cumulant, the
-    steps of either route of a Burnside row, the tuples of a brute-force
-    count.  Raised before the work starts."""
+    steps of either route of a Burnside row, the multiply-adds of the
+    exponential formula of a connected covering series, the partitions
+    that ``c_simple`` and the n-point check sum over, the tuples of a
+    brute-force count.  Raised before the work starts."""
+
+
+def as_int(value) -> int:
+    """``value`` as an int: DomainError when it does not equal one (3.7,
+    5/2, "3"), and int()'s own error when it has no integer value at all."""
+    n = int(value)
+    if n != value:
+        raise DomainError(f"expected an integer, got {value!r}")
+    return n
 
 
 class Record:

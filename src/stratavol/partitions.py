@@ -16,7 +16,7 @@ from itertools import product
 from math import comb, factorial, prod
 from operator import sub
 
-from .errors import DomainError, Record, ResourceCapError
+from .errors import DomainError, Record, ResourceCapError, as_int
 
 # Largest ground set the set-partition enumerations accept: Bell(12) is
 # about 4.2 million partitions.
@@ -27,7 +27,7 @@ class IntPartition(tuple):
     """A partition of a nonnegative integer: parts sorted descending."""
 
     def __new__(cls, parts: Iterable[int] = ()):
-        items = sorted((int(p) for p in parts), reverse=True)
+        items = sorted(map(as_int, parts), reverse=True)
         for p in items:
             if p <= 0:
                 raise DomainError(f"partition parts must be positive, got {p}")

@@ -561,18 +561,21 @@ class TestRun:
         assert set(codes[:-4]) == {0}
 
     @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
-    @pytest.mark.parametrize("argv", [["volume", "3,1"], ["covers", "2", "--dmax", "300"]],
-                             ids=" ".join)
+    @pytest.mark.parametrize("argv", [["volume", "3,1"], ["covers", "2", "--dmax", "300"],
+                                      ["--help"], ["volume", "--help"]], ids=" ".join)
     def test_closed_stdout_exits_1_quietly(self, argv, unbuffered):
         # The reader has gone before the first byte: a small payload fails
         # when it is flushed, a large one (or any, unbuffered) when written.
+        # Argparse drops a help text whose write fails, so only a buffered
+        # one, failing at the flush, shows.
         read, write = os.pipe()
         os.close(read)
         try:
             proc = _spawn_cli(argv, unbuffered, stdout=write, stderr=subprocess.PIPE)
         finally:
             os.close(write)
-        assert (proc.returncode, proc.stderr) == (1, b"")
+        code = 0 if unbuffered and "--help" in argv else 1
+        assert (proc.returncode, proc.stderr) == (code, b"")
 
 
 # Each subcommand's request, then with the argument that argparse rejects

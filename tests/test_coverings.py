@@ -30,17 +30,16 @@ from stratavol.coverings import (
     _degree,
     _fill,
     _grow_columns,
-    _growth_terms,
+    _held,
     _moment_bounds,
     _moment_sums,
-    _monomial_count,
+    _monomial_terms,
     _monomials,
     _plan,
     _route,
     _sub_profiles,
     _sweep,
     _targets,
-    _terms,
     CoverProfile,
     asymptotic_ratio,
     brute_force_hom_count,
@@ -92,6 +91,9 @@ class TestCovD:
     def test_profile_validation(self):
         with pytest.raises(DomainError):
             CoverProfile((1, 2))
+        # cov_d((2, 2), 4) = 80 used to answer (2.5, 2).
+        with pytest.raises(DomainError, match="expected an integer, got 2.5"):
+            CoverProfile((2.5, 2))
 
 
 # Requests that no held row may answer, by the exception a cold call raises.
@@ -100,6 +102,8 @@ _INVALID_REQUESTS = [
     (((4, 3), -1), DomainError),
     ((("x", 3), 20), ValueError),
     ((([4], 3), 20), TypeError),
+    (((4.5, 3), 20), DomainError),
+    (((4, 3), 20.5), DomainError),
 ]
 
 
@@ -124,6 +128,12 @@ class TestWarmRow:
         cov_series((4, 3), 28)
         with pytest.raises(error):
             cov_d(*request_)
+
+    def test_integral_degree_reads_alike_warm_or_cold(self, cold_memo):
+        # A degree equal to an integer is that integer, cold or held; it
+        # used to raise TypeError cold and read the row warm.
+        assert cov_d((2, 2), 4.0) == 80
+        assert cov_d((2, 2), 4) == cov_d((2, 2), 4.0) == cov_d((2.0, 2), 4) == 80
 
     def test_hit_runs_no_check_and_no_route(self, cold_memo, monkeypatch):
         # (4, 3) rows vanish by parity; its sub-profiles' are held too.
@@ -189,13 +199,21 @@ class TestBurnsideRoute:
         assert cov_d((17, 9), 28) != 0
 
 
+def _terms(e):
+    """Multiply-adds one state of the column of e makes: one for the sum,
+    and e_i + 1 for each pass that changes an exponent e_i > 0 (one pass
+    for p_1, two for p_2, three for p_3), the monomial itself and e_i
+    earlier ones."""
+    a, b, c = e
+    return 1 + (a and a + 1) + (b and 2 * b + 2) + (c and 3 * c + 3)
+
+
 def _cold(monkeypatch, columns=None):
     """Empty the Burnside memo, the moment columns (or start them from an
-    empty ``columns``), their pass sums and the state targets; the
-    process-wide ones come back when the test ends."""
+    empty ``columns``) and the state targets; the process-wide ones come
+    back when the test ends."""
     monkeypatch.setattr(stratavol.coverings, "_burnside_totals", {})
     monkeypatch.setattr(stratavol.coverings, "_columns", {} if columns is None else columns)
-    monkeypatch.setattr(stratavol.coverings, "_pass_sums", {})
     monkeypatch.setattr(stratavol.coverings, "_target_table", [[], ([], [], [])])
 
 
@@ -232,9 +250,9 @@ def _priced(monkeypatch, profile, d) -> bool:
 
 
 def _state():
-    """Copies of the moment columns, their pass sums and the Burnside memo."""
+    """Copies of the moment columns and the Burnside memo."""
     coverings = stratavol.coverings
-    return dict(coverings._columns), dict(coverings._pass_sums), dict(coverings._burnside_totals)
+    return dict(coverings._columns), dict(coverings._burnside_totals)
 
 
 def _count_routes(monkeypatch) -> list[tuple]:
@@ -474,12 +492,24 @@ class TestMomentRoute:
                     assert order[f] < order[e], (bounds, e, f)
             assert sum(map(_terms, _monomials(bounds))) == terms, bounds
 
+    def test_closed_form_counts_the_listed_monomials_and_terms(self):
+        # Every bounds top3 <= top23 <= top with top3 <= 6, top23 <= 8 and
+        # top <= 11: the closed form lists nothing and gives what listing
+        # the monomials and summing their terms gives.
+        for top3 in range(7):
+            for top23 in range(top3, 9):
+                for top in range(top23, 12):
+                    bounds = (top3, top23, top)
+                    monomials = _monomials(bounds)
+                    want = len(monomials), sum(map(_terms, monomials))
+                    assert _monomial_terms(bounds) == want, bounds
+
     @pytest.mark.parametrize("bounds", [(0, 0, 2), (1, 2, 2), (2, 4, 6), (6, 6, 6)])
     def test_multiplies_per_column_state_are_the_pass_terms(self, bounds, cold_memo, monkeypatch):
         # Each new column-state (n, b), b >= 1, multiplies once per term of
         # each pass other than the monomial itself, through degree 9 from
-        # cold and then on to 13; the prediction adds one sum per pass and
-        # per state to those, so a state costs the terms of all its columns.
+        # cold and then on to 13; the price adds one sum per pass and per
+        # state to those, so a state costs the terms of all its columns.
         calls = []
 
         def counting(x, y):
@@ -488,24 +518,26 @@ class TestMomentRoute:
 
         monkeypatch.setattr(stratavol.coverings, "mul", counting)
         per_state = sum(len(t) for e in _monomials(bounds) for t in _plan(e))
+        terms = _monomial_terms(bounds)[1]
         for low, d in ((0, 9), (9, 13)):
             states = d * (d + 1) // 2 - low * (low + 1) // 2
-            state_terms = sum(map(_terms, _monomials(bounds)))
-            assert _growth_terms(bounds, d) == states * state_terms
             calls.clear()
             _grown(bounds, d)
-            assert len(calls) == states * per_state, (low, d)
+            assert len(calls) == states * per_state < states * terms, (low, d)
 
     @pytest.mark.parametrize("requests", [
-        [((0, 0, 2), 20), ((0, 1, 2), 20), ((1, 2, 2), 20)],
-        [((0, 0, 2), 12), ((1, 2, 2), 7), ((0, 1, 2), 20), ((0, 0, 2), 16), ((1, 2, 2), 20)],
+        [((2, 2), 20), ((3, 2), 20), ((4, 3), 20)],
+        [((2, 2), 12), ((4, 3), 7), ((3, 2), 20), ((2, 2), 16), ((4, 3), 20)],
     ])
-    def test_nested_growths_run_each_pass_once(self, requests, cold_memo, monkeypatch):
+    def test_nested_growths_give_one_cold_growth_within_their_price(self, requests, cold_memo,
+                                                                    monkeypatch):
         # (2, 2) holds three of the nine columns of (4, 3), (3, 2) six.
-        # Growing nested bounds in turn runs the passes of each column over
-        # each state once, as one cold growth of the widest through 20 does:
-        # as many multiplications, the predictions summing to its own, and
-        # the same columns.
+        # Growing nested bounds in turn gives the columns of one cold growth
+        # of the widest through 20.  Each growth reruns the passes of every
+        # column it reads over the states the corner adds, and the terms of
+        # all its columns over those states, summed over the growths, bound
+        # the multiplications counted; each is within the growth's moments
+        # price, the figure of its refusal at a cap of 0.
         calls = []
 
         def counting(x, y):
@@ -514,20 +546,20 @@ class TestMomentRoute:
 
         monkeypatch.setattr(stratavol.coverings, "mul", counting)
         predicted = 0
-        for bounds, d in requests:
-            predicted += _growth_terms(bounds, d)
-            _grown(bounds, d)
-        nested, columns = len(calls), stratavol.coverings._columns
-        _cold(monkeypatch)
-        calls.clear()
-        states = 20 * 21 // 2
-        whole = _growth_terms((1, 2, 2), 20)
-        assert whole == states * sum(map(_terms, _monomials((1, 2, 2))))
-        _grown((1, 2, 2), 20)
-        assert nested == len(calls) == states * sum(
-            len(t) for e in _monomials((1, 2, 2)) for t in _plan(e))
-        assert predicted == whole
-        assert columns == stratavol.coverings._columns
+        for key, d in requests:
+            held = _held(key)
+            if held < d:
+                terms = (d * (d + 1) // 2 - held * (held + 1) // 2) * _monomial_terms(
+                    _moment_bounds(key))[1]
+                predicted += terms
+                with monkeypatch.context() as capped:
+                    capped.setattr(stratavol.coverings, "BURNSIDE_WORK_CAP", 0)
+                    with pytest.raises(ResourceCapError) as refused:
+                        _route(key, d)
+                assert int(re.search(r"the moments (\d+) ", str(refused.value))[1]) > terms
+            _grown(_moment_bounds(key), d)
+        assert 0 < len(calls) <= predicted
+        assert stratavol.coverings._columns == _cold_columns((1, 2, 2), 20)
 
     def test_profiles_grown_in_any_order_give_one_table(self, monkeypatch):
         # The benchmark's profiles (2, 2), (3, 2) and (4, 3), their rows
@@ -629,14 +661,13 @@ def _growth_sequence(requests):
     """The columns after growing each (bounds, degree) of ``requests`` in
     turn from none, in a table of their own."""
     coverings = stratavol.coverings
-    saved = coverings._columns, coverings._pass_sums
-    coverings._columns, coverings._pass_sums = {}, {}
+    saved, coverings._columns = coverings._columns, {}
     try:
         for bounds, d in requests:
             _grown(bounds, d)
         return coverings._columns
     finally:
-        coverings._columns, coverings._pass_sums = saved
+        coverings._columns = saved
 
 
 class TestColumnInterleavings:
@@ -687,14 +718,14 @@ class TestCorner:
         # so a row the table already serves is routed and filled from that
         # one column's length and grows nothing.
         coverings = stratavol.coverings
-        saved = coverings._columns, coverings._pass_sums, coverings._burnside_totals
+        saved = coverings._columns, coverings._burnside_totals
         grow = coverings._grow_columns
 
         def forbidden(*args):
             raise AssertionError("_grow_columns was called")
 
         columns = _CountedReads()
-        coverings._columns, coverings._pass_sums = columns, {}
+        coverings._columns = columns
         try:
             for profile, d in requests:
                 grow(_moment_bounds(profile), d)
@@ -709,7 +740,7 @@ class TestCorner:
                 assert set(columns.reads) == {_monomials(_moment_bounds(profile))[-1]}
                 assert _moment_cells() == cells and (profile, d) in coverings._burnside_totals
         finally:
-            coverings._columns, coverings._pass_sums, coverings._burnside_totals = saved
+            coverings._columns, coverings._burnside_totals = saved
             coverings._grow_columns = grow
 
 
@@ -997,7 +1028,8 @@ class TestRowCap:
         # monomials themselves (``_sweep_price``, ``_moment_price``): the
         # cheaper route is taken, the moments on a tie, when it is at most
         # the cap; otherwise the row is refused with one figure per route,
-        # each over the cap and, when fully counted, the price.
+        # each over the cap: the moments' whole price, the sweep's when
+        # fully counted.
         message = re.compile(
             rf"Burnside work up to degree (\d+) exceeds cap {BURNSIDE_WORK_CAP} steps: "
             r"the sweep (\d+|inf) \((\d+) sub-profiles\), the moments (\d+|inf) \(")
@@ -1022,10 +1054,8 @@ class TestRowCap:
                     for figure, price in ((found[2], sweep), (found[4], moments)):
                         assert figure == "inf" or BURNSIDE_WORK_CAP < int(figure) <= price
                     assert found[2] in ("inf", str(sweep)), (key, d)
-                    if moments < inf and (len(_monomials(_moment_bounds(fit))) * (d + 1) * (d + 2)
-                                          + 6 * d * (d + 1)) // 2 <= BURNSIDE_WORK_CAP:
-                        assert found[4] == str(moments), (key, d)
-                        seen.add("counted")
+                    assert found[4] == str(moments), (key, d)
+                    seen.add("counted" if moments < inf else None)
                 else:
                     assert got is want, (key, d)
         assert seen == {True, False, None, "counted"}
@@ -1091,7 +1121,7 @@ class TestRowCap:
         assert [cov_d((4,) * k, 4) for k in (155, 300)] == want
         assert main(["covers", ",".join(["4"] * 1000), "--dmax", "4"]) == 0
         assert time.perf_counter() - start < 1.0
-        assert _monomial_count(_moment_bounds((4,) * 300)) == 4_590_551
+        assert _monomial_terms(_moment_bounds((4,) * 300))[0] == 4_590_551
         assert capsys.readouterr().out.count("\n") == 5
 
 

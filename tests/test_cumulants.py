@@ -109,6 +109,10 @@ class TestElementaryCumulant:
         with pytest.raises(DomainError):
             elementary_cumulant(())
 
+    def test_non_integers_rejected(self):
+        with pytest.raises(DomainError, match="expected an integer, got 2.5"):
+            elementary_cumulant((2.5, 2))
+
     def test_cap(self):
         with pytest.raises(ResourceCapError):
             elementary_cumulant((2,) * 100)
@@ -665,6 +669,12 @@ class TestCConst:
         with pytest.raises(DomainError):
             c_const((2, 1))
 
+    def test_non_integers_rejected(self):
+        # c((2, 2)) used to answer (2.5, 2).
+        with pytest.raises(DomainError, match="expected an integer, got 2.5"):
+            c_const((2.5, 2))
+        assert c_const((2.0, 2)) == c_const((2, 2))
+
 
 class TestPrice:
     """The price of a Wick tree sum or an elementary cumulant
@@ -830,6 +840,11 @@ class TestVolume:
     def test_empty_rejected(self):
         with pytest.raises(DomainError):
             volume(())
+
+    def test_non_integers_rejected(self):
+        # The volume of H(3, 1) used to answer (3.7, 1).
+        with pytest.raises(DomainError, match="expected an integer, got 3.7"):
+            volume((3.7, 1))
 
     def test_cross_check_simple_routes(self):
         # 12 and 14 groups of one type run the general DP well past the

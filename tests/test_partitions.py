@@ -52,6 +52,14 @@ class TestIntPartition:
         with pytest.raises(DomainError):
             IntPartition([2, 0])
 
+    def test_rejects_non_integers(self):
+        # A part that is not an integer is refused, not truncated; one equal
+        # to an integer is that integer.
+        for parts in ([3.7, 1], [Fraction(5, 2), 2], ["3"]):
+            with pytest.raises(DomainError, match="expected an integer"):
+                IntPartition(parts)
+        assert IntPartition([3.0, Fraction(2)]) == IntPartition([3, 2])
+
     def test_conjugate(self):
         assert conjugate(IntPartition([3, 1])) == IntPartition([2, 1, 1])
         assert conjugate(conjugate(IntPartition([3, 1]))) == IntPartition([3, 1])
