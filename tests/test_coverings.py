@@ -529,8 +529,7 @@ class TestMomentRoute:
         [((2, 2), 20), ((3, 2), 20), ((4, 3), 20)],
         [((2, 2), 12), ((4, 3), 7), ((3, 2), 20), ((2, 2), 16), ((4, 3), 20)],
     ])
-    def test_nested_growths_give_one_cold_growth_within_their_price(self, requests, cold_memo,
-                                                                    monkeypatch):
+    def test_nested_growths_give_one_cold_growth_in_price(self, requests, cold_memo, monkeypatch):
         # (2, 2) holds three of the nine columns of (4, 3), (3, 2) six.
         # Growing nested bounds in turn gives the columns of one cold growth
         # of the widest through 20.  Each growth reruns the passes of every
