@@ -101,23 +101,32 @@ def _profile(profile) -> CoverProfile:
 
 
 # Burnside totals by (sub-profile sorted longest cycle first, degree), for
-# the life of the process.  Either route stores every sub-multiset of the
-# key it fills at each degree it sums, so whenever a profile is here, every
-# sub-profile that can sum to nonzero is too, and one that is not reads 0.
-# A key is stored only once its total is complete, so ``cov_d`` returns a
-# held row from one lookup.
-_burnside_totals: dict[tuple[tuple[int, ...], int], int] = {}
+# the life of the process, each the ``Fraction`` that ``cov_d`` returns,
+# built once where its integer sum is stored.  Either route stores every
+# sub-multiset of the key it fills at each degree it sums, so whenever a
+# profile is here, every sub-profile that can sum to nonzero is too, and
+# one that is not reads 0.  A key is stored only once its total is
+# complete, so ``cov_d`` returns a held row from one lookup, building
+# nothing.
+_burnside_totals: dict[tuple[tuple[int, ...], int], Fraction] = {}
+_ZERO = Fraction(0)
 
 
-def _burnside_sums(profile: Sequence[int], d: int) -> int:
+def _burnside_sums(profile: Sequence[int], d: int) -> Fraction:
     """The sum over partitions lam of d of the product of the central
     characters f_m(lam) over the entries m of the profile (``_fill``),
-    memoized in ``_burnside_totals``: 0 when a cycle is longer than d, and
-    the number of partitions of d for the empty profile."""
+    memoized in ``_burnside_totals`` as the ``Fraction`` of its integer
+    sum: the number of partitions of d for the empty profile, and 0 with
+    no work when a cycle is longer than d, since f_m vanishes at every
+    partition of d < m."""
     key = tuple(sorted(profile, reverse=True))
-    if (key, d) not in _burnside_totals:
-        _fill(tuple(m for m in key if m <= d), d)
-    return _burnside_totals.get((key, d), 0)
+    if key and key[0] > d:
+        return _ZERO
+    total = _burnside_totals.get((key, d))
+    if total is None:
+        _fill(key, d)
+        total = _burnside_totals[key, d]
+    return total
 
 
 def _fill(key: tuple[int, ...], d: int, series: bool = False) -> None:
@@ -181,7 +190,7 @@ def _sweep(key: tuple[int, ...], d: int) -> None:
             values[i] = value
             totals[i] += value
     for sub, total in zip(subs, totals):
-        _burnside_totals[sub, d] = total
+        _burnside_totals[sub, d] = Fraction(total)
 
 
 # ---------------------------------------------------------------------------
@@ -474,43 +483,47 @@ def _moment_sums(key: tuple[int, ...], d: int) -> None:
                 poly[mono + r * r] = get(mono + r * r, 0) + a3 * x
         polys[i] = poly
     for sub, poly in zip(subs, polys):
-        _burnside_totals[sub, d] = sum(map(mul, poly.values(), map(moments.__getitem__, poly)))
+        total = sum(map(mul, poly.values(), map(moments.__getitem__, poly)))
+        _burnside_totals[sub, d] = Fraction(total)
 
 
 def cov_d(profile, d: int) -> Fraction:
     """Weighted number of degree-d coverings with the given branch profile:
     the sum over partitions lam of d of the product of central characters,
-    in integers (``_burnside_sums``), by content moments or by a sweep over
-    the partitions of d, whichever ``_route`` prices cheaper for the series
-    through d; ResourceCapError before any work when neither is under the
-    Burnside cap.  A cold row sums and memoizes all prod (c + 1)
-    sub-profiles, for the multiplicities c of its cycles no longer than d.
+    summed in integers and held as one ``Fraction`` (``_burnside_sums``), by
+    content moments or by a sweep over the partitions of d, whichever
+    ``_route`` prices cheaper for the series through d; ResourceCapError
+    before any work when neither is under the Burnside cap.  A cold row
+    sums and memoizes all prod (c + 1) sub-profiles, for the multiplicities
+    c of its cycles.
 
     The empty profile counts all unramified coverings, one per partition
     of d.
 
     A tuple (a ``CoverProfile`` too) whose row is held, sorted longest
-    cycle first, is read from ``_burnside_totals`` with no check: only
-    checked keys with every cycle at most d >= 0 are stored, each once its
-    total is complete, so an entry or degree equal to an integer (4.0)
-    reads its row, as the check would.  Another tuple pays one failed
-    lookup; one holding an unhashable entry raises TypeError there, as the
-    check would.
+    cycle first, is read from ``_burnside_totals`` with no check and no
+    arithmetic: the stored ``Fraction`` itself is returned.  Only checked
+    keys with every cycle at most d >= 0 are stored, each once its total
+    is complete, so an entry or degree equal to an integer (4.0) reads its
+    row, as the check would.  Another tuple pays one failed lookup; one
+    holding an unhashable entry raises TypeError there, as the check
+    would.  A row whose longest cycle is past d is never stored: after the
+    failed lookup and the checks it is 0, with no work.
     """
     if isinstance(profile, tuple):
         total = _burnside_totals.get((profile, d))
         if total is not None:
-            return Fraction(total)
+            return total
     profile, d = _profile(profile), as_int(d)
     if d < 0:
         raise DomainError("degree must be nonnegative")
-    return Fraction(_burnside_sums(profile, d))
+    return _burnside_sums(profile, d)
 
 
 def cov_series(profile, order: int) -> QSeries:
     """Generating series sum_d cov_d(profile) q^d, truncated: the rows of
     the CLI's ``covers``, priced and routed once as one series (``_rows``)."""
-    profile = _profile(profile)
+    profile, order = _profile(profile), as_int(order)
     if order < 0:
         raise DomainError("order must be nonnegative")
     return QSeries.from_coeffs(_rows(profile, order))
@@ -520,13 +533,13 @@ def _rows(profile: CoverProfile, order: int) -> list[int]:
     """The Burnside sums of degrees 0..order, priced and routed once."""
     key = tuple(sorted(profile, reverse=True))
     _fill(tuple(m for m in key if m <= order), order, True)
-    return [_burnside_totals.get((key, d), 0) for d in range(order + 1)]
+    return [_burnside_totals.get((key, d), 0).numerator for d in range(order + 1)]
 
 
 def cov_prime_series(profile, order: int) -> QSeries:
     """Series for coverings without unramified connected components:
     the raw covering series times prod (1 - q^n)."""
-    profile = _profile(profile)
+    profile, order = _profile(profile), as_int(order)
     if order < 0:
         raise DomainError("order must be nonnegative")
     return euler_series(order) * cov_series(profile, order)
@@ -549,7 +562,7 @@ def cov_connected_series(profile, order: int) -> QSeries:
     blocks' series come from the profile's rows (``_rows``), priced once
     before any is summed.
     """
-    profile = _profile(profile)
+    profile, order = _profile(profile), as_int(order)
     if not profile:
         raise DomainError("connected counts need at least one branch point")
     if order < 0:
@@ -569,7 +582,7 @@ def cov_connected_series(profile, order: int) -> QSeries:
     conn: dict[tuple[int, ...], tuple[int, list[int]]] = {}
     for b in vectors[1:]:
         key = tuple(m for m, k in zip(lengths, b) for _ in range(k))
-        raw = [_burnside_totals.get((key, d), 0) for d in range(order + 1)]
+        raw = [_burnside_totals.get((key, d), 0).numerator for d in range(order + 1)]
         prime[b] = _lead(_product_into([0] * (order + 1), 1, euler, _lead(raw)))
         total = list(prime[b][1])
         for T, R, ways in vector_splits(b, True):
@@ -712,7 +725,7 @@ def brute_force_hom_count(profile, d: int, connected_only: bool = False) -> Frac
     reciprocal of their automorphism group order.  The cap is that of a
     request for degrees 1..d (``check_brute_force_caps``).
     """
-    profile = _profile(profile)
+    profile, d = _profile(profile), as_int(d)
     if d < 1:
         raise DomainError("degree must be positive")
     check_brute_force_caps(profile, d, connected_only)
@@ -769,7 +782,7 @@ def asymptotic_ratio(profile, D: int) -> Fraction:
     Exact rational; the caller compares it against the limit evaluated at a
     high-precision rational approximation of pi.
     """
-    profile = _profile(profile)
+    profile, D = _profile(profile), as_int(D)
     if D < 1:
         raise DomainError("degree bound must be >= 1")
     total_weight = sum(profile)

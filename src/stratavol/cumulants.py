@@ -722,6 +722,7 @@ def c_simple(n: int) -> PiScalar:
     where no such partition exists.  Raises ResourceCapError before any
     term when the partitions up to (n + 2) / 2 are over SIMPLE_WORK_CAP.
     """
+    n = as_int(n)
     if n < 1:
         raise DomainError(f"need at least one branch point, got {n}")
     check_partition_work((n + 2) // 2, SIMPLE_WORK_CAP, "simple-branching")

@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 
-from .errors import DomainError, Record
+from .errors import DomainError, Record, as_int
 from .partitions import check_partition_work, iter_int_partitions
 from .qseries import QSeries, euler_series
 
@@ -50,6 +50,7 @@ def theta_series(s, deriv_order: int = 0, order: int = 0) -> QSeries:
     the value (and derivatives) at x = 0.
     """
     s = s.s if isinstance(s, EvaluatedPoint) else Fraction(s)
+    deriv_order, order = as_int(deriv_order), as_int(order)
     if s == 0:
         raise DomainError("evaluation point must be nonzero")
     if deriv_order < 0:
@@ -86,7 +87,7 @@ def direct_one_point(point: EvaluatedPoint, order: int) -> QSeries:
     """
     if not isinstance(point, EvaluatedPoint):
         point = EvaluatedPoint(Fraction(point))
-    s = point.s
+    s, order = point.s, as_int(order)
     if abs(s) <= 1:
         raise DomainError(f"need |s| > 1 for the tail to converge, got {s}")
     if order < 0:
@@ -120,6 +121,7 @@ def verify_theorem1_n1(point: EvaluatedPoint, order: int) -> bool:
     are counted against ``NPOINT_WORK_CAP``."""
     if not isinstance(point, EvaluatedPoint):
         point = EvaluatedPoint(Fraction(point))
+    order = as_int(order)
     if order < 0:
         raise DomainError("order must be nonnegative")
     check_partition_work(order, NPOINT_WORK_CAP, "one-point")

@@ -5,7 +5,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from fractions import Fraction
 
-from .errors import DomainError, Record
+from .errors import DomainError, Record, as_int
 
 
 class QSeries(Record):
@@ -39,6 +39,7 @@ class QSeries(Record):
         return QSeries((Fraction(1),) + (Fraction(0),) * order)
 
     def coefficient(self, n: int) -> Fraction:
+        n = as_int(n)
         if n < 0 or n > self.order:
             raise DomainError(f"coefficient index {n} outside truncation order {self.order}")
         return self.coeffs[n]
@@ -107,6 +108,7 @@ class QSeries(Record):
 def euler_series(order: int) -> QSeries:
     """The product prod_{n>=1} (1 - q^n), truncated, via the sparse
     pentagonal-number expansion sum_k (-1)^k q^(k(3k-1)/2)."""
+    order = as_int(order)
     if order < 0:
         raise DomainError("order must be nonnegative")
     coeffs = [Fraction(0)] * (order + 1)

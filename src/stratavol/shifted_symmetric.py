@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import DomainError, Record
+from .errors import DomainError, Record, as_int
 from .exact_arith import zeta_neg
 from .partitions import IntPartition, enum_partitions_of_weight, iter_int_partitions
 from .qseries import QSeries, euler_series
@@ -102,6 +102,7 @@ def f_top_expansion(k: int) -> PExpansion:
     by length and then lexicographically, which is PExpansion's order.
     The expansion is immutable and memoized on k.
     """
+    k = as_int(k)
     if k < 2:
         raise DomainError(f"expansion needs k >= 2, got {k}")
     terms = []

@@ -148,10 +148,38 @@ class TestWarmRow:
                 assert cov_d(key, d) == cov_d(CoverProfile(key), d) == rows[d] != 0, (key, d)
 
     def test_rows_below_the_longest_cycle_read_zero(self, cold_memo):
-        cov_series((4, 3), 28)
-        for form in ((4, 3), CoverProfile((4, 3)), (3, 4), [4, 3]):
-            assert [cov_d(form, d) for d in range(4)] == [0] * 4, form
+        forms = ((4, 3), CoverProfile((4, 3)), (3, 4), [4, 3])
+        for warm in (False, True):
+            if warm:
+                cov_series((4, 3), 28)
+            for form in forms:
+                got = [cov_d(form, d) for d in range(4)]
+                assert got == [0] * 4 and {type(x) for x in got} == {Fraction}, (form, warm)
         assert cov_d((3,), 3) != 0
+
+    def test_held_rows_are_returned_as_stored(self, cold_memo, monkeypatch):
+        # A hit builds nothing: it returns the very Fraction the memo holds.
+        items = _bench_workloads().cover_row_items()
+        want = [cov_d(p, d) for _, p, d in items]
+        stored = [stratavol.coverings._burnside_totals.get((tuple(p), d)) for _, p, d in items]
+        _forbid(monkeypatch, "Fraction")
+        for (_, p, d), row, held in zip(items, want, stored):
+            got = cov_d(tuple(p), d)
+            assert got == row and (held is None) == (max(p) > d), (p, d)
+            assert held is None or got is held, (p, d)
+
+    @pytest.mark.parametrize("profile, d", [((4, 3), 3), ((4, 3), 0), ((5,), 4), ((7, 2, 2), 6)])
+    def test_row_below_the_longest_cycle_sums_nothing(self, profile, d, cold_memo, monkeypatch):
+        # f_m vanishes at every partition of d < m: no route is priced and
+        # no row is filled, before or after the profile's series is held.
+        for warm in (False, True):
+            if warm:
+                cov_series(profile, max(profile))
+            with monkeypatch.context() as patch:
+                for name in ("_fill", "_route"):
+                    _forbid(patch, name)
+                got = cov_d(profile, d)
+            assert type(got) is Fraction and got == 0, warm
 
 
 def _burnside_by_murnaghan_nakayama(profile, d):
@@ -305,14 +333,15 @@ MEMO_CALLS = [(kind, profile, n) for profile in MEMO_PROFILES
 
 class TestBurnsideKernel:
     def test_many_keys_match_one_key_and_murnaghan_nakayama(self, monkeypatch):
-        # Every profile with at most three points and entries 2..6 is a
-        # sub-profile of the one with three of each; one sweep of that one
-        # must store them all, each equal to its sum from an empty memo.
+        # Every profile with at most three points and entries 2..6 whose
+        # cycles fit d is a sub-profile of the cycles that fit d of the one
+        # with three of each; one sweep of those must store them all, each
+        # equal to its sum from an empty memo, and every other reads 0.
         keys = [key for s in (1, 2, 3)
                 for key in combinations_with_replacement(range(2, 7), s)]
         for d in range(13):
             monkeypatch.setattr(stratavol.coverings, "_burnside_totals", {})
-            _burnside_sums([m for m in range(2, 7) for _ in range(3)], d)
+            _burnside_sums([m for m in range(2, 7) for _ in range(3) if m <= d], d)
             degrees = _count_sweeps(monkeypatch)
             sums = [_burnside_sums(key, d) for key in keys]
             monkeypatch.undo()
@@ -838,8 +867,9 @@ class TestOneRoutePerSeries:
     def test_lone_rows_leave_their_series_one_row(self, cold_memo, monkeypatch):
         # The benchmark's rows, each alone from the top degree down, then
         # its ratios: below the longest cycle a series sums the rows of the
-        # cycles that fit, and of those only row 0 of the empty profile,
-        # which no lone row asked for, is missing.
+        # cycles that fit, and a lone row sums nothing, so of those only rows
+        # 0 and 1 of the empty profile, which no lone row at or past its
+        # longest cycle asked for, are missing.
         profiles = [(2, 2), (3, 2), (4, 3)]
         for d in range(28, 0, -1):
             for profile in profiles:
@@ -854,7 +884,7 @@ class TestOneRoutePerSeries:
         _forbid(monkeypatch, "_grow_columns")
         _forbid(monkeypatch, "_sweep")
         got = [asymptotic_ratio(profile, 28) for profile in profiles]
-        assert summed == [((), 0)]
+        assert summed == [((), 0), ((), 1)]
         monkeypatch.undo()
         _cold(monkeypatch)
         assert got == [asymptotic_ratio(profile, 28) for profile in profiles]
@@ -1019,7 +1049,8 @@ class TestRowCap:
         with pytest.raises(ResourceCapError, match="up to degree 10000 exceeds cap "):
             cov_d((2,), 10**4)
         with pytest.raises(ResourceCapError, match=r"\(65536 sub-profiles\)"):
-            cov_d(tuple(range(2, 22)), 17)
+            cov_d(tuple(range(2, 18)), 17)
+        assert cov_d(tuple(range(2, 22)), 17) == 0  # a 21-cycle at 17: no work
         assert time.perf_counter() - start < 1.0
 
     def test_refusals_and_messages_as_counted_per_row(self, monkeypatch):
@@ -1088,8 +1119,9 @@ class TestRowCap:
 
         monkeypatch.setattr(stratavol.coverings, "partition_sums", forbidden)
         monkeypatch.setattr(stratavol.coverings, "_route", forbidden)
-        monkeypatch.setattr(stratavol.coverings, "_burnside_totals", {((2,), 10**4): 5})
-        assert cov_d((2,), 10**4) == 5
+        held = Fraction(5)
+        monkeypatch.setattr(stratavol.coverings, "_burnside_totals", {((2,), 10**4): held})
+        assert cov_d((2,), 10**4) is held
 
     def test_rows_of_tests_and_benchmark_under_cap(self, monkeypatch):
         workloads = _bench_workloads()
