@@ -58,7 +58,7 @@ from .partitions import (
     set_partitions_of,
     vector_splits,
 )
-from .qseries import QSeries, euler_series
+from .qseries import QSeries, euler_series, lead, product_into
 
 # The most steps (``brute_force_work``) of one brute-force request, all
 # degrees up to its --dmax, at a few microseconds a step: the (6!)^2 pairs
@@ -526,7 +526,7 @@ def cov_series(profile, order: int) -> QSeries:
     profile, order = _profile(profile), as_int(order)
     if order < 0:
         raise DomainError("order must be nonnegative")
-    return QSeries.from_coeffs(_rows(profile, order))
+    return QSeries(_rows(profile, order))
 
 
 def _rows(profile: CoverProfile, order: int) -> list[int]:
@@ -576,41 +576,20 @@ def cov_connected_series(profile, order: int) -> QSeries:
         raise ResourceCapError(
             f"connected series work {work} up to order {order} exceeds cap {CONNECTED_WORK_CAP}")
     _rows(profile, order)
-    euler = _lead([int(c) for c in euler_series(order).coeffs])
+    euler = lead([int(c) for c in euler_series(order).coeffs])
     vectors = sorted((T for T, _, _ in vector_splits(counts)), key=sum)
     prime: dict[tuple[int, ...], tuple[int, list[int]]] = {}
     conn: dict[tuple[int, ...], tuple[int, list[int]]] = {}
     for b in vectors[1:]:
         key = tuple(m for m, k in zip(lengths, b) for _ in range(k))
         raw = [_burnside_totals.get((key, d), 0).numerator for d in range(order + 1)]
-        prime[b] = _lead(_product_into([0] * (order + 1), 1, euler, _lead(raw)))
+        prime[b] = lead(product_into([0] * (order + 1), 1, euler, lead(raw)))
         total = list(prime[b][1])
         for T, R, ways in vector_splits(b, True):
             if any(R):
-                _product_into(total, -ways, conn[T], prime[R])
-        conn[b] = _lead(total)
-    return QSeries.from_coeffs(conn[counts][1])
-
-
-def _lead(x: list[int]) -> tuple[int, list[int]]:
-    """A truncated integer series with the degree of its first nonzero
-    coefficient (its length when there is none)."""
-    return next((i for i, v in enumerate(x) if v), len(x)), x
-
-
-def _product_into(out: list[int], scale: int, x, y) -> list[int]:
-    """Add scale * x * y, truncated to the length of ``out``, to ``out``,
-    for series x and y given as ``_lead`` pairs: degrees below their
-    first nonzero coefficients are skipped."""
-    n = len(out)
-    (low_x, x), (low_y, y) = x, y
-    for i in range(low_x, n - low_y):
-        a = x[i]
-        if a:
-            a *= scale
-            for j in range(low_y, n - i):
-                out[i + j] += a * y[j]
-    return out
+                product_into(total, -ways, conn[T], prime[R])
+        conn[b] = lead(total)
+    return QSeries(conn[counts][1])
 
 
 # ---------------------------------------------------------------------------

@@ -66,7 +66,7 @@ def theta_series(s, deriv_order: int = 0, order: int = 0) -> QSeries:
                 sign * Fraction(2 * nn + 1, 2) ** deriv_order * s ** (2 * nn + 1)
             )
         n += 1
-    return QSeries(tuple(coeffs))
+    return QSeries(coeffs)
 
 
 def theta_prime_zero(order: int) -> QSeries:
@@ -111,7 +111,7 @@ def direct_one_point(point: EvaluatedPoint, order: int) -> QSeries:
         finite = sum((n * power(k) for k, n in rows.items()), Fraction(0))
         ends = sum((n * power(-2 * ell - 1) for ell, n in lengths.items()), Fraction(0))
         raw.append(finite + tail * ends)
-    return euler_series(order) * QSeries.from_coeffs(raw)
+    return euler_series(order) * QSeries(raw)
 
 
 def verify_theorem1_n1(point: EvaluatedPoint, order: int) -> bool:

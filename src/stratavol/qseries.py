@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
+from operator import add
 
 from .errors import DomainError, Record, as_int
 
@@ -17,18 +18,15 @@ class QSeries(Record):
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: tuple[Fraction, ...]) -> None:
+    def __init__(self, coeffs: Iterable) -> None:
+        coeffs = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in coeffs)
         if not coeffs:
             raise DomainError("QSeries needs at least the constant coefficient")
-        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in coeffs))
+        object.__setattr__(self, "coeffs", coeffs)
 
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
-
-    @staticmethod
-    def from_coeffs(coeffs: Iterable) -> "QSeries":
-        return QSeries(tuple(coeffs))
 
     @staticmethod
     def zero(order: int) -> "QSeries":
@@ -47,44 +45,30 @@ class QSeries(Record):
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 
-    def _common_order(self, other: "QSeries") -> int:
-        return min(self.order, other.order)
-
     def __add__(self, other):
         if isinstance(other, QSeries):
-            n = self._common_order(other)
-            return QSeries(tuple(self.coeffs[i] + other.coeffs[i] for i in range(n + 1)))
+            return QSeries(map(add, self.coeffs, other.coeffs))
         if isinstance(other, (int, Fraction)):
-            cs = list(self.coeffs)
-            cs[0] += other
-            return QSeries(tuple(cs))
+            return QSeries((self.coeffs[0] + other, *self.coeffs[1:]))
         return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QSeries(tuple(-c for c in self.coeffs))
+        return QSeries(-c for c in self.coeffs)
 
     def __sub__(self, other):
-        if isinstance(other, QSeries):
-            n = self._common_order(other)
-            return QSeries(tuple(self.coeffs[i] - other.coeffs[i] for i in range(n + 1)))
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, QSeries):
-            n = self._common_order(other)
-            out = [Fraction(0)] * (n + 1)
-            for i, a in enumerate(self.coeffs[: n + 1]):
-                if a == 0:
-                    continue
-                for j in range(n + 1 - i):
-                    b = other.coeffs[j]
-                    if b:
-                        out[i + j] += a * b
-            return QSeries(tuple(out))
+            n = min(len(self.coeffs), len(other.coeffs))
+            x, y = lead(self.coeffs[:n]), lead(other.coeffs[:n])
+            if x[1].count(0) < y[1].count(0):  # only the outer factor's zeros are skipped
+                x, y = y, x
+            return QSeries(product_into([0] * n, 1, x, y))
         if isinstance(other, (int, Fraction)):
-            return QSeries(tuple(c * other for c in self.coeffs))
+            return QSeries(c * other for c in self.coeffs)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -125,4 +109,26 @@ def euler_series(order: int) -> QSeries:
         if e2 <= order:
             coeffs[e2] += sign
         k += 1
-    return QSeries(tuple(coeffs))
+    return QSeries(coeffs)
+
+
+def lead(x: Sequence) -> tuple[int, Sequence]:
+    """A truncated series with the degree of its first nonzero coefficient
+    (its length when there is none)."""
+    return next((i for i, v in enumerate(x) if v), len(x)), x
+
+
+def product_into(out: list, scale, x, y) -> list:
+    """Add scale * x * y, truncated to the length of ``out``, to ``out``,
+    for series x and y given as ``lead`` pairs: degrees below their first
+    nonzero coefficients are skipped, and so are the zero coefficients of
+    x, the outer factor.  The package's one truncated series product."""
+    n = len(out)
+    (low_x, x), (low_y, y) = x, y
+    for i in range(low_x, n - low_y):
+        a = x[i]
+        if a:
+            a *= scale
+            for j in range(low_y, n - i):
+                out[i + j] += a * y[j]
+    return out

@@ -25,6 +25,7 @@ def p_eval(k: int, lam) -> Fraction:
     cancel identically), so the evaluation is a finite exact sum plus the
     constant (1 - 2^-k) zeta(-k).
     """
+    k = as_int(k)
     if k < 1:
         raise DomainError(f"power sum index must be >= 1, got {k}")
     lam = IntPartition(lam)
@@ -41,6 +42,7 @@ def q_average(mu, order: int) -> QSeries:
     zeta(-k) = a_k / b_k, 2^k b_k p_k(lam) is the integer
     b_k sum_i [(2 lam_i - 2i + 1)^k - (1 - 2i)^k] + (2^k - 1) a_k, so each
     degree sums integers and divides once by prod_i 2^{mu_i} b_{mu_i}."""
+    order = as_int(order)
     if order < 0:
         raise DomainError("order must be nonnegative")
     mu = IntPartition(mu)
@@ -63,7 +65,7 @@ def q_average(mu, order: int) -> QSeries:
                 term *= (den * rows + shift) ** mult
             acc += term
         raw.append(Fraction(acc, scale))
-    return euler_series(order) * QSeries.from_coeffs(raw)
+    return euler_series(order) * QSeries(raw)
 
 
 class PExpansion(Record):

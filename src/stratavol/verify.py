@@ -232,13 +232,13 @@ def suite_qseries() -> list[PropertyResult]:
     product inverts the partition-count series."""
     out: list[PropertyResult] = []
     order = 20
-    g2 = QSeries.from_coeffs(
+    g2 = QSeries(
         [Fraction(-1, 24)] + [Fraction(_sigma1(n)) for n in range(1, order + 1)]
     )
     _check(out, "average of p1 = -1/24 + sum sigma1(n) q^n",
            q_average((1,), order) == g2)
     _check(out, "average of p2 = 0", q_average((2,), order).is_zero())
-    counts = QSeries.from_coeffs(
+    counts = QSeries(
         [Fraction(len(enum_int_partitions(d))) for d in range(order + 1)]
     )
     _check(out, "euler product x partition counts = 1",

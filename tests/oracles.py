@@ -16,11 +16,13 @@ sub-multiplicity vectors, the top-weight f_k expansion through a Fraction
 division per multiplicity factorial over partitions filtered by weight
 instead of the library's integer product over partitions of weight k + 1
 generated directly, brute-force monodromy counts pair by pair instead of
-the library's tally of pairs by commutator and orbits.
+the library's tally of pairs by commutator and orbits, and truncated
+series products over every coefficient pair instead of the library's
+product that skips the zeros of one factor.
 
 It also holds the small helpers that only the tests use: the size of a
-single-cycle class, the conjugate partition, the partition weight, the
-inverse of a q-series and a power-sum expansion from a dict.
+single-cycle class, the conjugate partition, the partition weight, divisor
+power sums, the inverse of a q-series and a power-sum expansion from a dict.
 """
 
 from __future__ import annotations
@@ -177,9 +179,9 @@ def cumulant_by_set_partitions(key) -> Fraction:
     return result
 
 
-def sigma1(n: int) -> int:
-    """Sum of divisors of n."""
-    return sum(d for d in range(1, n + 1) if n % d == 0)
+def sigma(k: int, n: int) -> int:
+    """Sum of the k-th powers of the divisors of n."""
+    return sum(d**k for d in range(1, n + 1) if n % d == 0)
 
 
 def partitions_by_recursion(d: int, max_part: int | None = None):
@@ -207,7 +209,7 @@ def q_average_by_p_eval(mu, order: int) -> QSeries:
                 term *= p_eval(k, lam)
             acc += term
         raw.append(acc)
-    return euler_series(order) * QSeries.from_coeffs(raw)
+    return euler_series(order) * QSeries(raw)
 
 
 def wick_by_complementary_trees(groups) -> PiScalar:
@@ -336,6 +338,17 @@ def weight(mu) -> int:
     return sum(mu) + len(mu)
 
 
+def product_by_double_loop(a: QSeries, b: QSeries) -> QSeries:
+    """The truncated product of two series, one coefficient pair at a
+    time over both factors in full, to the smaller order."""
+    n = min(a.order, b.order)
+    out = [Fraction(0)] * (n + 1)
+    for i in range(n + 1):
+        for j in range(n + 1 - i):
+            out[i + j] += a.coeffs[i] * b.coeffs[j]
+    return QSeries(out)
+
+
 def series_inverse(series: QSeries) -> QSeries:
     """Multiplicative inverse of a series with a unit constant term."""
     c = series.coeffs
@@ -344,7 +357,7 @@ def series_inverse(series: QSeries) -> QSeries:
     inv = [1 / c[0]]
     for k in range(1, series.order + 1):
         inv.append(-sum((c[i] * inv[k - i] for i in range(1, k + 1)), Fraction(0)) / c[0])
-    return QSeries(tuple(inv))
+    return QSeries(inv)
 
 
 def expansion_from_dict(data: dict[IntPartition, Fraction]) -> PExpansion:

@@ -56,7 +56,7 @@ from stratavol.partitions import enum_int_partitions, iter_int_partitions
 from stratavol.qseries import QSeries, euler_series
 from stratavol.shifted_symmetric import q_average
 
-from .oracles import brute_force_per_pair, connected_by_set_partitions, partition_count
+from .oracles import brute_force_per_pair, connected_by_set_partitions, partition_count, sigma
 
 TESTS = Path(__file__).resolve().parent
 
@@ -1227,6 +1227,23 @@ class TestConnectedSeries:
             monkeypatch.setattr(stratavol.partitions, name, forbidden)
             monkeypatch.setattr(stratavol.coverings, name, forbidden, raising=False)
         assert [cov_connected_series(profile, 14) for profile in profiles] == want
+
+    def test_two_simple_branch_points_are_dijkgraafs_quasimodular_form(self):
+        # Dijkgraaf (1995): the series of genus-2 covers with two simple
+        # branch points is F2 = (10 E2^3 - 6 E2 E4 - 4 E6) / 103680, a
+        # quasimodular form; the connected series here is exactly 2 F2.
+        order = 39
+
+        def eisenstein(k, c):
+            return QSeries([1] + [c * sigma(k - 1, n) for n in range(1, order + 1)])
+
+        e2, e4, e6 = eisenstein(2, -24), eisenstein(4, 240), eisenstein(6, -504)
+        want = Fraction(2, 103680) * (10 * e2 * e2 * e2 - 6 * e2 * e4 - 4 * e6)
+        got = cov_connected_series((2, 2), order)
+        assert got == want
+        for n in (2, order):
+            bumped = QSeries(c + 1 if i == n else c for i, c in enumerate(want.coeffs))
+            assert got != bumped
 
     def test_eight_points_to_order_108_under_a_second(self, cold_memo):
         # Inclusion-exclusion would multiply rational series for each of

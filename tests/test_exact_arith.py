@@ -148,7 +148,7 @@ class TestFrakZ:
                 sin_over_y.append(num / den)
             else:
                 sin_over_y.append(Fraction(0))
-        inverse = series_inverse(QSeries.from_coeffs(sin_over_y))
+        inverse = series_inverse(QSeries(sin_over_y))
         for k in range(K + 1):
             assert inverse.coefficient(2 * k) == frak_z_over_pi(2 * k)
             if k > 0:

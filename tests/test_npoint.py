@@ -105,7 +105,7 @@ class TestDirectOnePoint:
         s, order = Fraction(s), 14
         raw = [sum((_row_sum(s, lam) for lam in enum_int_partitions(d)), Fraction(0))
                for d in range(order + 1)]
-        want = euler_series(order) * QSeries.from_coeffs(raw)
+        want = euler_series(order) * QSeries(raw)
         assert direct_one_point(EvaluatedPoint(s), order) == want
 
     def test_needs_s_above_one(self):
@@ -146,7 +146,7 @@ class TestTheorem1:
         exact = direct_one_point
 
         def off_at_top(point, order):
-            bump = QSeries.from_coeffs([0] * order + [1])
+            bump = QSeries([0] * order + [1])
             return exact(point, order) + bump
 
         monkeypatch.setattr(stratavol.npoint, "direct_one_point", off_at_top)

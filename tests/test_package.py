@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import stratavol
-from stratavol import npoint
+from stratavol import npoint, shifted_symmetric
 from stratavol.coverings import cov_prime_series, cov_series
 from stratavol.errors import DomainError
 from stratavol.qseries import euler_series
@@ -60,6 +60,8 @@ _INTEGER_ARGUMENTS = [
     (euler_series, (4,), 0),
     (stratavol.f_top_expansion, (4,), 0),
     (euler_series(4).coefficient, (2,), 0),
+    (shifted_symmetric.q_average, ((1,), 4), 1),
+    (shifted_symmetric.p_eval, (2, (1,)), 0),
 ]
 
 

@@ -29,8 +29,11 @@ def _pi_scalar():
 
 def _qseries():
     assert type(QSeries((1, 2)).coeffs[1]) is Fraction
-    with pytest.raises(DomainError):
-        QSeries(())
+    f = Fraction(3, 7)
+    assert QSeries((f,)).coeffs[0] is f
+    for empty in ((), (c for c in [])):
+        with pytest.raises(DomainError):
+            QSeries(empty)
 
 
 def _set_partition():

@@ -14,7 +14,7 @@ from .oracles import (
     expansion_from_dict,
     f_top_expansion_by_division,
     q_average_by_p_eval,
-    sigma1,
+    sigma,
     weight,
 )
 
@@ -80,8 +80,8 @@ class TestQAverage:
     def test_eisenstein_expansion(self):
         n = 20
         got = q_average((1,), n)
-        want = QSeries.from_coeffs(
-            [Fraction(-1, 24)] + [sigma1(m) for m in range(1, n + 1)]
+        want = QSeries(
+            [Fraction(-1, 24)] + [sigma(1, m) for m in range(1, n + 1)]
         )
         assert got == want
 
