@@ -50,7 +50,7 @@ from math import comb, factorial, inf, isqrt, prod
 from operator import add, mul
 
 from .characters import CONTENT_POLY_MAX_M, beta_numbers, content_form, hook_value
-from .errors import DomainError, ResourceCapError, as_int
+from .errors import DomainError, ResourceCapError, as_int, as_order
 from .partitions import (
     iter_int_partitions,
     length_sums,
@@ -514,18 +514,14 @@ def cov_d(profile, d: int) -> Fraction:
         total = _burnside_totals.get((profile, d))
         if total is not None:
             return total
-    profile, d = _profile(profile), as_int(d)
-    if d < 0:
-        raise DomainError("degree must be nonnegative")
+    profile, d = _profile(profile), as_order(d, "degree")
     return _burnside_sums(profile, d)
 
 
 def cov_series(profile, order: int) -> QSeries:
     """Generating series sum_d cov_d(profile) q^d, truncated: the rows of
     the CLI's ``covers``, priced and routed once as one series (``_rows``)."""
-    profile, order = _profile(profile), as_int(order)
-    if order < 0:
-        raise DomainError("order must be nonnegative")
+    profile, order = _profile(profile), as_order(order)
     return QSeries(_rows(profile, order))
 
 
@@ -539,9 +535,7 @@ def _rows(profile: CoverProfile, order: int) -> list[int]:
 def cov_prime_series(profile, order: int) -> QSeries:
     """Series for coverings without unramified connected components:
     the raw covering series times prod (1 - q^n)."""
-    profile, order = _profile(profile), as_int(order)
-    if order < 0:
-        raise DomainError("order must be nonnegative")
+    profile, order = _profile(profile), as_order(order)
     return euler_series(order) * cov_series(profile, order)
 
 

@@ -3,8 +3,9 @@ volumes of strata of holomorphic differentials.
 
 The pipeline: connected averages of products of power sums have a leading
 coefficient (the elementary cumulant) given by a closed sum over set
-partitions with explicit rational-times-pi-power terms, summed by the
-exponential formula over the key's multiset.  A Wick-type rule reduces
+partitions with explicit rational-times-pi-power terms, which Cayley's
+count of labelled trees by degree turns into a rooted-tree DP over the
+key's sorted sub-multisets (``_tree_cumulant``).  A Wick-type rule reduces
 grouped averages to products of elementary cumulants over set partitions
 complementary to the grouping, which are exactly the trees on groups and
 blocks; the sum is a rooted-tree DP over multiplicity vectors of group
@@ -12,23 +13,21 @@ types, with no partition listed.  Expanding the central character
 generators in the power-sum basis gives each group a choice of terms,
 which the same DP makes inside one call: that yields the constant c(m),
 and volumes follow by a shift and a dimension division.  Every rational
-of the partition tables and the DP is a product of frak_z values, whose
-denominators divide products of Bernoulli denominators, so both sum in
-Python ints scaled by a common denominator (``_common_denominator``) and
-build one Fraction at the end.  The partition table of each sorted
-sub-multiset is kept for the life of the process, with its own scale,
-shared by every key, Wick leaf and request that reaches it, and widened
-by the cells of new degrees only (``_table``).  The Wick DP's states are
-kept for the whole process too, keyed by generator or group rather than
-by position in a call, under one common denominator that only grows
-(``_wick_memo``).  Every stage has an independent oracle.
+of both DPs is a product of frak_z values, whose denominators divide
+products of Bernoulli denominators, so both sum in Python ints scaled by
+a common denominator (``_common_denominator``) and build one Fraction at
+the end.  The states of both are kept for the life of the process, each
+under one common denominator that only grows: the cumulant tree's by
+sorted sub-multiset, shared by every key and Wick leaf (``_tree_memo``),
+and the Wick DP's by generator or group rather than by position in a
+call (``_wick_memo``).  Every stage has an independent oracle.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, combinations, combinations_with_replacement, product, repeat
+from itertools import chain, combinations, combinations_with_replacement, compress, product, repeat
 from math import comb, factorial, gcd, lcm, prod
 from operator import mul
 
@@ -78,9 +77,10 @@ def elementary_cumulant(m) -> PiScalar:
 
         g_B(t) = |m_B|! sum_d frak_z(|m_B| - #B - d + 1) t^d / d!.
 
-    The terms with l >= 2 are summed by the exponential formula over the
-    key's multiset (``_table``), not partition by partition, in integers
-    over one common denominator.  Every term carries
+    (l - 2)! / prod d_B! counts the trees on the blocks in which B has
+    degree d_B + 1 (Cayley), so a rooted-tree DP over the key's sorted
+    sub-multisets sums it (``_tree_cumulant``), not partition by
+    partition, in integers over one common denominator.  Every term carries
     pi^(|m| - n + 2), so the sum is a rational, memoized on the sorted
     key; its price is checked (``_check_work``) on every call, first.
     """
@@ -93,20 +93,10 @@ def elementary_cumulant(m) -> PiScalar:
 
 @lru_cache(maxsize=None)
 def _cumulant_over_pi(key: tuple[int, ...]) -> Fraction:
-    """elementary_cumulant(key) divided by its pi power: the one-block term
-    plus sum over l >= 2 of (-1)^(l-1) (l-2)! [u^l t^(l-2)] of the
-    partition table, whose cells of l blocks are scaled by Q^l for the
-    common denominator Q of the key; the one-block term is scaled by Q^n
-    too, and one division by Q^n ends the sum."""
-    n = len(key)
-    total_size = sum(key)
-    z = frak_z_over_pi(total_size - n + 2)
-    _, scale, rows = _table(key, -2)
-    numerator = _quotient(factorial(total_size) * z.numerator * scale**n, z.denominator)
-    for ell in range(2, n + 1):
-        sign = 1 if ell % 2 == 1 else -1
-        numerator += sign * factorial(ell - 2) * rows[ell][ell - 2] * scale ** (n - ell)
-    return Fraction(numerator, scale**n)
+    """elementary_cumulant(key) divided by its pi power: the tree sum at
+    the key's common denominator Q, divided by Q^n once."""
+    scale = _common_denominator(sum(key) - len(key) + 2)
+    return Fraction(_tree_cumulant(key, scale), scale ** len(key))
 
 
 @lru_cache(maxsize=None)
@@ -116,11 +106,8 @@ def _common_denominator(top: int) -> int:
     primes p with p - 1 | j (von Staudt-Clausen) and factors of j.
 
     For a key m with n parts and top = |m| - n + 2 it clears every block
-    series (``_block_series``): a block of p parts summing to s has
-    s! frak_z(j) / d! = C(s, d) (s - d)! / (j - 1)! * (j - 1)! frak_z(j)
-    with j = s - p + 1 - d, so s - d >= j - 1, and j <= |m| - n + 1.  The
-    one-block term |m|! frak_z(top) is cleared as well, so the cumulant
-    of m times Q^n is an integer.  Q(top) divides Q(top') for top <= top'.
+    weight s! frak_z(j), j <= top and s >= j - 1 (``_weights``), so the
+    cumulant of m times Q^n is an integer.  Q(top) divides Q(top + 1).
     """
     return lcm(*map(_denominator_factor, range(2, top + 1, 2)))
 
@@ -147,106 +134,112 @@ def _scaled(value, scale: int) -> int:
     return _quotient(value.numerator * scale, value.denominator)
 
 
-_series: dict[tuple[int, int], tuple[int, int, tuple[int, ...]]] = {}
+# The cumulant tree's states for the whole process, (Q, weights, planted,
+# forests): the common denominator whose powers scale them, then dicts by
+# (size, parts) or sorted sub-multiset.  As with ``_wick_memo``, a larger Q
+# replaces the tuple, and entries are stored whole: threads only lose work.
+_tree_memo = {"memo": (1, {}, {}, {})}
 
 
-def _block_series(size: int, parts: int, degree: int) -> tuple[int, int, tuple[int, ...]]:
-    """(Q_B, d_0, the coefficients of Q_B g_B(t) at the degrees d_0,
-    d_0 + 2, ... up to ``degree`` at least, in integers) for a block of
-    ``parts`` indices whose entries sum to ``size``, with top = size -
-    parts + 1, d_0 = top mod 2 and Q_B = ``_common_denominator(top)``;
-    frak_z vanishes at odd arguments and beyond, so the other coefficients
-    are 0.  Q_B divides Q_v for every multiset v holding the block.  v's
-    table reads the degrees up to #v + its excess, so a series is widened
-    only as far as a table asks."""
-    top = size - parts + 1
-    got = _series.get((size, parts))
-    if got is None or got[1] + 2 * len(got[2]) <= degree:
-        scale, d0, series = got or (_common_denominator(top), top % 2, ())
-        series = list(series)
-        for d in range(d0 + 2 * len(series), degree + 1, 2):
-            z = frak_z_over_pi(top - d)
-            series.append(_quotient(factorial(size) * z.numerator * scale,
-                                    z.denominator * factorial(d)))
-        got = _series[size, parts] = (scale, d0, tuple(series))
-    return got
+def _tree_cumulant(key: tuple[int, ...], scale: int) -> int:
+    """The cumulant of the sorted key over its pi power, times scale^n,
+    an int for scale a multiple of the key's common denominator Q.  By
+    Cayley's count of labelled trees by degree, it is
+
+        sum_(alpha, tau) (-1)^(l - 1) prod_B |m_B|! frak_z(|m_B| - #B + 2 - deg_tau B)
+
+    over the set partitions alpha into l blocks and the trees tau on them.
+    Rooted at the block b of the first index, it is -sum W(b, k) forests(v
+    - b)[k] (``_grow``) over sorted sub-multisets, with W(b, delta) = -s!
+    frak_z(s - p + 2 - delta) Q^p for p parts summing to s (``_weights``)."""
+    memo = _tree_memo["memo"]
+    if memo[0] % scale:
+        memo = _tree_memo["memo"] = (scale, {}, {}, {})
+    total = -_grow(memo, key, 0)
+    return total if memo[0] == scale else _quotient(total, (memo[0] // scale) ** len(key))
 
 
-# The partition tables of sorted sub-multisets v, shared by every key for
-# the life of the process: v -> (excess, Q_v, rows) (``_table``).  An
-# entry is stored whole once built or widened, and its rows are only read,
-# so two threads that need one table at once only compute it twice.
-_tables: dict[tuple[int, ...], tuple[int, int, list[list[int]]]] = {}
+def _split_values(u: tuple[int, ...]) -> tuple[list[int], tuple[int, ...], list[int], int]:
+    """u's distinct entries, largest first, their counts, 1 for each even
+    one and 0 for each odd one, and the number of u's even entries."""
+    values = sorted(set(u), reverse=True)
+    counts, even = tuple(map(u.count, values)), [1 - v % 2 for v in values]
+    return values, counts, even, sum(compress(counts, even))
 
 
-def _table(v: tuple[int, ...], excess: int) -> tuple[int, int, list[list[int]]]:
-    """The entry (excess, Q_v, rows) of the sorted multiset v, from the
-    memo when it keeps degrees up to l + ``excess`` or more; else built,
-    or widened by the cells of the degrees it lacks, and kept in place of
-    the smaller one."""
-    got = _tables.get(v)
+def _grow(memo, u: tuple[int, ...], shift: int) -> int:
+    """sum W(b, j + shift) forests(u - b)[j] over the root blocks b of u:
+    those holding the first index at ``shift`` 0 (a tree), every nonempty
+    b at ``shift`` 1 (a planted tree, whose edge up adds 1 to b's degree).
+    frak_z vanishes at odd arguments, so W(b, delta) is 0 unless delta has
+    the parity of s - p, and forests(u)[k] unless k has that of |u| - #u:
+    every term is 0 unless that is ``shift``'s, and else the stored rows
+    line up at one offset.  A rest with no even entry has no forest."""
+    values, counts, even, evens = _split_values(u)
+    if (evens - shift) % 2:
+        return 0
+    total = 0
+    for T, R, ways in vector_splits(counts, not shift):
+        parts, left = sum(T), evens - sum(compress(T, even))
+        if parts and (left or parts == len(u)):
+            size = sum(map(mul, T, values))
+            forests = _forests(memo, tuple(chain.from_iterable(map(repeat, values, R))))
+            row = _weights(memo, size, parts, left + shift)
+            if shift and left % 2:  # the rest's forests start at degree 1
+                row = row[1:]
+            total += ways * sum(map(mul, row, forests))
+    return total
+
+
+def _planted(memo, u: tuple[int, ...]) -> int:
+    """The sum over planted trees on u (``_grow``); 0 unless |u| - #u is
+    odd, as the frak_z arguments of their blocks sum to |u| - #u + 1."""
+    planted = memo[2]
+    got = planted.get(u)
     if got is None:
-        got = _tables[v] = (excess, *_build_table(v, excess))
-    elif got[0] < excess:
-        got = _tables[v] = (excess, got[1], _fill_rows(v, got[1], got[2], excess))
+        got = planted[u] = _grow(memo, u, 1)
     return got
 
 
-def _build_table(v: tuple[int, ...], excess: int) -> tuple[int, list[list[int]]]:
-    """Sum over set partitions alpha of the indices of v of
-    u^l(alpha) prod_B Q_v g_B(t), in integers, as rows[l][t-degree], with
-    Q_v = ``_common_denominator(|v| - #v + 2)``; returns (Q_v, rows).
-    A key reads only its cells (l, l - 2), and every index outside v adds
-    at most one block and a nonnegative degree, so v keeps the degrees up
-    to l + ``excess``: -2 for a key, one more for each block taken off.
-    """
-    scale = _common_denominator(sum(v) - len(v) + 2)
-    return scale, _fill_rows(v, scale, [[] for _ in range(len(v) + 1)], excess)
+def _forests(memo, u: tuple[int, ...]) -> tuple[int, ...]:
+    """The sums over forests of k planted trees on u, at k = e mod 2, that
+    + 2, ... up to u's e even entries (a planted tree holds an odd number
+    of them): with the tree holding u's first index chosen by the
+    first-block splits, forests(u)[k] = sum_a planted(a) forests(u -
+    a)[k - 1], and forests(()) = (1,)."""
+    if not u:
+        return (1,)
+    forests = memo[3]
+    got = forests.get(u)
+    if got is None:
+        values, counts, even, evens = _split_values(u)
+        out = [0] * (evens // 2 + 1)
+        for T, R, ways in vector_splits(counts, True):
+            own = sum(compress(T, even))
+            if own % 2 and (own < evens or not any(R)):
+                planted = ways * _planted(memo, tuple(chain.from_iterable(map(repeat, values, T))))
+                if planted:  # the rest's row starts a cell later when u's is even
+                    rest = _forests(memo, tuple(chain.from_iterable(map(repeat, values, R))))
+                    for i, cell in enumerate(rest, 1 - evens % 2):
+                        out[i] += planted * cell
+        got = forests[u] = tuple(out)
+    return got
 
 
-def _fill_rows(v: tuple[int, ...], scale: int, old: list[list[int]],
-               excess: int) -> list[list[int]]:
-    """Copies of the rows ``old`` of v's table (scaled by ``scale``),
-    each row l extended to the degrees up to l + ``excess`` with only the
-    cells it lacks computed.
-
-    Indices with equal entries are interchangeable, so the sum runs over
-    the sub-multisets of v (the exponential formula): the block holding
-    the first index is chosen by ``partitions.vector_splits``, and the
-    rest's table is taken from the memo, its row l times (Q_v / Q_rest)^l,
-    with the degrees up to l + 1 + ``excess`` at least.  A block series
-    has degrees of one parity only (``_block_series``), so the cells of
-    row l of the table of any u lie at degrees of the parity of
-    |u| - #u + l, and only those are computed.
-    """
-    values = sorted(set(v), reverse=True)
-    rows = [row + [0] * (ell + excess + 1 - len(row)) for ell, row in enumerate(old)]
-    parity = sum(v) - len(v)
-    # Per row l >= 1: (l - 1, the row, its first new cell, the row's end).
-    plan = []
-    for ell in range(1, len(rows)):
-        low = len(old[ell])
-        plan.append((ell - 1, rows[ell], low + ((low + parity + ell) & 1), ell + excess + 1))
-    if all(start >= stop for _, _, start, stop in plan):
-        return rows  # every new cell has the other parity
-    for block, rest, ways in vector_splits(tuple(v.count(x) for x in values), True):
-        key = tuple(chain.from_iterable(map(repeat, values, rest)))
-        size, parts = sum(map(mul, block, values)), sum(block)
-        block_scale, d0, series = _block_series(size, parts, min(size - parts + 1, len(v) + excess))
-        weight = ways * _quotient(scale, block_scale)
-        if key:
-            _, rest_scale, rest_rows = _table(key, excess + 1)
-            ratio = _quotient(scale, rest_scale)
-            reached = plan[1:len(key) + 1]  # row 0 of a nonempty rest is empty
-        else:  # the block is all of v: the empty rest has one partition, of no block
-            ratio, rest_rows, reached = 1, [[1] + [0] * (excess + 1)], plan[:1]
-        for r, target, start, stop in reached:
-            row, factor = rest_rows[r], weight * ratio**r
-            # The series at d0, d0 + 2, ... meets row r of the rest at
-            # degree - d0, degree - d0 - 2, ..., down to 0 or 1.
-            for degree in range(start if start >= d0 else start + 2, stop, 2):
-                target[degree] += factor * sum(map(mul, series, row[degree - d0::-2]))
-    return rows
+def _weights(memo, size: int, parts: int, degree: int) -> tuple[int, ...]:
+    """W(b, delta) of a block of ``parts`` entries summing to ``size``, at
+    delta = s - p mod 2, that + 2, ... (the others are 0) up to ``degree``
+    or s - p + 2; kept to the degrees asked for so far, widened on demand."""
+    scale, weights = memo[0], memo[1]
+    row = weights.get((size, parts), ())
+    top, first = size - parts + 2, (size - parts) % 2
+    stop = min(degree, top)
+    if first + 2 * len(row) <= stop:
+        lift = -factorial(size) * scale**parts
+        zs = map(frak_z_over_pi, range(top - first - 2 * len(row), top - stop - 1, -2))
+        row += tuple(_quotient(lift * z.numerator, z.denominator) for z in zs)
+        weights[size, parts] = row
+    return row
 
 
 def elementary_cumulant_series_oracle(m) -> PiScalar:
@@ -255,10 +248,10 @@ def elementary_cumulant_series_oracle(m) -> PiScalar:
     Builds, per set partition alpha, the product of per-block series
     sum_j frak_z(j) (block sum)^(j + #block - 1) times the tree factor
     (-1)^(l-1) (sum of all variables)^(l-2), extracts the coefficient of
-    x^m, and multiplies by m!.  Independent of the exponential-formula
-    route: it sums in integers, every frak_z(j) scaled by the lcm U of
-    their denominators and a term of l blocks by U^(n - l), and divides
-    by U^n once.
+    x^m, and multiplies by m!.  Independent of the tree route: it sums
+    in integers, every frak_z(j) scaled by the lcm U of their
+    denominators and a term of l blocks by U^(n - l), and divides by U^n
+    once.
     """
     key = _canon_key(m)  # also the exponents of x^m, in variable order
     n, max_deg = len(key), sum(key)
@@ -398,7 +391,11 @@ def _check_work(what: str, values, counts, top: int, dp=()) -> int:
     coefficient by a cell of <= n bits(Q) + s log2 s bits, bits(Q) <= 3 top
     / 2 + 8.  When that bound is over the cap but not its rows, the tables
     are listed: for none through genus 9, for 17, 126 and 388 strata at genus
-    10-12 (0.17, 0.66, 2.07 s of their tables' 1.5, 3.1, 7.4 s; 2-core Xeon)."""
+    10-12 (0.08, 0.35, 1.03 s, against 0.19, 0.43, 0.58 s in the cumulant
+    tree of every stratum of the genus; 2-core Xeon).  The series and
+    tables are the exponential formula's over the key's sub-multisets; kept
+    for admission, they bound the cumulant tree (``_tree_cumulant``), which
+    reaches no other sub-multiset: #u per split and a step per product."""
     n = sum(counts)
     price, rows, splits, hi, lo = 2 * (top // 2) ** 2, n + 1, 1, [], []
     states = pairs = below = every = 1
@@ -434,10 +431,11 @@ def _check_work(what: str, values, counts, top: int, dp=()) -> int:
 
 
 def _listed_tables(values, counts, left: int, one_key: bool) -> int:
-    """The steps of each table read by block keys of <= counts[h] parts
-    from values[h], or by ``one_key`` (largest last), until past ``left``
-    (``_cells``): a key's and its sub-multisets' less a block with its
-    largest part, to degrees l - 2 + (parts left out that are >= it)."""
+    """The steps of each exponential-formula table (``_check_work``) read
+    by block keys of <= counts[h] parts from values[h], or by ``one_key``
+    (largest last), until past ``left`` (``_cells``): a key's and its
+    sub-multisets' less a block with its largest part, to degrees l - 2 +
+    (parts left out that are >= it), the states the cumulant tree reaches."""
     n, keys, total = sum(counts), {()}, 0
     for h, (vs, c) in enumerate(zip(values, counts)):
         picks = [p for j in range(c + 1 - (one_key and h == len(counts) - 1))
@@ -456,10 +454,10 @@ def _listed_tables(values, counts, left: int, one_key: bool) -> int:
 
 @lru_cache(maxsize=None)
 def _cells(v: tuple[int, ...], excess: int) -> int:
-    """The steps of v's table to degrees l + ``excess`` (``_fill_rows``):
-    per split, #v for the rest's key and rows of cells of one parity, the
-    i-th of min(i, series length) products of a coefficient of the block
-    (size s, <= 2 s log2 s bits) by a cell of row l (``_check_work``)."""
+    """The steps of v's exponential-formula table to degrees l + ``excess``
+    (``_check_work``): per first-block split, #v for the rest's key and
+    rows of cells of one parity, the i-th of min(i, series length) products
+    of a coefficient of the block (size s, <= 2 s log2 s bits) by a cell."""
     values = sorted(set(v), reverse=True)
     mult = [v.count(x) for x in values]
     parity, log, total = sum(v) - len(v), sum(v) * sum(v).bit_length(), 0
@@ -568,7 +566,7 @@ def _wick_tree_sum(labels, types, counts: tuple[int, ...]) -> Fraction:
     def leaf(values):
         got = leaf_memo.get(values)
         if got is None:
-            got = leaf_memo[values] = _scaled(_cumulant_over_pi(values), scale ** len(values))
+            got = leaf_memo[values] = _tree_cumulant(values, scale)
         return got
 
     # States with no group below are products of leaves, reached through

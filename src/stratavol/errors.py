@@ -1,5 +1,5 @@
-"""Exception types, the integer check of inputs and the immutable value
-base shared across the package."""
+"""Exception types, the integer and order checks of inputs and the
+immutable value base shared across the package."""
 
 
 class DomainError(ValueError):
@@ -22,6 +22,14 @@ def as_int(value) -> int:
     n = int(value)
     if n != value:
         raise DomainError(f"expected an integer, got {value!r}")
+    return n
+
+
+def as_order(value, what: str = "order") -> int:
+    """``value`` through ``as_int``; DomainError when it is negative."""
+    n = as_int(value)
+    if n < 0:
+        raise DomainError(f"{what} must be nonnegative")
     return n
 
 

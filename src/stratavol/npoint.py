@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 
-from .errors import DomainError, Record, as_int
+from .errors import DomainError, Record, as_int, as_order
 from .partitions import check_partition_work, iter_int_partitions
 from .qseries import QSeries, euler_series
 
@@ -121,9 +121,7 @@ def verify_theorem1_n1(point: EvaluatedPoint, order: int) -> bool:
     are counted against ``NPOINT_WORK_CAP``."""
     if not isinstance(point, EvaluatedPoint):
         point = EvaluatedPoint(Fraction(point))
-    order = as_int(order)
-    if order < 0:
-        raise DomainError("order must be nonnegative")
+    order = as_order(order)
     check_partition_work(order, NPOINT_WORK_CAP, "one-point")
     lhs = theta_series(point.s, 0, order) * direct_one_point(point, order)
     return lhs == theta_prime_zero(order)

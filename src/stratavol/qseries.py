@@ -6,7 +6,7 @@ from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from operator import add
 
-from .errors import DomainError, Record, as_int
+from .errors import DomainError, Record, as_int, as_order
 
 
 class QSeries(Record):
@@ -30,11 +30,11 @@ class QSeries(Record):
 
     @staticmethod
     def zero(order: int) -> "QSeries":
-        return QSeries((Fraction(0),) * (order + 1))
+        return QSeries((Fraction(0),) * (as_order(order) + 1))
 
     @staticmethod
     def one(order: int) -> "QSeries":
-        return QSeries((Fraction(1),) + (Fraction(0),) * order)
+        return QSeries((Fraction(1),) + (Fraction(0),) * as_order(order))
 
     def coefficient(self, n: int) -> Fraction:
         n = as_int(n)
@@ -92,9 +92,7 @@ class QSeries(Record):
 def euler_series(order: int) -> QSeries:
     """The product prod_{n>=1} (1 - q^n), truncated, via the sparse
     pentagonal-number expansion sum_k (-1)^k q^(k(3k-1)/2)."""
-    order = as_int(order)
-    if order < 0:
-        raise DomainError("order must be nonnegative")
+    order = as_order(order)
     coeffs = [Fraction(0)] * (order + 1)
     coeffs[0] = Fraction(1)
     k = 1

@@ -7,8 +7,8 @@ recurrence, Bernoulli numbers through the Akiyama-Tanigawa transform, set
 partitions through recursive insertion, complementary set partitions through
 a common-coarsening test instead of the library's tree growth, integer
 partitions through largest-part-first recursion, elementary cumulants
-through one term per set partition of the key instead of the library's
-exponential formula, power-sum q-averages through a product of rational
+and planted-tree sums through one term per set partition of the key
+instead of the library's tree sum over sub-multisets, power-sum q-averages through a product of rational
 ``p_eval`` values per partition instead of the library's integer sum,
 connected covering series through inclusion-exclusion over set partitions
 of the branch points instead of the library's exponential formula over
@@ -175,6 +175,26 @@ def cumulant_by_set_partitions(key) -> Fraction:
             for k in range(ell):
                 d_k = parities[k] + 2 * e[k]
                 term *= frak_z_over_pi(msums[k] - bsizes[k] - d_k + 1) / factorial(d_k)
+            result += term
+    return result
+
+
+def planted_by_set_partitions(u) -> Fraction:
+    """The planted-tree sum of u (``cumulants._planted``, divided by Q^#u),
+    one term per set partition alpha of u's indices and degree sequence: a
+    tree on alpha's l blocks rooted at one block, which has one edge more,
+    is a tree on l + 1 vertices in which the added vertex is a leaf, so by
+    Cayley's count (l - 1)! / prod (d_B - 1)! of them give the blocks the
+    degrees d_B >= 1, and each weighs prod_B -|u_B|! frak_z(|u_B| - #B +
+    2 - d_B)."""
+    result = Fraction(0)
+    for alpha in set_partitions_by_insertion(len(u)):
+        ell = len(alpha)
+        blocks = [(sum(u[i - 1] for i in block), len(block)) for block in alpha]
+        for extra in _bounded_compositions(ell - 1, [ell - 1] * ell):
+            term = Fraction(factorial(ell - 1))
+            for (size, parts), e in zip(blocks, extra):
+                term *= -factorial(size) * frak_z_over_pi(size - parts + 1 - e) / factorial(e)
             result += term
     return result
 

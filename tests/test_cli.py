@@ -87,13 +87,14 @@ class TestVolumeCommand:
     ])
     def test_wick_work_cap_exit_3_up_front(self, capsys, monkeypatch, argv):
         # f_61 has 178,651 terms; a hundred groups of one type have few DP
-        # states but blocks of up to a hundred parts, whose partition
-        # tables the price must count.  ``fk k`` is refused exactly when
+        # states but blocks of up to a hundred parts, whose cumulant tree
+        # the price must bound.  ``fk k`` is refused exactly when
         # ``cconst k`` is.
         def forbidden(*args, **kwargs):
             raise AssertionError("an expansion, a cumulant or a closed form was computed")
 
-        for name in ("_common_denominator", "_cumulant_over_pi", "f_top_expansion", "c_simple"):
+        for name in ("_common_denominator", "_cumulant_over_pi", "_tree_cumulant",
+                     "f_top_expansion", "c_simple"):
             monkeypatch.setattr(stratavol.cumulants, name, forbidden)
         monkeypatch.setattr(stratavol.cli, "f_top_expansion", forbidden)
         start = time.perf_counter()

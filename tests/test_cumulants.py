@@ -36,7 +36,12 @@ from stratavol.partitions import (
     enum_set_partitions,
 )
 from stratavol.shifted_symmetric import f_top_expansion
-from .oracles import cumulant_by_set_partitions, partition_count, wick_by_complementary_trees
+from .oracles import (
+    cumulant_by_set_partitions,
+    partition_count,
+    planted_by_set_partitions,
+    wick_by_complementary_trees,
+)
 
 
 GOLDEN_GENUS_2_TO_6 = json.loads(
@@ -45,13 +50,25 @@ GOLDEN_GENUS_2_TO_6 = json.loads(
 
 
 def clear_cumulant_memos():
-    """Forget every cumulant, partition table, block series and Wick tree
-    sum state, so that the next call builds them with the common
-    denominator in force."""
+    """Forget every cumulant, cumulant tree state and Wick tree sum state,
+    so that the next call builds them with the common denominator in
+    force."""
     stratavol.cumulants._cumulant_over_pi.cache_clear()
-    stratavol.cumulants._tables.clear()
-    stratavol.cumulants._series.clear()
+    stratavol.cumulants._tree_memo["memo"] = (1, {}, {}, {})
     stratavol.cumulants._wick_memo["memo"] = (1, {}, {}, {}, {}, {})
+
+
+def tree_states(monkeypatch) -> list:
+    """The (memo, u, shift) of every ``_grow`` call from now on: a root sum at
+    shift 0, a planted sum computed (not read from the memo) at shift 1."""
+    grown, real = [], stratavol.cumulants._grow
+
+    def counting(memo, u, shift):
+        grown.append((memo, u, shift))
+        return real(memo, u, shift)
+
+    monkeypatch.setattr(stratavol.cumulants, "_grow", counting)
+    return grown
 
 
 def keys_up_to(max_parts, max_size):
@@ -119,10 +136,10 @@ class TestElementaryCumulant:
 
     def test_work_cap_boundary(self, monkeypatch):
         # The keys nearest the cap from each side, from the price alone:
-        # the Bernoulli numbers decide a key of few parts, the partition
-        # tables one of many equal or distinct parts.  Cold, with start-up,
-        # 1998 takes 1.3-1.7 s, fifty-five 2s 1.0-1.3 s and 20, 19, ..., 9
-        # 1.4-1.9 s on a 2-core Xeon.
+        # the Bernoulli numbers decide a key of few parts, the priced tables
+        # one of many equal or distinct parts.  Cold, with start-up, 1998
+        # takes 1.0 s, fifty-five 2s 0.1 s and 20, 19, ..., 9 0.9 s on a
+        # 2-core Xeon.
         monkeypatch.setattr(stratavol.cumulants, "_cumulant_over_pi", lambda key: Fraction(0))
         for admitted, refused in [((1998,), (1999,)), ((999, 995), (1000, 996)),
                                   ((2,) * 55, (2,) * 56),
@@ -132,34 +149,36 @@ class TestElementaryCumulant:
                 elementary_cumulant(refused)
 
     def test_memoized_on_sorted_key(self, monkeypatch):
-        # One integer table per sorted sub-multiset, shared across keys:
-        # (3, 2, 1, 1) builds every table that the later keys read, for at
-        # least as many degrees, so none is built twice.
-        built = []
-        real = stratavol.cumulants._build_table
-
-        def counting(v, excess):
-            built.append(v)
-            return real(v, excess)
-
-        monkeypatch.setattr(stratavol.cumulants, "_build_table", counting)
+        # One planted sum and one forest row per sorted sub-multiset, shared
+        # across keys: (3, 2, 2, 1, 1) computes every state that the later
+        # keys read, so each of them sums only its own root.
+        grown = tree_states(monkeypatch)
         clear_cumulant_memos()
-        first = elementary_cumulant((1, 1, 2, 3))
-        for key in [(3, 2, 1, 1), (1, 1, 2), (2, 1, 1), (1, 2), (1, 1), (2,), (1,)]:
+        first = elementary_cumulant((1, 1, 2, 2, 3))
+        _, _, planted, forests = stratavol.cumulants._tree_memo["memo"]
+        assert [(u, shift) for _, u, shift in grown] == [
+            ((3, 2, 2, 1, 1), 0), ((2,), 1), ((2, 1, 1), 1), ((2, 1), 1)]
+        assert set(planted) == {(2,), (2, 1), (2, 1, 1)}
+        # A forest's trees each hold an odd number of 2s: none covers (1, 1).
+        assert set(forests) == {(2, 2, 1, 1), (2, 2, 1), (2, 2), (2, 1, 1), (2, 1), (2,)}
+        grown.clear()
+        keys = [(3, 2, 2, 1, 1), (1, 1, 2, 2), (2, 2, 1), (2, 2), (1, 1), (2, 1), (2,), (1,)]
+        for key in keys:
             assert elementary_cumulant(key).coeff == cumulant_by_set_partitions(key), key
-        assert sorted(built) == sorted({(3, 2, 1, 1), (2, 1, 1), (2, 1), (2,), (1, 1), (1,)})
-        assert elementary_cumulant((3, 2, 1, 1)) == first
-        assert first.coeff == cumulant_by_set_partitions((3, 2, 1, 1))
+        assert [(u, shift) for _, u, shift in grown] == [
+            (tuple(sorted(key, reverse=True)), 0) for key in keys[1:]]
+        assert elementary_cumulant((3, 2, 2, 1, 1)) == first
+        assert first.coeff == cumulant_by_set_partitions((3, 2, 2, 1, 1))
 
     def test_cap_checked_with_memo_filled(self, monkeypatch):
         def forbidden(*args, **kwargs):
-            raise AssertionError("a partition table was built")
+            raise AssertionError("a cumulant tree state was computed")
 
         memo = stratavol.cumulants._cumulant_over_pi
         elementary_cumulant((1,) * 4)
         filled = memo.cache_info().currsize
         assert filled > 0
-        for name in ("_common_denominator", "_build_table"):
+        for name in ("_common_denominator", "_tree_cumulant", "_grow", "_weights"):
             monkeypatch.setattr(stratavol.cumulants, name, forbidden)
         with pytest.raises(ResourceCapError):
             elementary_cumulant((2,) * 100)
@@ -172,73 +191,112 @@ class TestSharedTables:
             (4, 3, 1), (3, 3, 1, 1), (5, 3, 2, 2, 1), (2, 2, 2, 2, 1, 1, 1)]
 
     def test_any_order_matches_oracle(self):
+        # Smallest keys first, each block weight row is kept only to the
+        # degrees the keys so far asked for, so the larger keys widen it.
         want = {key: cumulant_by_set_partitions(key) for key in self.KEYS}
         shuffled = list(self.KEYS)
         random.Random(5).shuffle(shuffled)
-        for order in (self.KEYS, self.KEYS[::-1], shuffled):
+        smallest = sorted(self.KEYS, key=lambda key: (len(key), sum(key)))
+        for order in (self.KEYS, self.KEYS[::-1], shuffled, smallest):
             clear_cumulant_memos()
             for key in order:
                 assert stratavol.cumulants._cumulant_over_pi(key) == want[key], (order, key)
 
     def test_super_key_widens_an_entry(self):
-        # The key (2, 1, 1) keeps its degrees up to l - 2; inside (3, 2, 1, 1)
-        # one block lies outside it, so it is rebuilt up to l - 1.
-        tables = stratavol.cumulants._tables
+        # Both keys have |v| - #v + 2 = 8, so they share one memo.  A tree
+        # of a forest holds an odd number of even entries.  Inside
+        # (4, 2, 2, 2, 1) the weight row (6, 3) serves the planted block
+        # {2, 2, 2}, whose rest {4, 1} holds one tree at most, so it keeps
+        # only degree 1; inside (4, 2, 2, 2, 1, 1) the root block {4, 1, 1}
+        # can hold three trees, one per 2, and the row gains degree 3.
         clear_cumulant_memos()
-        small = stratavol.cumulants._cumulant_over_pi((2, 1, 1))
-        assert tables[(2, 1, 1)][0] == -2
-        big = stratavol.cumulants._cumulant_over_pi((3, 2, 1, 1))
-        assert tables[(2, 1, 1)][0] == -1
-        assert small == cumulant_by_set_partitions((2, 1, 1))
-        assert big == cumulant_by_set_partitions((3, 2, 1, 1))
+        small = stratavol.cumulants._cumulant_over_pi((4, 2, 2, 2, 1))
+        weights = stratavol.cumulants._tree_memo["memo"][1]
+        row = weights[6, 3]
+        assert len(row) == 1
+        big = stratavol.cumulants._cumulant_over_pi((4, 2, 2, 2, 1, 1))
+        assert stratavol.cumulants._tree_memo["memo"][1] is weights
+        assert len(weights[6, 3]) == 2 and weights[6, 3][:1] == row
+        assert small == cumulant_by_set_partitions((4, 2, 2, 2, 1))
+        assert big == cumulant_by_set_partitions((4, 2, 2, 2, 1, 1))
         stratavol.cumulants._cumulant_over_pi.cache_clear()
-        assert stratavol.cumulants._cumulant_over_pi((2, 1, 1)) == small
+        assert stratavol.cumulants._cumulant_over_pi((4, 2, 2, 2, 1)) == small
 
     def test_volume_table_builds_each_sub_multiset_once(self, monkeypatch):
-        # The benchmark's volume_table strata from cold: an entry that a
-        # later key needs to more degrees gains only the cells of those
-        # degrees, in place of a rebuild, and every volume is unchanged.
+        # The benchmark's volume_table strata from cold: each planted sum
+        # and forest row is computed once per common denominator (a larger
+        # one starts a fresh memo), a weight row that a later key needs to
+        # more degrees gains only the cells of those degrees, and every
+        # volume is unchanged.
         spec = importlib.util.spec_from_file_location(
             "bench_workloads", Path(__file__).resolve().parents[1] / "bench" / "workloads.py")
         workloads = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(workloads)
         strata = workloads.volume_strata()
         want = [volume(mu).volume for mu in strata]
-        built, widened = [], []
-        real_build, real_fill = stratavol.cumulants._build_table, stratavol.cumulants._fill_rows
+        grown, forests, widened = tree_states(monkeypatch), [], []
+        real_forests, real_weights = stratavol.cumulants._forests, stratavol.cumulants._weights
 
-        def building(v, excess):
-            built.append(v)
-            return real_build(v, excess)
+        def forest(memo, u):
+            if u and u not in memo[3]:
+                forests.append((memo[0], u))
+            return real_forests(memo, u)
 
-        def filling(v, scale, old, excess):
-            if any(old):
-                widened.append(v)
-                assert all(len(row) <= max(0, ell + excess) for ell, row in enumerate(old))
-            return real_fill(v, scale, old, excess)
+        def weighing(memo, size, parts, degree):
+            old = memo[1].get((size, parts))
+            row = real_weights(memo, size, parts, degree)
+            if old is not None and row is not old:
+                widened.append((memo[0], (size, parts)))
+                assert len(row) > len(old) and row[:len(old)] == old
+            return row
 
-        monkeypatch.setattr(stratavol.cumulants, "_build_table", building)
-        monkeypatch.setattr(stratavol.cumulants, "_fill_rows", filling)
+        monkeypatch.setattr(stratavol.cumulants, "_forests", forest)
+        monkeypatch.setattr(stratavol.cumulants, "_weights", weighing)
         clear_cumulant_memos()
         try:
             assert [volume(mu).volume for mu in strata] == want
+            memo = stratavol.cumulants._tree_memo["memo"]
+            _, weights, planted, kept = memo
         finally:
             clear_cumulant_memos()
-        assert len(built) == len(set(built)) == 146
-        assert widened and set(widened) <= set(built)
+        computed = [(memo[0], u) for memo, u, shift in grown if shift]
+        scales = sorted({scale for scale, _ in computed})
+        assert len(computed) == len(set(computed)) == 43 and len(scales) == 4
+        assert len(forests) == len(set(forests)) == 67
+        assert len(planted) == 17 and len(kept) == 25 and scales[-1] == memo[0]
+        last = {row for scale, row in widened if scale == memo[0]}
+        assert last and last <= set(weights)
 
     def test_inexact_rescale_raises(self, monkeypatch):
-        # The rests (5, 1) and (5,) of (5, 5, 1) have |v| - #v + 2 = 6;
-        # no block of it has size - parts + 1 = 6, so only the rescaling
-        # of a rest's rows by Q_v / Q_rest meets the stray factor 101.
+        # A common denominator of (5, 4, 2) that lacks the factor 7 of
+        # frak_z(6) = 31/15120 cannot scale the weight 5! frak_z(6) = 31/126
+        # of its root block {5}: the weight row refuses it where it is built.
         real = stratavol.cumulants._common_denominator
         monkeypatch.setattr(stratavol.cumulants, "_common_denominator",
-                            lambda top: real(top) * 101 if top == 6 else real(top))
+                            lambda top: real(top) // 7 if top == 10 else real(top))
         clear_cumulant_memos()
-        with pytest.raises(ArithmeticError, match=f"/{real(6) * 101} is not"):
-            elementary_cumulant((5, 5, 1))
+        with pytest.raises(ArithmeticError, match="/15120 is not") as caught:
+            elementary_cumulant((5, 4, 2))
+        assert "_weights" in [entry.name for entry in caught.traceback]
         clear_cumulant_memos()
 
+    @pytest.mark.parametrize("size", range(2, 8))
+    def test_planted_sums_match_oracle_and_vanish_by_parity(self, size):
+        # Every sorted u of ``size`` with up to 5 parts: the planted sum
+        # against one term per set partition and degree sequence, which is
+        # 0 whenever |u| - #u is even, the parity that _grow answers
+        # without a sum.
+        keys = [key for key in keys_up_to(5, size) if sum(key) == size]
+        scale = stratavol.cumulants._common_denominator(size + 1)
+        memo = (scale, {}, {}, {})
+        nonzero = 0
+        for u in keys:
+            want = planted_by_set_partitions(u)
+            assert Fraction(stratavol.cumulants._planted(memo, u), scale ** len(u)) == want, u
+            if (size - len(u)) % 2 == 0:
+                assert want == 0, u
+            nonzero += want != 0
+        assert nonzero
 
 class TestSharedWickMemo:
     # c(m) needs the common denominator Q(2 + |m|): up to Q(10) for SMALL,
@@ -429,9 +487,9 @@ class TestCommonDenominator:
             assert scale(top + 1) % scale(top) == 0
 
     def test_wrong_denominator_raises_in_partition_table(self, monkeypatch):
-        # With Q = 1 the block series keep their fractions, e.g. the t^1
-        # coefficient 5! frak_z(4) = 7/3 of the block (5,); the memos are
-        # cleared so that no series or table built with the real Q is read.
+        # With Q = 1 the block weights keep their fractions, e.g. the
+        # weight 5! frak_z(6) = 31/126 of the block (5,); the memos are
+        # cleared so that no state built with the real Q is read.
         monkeypatch.setattr(stratavol.cumulants, "_common_denominator", lambda top: 1)
         clear_cumulant_memos()
         with pytest.raises(ArithmeticError, match="is not an integer"):
@@ -442,9 +500,10 @@ class TestCommonDenominator:
         # The block (5, 1) closes with its cumulant 6! frak_z(6) = 31/21
         # pi^6, and the blocks of c(6, 2) with cumulants whose denominators
         # hold 7 as well; a common denominator without 7 refuses them.
-        # Both calls first run with the real Q, so every cumulant they
-        # reach is cached with its right value; then only the Wick memo is
-        # reset, so that the error can come only from scaling a leaf.
+        # Both calls first run with the real Q, so every tree state they
+        # reach is kept at the real Q(8); then only the Wick memo is reset,
+        # so that the error can come only from rescaling a leaf to the
+        # Wick sum's Q.
         real = stratavol.cumulants._common_denominator
         assert elementary_cumulant((5, 1)) == PiScalar(Fraction(31, 21), 6)
         wick_leading([[5], [1]])
@@ -458,8 +517,8 @@ class TestCommonDenominator:
                 with pytest.raises(ArithmeticError, match="is not an integer") as caught:
                     call()
                 names = [entry.name for entry in caught.traceback]
-                assert "_wick_tree_sum" in names and "_scaled" in names, names
-                assert "_cumulant_over_pi" not in names, names
+                assert "_wick_tree_sum" in names and "_tree_cumulant" in names, names
+                assert "_cumulant_over_pi" not in names and "_grow" not in names, names
         finally:
             clear_cumulant_memos()
 
@@ -565,10 +624,10 @@ class TestWickLeading:
         def forbidden(*args, **kwargs):
             raise AssertionError("a cumulant or the tree sum was started")
 
-        for name in ("_common_denominator", "_cumulant_over_pi"):
+        for name in ("_common_denominator", "_cumulant_over_pi", "_tree_cumulant"):
             monkeypatch.setattr(stratavol.cumulants, name, forbidden)
         # One type each: the block keys (1^j) and (2^a 1^b) of up to 400
-        # and 40 parts make the partition tables the work.
+        # and 40 parts make the cumulants' priced tables the work.
         for groups in ([[1]] * 400, [[2, 1]] * 40):
             with pytest.raises(ResourceCapError):
                 wick_leading(groups)
@@ -642,7 +701,7 @@ class TestCConst:
             raise AssertionError("an expansion or a cumulant was computed")
 
         for name in ("elementary_cumulant", "_common_denominator", "_cumulant_over_pi",
-                     "f_top_expansion"):
+                     "_tree_cumulant", "f_top_expansion"):
             monkeypatch.setattr(stratavol.cumulants, name, forbidden)
         # f_61 has 178,651 terms; 100 and 400 twos make blocks of up to
         # 100 and 400 parts; 18 distinct generators make 2^36 sub-vector pairs.
@@ -692,18 +751,33 @@ class TestPrice:
         stratavol.exact_arith.frak_z.cache_clear()
         stratavol.exact_arith.frak_z_over_pi.cache_clear()
         steps = {"dp": 0, "tables": 0, "series": 0, "bernoulli": 0}
+
+        def products(pairs) -> int:
+            return sum(1 + (a.bit_length() * b.bit_length() >> 20) for a, b in pairs)
+
+        def weighed(lift: int, high: int, low: int) -> int:
+            """A weight row's new cells, frak_z(high), frak_z(high - 2), ...
+            down to low: a product and a division each, after one product
+            for s! Q^p."""
+            return 1 + sum(1 + ((lift * stratavol.exact_arith.frak_z_over_pi(j).numerator)
+                                .bit_length() ** 2 >> 20) for j in range(high, low - 1, -2))
+
         # (function, start of a line) -> (kind, steps the line makes); a
         # product or division of an a-bit and a b-bit integer makes
-        # 1 + a b / 2^20, from the sizes of the integers as they are.
+        # 1 + a b / 2^20, from the sizes of the integers as they are.  The
+        # cumulant tree's own steps count as "tables": #u for each split
+        # walked (it builds the block's and the rest's keys) and each
+        # product of a weight or planted sum by a forest cell.
         lines = {
-            ("_fill_rows", "key = tuple("): ("tables", lambda f: len(f["v"])),
-            ("_fill_rows", "target[degree] +="): ("tables", lambda f: sum(
-                1 + (a.bit_length() * b.bit_length() >> 20)
-                for a, b in zip(f["series"], f["row"][f["degree"] - f["d0"]::-2]))),
-            ("_block_series", "z = frak_z_over_pi(top - d)"): ("series", lambda f: 1 + ((
-                factorial(f["size"]) * f["scale"]
-                * stratavol.exact_arith.frak_z_over_pi(f["top"] - f["d"]).numerator
-            ).bit_length() ** 2 >> 20)),
+            ("_grow", "forests = _forests("): ("tables", lambda f: len(f["u"])),
+            ("_grow", "total += ways * sum("): ("tables", lambda f: 1 + products(
+                zip(f["row"], f["forests"]))),
+            ("_forests", "planted = ways * _planted("): ("tables", lambda f: len(f["u"])),
+            ("_forests", "out[i] += planted * cell"): ("tables", lambda f: products(
+                [(f["planted"], f["cell"])])),
+            ("_weights", "lift = "): ("series", lambda f: weighed(
+                factorial(f["size"]) * f["scale"] ** f["parts"],
+                f["top"] - f["first"] - 2 * len(f["row"]), f["top"] - f["stop"])),
             ("dist", "b = blk(head, T)"): ("dp", lambda f: 1),
             ("dist", "got = blk(head, S)"): ("dp", lambda f: 1),
             ("down", "d = dist(rest, R)"): ("dp", lambda f: 1),
@@ -724,8 +798,6 @@ class TestPrice:
             return local
 
         def tracer(frame, event, arg):
-            if frame.f_code.co_name == "_build_table":
-                steps["tables"] += len(frame.f_locals["v"]) + 1  # its rows
             return local if frame.f_code.co_name in names else None
 
         previous = sys.gettrace()
@@ -760,7 +832,8 @@ class TestPrice:
         ("cconst", (5,) * 4), ("cconst", (3, 2) * 4), ("cconst", (4, 3, 2) * 2),
         ("cconst", (6, 5, 4, 3, 3)), ("cconst", (5, 4, 3, 2, 2, 2, 2)),
         ("cconst", (12,)), ("cconst", (20,)), ("cconst", (26,)),
-        # The cold stratum of genus <= 9 whose tables widen most (58 times).
+        # The cold stratum of genus <= 9 whose exponential-formula tables
+        # widened most (58 times).
         pytest.param(("cconst", (5, 4, 4, 4, 2, 2, 2)), id="cconst-most-widenings"),
         ("wick", ((1,),) * 12), ("wick", ((2, 1),) * 6),
         ("wick", ((3, 1, 1), (2, 2), (2, 1))), ("wick", ((2,), (2,), (1, 1), (3,))),
@@ -781,14 +854,16 @@ class TestPrice:
             counted["dp"] += sum(map(len, terms)) + prod(c + 1 for c in counts)
         elif kind == "wick":
             counted["dp"] += 1 + len(counts) + prod(c + 1 for c in counts)
-        # The price by the closed-form bound, then with the tables listed;
-        # the listed tables, and all else, each bound their own steps.
+        # The price by the closed-form bound, then with the tables listed:
+        # the exponential formula's tables bound the tree's steps, and the
+        # rest of the price all else.
         monkeypatch.setattr(stratavol.cumulants, "WICK_WORK_CAP", 10**30)
         bound = stratavol.cumulants._check_work(what, values, counts, top, dp)
         monkeypatch.setattr(stratavol.cumulants, "WICK_WORK_CAP", bound - 1)
         listed = stratavol.cumulants._check_work(what, values, counts, top, dp)
         tables = stratavol.cumulants._listed_tables(values, counts, 10**30, kind == "cumulant")
         assert counted["tables"] <= tables and listed < bound
+        assert counted["tables"] or (kind == "cumulant" and (sum(key) - len(key)) % 2)
         assert counted["dp"] + counted["series"] + counted["bernoulli"] <= listed - tables
 
     def test_price_admits_every_stratum_through_genus_twelve(self):

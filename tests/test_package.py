@@ -11,7 +11,7 @@ import stratavol
 from stratavol import npoint, shifted_symmetric
 from stratavol.coverings import cov_prime_series, cov_series
 from stratavol.errors import DomainError
-from stratavol.qseries import euler_series
+from stratavol.qseries import QSeries, euler_series
 
 ROOT = Path(__file__).resolve().parent.parent
 # The README example, the benchmark's worker and reference generator, and
@@ -58,6 +58,8 @@ _INTEGER_ARGUMENTS = [
     (npoint.theta_series, (2, 1, 5), 2),
     (npoint.direct_one_point, (2, 5), 1),
     (euler_series, (4,), 0),
+    (QSeries.zero, (4,), 0),
+    (QSeries.one, (4,), 0),
     (stratavol.f_top_expansion, (4,), 0),
     (euler_series(4).coefficient, (2,), 0),
     (shifted_symmetric.q_average, ((1,), 4), 1),

@@ -82,6 +82,14 @@ class TestQSeriesArithmetic:
         assert (a + b).order == 1
         assert (a * b).order == 1
 
+    def test_negative_order_rejected(self):
+        # QSeries.one(-5) used to return an order-0 series.
+        for make in (QSeries.zero, QSeries.one, euler_series):
+            for order in (-1, -5):
+                with pytest.raises(DomainError, match="order must be nonnegative"):
+                    make(order)
+        assert QSeries.zero(0) == QSeries([0]) and QSeries.one(0) == QSeries([1])
+
     def test_coefficient_out_of_range(self):
         with pytest.raises(DomainError):
             QSeries([1, 2]).coefficient(5)
