@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .errors import DomainError, Record
+from .errors import DomainError, Record, as_order
 
 # 50 decimal digits of pi, used only for optional numeric annotations and
 # convergence comparisons.  Core results never evaluate pi.
@@ -99,7 +99,8 @@ def zeta_neg(k: int) -> Fraction:
 
 
 class PiScalar(Record):
-    """An exact rational multiplied by a nonnegative integer power of pi.
+    """An exact rational multiplied by a nonnegative integer power of pi,
+    read through ``errors.as_order``: pi^2.5 is a DomainError, and 2.0 is 2.
 
     Zero is canonical: coefficient 0 always carries pi power 0.  Addition is
     defined only between compatible powers (or with zero); anything else is
@@ -110,8 +111,7 @@ class PiScalar(Record):
 
     def __init__(self, coeff: Fraction, pi_pow: int = 0) -> None:
         coeff = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
-        if pi_pow < 0:
-            raise DomainError("pi power must be nonnegative")
+        pi_pow = as_order(pi_pow, "pi power")
         if coeff == 0:
             pi_pow = 0
         object.__setattr__(self, "coeff", coeff)

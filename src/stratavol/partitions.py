@@ -12,9 +12,7 @@ import threading
 from bisect import bisect_right
 from collections.abc import Iterable, Iterator, Sequence
 from functools import lru_cache
-from itertools import product
-from math import comb, factorial, prod
-from operator import sub
+from math import comb, factorial
 
 from .errors import DomainError, Record, ResourceCapError, as_int
 
@@ -410,9 +408,9 @@ def vector_splits(counts: tuple[int, ...], first_block: bool = False) -> tuple:
     sub-vector of its profile, is held to ``CONNECTED_WORK_CAP``, and so
     to at most cap / 3 split triples in all (``coverings``).
     """
-    if first_block:
-        f = next(i for i, c in enumerate(counts) if c)
-        return tuple((T, R, ways * T[f] // counts[f])
-                     for T, R, ways in vector_splits(counts) if T[f])
-    return tuple((T, tuple(map(sub, counts, T)), prod(map(comb, counts, T)))
-                 for T in product(*(range(c + 1) for c in counts)))
+    f = next(i for i, c in enumerate(counts) if c) if first_block else -1
+    splits = [((), (), 1)]
+    for i, c in enumerate(counts):  # ways grow by one kind at a time
+        own = [((t,), (c - t,), comb(c - (i == f), t - (i == f))) for t in range(i == f, c + 1)]
+        splits = [(T + t, R + r, ways * w) for T, R, ways in splits for t, r, w in own]
+    return tuple(splits)

@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import json
 import linecache
@@ -687,14 +688,16 @@ class TestCConst:
     def test_top_term_count(self):
         # The price counts the terms of f_k as p(k + 1) - p(k), their parts
         # and their distinct parts from the partition counts too, and the
-        # DP's value tuples as at most p(k + 1).
+        # DP's value tuples as at most p(k + 1); it reads the values of
+        # their parts from k alone.
         for k in range(2, 31):
             terms = [lam for lam, _ in f_top_expansion(k).terms]
-            steps = stratavol.cumulants._generator_steps(k)
+            values, steps = stratavol.cumulants._generator_figures(k)
             assert steps[:4] == (len(terms), sum(map(len, terms)), sum(map(len, terms)),
                                  sum(len(set(lam)) for lam in terms)), k
             assert partition_count(k + 1) - partition_count(k) == len(terms), k
             assert steps[4] == partition_count(k + 1), k
+            assert values == tuple(sorted({p for lam in terms for p in lam})), k
 
     def test_cap_checked_before_any_cumulant(self, monkeypatch):
         def forbidden(*args, **kwargs):
@@ -711,7 +714,7 @@ class TestCConst:
 
     def test_cap_admits_genus_nine(self, monkeypatch):
         # The cap and the expansions run; the DP is stubbed out.
-        monkeypatch.setattr(stratavol.cumulants, "_wick_tree_sum", lambda *a: Fraction(0))
+        monkeypatch.setattr(stratavol.cumulants, "_wick_tree_sum", lambda *a: (0, 1))
         for mu in enum_int_partitions(16):
             f_cumulant_leading([p + 1 for p in mu])
 
@@ -782,7 +785,7 @@ class TestPrice:
             ("dist", "got = blk(head, S)"): ("dp", lambda f: 1),
             ("down", "d = dist(rest, R)"): ("dp", lambda f: 1),
             ("blk", "grown = tuple("): ("dp", lambda f: 1),
-            ("_wick_tree_sum", "if i == 0 or lam[i - 1] != w:"): ("dp", lambda f: 1),
+            ("_wick_tree_sum", "if i == 0 or lam[i - 1] != w]"): ("dp", lambda f: 1),
             ("bernoulli", "nxt.append((k - j)"): ("bernoulli", lambda f: 2),
             ("_denominator_factor", "denominator = frak_z_over_pi(j)"):
                 ("bernoulli", lambda f: f["j"] - 2),
@@ -815,17 +818,17 @@ class TestPrice:
         kind, key = request
         if kind == "cumulant":
             values = sorted(set(key))
-            return ("cumulant", [{v} for v in values], [key.count(v) for v in values],
+            return ("cumulant", [(v,) for v in values], [key.count(v) for v in values],
                     sum(key) - len(key) + 2, ())
         if kind == "wick":
             kinds = sorted(set(key))
-            return ("Wick", [set(g) for g in kinds], [key.count(g) for g in kinds],
+            return ("Wick", [tuple(sorted(set(g))) for g in kinds], [key.count(g) for g in kinds],
                     2 + sum(key.count(g) * (g[0] - 1) for g in kinds),
                     [(1, len(g), 0, len(set(g)), len(g) * (len(set(g)) + 1)) for g in kinds])
         kinds = sorted(set(key), reverse=True)
-        return ("Wick", [{*range(1, k - 1), k} for k in kinds], [key.count(k) for k in kinds],
+        return ("Wick", [(*range(1, k - 1), k) for k in kinds], [key.count(k) for k in kinds],
                 2 + sum(key.count(k) * (k - 1) for k in kinds),
-                [stratavol.cumulants._generator_steps(k) for k in kinds])
+                [stratavol.cumulants._generator_figures(k)[1] for k in kinds])
 
     @pytest.mark.parametrize("request_", [
         ("cconst", (2,) * 12), ("cconst", (3,) * 8), ("cconst", (4,) * 6),
@@ -867,13 +870,20 @@ class TestPrice:
         assert counted["dp"] + counted["series"] + counted["bernoulli"] <= listed - tables
 
     def test_price_admits_every_stratum_through_genus_twelve(self):
-        # Priced only; the 2,011 strata with a zero of order >= 2.
+        # Priced only; the 2,528 strata with a zero of order >= 2.  Every
+        # price is pinned by a digest of them all, written before the price
+        # was last made cheaper: admission and each cap boundary stay put.
+        digest = hashlib.sha256()
         for genus in range(2, 13):
             for mu in enum_int_partitions(2 * genus - 2):
                 if mu[0] > 1:
                     key = sorted((p + 1 for p in mu), reverse=True)
                     kinds = sorted(set(key), reverse=True)
-                    stratavol.cumulants.check_generator_work(kinds, [key.count(k) for k in kinds])
+                    price = stratavol.cumulants.check_generator_work(
+                        kinds, [key.count(k) for k in kinds])
+                    digest.update(f"{key} {price}\n".encode())
+        assert digest.hexdigest() == (
+            "9eb43afd9d5296ceb888ec34c4410e8723700e9dd723f2ed3c86b33333ff7891")
 
 
 class TestCSimple:
@@ -937,6 +947,33 @@ class TestVolume:
     def test_volume_equals_constant_over_dim(self):
         result = volume((3, 1))
         assert result.volume == result.c_const / result.dim
+
+    def test_held_stratum_computes_no_state(self, monkeypatch):
+        # The benchmark's volume table: the strata of genus 2-5, and those
+        # of genus 6 with at most four zeros.  Asked again at once, each
+        # reads its states: no cumulant tree runs and no memo dict grows.
+        strata = [mu for genus in range(2, 7) for mu in enum_int_partitions(2 * genus - 2)
+                  if genus < 6 or len(mu) <= 4]
+        assert len(strata) == 63
+
+        def forbidden(*args):
+            raise AssertionError("a held stratum computed a cumulant tree state")
+
+        def sizes():
+            return [[len(d) for d in memo["memo"][1:]] for memo in
+                    (stratavol.cumulants._wick_memo, stratavol.cumulants._tree_memo)]
+
+        clear_cumulant_memos()
+        try:
+            for mu in strata:
+                want, held = volume(mu), sizes()
+                with monkeypatch.context() as patch:
+                    for name in ("_tree_cumulant", "_grow"):
+                        patch.setattr(stratavol.cumulants, name, forbidden)
+                    assert volume(mu) == want, mu
+                assert sizes() == held, mu
+        finally:
+            clear_cumulant_memos()
 
     def test_json_shape(self):
         data = volume((3, 1)).as_json_dict()

@@ -3,6 +3,7 @@ the integer arguments its entry points take."""
 
 import re
 import types
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ import stratavol
 from stratavol import npoint, shifted_symmetric
 from stratavol.coverings import cov_prime_series, cov_series
 from stratavol.errors import DomainError
+from stratavol.exact_arith import PiScalar
 from stratavol.qseries import QSeries, euler_series
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -64,6 +66,7 @@ _INTEGER_ARGUMENTS = [
     (euler_series(4).coefficient, (2,), 0),
     (shifted_symmetric.q_average, ((1,), 4), 1),
     (shifted_symmetric.p_eval, (2, (1,)), 0),
+    (PiScalar, (Fraction(1), 2), 1),
 ]
 
 
