@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, combinations, combinations_with_replacement, compress, product, repeat
+from itertools import chain, combinations, combinations_with_replacement, compress, repeat
 from math import comb, factorial, gcd, lcm, prod
 from operator import mul
 
@@ -50,8 +50,8 @@ from .shifted_symmetric import f_top_expansion
 SERIES_ORACLE_CAP = 4
 FOREST_ORACLE_CAP = 5
 # Most steps (``_check_work``) of a Wick tree sum or elementary cumulant: at
-# 0.3-1.0 us a step (2-core Xeon, Python 3.11), `cconst 54`, `cumulant 1998`
-# and 20, 19, ..., 9 take 1.4-1.9 s cold; every stratum to genus 12 is admitted.
+# up to 0.55 us a step (2-core Xeon, Python 3.11), `cconst 54`, `cumulant 1998`
+# and 28, 27, ..., 17 take 0.6-1.0 s cold; every stratum to genus 12 is admitted.
 WICK_WORK_CAP = 2 * 10**6
 # Most partitions p(0) + ... + p((n + 2) / 2) (``check_partition_work``)
 # that c_simple(n), or a simple-table up to n, may be sized by: n up to
@@ -377,104 +377,89 @@ class WickLeading(Record):
 
 def _check_work(what: str, values, counts, top: int, dp=()) -> int:
     """The price of a request from its key, before any expansion, cumulant
-    or table; ResourceCapError when over WICK_WORK_CAP.  counts[h] groups
+    or tree; ResourceCapError when over WICK_WORK_CAP.  counts[h] groups
     or key entries of type h take parts from ``values[h]``, one per group
     in a block, n in all; a product or division of an a-bit and a b-bit
-    integer is 1 + a b / 2^20 steps.  It bounds the tangent triangle and
-    factorials up to ``top``; for a Wick tree sum, with ``dp`` per type
-    (terms, parts, parts expanded, entries, value tuples), a step per term
-    and part, per vector S below the root each T <= S per value tuple
-    (``dist``) and entry (``down``), per block key each first-block split
-    and part (``blk``); per number p of parts, a block series per size s
-    from the sum of the p smallest parts to that of the p largest, of
-    <= n / 2 + 1 coefficients of <= 2 s log2 s bits; and prod C(c + v, c)
-    tables of n + 1 rows, <= prod (m + 1) splits of n steps (the rest's
-    key) and rows of 0, 1, 1, 2, ... n / 2 cells of as many products of a
-    coefficient by a cell of <= n bits(Q) + s log2 s bits, bits(Q) <= 3 top
-    / 2 + 8.  When that bound is over the cap but not its rows, the tables
-    are listed: for none through genus 9, for 17, 126 and 388 strata at genus
-    10-12 (0.08, 0.35, 1.03 s, against 0.19, 0.43, 0.58 s in the cumulant
-    tree of every stratum of the genus; 2-core Xeon).  The series and
-    tables are the exponential formula's over the key's sub-multisets; kept
-    for admission, they bound the cumulant tree (``_tree_cumulant``), which
-    reaches no other sub-multiset: #u per split and a step per product."""
+    integer is 1 + a b / 2^20 steps, and bits(Q) <= 3 top / 2 + 8.  It
+    bounds the tangent triangle and factorials up to ``top``; for a Wick
+    tree sum, with ``dp`` per type (terms, parts, parts expanded, entries,
+    value tuples, most parts in a term), a step per term and part, per
+    vector S below the root each T <= S per value tuple (``dist``) and
+    entry (``down``), per block key each first-block split and part
+    (``blk``), each but at S = 0 (leaves) a product of DP values that carry
+    Q once per part of their groups' terms; per number p of parts, a block
+    series per size s from the sum of the p smallest parts to that of the p
+    largest, of <= n / 2 + 1 coefficients of <= 2 s log2 s bits; and the
+    cumulant tree (``_state_steps``), none for a key whose cumulant
+    vanishes by parity, in closed form over the splits u = T + R of each
+    type's parts, or state by state when that is over the cap, as for no
+    stratum through genus 10.  Every block key is a root; for a key alone,
+    only it is, and its other states lack one of its largest parts."""
     n = sum(counts)
-    price, rows, splits, hi, lo = 2 * (top // 2) ** 2, n + 1, 1, [], []
-    states = pairs = below = every = 1
-    steps, tuples, entries, blocks = dp[0][0] if dp else 0, 0, 0, []
+    price, splits, walks, rests, evens, hi, lo = 2 * (top // 2) ** 2, 1, 0, 0, 0, [], []
+    states, pairs, below, every = int(bool(dp)), 1, 1, 1
+    steps, tuples, entries, elements, blk = dp[0][0] if dp else 0, 0, 0, 0, 0
     for h, (vs, c) in enumerate(zip(values, counts)):
-        v, first = len(vs), h == 0
-        rows, splits = rows * comb(c + v, c), splits * comb(c + 2 * v, c)
+        v, e, first = len(vs), len(vs) - sum(map((1).__and__, vs)), h == 0  # e even values
+        both, more = comb(c + 2 * v, c), comb(c + 2 * v, c - 1) * splits  # pairs; parts / 2v
+        walks, rests, evens = walks * both + more * 4 * v, rests * both + more * e, evens + c * e
+        splits *= both
         hi += [vs[-1]] * c  # values[h] is increasing
         lo += [vs[0]] * c
         if dp:
-            d, b = dp[h], c - first
+            d, b, own = dp[h], c - first, comb(c + v + 2, c) - (c + 1) * first
             states, pairs, below = states * (c + 1), pairs * (b + 1) * (b + 2) // 2, below * (b + 1)
             steps, tuples, entries = steps + d[0] + d[1] + d[2], tuples + d[4], entries + d[3]
-            blocks.append((comb(c + v + 2, c) - (c + 1) * first,
-                           (comb(c + v + 1, c - 1) - c * first) * v))
-            every *= blocks[-1][0]
-    if dp:
-        price += states + steps + pairs * tuples + (below - 1) * entries + sum(
-            every // own * some for own, some in blocks)
+            blk = blk * own + every * (comb(c + v + 1, c - 1) - c * first) * v
+            every, elements = every * own, elements + c * d[5]
     size = low = 0
     for big, small in zip(sorted(hi, reverse=True), sorted(lo)):
         size, low = size + big, low + small
         price += (size - low + 1) * (n // 2 + 1) * (1 + ((2 * size * size.bit_length()) ** 2 >> 20))
-    log = size * size.bit_length()
-    tables = rows + splits * (n + (n // 2) * (n // 2 + 1) * (n // 2 + 2) // 3
-                              * (1 + (2 * log * (n * (3 * (size - n + 2) // 2 + 8) + log) >> 20)))
-    if rows <= WICK_WORK_CAP and price <= WICK_WORK_CAP < price + tables:
-        tables = _listed_tables(values, counts, WICK_WORK_CAP - price, not dp)
-    price += tables * (price <= WICK_WORK_CAP)
+    bits, log = 3 * top // 2 + 8, size * size.bit_length()
+    # A product in the tree (<= n parts) or of two DP values (a Q per element)
+    weight, heavy = 1 + ((n * bits + log) ** 2 >> 22), 1 + ((elements * bits + log) ** 2 >> 22)
+    price += states + steps + tuples + ((pairs - 1) * tuples + (below - 1) * entries + blk) * heavy
+    tree = 0 if not dp and evens % 2 else splits * (1 + 2 * weight) + walks + rests * weight
+    if splits <= WICK_WORK_CAP and price <= WICK_WORK_CAP < price + tree:
+        keys, tree = {()}, 0 if dp else _state_steps(tuple(sorted(chain(*map(
+            repeat, chain(*values), counts)), reverse=True)), bits)[1]
+        for h, (vs, c) in enumerate(zip(values, counts)):
+            picks = [p for j in range(c + 1 - (not dp and h == len(counts) - 1))
+                     for p in combinations_with_replacement(vs, j)]
+            keys = {tuple(sorted(k + p, reverse=True)) for k in keys for p in picks}
+        for u in keys - {()}:
+            inner, root = _state_steps(u, bits)
+            tree += inner + root * bool(dp)
+            if price + tree > WICK_WORK_CAP:
+                break
+    price += tree * (price <= WICK_WORK_CAP)
     if price > WICK_WORK_CAP:
         raise ResourceCapError(f"{what} work of at least {price} steps exceeds cap {WICK_WORK_CAP}")
     return price
 
 
-def _listed_tables(values, counts, left: int, one_key: bool) -> int:
-    """The steps of each exponential-formula table (``_check_work``) read
-    by block keys of <= counts[h] parts from values[h], or by ``one_key``
-    (largest last), until past ``left`` (``_cells``): a key's and its
-    sub-multisets' less a block with its largest part, to degrees l - 2 +
-    (parts left out that are >= it), the states the cumulant tree reaches."""
-    n, keys, total = sum(counts), {()}, 0
-    for h, (vs, c) in enumerate(zip(values, counts)):
-        picks = [p for j in range(c + 1 - (one_key and h == len(counts) - 1))
-                 for p in combinations_with_replacement(sorted(vs), j)]
-        keys = {tuple(sorted(k + p, reverse=True)) for k in keys for p in picks}
-    if one_key:
-        keys.add(tuple(sorted(chain(*map(repeat, chain(*values), counts)), reverse=True)))
-    reach = {x: sum(c for vs, c in zip(values, counts) if max(vs) >= x) for x in chain(*values)}
-    for key in keys - {()}:
-        above = reach[key[0]] - key.count(key[0])
-        total += len(key) + 1 + _cells(key, min(n - len(key), above) - 2)
-        if total > left:
-            break
-    return total
-
-
 @lru_cache(maxsize=None)
-def _cells(v: tuple[int, ...], excess: int) -> int:
-    """The steps of v's exponential-formula table to degrees l + ``excess``
-    (``_check_work``): per first-block split, #v for the rest's key and
-    rows of cells of one parity, the i-th of min(i, series length) products
-    of a coefficient of the block (size s, <= 2 s log2 s bits) by a cell."""
-    values = sorted(set(v), reverse=True)
-    mult = [v.count(x) for x in values]
-    parity, log, total = sum(v) - len(v), sum(v) * sum(v).bit_length(), 0
-    for block in product(range(1, mult[0] + 1), *(range(c + 1) for c in mult[1:])):
-        parts, s = sum(block), sum(map(mul, block, values))
-        length, odd = (s - parts + 1) // 2 + 1, (s - parts + 1) % 2
-        total += len(v)
-        for ell in range(2, len(v) - parts + 2) if parts < len(v) else (1,):
-            start = (parity + ell) & 1
-            cells = (ell + excess - start - 2 * (start < odd)) // 2 + 1
-            if cells > 0:
-                low = cells if cells < length else length
-                total += (low * (low + 1) // 2 + (cells - low) * length) * (
-                    1 + (2 * s * s.bit_length() * (ell * (3 * parity // 2 + 11) + log) >> 20))
-    return total
+def _state_steps(u: tuple[int, ...], bits: int) -> tuple[int, int]:
+    """The tree's steps at u for bits(Q) <= ``bits``, as a forest row and,
+    for an odd number e of even entries, a planted sum; then as a root, for
+    an even e.  Per split T walked (holding u's first index but in a planted
+    sum), #u + 1 (#u in a row), and a product per cell of the rest's forest
+    row, (e - o) / 2 + 1 for o < e even entries in T or 1 for T = u, of a-
+    and b-bit integers, a + b <= #u bits + log2 |u|! + 1."""
+    values, counts, even, evens = _split_values(u)
+    ways = [1]  # splits T by o: all, then those holding u's first index
+    for m, e in zip(reversed(counts), reversed(even)):  # u's first value last
+        rest, ways = ways, ([sum(ways[max(0, o - m):o + 1]) for o in range(len(ways) + m)] if e
+                            else [w * (m + 1) for w in ways])
+    heads = [w - r for w, r in zip(ways, rest + [0] * counts[0])]
+    n, odd, rows = len(u), evens % 2, [(evens - o) // 2 + 1 for o in range(evens)]
+    weight = 1 + ((n * bits + factorial(sum(u)).bit_length() + 1) ** 2 >> 22)
+    forest, grown = heads[1:evens:2], ways[:evens] if odd else heads[:evens]
+    forest = n * (sum(forest) + odd) + weight * (sum(map(mul, forest, rows[1::2])) + odd)
+    grown = (n + 1) * (sum(grown) + 1 - odd) + weight * (  # a planted sum's T is nonempty
+        sum(map(mul, grown, rows)) + 1 - odd * (evens // 2 + 1))
+    return (forest + grown, 0) if odd else (forest, grown)
 
 
 # The Wick tree sum's states for the whole process, as the tuple
@@ -661,7 +646,7 @@ def wick_leading(groups) -> WickLeading:
     counts = tuple(wg.groups.count(g) for g in kinds)
     reach = 2 + sum(c * (g[0] - 1) for g, c in zip(kinds, counts))
     _check_work("Wick tree sum", [tuple(sorted(set(g))) for g in kinds], counts, reach,
-                [(1, len(g), 0, len(set(g)), len(g) * (len(set(g)) + 1)) for g in kinds])
+                [(1, len(g), 0, len(set(g)), len(g) * (len(set(g)) + 1), len(g)) for g in kinds])
     total, denominator = _wick_tree_sum([tuple(g) for g in kinds], [((g, 1),) for g in kinds],
                                         counts, reach)
     exponent = sum(p + 1 for p in parts) - ell + 1
@@ -706,16 +691,16 @@ def check_generator_work(kinds, counts) -> int:
 
 
 @lru_cache(maxsize=None)
-def _generator_figures(k: int) -> tuple[tuple[int, ...], tuple[int, int, int, int, int]]:
+def _generator_figures(k: int) -> tuple[tuple[int, ...], tuple[int, int, int, int, int, int]]:
     """f_k's figures for ``_check_work``: the parts of its terms, increasing (1 to k - 2, and
     k), and from partition counts p, q(i) = p(i) - p(i - 1): q(k + 1) terms, q(k + 1 - jr)
-    with r parts j, p(k - 1) entries, p(k + 1) tuples."""
+    with r parts j, p(k - 1) entries, p(k + 1) tuples, at most (k + 1) // 2 parts in one."""
     values, p = (*range(1, k - 1), k), partition_counts(k + 1, WICK_WORK_CAP)
     if len(p) <= k + 1:
-        return values, (0, 0, 0, 0, WICK_WORK_CAP + 1)
+        return values, (0, 0, 0, 0, WICK_WORK_CAP + 1, 0)
     q = [1] + [p[i] - p[i - 1] for i in range(1, k + 2)]
     parts = sum(q[k + 1 - j * r] for j in range(2, k + 2) for r in range(1, (k + 1) // j + 1))
-    return values, (q[k + 1], parts, parts, p[k - 1], p[k + 1])
+    return values, (q[k + 1], parts, parts, p[k - 1], p[k + 1], (k + 1) // 2)
 
 
 def c_const(m) -> PiScalar:

@@ -404,9 +404,9 @@ def vector_splits(counts: tuple[int, ...], first_block: bool = False) -> tuple:
     the first element, of the first nonzero kind f, with ways
     C(c_f - 1, T_f - 1) prod_{i != f} C(c_i, T_i): the recursion of the
     exponential formula, whole(c) = sum ways conn(T) whole(R).  Memoized
-    without a bound: a connected covering series, which visits every
-    sub-vector of its profile, is held to ``CONNECTED_WORK_CAP``, and so
-    to at most cap / 3 split triples in all (``coverings``).
+    without a bound: a connected covering series keeps it to cap / 3 split
+    triples (``coverings.CONNECTED_WORK_CAP``), but the Wick DP and the
+    cumulant tree only to prices of steps: 86 MiB after a genus-14 table.
     """
     f = next(i for i, c in enumerate(counts) if c) if first_block else -1
     splits = [((), (), 1)]

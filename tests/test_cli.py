@@ -133,9 +133,9 @@ class TestCumulantCommands:
                                      ",".join(map(str, range(136, 124, -1)))])
     def test_work_cap_exits_fast(self, capsys, monkeypatch, key):
         # Over the price by the Bernoulli numbers, and by them and the
-        # tables, whose cells grow with the parts: uncapped, `cumulant
-        # 2400` took 2.4 s, `cumulant 3000` 4.9 s, 41, 40, ..., 30 3.3 s
-        # and 136, 135, ..., 125 over a minute.
+        # cumulant tree, whose products grow with the parts: uncapped,
+        # `cumulant 2400` took 2.4 s, `cumulant 3000` 4.9 s, 41, 40, ...,
+        # 30 3.3 s and 136, 135, ..., 125 over a minute.
         def forbidden(*args):
             raise AssertionError("a cumulant was computed")
 

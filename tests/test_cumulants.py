@@ -137,14 +137,15 @@ class TestElementaryCumulant:
 
     def test_work_cap_boundary(self, monkeypatch):
         # The keys nearest the cap from each side, from the price alone:
-        # the Bernoulli numbers decide a key of few parts, the priced tables
-        # one of many equal or distinct parts.  Cold, with start-up, 1998
-        # takes 1.0 s, fifty-five 2s 0.1 s and 20, 19, ..., 9 0.9 s on a
-        # 2-core Xeon.
+        # the Bernoulli numbers decide a key of few parts, the cumulant
+        # tree's states one of many equal or distinct parts (an odd number
+        # of 2s vanishes by parity and starts no tree).  Cold, with
+        # start-up, 1998 takes 1.0 s, eighty-eight 2s 0.8 s and 28, 27,
+        # ..., 17 1.0 s on a 2-core Xeon.
         monkeypatch.setattr(stratavol.cumulants, "_cumulant_over_pi", lambda key: Fraction(0))
-        for admitted, refused in [((1998,), (1999,)), ((999, 995), (1000, 996)),
-                                  ((2,) * 55, (2,) * 56),
-                                  (tuple(range(20, 8, -1)), tuple(range(21, 9, -1)))]:
+        for admitted, refused in [((1998,), (1999,)), ((1000, 996), (1001, 997)),
+                                  ((2,) * 88, (2,) * 90),
+                                  (tuple(range(28, 16, -1)), tuple(range(29, 17, -1)))]:
             elementary_cumulant(admitted)
             with pytest.raises(ResourceCapError, match="cumulant work"):
                 elementary_cumulant(refused)
@@ -452,7 +453,7 @@ class TestSharedWickMemo:
 
 class TestSetPartitionOracle:
     def test_agrees_up_to_seven_parts(self):
-        # The exponential formula against one term per set partition.
+        # The cumulant tree against one term per set partition.
         for key in keys_up_to(7, 14):
             got = stratavol.cumulants._cumulant_over_pi(key)
             assert got == cumulant_by_set_partitions(key), key
@@ -628,7 +629,7 @@ class TestWickLeading:
         for name in ("_common_denominator", "_cumulant_over_pi", "_tree_cumulant"):
             monkeypatch.setattr(stratavol.cumulants, name, forbidden)
         # One type each: the block keys (1^j) and (2^a 1^b) of up to 400
-        # and 40 parts make the cumulants' priced tables the work.
+        # and 40 parts make the cumulant tree the work.
         for groups in ([[1]] * 400, [[2, 1]] * 40):
             with pytest.raises(ResourceCapError):
                 wick_leading(groups)
@@ -689,7 +690,7 @@ class TestCConst:
         # The price counts the terms of f_k as p(k + 1) - p(k), their parts
         # and their distinct parts from the partition counts too, and the
         # DP's value tuples as at most p(k + 1); it reads the values of
-        # their parts from k alone.
+        # their parts and the longest term's length from k alone.
         for k in range(2, 31):
             terms = [lam for lam, _ in f_top_expansion(k).terms]
             values, steps = stratavol.cumulants._generator_figures(k)
@@ -697,6 +698,7 @@ class TestCConst:
                                  sum(len(set(lam)) for lam in terms)), k
             assert partition_count(k + 1) - partition_count(k) == len(terms), k
             assert steps[4] == partition_count(k + 1), k
+            assert steps[5] == max(map(len, terms)), k
             assert values == tuple(sorted({p for lam in terms for p in lam})), k
 
     def test_cap_checked_before_any_cumulant(self, monkeypatch):
@@ -711,6 +713,17 @@ class TestCConst:
         for key in [(61,), (2,) * 100, (2,) * 400, tuple(range(2, 20))]:
             with pytest.raises(ResourceCapError):
                 c_const(key)
+
+    def test_wick_products_weighed_by_size(self, monkeypatch):
+        # The parts 1 and 3 of f_3's terms are odd, so its groups start no
+        # cumulant tree beyond the roots, but the Wick DP's values carry Q
+        # once per part.  Weighed by size, 33 groups are admitted (0.4 s
+        # cold with start-up) and 34 refused; unweighed, 61 were admitted
+        # and took 17.6 s.
+        monkeypatch.setattr(stratavol.cumulants, "_wick_tree_sum", lambda *a: (0, 1))
+        c_const((3,) * 33)
+        with pytest.raises(ResourceCapError):
+            c_const((3,) * 34)
 
     def test_cap_admits_genus_nine(self, monkeypatch):
         # The cap and the expansions run; the DP is stubbed out.
@@ -753,7 +766,7 @@ class TestPrice:
                             {0: Fraction(1), 1: Fraction(-1, 2), 2: Fraction(1, 6)})
         stratavol.exact_arith.frak_z.cache_clear()
         stratavol.exact_arith.frak_z_over_pi.cache_clear()
-        steps = {"dp": 0, "tables": 0, "series": 0, "bernoulli": 0}
+        steps = {"dp": 0, "tree": 0, "series": 0, "bernoulli": 0}
 
         def products(pairs) -> int:
             return sum(1 + (a.bit_length() * b.bit_length() >> 20) for a, b in pairs)
@@ -768,15 +781,15 @@ class TestPrice:
         # (function, start of a line) -> (kind, steps the line makes); a
         # product or division of an a-bit and a b-bit integer makes
         # 1 + a b / 2^20, from the sizes of the integers as they are.  The
-        # cumulant tree's own steps count as "tables": #u for each split
+        # cumulant tree's own steps count as "tree": #u for each split
         # walked (it builds the block's and the rest's keys) and each
         # product of a weight or planted sum by a forest cell.
         lines = {
-            ("_grow", "forests = _forests("): ("tables", lambda f: len(f["u"])),
-            ("_grow", "total += ways * sum("): ("tables", lambda f: 1 + products(
+            ("_grow", "forests = _forests("): ("tree", lambda f: len(f["u"])),
+            ("_grow", "total += ways * sum("): ("tree", lambda f: 1 + products(
                 zip(f["row"], f["forests"]))),
-            ("_forests", "planted = ways * _planted("): ("tables", lambda f: len(f["u"])),
-            ("_forests", "out[i] += planted * cell"): ("tables", lambda f: products(
+            ("_forests", "planted = ways * _planted("): ("tree", lambda f: len(f["u"])),
+            ("_forests", "out[i] += planted * cell"): ("tree", lambda f: products(
                 [(f["planted"], f["cell"])])),
             ("_weights", "lift = "): ("series", lambda f: weighed(
                 factorial(f["size"]) * f["scale"] ** f["parts"],
@@ -824,7 +837,7 @@ class TestPrice:
             kinds = sorted(set(key))
             return ("Wick", [tuple(sorted(set(g))) for g in kinds], [key.count(g) for g in kinds],
                     2 + sum(key.count(g) * (g[0] - 1) for g in kinds),
-                    [(1, len(g), 0, len(set(g)), len(g) * (len(set(g)) + 1)) for g in kinds])
+                    [(1, len(g), 0, len(set(g)), len(g) * (len(set(g)) + 1), len(g)) for g in kinds])
         kinds = sorted(set(key), reverse=True)
         return ("Wick", [(*range(1, k - 1), k) for k in kinds], [key.count(k) for k in kinds],
                 2 + sum(key.count(k) * (k - 1) for k in kinds),
@@ -835,8 +848,8 @@ class TestPrice:
         ("cconst", (5,) * 4), ("cconst", (3, 2) * 4), ("cconst", (4, 3, 2) * 2),
         ("cconst", (6, 5, 4, 3, 3)), ("cconst", (5, 4, 3, 2, 2, 2, 2)),
         ("cconst", (12,)), ("cconst", (20,)), ("cconst", (26,)),
-        # The cold stratum of genus <= 9 whose exponential-formula tables
-        # widened most (58 times).
+        # Three generator types whose parts meet in the block keys: f_5's
+        # 1, 2, 3, 5, f_4's 1, 2, 4 and f_2's 2.
         pytest.param(("cconst", (5, 4, 4, 4, 2, 2, 2)), id="cconst-most-widenings"),
         ("wick", ((1,),) * 12), ("wick", ((2, 1),) * 6),
         ("wick", ((3, 1, 1), (2, 2), (2, 1))), ("wick", ((2,), (2,), (1, 1), (3,))),
@@ -844,6 +857,9 @@ class TestPrice:
         ("cumulant", (30, 30, 29)), ("cumulant", (7, 7, 5, 5, 5, 3)), ("cumulant", (9,) * 6),
         ("cumulant", (90, 80, 70, 60, 50)), ("cumulant", (150,) * 5), ("cumulant", (300, 200)),
         ("cumulant", (40, 37, 34, 31, 28, 25, 22)),
+        # Large equal and large distinct parts, each with an even number of
+        # even parts so that the tree runs: products of thousands of bits.
+        ("cumulant", (100,) * 12), ("cumulant", (120, 119, 118, 117, 116, 115, 114)),
     ], ids=lambda r: f"{r[0]}-{len(r[1])}-{r[1][0]}")
     def test_price_bounds_the_counted_steps(self, monkeypatch, request_):
         kind, key = request_
@@ -851,28 +867,64 @@ class TestPrice:
                 "cumulant": lambda: elementary_cumulant(key)}[kind]
         counted = self._counted(monkeypatch, call)
         what, values, counts, top, dp = self._parts(request_)
+        # The sizes the price gives the integers it weighs, against the
+        # states just computed: Q has at most ``bits`` bits; a tree value
+        # at u carries Q once per entry, and a Wick DP value once per
+        # element of its groups' terms.
+        bits = 3 * top // 2 + 8
+        scale, _, planted, forests = stratavol.cumulants._tree_memo["memo"]
+        assert scale.bit_length() <= bits
+        for u, row in [*((u, [got]) for u, got in planted.items()), *forests.items()]:
+            assert max(abs(got) for got in row).bit_length() <= (
+                len(u) * bits + factorial(sum(u)).bit_length()), u
+        if dp:
+            size = sum(c * vs[-1] for vs, c in zip(values, counts))
+            most = sum(c * d[5] for c, d in zip(counts, dp)) * bits + size * size.bit_length()
+            for memo in stratavol.cumulants._wick_memo["memo"][1:5]:  # leaf, dist, down, blk
+                for got in memo.values():
+                    for _, value in got if isinstance(got, list) else [(None, got)]:
+                        assert abs(value).bit_length() <= most
         if kind == "cconst":  # the expansions' parts, the terms, their scaling and the states' tags
             terms = [f_top_expansion(k).terms for k in sorted(set(key), reverse=True)]
             counted["dp"] += sum(len(lam) for t in terms for lam, _ in t) + len(terms[0])
             counted["dp"] += sum(map(len, terms)) + prod(c + 1 for c in counts)
         elif kind == "wick":
             counted["dp"] += 1 + len(counts) + prod(c + 1 for c in counts)
-        # The price by the closed-form bound, then with the tables listed:
-        # the exponential formula's tables bound the tree's steps, and the
-        # rest of the price all else.
+        # The price by the closed-form bound, then with the tree's states
+        # listed: their term bounds the tree's steps, and the rest of the
+        # price, listing no state's steps, all else.  A cumulant that
+        # vanishes by parity starts no tree.
         monkeypatch.setattr(stratavol.cumulants, "WICK_WORK_CAP", 10**30)
-        bound = stratavol.cumulants._check_work(what, values, counts, top, dp)
-        monkeypatch.setattr(stratavol.cumulants, "WICK_WORK_CAP", bound - 1)
-        listed = stratavol.cumulants._check_work(what, values, counts, top, dp)
-        tables = stratavol.cumulants._listed_tables(values, counts, 10**30, kind == "cumulant")
-        assert counted["tables"] <= tables and listed < bound
-        assert counted["tables"] or (kind == "cumulant" and (sum(key) - len(key)) % 2)
-        assert counted["dp"] + counted["series"] + counted["bernoulli"] <= listed - tables
+        bound = listed = rest = stratavol.cumulants._check_work(what, values, counts, top, dp)
+        if kind != "cumulant" or (sum(key) - len(key)) % 2 == 0:
+            monkeypatch.setattr(stratavol.cumulants, "WICK_WORK_CAP", bound - 1)
+            listed = stratavol.cumulants._check_work(what, values, counts, top, dp)
+            monkeypatch.setattr(stratavol.cumulants, "_state_steps", lambda u, bits: (0, 0))
+            rest = stratavol.cumulants._check_work(what, values, counts, top, dp)
+            assert listed < bound
+        assert counted["tree"] <= listed - rest
+        assert counted["tree"] or (kind == "cumulant" and (sum(key) - len(key)) % 2)
+        assert counted["dp"] + counted["series"] + counted["bernoulli"] <= rest
+
+    def test_price_lists_no_state_through_genus_nine(self, monkeypatch):
+        # The closed form prices every stratum of genus 2-9, also those of
+        # the simple route as --cross-check prices them, so a volume table
+        # of genus <= 6 pays only that: listing a stratum's states costs
+        # tens of times as much.
+        def forbidden(*args):
+            raise AssertionError("the price listed the cumulant tree's states")
+
+        monkeypatch.setattr(stratavol.cumulants, "_state_steps", forbidden)
+        for genus in range(2, 10):
+            for mu in enum_int_partitions(2 * genus - 2):
+                key = sorted((p + 1 for p in mu), reverse=True)
+                kinds = sorted(set(key), reverse=True)
+                stratavol.cumulants.check_generator_work(kinds, [key.count(k) for k in kinds])
 
     def test_price_admits_every_stratum_through_genus_twelve(self):
         # Priced only; the 2,528 strata with a zero of order >= 2.  Every
-        # price is pinned by a digest of them all, written before the price
-        # was last made cheaper: admission and each cap boundary stay put.
+        # price is pinned by a digest of them all, so that any change to a
+        # price, and to admission or a cap boundary, shows here.
         digest = hashlib.sha256()
         for genus in range(2, 13):
             for mu in enum_int_partitions(2 * genus - 2):
@@ -883,7 +935,7 @@ class TestPrice:
                         kinds, [key.count(k) for k in kinds])
                     digest.update(f"{key} {price}\n".encode())
         assert digest.hexdigest() == (
-            "9eb43afd9d5296ceb888ec34c4410e8723700e9dd723f2ed3c86b33333ff7891")
+            "19bb4e130c224667c1919cec0d1b8b15704f5ddfd674310f9d1ae529e61cec72")
 
 
 class TestCSimple:
