@@ -1,37 +1,29 @@
-"""Leading asymptotic constants of connected covering counts and the exact
-volumes of strata of holomorphic differentials.
+"""Leading asymptotic constants of connected covering counts and the exact volumes of
+strata of holomorphic differentials.
 
-The pipeline: connected averages of products of power sums have a leading
-coefficient (the elementary cumulant) given by a closed sum over set
-partitions with explicit rational-times-pi-power terms, which Cayley's
-count of labelled trees by degree turns into a rooted-tree DP over the
-key's sorted sub-multisets (``_tree_cumulant``).  A Wick-type rule reduces
-grouped averages to products of elementary cumulants over set partitions
-complementary to the grouping, which are exactly the trees on groups and
-blocks; the sum is a rooted-tree DP over multiplicity vectors of group
-types, with no partition listed.  Expanding the central character
-generators in the power-sum basis gives each group a choice of terms,
-which the same DP makes inside one call: that yields the constant c(m),
-and volumes follow by a shift and a dimension division.  Every rational
-of both DPs is a product of frak_z values, whose denominators divide
-products of Bernoulli denominators, so both sum in Python ints scaled by
-a common denominator (``_common_denominator``) and build one Fraction at
-the end.  The states of both are kept for the life of the process, each
-under one common denominator that only grows: the cumulant tree's by
-sorted sub-multiset, shared by every key and Wick leaf (``_tree_memo``),
-and the Wick DP's by generator or group rather than by position in a
-call (``_wick_memo``).  With every state held, a volume of genus <= 6
-costs its key, its price and one read per term: about 60 us cache-cold
-(2-core Xeon, Python 3.11).  Every stage has an independent oracle.
+Connected averages of products of power sums have a leading coefficient, the elementary
+cumulant: a sum over set partitions of the parts and trees on their blocks, of
+rational-times-pi-power terms.  A Wick-type rule reduces grouped averages to products of
+elementary cumulants over set partitions complementary to the grouping, which are the
+trees on groups and blocks.  The two trees make one, on groups and sub-blocks, summed by
+one rooted-tree DP over multiplicity vectors of group types (``_wick_tree_sum``), with
+no partition listed; the elementary cumulant is its case of one part per group.
+Expanding the central character generators in the power-sum basis gives each group a
+choice of terms, which the same DP makes: that yields the constant c(m), and volumes
+follow by a shift and a dimension division.  Every rational of the DP is a product of
+frak_z values, so it sums in Python ints scaled by a common denominator
+(``_common_denominator``) and builds one Fraction at the end.  Its states are kept for
+the life of the process under one common denominator that only grows (``_wick_memo``).
+Every stage has an independent oracle.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, combinations, combinations_with_replacement, compress, repeat
+from itertools import accumulate, chain, combinations, compress, count, repeat
 from math import comb, factorial, gcd, lcm, prod
-from operator import mul
+from operator import add, itemgetter, mul
 
 from . import mvpoly
 from .errors import DomainError, Record, ResourceCapError, as_int
@@ -49,9 +41,9 @@ from .shifted_symmetric import f_top_expansion
 
 SERIES_ORACLE_CAP = 4
 FOREST_ORACLE_CAP = 5
-# Most steps (``_check_work``) of a Wick tree sum or elementary cumulant: at
-# up to 0.55 us a step (2-core Xeon, Python 3.11), `cconst 54`, `cumulant 1998`
-# and 28, 27, ..., 17 take 0.6-1.0 s cold; every stratum to genus 12 is admitted.
+# Most steps (``_check_work``) of a Wick tree sum or elementary cumulant: the slowest
+# admitted requests, `cumulant 1000,996`, 92 2s and 31, 30, ..., 20, take 1.0-1.4 s
+# cold (2-core Xeon, Python 3.11); every stratum to genus 14 is admitted.
 WICK_WORK_CAP = 2 * 10**6
 # Most partitions p(0) + ... + p((n + 2) / 2) (``check_partition_work``)
 # that c_simple(n), or a simple-table up to n, may be sized by: n up to
@@ -70,46 +62,46 @@ def _canon_key(m) -> tuple[int, ...]:
 
 
 def elementary_cumulant(m) -> PiScalar:
-    """Leading coefficient of the fully connected average of the power sums
-    indexed by m = (m_1, ..., m_n).
+    """Leading coefficient of the fully connected average of the power sums indexed by m
+    = (m_1, ..., m_n): over the set partitions alpha of the index set into l blocks and
+    the trees tau on the blocks, the sum of
 
-    A sum over set partitions alpha of the index set: the one-block term is
-    |m|! frak_z(|m| - n + 2), and a term with l >= 2 blocks is
-    (-1)^(l-1) (l-2)! [t^(l-2)] of the product over blocks B of
+        (-1)^(l - 1) prod_B |m_B|! frak_z(|m_B| - #B + 2 - deg_tau B),
 
-        g_B(t) = |m_B|! sum_d frak_z(|m_B| - #B - d + 1) t^d / d!.
-
-    (l - 2)! / prod d_B! counts the trees on the blocks in which B has
-    degree d_B + 1 (Cayley), so a rooted-tree DP over the key's sorted
-    sub-multisets sums it (``_tree_cumulant``), not partition by
-    partition, in integers over one common denominator.  Every term carries
-    pi^(|m| - n + 2), so the sum is a rational, memoized on the sorted
-    key; its price is checked (``_check_work``) on every call, first.
+    which is the Wick tree sum over one group per entry (``_wick_tree_sum``).  Every
+    term carries pi^(|m| - n + 2), so the sum is a rational; its price is checked
+    (``_check_work``) first.
     """
     key = _canon_key(m)
-    values = sorted(set(key))
-    top = sum(key) - len(key) + 2
-    _check_work("cumulant", [(v,) for v in values], [key.count(v) for v in values], top)
+    kinds, top = [(v,) for v in sorted(set(key))], sum(key) - len(key) + 2
+    _check_work("cumulant", *_group_figures(kinds, [key.count(v) for (v,) in kinds], top))
     return PiScalar(_cumulant_over_pi(key), top)
 
 
-@lru_cache(maxsize=None)
+def _group_figures(kinds, counts, reach: int) -> tuple:
+    """``_check_work``'s arguments for counts[h] groups kinds[h], each its own only term."""
+    return ([tuple(sorted(set(g))) for g in kinds], counts, reach,
+            [(1, len(g), 0, len(set(g)), len(g) * (len(set(g)) + 1), len(g), (sum(g) - len(g)) % 2)
+             for g in kinds])
+
+
 def _cumulant_over_pi(key: tuple[int, ...]) -> Fraction:
-    """elementary_cumulant(key) divided by its pi power: the tree sum at
-    the key's common denominator Q, divided by Q^n once."""
-    scale = _common_denominator(sum(key) - len(key) + 2)
-    return Fraction(_tree_cumulant(key, scale), scale ** len(key))
+    """elementary_cumulant(key) divided by its pi power: the Wick tree sum over one
+    group per entry (``_wick_tree_sum``)."""
+    kinds = sorted(set(key))
+    return Fraction(*_wick_tree_sum([(v,) for v in kinds], [(((v,), 1),) for v in kinds],
+                                    tuple(map(key.count, kinds)), sum(key) - len(key) + 2))
 
 
 @lru_cache(maxsize=None)
 def _common_denominator(top: int) -> int:
-    """The least Q such that Q (j - 1)! frak_z(j) is an integer for every
-    j <= top.  That value is +-(2^j - 2) B_j / j, so Q is made of the odd
-    primes p with p - 1 | j (von Staudt-Clausen) and factors of j.
+    """The least Q such that Q (j - 1)! frak_z(j) is an integer for every j <= top.
+    That value is +-(2^j - 2) B_j / j, so Q is made of the odd primes p with p - 1 | j
+    (von Staudt-Clausen) and factors of j.
 
-    For a key m with n parts and top = |m| - n + 2 it clears every block
-    weight s! frak_z(j), j <= top and s >= j - 1 (``_weights``), so the
-    cumulant of m times Q^n is an integer.  Q(top) divides Q(top + 1).
+    For a key m with n parts and top = |m| - n + 2 it clears every block weight s!
+    frak_z(j) Q, j <= top and s >= j - 1 (``_wick_tree_sum``), so the cumulant of m
+    times Q^n is an integer.  Q(top) divides Q(top + 1).
     """
     return lcm(*map(_denominator_factor, range(2, top + 1, 2)))
 
@@ -134,114 +126,6 @@ def _quotient(numerator: int, denominator: int) -> int:
 def _scaled(value, scale: int) -> int:
     """value * scale as an int (``_quotient``)."""
     return _quotient(value.numerator * scale, value.denominator)
-
-
-# The cumulant tree's states for the whole process, (Q, weights, planted,
-# forests): the common denominator whose powers scale them, then dicts by
-# (size, parts) or sorted sub-multiset.  As with ``_wick_memo``, a larger Q
-# replaces the tuple, and entries are stored whole: threads only lose work.
-_tree_memo = {"memo": (1, {}, {}, {})}
-
-
-def _tree_cumulant(key: tuple[int, ...], scale: int) -> int:
-    """The cumulant of the sorted key over its pi power, times scale^n,
-    an int for scale a multiple of the key's common denominator Q.  By
-    Cayley's count of labelled trees by degree, it is
-
-        sum_(alpha, tau) (-1)^(l - 1) prod_B |m_B|! frak_z(|m_B| - #B + 2 - deg_tau B)
-
-    over the set partitions alpha into l blocks and the trees tau on them.
-    Rooted at the block b of the first index, it is -sum W(b, k) forests(v
-    - b)[k] (``_grow``) over sorted sub-multisets, with W(b, delta) = -s!
-    frak_z(s - p + 2 - delta) Q^p for p parts summing to s (``_weights``)."""
-    memo = _tree_memo["memo"]
-    if memo[0] % scale:
-        memo = _tree_memo["memo"] = (scale, {}, {}, {})
-    total = -_grow(memo, key, 0)
-    return total if memo[0] == scale else _quotient(total, (memo[0] // scale) ** len(key))
-
-
-def _split_values(u: tuple[int, ...]) -> tuple[list[int], tuple[int, ...], list[int], int]:
-    """u's distinct entries, largest first, their counts, 1 for each even
-    one and 0 for each odd one, and the number of u's even entries."""
-    values = sorted(set(u), reverse=True)
-    counts, even = tuple(map(u.count, values)), [1 - v % 2 for v in values]
-    return values, counts, even, sum(compress(counts, even))
-
-
-def _grow(memo, u: tuple[int, ...], shift: int) -> int:
-    """sum W(b, j + shift) forests(u - b)[j] over the root blocks b of u:
-    those holding the first index at ``shift`` 0 (a tree), every nonempty
-    b at ``shift`` 1 (a planted tree, whose edge up adds 1 to b's degree).
-    frak_z vanishes at odd arguments, so W(b, delta) is 0 unless delta has
-    the parity of s - p, and forests(u)[k] unless k has that of |u| - #u:
-    every term is 0 unless that is ``shift``'s, and else the stored rows
-    line up at one offset.  A rest with no even entry has no forest."""
-    values, counts, even, evens = _split_values(u)
-    if (evens - shift) % 2:
-        return 0
-    total = 0
-    for T, R, ways in vector_splits(counts, not shift):
-        parts, left = sum(T), evens - sum(compress(T, even))
-        if parts and (left or parts == len(u)):
-            size = sum(map(mul, T, values))
-            forests = _forests(memo, tuple(chain.from_iterable(map(repeat, values, R))))
-            row = _weights(memo, size, parts, left + shift)
-            if shift and left % 2:  # the rest's forests start at degree 1
-                row = row[1:]
-            total += ways * sum(map(mul, row, forests))
-    return total
-
-
-def _planted(memo, u: tuple[int, ...]) -> int:
-    """The sum over planted trees on u (``_grow``); 0 unless |u| - #u is
-    odd, as the frak_z arguments of their blocks sum to |u| - #u + 1."""
-    planted = memo[2]
-    got = planted.get(u)
-    if got is None:
-        got = planted[u] = _grow(memo, u, 1)
-    return got
-
-
-def _forests(memo, u: tuple[int, ...]) -> tuple[int, ...]:
-    """The sums over forests of k planted trees on u, at k = e mod 2, that
-    + 2, ... up to u's e even entries (a planted tree holds an odd number
-    of them): with the tree holding u's first index chosen by the
-    first-block splits, forests(u)[k] = sum_a planted(a) forests(u -
-    a)[k - 1], and forests(()) = (1,)."""
-    if not u:
-        return (1,)
-    forests = memo[3]
-    got = forests.get(u)
-    if got is None:
-        values, counts, even, evens = _split_values(u)
-        out = [0] * (evens // 2 + 1)
-        for T, R, ways in vector_splits(counts, True):
-            own = sum(compress(T, even))
-            if own % 2 and (own < evens or not any(R)):
-                planted = ways * _planted(memo, tuple(chain.from_iterable(map(repeat, values, T))))
-                if planted:  # the rest's row starts a cell later when u's is even
-                    rest = _forests(memo, tuple(chain.from_iterable(map(repeat, values, R))))
-                    for i, cell in enumerate(rest, 1 - evens % 2):
-                        out[i] += planted * cell
-        got = forests[u] = tuple(out)
-    return got
-
-
-def _weights(memo, size: int, parts: int, degree: int) -> tuple[int, ...]:
-    """W(b, delta) of a block of ``parts`` entries summing to ``size``, at
-    delta = s - p mod 2, that + 2, ... (the others are 0) up to ``degree``
-    or s - p + 2; kept to the degrees asked for so far, widened on demand."""
-    scale, weights = memo[0], memo[1]
-    row = weights.get((size, parts), ())
-    top, first = size - parts + 2, (size - parts) % 2
-    stop = min(degree, top)
-    if first + 2 * len(row) <= stop:
-        lift = -factorial(size) * scale**parts
-        zs = map(frak_z_over_pi, range(top - first - 2 * len(row), top - stop - 1, -2))
-        row += tuple(_quotient(lift * z.numerator, z.denominator) for z in zs)
-        weights[size, parts] = row
-    return row
 
 
 def elementary_cumulant_series_oracle(m) -> PiScalar:
@@ -375,167 +259,224 @@ class WickLeading(Record):
     __slots__ = ("value", "hbar_exponent")  # PiScalar, int
 
 
-def _check_work(what: str, values, counts, top: int, dp=()) -> int:
-    """The price of a request from its key, before any expansion, cumulant
-    or tree; ResourceCapError when over WICK_WORK_CAP.  counts[h] groups
-    or key entries of type h take parts from ``values[h]``, one per group
-    in a block, n in all; a product or division of an a-bit and a b-bit
-    integer is 1 + a b / 2^20 steps, and bits(Q) <= 3 top / 2 + 8.  It
-    bounds the tangent triangle and factorials up to ``top``; for a Wick
-    tree sum, with ``dp`` per type (terms, parts, parts expanded, entries,
-    value tuples, most parts in a term), a step per term and part, per
-    vector S below the root each T <= S per value tuple (``dist``) and
-    entry (``down``), per block key each first-block split and part
-    (``blk``), each but at S = 0 (leaves) a product of DP values that carry
-    Q once per part of their groups' terms; per number p of parts, a block
-    series per size s from the sum of the p smallest parts to that of the p
-    largest, of <= n / 2 + 1 coefficients of <= 2 s log2 s bits; and the
-    cumulant tree (``_state_steps``), none for a key whose cumulant
-    vanishes by parity, in closed form over the splits u = T + R of each
-    type's parts, or state by state when that is over the cap, as for no
-    stratum through genus 10.  Every block key is a root; for a key alone,
-    only it is, and its other states lack one of its largest parts."""
+def _check_work(what: str, values, counts, top: int, dp) -> int:
+    """The price of a Wick tree sum (``_wick_tree_sum``) from its key, before any
+    expansion or state; ResourceCapError when over WICK_WORK_CAP.  counts[h] groups
+    of type h take parts from ``values[h]`` (increasing), n groups in all; ``dp[h]``
+    holds the type's terms, parts, parts expanded, entries, value tuples, most parts
+    in a term and the parity of its terms' |lam| - len(lam).  A product or division
+    of an a-bit and a b-bit integer is 1 + a b / 2^20 steps, and bits(Q) <= 3 top / 2
+    + 8.  It bounds the tangent triangle and factorials up to ``top``, a step per
+    term and part, per number p of parts a row of block weights per size s from the
+    sum of the p smallest parts to that of the p largest, of <= (n - p) / 2 + 1 cells
+    (a sub-block of p parts has tau-degree <= n - p) of <= 2 s log2 s bits, and
+    unless the sum vanishes by parity, its states (``_state_work``)."""
     n = sum(counts)
-    price, splits, walks, rests, evens, hi, lo = 2 * (top // 2) ** 2, 1, 0, 0, 0, [], []
-    states, pairs, below, every = int(bool(dp)), 1, 1, 1
-    steps, tuples, entries, elements, blk = dp[0][0] if dp else 0, 0, 0, 0, 0
-    for h, (vs, c) in enumerate(zip(values, counts)):
-        v, e, first = len(vs), len(vs) - sum(map((1).__and__, vs)), h == 0  # e even values
-        both, more = comb(c + 2 * v, c), comb(c + 2 * v, c - 1) * splits  # pairs; parts / 2v
-        walks, rests, evens = walks * both + more * 4 * v, rests * both + more * e, evens + c * e
-        splits *= both
-        hi += [vs[-1]] * c  # values[h] is increasing
-        lo += [vs[0]] * c
-        if dp:
-            d, b, own = dp[h], c - first, comb(c + v + 2, c) - (c + 1) * first
-            states, pairs, below = states * (c + 1), pairs * (b + 1) * (b + 2) // 2, below * (b + 1)
-            steps, tuples, entries = steps + d[0] + d[1] + d[2], tuples + d[4], entries + d[3]
-            blk = blk * own + every * (comb(c + v + 1, c - 1) - c * first) * v
-            every, elements = every * own, elements + c * d[5]
+    price = 2 * (top // 2) ** 2 + dp[0][0] + sum(map(sum, map(itemgetter(0, 1, 2, 4), dp)))
+    hi = sorted(chain.from_iterable(map(repeat, map(itemgetter(-1), values), counts)), reverse=True)
+    lo = sorted(chain.from_iterable(map(repeat, map(itemgetter(0), values), counts)))
     size = low = 0
-    for big, small in zip(sorted(hi, reverse=True), sorted(lo)):
+    for p, (big, small) in enumerate(zip(hi, lo), 1):
         size, low = size + big, low + small
-        price += (size - low + 1) * (n // 2 + 1) * (1 + ((2 * size * size.bit_length()) ** 2 >> 20))
-    bits, log = 3 * top // 2 + 8, size * size.bit_length()
-    # A product in the tree (<= n parts) or of two DP values (a Q per element)
-    weight, heavy = 1 + ((n * bits + log) ** 2 >> 22), 1 + ((elements * bits + log) ** 2 >> 22)
-    price += states + steps + tuples + ((pairs - 1) * tuples + (below - 1) * entries + blk) * heavy
-    tree = 0 if not dp and evens % 2 else splits * (1 + 2 * weight) + walks + rests * weight
-    if splits <= WICK_WORK_CAP and price <= WICK_WORK_CAP < price + tree:
-        keys, tree = {()}, 0 if dp else _state_steps(tuple(sorted(chain(*map(
-            repeat, chain(*values), counts)), reverse=True)), bits)[1]
-        for h, (vs, c) in enumerate(zip(values, counts)):
-            picks = [p for j in range(c + 1 - (not dp and h == len(counts) - 1))
-                     for p in combinations_with_replacement(vs, j)]
-            keys = {tuple(sorted(k + p, reverse=True)) for k in keys for p in picks}
-        for u in keys - {()}:
-            inner, root = _state_steps(u, bits)
-            tree += inner + root * bool(dp)
-            if price + tree > WICK_WORK_CAP:
-                break
-    price += tree * (price <= WICK_WORK_CAP)
+        cells = (size - low + 1) * ((n - p) // 2 + 1)
+        price += cells * (1 + ((2 * size * size.bit_length()) ** 2 >> 20))
+    if not sum(map(mul, map(itemgetter(6), dp), counts)) % 2:
+        price += _state_work(values, (counts[0] - 1, *counts[1:]), top, dp, size,
+                             WICK_WORK_CAP - price)
     if price > WICK_WORK_CAP:
         raise ResourceCapError(f"{what} work of at least {price} steps exceeds cap {WICK_WORK_CAP}")
     return price
 
 
+def _state_work(values, below, top: int, dp, size: int, room: int) -> int:
+    """The steps of ``_wick_tree_sum``'s states over the groups ``below`` the root
+    (``size``: the largest block's part sum).  Per pair T + R = S <= below, t = |T|,
+    r = |R| and o odd groups in R: forests(R) has <= (o + 1) // 2 cells (1 at R = 0);
+    kids(T) has <= prod_h roots[h][T_h] entries (``_pair_tables``), and <= sum_p (p
+    spread + 1) for its p <= t element children of parts ``spread`` apart; ``sub``
+    per part w opening a sub-block (or planted, w = 0) and pair whose S has its
+    parity (w - 1 + pi(S) even; with no branchy type only the root's part opens one,
+    at S = below) takes a step, and unless forests(R) is empty two more and a product
+    per cell; ``dist`` per value tuple and pair, ``down`` per S and entry a product;
+    per pair whose T holds S's first group, ``forests`` a step and a product per cell
+    if T has odd parity, and ``kids`` a product per part and entry of kids(R);
+    ``closed`` per part opening a sub-block and T, a product per entry and cell of a
+    row of <= (o' + 1) // 2 + 1 for the o' odd groups not in T.  A value over t groups
+    has <= t ``group`` bits: Q per element and its blocks' factorials, log2 s! <= s
+    (bitlen(s) - 1) + bitlen(s).  Summed with (t, r, o) at the largest (r at 0 if no
+    group has odd parity), then by size if that is over ``room``."""
+    most, openers, tuples, entries, states = max(map(itemgetter(5), dp)), set(), 0, 0, 1
+    branchy, n, e, cost, table, pairs, kid_rows, closed_rows = most > 1, 0, 0, 0, 1, 1, 1, 1
+    for h, (vs, c, d) in enumerate(zip(values, below, dp)):
+        if h == 0 or d[5] > 1:
+            openers.update(vs)
+            tuples += d[4]
+        entries, cost = entries + d[3], cost + 8 * table  # by size: ~8 products of tables
+        if not c:  # its only pair, T = R = 0, changes no sum
+            continue
+        _, both, rows, kid = _pair_sums(c, len(vs), vs[-1] - vs[0], branchy)
+        pairs, closed_rows, kid_rows = pairs * both, closed_rows * rows, kid_rows * kid
+        n, e, states = n + c, e + c * d[6], states * (c + 1)
+        cost, table = cost + 8 * table * (both - 1), min(table * both, (n + 1) ** 2 * (e + 1))
+    parts, heads, tuples = len(openers), len(openers) + 1, tuples * branchy  # and planted
+    square = (most * (3 * top // 2 + 8) + max(map(itemgetter(-1), values)) * (size.bit_length() - 1)
+              + size.bit_length()) ** 2  # of ``group``
+
+    # first at the largest: values over n and n + 1 groups, rows of (e + 1) // 2 cells
+    big, bigger, half = 1 + (n * n * square >> 20), 1 + (n * (n + 1) * square >> 20), (e + 1) // 2
+    opens = 3 + half * bigger if e else 4  # only forests(()) has a cell if no group has odd parity
+    work = (states + (states - 1) * entries * big * branchy + tuples * (pairs - 1) * (1 + bigger)
+            + pairs * ((heads if branchy else 1) * opens + 1 + (half * big if e else 1))
+            + closed_rows * (heads * (half + 1) * bigger + (not branchy) * parts * opens)
+            + kid_rows * (parts * big if branchy else 1 + (n * square >> 20)))
+    if work <= room or cost > room:  # then the largest stand
+        return work
+
+    def product(a, b):
+        return 1 + (a * b * square >> 20)
+
+    def opened(t, r, o):  # sub's steps per pair and part
+        rows = (o + 1) // 2 if r else 1
+        return 3 + rows * product(r, t + 1) if rows else 1
+
+    work = states + (states - 1) * entries * product(n, n) * branchy
+    tables = [_pair_tables(c, len(vs), vs[-1] - vs[0], d[6], branchy)
+              for vs, c, d in zip(values, below, dp)]
+    signed, odd_heads = _by_size(f["by S"] for f in tables), sum(w % 2 for w in openers)
+    every = _by_size(f["pairs"] for f in tables)
+    for (t, r, o), k in every.items():
+        even = (k + signed.get((t, r, o), 0)) // 2  # pairs whose S has even parity
+        subs = (odd_heads * even + (heads - odd_heads) * (k - even) if branchy
+                else k - even + k * (t + r == n))
+        work += subs * opened(t, r, o) + tuples * k * (1 + product(t + 1, r)) * (t + r > 0)
+    odds = _leading([f["by T"] for f in tables])
+    for (t, r, o), k in _leading([f["pairs"] for f in tables]).items():  # by forest row
+        odd = (k - odds.get((t, r, o), 0)) // 2  # pairs whose T has odd parity
+        work += k + odd * ((o + 1) // 2 if r else 1) * product(t, r)
+    spread = max(map(itemgetter(-1), values)) - min(map(itemgetter(0), values))
+    for (t, r, o), k in _by_size(f["closed"] for f in tables).items():
+        k = min(k, every[t, r, o] * (t + 1) * (spread * t + 2) // 2)
+        work += k * (heads * ((o + 1) // 2 + 1) * product(t, t + 1)
+                     + (not branchy) * parts * opened(t, r, o))
+    for (t, r, o), k in _leading([f["kids"] for f in tables]).items():
+        k = min(k, every[t, r, o] * (r + 1) * (spread * r + 2) // 2)
+        work += k * (parts * product(t, r) if branchy else product(1, t))
+    return work
+
+
 @lru_cache(maxsize=None)
-def _state_steps(u: tuple[int, ...], bits: int) -> tuple[int, int]:
-    """The tree's steps at u for bits(Q) <= ``bits``, as a forest row and,
-    for an odd number e of even entries, a planted sum; then as a root, for
-    an even e.  Per split T walked (holding u's first index but in a planted
-    sum), #u + 1 (#u in a row), and a product per cell of the rest's forest
-    row, (e - o) / 2 + 1 for o < e even entries in T or 1 for T = u, of a-
-    and b-bit integers, a + b <= #u bits + log2 |u|! + 1."""
-    values, counts, even, evens = _split_values(u)
-    ways = [1]  # splits T by o: all, then those holding u's first index
-    for m, e in zip(reversed(counts), reversed(even)):  # u's first value last
-        rest, ways = ways, ([sum(ways[max(0, o - m):o + 1]) for o in range(len(ways) + m)] if e
-                            else [w * (m + 1) for w in ways])
-    heads = [w - r for w, r in zip(ways, rest + [0] * counts[0])]
-    n, odd, rows = len(u), evens % 2, [(evens - o) // 2 + 1 for o in range(evens)]
-    weight = 1 + ((n * bits + factorial(sum(u)).bit_length() + 1) ** 2 >> 22)
-    forest, grown = heads[1:evens:2], ways[:evens] if odd else heads[:evens]
-    forest = n * (sum(forest) + odd) + weight * (sum(map(mul, forest, rows[1::2])) + odd)
-    grown = (n + 1) * (sum(grown) + 1 - odd) + weight * (  # a planted sum's T is nonempty
-        sum(map(mul, grown, rows)) + 1 - odd * (evens // 2 + 1))
-    return (forest + grown, 0) if odd else (forest, grown)
+def _pair_sums(c: int, v: int, spread: int, branchy: bool) -> tuple:
+    """roots[r] of ``_pair_tables`` for parts of v values ``spread`` apart, the number
+    of pairs t + r <= c, and its "closed" and "kids" entries summed over them."""
+    roots = [min(comb(r + v - 1, r), r * spread + 1) for r in range(c + 1)]
+    roots = list(accumulate(roots)) if branchy else roots
+    kids = sum(k * (c - r + 1) for r, k in enumerate(roots)) if branchy else sum(roots)
+    return roots, (c + 1) * (c + 2) // 2, sum(roots), kids
 
 
-# The Wick tree sum's states for the whole process, as the tuple
-# (Q, leaf, dist, down, blk, types): the common denominator Q whose powers
-# scale them, then the ``leaf``, ``down`` and ``blk`` values of
-# ``_wick_tree_sum``, its ``dist`` values with groups below, and per type
-# label its pad E_h Q^(L_h), scaled terms and entries, each a dict.  It is
-# kept under the key "memo" of a dict that, like every other
-# memo of the package, is changed in place and never rebound.  A call
-# whose common denominator does not divide Q puts a fresh tuple at its
-# own, larger Q in its place; the old dicts are never cleared, so a thread
-# still using them writes only to them.  Each call computes with the
-# tuple it read and checked, so two threads that replace it at once, or
-# compute one state twice, lose only work.
-_wick_memo = {"memo": (1, {}, {}, {}, {}, {})}
+@lru_cache(maxsize=None)
+def _pair_tables(c: int, v: int, spread: int, pi: int, branchy: bool) -> dict:
+    """A type's pairs t + r <= c of groups whose parts take v values ``spread`` apart, at
+    (t, r, pi r), as tables {(t, r, o): weight}: "pairs" one each, "by S" and "by T"
+    signed by the parity of S and of T, "kids" the entries of kids(T + R) and "closed"
+    those of kids(T) at t + r = c (``_pair_sums``' counts of (sum, count) pairs)."""
+    roots, tables = _pair_sums(c, v, spread, branchy)[0], {}
+    for s in range(c + 1):
+        for t in range(s + 1):
+            kids = roots[s - t] if branchy else roots[t] * (s == t)
+            for name, k in (("pairs", 1), ("by S", (-1) ** (pi * s)), ("by T", (-1) ** (pi * t)),
+                            ("kids", kids), ("closed", roots[t] * (s == c))):
+                if k:
+                    tables.setdefault(name, {})[t, s - t, pi * (s - t)] = k
+    return tables
+
+
+def _leading(tables) -> dict[tuple[int, int, int], int]:
+    """The pairs whose T holds S's first group, by the totals: per type, its pairs with t
+    >= 1 times every pair of the types after it."""
+    got, suffix = {}, {(0, 0, 0): 1}
+    for table in reversed(tables):
+        for key, k in _by_size([{at: k for at, k in table.items() if at[0]}, suffix]).items():
+            got[key] = got.get(key, 0) + k
+        suffix = _by_size([table, suffix])
+    return got
+
+
+def _by_size(factors) -> dict[tuple[int, int, int], int]:
+    """The product of per-type tables {(t, r, o): weight}, by the totals."""
+    table = {(0, 0, 0): 1}
+    for factor in factors:
+        grown: dict[tuple[int, int, int], int] = {}
+        for key, k in table.items():
+            for more, m in factor.items():
+                at = (key[0] + more[0], key[1] + more[1], key[2] + more[2])
+                grown[at] = grown.get(at, 0) + k * m
+        table = grown
+    return table
+
+
+def _fresh_states(scale: int) -> tuple:
+    """Empty states of ``_wick_tree_sum`` at the common denominator Q = ``scale``: Q, the
+    tags' ids (the empty one's 0) and their counter, the block weights, the ``dist``,
+    ``down``, ``kids``, ``forests``, ``closed`` and ``sub`` values and the types."""
+    return scale, {(): 0}, count(1), {}, {}, {}, {}, {}, {}, {}, {}
+
+
+# The process's states, in a dict changed in place and never rebound.  A call whose common
+# denominator does not divide Q puts fresh states at its larger Q in their place and never
+# clears the old; each call computes with the states it read, and a tag's id comes from the
+# counter, so threads that race (on the states, a state, a row or a tag) lose only work.
+_wick_memo = {"memo": _fresh_states(1)}
 
 
 def _wick_tree_sum(labels, types, counts: tuple[int, ...], reach: int) -> tuple[int, int]:
-    """The Wick sum, divided by its pi power, over labelled groups:
-    counts[h] groups of type h, each of which picks one (lam, coeff) of
-    ``types[h]`` and contributes coeff; every part of lam is an element.
-    A set partition alpha of the elements is complementary to the grouping
-    exactly when the incidence graph with a vertex per group and per block
-    of alpha and an edge per element is a tree, and the term of alpha is
-    the product over its blocks B of the cumulant of B's parts.
+    """The Wick sum, divided by its pi power, over labelled groups: counts[h] groups of
+    type h, each of which picks one (lam, coeff) of ``types[h]`` and contributes coeff;
+    every part of lam is an element.  It sums over set partitions alpha of the elements
+    complementary to the grouping, and per block of alpha over its cumulant's set
+    partitions into sub-blocks and trees tau on them: (-1)^(#tau edges) prod W(s, p,
+    delta), W(s, p, delta) = s!  frak_z(s - p + 2 - delta) Q^p for a sub-block of p
+    parts summing to s and of tau-degree delta.  Both tree conditions say together that
+    the graph with a vertex per group and per sub-block, an edge per element and one per
+    tau edge, is a tree, which also keeps one part of each group per block.
 
-    The tree is rooted at one group of type 0, so each block has a parent
-    group (through one element) and each other group a parent block
-    (through one element).  Groups of the same type are interchangeable,
-    so the sums run over multiplicity vectors S of groups (tuples indexed
-    by type), with binomial factors for the choice of labels:
+    The tree is rooted at one group of type 0.  Groups of a type are interchangeable, so
+    the sums run over multiplicity vectors S of groups, with binomial factors for the
+    labels (``partitions.vector_splits``): ``dist(values, S)`` hangs S below the
+    elements ``values`` of a group, each opening a sub-block; ``sub(w, S)`` is a
+    sub-block entered through part w of its parent group, or for w = 0 through a tau
+    edge (whose -1 it carries), with S below, of which its element children take T
+    (``kids(T)``, per part sum and count (s, p); ``closed`` closes them with W) and its
+    tau children R (``forests(R)``, per number k of planted sub-blocks ``sub(0, A)``);
+    ``down(T)`` is a group entering through a part w with the rest of T below its other
+    parts.  frak_z vanishes at odd arguments, and the terms of a type share the parity
+    of |lam| - len(lam): so ``sub(w, S)`` is 0 unless w - 1 + pi(S) is even, pi(S) the
+    parity of S's groups, forests(R) has cells only at k = pi(R) mod 2, and a sum of odd
+    parity is 0 before any state.
 
-    - ``dist(values, S)``: the groups S hang below the elements ``values``
-      of one group, in one child block per element; summed over ordered
-      splits S = T_1 + ... with weight prod_i C(S_i, T_i)
-      (``partitions.vector_splits``).
-    - ``blk(values, S)``: a block that holds ``values`` so far, with S
-      below it.  At S = 0 it closes with the cumulant of its values.
-      Otherwise the subtree holding the first group of S, of type t, is
-      chosen in C(S_t - 1, T_t - 1) prod_{i != t} C(S_i, T_i) ways (the
-      first-block splits of ``vector_splits``); its
-      root, one of the T_h groups of type h, enters the block through a
-      part w of its term and hangs the rest of T below its other parts:
-      ``down(T)``, by w, sums T_h coeff mult_lam(w) dist(lam - w, T - e_h).
-
-    Every element carries one factor Q, a multiple of the common
-    denominator of the largest block key (a block holds at most one part
-    of each group), so a block of k parts closes with Q^k times its
-    cumulant, an integer: ``reach`` is the caller's 2 + sum_h c_h (top part
-    of type h - 1), and Q is a multiple of its common denominator.  The
-    coefficients of type h are scaled by the lcm E_h of their denominators,
-    and a term lam by Q^(L_h - len(lam)) for the longest term length L_h,
-    so every choice carries prod_h (E_h Q^(L_h))^(c_h): the sum runs in
-    integers, returned with that product for the caller to divide once.
-
-    Type h has the label ``labels[h]``, which fixes its terms: the
-    generator k (an int) for f_cumulant_leading, the group partition (a
-    tuple) for wick_leading, so the two never meet.  A state is keyed by
-    the labels and multiplicities of its S (``_Tags``, made as the call
-    first reads S), not by type positions, and its value depends only on
-    them and Q, so every call whose Q divides the memo's (``_wick_memo``)
-    reads and adds to the same states.  So does a type's pad E_h Q^(L_h),
-    its scaled terms and its entries (w, lam without one w, scaled coeff *
-    mult_lam(w)): each is built once per label and Q, or per call, with
-    no entries, for a lone group.  With every state held, a call reads
-    one tag and one state per term of type 0: about 22 us cache-cold for
-    a stratum of genus <= 6, of which 7 us set-up (2-core Xeon).
+    Every element carries one factor Q, a multiple of the common denominator of the
+    caller's ``reach`` (2 + sum_h c_h (top part of type h - 1)), so every W is an
+    integer.  The coefficients of type h are scaled by the lcm E_h of their
+    denominators, and a term lam by Q^(L_h - len(lam)) for the longest term length L_h:
+    the sum runs in integers, returned with prod_h (E_h Q^(L_h))^(c_h) for the caller to
+    divide once.  A state is keyed by the labels and multiplicities of its S
+    (``_Tags``), and type h's label fixes its terms: the generator k for
+    f_cumulant_leading, the group partition for wick_leading and elementary_cumulant.
+    So every call whose Q divides the memo's reads and adds to the same states, as it
+    does a type's pad, scaled terms and entries (w, lam without one w, scaled coeff *
+    mult_lam(w)), built per call, with no entries, for a lone group.
     """
+    odd = [(sum(terms[0][0]) - len(terms[0][0])) % 2 for terms in types]
+    if sum(map(mul, odd, counts)) % 2:
+        return 0, 1
     memo = _wick_memo["memo"]
     if memo[0] % _common_denominator(reach):
-        memo = _wick_memo["memo"] = (_common_denominator(reach), {}, {}, {}, {}, {})
-    scale, leaf_memo, dist_memo, down_memo, blk_memo, type_memo = memo
-    # A lone group keeps no state but its leaves, so that the memo does not
-    # grow with one large generator: its type, with no entries, is per call.
+        memo = _wick_memo["memo"] = _fresh_states(_common_denominator(reach))
+    (scale, ids, fresh, weights, dist_memo, down_memo, kids_memo, forest_memo, closed_memo,
+     sub_memo, type_memo) = memo
+    # A lone group's type, with no entries, is per call: one large generator keeps no state.
     kept = type_memo if sum(counts) > 1 else {}
-    held, denominator = [], 1  # per type: E_h Q^(L_h), scaled terms, entries
+    held, denominator = [], 1  # per type: E_h Q^(L_h), scaled terms, entries, L_h > 1
     for label, terms, c in zip(labels, types, counts):
         got = kept.get(label)
         if got is None:
@@ -546,39 +487,45 @@ def _wick_tree_sum(labels, types, counts: tuple[int, ...], reach: int) -> tuple[
             row = [(w, lam[:i] + lam[i + 1:], coeff * lam.count(w))
                    for lam, coeff in scaled for i, w in enumerate(lam)
                    if i == 0 or lam[i - 1] != w] if kept is type_memo else ()
-            got = kept[label] = pads[longest], scaled, row
+            got = kept[label] = pads[longest], scaled, row, longest > 1
         held.append(got)
         denominator *= got[0] ** c
-    _, scaled_types, entries = zip(*held)
+    _, scaled_types, entries, branchy = zip(*held)  # branchy: a group may root others
     tag = _Tags()
-    tag.labels = labels
+    tag.labels, tag.ids, tag.fresh = labels, ids, fresh
 
-    def leaf(values):
-        got = leaf_memo.get(values)
-        if got is None:
-            got = leaf_memo[values] = _tree_cumulant(values, scale)
-        return got
+    def weight(s, p, degree):
+        """W(s, p, delta) at delta = s - p mod 2, + 2, ... to ``degree`` (0 between), widened."""
+        row = weights.get((s, p), ())
+        if len(row) <= degree >> 1:
+            lift, top = factorial(s) * scale**p, s - p + 2 - (s - p) % 2
+            zs = map(frak_z_over_pi, range(top - 2 * len(row), top - 2 * (degree >> 1) - 1, -2))
+            row += tuple(_quotient(lift * z.numerator, z.denominator) for z in zs)
+            weights[s, p] = row
+        return row
 
     def dist(values, S):
         key = (values, tag[S])
-        if not key[1]:  # a product of leaves, up to its first 0; kept by none
+        if not key[1]:  # a product of closed sub-blocks, up to its first 0; kept by none
             got = 1
             for w in values:
-                got = got and got * leaf((w,))
+                got = got and got * sub(w, S)
             return got
         if not values:
             return 0
         got = dist_memo.get(key)
         if got is None:
-            head, rest = values[:1], values[1:]
+            head, rest = values[0], values[1:]
             if not rest:
-                got = blk(head, S)
+                got = sub(head, S)
             else:
                 got = 0
                 for T, R, ways in vector_splits(S):
-                    b = blk(head, T)
+                    b = sub_memo.get((head, tag[T]))
+                    b = sub(head, T) if b is None else b
                     if b:
-                        got += ways * b * dist(rest, R)
+                        d = dist(rest, R)
+                        got += ways * b * d
             dist_memo[key] = got
         return got
 
@@ -590,25 +537,79 @@ def _wick_tree_sum(labels, types, counts: tuple[int, ...], reach: int) -> tuple[
             for h, row in enumerate(entries):
                 if T[h]:
                     R = T[:h] + (T[h] - 1,) + T[h + 1:]
-                    for w, rest, weight in row:
+                    for w, rest, coeff in row:
                         d = dist(rest, R)
                         if d:
-                            by_part[w] = by_part.get(w, 0) + T[h] * weight * d
+                            by_part[w] = by_part.get(w, 0) + T[h] * coeff * d
             got = down_memo[key] = [(w, v) for w, v in by_part.items() if v]
         return got
 
-    def blk(values, S):
-        if not any(S):
-            return leaf(values)
-        key = (values, tag[S])
-        got = blk_memo.get(key)
+    def kids(T):
+        key = tag[T]
+        if not key:
+            return (((0, 0), 1),)
+        got = kids_memo.get(key)
         if got is None:
-            got = 0
-            for T, R, ways in vector_splits(S, True):
-                for w, d in down(T):
-                    grown = tuple(sorted(values + (w,), reverse=True))
-                    got += ways * d * blk(grown, R)
-            blk_memo[key] = got
+            by_size: dict[tuple[int, int], int] = {}
+            splits = vector_splits(T, True)  # without a branchy type, the first group is a child
+            for T1, R, ways in splits if any(compress(branchy, T)) else splits[:1]:
+                own = down(T1)
+                if own:
+                    below = kids(R)
+                    for w, d in own:
+                        d *= ways
+                        for (s, p), e in below:
+                            grown = (s + w, p + 1)
+                            by_size[grown] = by_size.get(grown, 0) + d * e
+            got = kids_memo[key] = tuple((k, v) for k, v in by_size.items() if v)
+        return got
+
+    def forests(R):
+        key = tag[R]
+        if not key:
+            return ((0, 1),)
+        got = forest_memo.get(key)
+        if got is None:
+            by_count: dict[int, int] = {}
+            for A, rest, ways in vector_splits(R, True):
+                planted = sub(0, A)
+                if planted:
+                    planted *= ways
+                    for k, cell in forests(rest):
+                        by_count[k + 1] = by_count.get(k + 1, 0) + planted * cell
+            got = forest_memo[key] = tuple(sorted((k, v) for k, v in by_count.items() if v))
+        return got
+
+    def closed(w, T, row, degree):
+        """``row`` of sum e W(s0 + s, p0 + p, .) over kids(T), for the (s0, p0)
+        that ``w`` opens, widened to ``degree`` as a ``weight`` row."""
+        (s0, p0), end = (w, 1) if w else (0, 0), (degree >> 1) + 1
+        cells = [0] * (end - len(row))
+        for (s, p), e in kids(T):
+            own = weight(s0 + s, p0 + p, degree)[len(row):end]
+            cells = list(map(add, cells, map(e.__mul__, own)))
+        row = closed_memo[w, tag[T]] = row + tuple(cells)
+        return row
+
+    def sub(w, S):
+        key = (w, tag[S])
+        got = sub_memo.get(key)
+        if got is None:
+            got, d0 = 0, int(not w)
+            if not key[1]:  # one part, closed at once (a planted one needs a child)
+                got = weight(w, 1, 0)[0] if w % 2 else 0
+            elif not (w - 1 + sum(map(mul, odd, S))) % 2:
+                for T, R, ways in vector_splits(S)[0 if w else 1:]:  # a planted one has children
+                    forest = forest_memo.get(tag[R]) or forests(R)
+                    if forest:
+                        top = d0 + forest[-1][0]
+                        row = closed_memo.get((w, tag[T]), ())
+                        row = closed(w, T, row, top) if len(row) <= top >> 1 else row
+                        if top == d0:  # R = (), whose only forest has no tree
+                            got += ways * row[d0 >> 1]
+                        else:
+                            got += ways * sum(cell * row[(d0 + k) >> 1] for k, cell in forest)
+            got = sub_memo[key] = got if w else -got
         return got
 
     below_root = (counts[0] - 1,) + tuple(counts[1:])
@@ -616,10 +617,11 @@ def _wick_tree_sum(labels, types, counts: tuple[int, ...], reach: int) -> tuple[
 
 
 class _Tags(dict):
-    """S -> its groups' labels and multiplicities, the key of its states."""
+    """S -> the id of its groups' labels and multiplicities: its states' key."""
 
     def __missing__(self, S):
-        got = self[S] = tuple(compress(zip(self.labels, S), S))
+        tag = tuple(compress(zip(self.labels, S), S))
+        got = self[S] = self.ids.setdefault(tag, next(self.fresh))
         return got
 
 
@@ -645,8 +647,7 @@ def wick_leading(groups) -> WickLeading:
     kinds = sorted(set(wg.groups))
     counts = tuple(wg.groups.count(g) for g in kinds)
     reach = 2 + sum(c * (g[0] - 1) for g, c in zip(kinds, counts))
-    _check_work("Wick tree sum", [tuple(sorted(set(g))) for g in kinds], counts, reach,
-                [(1, len(g), 0, len(set(g)), len(g) * (len(set(g)) + 1), len(g)) for g in kinds])
+    _check_work("Wick tree sum", *_group_figures(kinds, counts, reach))
     total, denominator = _wick_tree_sum([tuple(g) for g in kinds], [((g, 1),) for g in kinds],
                                         counts, reach)
     exponent = sum(p + 1 for p in parts) - ell + 1
@@ -676,6 +677,8 @@ def _generator_sum(key: tuple[int, ...], divisor: int) -> PiScalar:
     kinds = sorted(set(key), reverse=True)
     counts, reach = tuple(map(key.count, kinds)), sum(key) - len(key) + 2  # f_k's top part is k
     check_generator_work(kinds, counts)
+    if (sum(key) + len(key)) % 2:  # every term of f_k has |lam| - len(lam) of k + 1's parity
+        return PiScalar(Fraction(0), reach)
     types = [f_top_expansion(k).terms for k in kinds]
     total, denominator = _wick_tree_sum(kinds, types, counts, reach)
     return PiScalar(Fraction(total, denominator * divisor), reach)
@@ -691,16 +694,17 @@ def check_generator_work(kinds, counts) -> int:
 
 
 @lru_cache(maxsize=None)
-def _generator_figures(k: int) -> tuple[tuple[int, ...], tuple[int, int, int, int, int, int]]:
+def _generator_figures(k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """f_k's figures for ``_check_work``: the parts of its terms, increasing (1 to k - 2, and
     k), and from partition counts p, q(i) = p(i) - p(i - 1): q(k + 1) terms, q(k + 1 - jr)
-    with r parts j, p(k - 1) entries, p(k + 1) tuples, at most (k + 1) // 2 parts in one."""
+    with r parts j, p(k - 1) entries, p(k + 1) tuples, at most (k + 1) // 2 parts in one,
+    and |lam| - len(lam) = k + 1 - 2 len(lam) of the parity of k + 1."""
     values, p = (*range(1, k - 1), k), partition_counts(k + 1, WICK_WORK_CAP)
     if len(p) <= k + 1:
-        return values, (0, 0, 0, 0, WICK_WORK_CAP + 1, 0)
+        return values, (0, 0, 0, 0, WICK_WORK_CAP + 1, 0, 0)
     q = [1] + [p[i] - p[i - 1] for i in range(1, k + 2)]
     parts = sum(q[k + 1 - j * r] for j in range(2, k + 2) for r in range(1, (k + 1) // j + 1))
-    return values, (q[k + 1], parts, parts, p[k - 1], p[k + 1], (k + 1) // 2)
+    return values, (q[k + 1], parts, parts, p[k - 1], p[k + 1], (k + 1) // 2, (k + 1) % 2)
 
 
 def c_const(m) -> PiScalar:

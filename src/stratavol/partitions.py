@@ -404,9 +404,11 @@ def vector_splits(counts: tuple[int, ...], first_block: bool = False) -> tuple:
     the first element, of the first nonzero kind f, with ways
     C(c_f - 1, T_f - 1) prod_{i != f} C(c_i, T_i): the recursion of the
     exponential formula, whole(c) = sum ways conn(T) whole(R).  Memoized
-    without a bound: a connected covering series keeps it to cap / 3 split
-    triples (``coverings.CONNECTED_WORK_CAP``), but the Wick DP and the
-    cumulant tree only to prices of steps: 86 MiB after a genus-14 table.
+    without a bound.  A connected covering series keeps it to cap / 3
+    split triples (``coverings.CONNECTED_WORK_CAP``).  The Wick tree sum
+    fills it with every multiplicity vector of group types that its states
+    reach, split whole and by first block, held back only by its price in
+    steps: 18 MiB (tracemalloc) after a genus-14 table with the caps lifted.
     """
     f = next(i for i, c in enumerate(counts) if c) if first_block else -1
     splits = [((), (), 1)]

@@ -87,13 +87,13 @@ class TestVolumeCommand:
     ])
     def test_wick_work_cap_exit_3_up_front(self, capsys, monkeypatch, argv):
         # f_61 has 178,651 terms; a hundred groups of one type have few DP
-        # states but blocks of up to a hundred parts, whose cumulant tree
-        # the price must bound.  ``fk k`` is refused exactly when
-        # ``cconst k`` is.
+        # states but sub-blocks of up to a hundred parts, whose values the
+        # price must bound.  ``fk k`` is refused exactly when ``cconst k``
+        # is.
         def forbidden(*args, **kwargs):
             raise AssertionError("an expansion, a cumulant or a closed form was computed")
 
-        for name in ("_common_denominator", "_cumulant_over_pi", "_tree_cumulant",
+        for name in ("_common_denominator", "_cumulant_over_pi", "_wick_tree_sum",
                      "f_top_expansion", "c_simple"):
             monkeypatch.setattr(stratavol.cumulants, name, forbidden)
         monkeypatch.setattr(stratavol.cli, "f_top_expansion", forbidden)
@@ -133,9 +133,9 @@ class TestCumulantCommands:
                                      ",".join(map(str, range(136, 124, -1)))])
     def test_work_cap_exits_fast(self, capsys, monkeypatch, key):
         # Over the price by the Bernoulli numbers, and by them and the
-        # cumulant tree, whose products grow with the parts: uncapped,
-        # `cumulant 2400` took 2.4 s, `cumulant 3000` 4.9 s, 41, 40, ...,
-        # 30 3.3 s and 136, 135, ..., 125 over a minute.
+        # Wick tree sum's states, whose products grow with the parts:
+        # uncapped, `cumulant 2400` took 2.4 s, `cumulant 3000` 4.9 s and
+        # 41, 40, ..., 30 1.9 s.
         def forbidden(*args):
             raise AssertionError("a cumulant was computed")
 

@@ -2,6 +2,7 @@ import hashlib
 import importlib.util
 import json
 import linecache
+import operator
 import random
 import sys
 import threading
@@ -50,26 +51,66 @@ GOLDEN_GENUS_2_TO_6 = json.loads(
 )
 
 
-def clear_cumulant_memos():
-    """Forget every cumulant, cumulant tree state and Wick tree sum state,
-    so that the next call builds them with the common denominator in
-    force."""
-    stratavol.cumulants._cumulant_over_pi.cache_clear()
-    stratavol.cumulants._tree_memo["memo"] = (1, {}, {}, {})
-    stratavol.cumulants._wick_memo["memo"] = (1, {}, {}, {}, {}, {})
+REAL_FRESH_STATES = stratavol.cumulants._fresh_states
 
 
-def tree_states(monkeypatch) -> list:
-    """The (memo, u, shift) of every ``_grow`` call from now on: a root sum at
-    shift 0, a planted sum computed (not read from the memo) at shift 1."""
-    grown, real = [], stratavol.cumulants._grow
+class RecordedStates(dict):
+    """A dict of states that counts the values set in it and records each
+    one set over a value it held, as (key, old, new)."""
 
-    def counting(memo, u, shift):
-        grown.append((memo, u, shift))
-        return real(memo, u, shift)
+    def __init__(self, *args) -> None:
+        super().__init__(*args)
+        self.sets, self.rebuilt = 0, []
 
-    monkeypatch.setattr(stratavol.cumulants, "_grow", counting)
-    return grown
+    def __setitem__(self, key, value) -> None:
+        self.sets += 1
+        if key in self:
+            self.rebuilt.append((key, self[key], value))
+        super().__setitem__(key, value)
+
+
+def clear_cumulant_memos(monkeypatch=None):
+    """Forget every state of the Wick tree sum, which the elementary
+    cumulant, the Wick sum and c(m) share, so that the next call builds
+    them with the common denominator in force.  Returns ``held``: a
+    function that gives the common denominator Q of the states in force
+    and their dicts, with no name for any of them.  With ``monkeypatch``,
+    the states in force and every fresh set a larger Q puts in their place
+    are ``RecordedStates``, and ``held.made`` lists each set's dicts.  This
+    is the only test code that knows how the memo is laid out."""
+    made = []
+
+    def fresh(scale):
+        states = tuple(RecordedStates(x) if isinstance(x, dict) else x
+                       for x in REAL_FRESH_STATES(scale))
+        made.append([x for x in states if isinstance(x, dict)])
+        return states
+
+    if monkeypatch is not None:
+        monkeypatch.setattr(stratavol.cumulants, "_fresh_states", fresh)
+    memo = stratavol.cumulants._wick_memo
+    memo["memo"] = stratavol.cumulants._fresh_states(1)
+
+    def held():
+        return memo["memo"][0], [x for x in memo["memo"][1:] if isinstance(x, dict)]
+
+    held.made = made
+    return held
+
+
+def entries(held) -> list[int]:
+    """The number of entries of each dict of the states in force."""
+    return [len(states) for states in held()[1]]
+
+
+def widenings(states) -> list:
+    """The (key, old, new) of every value set again in the recorded dicts
+    ``states``, each checked to be a row that a wider one replaced with
+    its prefix kept: any other state set twice was built twice."""
+    again = [change for memo in states for change in memo.rebuilt]
+    for key, old, new in again:
+        assert isinstance(old, tuple) and len(new) > len(old) and new[:len(old)] == old, key
+    return again
 
 
 def keys_up_to(max_parts, max_size):
@@ -137,54 +178,53 @@ class TestElementaryCumulant:
 
     def test_work_cap_boundary(self, monkeypatch):
         # The keys nearest the cap from each side, from the price alone:
-        # the Bernoulli numbers decide a key of few parts, the cumulant
-        # tree's states one of many equal or distinct parts (an odd number
-        # of 2s vanishes by parity and starts no tree).  Cold, with
-        # start-up, 1998 takes 1.0 s, eighty-eight 2s 0.8 s and 28, 27,
-        # ..., 17 1.0 s on a 2-core Xeon.
+        # the Bernoulli numbers decide a key of few parts, the states of
+        # the Wick tree sum one of many equal or distinct parts (an odd
+        # number of 2s vanishes by parity and prices no state).  Cold, with
+        # start-up, (1998,) takes 0.1 s (it vanishes by parity), (1000, 996)
+        # 1.2 s, ninety-two 2s 1.0 s and 31, 30, ..., 20 1.4 s on a 2-core
+        # Xeon.
         monkeypatch.setattr(stratavol.cumulants, "_cumulant_over_pi", lambda key: Fraction(0))
         for admitted, refused in [((1998,), (1999,)), ((1000, 996), (1001, 997)),
-                                  ((2,) * 88, (2,) * 90),
-                                  (tuple(range(28, 16, -1)), tuple(range(29, 17, -1)))]:
+                                  ((2,) * 92, (2,) * 94),
+                                  (tuple(range(31, 19, -1)), tuple(range(32, 20, -1)))]:
             elementary_cumulant(admitted)
             with pytest.raises(ResourceCapError, match="cumulant work"):
                 elementary_cumulant(refused)
 
     def test_memoized_on_sorted_key(self, monkeypatch):
-        # One planted sum and one forest row per sorted sub-multiset, shared
-        # across keys: (3, 2, 2, 1, 1) computes every state that the later
-        # keys read, so each of them sums only its own root.
-        grown = tree_states(monkeypatch)
-        clear_cumulant_memos()
+        # The cumulant is the Wick tree sum over one group per entry, whose
+        # states are keyed by the groups' labels and multiplicities, so the
+        # states of (3, 2, 2, 1, 1) serve its sub-keys: each builds only
+        # the few states of its own root that the key did not reach, none
+        # twice, and a key asked again builds none.
+        held = clear_cumulant_memos(monkeypatch)
         first = elementary_cumulant((1, 1, 2, 2, 3))
-        _, _, planted, forests = stratavol.cumulants._tree_memo["memo"]
-        assert [(u, shift) for _, u, shift in grown] == [
-            ((3, 2, 2, 1, 1), 0), ((2,), 1), ((2, 1, 1), 1), ((2, 1), 1)]
-        assert set(planted) == {(2,), (2, 1), (2, 1, 1)}
-        # A forest's trees each hold an odd number of 2s: none covers (1, 1).
-        assert set(forests) == {(2, 2, 1, 1), (2, 2, 1), (2, 2), (2, 1, 1), (2, 1), (2,)}
-        grown.clear()
+        assert widenings(held()[1]) == []
         keys = [(3, 2, 2, 1, 1), (1, 1, 2, 2), (2, 2, 1), (2, 2), (1, 1), (2, 1), (2,), (1,)]
+        built = []
         for key in keys:
+            before = sum(memo.sets for memo in held()[1])
             assert elementary_cumulant(key).coeff == cumulant_by_set_partitions(key), key
-        assert [(u, shift) for _, u, shift in grown] == [
-            (tuple(sorted(key, reverse=True)), 0) for key in keys[1:]]
+            built.append(sum(memo.sets for memo in held()[1]) - before)
+        assert built == [0, 6, 3, 4, 2, 0, 0, 1]
+        assert widenings(held()[1]) == [] and len(held.made) == 2  # Q = 1, then the key's
         assert elementary_cumulant((3, 2, 2, 1, 1)) == first
         assert first.coeff == cumulant_by_set_partitions((3, 2, 2, 1, 1))
 
     def test_cap_checked_with_memo_filled(self, monkeypatch):
         def forbidden(*args, **kwargs):
-            raise AssertionError("a cumulant tree state was computed")
+            raise AssertionError("a state of the Wick tree sum was computed")
 
-        memo = stratavol.cumulants._cumulant_over_pi
+        held = clear_cumulant_memos()
         elementary_cumulant((1,) * 4)
-        filled = memo.cache_info().currsize
-        assert filled > 0
-        for name in ("_common_denominator", "_tree_cumulant", "_grow", "_weights"):
+        filled = entries(held)
+        assert any(filled)
+        for name in ("_common_denominator", "_wick_tree_sum", "vector_splits", "frak_z_over_pi"):
             monkeypatch.setattr(stratavol.cumulants, name, forbidden)
         with pytest.raises(ResourceCapError):
             elementary_cumulant((2,) * 100)
-        assert memo.cache_info().currsize == filled
+        assert entries(held) == filled
 
 
 class TestSharedTables:
@@ -204,99 +244,102 @@ class TestSharedTables:
             for key in order:
                 assert stratavol.cumulants._cumulant_over_pi(key) == want[key], (order, key)
 
-    def test_super_key_widens_an_entry(self):
-        # Both keys have |v| - #v + 2 = 8, so they share one memo.  A tree
-        # of a forest holds an odd number of even entries.  Inside
-        # (4, 2, 2, 2, 1) the weight row (6, 3) serves the planted block
-        # {2, 2, 2}, whose rest {4, 1} holds one tree at most, so it keeps
-        # only degree 1; inside (4, 2, 2, 2, 1, 1) the root block {4, 1, 1}
-        # can hold three trees, one per 2, and the row gains degree 3.
-        clear_cumulant_memos()
+    def test_super_key_widens_an_entry(self, monkeypatch):
+        # Both keys have |v| - #v + 2 = 8, so they share one memo.  A block
+        # weight row and a closed row are kept to the degrees asked for so
+        # far: inside (4, 2, 2, 2, 1) the planted sub-block {2, 2, 2}, of
+        # weight row (6, 3), has no planted child, inside (4, 2, 2, 2, 1, 1)
+        # it can have one, so the super key widens that row and closed rows
+        # that the key built, each keeping its cells, and builds no other
+        # state twice (rows that the key itself widened are checked first).
+        held = clear_cumulant_memos(monkeypatch)
         small = stratavol.cumulants._cumulant_over_pi((4, 2, 2, 2, 1))
-        weights = stratavol.cumulants._tree_memo["memo"][1]
-        row = weights[6, 3]
-        assert len(row) == 1
+        scale, states = held()
+        for memo in states:
+            widenings([memo])
+            memo.rebuilt.clear()
         big = stratavol.cumulants._cumulant_over_pi((4, 2, 2, 2, 1, 1))
-        assert stratavol.cumulants._tree_memo["memo"][1] is weights
-        assert len(weights[6, 3]) == 2 and weights[6, 3][:1] == row
+        assert held()[0] == scale and all(map(operator.is_, held()[1], states))
+        widened = {key: (len(old), len(new)) for key, old, new in widenings(states)}
+        assert widened[6, 3] == (1, 2) and len(widened) > 3
         assert small == cumulant_by_set_partitions((4, 2, 2, 2, 1))
         assert big == cumulant_by_set_partitions((4, 2, 2, 2, 1, 1))
-        stratavol.cumulants._cumulant_over_pi.cache_clear()
+        grown = entries(held)
+        assert stratavol.cumulants._cumulant_over_pi((4, 2, 2, 2, 1)) == small
+        assert entries(held) == grown
+        clear_cumulant_memos()
+        assert stratavol.cumulants._cumulant_over_pi((4, 2, 2, 2, 1, 1)) == big
         assert stratavol.cumulants._cumulant_over_pi((4, 2, 2, 2, 1)) == small
 
     def test_volume_table_builds_each_sub_multiset_once(self, monkeypatch):
-        # The benchmark's volume_table strata from cold: each planted sum
-        # and forest row is computed once per common denominator (a larger
-        # one starts a fresh memo), a weight row that a later key needs to
-        # more degrees gains only the cells of those degrees, and every
-        # volume is unchanged.
+        # The benchmark's volume_table strata from cold: the states are
+        # replaced once per growth of the common denominator Q (five
+        # values of it), and under each Q every state is built once, a row
+        # that a later key needs to more degrees gaining only the cells of
+        # those degrees.  A second pass builds at the last Q the states of
+        # the strata before its growth, and a third builds none.  The same
+        # from cold again; every volume is unchanged.
         spec = importlib.util.spec_from_file_location(
             "bench_workloads", Path(__file__).resolve().parents[1] / "bench" / "workloads.py")
         workloads = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(workloads)
         strata = workloads.volume_strata()
         want = [volume(mu).volume for mu in strata]
-        grown, forests, widened = tree_states(monkeypatch), [], []
-        real_forests, real_weights = stratavol.cumulants._forests, stratavol.cumulants._weights
-
-        def forest(memo, u):
-            if u and u not in memo[3]:
-                forests.append((memo[0], u))
-            return real_forests(memo, u)
-
-        def weighing(memo, size, parts, degree):
-            old = memo[1].get((size, parts))
-            row = real_weights(memo, size, parts, degree)
-            if old is not None and row is not old:
-                widened.append((memo[0], (size, parts)))
-                assert len(row) > len(old) and row[:len(old)] == old
-            return row
-
-        monkeypatch.setattr(stratavol.cumulants, "_forests", forest)
-        monkeypatch.setattr(stratavol.cumulants, "_weights", weighing)
-        clear_cumulant_memos()
-        try:
-            assert [volume(mu).volume for mu in strata] == want
-            memo = stratavol.cumulants._tree_memo["memo"]
-            _, weights, planted, kept = memo
-        finally:
-            clear_cumulant_memos()
-        computed = [(memo[0], u) for memo, u, shift in grown if shift]
-        scales = sorted({scale for scale, _ in computed})
-        assert len(computed) == len(set(computed)) == 43 and len(scales) == 4
-        assert len(forests) == len(set(forests)) == 67
-        assert len(planted) == 17 and len(kept) == 25 and scales[-1] == memo[0]
-        last = {row for scale, row in widened if scale == memo[0]}
-        assert last and last <= set(weights)
+        built = []
+        for _ in range(2):
+            held = clear_cumulant_memos(monkeypatch)
+            try:
+                scales = []
+                for mu, got in zip(strata, want):
+                    assert volume(mu).volume == got, mu
+                    scales += [held()[0]] if held()[0] not in scales else []
+                first = entries(held)
+                assert [volume(mu).volume for mu in strata] == want
+                grown = entries(held)
+                sets = sum(memo.sets for memo in held()[1])
+                assert [volume(mu).volume for mu in strata] == want
+                assert entries(held) == grown and sum(grown) > sum(first)
+                assert sum(memo.sets for memo in held()[1]) == sets
+                widened = [len(widenings(states)) for states in held.made]
+                assert len(held.made) == 6 and sum(widened) > 0  # Q = 1, then the five
+            finally:
+                clear_cumulant_memos()
+            built.append((scales, first, grown, widened))
+        assert built[0] == built[1] and len(built[0][0]) == 5
 
     def test_inexact_rescale_raises(self, monkeypatch):
         # A common denominator of (5, 4, 2) that lacks the factor 7 of
         # frak_z(6) = 31/15120 cannot scale the weight 5! frak_z(6) = 31/126
-        # of its root block {5}: the weight row refuses it where it is built.
+        # of its root sub-block {5}: the weight row refuses it where it is
+        # built.
         real = stratavol.cumulants._common_denominator
         monkeypatch.setattr(stratavol.cumulants, "_common_denominator",
                             lambda top: real(top) // 7 if top == 10 else real(top))
         clear_cumulant_memos()
         with pytest.raises(ArithmeticError, match="/15120 is not") as caught:
             elementary_cumulant((5, 4, 2))
-        assert "_weights" in [entry.name for entry in caught.traceback]
+        assert "weight" in [entry.name for entry in caught.traceback]
         clear_cumulant_memos()
 
     @pytest.mark.parametrize("size", range(2, 8))
     def test_planted_sums_match_oracle_and_vanish_by_parity(self, size):
-        # Every sorted u of ``size`` with up to 5 parts: the planted sum
-        # against one term per set partition and degree sequence, which is
-        # 0 whenever |u| - #u is even, the parity that _grow answers
-        # without a sum.
-        keys = [key for key in keys_up_to(5, size) if sum(key) == size]
-        scale = stratavol.cumulants._common_denominator(size + 1)
-        memo = (scale, {}, {}, {})
+        # Every sorted u of ``size`` with up to 5 parts: the sum over
+        # planted trees of sub-blocks on u (a sub-block entered through a
+        # tau edge, ``sub(0, S)``), which a root group whose one part is 0
+        # opens, against one term per set partition and degree sequence.
+        # It is 0 whenever |u| - #u is even, the parity at which the tree
+        # sum returns before any state.  The root's part carries one Q.
+        held = clear_cumulant_memos()
         nonzero = 0
-        for u in keys:
+        for u in [key for key in keys_up_to(5, size) if sum(key) == size]:
+            kinds = sorted(set(u))
+            total, denominator = stratavol.cumulants._wick_tree_sum(
+                [(0,)] + [(v,) for v in kinds], [(((0,), 1),)] + [(((v,), 1),) for v in kinds],
+                (1,) + tuple(map(u.count, kinds)), size - len(u) + 2)
             want = planted_by_set_partitions(u)
-            assert Fraction(stratavol.cumulants._planted(memo, u), scale ** len(u)) == want, u
+            assert Fraction(total, denominator) * (held()[0] if total else 1) == want, u
             if (size - len(u)) % 2 == 0:
-                assert want == 0, u
+                assert want == 0 and total == 0, u
             nonzero += want != 0
         assert nonzero
 
@@ -316,95 +359,145 @@ class TestSharedWickMemo:
         return values
 
     def test_clear_forgets_the_wick_memo(self):
+        held = clear_cumulant_memos()
         c_const((3, 2, 2))
-        _, *states = stratavol.cumulants._wick_memo["memo"]
-        assert all(states)
+        scale, states = held()
+        assert scale > 1 and sum(map(len, states)) > len(states)
         clear_cumulant_memos()
-        assert stratavol.cumulants._wick_memo["memo"] == (1, {}, {}, {}, {}, {})
+        assert held() == (1, [x for x in REAL_FRESH_STATES(1) if isinstance(x, dict)])
+
+    # Requests of the three entries that share the states, at common
+    # denominators that grow along the list: the singleton group (3,) is
+    # the type of the cumulant's entry 3.
+    MIXED = [("cumulant", (3,)), ("wick", ((3,), (3,))), ("cumulant", (3, 3)), ("cconst", (3, 3)),
+             ("wick", ((3,), (2, 1), (1, 1))), ("cumulant", (5, 3, 3, 1)), ("cconst", (5, 4, 3)),
+             ("wick", ((5, 3), (3,), (2,))), ("cconst", (7, 5, 3)), ("cumulant", (9, 7, 4)),
+             ("cconst", (9, 6))]
+
+    @staticmethod
+    def run(request):
+        kind, key = request
+        if kind == "volume":
+            result = volume(key)
+            return result.volume.as_json_dict(), result.c_const.as_json_dict()
+        return {"cumulant": elementary_cumulant, "cconst": c_const,
+                "wick": lambda groups: wick_leading(groups).value}[kind](key)
 
     @settings(max_examples=6, deadline=None)
-    @given(order=st.permutations(GOLDEN_GENUS_2_TO_6), cold=st.booleans())
+    @given(order=st.permutations(range(len(GOLDEN_GENUS_2_TO_6) + len(MIXED))), cold=st.booleans())
     def test_volumes_in_any_order_cold_or_warm(self, order, cold):
+        # The golden volumes of genus 2-6 and the mixed requests, in any
+        # order, against their values from a cleared memo: no result
+        # depends on which states an earlier request left, or at which Q.
+        requests = [("volume", tuple(row["mu"])) for row in GOLDEN_GENUS_2_TO_6] + self.MIXED
+        want = [(row["volume"], row["c"]) for row in GOLDEN_GENUS_2_TO_6]
+        want += self.cold([lambda request=request: self.run(request) for request in self.MIXED])
+        assert want[-len(self.MIXED) + 1] == want[-len(self.MIXED) + 2]  # (3,), (3,) and (3, 3)
         if cold:
             clear_cumulant_memos()
-        for row in order:
-            result = volume(row["mu"])
-            assert result.volume.as_json_dict() == row["volume"], row["mu"]
-            assert result.c_const.as_json_dict() == row["c"], row["mu"]
+        for i in order:
+            assert self.run(requests[i]) == want[i], requests[i]
 
     def test_larger_reach_replaces_the_memo(self):
         want = self.cold([lambda key=key: c_const(key) for key in self.SMALL + self.BIG])
+        held = clear_cumulant_memos()
         assert [c_const(key) for key in self.SMALL] == want[:len(self.SMALL)]
-        small = stratavol.cumulants._wick_memo["memo"]
-        states = len(small[4])  # blk
-        assert states
+        small_scale, small = held()
+        states = [len(memo) for memo in small]
+        assert sum(states) > len(states)
         assert [c_const(key) for key in self.BIG] == want[len(self.SMALL):]
-        big = stratavol.cumulants._wick_memo["memo"]
-        assert big is not small
-        assert big[0] % small[0] == 0 and big[0] > small[0]
-        assert len(small[4]) == states  # replaced, not cleared in place
+        big_scale, big = held()
+        assert not any(map(operator.is_, big, small))
+        assert big_scale % small_scale == 0 and big_scale > small_scale
+        assert [len(memo) for memo in small] == states  # replaced, not cleared in place
         assert [c_const(key) for key in self.SMALL] == want[:len(self.SMALL)]
-        assert stratavol.cumulants._wick_memo["memo"] is big
+        assert all(map(operator.is_, held()[1], big))
 
-    def test_each_generator_scaled_once_per_q(self, monkeypatch):
-        # f_top_expansion is memoized, so each coefficient of f_k is one
-        # object, and the _scaled calls on those objects are k's scalings.
+    @staticmethod
+    def scalings(monkeypatch):
+        """The coefficients passed to ``_scaled`` from now on, by identity:
+        f_top_expansion is memoized, so each coefficient of f_k is one
+        object, and the calls on those objects are k's scalings."""
         calls, real = [], stratavol.cumulants._scaled
 
         def counted(value, scale):
             calls.append(value)
             return real(value, scale)
 
-        def scalings(k):
+        monkeypatch.setattr(stratavol.cumulants, "_scaled", counted)
+
+        def of(k):
             coeffs = {id(coeff) for _, coeff in f_top_expansion(k).terms}
             return sum(id(value) in coeffs for value in calls)
 
+        return calls, of
+
+    def test_each_generator_scaled_once_per_q(self, monkeypatch):
         keys = [(4, 3, 2), (3, 2, 2), (5, 3), (7, 5, 3)]
         want = self.cold([lambda key=key: c_const(key) for key in keys])
-        monkeypatch.setattr(stratavol.cumulants, "_scaled", counted)
+        held = clear_cumulant_memos()
+        calls, scalings = self.scalings(monkeypatch)
         terms = {k: len(f_top_expansion(k).terms) for k in range(2, 8)}
         # Q(8) for (4, 3, 2) and (5, 3), Q(6) for (3, 2, 2): one memo.
         assert c_const(keys[0]) == want[0]
         assert [scalings(k) for k in (4, 3, 2)] == [terms[4], terms[3], terms[2]]
-        first = stratavol.cumulants._wick_memo["memo"]
+        first = held()[1]
         calls.clear()
         assert c_const(keys[0]) == want[0] and calls == []
         assert c_const(keys[1]) == want[1]
         assert scalings(3) == scalings(2) == 0
         assert c_const(keys[2]) == want[2]
         assert scalings(5) == terms[5] and scalings(3) == 0
-        assert stratavol.cumulants._wick_memo["memo"] is first
-        # Q(14) holds 13, which Q(8) lacks: a fresh memo scales 3 and 5 again.
+        assert all(map(operator.is_, held()[1], first))
+        # Q(14) holds 13, which Q(8) lacks: fresh states scale 3 and 5 again.
         calls.clear()
         assert c_const(keys[3]) == want[3]
-        assert stratavol.cumulants._wick_memo["memo"] is not first
+        assert not any(map(operator.is_, held()[1], first))
         assert [scalings(k) for k in (7, 5, 3)] == [terms[7], terms[5], terms[3]]
-        assert set(first[5]) == {4, 3, 2, 5}
         clear_cumulant_memos()
 
-    def test_a_lone_group_keeps_no_type(self):
+    def test_a_lone_group_keeps_no_type(self, monkeypatch):
+        # A lone group's type is scaled on every call, so that the memo
+        # does not grow with one large generator; types of two groups or
+        # more are scaled once per Q.
         clear_cumulant_memos()
-        c_const((9,))
-        wick_leading([[4, 2]])
-        assert stratavol.cumulants._wick_memo["memo"][5] == {}
-        c_const((9, 2))
-        assert set(stratavol.cumulants._wick_memo["memo"][5]) == {9, 2}
+        calls, scalings = self.scalings(monkeypatch)
+        for _ in range(2):
+            c_const((9,))
+            assert scalings(9) == len(f_top_expansion(9).terms)
+            calls.clear()
+            wick_leading([[4, 2]])
+            assert len(calls) == 1
+            calls.clear()
+        c_const((9, 2, 2))
+        assert scalings(9) == len(f_top_expansion(9).terms) and scalings(2) == 1
+        calls.clear()
+        c_const((9, 2, 2))
+        assert calls == []
         clear_cumulant_memos()
 
-    def test_generator_and_group_types_keep_their_own_entries(self):
-        # Values in either order are checked by the test below.
+    def test_generator_and_group_types_keep_their_own_entries(self, monkeypatch):
+        # The group (3,) and the generator f_3 share the part 3 but are
+        # different types: each is scaled once, and neither call reads the
+        # other's terms.  Values in either order are checked by the test
+        # below.
+        want = self.cold([lambda: wick_leading([[3], [3]]).value,
+                          lambda: f_cumulant_leading((3, 3))])
         clear_cumulant_memos()
-        wick_leading([[3], [3]])
-        f_cumulant_leading((3, 3))
-        types = stratavol.cumulants._wick_memo["memo"][5]
-        assert set(types) == {3, (3,)}
-        assert types[(3,)][1:] == ([((3,), 1)], [(3, (), 1)])
-        assert len(types[3][1]) == len(f_top_expansion(3).terms) > 1
+        calls, scalings = self.scalings(monkeypatch)
+        assert wick_leading([[3], [3]]).value == want[0]
+        assert len(calls) == 1 and scalings(3) == 0
+        calls.clear()
+        assert f_cumulant_leading((3, 3)) == want[1]
+        assert len(calls) == scalings(3) == len(f_top_expansion(3).terms) > 1
+        calls.clear()
+        assert wick_leading([[3], [3]]).value == want[0] and f_cumulant_leading((3, 3)) == want[1]
+        assert calls == []
         clear_cumulant_memos()
 
     def test_wick_and_generator_calls_do_not_collide(self):
         # The group (3,) and the generator f_3 are different types with
-        # the same part 3; both kinds of call share the leaves only.
+        # the same part 3; both kinds of call share the block weights only.
         calls = [
             lambda: wick_leading([[3], [3]]).value,
             lambda: f_cumulant_leading((3, 3)),
@@ -453,7 +546,8 @@ class TestSharedWickMemo:
 
 class TestSetPartitionOracle:
     def test_agrees_up_to_seven_parts(self):
-        # The cumulant tree against one term per set partition.
+        # The Wick tree sum over one group per entry against one term per
+        # set partition.
         for key in keys_up_to(7, 14):
             got = stratavol.cumulants._cumulant_over_pi(key)
             assert got == cumulant_by_set_partitions(key), key
@@ -499,28 +593,22 @@ class TestCommonDenominator:
         clear_cumulant_memos()
 
     def test_wrong_denominator_raises_in_wick_sum(self, monkeypatch):
-        # The block (5, 1) closes with its cumulant 6! frak_z(6) = 31/21
-        # pi^6, and the blocks of c(6, 2) with cumulants whose denominators
-        # hold 7 as well; a common denominator without 7 refuses them.
-        # Both calls first run with the real Q, so every tree state they
-        # reach is kept at the real Q(8); then only the Wick memo is reset,
-        # so that the error can come only from rescaling a leaf to the
-        # Wick sum's Q.
+        # The sub-block (5, 1) closes with 6! frak_z(6) = 31/21 pi^6, and
+        # the sub-blocks of c(6, 2) with weights whose denominators hold 7
+        # as well; a common denominator without 7 refuses them where the
+        # Wick tree sum builds its block weights, whichever entry asks.
         real = stratavol.cumulants._common_denominator
         assert elementary_cumulant((5, 1)) == PiScalar(Fraction(31, 21), 6)
-        wick_leading([[5], [1]])
-        f_cumulant_leading((6, 2))
         monkeypatch.setattr(stratavol.cumulants, "_common_denominator",
                             lambda top: real(top) // 7 if real(top) % 7 == 0 else real(top))
         try:
-            for call in (lambda: wick_leading([[5], [1]]),
+            for call in (lambda: elementary_cumulant((5, 1)), lambda: wick_leading([[5], [1]]),
                          lambda: f_cumulant_leading((6, 2))):
-                stratavol.cumulants._wick_memo["memo"] = (1, {}, {}, {}, {}, {})
+                clear_cumulant_memos()
                 with pytest.raises(ArithmeticError, match="is not an integer") as caught:
                     call()
                 names = [entry.name for entry in caught.traceback]
-                assert "_wick_tree_sum" in names and "_tree_cumulant" in names, names
-                assert "_cumulant_over_pi" not in names and "_grow" not in names, names
+                assert "_wick_tree_sum" in names and "weight" in names, names
         finally:
             clear_cumulant_memos()
 
@@ -626,11 +714,12 @@ class TestWickLeading:
         def forbidden(*args, **kwargs):
             raise AssertionError("a cumulant or the tree sum was started")
 
-        for name in ("_common_denominator", "_cumulant_over_pi", "_tree_cumulant"):
+        for name in ("_common_denominator", "_cumulant_over_pi", "_wick_tree_sum"):
             monkeypatch.setattr(stratavol.cumulants, name, forbidden)
-        # One type each: the block keys (1^j) and (2^a 1^b) of up to 400
-        # and 40 parts make the cumulant tree the work.
-        for groups in ([[1]] * 400, [[2, 1]] * 40):
+        # One type each: 600 groups (1), whose sub-blocks hold up to 600
+        # parts, and 40 groups (2, 1), whose states' values carry Q 80
+        # times.
+        for groups in ([[1]] * 600, [[2, 1]] * 40):
             with pytest.raises(ResourceCapError):
                 wick_leading(groups)
 
@@ -699,6 +788,7 @@ class TestCConst:
             assert partition_count(k + 1) - partition_count(k) == len(terms), k
             assert steps[4] == partition_count(k + 1), k
             assert steps[5] == max(map(len, terms)), k
+            assert {(sum(lam) - len(lam)) % 2 for lam in terms} == {steps[6]}, k
             assert values == tuple(sorted({p for lam in terms for p in lam})), k
 
     def test_cap_checked_before_any_cumulant(self, monkeypatch):
@@ -706,24 +796,25 @@ class TestCConst:
             raise AssertionError("an expansion or a cumulant was computed")
 
         for name in ("elementary_cumulant", "_common_denominator", "_cumulant_over_pi",
-                     "_tree_cumulant", "f_top_expansion"):
+                     "_wick_tree_sum", "f_top_expansion"):
             monkeypatch.setattr(stratavol.cumulants, name, forbidden)
         # f_61 has 178,651 terms; 100 and 400 twos make blocks of up to
-        # 100 and 400 parts; 18 distinct generators make 2^36 sub-vector pairs.
-        for key in [(61,), (2,) * 100, (2,) * 400, tuple(range(2, 20))]:
+        # 100 and 400 parts; 19 distinct generators make 3^18 pairs of
+        # sub-vectors.
+        for key in [(61,), (2,) * 100, (2,) * 400, tuple(range(2, 21))]:
             with pytest.raises(ResourceCapError):
                 c_const(key)
 
     def test_wick_products_weighed_by_size(self, monkeypatch):
-        # The parts 1 and 3 of f_3's terms are odd, so its groups start no
-        # cumulant tree beyond the roots, but the Wick DP's values carry Q
-        # once per part.  Weighed by size, 33 groups are admitted (0.4 s
-        # cold with start-up) and 34 refused; unweighed, 61 were admitted
-        # and took 17.6 s.
+        # The terms of f_3 have even |lam| - len(lam), so its groups open
+        # no planted sub-block, but the DP's values carry Q once per part.
+        # Weighed by size, 34 groups are admitted (0.3 s cold with
+        # start-up) and 35 refused; unweighed, 61 were admitted and took
+        # 17.6 s.
         monkeypatch.setattr(stratavol.cumulants, "_wick_tree_sum", lambda *a: (0, 1))
-        c_const((3,) * 33)
+        c_const((3,) * 34)
         with pytest.raises(ResourceCapError):
-            c_const((3,) * 34)
+            c_const((3,) * 35)
 
     def test_cap_admits_genus_nine(self, monkeypatch):
         # The cap and the expansions run; the DP is stubbed out.
@@ -757,8 +848,9 @@ class TestPrice:
     counted by tracing the lines that make them."""
 
     @staticmethod
-    def _counted(monkeypatch, call) -> dict[str, int]:
-        clear_cumulant_memos()
+    def _counted(monkeypatch, call) -> tuple[dict[str, int], object]:
+        """The steps of ``call`` by kind, and ``held`` of its states."""
+        held = clear_cumulant_memos()
         stratavol.cumulants._common_denominator.cache_clear()
         stratavol.cumulants._denominator_factor.cache_clear()
         monkeypatch.setattr(stratavol.exact_arith, "_tangent_column", [1])
@@ -766,7 +858,7 @@ class TestPrice:
                             {0: Fraction(1), 1: Fraction(-1, 2), 2: Fraction(1, 6)})
         stratavol.exact_arith.frak_z.cache_clear()
         stratavol.exact_arith.frak_z_over_pi.cache_clear()
-        steps = {"dp": 0, "tree": 0, "series": 0, "bernoulli": 0}
+        steps = {"dp": 0, "series": 0, "bernoulli": 0}
 
         def products(pairs) -> int:
             return sum(1 + (a.bit_length() * b.bit_length() >> 20) for a, b in pairs)
@@ -780,24 +872,30 @@ class TestPrice:
 
         # (function, start of a line) -> (kind, steps the line makes); a
         # product or division of an a-bit and a b-bit integer makes
-        # 1 + a b / 2^20, from the sizes of the integers as they are.  The
-        # cumulant tree's own steps count as "tree": #u for each split
-        # walked (it builds the block's and the rest's keys) and each
-        # product of a weight or planted sum by a forest cell.
+        # 1 + a b / 2^20, from the sizes of the integers as they are.  A
+        # state read from the memo is a step; every product of two DP
+        # values is weighed.
         lines = {
-            ("_grow", "forests = _forests("): ("tree", lambda f: len(f["u"])),
-            ("_grow", "total += ways * sum("): ("tree", lambda f: 1 + products(
-                zip(f["row"], f["forests"]))),
-            ("_forests", "planted = ways * _planted("): ("tree", lambda f: len(f["u"])),
-            ("_forests", "out[i] += planted * cell"): ("tree", lambda f: products(
-                [(f["planted"], f["cell"])])),
-            ("_weights", "lift = "): ("series", lambda f: weighed(
-                factorial(f["size"]) * f["scale"] ** f["parts"],
-                f["top"] - f["first"] - 2 * len(f["row"]), f["top"] - f["stop"])),
-            ("dist", "b = blk(head, T)"): ("dp", lambda f: 1),
-            ("dist", "got = blk(head, S)"): ("dp", lambda f: 1),
+            ("dist", "b = sub_memo.get("): ("dp", lambda f: 1),
+            ("dist", "got += ways * b * d"): ("dp", lambda f: products([(f["b"], f["d"])])),
+            ("dist", "got = sub(head, S)"): ("dp", lambda f: 1),
             ("down", "d = dist(rest, R)"): ("dp", lambda f: 1),
-            ("blk", "grown = tuple("): ("dp", lambda f: 1),
+            ("down", "by_part[w] = "): ("dp", lambda f: products([(f["coeff"], f["d"])])),
+            ("kids", "own = down(T1)"): ("dp", lambda f: 1),
+            ("kids", "by_size[grown] = "): ("dp", lambda f: products([(f["d"], f["e"])])),
+            ("forests", "planted = sub(0, A)"): ("dp", lambda f: 1),
+            ("forests", "by_count[k + 1] = "): ("dp", lambda f: products(
+                [(f["planted"], f["cell"])])),
+            ("closed", "cells = list(map(add, "): ("dp", lambda f: products(
+                (f["e"], cell) for cell in f["own"])),
+            ("sub", "forest = forest_memo.get("): ("dp", lambda f: 1),
+            ("sub", "row = closed_memo.get("): ("dp", lambda f: 1),
+            ("sub", "got += ways * "): ("dp", lambda f: 1 + products(
+                (cell, f["row"][(f["d0"] + k) >> 1]) for k, cell in f["forest"])),
+            ("weight", "lift, top = "): ("series", lambda f: weighed(
+                factorial(f["s"]) * f["scale"] ** f["p"],
+                f["s"] - f["p"] + 2 - (f["s"] - f["p"]) % 2 - 2 * len(f["row"]),
+                f["s"] - f["p"] + 2 - (f["s"] - f["p"]) % 2 - 2 * (f["degree"] >> 1))),
             ("_wick_tree_sum", "if i == 0 or lam[i - 1] != w]"): ("dp", lambda f: 1),
             ("bernoulli", "nxt.append((k - j)"): ("bernoulli", lambda f: 2),
             ("_denominator_factor", "denominator = frak_z_over_pi(j)"):
@@ -822,7 +920,7 @@ class TestPrice:
             call()
         finally:
             sys.settrace(previous)
-        return steps
+        return steps, held
 
     @staticmethod
     def _parts(request):
@@ -832,12 +930,13 @@ class TestPrice:
         if kind == "cumulant":
             values = sorted(set(key))
             return ("cumulant", [(v,) for v in values], [key.count(v) for v in values],
-                    sum(key) - len(key) + 2, ())
+                    sum(key) - len(key) + 2, [(1, 1, 0, 1, 2, 1, (v - 1) % 2) for v in values])
         if kind == "wick":
             kinds = sorted(set(key))
             return ("Wick", [tuple(sorted(set(g))) for g in kinds], [key.count(g) for g in kinds],
                     2 + sum(key.count(g) * (g[0] - 1) for g in kinds),
-                    [(1, len(g), 0, len(set(g)), len(g) * (len(set(g)) + 1), len(g)) for g in kinds])
+                    [(1, len(g), 0, len(set(g)), len(g) * (len(set(g)) + 1), len(g),
+                      (sum(g) - len(g)) % 2) for g in kinds])
         kinds = sorted(set(key), reverse=True)
         return ("Wick", [(*range(1, k - 1), k) for k in kinds], [key.count(k) for k in kinds],
                 2 + sum(key.count(k) * (k - 1) for k in kinds),
@@ -848,7 +947,7 @@ class TestPrice:
         ("cconst", (5,) * 4), ("cconst", (3, 2) * 4), ("cconst", (4, 3, 2) * 2),
         ("cconst", (6, 5, 4, 3, 3)), ("cconst", (5, 4, 3, 2, 2, 2, 2)),
         ("cconst", (12,)), ("cconst", (20,)), ("cconst", (26,)),
-        # Three generator types whose parts meet in the block keys: f_5's
+        # Three generator types whose parts meet in the sub-blocks: f_5's
         # 1, 2, 3, 5, f_4's 1, 2, 4 and f_2's 2.
         pytest.param(("cconst", (5, 4, 4, 4, 2, 2, 2)), id="cconst-most-widenings"),
         ("wick", ((1,),) * 12), ("wick", ((2, 1),) * 6),
@@ -858,63 +957,74 @@ class TestPrice:
         ("cumulant", (90, 80, 70, 60, 50)), ("cumulant", (150,) * 5), ("cumulant", (300, 200)),
         ("cumulant", (40, 37, 34, 31, 28, 25, 22)),
         # Large equal and large distinct parts, each with an even number of
-        # even parts so that the tree runs: products of thousands of bits.
+        # even parts so that the sum does not vanish by parity: products
+        # of thousands of bits.
         ("cumulant", (100,) * 12), ("cumulant", (120, 119, 118, 117, 116, 115, 114)),
+        # One part per group, of both parities: the planted sums and their
+        # forest rows, which the price counts per pair of the parity that
+        # sums, take nearly all of the price by size.
+        ("cumulant", (4, 3, 2, 1) * 4),
     ], ids=lambda r: f"{r[0]}-{len(r[1])}-{r[1][0]}")
     def test_price_bounds_the_counted_steps(self, monkeypatch, request_):
         kind, key = request_
         call = {"cconst": lambda: c_const(key), "wick": lambda: wick_leading(key),
                 "cumulant": lambda: elementary_cumulant(key)}[kind]
-        counted = self._counted(monkeypatch, call)
+        counted, held = self._counted(monkeypatch, call)
         what, values, counts, top, dp = self._parts(request_)
+        vanishes = sum(c * d[6] for c, d in zip(counts, dp)) % 2
+        # A sum that vanishes by parity does no DP work.
+        assert bool(counted["dp"]) != bool(vanishes)
         # The sizes the price gives the integers it weighs, against the
-        # states just computed: Q has at most ``bits`` bits; a tree value
-        # at u carries Q once per entry, and a Wick DP value once per
-        # element of its groups' terms.
-        bits = 3 * top // 2 + 8
-        scale, _, planted, forests = stratavol.cumulants._tree_memo["memo"]
-        assert scale.bit_length() <= bits
-        for u, row in [*((u, [got]) for u, got in planted.items()), *forests.items()]:
-            assert max(abs(got) for got in row).bit_length() <= (
-                len(u) * bits + factorial(sum(u)).bit_length()), u
-        if dp:
-            size = sum(c * vs[-1] for vs, c in zip(values, counts))
-            most = sum(c * d[5] for c, d in zip(counts, dp)) * bits + size * size.bit_length()
-            for memo in stratavol.cumulants._wick_memo["memo"][1:5]:  # leaf, dist, down, blk
-                for got in memo.values():
-                    for _, value in got if isinstance(got, list) else [(None, got)]:
-                        assert abs(value).bit_length() <= most
+        # states just computed: Q has at most 3 top / 2 + 8 bits, and every
+        # integer held at most (n + 1) ``group`` bits for n groups.
+        scale, states = held()
+        size = sum(vs[-1] * c for vs, c in zip(values, counts))
+        group = (max(d[5] for d in dp) * (3 * top // 2 + 8)
+                 + max(vs[-1] for vs in values) * (size.bit_length() - 1) + size.bit_length())
+        assert scale.bit_length() <= 3 * top // 2 + 8 or vanishes
+        most = (sum(counts) + 1) * group
+        for got in (got for memo in states for got in memo.values()):
+            assert all(abs(value).bit_length() <= most for value in self._ints(got))
         if kind == "cconst":  # the expansions' parts, the terms, their scaling and the states' tags
             terms = [f_top_expansion(k).terms for k in sorted(set(key), reverse=True)]
             counted["dp"] += sum(len(lam) for t in terms for lam, _ in t) + len(terms[0])
             counted["dp"] += sum(map(len, terms)) + prod(c + 1 for c in counts)
         elif kind == "wick":
             counted["dp"] += 1 + len(counts) + prod(c + 1 for c in counts)
-        # The price by the closed-form bound, then with the tree's states
-        # listed: their term bounds the tree's steps, and the rest of the
-        # price, listing no state's steps, all else.  A cumulant that
-        # vanishes by parity starts no tree.
+        # The price with every size at its largest, and by size, which a
+        # cap just below the first forces (the price then, or its refusal,
+        # gives it) unless building the tables would cost more than the
+        # cap leaves, as for requests priced under 10^4: each bounds the
+        # steps.
         monkeypatch.setattr(stratavol.cumulants, "WICK_WORK_CAP", 10**30)
-        bound = listed = rest = stratavol.cumulants._check_work(what, values, counts, top, dp)
-        if kind != "cumulant" or (sum(key) - len(key)) % 2 == 0:
-            monkeypatch.setattr(stratavol.cumulants, "WICK_WORK_CAP", bound - 1)
-            listed = stratavol.cumulants._check_work(what, values, counts, top, dp)
-            monkeypatch.setattr(stratavol.cumulants, "_state_steps", lambda u, bits: (0, 0))
-            rest = stratavol.cumulants._check_work(what, values, counts, top, dp)
-            assert listed < bound
-        assert counted["tree"] <= listed - rest
-        assert counted["tree"] or (kind == "cumulant" and (sum(key) - len(key)) % 2)
-        assert counted["dp"] + counted["series"] + counted["bernoulli"] <= rest
+        largest = stratavol.cumulants._check_work(what, values, counts, top, dp)
+        monkeypatch.setattr(stratavol.cumulants, "WICK_WORK_CAP", largest - 1)
+        try:
+            by_size = stratavol.cumulants._check_work(what, values, counts, top, dp)
+        except ResourceCapError as refused:
+            by_size = int(str(refused).split()[5])
+        total = counted["dp"] + counted["series"] + counted["bernoulli"]
+        assert total <= min(by_size, largest), (counted, by_size, largest)
+        assert by_size < largest or vanishes or largest < 10**4, (by_size, largest)
+
+    @classmethod
+    def _ints(cls, value):
+        """The integers in a held value, however nested."""
+        if isinstance(value, int):
+            yield value
+        elif isinstance(value, (tuple, list)):
+            for item in value:
+                yield from cls._ints(item)
 
     def test_price_lists_no_state_through_genus_nine(self, monkeypatch):
-        # The closed form prices every stratum of genus 2-9, also those of
-        # the simple route as --cross-check prices them, so a volume table
-        # of genus <= 6 pays only that: listing a stratum's states costs
-        # tens of times as much.
+        # The closed form, with every size at its largest, prices every
+        # stratum of genus 2-9, also those of the simple route as
+        # --cross-check prices them, so a volume table of genus <= 6 pays
+        # only that: pricing by size costs many times as much.
         def forbidden(*args):
-            raise AssertionError("the price listed the cumulant tree's states")
+            raise AssertionError("the price summed the states by size")
 
-        monkeypatch.setattr(stratavol.cumulants, "_state_steps", forbidden)
+        monkeypatch.setattr(stratavol.cumulants, "_by_size", forbidden)
         for genus in range(2, 10):
             for mu in enum_int_partitions(2 * genus - 2):
                 key = sorted((p + 1 for p in mu), reverse=True)
@@ -935,7 +1045,7 @@ class TestPrice:
                         kinds, [key.count(k) for k in kinds])
                     digest.update(f"{key} {price}\n".encode())
         assert digest.hexdigest() == (
-            "19bb4e130c224667c1919cec0d1b8b15704f5ddfd674310f9d1ae529e61cec72")
+            "0aa0550795b1f3cddfe19ab028783f26234f73e89506d1194ac698b527d447c1")
 
 
 class TestCSimple:
@@ -1003,27 +1113,22 @@ class TestVolume:
     def test_held_stratum_computes_no_state(self, monkeypatch):
         # The benchmark's volume table: the strata of genus 2-5, and those
         # of genus 6 with at most four zeros.  Asked again at once, each
-        # reads its states: no cumulant tree runs and no memo dict grows.
+        # reads its states: no split is walked and no memo dict grows.
         strata = [mu for genus in range(2, 7) for mu in enum_int_partitions(2 * genus - 2)
                   if genus < 6 or len(mu) <= 4]
         assert len(strata) == 63
 
         def forbidden(*args):
-            raise AssertionError("a held stratum computed a cumulant tree state")
+            raise AssertionError("a held stratum computed a state")
 
-        def sizes():
-            return [[len(d) for d in memo["memo"][1:]] for memo in
-                    (stratavol.cumulants._wick_memo, stratavol.cumulants._tree_memo)]
-
-        clear_cumulant_memos()
+        held = clear_cumulant_memos()
         try:
             for mu in strata:
-                want, held = volume(mu), sizes()
+                want, grown = volume(mu), entries(held)
                 with monkeypatch.context() as patch:
-                    for name in ("_tree_cumulant", "_grow"):
-                        patch.setattr(stratavol.cumulants, name, forbidden)
+                    patch.setattr(stratavol.cumulants, "vector_splits", forbidden)
                     assert volume(mu) == want, mu
-                assert sizes() == held, mu
+                assert entries(held) == grown, mu
         finally:
             clear_cumulant_memos()
 
