@@ -45,6 +45,13 @@ FOREST_ORACLE_CAP = 5
 # admitted requests, `cumulant 1000,996`, 92 2s and 31, 30, ..., 20, take 1.0-1.4 s
 # cold (2-core Xeon, Python 3.11); every stratum to genus 14 is admitted.
 WICK_WORK_CAP = 2 * 10**6
+# Small keys are admitted without pricing them: at any cap at least its pin, every
+# generator key of reach |m| - l(m) + 2 <= 20 (every stratum to genus 10) is priced
+# (``_check_work``) at most GENERATOR_PRICE_PIN, and every cumulant key of |m| <= 20 at
+# most CUMULANT_PRICE_PIN.  While WICK_WORK_CAP is at least the pin, such keys skip the
+# price.  The tests price every key of both boxes, so a pin follows the price.
+GENERATOR_PRICE_PIN = 395_387
+CUMULANT_PRICE_PIN = 21_972
 # Most partitions p(0) + ... + p((n + 2) / 2) (``check_partition_work``)
 # that c_simple(n), or a simple-table up to n, may be sized by: n up to
 # 63.  On a 2-core Xeon with Python 3.11, the slowest admitted request,
@@ -70,11 +77,13 @@ def elementary_cumulant(m) -> PiScalar:
 
     which is the Wick tree sum over one group per entry (``_wick_tree_sum``).  Every
     term carries pi^(|m| - n + 2), so the sum is a rational; its price is checked
-    (``_check_work``) first.
+    (``_check_work``) first, unless |m| <= 20 and WICK_WORK_CAP is at least
+    CUMULANT_PRICE_PIN, the most any such key is priced at.
     """
     key = _canon_key(m)
     kinds, top = [(v,) for v in sorted(set(key))], sum(key) - len(key) + 2
-    _check_work("cumulant", *_group_figures(kinds, [key.count(v) for (v,) in kinds], top))
+    if sum(key) > 20 or WICK_WORK_CAP < CUMULANT_PRICE_PIN:
+        _check_work("cumulant", *_group_figures(kinds, [key.count(v) for (v,) in kinds], top))
     return PiScalar(_cumulant_over_pi(key), top)
 
 
@@ -671,12 +680,15 @@ def f_cumulant_leading(m) -> PiScalar:
 
 
 def _generator_sum(key: tuple[int, ...], divisor: int) -> PiScalar:
-    """f_cumulant_leading(key) / divisor for a sorted key, as one Fraction."""
+    """f_cumulant_leading(key) / divisor for a sorted key, as one Fraction.  Its price
+    (``check_generator_work``) is checked first, unless the reach is at most 20 and
+    WICK_WORK_CAP is at least GENERATOR_PRICE_PIN, the most any such key is priced at."""
     if key[-1] < 2:
         raise DomainError("generator indices must be >= 2")
     kinds = sorted(set(key), reverse=True)
     counts, reach = tuple(map(key.count, kinds)), sum(key) - len(key) + 2  # f_k's top part is k
-    check_generator_work(kinds, counts)
+    if reach > 20 or WICK_WORK_CAP < GENERATOR_PRICE_PIN:
+        check_generator_work(kinds, counts)
     if (sum(key) + len(key)) % 2:  # every term of f_k has |lam| - len(lam) of k + 1's parity
         return PiScalar(Fraction(0), reach)
     types = [f_top_expansion(k).terms for k in kinds]

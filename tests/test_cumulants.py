@@ -6,6 +6,7 @@ import operator
 import random
 import sys
 import threading
+import types
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from math import factorial, prod
@@ -859,6 +860,31 @@ class TestPrice:
         stratavol.exact_arith.frak_z.cache_clear()
         stratavol.exact_arith.frak_z_over_pi.cache_clear()
         steps = {"dp": 0, "series": 0, "bernoulli": 0}
+        lines = TestPrice._lines()
+        names = {name for name, _ in lines}
+
+        def local(frame, event, arg):
+            if event == "line":
+                text = linecache.getline(frame.f_code.co_filename, frame.f_lineno).strip()
+                for (name, start), (kind, count) in lines.items():
+                    if name == frame.f_code.co_name and text.startswith(start):
+                        steps[kind] += count(frame.f_locals)
+            return local
+
+        def tracer(frame, event, arg):
+            return local if frame.f_code.co_name in names else None
+
+        previous = sys.gettrace()
+        sys.settrace(tracer)
+        try:
+            call()
+        finally:
+            sys.settrace(previous)
+        return steps, held
+
+    @staticmethod
+    def _lines() -> dict:
+        """The lines that ``_counted`` traces."""
 
         def products(pairs) -> int:
             return sum(1 + (a.bit_length() * b.bit_length() >> 20) for a, b in pairs)
@@ -875,7 +901,7 @@ class TestPrice:
         # 1 + a b / 2^20, from the sizes of the integers as they are.  A
         # state read from the memo is a step; every product of two DP
         # values is weighed.
-        lines = {
+        return {
             ("dist", "b = sub_memo.get("): ("dp", lambda f: 1),
             ("dist", "got += ways * b * d"): ("dp", lambda f: products([(f["b"], f["d"])])),
             ("dist", "got = sub(head, S)"): ("dp", lambda f: 1),
@@ -901,26 +927,24 @@ class TestPrice:
             ("_denominator_factor", "denominator = frak_z_over_pi(j)"):
                 ("bernoulli", lambda f: f["j"] - 2),
         }
-        names = {name for name, _ in lines}
 
-        def local(frame, event, arg):
-            if event == "line":
-                text = linecache.getline(frame.f_code.co_filename, frame.f_lineno).strip()
-                for (name, start), (kind, count) in lines.items():
-                    if name == frame.f_code.co_name and text.startswith(start):
-                        steps[kind] += count(frame.f_locals)
-            return local
-
-        def tracer(frame, event, arg):
-            return local if frame.f_code.co_name in names else None
-
-        previous = sys.gettrace()
-        sys.settrace(tracer)
-        try:
-            call()
-        finally:
-            sys.settrace(previous)
-        return steps, held
+    def test_counted_lines_are_in_the_source(self):
+        # ``_counted`` adds a line's steps only if the line starts with its
+        # pattern, so a line rewritten without it would drop out of the
+        # count unseen: each pattern must start a line that a function of
+        # its name runs, in cumulants.py or exact_arith.py.
+        run = set()
+        for module in (stratavol.cumulants, stratavol.exact_arith):
+            source = Path(module.__file__).read_text()
+            text, codes = source.splitlines(), [compile(source, module.__file__, "exec")]
+            while codes:
+                code = codes.pop()
+                codes += [c for c in code.co_consts if isinstance(c, types.CodeType)]
+                run |= {(code.co_name, text[line - 1].strip())
+                        for _, _, line in code.co_lines() if line}
+        missing = [(name, start) for name, start in self._lines()
+                   if not any(n == name and line.startswith(start) for n, line in run)]
+        assert not missing
 
     @staticmethod
     def _parts(request):
@@ -1019,8 +1043,10 @@ class TestPrice:
     def test_price_lists_no_state_through_genus_nine(self, monkeypatch):
         # The closed form, with every size at its largest, prices every
         # stratum of genus 2-9, also those of the simple route as
-        # --cross-check prices them, so a volume table of genus <= 6 pays
-        # only that: pricing by size costs many times as much.
+        # --cross-check prices them: pricing by size costs many times as
+        # much.  At the default cap no stratum to genus 10 is priced at all
+        # (``cumulants.GENERATOR_PRICE_PIN``); this is what their price
+        # costs under a cap below that pin, and for ``fk``.
         def forbidden(*args):
             raise AssertionError("the price summed the states by size")
 
@@ -1046,6 +1072,71 @@ class TestPrice:
                     digest.update(f"{key} {price}\n".encode())
         assert digest.hexdigest() == (
             "0aa0550795b1f3cddfe19ab028783f26234f73e89506d1194ac698b527d447c1")
+
+    def test_pins_are_the_largest_prices_of_their_boxes(self, monkeypatch):
+        # Every generator key of reach |m| - l(m) + 2 <= 20 (entries >= 2)
+        # and every cumulant key of |m| <= 20, priced at the default cap and
+        # at a cap equal to its pin: none is refused and the largest price
+        # is the pin.  A key is admitted when its first sum fits the cap, or
+        # its sum by size and the cost of its tables do, so admission only
+        # grows with the cap: every key of a box is admitted at any cap at
+        # least its pin, which is when it is admitted unpriced.
+        generators = [("cconst", tuple(p + 1 for p in mu))
+                      for size in range(1, 19) for mu in enum_int_partitions(size)]
+        cumulants = [("cumulant", tuple(mu))
+                     for size in range(1, 21) for mu in enum_int_partitions(size)]
+        assert (len(generators), len(cumulants)) == (1596, 2713)
+        for box, pin in ((generators, stratavol.cumulants.GENERATOR_PRICE_PIN),
+                         (cumulants, stratavol.cumulants.CUMULANT_PRICE_PIN)):
+            for cap in (stratavol.cumulants.WICK_WORK_CAP, pin):
+                monkeypatch.setattr(stratavol.cumulants, "WICK_WORK_CAP", cap)
+                prices = [stratavol.cumulants._check_work(*self._parts(r)) for r in box]
+                assert max(prices) == pin, cap
+
+    @staticmethod
+    def _priced(monkeypatch) -> list[str]:
+        """The requests priced from now on, by ``_check_work``'s first argument."""
+        priced, price = [], stratavol.cumulants._check_work
+
+        def counted(what, *figures):
+            priced.append(what)
+            return price(what, *figures)
+
+        monkeypatch.setattr(stratavol.cumulants, "_check_work", counted)
+        return priced
+
+    def test_a_cap_below_a_pin_prices_again(self, monkeypatch):
+        want = c_const((3, 3)), elementary_cumulant((2, 2))
+        priced = self._priced(monkeypatch)
+        assert (c_const((3, 3)), elementary_cumulant((2, 2))) == want
+        assert priced == []
+        pins = stratavol.cumulants.GENERATOR_PRICE_PIN, stratavol.cumulants.CUMULANT_PRICE_PIN
+        monkeypatch.setattr(stratavol.cumulants, "WICK_WORK_CAP", pins[0] - 1)
+        assert (c_const((3, 3)), elementary_cumulant((2, 2))) == want
+        assert priced == ["Wick tree sum"]
+        monkeypatch.setattr(stratavol.cumulants, "WICK_WORK_CAP", pins[1] - 1)
+        assert (c_const((3, 3)), elementary_cumulant((2, 2))) == want
+        assert priced == ["Wick tree sum"] * 2 + ["cumulant"]
+        monkeypatch.setattr(stratavol.cumulants, "WICK_WORK_CAP", 1)
+        with pytest.raises(ResourceCapError):
+            c_const((3, 3))
+        with pytest.raises(ResourceCapError):
+            elementary_cumulant((2, 2))
+
+    def test_keys_past_the_boxes_are_priced(self, monkeypatch):
+        # Reach 20 and |m| = 20 are the boxes' edges; reach 21 (which
+        # vanishes by parity after its price) and |m| = 21 are past them,
+        # also through volume at genus 11.
+        priced = self._priced(monkeypatch)
+        c_const((19,))
+        c_const((10, 10))
+        elementary_cumulant((11, 9))
+        volume((18,))
+        assert priced == []
+        assert c_const((20,)).is_zero() and c_const((11, 10)).is_zero()
+        elementary_cumulant((11, 10))
+        volume((20,))
+        assert priced == ["Wick tree sum"] * 2 + ["cumulant", "Wick tree sum"]
 
 
 class TestCSimple:

@@ -29,6 +29,7 @@ from pathlib import Path
 
 import pytest
 
+import stratavol.cumulants
 from stratavol.coverings import cov_connected_series, cov_d
 from stratavol.cumulants import volume
 from stratavol.exact_arith import PiScalar
@@ -110,6 +111,21 @@ def test_golden_genus_10_table_is_every_stratum():
 
 def test_golden_genus_10_volumes_exact():
     for row in GENUS_10:
+        result = volume(row["mu"])
+        assert result.volume.as_json_dict() == row["volume"], row["mu"]
+        assert result.c_const.as_json_dict() == row["c"], row["mu"]
+
+
+def test_golden_genus_2_to_8_volumes_unpriced(monkeypatch):
+    # At the default cap no stratum to genus 10 is priced
+    # (``cumulants.GENERATOR_PRICE_PIN``): with both price routines made to
+    # raise, every stratum of genus 2-8 still equals its table.
+    def priced(*args):
+        raise AssertionError(f"priced {args}")
+
+    monkeypatch.setattr(stratavol.cumulants, "check_generator_work", priced)
+    monkeypatch.setattr(stratavol.cumulants, "_check_work", priced)
+    for row in ROWS + GENUS_7 + GENUS_8:
         result = volume(row["mu"])
         assert result.volume.as_json_dict() == row["volume"], row["mu"]
         assert result.c_const.as_json_dict() == row["c"], row["mu"]
