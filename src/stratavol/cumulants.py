@@ -301,7 +301,7 @@ def _state_work(values, below, top: int, dp, size: int, room: int) -> int:
     """The steps of ``_wick_tree_sum``'s states over the groups ``below`` the root
     (``size``: the largest block's part sum).  Per pair T + R = S <= below, t = |T|,
     r = |R| and o odd groups in R: forests(R) has <= (o + 1) // 2 cells (1 at R = 0);
-    kids(T) has <= prod_h roots[h][T_h] entries (``_pair_tables``), and <= sum_p (p
+    kids(T) has <= prod_h roots[h][T_h] entries (``_pair_table``), and <= sum_p (p
     spread + 1) for its p <= t element children of parts ``spread`` apart; ``sub``
     per part w opening a sub-block (or planted, w = 0) and pair whose S has its
     parity (w - 1 + pi(S) even; with no branchy type only the root's part opens one,
@@ -313,14 +313,17 @@ def _state_work(values, below, top: int, dp, size: int, room: int) -> int:
     row of <= (o' + 1) // 2 + 1 for the o' odd groups not in T.  A value over t groups
     has <= t ``group`` bits: Q per element and its blocks' factorials, log2 s! <= s
     (bitlen(s) - 1) + bitlen(s).  Summed with (t, r, o) at the largest (r at 0 if no
-    group has odd parity), then by size if that is over ``room``."""
+    group has odd parity), then, if that is over ``room``, by size: one loop over every
+    pair and one over those whose T holds S's first group (``_pairs_by_size``)."""
     most, openers, tuples, entries, states = max(map(itemgetter(5), dp)), set(), 0, 0, 1
     branchy, n, e, cost, table, pairs, kid_rows, closed_rows = most > 1, 0, 0, 0, 1, 1, 1, 1
     for h, (vs, c, d) in enumerate(zip(values, below, dp)):
         if h == 0 or d[5] > 1:
             openers.update(vs)
             tuples += d[4]
-        entries, cost = entries + d[3], cost + 8 * table  # by size: ~8 products of tables
+        # by size: 8 steps per step of a product, though the pass takes 2 (one per running
+        # product); kept, since it decides which keys are priced by size
+        entries, cost = entries + d[3], cost + 8 * table
         if not c:  # its only pair, T = R = 0, changes no sum
             continue
         _, both, rows, kid = _pair_sums(c, len(vs), vs[-1] - vs[0], branchy)
@@ -349,33 +352,28 @@ def _state_work(values, below, top: int, dp, size: int, room: int) -> int:
         return 3 + rows * product(r, t + 1) if rows else 1
 
     work = states + (states - 1) * entries * product(n, n) * branchy
-    tables = [_pair_tables(c, len(vs), vs[-1] - vs[0], d[6], branchy)
-              for vs, c, d in zip(values, below, dp)]
-    signed, odd_heads = _by_size(f["by S"] for f in tables), sum(w % 2 for w in openers)
-    every = _by_size(f["pairs"] for f in tables)
-    for (t, r, o), k in every.items():
-        even = (k + signed.get((t, r, o), 0)) // 2  # pairs whose S has even parity
+    every, lead = _pairs_by_size(values, below, dp, branchy)
+    odd_heads = sum(w % 2 for w in openers)
+    spread = max(map(itemgetter(-1), values)) - min(map(itemgetter(0), values))
+    for (t, r, o), (k, signed, closed) in every.items():
+        even = (k + signed) // 2  # pairs whose S has even parity
         subs = (odd_heads * even + (heads - odd_heads) * (k - even) if branchy
                 else k - even + k * (t + r == n))
-        work += subs * opened(t, r, o) + tuples * k * (1 + product(t + 1, r)) * (t + r > 0)
-    odds = _leading([f["by T"] for f in tables])
-    for (t, r, o), k in _leading([f["pairs"] for f in tables]).items():  # by forest row
-        odd = (k - odds.get((t, r, o), 0)) // 2  # pairs whose T has odd parity
-        work += k + odd * ((o + 1) // 2 if r else 1) * product(t, r)
-    spread = max(map(itemgetter(-1), values)) - min(map(itemgetter(0), values))
-    for (t, r, o), k in _by_size(f["closed"] for f in tables).items():
-        k = min(k, every[t, r, o] * (t + 1) * (spread * t + 2) // 2)
-        work += k * (heads * ((o + 1) // 2 + 1) * product(t, t + 1)
-                     + (not branchy) * parts * opened(t, r, o))
-    for (t, r, o), k in _leading([f["kids"] for f in tables]).items():
-        k = min(k, every[t, r, o] * (r + 1) * (spread * r + 2) // 2)
-        work += k * (parts * product(t, r) if branchy else product(1, t))
+        closed = min(closed, k * (t + 1) * (spread * t + 2) // 2)
+        work += (subs * opened(t, r, o) + tuples * k * (1 + product(t + 1, r)) * (t + r > 0)
+                 + closed * (heads * ((o + 1) // 2 + 1) * product(t, t + 1)
+                             + (not branchy) * parts * opened(t, r, o)))
+    for (t, r, o), (k, signed, kids) in lead.items():  # T holds S's first group
+        odd = (k - signed) // 2  # pairs whose T has odd parity
+        kids = min(kids, every[t, r, o][0] * (r + 1) * (spread * r + 2) // 2)
+        work += (k + odd * ((o + 1) // 2 if r else 1) * product(t, r)
+                 + kids * (parts * product(t, r) if branchy else product(1, t)))
     return work
 
 
 @lru_cache(maxsize=None)
 def _pair_sums(c: int, v: int, spread: int, branchy: bool) -> tuple:
-    """roots[r] of ``_pair_tables`` for parts of v values ``spread`` apart, the number
+    """roots[r] of ``_pair_table`` for parts of v values ``spread`` apart, the number
     of pairs t + r <= c, and its "closed" and "kids" entries summed over them."""
     roots = [min(comb(r + v - 1, r), r * spread + 1) for r in range(c + 1)]
     roots = list(accumulate(roots)) if branchy else roots
@@ -384,44 +382,42 @@ def _pair_sums(c: int, v: int, spread: int, branchy: bool) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _pair_tables(c: int, v: int, spread: int, pi: int, branchy: bool) -> dict:
+def _pair_table(c: int, v: int, spread: int, pi: int, branchy: bool) -> dict:
     """A type's pairs t + r <= c of groups whose parts take v values ``spread`` apart, at
-    (t, r, pi r), as tables {(t, r, o): weight}: "pairs" one each, "by S" and "by T"
-    signed by the parity of S and of T, "kids" the entries of kids(T + R) and "closed"
-    those of kids(T) at t + r = c (``_pair_sums``' counts of (sum, count) pairs)."""
-    roots, tables = _pair_sums(c, v, spread, branchy)[0], {}
+    (t, r, pi r), each with two weight triples (count, sign, entries): "own" for every
+    pair, (1, the sign of S's parity, the "closed" entries of kids(T) at t + r = c), and
+    "first" for the pair that holds S's first group, (1, the sign of T's parity, the
+    "kids" entries of kids(T + R)), counted as ``_pair_sums``' (sum, count) pairs."""
+    roots, table = _pair_sums(c, v, spread, branchy)[0], {}
     for s in range(c + 1):
         for t in range(s + 1):
             kids = roots[s - t] if branchy else roots[t] * (s == t)
-            for name, k in (("pairs", 1), ("by S", (-1) ** (pi * s)), ("by T", (-1) ** (pi * t)),
-                            ("kids", kids), ("closed", roots[t] * (s == c))):
-                if k:
-                    tables.setdefault(name, {})[t, s - t, pi * (s - t)] = k
-    return tables
-
-
-def _leading(tables) -> dict[tuple[int, int, int], int]:
-    """The pairs whose T holds S's first group, by the totals: per type, its pairs with t
-    >= 1 times every pair of the types after it."""
-    got, suffix = {}, {(0, 0, 0): 1}
-    for table in reversed(tables):
-        for key, k in _by_size([{at: k for at, k in table.items() if at[0]}, suffix]).items():
-            got[key] = got.get(key, 0) + k
-        suffix = _by_size([table, suffix])
-    return got
-
-
-def _by_size(factors) -> dict[tuple[int, int, int], int]:
-    """The product of per-type tables {(t, r, o): weight}, by the totals."""
-    table = {(0, 0, 0): 1}
-    for factor in factors:
-        grown: dict[tuple[int, int, int], int] = {}
-        for key, k in table.items():
-            for more, m in factor.items():
-                at = (key[0] + more[0], key[1] + more[1], key[2] + more[2])
-                grown[at] = grown.get(at, 0) + k * m
-        table = grown
+            table[t, s - t, pi * (s - t)] = ((1, (-1) ** (pi * s), roots[t] * (s == c)),
+                                             (1, (-1) ** (pi * t), kids))
     return table
+
+
+def _pairs_by_size(values, below, dp, branchy: bool) -> tuple[dict, dict]:
+    """The pairs T + R = S <= below by size (t, r, o), each with its weight triples
+    (``_pair_table``) multiplied over the types and summed: ``every`` pair, and the
+    pairs whose T holds S's first group (``lead``), which is in the first type with
+    groups in S.  One pass over the types: every <- every * own, and lead <- lead *
+    first + this type's pairs with t >= 1 (the types before it have none in S)."""
+    every, lead = {(0, 0, 0): (1, 1, 1)}, {}
+    for vs, c, d in zip(values, below, dp):
+        if not c:  # its only pair, T = R = 0, changes no sum
+            continue
+        table = _pair_table(c, len(vs), vs[-1] - vs[0], d[6], branchy)
+        grown = {}, {at: weights[1] for at, weights in table.items() if at[0]}
+        for side, (got, new) in enumerate(zip((every, lead), grown)):
+            for (t, r, o), (k, sign, e) in got.items():
+                for (t1, r1, o1), weights in table.items():
+                    _, sign1, e1 = weights[side]
+                    at = (t + t1, r + r1, o + o1)
+                    was = new.get(at, (0, 0, 0))
+                    new[at] = (was[0] + k, was[1] + sign * sign1, was[2] + e * e1)
+        every, lead = grown
+    return every, lead
 
 
 def _fresh_states(scale: int) -> tuple:
@@ -700,20 +696,21 @@ def check_generator_work(kinds, counts) -> int:
     """The price of the Wick tree sum over counts[i] groups of f_k, k =
     kinds[i] >= 2 decreasing, whose terms are partitions of k + 1 without
     a part 1, less 1 in each part."""
-    values, steps = zip(*map(_generator_figures, kinds))
+    values, steps = zip(*(_generator_figures(k, WICK_WORK_CAP) for k in kinds))
     return _check_work("Wick tree sum", values, counts,
                        2 + sum(map(mul, counts, kinds)) - sum(counts), steps)
 
 
 @lru_cache(maxsize=None)
-def _generator_figures(k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _generator_figures(k: int, cap: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """f_k's figures for ``_check_work``: the parts of its terms, increasing (1 to k - 2, and
     k), and from partition counts p, q(i) = p(i) - p(i - 1): q(k + 1) terms, q(k + 1 - jr)
     with r parts j, p(k - 1) entries, p(k + 1) tuples, at most (k + 1) // 2 parts in one,
-    and |lam| - len(lam) = k + 1 - 2 len(lam) of the parity of k + 1."""
-    values, p = (*range(1, k - 1), k), partition_counts(k + 1, WICK_WORK_CAP)
+    and |lam| - len(lam) = k + 1 - 2 len(lam) of the parity of k + 1.  Over the work cap
+    ``cap``, a stand-in over it: the memo is keyed on the cap, which the stand-in holds."""
+    values, p = (*range(1, k - 1), k), partition_counts(k + 1, cap)
     if len(p) <= k + 1:
-        return values, (0, 0, 0, 0, WICK_WORK_CAP + 1, 0, 0)
+        return values, (0, 0, 0, 0, cap + 1, 0, 0)
     q = [1] + [p[i] - p[i - 1] for i in range(1, k + 2)]
     parts = sum(q[k + 1 - j * r] for j in range(2, k + 2) for r in range(1, (k + 1) // j + 1))
     return values, (q[k + 1], parts, parts, p[k - 1], p[k + 1], (k + 1) // 2, (k + 1) % 2)

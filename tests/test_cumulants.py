@@ -783,7 +783,8 @@ class TestCConst:
         # their parts and the longest term's length from k alone.
         for k in range(2, 31):
             terms = [lam for lam, _ in f_top_expansion(k).terms]
-            values, steps = stratavol.cumulants._generator_figures(k)
+            values, steps = stratavol.cumulants._generator_figures(
+                k, stratavol.cumulants.WICK_WORK_CAP)
             assert steps[:4] == (len(terms), sum(map(len, terms)), sum(map(len, terms)),
                                  sum(len(set(lam)) for lam in terms)), k
             assert partition_count(k + 1) - partition_count(k) == len(terms), k
@@ -964,7 +965,8 @@ class TestPrice:
         kinds = sorted(set(key), reverse=True)
         return ("Wick", [(*range(1, k - 1), k) for k in kinds], [key.count(k) for k in kinds],
                 2 + sum(key.count(k) * (k - 1) for k in kinds),
-                [stratavol.cumulants._generator_figures(k)[1] for k in kinds])
+                [stratavol.cumulants._generator_figures(k, stratavol.cumulants.WICK_WORK_CAP)[1]
+                 for k in kinds])
 
     @pytest.mark.parametrize("request_", [
         ("cconst", (2,) * 12), ("cconst", (3,) * 8), ("cconst", (4,) * 6),
@@ -1031,6 +1033,59 @@ class TestPrice:
         assert total <= min(by_size, largest), (counted, by_size, largest)
         assert by_size < largest or vanishes or largest < 10**4, (by_size, largest)
 
+    @pytest.mark.parametrize("request_", [
+        ("cumulant", (2,) * 5), ("cumulant", (3, 2, 2, 1)), ("cumulant", (4, 4, 3, 3, 2, 1)),
+        ("cconst", (3,) * 5), ("cconst", (4, 4, 2)), ("cconst", (5, 4, 4, 3, 3, 2)),
+        ("wick", ((2, 2),) * 3 + ((1,),) * 4),
+        ("wick", ((2, 1),) * 2 + ((1,),) * 2 + ((3,),) + ((3, 1, 1),) * 2),
+    ], ids=lambda r: f"{r[0]}-{len(r[1])}-{r[1][0]}")
+    def test_pairs_by_size_match_their_listing(self, request_):
+        # The price by size reads two products over the types
+        # (``_pairs_by_size``); here every pair T + R = S <= below is listed
+        # directly and weighed per type from ``_pair_sums``' roots.  Every
+        # pair: one, the sign of S's parity, and at S = below the entries
+        # of kids(T).  A pair whose T holds S's first group: one, the sign
+        # of T's parity, and the entries of kids(R) (of kids(T) at R = 0
+        # with no branchy type).  One to four types, of both parities.
+        _, values, counts, _, dp = self._parts(request_)
+        below, parity = (counts[0] - 1, *counts[1:]), [d[6] for d in dp]
+        branchy = max(d[5] for d in dp) > 1
+        roots = [stratavol.cumulants._pair_sums(c, len(vs), vs[-1] - vs[0], branchy)[0]
+                 for vs, c in zip(values, below)]
+        every, lead = {}, {}
+
+        def add(table, at, weights):
+            table[at] = tuple(map(operator.add, table.get(at, (0, 0, 0)), weights))
+
+        for S in product(*(range(c + 1) for c in below)):
+            for T in product(*(range(s + 1) for s in S)):
+                R = [s - t for s, t in zip(S, T)]
+                at = (sum(T), sum(R), sum(map(operator.mul, parity, R)))
+                closed = prod(root[t] * (s == c) for root, t, s, c in zip(roots, T, S, below))
+                add(every, at, (1, (-1) ** sum(map(operator.mul, parity, S)), closed))
+                if any(S) and T[next(h for h, s in enumerate(S) if s)]:
+                    kids = prod(root[r] if branchy else root[t] * (not r)
+                                for root, t, r in zip(roots, T, R))
+                    add(lead, at, (1, (-1) ** sum(map(operator.mul, parity, T)), kids))
+        assert stratavol.cumulants._pairs_by_size(values, below, dp, branchy) == (every, lead)
+
+    def test_a_lowered_cap_leaves_no_figures_behind(self, monkeypatch):
+        # Under a cap of 1,000, p(62) is not counted and f_61's figures are a
+        # stand-in over that cap (with the partition counts started afresh,
+        # as in a new process).  Once the cap is restored, (61,), the key of
+        # volume 60, is priced in full and refused, as in a new process.
+        for name, start in (("_partition_counts", [1]), ("_partition_sums", [1]),
+                            ("_length_sums", [0])):
+            monkeypatch.setattr(stratavol.partitions, name, start)
+        stratavol.cumulants._generator_figures.cache_clear()
+        cap = stratavol.cumulants.WICK_WORK_CAP
+        monkeypatch.setattr(stratavol.cumulants, "WICK_WORK_CAP", 1000)
+        with pytest.raises(ResourceCapError, match="at least 3293 steps"):
+            stratavol.cumulants.check_generator_work((61,), (1,))
+        monkeypatch.setattr(stratavol.cumulants, "WICK_WORK_CAP", cap)
+        with pytest.raises(ResourceCapError, match="at least 5464343 steps"):
+            stratavol.cumulants.check_generator_work((61,), (1,))
+
     @classmethod
     def _ints(cls, value):
         """The integers in a held value, however nested."""
@@ -1050,7 +1105,7 @@ class TestPrice:
         def forbidden(*args):
             raise AssertionError("the price summed the states by size")
 
-        monkeypatch.setattr(stratavol.cumulants, "_by_size", forbidden)
+        monkeypatch.setattr(stratavol.cumulants, "_pairs_by_size", forbidden)
         for genus in range(2, 10):
             for mu in enum_int_partitions(2 * genus - 2):
                 key = sorted((p + 1 for p in mu), reverse=True)
